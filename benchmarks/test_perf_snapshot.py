@@ -3,9 +3,10 @@
 Runs a pinned LAN transfer under the full observability stack and
 writes ``BENCH_PR2.json`` at the repo root with the engine's events/sec,
 wall time, peak RSS and delivered-bytes/sec, so perf regressions across
-PRs show up as a diff of that file.  The asserted floors are
-deliberately loose (an order of magnitude under observed numbers) --
-they catch catastrophic slowdowns, not noise.
+PRs show up as a diff of that file.  The asserted wall-clock floor is
+deliberately loose (an order of magnitude under observed numbers) -- it
+catches catastrophic slowdowns, not noise; engine work is held by an
+exact events-per-packet ceiling instead of an events/s floor.
 """
 
 from __future__ import annotations
@@ -69,8 +70,11 @@ def test_perf_snapshot():
     print()
     print(json.dumps(doc, indent=2, sort_keys=True))
 
-    # loose floors: an order of magnitude below typical CI numbers
-    assert engine_eps > 5_000, snapshot
+    # engine cost is bounded by a count, not a rate: events/s falls
+    # when an engine change removes events.  The ceiling is the one
+    # tests/harness/test_pinned_stats.py holds for this scenario.
+    assert res.wall_events_per_packet <= 7.6, snapshot
+    # loose floor: an order of magnitude below typical CI numbers
     assert delivered / wall_s > 500_000, snapshot
     assert snapshot["peak_rss_kb"] < 2_000_000, snapshot
     # the observed run stays faithful to the protocol result

@@ -14,6 +14,12 @@ SEQ_MASK = 0xFFFFFFFF
 _HALF = 0x80000000
 
 
+# Every helper is a single expression on ``(a - b) & SEQ_MASK`` -- the
+# distance from b forward to a.  a is ahead of b when that distance is
+# in (0, 2**31), level at 0, and behind from 2**31 up (bit 31 set), so
+# the exact antipode counts as behind.  These run several times per
+# received packet; none calls another.
+
 def seq_add(seq: int, delta: int) -> int:
     """``seq + delta`` modulo 2**32 (delta may be negative)."""
     return (seq + delta) & SEQ_MASK
@@ -24,34 +30,34 @@ def seq_sub(a: int, b: int) -> int:
 
     Positive when ``a`` is ahead of ``b``, negative when behind.
     """
-    diff = (a - b) & SEQ_MASK
-    return diff - (1 << 32) if diff >= _HALF else diff
+    return ((a - b + _HALF) & SEQ_MASK) - _HALF
 
 
 def seq_lt(a: int, b: int) -> bool:
-    return seq_sub(a, b) < 0
+    return ((a - b) & _HALF) != 0
 
 
 def seq_leq(a: int, b: int) -> bool:
-    return seq_sub(a, b) <= 0
+    return not 0 < ((a - b) & SEQ_MASK) < _HALF
 
 
 def seq_gt(a: int, b: int) -> bool:
-    return seq_sub(a, b) > 0
+    return 0 < ((a - b) & SEQ_MASK) < _HALF
 
 
 def seq_geq(a: int, b: int) -> bool:
-    return seq_sub(a, b) >= 0
+    return not (a - b) & _HALF
 
 
 def seq_between(low: int, x: int, high: int) -> bool:
     """True when ``low <= x < high`` in circular order."""
-    return seq_leq(low, x) and seq_lt(x, high)
+    return (not 0 < ((low - x) & SEQ_MASK) < _HALF
+            and ((x - high) & _HALF) != 0)
 
 
 def seq_max(a: int, b: int) -> int:
-    return a if seq_geq(a, b) else b
+    return b if (a - b) & _HALF else a
 
 
 def seq_min(a: int, b: int) -> int:
-    return a if seq_leq(a, b) else b
+    return b if 0 < ((a - b) & SEQ_MASK) < _HALF else a

@@ -33,7 +33,7 @@ from repro.fleet.fingerprint import code_fingerprint
 from repro.fleet.spec import RunSpec
 from repro.fleet.store import ResultStore
 from repro.fleet.summary import RunSummary
-from repro.fleet.worker import execute_spec
+from repro.fleet.worker import JobTimeout, execute_spec
 
 __all__ = ["Fleet", "FleetError", "FleetStats"]
 
@@ -217,7 +217,7 @@ class Fleet:
                                  results)
                     done += 1
                     break
-                except Exception as exc:  # noqa: BLE001 - job boundary
+                except (Exception, JobTimeout) as exc:  # job boundary
                     attempts += 1
                     if attempts > self.retries:
                         errors[spec.content_hash()] = \
@@ -284,7 +284,7 @@ class Fleet:
                             pool, ctx, spec, queue, inflight,
                             max_pool_restarts)
                         break
-                    except Exception as exc:  # noqa: BLE001
+                    except (Exception, JobTimeout) as exc:
                         h = spec.content_hash()
                         attempts[h] = attempts.get(h, 0) + 1
                         if attempts[h] > self.retries:

@@ -23,8 +23,16 @@ from repro.fleet.summary import RunSummary, summarize_result
 __all__ = ["execute_spec", "run_spec", "JobTimeout"]
 
 
-class JobTimeout(Exception):
-    """A job exceeded its per-run wall-clock budget."""
+class JobTimeout(BaseException):
+    """A job exceeded its per-run wall-clock budget.
+
+    Raised from the SIGALRM handler, so it lands wherever the job
+    happens to be executing -- usually inside an application generator,
+    under ``Process._resume``'s ``except Exception``, which would store
+    it as that process's error and let the run carry on without the
+    process.  A ``BaseException`` passes every such handler; the
+    executor's job boundary names it explicitly.
+    """
 
 
 def _build_scenario(spec: RunSpec) -> Any:

@@ -23,7 +23,6 @@ from repro.net.nic import NetworkInterface
 from repro.net.topology import Network
 from repro.kernel.skbuff import SKBuff
 from repro.sim.engine import Simulator
-from repro.sim.process import SimEvent
 
 __all__ = ["CostModel", "Host", "HostClock", "Transport"]
 
@@ -102,6 +101,20 @@ class CostModel:
         return round(self.syscall_us + self.copy_per_byte_us * nbytes)
 
 
+class _CpuWork:
+    """What :meth:`Host.cpu_exec` yields: ``Process._resume`` arms it,
+    so the process resumes *as* the CPU-completion event."""
+
+    __slots__ = ("_host", "_cost_us")
+
+    def __init__(self, host: "Host", cost_us: int):
+        self._host = host
+        self._cost_us = cost_us
+
+    def _arm(self, proc) -> None:
+        self._host.cpu_run(self._cost_us, proc._resume, None)
+
+
 class Transport:
     """Interface a transport protocol presents to the host/socket layer.
 
@@ -158,9 +171,7 @@ class Host:
     def cpu_exec(self, cost_us: int) -> Generator:
         """``yield from host.cpu_exec(c)`` inside an application process
         consumes ``c`` us of this host's CPU."""
-        done = SimEvent(self.sim)
-        self.cpu_run(cost_us, done.fire)
-        yield done
+        yield _CpuWork(self, cost_us)
 
     @property
     def cpu_busy_until(self) -> int:

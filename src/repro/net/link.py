@@ -96,11 +96,21 @@ class SharedLink:
             return
         self.frames_carried += 1
         self.bytes_carried += pkt.wire_bytes
-        arrive = end_us + self.prop_delay_us
+        # one engine event for the whole fan-out: per-NIC entries would
+        # share this timestamp and hold consecutive order numbers, so
+        # nothing could fire between them and walking the NICs inside
+        # one event is the same firing order.  The forks' ids are
+        # claimed now, where per-NIC scheduling allocated them.
+        fanout = len(self._nics) - (sender in self._nics)
+        self.sim.call_at(end_us + self.prop_delay_us, self._deliver_all, pkt,
+                         sender, self.sim.new_packet_id(fanout))
+
+    def _deliver_all(self, pkt: "NetPacket", sender: "NetworkInterface",
+                     pid: int) -> None:
         for nic in self._nics:
             if nic is not sender:
-                self.sim.call_at(arrive, nic.medium_deliver,
-                                 pkt.fork(self.sim.new_packet_id()))
+                nic.medium_deliver(pkt.fork(pid))
+                pid += 1
 
     @property
     def utilization_bytes(self) -> int:

@@ -184,13 +184,13 @@ class Watchdog:
     def _snapshot(self, now_us: int, sig: tuple) -> StallReport:
         lineage = self._sim.lineage
         frontier: list[tuple[int, str, list[str]]] = []
-        for entry in self._sim.pending_entries(self.frontier_limit):
+        for when, _, callback, _, cause in \
+                self._sim.pending_entries(self.frontier_limit):
             chain_lines: list[str] = []
-            if lineage is not None and entry.cause:
-                chain, trunc = lineage.chain(entry.cause)
+            if lineage is not None and cause:
+                chain, trunc = lineage.chain(cause)
                 chain_lines = format_chain(chain, trunc)
-            frontier.append((entry.time, site_of(entry.callback),
-                             chain_lines))
+            frontier.append((when, site_of(callback), chain_lines))
         return StallReport(now_us, self._frozen_since, sig,
                            self._sim.pending(), frontier)
 

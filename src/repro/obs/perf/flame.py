@@ -112,12 +112,12 @@ class StackSampler:
 
     def collapsed_lines(self) -> list[str]:
         """Collapsed-stack lines (sorted, hence deterministic given a
-        deterministic sample set), weights in whole microseconds."""
-        lines = []
-        for key in sorted(self.stacks):
-            weight_us = max(1, self.stacks[key] // 1000)
-            lines.append(";".join(key) + f" {weight_us}")
-        return lines
+        deterministic sample set), weights in whole microseconds.
+
+        The rendered lines are what is sorted: tuple order and line
+        order differ once one frame name is a prefix of another."""
+        return sorted(";".join(key) + f" {max(1, ns // 1000)}"
+                      for key, ns in self.stacks.items())
 
     def write_collapsed(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -20,14 +20,18 @@ tuple:
     transmit CPU on the way down; RX-ring enqueue/drain/protocol
     delivery on the way up.
 ``link``
-    Medium propagation: the per-receiver fan-out events a broadcast
-    schedules, plus router/pipe store-and-forward hops.
+    Medium propagation: the one fan-out event a broadcast schedules
+    (it walks every attached NIC, so address filtering and RX-ring
+    enqueue of an idle ring bill here), plus router/pipe
+    store-and-forward hops.
 ``process-wake``
-    :class:`~repro.sim.process.SimEvent` wake-ups (blocked process
-    rendezvous).
+    :class:`~repro.sim.process.SimEvent` fires scheduled as engine
+    callbacks.  None in the stock scenarios since CPU work resumes its
+    process directly.
 ``app``
     Application generator resumes (file-transfer sender/receiver
-    loops, disk model).
+    loops, disk model), including resumes that are a CPU-completion
+    event (``Host.cpu_exec``).
 ``fleet-harness``
     Everything the harness itself schedules around a run: fault
     injection, observability scrape ticks, watchdogs.
@@ -142,11 +146,13 @@ def infer(module: str, qualname: str) -> str:
 
 def _register_builtin_sites() -> None:
     from repro.kernel.host import Host
+    from repro.net.link import SharedLink
     from repro.net.nic import NetworkInterface
     from repro.sim.process import Process, SimEvent
 
     register_site(NetworkInterface._tx_done, "nic-tx")
     register_site(Host._xmit, "nic-tx")
+    register_site(SharedLink._deliver_all, "link")
     register_site(NetworkInterface.medium_deliver, "link")
     register_site(NetworkInterface._rx_enqueue, "nic-rx")
     register_site(NetworkInterface._rx_process, "nic-rx")

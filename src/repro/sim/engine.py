@@ -25,30 +25,6 @@ class SimulationError(RuntimeError):
     """Raised for scheduling errors (e.g. scheduling into the past)."""
 
 
-class _Entry:
-    """Heap entry.  ``cancelled`` supports O(1) lazy cancellation.
-
-    ``cause`` is the causal-lineage node id of the event that scheduled
-    this one (0 when lineage is off or the scheduler had no lineage);
-    see :mod:`repro.obs.causal`.
-    """
-
-    __slots__ = ("time", "order", "callback", "args", "cancelled", "cause")
-
-    def __init__(self, time: int, order: int, callback: Callable, args: tuple):
-        self.time = time
-        self.order = order
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.cause = 0
-
-    def __lt__(self, other: "_Entry") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.order < other.order
-
-
 class Simulator:
     """Event-driven simulator with an integer microsecond clock.
 
@@ -66,7 +42,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        self._heap: list[_Entry] = []
+        self._heap: list[list] = []
         self._order: int = 0
         self._live: int = 0  # non-cancelled entries in the heap
         self._dead: int = 0  # cancelled entries still in the heap
@@ -91,10 +67,12 @@ class Simulator:
         # has simulated before (fleet workers run many jobs each)
         self._next_packet_id = 0
 
-    def new_packet_id(self) -> int:
-        """Allocate the next :class:`~repro.net.packet.NetPacket` id."""
-        self._next_packet_id += 1
-        return self._next_packet_id
+    def new_packet_id(self, n: int = 1) -> int:
+        """Allocate ``n`` consecutive :class:`~repro.net.packet.NetPacket`
+        ids and return the first."""
+        first = self._next_packet_id + 1
+        self._next_packet_id += n
+        return first
 
     @property
     def now(self) -> int:
@@ -106,28 +84,36 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------
 
-    def call_at(self, when: int, callback: Callable, *args: Any) -> _Entry:
-        """Schedule ``callback(*args)`` at absolute time ``when`` (us)."""
+    def call_at(self, when: int, callback: Callable, *args: Any) -> list:
+        """Schedule ``callback(*args)`` at absolute time ``when`` (us).
+
+        Returns the heap entry, a plain list ``[time, order, callback,
+        args, cause]``: ``order`` is unique, so heap ordering is C-level
+        list comparison on the two leading ints and never reaches the
+        callback.  ``cause`` is the causal-lineage node id of the event
+        that scheduled this one (0 when lineage is off; see
+        :mod:`repro.obs.causal`).  A cancelled entry has ``callback``
+        set to ``None``.
+        """
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when} (now is {self._now})"
             )
-        entry = _Entry(int(when), self._order, callback, args)
         lineage = self.lineage
-        if lineage is not None:
-            entry.cause = lineage.current
+        entry = [int(when), self._order, callback, args,
+                 lineage.current if lineage is not None else 0]
         self._order += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
         return entry
 
-    def call_after(self, delay: int, callback: Callable, *args: Any) -> _Entry:
+    def call_after(self, delay: int, callback: Callable, *args: Any) -> list:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + int(delay), callback, *args)
 
-    def cancel(self, entry: _Entry) -> None:
+    def cancel(self, entry: list) -> None:
         """Cancel a previously scheduled entry (idempotent).
 
         Cancellation is lazy (the entry stays in the heap until popped),
@@ -135,8 +121,8 @@ class Simulator:
         ones: restartable timers re-armed every jiffy would otherwise
         accumulate dead entries for the whole run.
         """
-        if not entry.cancelled:
-            entry.cancelled = True
+        if entry[2] is not None:
+            entry[2] = None
             self._live -= 1
             self._dead += 1
             if self._dead > self.COMPACT_MIN and self._dead > self._live:
@@ -144,7 +130,7 @@ class Simulator:
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify."""
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [e for e in self._heap if e[2] is not None]
         heapq.heapify(self._heap)
         self._dead = 0
         self.compactions += 1
@@ -159,7 +145,8 @@ class Simulator:
         even if the last event fires earlier.
         """
         self._running = True
-        budget = max_events if max_events is not None else -1
+        # counts down to 0; None (and 0, as ever) never gets there
+        budget = max_events or -1
         profiler = self.profiler
         lineage = self.lineage
         heappop = heapq.heappop   # hoisted: one global lookup per run
@@ -168,29 +155,27 @@ class Simulator:
             # callback may cancel enough entries to trigger _compact(),
             # which rebinds the list.
             while self._heap:
-                entry = self._heap[0]
-                if entry.cancelled:
-                    heappop(self._heap)
+                when, _, callback, args, cause = entry = heappop(self._heap)
+                if callback is None:
                     self._dead -= 1
                     continue
-                if until is not None and entry.time > until:
+                if until is not None and when > until:
+                    # same (time, order) key: goes back where it was
+                    heapq.heappush(self._heap, entry)
                     break
-                heappop(self._heap)
                 self._live -= 1
                 prev = self._now
-                self._now = entry.time
+                self._now = when
                 self.events_processed += 1
                 if lineage is not None:
-                    lineage.current = entry.cause
+                    lineage.current = cause
                 if profiler is None:
-                    entry.callback(*entry.args)
+                    callback(*args)
                 else:
-                    profiler.execute(entry.callback, entry.args,
-                                     entry.time - prev)
-                if budget > 0:
-                    budget -= 1
-                    if budget == 0:
-                        break
+                    profiler.execute(callback, args, when - prev)
+                budget -= 1
+                if not budget:
+                    break
         finally:
             self._running = False
             if lineage is not None:
@@ -201,27 +186,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute a single event.  Returns ``False`` when none remain."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
-                self._dead -= 1
-                continue
-            self._live -= 1
-            prev = self._now
-            self._now = entry.time
-            self.events_processed += 1
-            lineage = self.lineage
-            if lineage is not None:
-                lineage.current = entry.cause
-            if self.profiler is None:
-                entry.callback(*entry.args)
-            else:
-                self.profiler.execute(entry.callback, entry.args,
-                                      entry.time - prev)
-            if lineage is not None:
-                lineage.current = 0
-            return True
-        return False
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
@@ -229,15 +196,15 @@ class Simulator:
 
     def peek_time(self) -> int | None:
         """Time of the next live event, or ``None`` if drained."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2] is None:
             heapq.heappop(self._heap)
             self._dead -= 1
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
-    def pending_entries(self, limit: int = 32) -> list[_Entry]:
+    def pending_entries(self, limit: int = 32) -> list[list]:
         """The next ``limit`` live entries in firing order, without
         disturbing the heap.  Diagnostic only (stall-frontier snapshots
         -- see repro.obs.diag); O(n log n) in the heap size."""
-        live = [e for e in self._heap if not e.cancelled]
+        live = [e for e in self._heap if e[2] is not None]
         live.sort()
         return live[:limit]

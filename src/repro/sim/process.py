@@ -20,6 +20,9 @@ A process generator may ``yield``:
 * :class:`Delay` -- sleep for N microseconds,
 * :class:`SimEvent` -- block until the event fires (``event.fire(value)``
   resumes all waiters; the yielded expression evaluates to the value),
+* any other object with an ``_arm(proc)`` method that schedules
+  ``proc._resume`` itself -- how ``Host.cpu_exec`` makes the resume
+  *be* the CPU-completion event, without this layer importing kernel,
 * another generator via ``yield from`` -- ordinary composition.
 """
 
@@ -41,6 +44,9 @@ class Delay:
         if us < 0:
             raise ValueError(f"negative delay {us}")
         self.us = int(us)
+
+    def _arm(self, proc: "Process") -> None:
+        proc._sim.call_after(self.us, proc._resume, None)
 
 
 class ProcessKilled(Exception):
@@ -69,7 +75,8 @@ class SimEvent:
             self._sim.call_after(0, proc._resume, value)
         return len(waiters)
 
-    def _add_waiter(self, proc: "Process") -> None:
+    def _arm(self, proc: "Process") -> None:
+        proc._waiting_on = self
         self._waiters.append(proc)
 
     def _discard_waiter(self, proc: "Process") -> None:
@@ -136,19 +143,18 @@ class Process:
         except Exception as exc:  # propagate at join time, don't kill the sim
             self._finish(None, exc)
             return
-        if isinstance(yielded, Delay):
-            self._sim.call_after(yielded.us, self._resume, None)
-        elif isinstance(yielded, SimEvent):
-            self._waiting_on = yielded
-            yielded._add_waiter(self)
-        else:
+        # looked up on the type: a class yielded by mistake is not armable
+        arm = getattr(type(yielded), "_arm", None)
+        if arm is None:
             self._finish(
                 None,
                 TypeError(
                     f"process {self.name!r} yielded {type(yielded).__name__}; "
-                    "expected Delay or SimEvent"
+                    "expected Delay, SimEvent or an object with _arm(proc)"
                 ),
             )
+        else:
+            arm(yielded, self)
 
     def join(self) -> Generator:
         """``yield from proc.join()`` inside another process."""

@@ -58,13 +58,15 @@ class Timer:
 
     @property
     def pending(self) -> bool:
-        return self._entry is not None and not self._entry.cancelled
+        # engine entries are [time, order, callback, args, cause];
+        # a cancelled one has its callback cleared
+        return self._entry is not None and self._entry[2] is not None
 
     @property
     def expires(self) -> int | None:
         """Absolute expiry time in us, or None if not armed."""
         if self.pending:
-            return self._entry.time
+            return self._entry[0]
         return None
 
     def mod_timer(self, expires: int) -> None:

@@ -100,3 +100,58 @@ def test_lt_gt_duality(a, b):
     if a != b and (a - b) & SEQ_MASK != 2**31:
         assert seq_lt(a, b) != seq_lt(b, a)
         assert seq_lt(a, b) == seq_gt(b, a)
+
+
+# -- the flattened helpers against the layered definitions they replaced --
+
+def _ref_sub(a, b):
+    diff = (a - b) & SEQ_MASK
+    return diff - (1 << 32) if diff >= 0x80000000 else diff
+
+
+_REFERENCE = {
+    seq_sub: _ref_sub,
+    seq_lt: lambda a, b: _ref_sub(a, b) < 0,
+    seq_leq: lambda a, b: _ref_sub(a, b) <= 0,
+    seq_gt: lambda a, b: _ref_sub(a, b) > 0,
+    seq_geq: lambda a, b: _ref_sub(a, b) >= 0,
+    seq_max: lambda a, b: a if _ref_sub(a, b) >= 0 else b,
+    seq_min: lambda a, b: a if _ref_sub(a, b) <= 0 else b,
+}
+
+
+def _check_pair(a, b):
+    for fn, ref in _REFERENCE.items():
+        got, want = fn(a, b), ref(a, b)
+        assert got == want and type(got) is type(want), (fn.__name__, a, b)
+
+
+def _check_between(low, x, high):
+    assert seq_between(low, x, high) == (
+        _ref_sub(low, x) <= 0 and _ref_sub(x, high) < 0), (low, x, high)
+
+
+def test_flat_helpers_equal_layered_definitions_randomized():
+    import random
+    rng = random.Random(1999)
+    edges = [0, 1, 2**31 - 1, 2**31, 2**31 + 1, SEQ_MASK - 1, SEQ_MASK]
+    for a in edges:
+        for b in edges:
+            _check_pair(a, b)
+            for x in edges:
+                _check_between(a, x, b)
+    for _ in range(20_000):
+        a = rng.randrange(2**32)
+        # near, antipodal and arbitrary distances, both signs
+        d = rng.choice([rng.randrange(-4, 5), 2**31 + rng.randrange(-2, 3),
+                        rng.randrange(2**32)])
+        b = (a + d) & SEQ_MASK
+        _check_pair(a, b)
+        _check_between(a, rng.randrange(2**32), b)
+
+
+@given(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40))
+def test_flat_helpers_equal_layered_definitions_any_int(a, b):
+    # callers pass un-normalised sums (seq + length); the masking must
+    # absorb them exactly as the layered helpers did
+    _check_pair(a, b)

@@ -153,11 +153,37 @@ def test_bad_config_delta_fails_cleanly(tmp_path):
         fleet.run_specs([bad])
 
 
-def test_job_timeout_is_a_bounded_failure():
-    # 8 MB at 10 Mbps takes ~seconds of wall clock; a 50 ms budget
-    # must trip the in-worker alarm, not hang the fleet
-    slow = RunSpec.lan(3, 10e6, seed=1, nbytes=8_000_000)
-    fleet = Fleet(workers=1, timeout_s=0.05, retries=0)
+def _alarm_inside_an_app_process(monkeypatch):
+    # The alarm lands wherever the job is executing, which is nearly
+    # always inside an application generator.  Drive it there on
+    # purpose -- SIGALRM raised from every job's first CPU-work request
+    # in an app process, with the real timer far away -- so the verdict
+    # does not depend on how fast the host is.
+    from repro.kernel.host import Host
+    real_cpu_exec = Host.cpu_exec
+
+    def cpu_exec(self, cost_us):
+        signal.raise_signal(signal.SIGALRM)
+        yield from real_cpu_exec(self, cost_us)
+
+    monkeypatch.setattr(Host, "cpu_exec", cpu_exec)
+
+
+def test_job_timeout_is_a_bounded_failure(monkeypatch):
+    _alarm_inside_an_app_process(monkeypatch)
+    fleet = Fleet(workers=1, timeout_s=3600, retries=0)
     with pytest.raises(FleetError, match="wall clock"):
-        fleet.run_specs([slow])
+        fleet.run_specs(_grid(1))
     assert fleet.stats.failed == 1
+    assert fleet.stats.executed == 0
+
+
+def test_job_timeout_in_a_pool_worker_is_a_bounded_failure(monkeypatch):
+    # pool workers are forked and inherit the patch; the BaseException
+    # travels back through the future and is counted, not re-raised
+    _alarm_inside_an_app_process(monkeypatch)
+    fleet = Fleet(workers=2, timeout_s=3600, retries=0)
+    with pytest.raises(FleetError, match="wall clock"):
+        fleet.run_specs(_grid(2))
+    assert fleet.stats.failed == 2
+    assert fleet.stats.executed == 0

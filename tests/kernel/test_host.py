@@ -95,6 +95,56 @@ def test_cpu_exec_in_process():
     assert marks == [500]
 
 
+def test_cpu_exec_resume_is_the_cpu_completion_event():
+    """The process resumes at the instant its CPU work completes --
+    queued behind work already on the CPU -- and in the completion
+    event's own slot: a same-instant entry scheduled later fires after
+    it (and before the completion of a request made from it), and no
+    extra engine event is spent on the wake-up."""
+    sim, lan, h1, _ = make_pair()
+    marks = []
+
+    def app():
+        yield from h1.cpu_exec(500)
+        marks.append(("app", sim.now))
+        yield from h1.cpu_exec(0)
+        marks.append(("app-zero", sim.now))
+
+    h1.cpu_run(120, marks.append, ("earlier work", 120))
+    Process(sim, app())
+    sim.run(max_events=1)                     # the app has asked for CPU
+    assert h1.cpu_busy_until == 620
+    sim.call_at(620, marks.append, ("scheduled later", 620))
+    sim.run()
+    assert marks == [("earlier work", 120), ("app", 620),
+                     ("scheduled later", 620), ("app-zero", 620)]
+    # start, earlier work, two completions, the probe
+    assert sim.events_processed == 5
+
+
+def test_kill_during_cpu_work_is_safe():
+    sim, lan, h1, _ = make_pair()
+    marks = []
+
+    def app():
+        try:
+            yield from h1.cpu_exec(500)
+            marks.append("never")
+        finally:
+            marks.append(("unwound", sim.now))
+
+    proc = Process(sim, app())
+    sim.call_at(200, proc.kill)
+    sim.call_at(1, h1.cpu_run, 10, marks.append,
+                "queued behind the dead request")
+    sim.run()
+    # the CPU time stays spent; the completion finds the process dead
+    assert marks == [("unwound", 200), "queued behind the dead request"]
+    assert not proc.alive and proc.error is None
+    assert sim.now == 510
+    proc.kill()                               # idempotent
+
+
 def test_rx_processing_charges_cpu():
     """Receiving N packets should occupy the receiver CPU serially."""
     sim, lan, h1, h2 = make_pair()

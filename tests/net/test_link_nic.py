@@ -152,3 +152,50 @@ def test_rx_delay_holds_packet():
     nic.medium_deliver(mkpkt("10.0.0.9", "10.0.0.1"))
     sim.run()
     assert got == [123]
+
+
+def test_one_broadcast_event_delivers_like_per_nic_events():
+    """`broadcast` schedules one engine event for the whole fan-out.
+    The expected values were recorded at the commit that still
+    scheduled one event per attached NIC: delivery order across NICs,
+    the id of every fork (claimed at broadcast time, so an id taken
+    while the frame is in flight sorts after them) and the per-NIC
+    `filtered` counts are the same."""
+    group = "224.1.1.1"
+    sim, link, nics = make_lan(5)
+    log = []
+    for nic in nics:
+        nic.rx_handler = \
+            lambda pkt, nic=nic: log.append((sim.now, nic.addr, pkt.id))
+    for nic in nics[1:4]:
+        nic.join_group(group)
+    src = nics[2]
+    for dst in (group, nics[0].addr):
+        src.try_transmit(NetPacket(src.addr, dst, FakeSeg(), 1000,
+                                   pid=sim.new_packet_id()))
+    in_flight = []
+    # the first frame leaves the wire at 830 and arrives at 835
+    sim.call_at(832, lambda: in_flight.append(sim.new_packet_id()))
+    sim.run()
+    assert log == [(835, "10.0.0.2", 4), (835, "10.0.0.4", 5),
+                   (1665, "10.0.0.1", 8)]
+    assert in_flight == [7]
+    assert sim.new_packet_id() == 12
+    assert [nic.filtered for nic in nics] == [1, 1, 0, 1, 2]
+    assert [nic.rx_packets for nic in nics] == [1, 1, 0, 1, 0]
+    # 2 tx completions, 2 fan-outs, 3 ring drains, 1 probe (was 14)
+    assert sim.events_processed == 8
+
+
+def test_fanout_shares_one_instant_with_unrelated_events():
+    """Events scheduled for the arrival instant before and after the
+    broadcast keep their place around the whole fan-out."""
+    sim, link, (a, b, c) = make_lan(3)
+    order = []
+    b.medium_deliver = lambda pkt: order.append("b")
+    c.medium_deliver = lambda pkt: order.append("c")
+    sim.call_at(105, order.append, "before")
+    link.broadcast(mkpkt(a.addr, b.addr), a, end_us=100)
+    sim.call_at(105, order.append, "after")
+    sim.run()
+    assert order == ["before", "b", "c", "after"]

@@ -133,18 +133,16 @@ def test_html_report_is_self_contained(runs, tmp_path):
 
 # -- watchdog -----------------------------------------------------------
 
-class _StubEntry:
-    def __init__(self, time, cause=0):
-        self.time = time
-        self.cause = cause
-        self.callback = lambda: None
+def _stub_entry(time, cause=0):
+    # the engine's heap-entry layout: [time, order, callback, args, cause]
+    return [time, 0, lambda: None, (), cause]
 
 
 class _StubSim:
     def __init__(self):
         self.now = 0
         self.lineage = None
-        self._entries = [_StubEntry(10), _StubEntry(20)]
+        self._entries = [_stub_entry(10), _stub_entry(20)]
 
     def pending(self):
         return len(self._entries)

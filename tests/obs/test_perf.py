@@ -170,6 +170,36 @@ def test_collapsed_lines_format():
     assert lines == sorted(lines)
 
 
+def test_collapsed_lines_sorted_when_a_frame_name_prefixes_another():
+    # tuple order puts ("f",) < ("f", "g") < ("f.<locals>.h",); line
+    # order puts "f.<locals>.h" before "f;g" ('.' sorts before ';')
+    from repro.obs.perf.flame import StackSampler
+    sampler = StackSampler()
+    base = ("engine", "app")
+    for frames in (("f", "g"), ("f.<locals>.h",), ("f",)):
+        sampler.stacks[base + frames] = 2500
+    lines = sampler.collapsed_lines()
+    assert lines == ["engine;app;f 2", "engine;app;f.<locals>.h 2",
+                     "engine;app;f;g 2"] == sorted(lines)
+
+
+def test_broadcast_fanout_and_cpu_resumes_are_classified():
+    from repro.net.link import SharedLink
+    from repro.sim.process import Process
+    sim = Simulator()
+    link = SharedLink(sim, 10e6)
+    assert classify(link._deliver_all) == "link"
+    proc = Process(sim, iter(()))
+    assert classify(proc._resume) == "app"
+    # CPU-bound resumes are CPU-completion events now: the pinned run
+    # has no throw-away wake-up events left, and nothing falls to other
+    perf, _ = _profiled_run(sample_every=0)
+    by_class = {row[0]: row[1] for row in perf.tax_rows()}
+    assert by_class.get("process-wake", 0) == 0
+    assert perf.coverage() == 1.0
+    assert by_class["link"] > 0 and by_class["app"] > 0
+
+
 def test_sample_every_zero_disables_sampling():
     perf, _ = _profiled_run(sample_every=0)
     assert perf.sampler is None

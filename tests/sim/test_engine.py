@@ -301,3 +301,141 @@ def test_no_profiler_no_overhead_path():
     sim.call_at(1, fired.append, 1)
     sim.run()
     assert fired == [1]
+
+
+# -- list heap entries [time, order, callback, args, cause] -----------------
+
+def test_entry_layout_and_cancel_rule():
+    sim = Simulator()
+    entry = sim.call_at(10, print, "a", "b")
+    assert entry == [10, 0, print, ("a", "b"), 0]
+    assert sim.call_at(10, print)[1] == 1      # order numbers are unique
+    sim.cancel(entry)
+    assert entry[2] is None                    # cancelled = no callback
+    assert sim.pending() == 1
+
+
+def test_same_instant_fifo_never_compares_callbacks():
+    """Ordering is decided by (time, order) alone: entries for one
+    instant fire in scheduling order whatever their callbacks and
+    arguments are, including ones that cannot be compared."""
+    class Opaque:
+        __lt__ = __gt__ = __le__ = __ge__ = None   # comparing would raise
+
+        def __init__(self, log, tag):
+            self.log, self.tag = log, tag
+
+        def __call__(self, *args):
+            self.log.append(self.tag)
+
+    sim = Simulator()
+    log = []
+    for i in range(200):
+        sim.call_at(7 if i % 3 else 3, Opaque(log, i), Opaque(log, None))
+    sim.run()
+    assert log == [i for i in range(200) if i % 3 == 0] + \
+                  [i for i in range(200) if i % 3]
+
+
+def test_same_instant_fifo_survives_compaction():
+    sim = Simulator()
+    fired = []
+    entries = [sim.call_at(50, fired.append, i) for i in range(400)]
+    for i, e in enumerate(entries):
+        if i % 8:
+            sim.cancel(e)
+    assert sim.compactions > 0
+    sim.run()
+    assert fired == list(range(0, 400, 8))
+
+
+def test_peek_time_drops_cancelled_heads_and_keeps_counts():
+    sim = Simulator()
+    heads = [sim.call_at(t, lambda: None) for t in (1, 2, 3)]
+    sim.call_at(9, lambda: None)
+    for e in heads:
+        sim.cancel(e)
+    assert sim._dead == 3
+    assert sim.peek_time() == 9
+    assert sim._dead == 0 and len(sim._heap) == 1
+    sim.cancel(sim._heap[0])
+    assert sim.peek_time() is None
+    assert sim.pending() == 0
+
+
+def test_pending_entries_in_firing_order():
+    sim = Simulator()
+    late = sim.call_at(30, print)
+    dead = sim.call_at(10, print)
+    first = sim.call_at(20, print, 1)
+    second = sim.call_at(20, print, 2)
+    sim.cancel(dead)
+    assert sim.pending_entries() == [first, second, late]
+    assert sim.pending_entries(limit=1) == [first]
+    assert sim.pending() == 3                  # undisturbed
+
+
+def test_run_until_leaves_the_next_entry_in_place():
+    """An entry past `until` goes back to the heap under the same key:
+    later runs fire it in its original same-instant position."""
+    sim = Simulator()
+    fired = []
+    sim.call_at(100, fired.append, "a")
+    sim.call_at(100, fired.append, "b")
+    sim.run(until=99)
+    assert fired == [] and sim.pending() == 2 and sim.now == 99
+    sim.call_at(100, fired.append, "c")
+    sim.run(until=99)                          # again, nothing due
+    sim.run()
+    assert fired == ["a", "b", "c"]
+    assert sim.events_processed == 3
+
+
+def _scripted(sim, log):
+    """A little of everything: same-instant entries, a cancelled head,
+    a callback that schedules and one that cancels."""
+    def spawn(tag):
+        log.append((sim.now, tag))
+        sim.call_after(0, log.append, (sim.now, tag + "-child"))
+
+    doomed = sim.call_at(1, log.append, "never")
+    sim.call_at(5, spawn, "x")
+    victim = sim.call_at(6, log.append, "never-either")
+    sim.call_at(5, sim.cancel, victim)
+    sim.call_at(5, spawn, "y")
+    sim.call_at(8, log.append, (8, "last"))
+    sim.cancel(doomed)
+
+
+def test_step_is_run_with_a_budget_of_one():
+    stepped, budgeted, plain = [], [], []
+    a, b, c = Simulator(), Simulator(), Simulator()
+    _scripted(a, stepped)
+    _scripted(b, budgeted)
+    _scripted(c, plain)
+    steps = 0
+    while a.step():
+        steps += 1
+        before = b.events_processed
+        b.run(max_events=1)
+        assert b.events_processed == before + 1
+        assert (a.now, a.pending(), a._dead, stepped) == \
+               (b.now, b.pending(), b._dead, budgeted)
+    c.run()
+    assert stepped == budgeted == plain
+    assert steps == a.events_processed == c.events_processed == 6
+    assert a.step() is False and a.events_processed == 6
+
+
+def test_step_restores_lineage_context():
+    class Lineage:
+        current = 0
+
+    sim = Simulator()
+    sim.lineage = Lineage()
+    seen = []
+    sim.lineage.current = 41
+    sim.call_at(1, lambda: seen.append(sim.lineage.current))
+    sim.lineage.current = 0
+    assert sim.step()
+    assert seen == [41] and sim.lineage.current == 0

@@ -190,6 +190,66 @@ def test_bad_yield_is_an_error():
     assert isinstance(w.error, TypeError)
 
 
+@pytest.mark.parametrize("junk", [None, 123, "Delay", (), Delay, object()])
+def test_only_armable_yields_are_accepted(junk):
+    """Delay, SimEvent and anything else with `_arm(proc)` may be
+    yielded; everything else still ends the process with TypeError."""
+    sim = Simulator()
+
+    def worker():
+        yield junk
+
+    w = Process(sim, worker(), name="w")
+    sim.run()
+    assert isinstance(w.error, TypeError) and not w.alive
+    assert "'w' yielded" in str(w.error)
+
+
+def test_duck_typed_arm_schedules_the_resume_itself():
+    """The `_arm(proc)` protocol: the yielded object arranges for
+    `proc._resume(value)`; the process layer adds no event of its own."""
+    sim = Simulator()
+
+    class At:
+        def __init__(self, when):
+            self.when = when
+
+        def _arm(self, proc):
+            sim.call_at(self.when, proc._resume, f"woke@{self.when}")
+
+    got = []
+
+    def worker():
+        got.append((yield At(40)))
+        got.append((yield At(75)))
+        return sim.now
+
+    w = Process(sim, worker())
+    sim.run()
+    assert got == ["woke@40", "woke@75"] and w.result == 75
+    assert sim.events_processed == 3          # start + the two resumes
+
+
+def test_async_base_exception_is_not_stored_as_a_process_error():
+    """What a wall-clock alarm raises inside a generator must stop the
+    run, not become `proc.error` of a quietly dead process."""
+    class Alarm(BaseException):
+        pass
+
+    sim = Simulator()
+    after = []
+
+    def worker():
+        yield Delay(5)
+        raise Alarm()
+
+    w = Process(sim, worker())
+    sim.call_at(9, after.append, "ran on")
+    with pytest.raises(Alarm):
+        sim.run()
+    assert w.error is None and after == []
+
+
 def test_negative_delay_rejected():
     with pytest.raises(ValueError):
         Delay(-5)
