@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.core.seq import seq_geq, seq_leq, seq_lt, seq_max, seq_min, seq_sub
+from repro.core.seq import seq_geq, seq_gt, seq_leq, seq_lt, seq_sub
 
 __all__ = ["NakRange", "NakList"]
 
@@ -63,31 +63,23 @@ class NakList:
     def add_gap(self, start: int, end: int, now_us: int) -> list[NakRange]:
         """Record that [start, end) is missing.  Returns the newly
         created ranges (portions not already tracked)."""
-        if seq_geq(start, end):
-            return []
         new: list[NakRange] = []
-        cursor = start
-        merged: list[NakRange] = []
-        for rng in self._ranges:
-            if seq_leq(rng.end, cursor) or seq_geq(rng.start, end):
-                merged.append(rng)
-                continue
-            # overlap: keep existing range, emit any uncovered prefix
-            if seq_lt(cursor, rng.start):
-                fresh = NakRange(cursor, rng.start, now_us)
-                new.append(fresh)
-                merged.append(fresh)
-            merged.append(rng)
-            cursor = seq_max(cursor, rng.end)
+        ranges = self._ranges
+        cursor, i = start, 0
+        while i < len(ranges) and seq_lt(cursor, end):
+            rng = ranges[i]
+            if seq_gt(rng.end, cursor):
+                if seq_geq(rng.start, end):
+                    break
+                if seq_lt(cursor, rng.start):   # uncovered stretch before rng
+                    ranges.insert(i, NakRange(cursor, rng.start, now_us))
+                    new.append(ranges[i])
+                    i += 1
+                cursor = rng.end
+            i += 1
         if seq_lt(cursor, end):
-            fresh = NakRange(cursor, end, now_us)
-            new.append(fresh)
-            merged.append(fresh)
-        merged.sort(key=lambda r: seq_sub(r.start, start))
-        # normalize ordering by absolute position relative to first element
-        base = merged[0].start if merged else 0
-        merged.sort(key=lambda r: seq_sub(r.start, base))
-        self._ranges = merged
+            ranges.insert(i, NakRange(cursor, end, now_us))
+            new.append(ranges[i])
         if new and self.health is not None:
             self.health.on_gaps_opened(new)
         return new
@@ -101,23 +93,19 @@ class NakList:
         for rng in self._ranges:
             if seq_leq(end, rng.start) or seq_geq(start, rng.end):
                 out.append(rng)  # disjoint
-                continue
-            covered = True
-            if seq_lt(rng.start, start):
-                left = NakRange(rng.start, seq_min(start, rng.end),
-                                rng.created_us)
-                left.last_sent_us = rng.last_sent_us
-                left.tries = rng.tries
-                out.append(left)
-                covered = False
-            if seq_lt(end, rng.end):
-                right = NakRange(seq_max(end, rng.start), rng.end,
-                                 rng.created_us)
-                right.last_sent_us = rng.last_sent_us
-                right.tries = rng.tries
-                out.append(right)
-                covered = False
-            if covered and h is not None:
+            elif seq_lt(end, rng.end):
+                if seq_lt(rng.start, start):    # hole punched mid-range
+                    left = NakRange(rng.start, start, rng.created_us)
+                    left.last_sent_us = rng.last_sent_us
+                    left.tries = rng.tries
+                    left.local_tries = rng.local_tries
+                    out.append(left)
+                rng.start = end
+                out.append(rng)
+            elif seq_lt(rng.start, start):
+                rng.end = start
+                out.append(rng)
+            elif h is not None:
                 h.on_gap_removed(rng)
         self._ranges = out
 

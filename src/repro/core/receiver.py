@@ -141,7 +141,7 @@ class HRMCReceiver:
             self._learn_sender(skb, src)
             self.stats.keepalives_rcvd += 1
             if seq_gt(skb.seq, self.rcv_nxt):
-                self._note_gap(self.rcv_nxt, skb.seq)
+                self._note_gap(skb.seq)
         elif ptype == PacketType.NAK:
             self._on_peer_nak(skb, src)
         elif ptype == PacketType.PROBE:
@@ -217,7 +217,8 @@ class HRMCReceiver:
                 self._ooo[seq] = skb
                 if h is not None and (skb.tries > 1 or peer_repair):
                     h.on_repair_useful(skb)
-                self._note_gap(self.rcv_nxt, seq)
+                self.naks.fill(seq, end)
+                self._note_gap(seq)
             else:
                 self.stats.dup_pkts_rcvd += 1
                 if h is not None:
@@ -290,16 +291,20 @@ class HRMCReceiver:
                 skb = self._ooo.pop(candidate)
             self._integrate(skb)
 
-    def _note_gap(self, start: int, end: int) -> None:
-        """Record missing [start, end) and NAK any newly seen ranges."""
+    def _note_gap(self, end: int) -> None:
+        """The sender is known to have sent everything below ``end``:
+        claim the bytes of [rcv_nxt, end) not held (every claim site
+        comes through here, so ``naks`` is always revealed-minus-held)
+        and NAK the newly claimed ranges."""
         now = self.sim.now
+        fresh = [rng for start, stop in self._gaps_in(self.rcv_nxt, end)
+                 for rng in self.naks.add_gap(start, stop, now)]
         lineage = self.sim.lineage
-        if lineage is not None:
-            # the out-of-order arrival we are processing *revealed* the
-            # gap; NAK transmissions chain under this node
+        if fresh and lineage is not None:
+            # the arrival we are processing *revealed* the gap; NAK
+            # transmissions chain under this node
             lineage.emit("gap", self.host.addr, "detected",
-                         seq=start, end=end)
-        fresh = self.naks.add_gap(start, end, now)
+                         seq=fresh[0].start, end=fresh[-1].end)
         for rng in fresh:
             self._send_nak(rng, now)
         if self.naks and not self.nak_timer.pending:
@@ -461,17 +466,13 @@ class HRMCReceiver:
                 self._send_update()
                 self._feedback_since_update = True
         else:
-            # generate (or refresh) the NAK for the needed data, now
-            now = self.sim.now
-            fresh = self.naks.add_gap(self.rcv_nxt, skb.seq, now)
-            for rng in fresh:
-                self._send_nak(rng, now)
+            # generate the NAK for the needed data, now
+            self._note_gap(skb.seq)
             # refresh existing NAKs for the probed span, under suppression
+            now = self.sim.now
             for rng in self.naks.due(now, self._suppress_us()):
                 if seq_lt(rng.start, skb.seq):
                     self._send_nak(rng, now)
-            if self.naks and not self.nak_timer.pending:
-                self.nak_timer.mod_after(self._nak_period_us())
 
     # -- membership handshake ------------------------------------------
 
@@ -562,7 +563,8 @@ class HRMCReceiver:
 
     def _gaps_in(self, start: int, end: int) -> list[tuple[int, int]]:
         """Missing subranges of [start, end) given rcv_nxt and the ooo
-        queue.  Works on absolute positions relative to ``start``."""
+        queue -- the one place uncovered spans are computed, for gap
+        claims and FEC alike.  Works on positions relative to ``lo``."""
         lo = seq_max(start, self.rcv_nxt)
         if seq_geq(lo, end):
             return []

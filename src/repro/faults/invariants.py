@@ -13,9 +13,10 @@ every captured packet event, on every watched endpoint:
   and gap-free except for holes explicitly accounted to ``lost_bytes``
   (the NAK_ERR escape hatch); ``rcv_nxt``/``rcv_wnd`` are monotone and
   the window never exceeds its advertised size.
-* **NAK sanity** -- no pending NAK range is empty or references data
-  already reassembled; no queued retransmission references data the
-  sender has released.
+* **NAK sanity** -- no pending NAK range is empty, references data
+  already reassembled or overlaps a segment parked out of order (a
+  receiver asks only for bytes it does not hold); no queued
+  retransmission references data the sender has released.
 * **Accounting** -- send-buffer charge and the rate budget never go
   negative; the repair cache respects its byte bound; window spans are
   coherent (``snd_wnd``/``snd_una`` never pass the feedback marks that
@@ -271,6 +272,11 @@ class InvariantChecker:
                 self._fail(
                     f"{sock.name}: NAK range [{rng.start},{rng.end}) "
                     f"references reassembled data (rcv_nxt={r.rcv_nxt})")
+            for seq, parked in r._ooo.items():
+                if seq_lt(seq, rng.end) and seq_gt(parked.end_seq, rng.start):
+                    self._fail(
+                        f"{sock.name}: NAK range [{rng.start},{rng.end}) "
+                        f"requests parked data [{seq},{parked.end_seq})")
         if r._repair_cache_bytes > r.cfg.repair_cache_bytes:
             self._fail(
                 f"{sock.name}: repair cache holds "

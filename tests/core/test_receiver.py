@@ -6,6 +6,7 @@ from repro.core.config import HRMCConfig
 from repro.core.types import FIN, URG, PacketType
 from repro.kernel.payload import BytesPayload, PatternPayload
 from repro.kernel.skbuff import SKBuff
+from repro.obs.causal import LineageRecorder
 from repro.sim.timer import JIFFY_US
 
 from tests.core.conftest import make_receiver
@@ -22,6 +23,10 @@ def data(seq, payload: bytes, *, flags=0, rate_adv=100_000, tries=1):
 def fin(seq):
     return SKBuff(sport=5000, dport=6000, seq=seq, ptype=PacketType.DATA,
                   length=1, flags=FIN, tries=1)
+
+
+def control(ptype, seq):
+    return SKBuff(sport=5000, dport=6000, seq=seq, tries=1, ptype=ptype)
 
 
 def drain(r, max_bytes=1 << 20) -> bytes:
@@ -80,6 +85,71 @@ def test_gap_generates_immediate_nak(sim, fake_host):
     assert skb.length == 200
     assert skb.rate_adv == 101          # rcv_nxt rides in rate_adv
     assert r.stats.out_of_order_pkts == 1
+
+
+def pending(r):
+    return [(rng.start, rng.end) for rng in r.naks]
+
+
+def test_second_out_of_order_arrival_claims_nothing_parked(sim, fake_host):
+    r = make_receiver(sim, fake_host)
+    r.segment_received(data(1, b"a" * 100), SND)
+    r.segment_received(data(301, b"c" * 100), SND)  # gap [101, 301)
+    r.segment_received(data(401, b"d" * 100), SND)  # contiguous: no new gap
+    r.segment_received(data(601, b"f" * 100), SND)  # gap [501, 601)
+    naks = fake_host.sent_of_type(PacketType.NAK)
+    assert [(skb.seq, skb.length) for skb, _ in naks] == \
+        [(101, 200), (501, 100)]
+    assert pending(r) == [(101, 301), (501, 601)]
+
+
+def test_repair_landing_mid_hole_splits_the_pending_range(sim, fake_host):
+    r = make_receiver(sim, fake_host)
+    r.segment_received(data(1, b"a" * 100), SND)
+    r.segment_received(data(501, b"e" * 100), SND)  # gap [101, 501)
+    fake_host.clear()
+    r.segment_received(data(201, b"b" * 100, tries=2), SND)
+    assert pending(r) == [(101, 201), (301, 501)]
+    # both halves were asked for already: nothing goes on the wire, and
+    # the suppression clock keeps running from that first NAK
+    assert fake_host.sent_of_type(PacketType.NAK) == []
+    assert [rng.tries for rng in r.naks] == [1, 1]
+
+
+def test_keepalive_past_parked_data_claims_only_the_tail(sim, fake_host):
+    r = make_receiver(sim, fake_host)
+    r.segment_received(data(1, b"a" * 100), SND)
+    r.segment_received(data(301, b"c" * 100), SND)  # gap [101, 301)
+    fake_host.clear()
+    r.segment_received(control(PacketType.KEEPALIVE, 601), SND)
+    naks = fake_host.sent_of_type(PacketType.NAK)
+    assert [(skb.seq, skb.length) for skb, _ in naks] == [(401, 200)]
+    assert pending(r) == [(101, 301), (401, 601)]
+
+
+def test_probe_past_parked_data_claims_only_the_tail(sim, fake_host):
+    r = make_receiver(sim, fake_host)
+    r.segment_received(data(1, b"a" * 100), SND)
+    r.segment_received(data(301, b"c" * 100), SND)  # gap [101, 301)
+    fake_host.clear()
+    r.segment_received(control(PacketType.PROBE, 601), SND)
+    # [101, 301) was NAKed this instant and is held by suppression
+    naks = fake_host.sent_of_type(PacketType.NAK)
+    assert [(skb.seq, skb.length) for skb, _ in naks] == [(401, 200)]
+    assert pending(r) == [(101, 301), (401, 601)]
+
+
+def test_gap_lineage_node_only_when_a_range_is_claimed(sim, fake_host):
+    sim.lineage = LineageRecorder(sim)
+    r = make_receiver(sim, fake_host)
+    r.segment_received(data(1, b"a" * 100), SND)
+    r.segment_received(data(301, b"c" * 100), SND)  # gap [101, 301)
+    r.segment_received(data(401, b"d" * 100), SND)  # reveals nothing new
+    r.segment_received(control(PacketType.PROBE, 501), SND)  # nor this
+    r.segment_received(control(PacketType.PROBE, 601), SND)  # [501, 601)
+    gaps = [(n.seq, n.end) for n in sim.lineage.nodes.values()
+            if n.kind == "gap"]
+    assert gaps == [(101, 301), (501, 601)]
 
 
 def test_gap_fill_delivers_in_order(sim, fake_host):

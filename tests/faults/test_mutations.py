@@ -19,7 +19,8 @@ from repro.harness.experiments import chaos_config
 from repro.harness.runner import run_transfer
 from repro.core.types import PacketType
 from repro.kernel.skbuff import SKBuff
-from repro.workloads.scenarios import build_chaos, build_lan
+from repro.workloads.groups import expand_test_case
+from repro.workloads.scenarios import build_chaos, build_lan, build_wan
 
 pytestmark = pytest.mark.chaos
 
@@ -57,6 +58,24 @@ def test_skipping_repair_cache_trim_trips_bound_invariant(monkeypatch):
                      invariants=True, max_sim_s=120)
 
 
+def _lossy_wan_run():
+    sc = build_wan(expand_test_case(3, 10), 10e6, seed=7)
+    return run_transfer(sc, nbytes=300_000, sndbuf=256 * 1024, seed=7,
+                        invariants=True, max_sim_s=120)
+
+
+def test_whole_span_gap_claim_trips_parked_overlap_invariant(monkeypatch):
+    """A receiver that claims everything from rcv_nxt up to each
+    out-of-order arrival re-requests, and gets retransmitted to the
+    whole group, the segments it parked on the previous arrivals."""
+    monkeypatch.setattr(
+        HRMCReceiver, "_gaps_in",
+        # mutation: the parked segments are no longer subtracted
+        lambda self, start, end: [(self.rcv_nxt, end)])
+    with pytest.raises(InvariantViolation, match="requests parked data"):
+        _lossy_wan_run()
+
+
 def test_unmutated_runs_stay_green():
     """Control: the same scenarios pass with the real implementation."""
     sc = build_chaos(3, 10e6, seed=3, horizon_us=1_000_000)
@@ -70,3 +89,5 @@ def test_unmutated_runs_stay_green():
     res = run_transfer(sc, nbytes=200_000, sndbuf=128 * 1024, cfg=cfg,
                        invariants=True, max_sim_s=120)
     assert res.ok
+
+    assert _lossy_wan_run().ok

@@ -17,6 +17,19 @@ than behind the entries already queued for that instant, so two hosts
 acting in the same microsecond can be traced in the other order
 (`lan-2-long` has four such pairs among 6597 events; the other runs
 are identical in raw order too).
+
+Re-pinning is for a change that is *meant* to alter protocol behaviour,
+and only for the runs it is meant to alter.  `wan-case-3` was
+regenerated when the receiver stopped NAKing data it had parked out of
+order (1 568 -> 42 NAKs at the sender, 86 -> 3 retransmissions; the
+four loss-free runs have no out-of-order arrival and kept their
+values).  Recipe, from the repo root:
+
+    PYTHONPATH=src:. python -c "from tests.harness.test_pinned_stats \
+        import measure; print(*measure('wan-case-3'), sep='\n')"
+
+prints duration_us, the two hashes and events per packet; copy the
+first three into `PINNED` and set the ceiling ~1.5 % above the fourth.
 """
 
 import hashlib
@@ -54,10 +67,10 @@ PINNED = {
         94.0),                      # 92.68 today; 238.76 before
     "wan-case-3": (
         lambda: build_wan(expand_test_case(3, 10), 10e6, seed=SEED),
-        dict(nbytes=300_000, sndbuf=256 * 1024), 2_491_809,
-        "f8d2406d5a36604cef89f71d23f66e7f16a9b4f30de9b155619bde40196a0140",
-        "626c48a3b282f0aa04949ad8271ddb7aac23f03ced1183f9aad03391b8e8c1c8",
-        84.5),                      # 83.28 today; 87.56 before
+        dict(nbytes=300_000, sndbuf=256 * 1024), 2_296_445,
+        "acfb1ad7491471cfdb655d6432ccd9dd12be19491529f15cae17e10e81f13070",
+        "3579583ca30448b1dc9ae9fb8641f06b74615a6612736db0e2cc306e8c5387a9",
+        48.0),                      # 47.21 today; 83.28 NAKing parked data
     "lan-disk": (
         lambda: build_lan(3, 10e6, seed=SEED),
         dict(nbytes=1_500_000, sndbuf=64 * 1024, disk=True), 1_630_474,
@@ -83,14 +96,19 @@ def _history_sha(tracer) -> str:
     return hashlib.sha256("\n".join(map(repr, events)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", PINNED)
-def test_simulated_statistics_are_pinned_and_events_bounded(name):
-    build, kwargs, duration_us, stats, history, events_per_packet = \
-        PINNED[name]
+def measure(name):
+    """(duration_us, statistics sha, history sha, events per packet)."""
+    build, kwargs = PINNED[name][:2]
     tracer = PacketTracer()
     result = run_transfer(build(), seed=SEED, tracer=tracer, **kwargs)
     assert result.ok
-    assert result.duration_us == duration_us
-    assert _stats_sha(result) == stats
-    assert _history_sha(tracer) == history
-    assert result.wall_events_per_packet <= events_per_packet
+    return (result.duration_us, _stats_sha(result), _history_sha(tracer),
+            result.wall_events_per_packet)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_simulated_statistics_are_pinned_and_events_bounded(name):
+    duration_us, stats, history, events_per_packet = PINNED[name][2:]
+    got = measure(name)
+    assert got[:3] == (duration_us, stats, history)
+    assert got[3] <= events_per_packet

@@ -24,8 +24,8 @@ from repro.workloads.scenarios import build_wan
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 
 
-def _run_health(cfg=None):
-    sc = build_wan([LOSSY] * 3, 10e6, seed=21)
+def _run_health(cfg=None, receivers=3):
+    sc = build_wan([LOSSY] * receivers, 10e6, seed=21)
     obs = Observability(profile=False, health=True)
     res = run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
                        max_sim_s=300, obs=obs, cfg=cfg)
@@ -45,7 +45,13 @@ def timer_disabled():
 
 @pytest.fixture(scope="module")
 def local_recovery():
-    return _run_health(replace(HRMCConfig(), local_recovery=True))
+    # five at one site: a packet lost at one receiver's own interface
+    # (a tenth of the loss; the rest hits the whole site, where nobody
+    # can repair it) is held by four peers, who all hear the multicast
+    # NAK -- with three receivers the two holders' repairs cross on the
+    # wire and neither is ever suppressed
+    return _run_health(replace(HRMCConfig(), local_recovery=True),
+                       receivers=5)
 
 
 # -- the mutation test: timer off => ledger shifts, implosion rises ----
