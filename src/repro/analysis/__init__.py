@@ -13,6 +13,7 @@ simulation -- as code, not reviewer folklore.  The rule catalog
 * **R6** generator-process discipline (scheduled, never called bare;
   yields only sim awaitables)
 * **R7** fork/signal machinery confined to ``repro.fleet``
+* **R8** only ``repro.sim.engine`` writes the clock attribute ``now``
 
 See DESIGN.md §5f for the catalog rationale and the mapping onto the
 kernel-fault taxonomy of *Faults in Linux 2.6* (Palix et al.).

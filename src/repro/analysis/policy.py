@@ -19,8 +19,10 @@ from repro.analysis.context import ModuleContext
 __all__ = [
     "WALLCLOCK_ALLOWED", "RNG_ALLOWED", "GLOBAL_STATE_PACKAGES",
     "FORK_ALLOWED", "SIGNAL_HANDLER_ALLOWED", "ORDERING_PACKAGES",
+    "CLOCK_WRITE_ALLOWED",
     "wallclock_allowed", "rng_allowed", "global_state_scoped",
     "fork_allowed", "signal_handler_allowed", "ordering_scoped",
+    "clock_write_allowed",
 ]
 
 #: modules that may read the host clock: harness progress output, the
@@ -62,6 +64,9 @@ FORK_ALLOWED = ("repro.fleet", "repro.stats.bench")
 #: (per-job SIGALRM wall-clock timeouts around worker runs)
 SIGNAL_HANDLER_ALLOWED = ("repro.fleet.worker",)
 
+#: the one module that assigns ``now``: the engine's run loop
+CLOCK_WRITE_ALLOWED = ("repro.sim.engine",)
+
 
 def wallclock_allowed(ctx: ModuleContext) -> bool:
     return ctx.in_package(*WALLCLOCK_ALLOWED)
@@ -91,3 +96,7 @@ def fork_allowed(ctx: ModuleContext) -> bool:
 
 def signal_handler_allowed(ctx: ModuleContext) -> bool:
     return ctx.in_package(*SIGNAL_HANDLER_ALLOWED)
+
+
+def clock_write_allowed(ctx: ModuleContext) -> bool:
+    return ctx.in_package(*CLOCK_WRITE_ALLOWED)

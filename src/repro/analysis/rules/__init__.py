@@ -1,8 +1,8 @@
 """Rule modules; importing this package populates the registry."""
 
-from repro.analysis.rules import (forksignal, globalstate, identity,
-                                  processes, randomness, unordered,
-                                  wallclock)
+from repro.analysis.rules import (clockwrite, forksignal, globalstate,
+                                  identity, processes, randomness,
+                                  unordered, wallclock)
 
-__all__ = ["forksignal", "globalstate", "identity", "processes",
-           "randomness", "unordered", "wallclock"]
+__all__ = ["clockwrite", "forksignal", "globalstate", "identity",
+           "processes", "randomness", "unordered", "wallclock"]

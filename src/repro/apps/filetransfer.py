@@ -85,12 +85,12 @@ def receiver_app(sock: Socket, *, group: str, port: int, result: AppResult,
         payloads = yield from sock.recv_payloads(chunk)
         if not payloads:
             break
-        got = sum(p.length for p in payloads)
         if expected_offset is None:
             first = payloads[0]
             expected_offset = (first.offset
                                if isinstance(first, PatternPayload) else 0)
             result.resumed_at_offset = expected_offset
+        start = expected_offset
         if verify == "offsets":
             for p in payloads:
                 if isinstance(p, PatternPayload):
@@ -99,21 +99,20 @@ def receiver_app(sock: Socket, *, group: str, port: int, result: AppResult,
                         result.errors.append(
                             f"offset {p.offset} != expected "
                             f"{expected_offset}")
-                elif verify != "none":
-                    data = p.tobytes()
-                    if data != pattern_bytes(expected_offset, p.length):
-                        result.verified = False
-                        result.errors.append(
-                            f"bytes mismatch at {expected_offset}")
+                elif p.tobytes() != pattern_bytes(expected_offset, p.length):
+                    result.verified = False
+                    result.errors.append(
+                        f"bytes mismatch at {expected_offset}")
                 expected_offset += p.length
-        elif verify == "bytes":
-            data = b"".join(p.tobytes() for p in payloads)
-            if data != pattern_bytes(expected_offset, got):
-                result.verified = False
-                result.errors.append(f"bytes mismatch at {expected_offset}")
-            expected_offset += got
         else:
-            expected_offset += got
+            for p in payloads:
+                expected_offset += p.length
+            if verify == "bytes":
+                data = b"".join(p.tobytes() for p in payloads)
+                if data != pattern_bytes(start, expected_offset - start):
+                    result.verified = False
+                    result.errors.append(f"bytes mismatch at {start}")
+        got = expected_offset - start
         result.bytes_done += got
         if disk is not None:
             yield from disk.write(got)

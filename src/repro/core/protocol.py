@@ -9,7 +9,8 @@ endpoint, the receiver-side ``setsockopt(IP_ADD_MEMBERSHIP)`` + bind
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from collections import deque
+from typing import Callable, Generator, Optional
 
 from repro.core.config import HRMCConfig
 from repro.core.receiver import HRMCReceiver
@@ -44,7 +45,9 @@ class HRMCTransport(Transport):
         self.health = None
         self._bound_port: Optional[int] = None
         self._group: Optional[str] = None
-        self._backlog: list[tuple[SKBuff, str]] = []
+        self._backlog: deque[tuple[SKBuff, str]] = deque()
+        # the role's packet processor, known from connect/join onward
+        self._deliver: Optional[Callable[[SKBuff, str], None]] = None
 
     # -- connection management (hrmc_bind / hrmc_connect) ---------------
 
@@ -68,6 +71,7 @@ class HRMCTransport(Transport):
             self.host, self.sock, self.cfg, self.stats)
         if self.health is not None:
             self.health.bind_sender(self.sender)
+        self._deliver = self.sender.segment_received
         self.sender.start()
 
     def join(self, group: str, port: int) -> None:
@@ -84,6 +88,7 @@ class HRMCTransport(Transport):
             self.host, self.sock, self.cfg, self.stats)
         if self.health is not None:
             self.health.bind_receiver(self.receiver)
+        self._deliver = self.receiver.segment_received
         self.receiver.start()
 
     # -- host dispatch --------------------------------------------------
@@ -93,14 +98,8 @@ class HRMCTransport(Transport):
             # paper Figure 9: packets arriving while an application call
             # holds the socket wait on the backlog queue
             self._backlog.append((skb, src_addr))
-            return
-        self._dispatch(skb, src_addr)
-
-    def _dispatch(self, skb: SKBuff, src_addr: str) -> None:
-        if self.sender is not None:
-            self.sender.segment_received(skb, src_addr)
-        elif self.receiver is not None:
-            self.receiver.segment_received(skb, src_addr)
+        elif self._deliver is not None:
+            self._deliver(skb, src_addr)
 
     # -- socket lock (cf. lock_sock/release_sock + backlog processing) --
 
@@ -108,10 +107,10 @@ class HRMCTransport(Transport):
         self.sock.locked = True
 
     def unlock(self) -> None:
-        self.sock.locked = False
-        while self._backlog and not self.sock.locked:
-            skb, src = self._backlog.pop(0)
-            self._dispatch(skb, src)
+        sock, backlog = self.sock, self._backlog
+        sock.locked = False
+        while backlog and not sock.locked:
+            self._deliver(*backlog.popleft())
 
     # -- socket-facade interface ------------------------------------------
 

@@ -29,10 +29,10 @@ from repro.sim.rng import substream
 from repro.core.config import HRMCConfig
 from repro.core.nak import NakList
 from repro.core.rtt import RttEstimator
-from repro.core.seq import (seq_add, seq_geq, seq_gt, seq_leq, seq_lt,
-                            seq_max, seq_sub)
+from repro.core.seq import (SEQ_HALF, SEQ_MASK, seq_add, seq_geq, seq_gt,
+                            seq_leq, seq_lt, seq_max, seq_sub)
 from repro.core.types import FIN, URG, PacketType
-from repro.core.window import Region, classify_fill, window_empty, window_fill
+from repro.core.window import Region, classify_fill, window_empty
 from repro.core.update import UpdatePolicy
 from repro.kernel.host import Host
 from repro.kernel.payload import Payload, PatternPayload
@@ -131,7 +131,9 @@ class HRMCReceiver:
         if ptype != PacketType.NAK:   # everything else originates at the
             self._last_sender_us = self.sim.now   # sender: it is alive
         if ptype == PacketType.DATA:
-            if self.sender_addr is None or src == self.sender_addr:
+            # nothing left to learn once the JOIN is out
+            if self.join_state == "idle" and (
+                    self.sender_addr is None or src == self.sender_addr):
                 self._learn_sender(skb, src)
             if skb.flags & FEC_PARITY:
                 self._on_parity(skb)
@@ -155,7 +157,6 @@ class HRMCReceiver:
             self.sock.state_change.fire()
 
     def _learn_sender(self, skb: SKBuff, src: str) -> None:
-        self._last_sender_us = self.sim.now
         if self.sender_addr is None:
             self.sender_addr = src
             self.sender_port = skb.sport
@@ -178,11 +179,19 @@ class HRMCReceiver:
 
     # -- data reassembly ----------------------------------------------------
 
+    # _on_data, _integrate, _flow_control and recvmsg run once per
+    # packet and spell their core.seq / classify_fill arithmetic inline,
+    # each form named by the definition it is tested against
+    # (tests/core/test_inlined_forms.py); nothing else may.
+
     def _on_data(self, skb: SKBuff, src: str = "") -> None:
         self.stats.data_pkts_rcvd += 1
         self.stats.data_bytes_rcvd += skb.length
-        seq, end = skb.seq, skb.end_seq
-        self.highest_seen = seq_max(self.highest_seen, end)
+        seq = skb.seq
+        end = (seq + skb.length) & SEQ_MASK             # skb.end_seq
+        rcv_nxt = self.rcv_nxt
+        if (self.highest_seen - end) & SEQ_HALF:        # seq_max
+            self.highest_seen = end
         peer_repair = (self.cfg.local_recovery and src and
                        self.sender_addr is not None and
                        src != self.sender_addr)
@@ -196,7 +205,7 @@ class HRMCReceiver:
                 # the peer, not by our own re-NAK reaching the sender
                 h.on_peer_repair(self.naks, seq, end)
 
-        if seq_leq(end, self.rcv_nxt):
+        if not 0 < ((end - rcv_nxt) & SEQ_MASK) < SEQ_HALF:     # seq_leq
             self.stats.dup_pkts_rcvd += 1
             if h is not None:
                 h.on_duplicate_data(skb, peer_repair)
@@ -204,13 +213,15 @@ class HRMCReceiver:
             return
         if peer_repair:
             self.stats.local_repairs_used += 1
-        if seq_gt(end, seq_add(self.rcv_wnd, self.rcv_wnd_size + 1)):
+        # seq_gt(end, seq_add(rcv_wnd, rcv_wnd_size + 1))
+        if 0 < ((end - self.rcv_wnd - self.rcv_wnd_size - 1)
+                & SEQ_MASK) < SEQ_HALF:
             # region R4: beyond the receive window; cannot buffer
             self.stats.out_of_window_drops += 1
             self._send_urgent()
             return
 
-        if seq_gt(seq, self.rcv_nxt):
+        if 0 < ((seq - rcv_nxt) & SEQ_MASK) < SEQ_HALF:         # seq_gt
             # a gap precedes this segment
             self.stats.out_of_order_pkts += 1
             if seq not in self._ooo:
@@ -227,20 +238,24 @@ class HRMCReceiver:
             if h is not None and (skb.tries > 1 or peer_repair):
                 h.on_repair_useful(skb)
             self._integrate(skb)
-            self._drain_ooo()
+            if self._ooo:
+                self._drain_ooo()
         self._flow_control(skb)
-        self._try_fec_repairs()
+        if self._parity:
+            self._try_fec_repairs()
 
     def _integrate(self, skb: SKBuff) -> None:
         """Deliver an skb that starts at or before rcv_nxt."""
-        seq, end = skb.seq, skb.end_seq
+        seq = skb.seq
+        end = (seq + skb.length) & SEQ_MASK             # skb.end_seq
         if skb.flags & FIN:
-            self.eof_seq = skb.seq
+            self.eof_seq = seq
             self.rcv_nxt = end  # consume the phantom byte
-            self.naks.fill_below(self.rcv_nxt)
+            self.naks.fill_below(end)
             self.sock.data_ready.fire()
             return
-        trim = seq_sub(self.rcv_nxt, seq)
+        # seq_sub(rcv_nxt, seq)
+        trim = ((self.rcv_nxt - seq + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
         payload: Optional[Payload] = skb.payload
         length = skb.length - trim
         if trim > 0 and payload is not None:
@@ -251,7 +266,7 @@ class HRMCReceiver:
         if self.cfg.local_recovery and payload is not None:
             self._cache_for_repair(out.seq, length, payload)
         self.rcv_nxt = end
-        self.naks.fill_below(self.rcv_nxt)
+        self.naks.fill_below(end)
         self.sock.data_ready.fire()
 
     def _cache_for_repair(self, seq: int, length: int,
@@ -406,18 +421,23 @@ class HRMCReceiver:
 
     def _flow_control(self, skb: SKBuff) -> None:
         self._last_adv_rate = skb.rate_adv
-        high = seq_max(self.rcv_nxt, self.highest_seen)
-        fill = window_fill(self.rcv_wnd, high)
-        region = classify_fill(fill, self.rcv_wnd_size,
-                               self.cfg.warn_fill, self.cfg.crit_fill)
-        if region is Region.SAFE:
+        high = self.rcv_nxt                             # seq_max
+        if (high - self.highest_seen) & SEQ_HALF:
+            high = self.highest_seen
+        # window_fill without its floor at 0: below 0 is SAFE as well
+        fill = ((high - self.rcv_wnd + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
+        size = self.rcv_wnd_size
+        # classify_fill's own comparison (config holds warn < crit):
+        # SAFE on all but a few arrivals, and SAFE asks for nothing
+        if size > 0 and fill / size < self.cfg.warn_fill:
             return
-        if region is Region.CRITICAL:
+        if classify_fill(fill, size, self.cfg.warn_fill,
+                         self.cfg.crit_fill) is Region.CRITICAL:
             self._send_urgent()
             return
         # warning rule: request a lower rate if WARNBUF RTTs of traffic at
         # the advertised rate would overrun the empty part of the window
-        empty = window_empty(self.rcv_wnd, high, self.rcv_wnd_size)
+        empty = window_empty(self.rcv_wnd, high, size)
         horizon_s = self.cfg.warnbuf_rtts * self.rtt.rtt_us / 1e6
         if skb.rate_adv * horizon_s > empty:
             suggested = int(empty / horizon_s) if horizon_s > 0 else 0
@@ -593,20 +613,17 @@ class HRMCReceiver:
         out: list[Payload] = []
         taken = 0
         q = self.sock.receive_queue
-        while taken < max_bytes and q:
-            skb = q.peek()
+        while taken < max_bytes:
+            skb = q.dequeue()
+            if skb is None:
+                break
             want = max_bytes - taken
             if skb.length <= want:
-                q.dequeue()
                 if skb.payload is not None:
                     out.append(skb.payload)
-                taken += skb.length
-                # seq_max, not assignment: a NAK_ERR may have advanced
-                # the window origin past queued-but-unread data
-                self.rcv_wnd = seq_max(self.rcv_wnd, skb.end_seq)
+                want = skb.length       # the whole segment fits
             else:
                 # partial read: split the head skb
-                q.dequeue()
                 head = skb.payload.slice(0, want) if skb.payload else None
                 if head is not None:
                     out.append(head)
@@ -618,8 +635,12 @@ class HRMCReceiver:
                                                          skb.length - want)
                                        if skb.payload else None))
                 q.requeue_front(rest)
-                taken += want
-                self.rcv_wnd = seq_max(self.rcv_wnd, seq_add(skb.seq, want))
+            taken += want
+            # seq_max, not assignment: a NAK_ERR may have advanced the
+            # window origin past queued-but-unread data
+            read_to = (skb.seq + want) & SEQ_MASK       # seq_add
+            if (self.rcv_wnd - read_to) & SEQ_HALF:
+                self.rcv_wnd = read_to
         if self.eof_seq is not None and not self.sock.receive_queue and \
                 seq_geq(self.rcv_wnd, self.eof_seq):
             self.eof_reached = True

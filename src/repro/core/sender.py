@@ -40,7 +40,7 @@ from repro.core.seq import (seq_add, seq_geq, seq_gt, seq_leq, seq_lt,
 from repro.core.types import FIN, URG, PacketType
 from repro.kernel.host import Host
 from repro.kernel.payload import Payload
-from repro.kernel.skbuff import SKBuff
+from repro.kernel.skbuff import SKB_OVERHEAD, SKBuff
 from repro.kernel.sock import Sock
 from repro.sim.timer import JIFFY_US, Timer
 from repro.stats.metrics import Counters, ReleaseTracker
@@ -223,8 +223,9 @@ class HRMCSender:
         skb.last_sent_us = now
         skb.rate_adv = self.rate.rate_bps
         self.host.ip_send(skb, self.sock.daddr)
-        if seq_gt(skb.end_seq, self._highest_sent_end):
-            self._highest_sent_end = skb.end_seq
+        end = skb.end_seq
+        if seq_gt(end, self._highest_sent_end):
+            self._highest_sent_end = end
         self._last_activity_us = now
         self._ka_interval_us = self.cfg.keepalive_initial_us
         if retrans:
@@ -233,12 +234,13 @@ class HRMCSender:
         else:
             self.stats.data_pkts_sent += 1
             self.stats.data_bytes_sent += skb.length
-            self._maybe_send_fec(skb, now)
+            if self.cfg.fec_enabled:
+                self._maybe_send_fec(skb, now)
 
     def _maybe_send_fec(self, skb: SKBuff, now: int) -> None:
         """Future-work (4): one parity packet per ``fec_block`` data
         packets, letting receivers repair a single loss per block."""
-        if not self.cfg.fec_enabled or skb.flags & FIN:
+        if skb.flags & FIN:
             return
         self._fec_since_parity += 1
         if self._fec_since_parity < self.cfg.fec_block:
@@ -271,10 +273,10 @@ class HRMCSender:
         rtt = self.rtt.rtt_us
         hold_us = self.cfg.minbuf_rtts * rtt
         advanced = False
-        while self.sock.write_queue:
+        while True:
             skb = self.sock.write_queue.peek()
-            if skb.tries == 0:
-                break  # never transmitted yet
+            if skb is None or skb.tries == 0:
+                break  # drained, or never transmitted yet
             age = now - skb.last_sent_us
             if age < hold_us:
                 if (self.cfg.early_probes and self.cfg.probes_enabled
@@ -313,7 +315,6 @@ class HRMCSender:
 
     def _release_watermark(self) -> int:
         """Free send-buffer space below which release is attempted."""
-        from repro.kernel.skbuff import SKB_OVERHEAD
         return 2 * (self.cfg.mss + SKB_OVERHEAD)
 
     def _membership_quorum(self) -> bool:

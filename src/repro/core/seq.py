@@ -7,11 +7,11 @@ configuration here satisfies by orders of magnitude.
 
 from __future__ import annotations
 
-__all__ = ["SEQ_MASK", "seq_add", "seq_sub", "seq_lt", "seq_leq", "seq_gt",
-           "seq_geq", "seq_between", "seq_max", "seq_min"]
+__all__ = ["SEQ_MASK", "SEQ_HALF", "seq_add", "seq_sub", "seq_lt", "seq_leq",
+           "seq_gt", "seq_geq", "seq_between", "seq_max", "seq_min"]
 
 SEQ_MASK = 0xFFFFFFFF
-_HALF = 0x80000000
+SEQ_HALF = 0x80000000
 
 
 # Every helper is a single expression on ``(a - b) & SEQ_MASK`` -- the
@@ -30,34 +30,34 @@ def seq_sub(a: int, b: int) -> int:
 
     Positive when ``a`` is ahead of ``b``, negative when behind.
     """
-    return ((a - b + _HALF) & SEQ_MASK) - _HALF
+    return ((a - b + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
 
 
 def seq_lt(a: int, b: int) -> bool:
-    return ((a - b) & _HALF) != 0
+    return ((a - b) & SEQ_HALF) != 0
 
 
 def seq_leq(a: int, b: int) -> bool:
-    return not 0 < ((a - b) & SEQ_MASK) < _HALF
+    return not 0 < ((a - b) & SEQ_MASK) < SEQ_HALF
 
 
 def seq_gt(a: int, b: int) -> bool:
-    return 0 < ((a - b) & SEQ_MASK) < _HALF
+    return 0 < ((a - b) & SEQ_MASK) < SEQ_HALF
 
 
 def seq_geq(a: int, b: int) -> bool:
-    return not (a - b) & _HALF
+    return not (a - b) & SEQ_HALF
 
 
 def seq_between(low: int, x: int, high: int) -> bool:
     """True when ``low <= x < high`` in circular order."""
-    return (not 0 < ((low - x) & SEQ_MASK) < _HALF
-            and ((x - high) & _HALF) != 0)
+    return (not 0 < ((low - x) & SEQ_MASK) < SEQ_HALF
+            and ((x - high) & SEQ_HALF) != 0)
 
 
 def seq_max(a: int, b: int) -> int:
-    return b if (a - b) & _HALF else a
+    return b if (a - b) & SEQ_HALF else a
 
 
 def seq_min(a: int, b: int) -> int:
-    return b if 0 < ((a - b) & SEQ_MASK) < _HALF else a
+    return b if 0 < ((a - b) & SEQ_MASK) < SEQ_HALF else a

@@ -15,8 +15,8 @@ since the lower-layer work overlaps with NIC DMA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from repro.net.packet import NetPacket
 from repro.net.nic import NetworkInterface
@@ -82,12 +82,16 @@ class CostModel:
     per_byte_us: float = 0.025
     copy_per_byte_us: float = 0.005   # recvmsg/sendmsg copy_to/from_user
     syscall_us: float = 10.0
+    # rx_cost by size, filled on first use: a run sees a handful of
+    # packet sizes and a frozen instance's entries never go stale
+    _rx_memo: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def proto_cost(self, nbytes: int) -> int:
         return round(self.per_packet_us + self.per_byte_us * nbytes)
 
-    def tx_cost(self, nbytes: int) -> int:
-        return self.proto_cost(nbytes)
+    #: transmit side: protocol work only (see the module docstring)
+    tx_cost = proto_cost
 
     def rx_cost(self, nbytes: int) -> int:
         """Serialized CPU cost of receiving one packet: interrupt + IP
@@ -95,15 +99,20 @@ class CostModel:
         This is what bounds how fast a host can drain its RX ring --
         about 5 000 full-size packets/s on the 300 MHz testbed CPU,
         i.e. roughly 60 Mbps of sustained goodput."""
-        return round(self.lower_layer_us) + self.proto_cost(nbytes)
+        try:
+            return self._rx_memo[nbytes]
+        except KeyError:
+            cost = self._rx_memo[nbytes] = \
+                round(self.lower_layer_us) + self.proto_cost(nbytes)
+            return cost
 
     def copy_cost(self, nbytes: int) -> int:
         return round(self.syscall_us + self.copy_per_byte_us * nbytes)
 
 
 class _CpuWork:
-    """What :meth:`Host.cpu_exec` yields: ``Process._resume`` arms it,
-    so the process resumes *as* the CPU-completion event."""
+    """What ``yield from host.cpu_exec(c)`` yields: ``Process._resume``
+    arms it, so the process resumes *as* the CPU-completion event."""
 
     __slots__ = ("_host", "_cost_us")
 
@@ -153,7 +162,7 @@ class Host:
         # used by repro.trace to observe traffic without altering it
         self.tap: Optional[Callable[[str, SKBuff, str, int], None]] = None
         nic.rx_handler = self._packet_arrived
-        nic.rx_cost_fn = lambda pkt: self.cost.rx_cost(pkt.seg_bytes)
+        nic.rx_cost_fn = self._rx_cost
         nic.cpu_run = self.cpu_run
 
     # -- CPU ------------------------------------------------------------
@@ -163,15 +172,25 @@ class Host:
         with all other work on this host.  Arguments ride the engine
         entry itself so per-packet hot paths need no closure
         allocation."""
-        start = max(self.sim.now, self._cpu_busy_until)
-        end = start + max(0, int(cost_us))
+        end = self._cpu_busy_until
+        if end < self.sim.now:
+            end = self.sim.now
+        if cost_us > 0:
+            end += int(cost_us)
         self._cpu_busy_until = end
         self.sim.call_at(end, fn, *args)
 
-    def cpu_exec(self, cost_us: int) -> Generator:
+    def _rx_cost(self, pkt: NetPacket) -> int:
+        """The NIC's ``rx_cost_fn``; reads ``self.cost`` per packet, so
+        a cost model replaced after construction takes effect."""
+        return self.cost.rx_cost(pkt.seg_bytes)
+
+    def cpu_exec(self, cost_us: int) -> tuple[_CpuWork]:
         """``yield from host.cpu_exec(c)`` inside an application process
-        consumes ``c`` us of this host's CPU."""
-        yield _CpuWork(self, cost_us)
+        consumes ``c`` us of this host's CPU.  The one-element tuple is
+        all ``yield from`` needs: the request goes out, the resume ends
+        the iteration, and no generator is built per call."""
+        return (_CpuWork(self, cost_us),)
 
     @property
     def cpu_busy_until(self) -> int:

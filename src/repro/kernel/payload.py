@@ -31,13 +31,11 @@ def pattern_bytes(offset: int, length: int) -> bytes:
 
 
 class Payload:
-    """Abstract payload: a length plus lazily-materializable bytes."""
+    """Abstract payload: a ``length`` attribute (set by the subclass;
+    payloads are immutable) plus lazily-materializable bytes."""
 
     __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        raise NotImplementedError
+    length: int
 
     def slice(self, start: int, length: int) -> "Payload":
         raise NotImplementedError
@@ -52,14 +50,11 @@ class Payload:
 class BytesPayload(Payload):
     """Payload backed by real bytes (used by tests and small sends)."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "length")
 
     def __init__(self, data: bytes):
         self.data = bytes(data)
-
-    @property
-    def length(self) -> int:
-        return len(self.data)
+        self.length = len(self.data)
 
     def slice(self, start: int, length: int) -> "BytesPayload":
         if start < 0 or length < 0 or start + length > len(self.data):
@@ -76,25 +71,21 @@ class BytesPayload(Payload):
 class PatternPayload(Payload):
     """A zero-copy (offset, length) view into the canonical pattern."""
 
-    __slots__ = ("offset", "_length")
+    __slots__ = ("offset", "length")
 
     def __init__(self, offset: int, length: int):
         if offset < 0 or length < 0:
             raise ValueError(f"bad pattern view ({offset}, {length})")
         self.offset = offset
-        self._length = length
-
-    @property
-    def length(self) -> int:
-        return self._length
+        self.length = length
 
     def slice(self, start: int, length: int) -> "PatternPayload":
-        if start < 0 or length < 0 or start + length > self._length:
-            raise ValueError(f"bad slice ({start}, {length}) of {self._length}")
+        if start < 0 or length < 0 or start + length > self.length:
+            raise ValueError(f"bad slice ({start}, {length}) of {self.length}")
         return PatternPayload(self.offset + start, length)
 
     def tobytes(self) -> bytes:
-        return pattern_bytes(self.offset, self._length)
+        return pattern_bytes(self.offset, self.length)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"PatternPayload(@{self.offset}, {self._length}B)"
+        return f"PatternPayload(@{self.offset}, {self.length}B)"

@@ -95,14 +95,14 @@ class SkbQueue:
 
     def enqueue(self, skb: SKBuff) -> None:
         self._q.append(skb)
-        self.bytes += skb.truesize
+        self.bytes += skb.length + SKB_OVERHEAD     # skb.truesize
         self.data_bytes += skb.length
 
     def dequeue(self) -> Optional[SKBuff]:
         if not self._q:
             return None
         skb = self._q.popleft()
-        self.bytes -= skb.truesize
+        self.bytes -= skb.length + SKB_OVERHEAD     # skb.truesize
         self.data_bytes -= skb.length
         return skb
 

@@ -40,6 +40,10 @@ class Socket:
     def __init__(self, transport):
         self._t = transport
         self.host = transport.host
+        # the socket lock, for transports that have one (decided here,
+        # not per call)
+        self._lock = getattr(transport, "lock", None)
+        self._unlock = getattr(transport, "unlock", None)
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -98,19 +102,19 @@ class Socket:
         while True:
             chunks = self._t.recvmsg(max_bytes)
             if chunks:
-                nbytes = sum(c.length for c in chunks)
+                nbytes = 0
+                for c in chunks:
+                    nbytes += c.length
                 # the socket is locked while copying to user space;
                 # arriving packets queue on the transport backlog
-                lock = getattr(self._t, "lock", None)
-                if lock is not None:
-                    lock()
+                if self._lock is not None:
+                    self._lock()
                 try:
                     yield from self.host.cpu_exec(
                         self.host.cost.copy_cost(nbytes))
                 finally:
-                    unlock = getattr(self._t, "unlock", None)
-                    if unlock is not None:
-                        unlock()
+                    if self._unlock is not None:
+                        self._unlock()
                 self.bytes_received += nbytes
                 return chunks
             if self._t.at_eof():

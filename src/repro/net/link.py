@@ -62,7 +62,8 @@ class SharedLink:
         self._nics.append(nic)
 
     def tx_time_us(self, pkt: "NetPacket") -> int:
-        return max(1, round(pkt.wire_bits * US_PER_SEC / self.bandwidth_bps))
+        us = round(pkt.wire_bytes * 8 * US_PER_SEC / self.bandwidth_bps)
+        return us if us > 1 else 1
 
     def reserve(self, pkt: "NetPacket") -> tuple[int, int]:
         """Claim the medium for ``pkt``.
@@ -71,7 +72,9 @@ class SharedLink:
         caller (a NIC ring) must not submit its next frame before
         ``end_us``.
         """
-        start = max(self.sim.now, self._busy_until)
+        start = self._busy_until
+        if start < self.sim.now:
+            start = self.sim.now
         end = start + self.tx_time_us(pkt)
         self._busy_until = end
         return start, end

@@ -115,6 +115,9 @@ class NetworkInterface:
         self._port = port
 
     def join_group(self, group: str) -> None:
+        # validated here, once, so the per-frame filter is a set lookup
+        if not is_multicast(group):
+            raise ValueError(f"{group!r} is not a multicast (class D) address")
         self._groups.add(group)
 
     def leave_group(self, group: str) -> None:
@@ -196,10 +199,9 @@ class NetworkInterface:
 
     def medium_deliver(self, pkt: NetPacket) -> None:
         """Called by the medium when a frame passes this interface."""
-        if pkt.dst != self.addr:
-            if not (is_multicast(pkt.dst) and pkt.dst in self._groups):
-                self.filtered += 1
-                return
+        if pkt.dst != self.addr and pkt.dst not in self._groups:
+            self.filtered += 1
+            return
         lineage = self.sim.lineage
         if not self.powered or self.sim.now < self.fault_rx_drop_until:
             self.fault_drops += 1

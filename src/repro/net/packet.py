@@ -26,8 +26,8 @@ class NetPacket:
     overheads.
     """
 
-    __slots__ = ("src", "dst", "segment", "seg_bytes", "id", "hops",
-                 "born_us", "corrupted", "cause", "blame")
+    __slots__ = ("src", "dst", "segment", "seg_bytes", "wire_bytes", "id",
+                 "hops", "born_us", "corrupted", "cause", "blame")
 
     def __init__(self, src: str, dst: str, segment: Any, seg_bytes: int,
                  born_us: int = 0, pid: int = 0):
@@ -38,16 +38,13 @@ class NetPacket:
         self.dst = dst
         self.segment = segment
         self.seg_bytes = int(seg_bytes)
+        self.wire_bytes = self.seg_bytes + IP_OVERHEAD + LINK_OVERHEAD
         self.id = pid
         self.hops = 0
         self.born_us = born_us
         self.corrupted = False   # bit errors in flight; checksum catches
         self.cause = 0           # lineage id of the tx event (obs.causal)
         self.blame = 0           # lineage id of the fault that damaged us
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.seg_bytes + IP_OVERHEAD + LINK_OVERHEAD
 
     @property
     def wire_bits(self) -> int:

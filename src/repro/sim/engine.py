@@ -41,7 +41,10 @@ class Simulator:
     COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._now: int = 0
+        #: current simulated time in microseconds -- a plain attribute
+        #: (read on every packet); only :meth:`run` assigns it, and
+        #: simlint rule R8 holds everyone else to that
+        self.now: int = 0
         self._heap: list[list] = []
         self._order: int = 0
         self._live: int = 0  # non-cancelled entries in the heap
@@ -74,13 +77,8 @@ class Simulator:
         self._next_packet_id += n
         return first
 
-    @property
-    def now(self) -> int:
-        """Current simulated time in microseconds."""
-        return self._now
-
     def now_seconds(self) -> float:
-        return self._now / US_PER_SEC
+        return self.now / US_PER_SEC
 
     # -- scheduling ---------------------------------------------------
 
@@ -95,12 +93,14 @@ class Simulator:
         :mod:`repro.obs.causal`).  A cancelled entry has ``callback``
         set to ``None``.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at t={when} (now is {self._now})"
+                f"cannot schedule at t={when} (now is {self.now})"
             )
+        if type(when) is not int:
+            when = int(when)
         lineage = self.lineage
-        entry = [int(when), self._order, callback, args,
+        entry = [when, self._order, callback, args,
                  lineage.current if lineage is not None else 0]
         self._order += 1
         heapq.heappush(self._heap, entry)
@@ -111,7 +111,7 @@ class Simulator:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self._now + int(delay), callback, *args)
+        return self.call_at(self.now + int(delay), callback, *args)
 
     def cancel(self, entry: list) -> None:
         """Cancel a previously scheduled entry (idempotent).
@@ -164,8 +164,8 @@ class Simulator:
                     heapq.heappush(self._heap, entry)
                     break
                 self._live -= 1
-                prev = self._now
-                self._now = when
+                prev = self.now
+                self.now = when
                 self.events_processed += 1
                 if lineage is not None:
                     lineage.current = cause
@@ -180,9 +180,9 @@ class Simulator:
             self._running = False
             if lineage is not None:
                 lineage.current = 0
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Execute a single event.  Returns ``False`` when none remain."""

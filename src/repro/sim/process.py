@@ -21,8 +21,9 @@ A process generator may ``yield``:
 * :class:`SimEvent` -- block until the event fires (``event.fire(value)``
   resumes all waiters; the yielded expression evaluates to the value),
 * any other object with an ``_arm(proc)`` method that schedules
-  ``proc._resume`` itself -- how ``Host.cpu_exec`` makes the resume
-  *be* the CPU-completion event, without this layer importing kernel,
+  ``proc._resume`` itself -- how ``yield from host.cpu_exec(c)`` makes
+  the resume *be* the CPU-completion event, without this layer
+  importing kernel,
 * another generator via ``yield from`` -- ordinary composition.
 """
 
@@ -70,7 +71,10 @@ class SimEvent:
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns how many were woken."""
         self.fire_count += 1
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:          # the usual case on the per-packet path
+            return 0
+        self._waiters = []
         for proc in waiters:
             self._sim.call_after(0, proc._resume, value)
         return len(waiters)
@@ -129,13 +133,13 @@ class Process:
         if not self.alive:
             return
         self._waiting_on = None
-        lineage = getattr(self._sim, "lineage", None)
+        lineage = self._sim.lineage
         if lineage is not None and self.name:
             lineage.emit("wake", "", self.name)
         try:
             yielded = self._gen.send(value)
         except StopIteration as stop:
-            self._finish(getattr(stop, "value", None), None)
+            self._finish(stop.value, None)
             return
         except ProcessKilled:
             self._finish(None, None)
@@ -143,9 +147,10 @@ class Process:
         except Exception as exc:  # propagate at join time, don't kill the sim
             self._finish(None, exc)
             return
-        # looked up on the type: a class yielded by mistake is not armable
-        arm = getattr(type(yielded), "_arm", None)
-        if arm is None:
+        try:
+            # looked up on the type: a class yielded by mistake is not armable
+            arm = type(yielded)._arm
+        except AttributeError:
             self._finish(
                 None,
                 TypeError(

@@ -2,18 +2,20 @@
 
 Pure functions over lists of :class:`~repro.trace.tracer.TraceEvent`;
 NumPy is used for the timeline bucketing so multi-million-event traces
-stay fast.
+stay fast -- imported by the three functions that use it, because every
+run imports this package (harness -> tracer) and none of them plots.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.types import PacketType
 from repro.trace.tracer import TraceEvent, load_trace, trace_meta
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["load_capture", "packet_summary", "throughput_timeline",
            "sequence_progress", "sparkline", "feedback_latency"]
@@ -72,6 +74,7 @@ def throughput_timeline(events: Sequence[TraceEvent], *,
                         bucket_us: int = 100_000, host: Optional[str] = None,
                         direction: str = "rx") -> tuple[np.ndarray, np.ndarray]:
     """(bucket_start_us, bytes_per_second) series of DATA goodput."""
+    import numpy as np
     ts, sizes = [], []
     for ev in events:
         if ev.direction != direction or ev.ptype != int(PacketType.DATA):
@@ -96,6 +99,7 @@ def sequence_progress(events: Sequence[TraceEvent], host: str
                       ) -> tuple[np.ndarray, np.ndarray]:
     """(t_us, highest end-seq seen) at a receiving host -- the stream's
     forward progress, flat spots marking recovery stalls."""
+    import numpy as np
     ts, seqs = [], []
     high = 0
     for ev in events:
@@ -124,7 +128,6 @@ def feedback_latency(events: Sequence[TraceEvent], *,
     if not naks or not retr:
         return {"samples": 0, "mean_us": 0.0, "max_us": 0.0}
     lats = []
-    ri = 0
     for t_nak, seq in naks:
         for t_r, s, e in retr:
             if t_r >= t_nak and s <= seq < e:
@@ -132,13 +135,13 @@ def feedback_latency(events: Sequence[TraceEvent], *,
                 break
     if not lats:
         return {"samples": 0, "mean_us": 0.0, "max_us": 0.0}
-    arr = np.asarray(lats, dtype=np.float64)
-    return {"samples": len(arr), "mean_us": float(arr.mean()),
-            "max_us": float(arr.max())}
+    return {"samples": len(lats), "mean_us": sum(lats) / len(lats),
+            "max_us": float(max(lats))}
 
 
 def sparkline(values: Iterable[float], width: int = 60) -> str:
     """Render a series as a unicode sparkline (terminal-friendly)."""
+    import numpy as np
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:
         return ""

@@ -121,7 +121,7 @@ def test_ruleset_mismatch_demands_baseline_refresh(tmp_path):
 def test_list_rules_and_version():
     proc = run_simlint("--list-rules")
     assert proc.returncode == 0
-    for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
+    for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"):
         assert rule in proc.stdout
     version = run_simlint("--ruleset-version")
     assert version.returncode == 0

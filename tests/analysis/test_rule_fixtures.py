@@ -35,10 +35,10 @@ def expected_findings(path: Path) -> set[tuple[int, str]]:
 
 
 def test_fixture_inventory_covers_every_rule():
-    """>= 7 rules, each with at least one positive and one negative
+    """>= 8 rules, each with at least one positive and one negative
     fixture file."""
     names = {p.stem for p in RULE_FIXTURES}
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert f"r{n}_bad" in names, f"missing positive fixture for R{n}"
         assert any(name.startswith(f"r{n}_") and not name.endswith("_bad")
                    for name in names), f"missing negative fixture for R{n}"

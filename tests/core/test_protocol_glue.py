@@ -190,3 +190,41 @@ def test_socket_blocks_until_buffer_space():
     sc.sim.run(until=60_000_000)
     assert marks.get("rcv") == 500_000
     assert marks["send_blocked_us"] > 100_000  # really blocked
+
+
+def test_segments_go_straight_to_the_role_or_wait_in_arrival_order():
+    """The transport hands a segment to the packet processor of the role
+    it took at connect/join time; before that a bound socket drops it
+    (as ever), and under the socket lock segments queue and are
+    processed first-in first-out on unlock -- also when the processing
+    of one re-locks the socket."""
+    from repro.core.types import PacketType
+    from repro.kernel.skbuff import SKBuff
+
+    sc = build_lan(1, 10e6)
+    skb = SKBuff(sport=5000, dport=6000, seq=1, ptype=PacketType.KEEPALIVE)
+    idle = HRMCTransport(sc.receivers[0])
+    idle.bind(6001)
+    idle.segment_received(skb, sc.sender.addr)      # no role yet: dropped
+    t = HRMCTransport(sc.receivers[0])
+    t.join(sc.group_addr, 6000)
+    seen = []
+
+    def deliver(skb, src):
+        seen.append(skb.seq)
+        if skb.seq == 2:
+            t.lock()
+
+    t._deliver = deliver
+    t.segment_received(skb, sc.sender.addr)
+    assert seen == [1]
+    t.lock()
+    for seq in (2, 3, 4):
+        t.segment_received(
+            SKBuff(sport=5000, dport=6000, seq=seq,
+                   ptype=PacketType.KEEPALIVE), sc.sender.addr)
+    assert seen == [1]
+    t.unlock()
+    assert seen == [1, 2] and t.sock.locked         # re-locked: 3, 4 wait
+    t.unlock()
+    assert seen == [1, 2, 3, 4] and not t._backlog

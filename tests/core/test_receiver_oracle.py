@@ -81,7 +81,8 @@ class Model:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([1, 0xFFFFFFFF - 200]), st.lists(OPS, max_size=50))
+@given(st.sampled_from([1, 0xFFFFFFFF - 200, 0x80000000 - 200]),
+       st.lists(OPS, max_size=50))
 def test_receiver_matches_interval_set_oracle(iss, ops):
     sim = Simulator()
     host = FakeHost(sim)

@@ -30,10 +30,27 @@ values).  Recipe, from the repo root:
 
 prints duration_us, the two hashes and events per packet; copy the
 first three into `PINNED` and set the ceiling ~1.5 % above the fourth.
+
+The same runs hold the host-side cost of a packet without a clock:
+`CALLS_PER_PACKET` is a ceiling on the function calls (Python and C, as
+cProfile counts them) one bare run makes per packet the sender put on
+the wire.  The count repeats exactly, does not depend on
+PYTHONHASHSEED, and moves by under 0.5 % between CPython 3.10 and 3.13
+(comprehension inlining), so one number serves the CI matrix:
+
+    PYTHONPATH=src:. python -c "from tests.harness.test_pinned_stats \
+        import PINNED, calls_per_packet; \
+        [print(n, round(calls_per_packet(n), 1)) for n in PINNED]"
+
+A change that lowers a count lowers its ceiling to ~3 % above the new
+value; one that raises a count past its ceiling has put work back on
+the per-packet path and says why, or is reverted.
 """
 
+import cProfile
 import hashlib
 import json
+import pstats
 
 import pytest
 
@@ -80,6 +97,16 @@ PINNED = {
 }
 
 
+#: name -> ceiling on profiled calls per packet sent, bare run
+CALLS_PER_PACKET = {
+    "lan-2": 185.0,                 # 179.6 today; 313.7 before PR 14
+    "lan-2-long": 185.0,            # 179.6 today; 313.8 before
+    "lan-40": 2_800.0,              # 2 713.4 today; 5 214.2 before
+    "wan-case-3": 2_190.0,          # 2 126.2 today; 2 719.9 before
+    "lan-disk": 247.0,              # 239.2 today; 412.9 before
+}
+
+
 def _stats_sha(result) -> str:
     canon = json.dumps(
         {"sender": result.sender_stats.as_dict(),
@@ -112,3 +139,21 @@ def test_simulated_statistics_are_pinned_and_events_bounded(name):
     got = measure(name)
     assert got[:3] == (duration_us, stats, history)
     assert got[3] <= events_per_packet
+
+
+def calls_per_packet(name):
+    """Function calls cProfile counts inside `run_transfer`, per packet
+    the sender put on the wire (no tracer, no observer)."""
+    build, kwargs = PINNED[name][:2]
+    scenario = build()
+    profile = cProfile.Profile()
+    result = profile.runcall(run_transfer, scenario, seed=SEED, **kwargs)
+    assert result.ok
+    sent = result.sender_stats.data_pkts_sent + \
+        result.sender_stats.retrans_pkts
+    return pstats.Stats(profile).total_calls / sent
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_host_calls_per_packet_are_bounded(name):
+    assert calls_per_packet(name) <= CALLS_PER_PACKET[name]

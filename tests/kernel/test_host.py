@@ -35,6 +35,36 @@ def test_cost_model_formulas():
     assert c.copy_cost(0) == 10
 
 
+def test_rx_cost_memo_is_per_cost_model_and_matches_the_formula():
+    fast = CostModel()
+    slow = CostModel(lower_layer_us=400.4, per_byte_us=0.1)
+    for _ in range(2):                      # second pass reads the memo
+        for n in (0, 20, 1020, 1480, 9000):
+            assert fast.rx_cost(n) == 150 + round(10 + 0.025 * n)
+            assert slow.rx_cost(n) == round(400.4) + slow.proto_cost(n)
+    # the memo is bookkeeping, not identity
+    assert fast == CostModel() and hash(fast) == hash(CostModel())
+    assert "memo" not in repr(fast)
+
+
+def test_replacing_the_cost_model_changes_what_the_next_packet_costs():
+    """`host.cost` may be assigned after construction (the robustness
+    tests do); the per-size memo lives on the CostModel, so the NIC's
+    next cost lookup follows the new model."""
+    sim, lan, h1, h2 = make_pair()
+    h2.bind(5000, Catcher())
+    h1.ip_send(mkskb(length=1000), h2.addr)
+    sim.run()
+    first = sim.now                         # tx cost + wire + rx cost
+    old, h2.cost = h2.cost, CostModel(lower_layer_us=1000)
+    start = sim.now
+    h1.ip_send(mkskb(length=1000), h2.addr)
+    sim.run()
+    assert h2.cpu_busy_until == sim.now     # rx completion is the last event
+    assert (sim.now - start) - first == \
+        h2.cost.rx_cost(1020) - old.rx_cost(1020) == 850
+
+
 def test_end_to_end_segment_dispatch():
     sim, lan, h1, h2 = make_pair()
     catcher = Catcher()
@@ -120,6 +150,18 @@ def test_cpu_exec_resume_is_the_cpu_completion_event():
                      ("scheduled later", 620), ("app-zero", 620)]
     # start, earlier work, two completions, the probe
     assert sim.events_processed == 5
+
+
+def test_cpu_exec_is_the_one_request_and_builds_no_generator():
+    """`yield from host.cpu_exec(c)` is the only way an application asks
+    for CPU time; what it iterates is a plain one-element tuple."""
+    import types
+    sim, lan, h1, _ = make_pair()
+    work = h1.cpu_exec(5)
+    assert type(work) is tuple and len(work) == 1
+    assert not isinstance(work, types.GeneratorType)
+    assert callable(type(work[0])._arm)     # what Process._resume arms
+    assert h1.cpu_busy_until == 0           # asking reserves nothing yet
 
 
 def test_kill_during_cpu_work_is_safe():

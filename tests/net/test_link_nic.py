@@ -199,3 +199,29 @@ def test_fanout_shares_one_instant_with_unrelated_events():
     sim.call_at(105, order.append, "after")
     sim.run()
     assert order == ["before", "b", "c", "after"]
+
+
+def test_join_group_rejects_a_unicast_address():
+    """`medium_deliver` filters with `dst in _groups` alone; that is the
+    old `is_multicast(dst) and dst in _groups` only because nothing but
+    a class-D address can get into `_groups`."""
+    import pytest
+    from repro.net.addr import is_multicast
+
+    sim, link, (a, b, c) = make_lan(3)
+    for addr in (c.addr, "10.0.0.9", "223.255.255.255", "240.0.0.1"):
+        assert not is_multicast(addr)
+        with pytest.raises(ValueError, match="multicast"):
+            b.join_group(addr)
+        assert not b.in_group(addr)
+    with pytest.raises(ValueError):
+        b.join_group("not-an-address")
+    # so a frame for another host's unicast address is still filtered
+    got = []
+    b.rx_handler = got.append
+    a.try_transmit(mkpkt(a.addr, c.addr))
+    sim.run()
+    assert got == [] and b.filtered == 1
+    for group in ("224.0.0.1", "239.255.255.255"):
+        b.join_group(group)
+        assert b.in_group(group)

@@ -439,3 +439,22 @@ def test_step_restores_lineage_context():
     sim.lineage.current = 0
     assert sim.step()
     assert seen == [41] and sim.lineage.current == 0
+
+
+def test_now_is_a_plain_int_attribute_and_times_stay_ints():
+    """`now` is read on every packet, so it is an attribute, not a
+    property (simlint R8 keeps model code from assigning it); a float
+    time is truncated on the way into the heap, as `int(when)` always
+    did, and an int is stored as it is."""
+    sim = Simulator()
+    assert "now" in vars(sim) and not hasattr(type(sim), "now")
+    seen = []
+    entry = sim.call_at(10.9, lambda: seen.append(sim.now))
+    assert entry[0] == 10 and type(entry[0]) is int
+    assert sim.call_after(2.5, seen.append, "after")[0] == 2
+    assert type(sim.call_at(True, seen.append, "bool")[0]) is int
+    when = 7
+    assert sim.call_at(when, seen.append, "int")[0] is when
+    sim.run()
+    assert seen == ["bool", "after", "int", 10]
+    assert type(sim.now) is int and sim.now_seconds() == 10 / 1e6

@@ -253,3 +253,23 @@ def test_async_base_exception_is_not_stored_as_a_process_error():
 def test_negative_delay_rejected():
     with pytest.raises(ValueError):
         Delay(-5)
+
+
+def test_fire_without_waiters_counts_and_wakes_nobody():
+    sim = Simulator()
+    ev = SimEvent(sim)
+    assert ev.fire("ignored") == 0
+    assert ev.fire() == 0
+    assert ev.fire_count == 2
+    assert sim.pending() == 0               # nothing was scheduled
+    woke = []
+
+    def waiter():
+        woke.append((yield ev))
+
+    Process(sim, waiter())
+    sim.run()
+    assert ev.waiting == 1
+    assert ev.fire("now") == 1 and ev.fire_count == 3
+    sim.run()
+    assert woke == ["now"] and ev.waiting == 0
