@@ -20,20 +20,21 @@ when ``progress=True``.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import time
-from concurrent.futures import (FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.fleet.fingerprint import code_fingerprint
 from repro.fleet.spec import RunSpec
 from repro.fleet.store import ResultStore
 from repro.fleet.summary import RunSummary
 from repro.fleet.worker import JobTimeout, execute_spec
+
+if TYPE_CHECKING:  # pragma: no cover
+    # imported for real where a pool is built: `--list`, `report` and
+    # every serial sweep never build one
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = ["Fleet", "FleetError", "FleetStats"]
 
@@ -98,17 +99,6 @@ class _Progress:
     def finish(self) -> None:
         if self.enabled and self._dirty:
             print(file=sys.stderr, flush=True)
-
-
-def _mp_context() -> multiprocessing.context.BaseContext:
-    # fork: cheap worker start and no __main__ re-import requirement.
-    # Job isolation does not depend on process hygiene -- the worker
-    # rebuilds the whole world from the spec (regression-tested) -- so
-    # inheriting the parent image is safe.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context("spawn")
 
 
 class Fleet:
@@ -228,13 +218,29 @@ class Fleet:
                     time.sleep(self.backoff_s * (2 ** (attempts - 1)))
             progress.update(done, 0, self.stats.cached, self.stats.failed)
 
+    def _new_pool(self) -> ProcessPoolExecutor:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: cheap worker start and no __main__ re-import requirement.
+        # Job isolation does not depend on process hygiene -- the worker
+        # rebuilds the whole world from the spec (regression-tested) -- so
+        # inheriting the parent image is safe.
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX fallback
+            ctx = multiprocessing.get_context("spawn")
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   mp_context=ctx)
+
     def _run_pool(self, pending: list[RunSpec],
                   results: dict[str, RunSummary],
                   errors: dict[str, str],
                   progress: _Progress) -> None:
-        ctx = _mp_context()
-        pool = ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=ctx)
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = self._new_pool()
         attempts: dict[str, int] = {}
         # jobs whose backoff has not elapsed yet: [(ready_at, spec)]
         backlog: list[tuple[float, RunSpec]] = []
@@ -255,7 +261,7 @@ class Fleet:
                                           self.timeout_s)
                     except (BrokenProcessPool, RuntimeError):
                         pool, queue, inflight = self._rebuild_pool(
-                            pool, ctx, spec, queue, inflight,
+                            pool, spec, queue, inflight,
                             max_pool_restarts)
                         continue
                     inflight[fut] = spec
@@ -281,7 +287,7 @@ class Fleet:
                         # was in flight, this job included; remaining
                         # futures of the dead pool are orphaned above
                         pool, queue, inflight = self._rebuild_pool(
-                            pool, ctx, spec, queue, inflight,
+                            pool, spec, queue, inflight,
                             max_pool_restarts)
                         break
                     except (Exception, JobTimeout) as exc:
@@ -305,8 +311,7 @@ class Fleet:
             pool.shutdown(wait=False, cancel_futures=True)
 
     def _rebuild_pool(
-            self, pool: ProcessPoolExecutor,
-            ctx: multiprocessing.context.BaseContext, spec: RunSpec,
+            self, pool: ProcessPoolExecutor, spec: RunSpec,
             queue: list[RunSpec], inflight: dict[Future, RunSpec],
             max_restarts: int,
     ) -> tuple[ProcessPoolExecutor, list[RunSpec],
@@ -319,6 +324,4 @@ class Fleet:
                 f"giving up (last job: {spec.describe()})")
         pool.shutdown(wait=False, cancel_futures=True)
         requeue = [spec] + list(inflight.values()) + queue
-        return (ProcessPoolExecutor(max_workers=self.workers,
-                                    mp_context=ctx),
-                requeue, {})
+        return self._new_pool(), requeue, {}

@@ -77,6 +77,10 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale at the first string it translates, in
+# every invocation; named here it loads with the rest of start-up rather
+# than inside the first command (it used to ride in with the pool modules)
+import locale  # noqa: F401
 import os
 import sys
 import time

@@ -132,6 +132,12 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     are stitched from the packet tap, and the finished instance is
     returned on ``TransferResult.obs``.  Observation is read-only and
     does not change protocol behaviour.
+
+    A run that lost a process is not a result: if any application
+    process this function started (sender, receivers, rejoins) ended
+    with an exception, it is re-raised here as a ``RuntimeError`` naming
+    the process, instead of being left on a ``Process`` nobody joins.
+    (A process killed by the fault plan carries no error.)
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -146,8 +152,13 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
                          "tcp-like reference (sequential unicast)")
     if tracer is not None or invariants or obs is not None:
         if tracer is None:
-            # flight recorder: bounded memory, listeners see everything
-            tracer = PacketTracer(max_events=256, ring=True)
+            # a capture nobody passed in has two readers, the checker's
+            # violation tail and the lineage artifact dump: they get a
+            # flight recorder (bounded memory, listeners see everything);
+            # an observer alone subscribes to the tap and keeps nothing
+            recorded = invariants or obs.want_lineage
+            tracer = PacketTracer(max_events=256 if recorded else 0,
+                                  ring=recorded)
         tracer.attach(scenario.sender, *scenario.receivers)
     checker = InvariantChecker(tracer, obs=obs) if invariants else None
 
@@ -166,10 +177,11 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
         for i in range(n):
             disks[i] = DiskModel(sim, seed=seed, name=f"rcv{i}")
 
+    # `procs`: every process this run starts that nobody else joins
     if protocol == "tcp":
-        sockets = _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf,
-                                      sender_result, receiver_results,
-                                      disks, chunk, verify)
+        sockets, procs = _run_tcp_sequential(
+            scenario, nbytes, sndbuf, rcvbuf, sender_result,
+            receiver_results, disks, chunk, verify)
         if obs is not None:
             obs.attach(scenario, tracer)
     else:
@@ -186,12 +198,15 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
                                           result=receiver_results[i],
                                           disk=disks.get(i), chunk=chunk,
                                           verify=verify), name=f"rcv{i}"))
-        Process(sim, sender_app(ssock, nbytes, sport=scenario.sender_port,
-                                group=scenario.group_addr,
-                                port=scenario.data_port,
-                                result=sender_result,
-                                disk=disks.get("sender"), chunk=chunk),
-                name="sender")
+        sproc = Process(sim, sender_app(ssock, nbytes,
+                                        sport=scenario.sender_port,
+                                        group=scenario.group_addr,
+                                        port=scenario.data_port,
+                                        result=sender_result,
+                                        disk=disks.get("sender"),
+                                        chunk=chunk),
+                        name="sender")
+        procs = rprocs + [sproc]
         sockets = (ssock, rsocks)
         if obs is not None:
             obs.attach(scenario, tracer, ssock=ssock, rsocks=rsocks)
@@ -214,11 +229,12 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
                                 n_receivers=n)
             res = AppResult(name=f"rcv{idx}-rejoin")
             rejoin_results.append(res)
-            Process(sim, receiver_app(sock, group=scenario.group_addr,
-                                      port=scenario.data_port, result=res,
-                                      chunk=chunk, verify=verify,
-                                      resume=True),
-                    name=f"rcv{idx}-rejoin")
+            procs.append(
+                Process(sim, receiver_app(sock, group=scenario.group_addr,
+                                          port=scenario.data_port,
+                                          result=res, chunk=chunk,
+                                          verify=verify, resume=True),
+                        name=f"rcv{idx}-rejoin"))
             if checker is not None:
                 checker.watch_receiver(sock.transport)
 
@@ -227,6 +243,11 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
 
     try:
         sim.run(until=round(max_sim_s * US_PER_SEC))
+        for proc in procs:
+            if proc.error is not None:
+                raise RuntimeError(
+                    f"process {proc.name!r} died mid-run with "
+                    f"{proc.error!r}") from proc.error
         if checker is not None:
             checker.final_check()
     finally:
@@ -247,7 +268,10 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
 
 def _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf, sender_result,
                         receiver_results, disks, chunk, verify):
-    """TCP-like reference: n sequential unicast transfers."""
+    """TCP-like reference: n sequential unicast transfers.  Returns the
+    sockets and the processes nobody joins: the receivers and the
+    orchestrator (which joins each sender, and dies of what it died
+    of)."""
     sim = scenario.sim
     sender_socks: list[Socket] = []
     rsocks: list[Socket] = []
@@ -280,8 +304,8 @@ def _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf, sender_result,
         sender_result.bytes_done = total
         sender_result.finished_at_us = sim.now
 
-    Process(sim, orchestrate(), name="tcp-orchestrator")
-    return (sender_socks, rsocks)
+    procs.append(Process(sim, orchestrate(), name="tcp-orchestrator"))
+    return (sender_socks, rsocks), procs
 
 
 def _collect(scenario, protocol, nbytes, sockets, sender_result,

@@ -9,7 +9,7 @@ scenario:
   NAK/UPDATE/retransmission rates, engine queue depth, per-link
   utilisation) into time series every ``scrape_interval_us`` of
   simulated time,
-* a **span collector** riding the packet tap as a raw listener
+* a **span collector** subscribed to the packet tap
   (packet-lifecycle latency histograms and protocol-phase spans), and
 * optionally the **engine profiler** (simulated-time and wall-clock
   attribution per callback site).
@@ -75,7 +75,8 @@ class Observability:
             from repro.obs.health import HealthMonitor
             self.health = HealthMonitor(self.registry)
         # the perf observatory (repro.obs.perf.PerfObservatory) brings
-        # its own class-attributing profiler, superseding profile=True
+        # its own profiler (with its stack sampler), superseding
+        # profile=True
         self.perf = perf
         self.profiler: Optional[SimProfiler] = \
             perf.profiler if perf is not None else (
@@ -88,7 +89,7 @@ class Observability:
         # causal lineage + diagnosis (repro.obs.causal / .diag): pure
         # bookkeeping riding the same attach, preserving the
         # zero-perturbation guarantee
-        self._want_lineage = bool(lineage)
+        self.want_lineage = bool(lineage)
         self._lineage_max_nodes = int(lineage_max_nodes)
         self._stall_after_us = int(stall_after_us)
         self.lineage = None
@@ -112,7 +113,7 @@ class Observability:
 
         self.spans = SpanCollector(scenario.sender.addr,
                                    self._latency_bounds)
-        tracer.add_raw_listener(self.spans.on_event)
+        tracer.subscribe(self.spans.on_packet)
 
         if self.health is not None:
             # hand the monitor to every H-RMC endpoint; the transport
@@ -125,7 +126,7 @@ class Observability:
                 if t is not None and hasattr(t, "health"):
                     t.health = self.health
 
-        if self._want_lineage:
+        if self.want_lineage:
             from repro.obs.causal import LineageRecorder
             from repro.obs.diag import Watchdog
             self.lineage = LineageRecorder(

@@ -37,13 +37,13 @@ from typing import Optional
 
 from repro.obs.perf.alloc import AllocTracker
 from repro.obs.perf.flame import StackSampler, flamegraph_svg
-from repro.obs.perf.profiler import PerfProfiler
 from repro.obs.perf.taxonomy import (EVENT_CLASSES, classify, register_site,
                                      timer_class)
+from repro.obs.profiler import SimProfiler
 
-__all__ = ["PerfObservatory", "PerfProfiler", "StackSampler",
-           "AllocTracker", "EVENT_CLASSES", "classify", "register_site",
-           "timer_class", "flamegraph_svg"]
+__all__ = ["PerfObservatory", "StackSampler", "AllocTracker",
+           "EVENT_CLASSES", "classify", "register_site", "timer_class",
+           "flamegraph_svg"]
 
 
 class PerfObservatory:
@@ -62,8 +62,8 @@ class PerfObservatory:
 
     def __init__(self, *, sample_every: int = 16, alloc: bool = False,
                  top_sites: int = 10):
-        sampler = StackSampler(sample_every) if sample_every > 0 else None
-        self.profiler = PerfProfiler(sampler=sampler)
+        self.profiler = SimProfiler(
+            StackSampler(sample_every) if sample_every > 0 else None)
         self.alloc: Optional[AllocTracker] = \
             AllocTracker(top_sites) if alloc else None
         self.attached = False

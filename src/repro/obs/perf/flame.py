@@ -2,7 +2,7 @@
 
 Classic profilers sample on a wall-clock alarm, which makes every run's
 sample set different.  The observatory instead samples on the engine's
-*event counter*: :class:`~repro.obs.perf.profiler.PerfProfiler` hands
+*event counter*: :class:`~repro.obs.profiler.SimProfiler` hands
 every Nth executed callback to :meth:`StackSampler.run`, which traces
 the callback's full Python call tree with :func:`sys.setprofile` and
 charges self-wall time to each stack.  Because N counts simulated

@@ -1,25 +1,33 @@
-"""Dual profiler for the discrete-event engine.
+"""The engine profiler: one table, every view folded from it when read.
 
 Attached as ``Simulator.profiler``, the engine routes every callback
-through :meth:`SimProfiler.execute`, which attributes two clocks per
-callback *site* (module-qualified function name):
+through :meth:`SimProfiler.execute`, which adds three numbers to the
+row of the callback's *function*:
 
+* **events** -- firings (cancelled entries never reach ``execute`` and
+  heap compaction only touches entries that will never fire, so counts
+  equal the callbacks actually executed),
 * **simulated time** -- how far the virtual clock advanced to reach
-  each firing (which activities the simulation spends its virtual time
-  waiting on), and
-* **wall time** -- how long the Python callback actually ran (where
-  the simulator burns real CPU), plus the engine's overall events/sec.
+  each firing (what the simulation spends its virtual time waiting on),
+* **wall time** -- how long the Python callback actually ran (where the
+  simulator burns real CPU).
 
-Attribution is exact: cancelled entries never reach ``execute`` and
-heap compaction only touches entries that will never fire, so per-site
-event counts equal the number of callbacks actually executed.
+Nothing else happens per event.  Site labels (``nic.NetworkInterface.
+_tx_done``), the event-class "tax table" of the performance observatory
+(:mod:`repro.obs.perf.taxonomy`), the totals and the coverage figure are
+all folds over that table, computed when someone reads them.
+
+With a :class:`~repro.obs.perf.flame.StackSampler` attached, every Nth
+executed callback additionally runs under it -- sampling is keyed to
+the deterministic event counter, never to wall time, so the set of
+sampled callbacks is identical across runs of the same scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = ["SimProfiler", "SiteStats", "site_of"]
 
@@ -34,56 +42,121 @@ def site_of(callback: Callable) -> str:
     return f"{module}.{qualname}" if module else qualname
 
 
+def _classify(callback: Callable) -> str:
+    # imported on use: repro.obs.perf imports this module, and a run
+    # that never reads a class view never loads the taxonomy
+    from repro.obs.perf.taxonomy import classify
+    return classify(callback)
+
+
 @dataclass
 class SiteStats:
-    """Per-callback-site attribution."""
+    """One row of a view: a site's or an event class's attribution."""
 
     events: int = 0
-    sim_us: int = 0      # virtual-clock advance attributed to this site
-    wall_ns: int = 0     # real time spent inside the callback
+    sim_us: int = 0      # virtual-clock advance attributed to these firings
+    wall_ns: int = 0     # real time spent inside the callbacks
 
 
-@dataclass
 class SimProfiler:
     """Engine profiler; assign to ``Simulator.profiler`` before running."""
 
-    sites: dict[str, SiteStats] = field(default_factory=dict)
-    events: int = 0
-    wall_ns_total: int = 0
-    # site labels memoized by the underlying function object: bound
-    # methods are recreated per schedule, so caching by callback
-    # identity would never hit, but ``__func__`` is stable
-    _site_by_fn: dict = field(default_factory=dict, repr=False)
+    def __init__(self, sampler=None):
+        self.sampler = sampler
+        # function -> [events, sim_us, wall_ns].  Keyed by the function
+        # under a bound method (methods are re-bound per schedule; the
+        # function is stable).  A method whose owner names its own event
+        # class (Timer._fire: one function, many classes) is keyed
+        # (function, class) instead and never by the function alone, so
+        # execute() finds it through _row() every time.
+        self._rows: dict = {}
+        self._executed = 0      # advanced only while a sampler is attached
 
     def execute(self, callback: Callable, args: tuple, sim_dt_us: int) -> None:
         """Run ``callback(*args)`` under the profiler (called by the
         engine for every non-cancelled entry)."""
-        fn = getattr(callback, "__func__", callback)
-        label = self._site_by_fn.get(fn)
-        if label is None:
-            label = self._site_by_fn[fn] = site_of(callback)
-        stats = self.sites.get(label)
-        if stats is None:
-            stats = self.sites[label] = SiteStats()
+        try:
+            row = self._rows[callback.__func__]
+        except (AttributeError, KeyError):
+            row = self._row(callback)
         t0 = perf_counter_ns()
         try:
-            callback(*args)
+            if self.sampler is None:
+                callback(*args)
+            else:
+                self._run_sampled(callback, args)
         finally:
-            wall = perf_counter_ns() - t0
-            stats.events += 1
-            stats.sim_us += sim_dt_us
-            stats.wall_ns += wall
-            self.events += 1
-            self.wall_ns_total += wall
+            row[2] += perf_counter_ns() - t0
+            row[0] += 1
+            row[1] += sim_dt_us
+
+    def _row(self, callback: Callable) -> list:
+        """The row of a callback ``execute`` did not find by function:
+        a first firing, a callable that is not a bound method, or a
+        method keyed with its owner's event class."""
+        key = getattr(callback, "__func__", callback)
+        owner = getattr(callback, "__self__", None)
+        if getattr(owner, "event_class", None) is not None:
+            # an empty class is inferred (and memoized on the owner)
+            key = (key, owner.event_class or _classify(callback))
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [0, 0, 0]
+        return row
+
+    def _run_sampled(self, callback: Callable, args: tuple) -> None:
+        """Callbacks 0, N, 2N, ... of the execution sequence run under
+        the stack sampler."""
+        n = self._executed
+        self._executed = n + 1
+        if n % self.sampler.sample_every:
+            callback(*args)
+        else:
+            self.sampler.run(_classify(callback), site_of(callback),
+                             callback, args)
+
+    # -- folds over the table -------------------------------------------
+
+    def _fold(self, label_of: Callable) -> dict[str, SiteStats]:
+        """``label_of(function, owner's event class or None)`` names the
+        view row each table row is added to."""
+        out: dict[str, SiteStats] = {}
+        for key, (events, sim_us, wall_ns) in self._rows.items():
+            fn, event_class = key if type(key) is tuple else (key, None)
+            stats = out.setdefault(label_of(fn, event_class), SiteStats())
+            stats.events += events
+            stats.sim_us += sim_us
+            stats.wall_ns += wall_ns
+        return out
+
+    @property
+    def sites(self) -> dict[str, SiteStats]:
+        """Attribution per callback site (module-qualified function)."""
+        return self._fold(lambda fn, event_class: site_of(fn))
+
+    @property
+    def classes(self) -> dict[str, SiteStats]:
+        """Attribution per event class of the observatory's taxonomy."""
+        return self._fold(
+            lambda fn, event_class: event_class or _classify(fn))
+
+    @property
+    def events(self) -> int:
+        return sum(row[0] for row in self._rows.values())
+
+    @property
+    def wall_ns_total(self) -> int:
+        return sum(row[2] for row in self._rows.values())
 
     # -- views ----------------------------------------------------------
 
     def events_per_sec(self) -> float:
         """Engine throughput: callbacks executed per wall-clock second
         of callback time (the engine's own loop overhead excluded)."""
-        if self.wall_ns_total <= 0:
+        wall = self.wall_ns_total
+        if wall <= 0:
             return 0.0
-        return self.events * 1e9 / self.wall_ns_total
+        return self.events * 1e9 / wall
 
     def top(self, n: int = 10, key: str = "wall") -> list[list]:
         """``n`` hottest sites as table rows
@@ -99,3 +172,41 @@ class SimProfiler:
                  round(s.wall_ns / 1e6, 2),
                  f"{100.0 * s.wall_ns / total_wall:.1f}%"]
                 for site, s in ranked[:n]]
+
+    def coverage(self) -> float:
+        """Fraction of executed callbacks attributed to a named class
+        (1 - other/total); the acceptance bar is >= 0.95."""
+        events = self.events
+        if events <= 0:
+            return 1.0
+        other: Optional[SiteStats] = self.classes.get("other")
+        return 1.0 - (other.events if other is not None else 0) / events
+
+    def tax_rows(self) -> list[list]:
+        """The tax table: one row per observed event class, in taxonomy
+        order, ``[class, events, event_share, wall_ms, wall_share,
+        avg_us, sim_ms]``."""
+        from repro.obs.perf.taxonomy import EVENT_CLASSES
+        classes = self.classes
+        total_events = self.events or 1
+        total_wall = self.wall_ns_total or 1
+        rows = []
+        known = [c for c in EVENT_CLASSES if c in classes]
+        extra = sorted(c for c in classes if c not in EVENT_CLASSES)
+        for name in known + extra:
+            s = classes[name]
+            rows.append([
+                name, s.events,
+                f"{100.0 * s.events / total_events:.1f}%",
+                round(s.wall_ns / 1e6, 2),
+                f"{100.0 * s.wall_ns / total_wall:.1f}%",
+                round(s.wall_ns / 1e3 / (s.events or 1), 2),
+                round(s.sim_us / 1000, 1),
+            ])
+        return rows
+
+    def class_payload(self) -> dict:
+        """JSON-safe per-class summary for bench snapshots."""
+        return {name: {"events": s.events, "wall_ns": s.wall_ns,
+                       "sim_us": s.sim_us}
+                for name, s in sorted(self.classes.items())}

@@ -1,9 +1,9 @@
 """Packet-lifecycle and protocol-phase spans.
 
-The :class:`SpanCollector` rides the packet tap as a *raw* listener
-(it sees the :class:`~repro.trace.tracer.TraceEvent` and the live
-``SKBuff``) and stitches per-packet timelines out of three observable
-instants:
+The :class:`SpanCollector` subscribes to the packet tap (it is handed
+the tap's own facts -- instant, host, direction, peer and the live
+``SKBuff`` -- and no record) and stitches per-packet timelines out of
+three observable instants:
 
 * ``t_enqueue`` -- the sender's tx tap fires when ``ip_send`` accepts
   the segment (before CPU + device queueing),
@@ -22,6 +22,7 @@ events are scheduled.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,8 +64,21 @@ class _Mark:
     t_us: int
 
 
+class _HostState:
+    """What the collector holds open for one host."""
+
+    __slots__ = ("join", "transfer", "close", "burst", "pending")
+
+    def __init__(self) -> None:
+        self.join: Optional[Span] = None
+        self.transfer: Optional[Span] = None
+        self.close: Optional[Span] = None
+        self.burst: Optional[Span] = None       # the open recovery burst
+        self.pending: dict[int, int] = {}       # NAKed seq -> first NAK t_us
+
+
 class SpanCollector:
-    """Stitch spans and latency histograms from tap events."""
+    """Stitch spans and latency histograms from tapped packets."""
 
     #: outstanding (seq, tries) -> enqueue-time entries kept for latency
     #: matching; bounded so a pathological run cannot grow without limit
@@ -80,114 +94,107 @@ class SpanCollector:
         self.recovery_us = Histogram("span.recovery_us", latency_bounds)
         self.spans: list[Span] = []
         self.marks: list[_Mark] = []
-        self.events_seen = 0
         self.last_event_us = 0
-        self._tx: dict[tuple[int, int], int] = {}   # (seq, tries) -> t_us
-        self._pending_naks: dict[str, dict[int, tuple[int, int]]] = {}
-        self._bursts: dict[str, Span] = {}          # open recovery bursts
-        self._join: dict[str, Span] = {}            # open join spans
-        self._transfer: dict[str, Span] = {}        # open steady-state spans
-        self._close: dict[str, Span] = {}           # open close spans
+        # (seq, tries) -> enqueue t_us, oldest first.  Ordered so that
+        # evicting the oldest is O(1): a plain dict used as a FIFO
+        # rescans its deleted head on every next(iter(d))
+        self._tx: OrderedDict[tuple[int, int], int] = OrderedDict()
+        self._hosts: dict[str, _HostState] = {}
 
     # -- tap pump -------------------------------------------------------
 
-    def on_event(self, ev, skb) -> None:
-        """Raw tracer listener: ``ev`` is the TraceEvent, ``skb`` the
-        live segment (read-only here)."""
-        self.events_seen += 1
-        self.last_event_us = ev.t_us
-        if ev.direction == "tx":
-            self._on_tx(ev, skb)
-        else:
-            self._on_rx(ev, skb)
+    def on_packet(self, now: int, host: str, direction: str, peer: str,
+                  skb) -> None:
+        """Tap subscriber (see :meth:`PacketTracer.subscribe`); ``skb``
+        is the live segment, read-only here.
 
-    def _on_tx(self, ev, skb) -> None:
-        if ev.ptype == _DATA:
-            if ev.host == self.sender_addr:
-                if len(self._tx) >= self.TX_CAP:
-                    # evict the oldest outstanding entry (insertion order)
-                    self._tx.pop(next(iter(self._tx)))
-                self._tx[(ev.seq, ev.tries)] = ev.t_us
-                if ev.tries > 1:
-                    self._mark("retransmit", ev.host, ev.t_us)
-        elif ev.ptype == _NAK:
-            self._mark("nak", ev.host, ev.t_us)
-            pending = self._pending_naks.setdefault(ev.host, {})
-            if ev.seq not in pending:
-                pending[ev.seq] = (ev.t_us, ev.seq + ev.length)
-            if ev.host not in self._bursts:
-                burst = Span("recovery-burst", "phase", ev.host, ev.t_us)
-                self._bursts[ev.host] = burst
-                self.spans.append(burst)
-        elif ev.ptype == _UPDATE:
-            self._mark("update", ev.host, ev.t_us)
-        elif ev.ptype == _JOIN:
-            if ev.host not in self._join:
-                span = Span("join", "phase", ev.host, ev.t_us)
-                self._join[ev.host] = span
-                self.spans.append(span)
-        elif ev.ptype == _LEAVE:
-            close = self._close.get(ev.host)
-            if close is not None and close.end_us is None:
-                close.end_us = ev.t_us
-
-    def _on_rx(self, ev, skb) -> None:
-        host = ev.host
-        if ev.ptype == _DATA:
-            join = self._join.get(host)
+        A loss-free DATA arrival -- nearly every packet of a run -- runs
+        straight down this function: each uncommon state (first arrival,
+        NAKs outstanding, FIN) is tested here, where it is one attribute
+        read, and only then pays for a call."""
+        self.last_event_us = now
+        try:
+            st = self._hosts[host]
+        except KeyError:
+            st = self._hosts[host] = _HostState()
+        if direction == "tx":
+            self._on_tx(now, host, st, skb)
+        elif skb.ptype == _DATA:
+            join = st.join
             if join is not None and join.end_us is None:
-                join.end_us = ev.t_us
-            if host not in self._transfer:
-                span = Span("transfer", "phase", host, ev.t_us)
-                self._transfer[host] = span
-                self.spans.append(span)
+                join.end_us = now
+            transfer = st.transfer
+            if transfer is None:
+                st.transfer = self._open("transfer", host, now)
             else:
-                self._transfer[host].end_us = ev.t_us
-            self._observe_latency(ev, skb)
-            self._resolve_naks(host, ev.t_us, ev.seq, ev.seq + ev.length,
-                               recovered=True)
-            if ev.flags & FIN and host not in self._close:
-                span = Span("close", "phase", host, ev.t_us)
-                self._close[host] = span
-                self.spans.append(span)
-        elif ev.ptype == _JOIN_RESPONSE:
-            join = self._join.get(host)
+                transfer.end_us = now
+            # one-way and sender-side queueing latency of this copy
+            t_tx = self._tx.get((skb.seq, skb.tries))
+            if t_tx is not None and now >= t_tx:
+                self.one_way_us.observe(now - t_tx)
+                t_wire = skb.last_sent_us
+                if t_tx <= t_wire <= now:
+                    self.queueing_us.observe(t_wire - t_tx)
+            if st.pending:
+                seq = skb.seq
+                self._resolve_naks(now, host, st, seq, seq + skb.length)
+            if skb.flags & FIN and st.close is None:
+                st.close = self._open("close", host, now)
+        elif skb.ptype == _JOIN_RESPONSE:
+            join = st.join
             if join is not None and join.end_us is None:
-                join.end_us = ev.t_us
-        elif ev.ptype == _NAK_ERR:
+                join.end_us = now
+        elif skb.ptype == _NAK_ERR and st.pending:
             # the sender refused everything below its window edge: those
             # ranges will never be repaired -- close them unrecovered
-            self._resolve_naks(host, ev.t_us, 0, ev.seq, recovered=False,
-                               below=True)
+            self._resolve_naks(now, host, st, None, skb.seq)
 
-    # -- latency stitching ----------------------------------------------
+    def _on_tx(self, now: int, host: str, st: _HostState, skb) -> None:
+        ptype = skb.ptype
+        if ptype == _DATA:
+            if host == self.sender_addr:
+                if len(self._tx) >= self.TX_CAP:
+                    self._tx.popitem(last=False)    # the oldest outstanding
+                self._tx[(skb.seq, skb.tries)] = now
+                if skb.tries > 1:
+                    self._mark("retransmit", host, now)
+        elif ptype == _NAK:
+            self._mark("nak", host, now)
+            st.pending.setdefault(skb.seq, now)
+            if st.burst is None:
+                st.burst = self._open("recovery-burst", host, now)
+        elif ptype == _UPDATE:
+            self._mark("update", host, now)
+        elif ptype == _JOIN:
+            if st.join is None:
+                st.join = self._open("join", host, now)
+        elif ptype == _LEAVE:
+            close = st.close
+            if close is not None and close.end_us is None:
+                close.end_us = now
 
-    def _observe_latency(self, ev, skb) -> None:
-        t_tx = self._tx.get((ev.seq, ev.tries))
-        if t_tx is None or ev.t_us < t_tx:
-            return
-        self.one_way_us.observe(ev.t_us - t_tx)
-        t_wire = getattr(skb, "last_sent_us", -1)
-        if t_tx <= t_wire <= ev.t_us:
-            self.queueing_us.observe(t_wire - t_tx)
+    def _open(self, name: str, host: str, now: int) -> Span:
+        span = Span(name, "phase", host, now)
+        self.spans.append(span)
+        return span
 
-    def _resolve_naks(self, host: str, now_us: int, seq: int, end: int,
-                      *, recovered: bool, below: bool = False) -> None:
-        pending = self._pending_naks.get(host)
-        if not pending:
-            return
+    def _resolve_naks(self, now: int, host: str, st: _HostState,
+                      seq: Optional[int], end: int) -> None:
+        """Close the pending NAK ranges starting in ``[seq, end)`` as
+        repaired; with ``seq`` ``None``, everything below ``end`` as
+        never to be repaired (no span, no latency sample)."""
+        pending = st.pending
         done = [start for start in pending
-                if (start < end if below else seq <= start < end)]
+                if (start < end if seq is None else seq <= start < end)]
         for start in done:
-            t_nak, _range_end = pending.pop(start)
-            if recovered and now_us >= t_nak:
-                self.recovery_us.observe(now_us - t_nak)
+            t_nak = pending.pop(start)
+            if seq is not None and now >= t_nak:
+                self.recovery_us.observe(now - t_nak)
                 self.spans.append(
-                    Span(f"repair@{start}", "recovery", host, t_nak, now_us))
-        if done and not pending:
-            burst = self._bursts.pop(host, None)
-            if burst is not None:
-                burst.end_us = now_us
+                    Span(f"repair@{start}", "recovery", host, t_nak, now))
+        if done and not pending and st.burst is not None:
+            st.burst.end_us = now
+            st.burst = None
 
     def _mark(self, name: str, host: str, t_us: int) -> None:
         if len(self.marks) < self.MARK_CAP:
@@ -209,40 +216,20 @@ class SpanCollector:
     def histograms(self) -> list[Histogram]:
         return [self.one_way_us, self.queueing_us, self.recovery_us]
 
-    def recovery_by_host(self) -> list[tuple[str, int, int, int]]:
-        """Per-host recovery-span aggregation: (host, episodes,
-        total_us, max_us), sorted by host.  The span-derived
-        cross-check of the health observatory's gap-fill lag ledger:
-        spans measure NAK-send -> repair-arrival on the wire, the
-        ledger measures gap-open -> gap-fill in the reassembly state."""
-        agg: dict[str, list[int]] = {}
-        for span in self.spans:
-            if span.cat != "recovery" or span.end_us is None:
-                continue
-            entry = agg.get(span.host)
-            if entry is None:
-                agg[span.host] = [1, span.dur_us, span.dur_us]
-            else:
-                entry[0] += 1
-                entry[1] += span.dur_us
-                if span.dur_us > entry[2]:
-                    entry[2] = span.dur_us
-        return [(host, e[0], e[1], e[2])
-                for host, e in sorted(agg.items())]
-
     def current_phase(self) -> str:
         """Coarse aggregate protocol phase right now, for attributing
         point-in-time samples (the perf observatory's heap snapshots).
         Recovery wins while any burst is open; otherwise the run is in
         close once any receiver saw FIN, in transfer once data flows,
         in join while handshakes are outstanding, else idle."""
-        for span in self._bursts.values():
-            if span.end_us is None:
-                return "recovery"
-        if self._close:
+        hosts = self._hosts.values()
+        if any(st.burst is not None and st.burst.end_us is None
+               for st in hosts):
+            return "recovery"
+        if any(st.close is not None for st in hosts):
             return "close"
-        if self._transfer:
+        if any(st.transfer is not None for st in hosts):
             return "transfer"
-        if self._join:
+        if any(st.join is not None for st in hosts):
             return "join"
         return "idle"

@@ -1,8 +1,8 @@
 """Shared schema for the repo's ``BENCH_*.json`` snapshots.
 
 Every per-PR benchmark (``BENCH_PR2.json`` engine snapshot,
-``BENCH_PR3.json`` lineage overhead, ``BENCH_PR4.json`` fleet speedup,
-``BENCH_PR7.json`` perf-observatory overhead, ...) wraps its payload
+``BENCH_PR4.json`` fleet speedup, ``BENCH_PR7.json`` perf-observatory
+overhead, ...) wraps its payload
 with :func:`write_bench_snapshot`, so all snapshots carry the same
 envelope -- schema version, git revision, python version and host
 information -- and stay comparable across PRs and machines.

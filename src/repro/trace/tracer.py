@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.core.types import PacketType
 from repro.kernel.host import Host
@@ -20,9 +19,9 @@ from repro.kernel.skbuff import SKBuff
 __all__ = ["TraceEvent", "PacketTracer", "load_trace", "trace_meta"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One captured segment."""
+class TraceEvent(NamedTuple):
+    """One captured segment (built positionally on the tap, in field
+    order)."""
 
     t_us: int
     host: str
@@ -61,11 +60,16 @@ class PacketTracer:
     instead of truncating at the cap; ``dropped`` counts records lost
     off either end.  ``listeners`` are invoked for every event before
     it is stored, independent of any cap, so online consumers (e.g. the
-    invariant checker or the observability layer) always see the full
-    stream.  ``raw_listeners`` additionally receive the live ``SKBuff``
-    (read-only), for consumers that need segment bookkeeping the
-    :class:`TraceEvent` record does not carry (e.g. NIC wire-departure
-    stamps for span stitching).
+    invariant checker) always see the full stream.  ``subscribers``
+    receive the tap's own facts ``(now_us, host, direction, peer,
+    skb)`` instead of a record -- the live ``SKBuff`` is read-only --
+    for consumers that need segment bookkeeping the record does not
+    carry (NIC wire-departure stamps for span stitching) or that read
+    too few fields to pay for one.
+
+    A :class:`TraceEvent` is built only for a reader: when a listener
+    is registered or the capture keeps anything (``max_events=0`` keeps
+    nothing, so a subscriber-only tracer never builds a record).
     """
 
     def __init__(self, *, max_events: Optional[int] = None,
@@ -78,7 +82,8 @@ class PacketTracer:
         self.max_events = max_events
         self.dropped = 0
         self.listeners: list[Callable[[TraceEvent], None]] = []
-        self.raw_listeners: list[Callable[[TraceEvent, SKBuff], None]] = []
+        self.subscribers: list[
+            Callable[[int, str, str, str, SKBuff], None]] = []
         self._hosts: list[Host] = []
 
     def attach(self, *hosts: Host) -> "PacketTracer":
@@ -96,24 +101,32 @@ class PacketTracer:
 
     def _make_tap(self, host: Host):
         name = host.addr
+        events = self.events
+        max_events = self.max_events
+        keeps = max_events != 0
+        ring = self.ring
+        listeners = self.listeners
+        subscribers = self.subscribers
 
         def tap(direction: str, skb: SKBuff, peer: str, now: int) -> None:
-            ev = TraceEvent(
-                t_us=now, host=name, direction=direction, peer=peer,
-                ptype=int(skb.ptype), seq=skb.seq, length=skb.length,
-                rate_adv=skb.rate_adv, tries=skb.tries, flags=skb.flags)
-            for listener in self.listeners:
-                listener(ev)
-            for raw in self.raw_listeners:
-                raw(ev, skb)
-            if self.max_events is not None and \
-                    len(self.events) >= self.max_events:
-                # list mode drops the new event; ring mode (deque with
-                # maxlen) evicts the oldest -- count the loss either way
+            if listeners or keeps:
+                ev = TraceEvent(now, name, direction, peer, int(skb.ptype),
+                                skb.seq, skb.length, skb.rate_adv,
+                                skb.tries, skb.flags)
+                for listener in listeners:
+                    listener(ev)
+            for subscriber in subscribers:
+                subscriber(now, name, direction, peer, skb)
+            if not keeps:
                 self.dropped += 1
-                if not self.ring:
-                    return
-            self.events.append(ev)
+            elif max_events is None or len(events) < max_events:
+                events.append(ev)
+            else:
+                # full: a list drops the new record, a ring (deque with
+                # maxlen) evicts its oldest -- a record is lost either way
+                self.dropped += 1
+                if ring:
+                    events.append(ev)
 
         return tap
 
@@ -121,11 +134,12 @@ class PacketTracer:
         """Call ``fn(event)`` for every captured event (before storage)."""
         self.listeners.append(fn)
 
-    def add_raw_listener(self,
-                         fn: Callable[[TraceEvent, SKBuff], None]) -> None:
-        """Call ``fn(event, skb)`` for every captured event.  The skb is
-        the live segment -- listeners must treat it as read-only."""
-        self.raw_listeners.append(fn)
+    def subscribe(self,
+                  fn: Callable[[int, str, str, str, SKBuff], None]) -> None:
+        """Call ``fn(now_us, host, direction, peer, skb)`` for every
+        tapped segment, after the listeners.  The skb is the live
+        segment -- subscribers must treat it as read-only."""
+        self.subscribers.append(fn)
 
     def recent(self, n: int = 20) -> list[TraceEvent]:
         """The last ``n`` captured events (most recent last)."""
@@ -152,7 +166,7 @@ class PacketTracer:
                 fh.write(json.dumps(meta, separators=(",", ":")))
                 fh.write("\n")
             for ev in events:
-                fh.write(json.dumps(asdict(ev), separators=(",", ":")))
+                fh.write(json.dumps(ev._asdict(), separators=(",", ":")))
                 fh.write("\n")
         return len(events)
 
@@ -174,7 +188,7 @@ def load_trace(path: str) -> list[TraceEvent]:
     analyzers always see a time-ordered stream even when the first
     events of the run are missing.
     """
-    fields = {f for f in TraceEvent.__dataclass_fields__}
+    fields = set(TraceEvent._fields)
     out: list[TraceEvent] = []
     with open(path) as fh:
         for line in fh:

@@ -19,3 +19,17 @@ def test_running_anything_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_listing_experiments_does_not_import_a_process_pool():
+    """`multiprocessing` and `concurrent.futures` (~20 ms of a 120 ms
+    `--list`) are imported where the fleet builds a pool; `--list`,
+    `report` and every serial sweep never do."""
+    code = ("import sys; from repro.harness import cli; "
+            "assert cli.main(['--list']) == 0; "
+            "pool = [m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules]; assert not pool, pool")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -59,3 +59,68 @@ def test_every_protocol_produces_result(protocol):
                        sndbuf=128 * 1024, max_sim_s=120)
     assert res.ok, protocol
     assert res.protocol == protocol
+
+
+# -- a run that lost a process is a failed run -------------------------------
+
+def _dying_receiver_app(name: str):
+    """`receiver_app`, except that receiver ``name`` joins, reads one
+    chunk and then hits an error no protocol code handles."""
+    from repro.apps.filetransfer import receiver_app
+
+    def app(sock, *, result, **kw):
+        if result.name != name:
+            return (yield from receiver_app(sock, result=result, **kw))
+        sock.join(kw["group"], kw["port"])
+        yield from sock.recv_payloads(kw["chunk"])
+        raise OSError("disk full")
+
+    return app
+
+
+def test_a_process_that_dies_mid_transfer_fails_the_run(monkeypatch):
+    from repro.harness import runner
+    monkeypatch.setattr(runner, "receiver_app", _dying_receiver_app("rcv1"))
+    sc = build_lan(2, 10e6, seed=45)
+    with pytest.raises(RuntimeError, match="'rcv1'.*disk full") as info:
+        run_transfer(sc, nbytes=200_000, sndbuf=64 * 1024, max_sim_s=30)
+    assert isinstance(info.value.__cause__, OSError)
+
+
+def test_a_failed_run_is_not_cached(monkeypatch, tmp_path):
+    """The same death through the fleet: a failed job, no summary
+    stored -- the next sweep runs the cell again instead of serving a
+    plausible-looking result from a run that lost a receiver."""
+    from repro.fleet import Fleet
+    from repro.fleet.spec import RunSpec
+    from repro.harness import runner
+    monkeypatch.setattr(runner, "receiver_app", _dying_receiver_app("rcv1"))
+    spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000)
+    fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"), retries=0)
+    results = fleet.run_specs([spec], strict=False)
+    assert results == {}
+    assert fleet.stats.failed == 1 and fleet.stats.executed == 0
+    assert fleet.store.get(spec) is None
+    assert fleet.store.status().entries == 0
+
+
+def test_a_killed_process_is_not_a_lost_one():
+    """`kill()` -- how the fault injector crashes a receiver -- leaves
+    no error behind, and the run still returns its result."""
+    from repro.workloads.scenarios import build_chaos
+    sc = build_chaos(3, 10e6, seed=10, horizon_us=1_000_000)
+    res = run_transfer(sc, nbytes=200_000, sndbuf=128 * 1024, max_sim_s=300)
+    assert res.crashed_receivers and res.surviving_ok
+
+
+def test_only_a_reader_gets_a_flight_recorder():
+    """An observer alone subscribes to the tap and keeps no capture;
+    the lineage artifact dump reads one, and gets the 256-event ring."""
+    from repro.obs import Observability
+    for lineage, kept in ((False, 0), (True, 256)):
+        obs = Observability(lineage=lineage)
+        res = run_transfer(build_lan(2, 10e6, seed=46), nbytes=200_000,
+                           sndbuf=128 * 1024, obs=obs)
+        assert res.ok and obs.spans.one_way_us.count > 256
+        assert len(obs.tracer.events) == kept
+        assert obs.tracer.dropped > 0

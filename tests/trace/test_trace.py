@@ -225,9 +225,8 @@ def test_load_trace_ignores_unknown_fields(tmp_path):
 def test_load_trace_sorts_out_of_order_records(tmp_path):
     path = tmp_path / "shuffled.jsonl"
     import json
-    from dataclasses import asdict
     evs = [_mk_event(t_us=t, seq=t) for t in (30, 10, 20)]
-    path.write_text("\n".join(json.dumps(asdict(e)) for e in evs) + "\n")
+    path.write_text("\n".join(json.dumps(e._asdict()) for e in evs) + "\n")
     back = load_trace(str(path))
     assert [e.t_us for e in back] == [10, 20, 30]
 
@@ -258,3 +257,64 @@ def test_load_capture_surfaces_truncation(tmp_path):
     events, meta = load_capture(str(ok_path))
     assert meta is None
     assert "_capture" not in packet_summary(events, meta)
+
+
+# -- the tap's two kinds of consumer ------------------------------------------
+
+def test_saved_record_format_is_pinned(tmp_path):
+    """One JSON object per event, fields in record order: the bytes the
+    saved artifacts and `hrmc diff` hold.  Loading and saving again
+    reproduces them."""
+    tracer = PacketTracer()
+    tracer.events.append(_mk_event(t_us=5, seq=3))
+    first = tmp_path / "a.jsonl"
+    tracer.save(str(first))
+    assert first.read_text() == (
+        '{"t_us":5,"host":"h1","direction":"tx","peer":"p","ptype":1,'
+        '"seq":3,"length":10,"rate_adv":0,"tries":1,"flags":0}\n')
+    again = PacketTracer()
+    again.events.extend(load_trace(str(first)))
+    second = tmp_path / "b.jsonl"
+    again.save(str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert repr(again.events[0]) == (
+        "TraceEvent(t_us=5, host='h1', direction='tx', peer='p', ptype=1, "
+        "seq=3, length=10, rate_adv=0, tries=1, flags=0)")
+
+
+def test_subscribers_get_the_taps_facts_after_the_listeners():
+    sc = build_lan(1, 10e6, seed=65)
+    tracer = PacketTracer().attach(sc.sender, *sc.receivers)
+    order = []
+    tracer.add_listener(lambda ev: order.append(("record", ev)))
+    tracer.subscribe(lambda *facts: order.append(("facts", facts)))
+    run_transfer(sc, nbytes=20_000, sndbuf=64 * 1024)
+    assert len(order) == 2 * len(tracer.events) > 0
+    for (kind_a, ev), (kind_b, facts) in zip(order[::2], order[1::2]):
+        assert (kind_a, kind_b) == ("record", "facts")
+        now, host, direction, peer, skb = facts
+        assert (now, host, direction, peer, skb.seq, skb.length) == \
+            (ev.t_us, ev.host, ev.direction, ev.peer, ev.seq, ev.length)
+
+
+def test_a_record_is_built_only_for_a_reader(monkeypatch):
+    """A tracer that keeps nothing and has no listener hands its
+    subscribers the facts and never builds a TraceEvent; every tapped
+    packet still counts as one the capture lost."""
+    from repro.trace import tracer as tracer_module
+
+    def no_record(*fields):
+        raise AssertionError("a TraceEvent was built for nobody")
+
+    sc = build_lan(1, 10e6, seed=65)
+    tracer = PacketTracer(max_events=0).attach(sc.sender, *sc.receivers)
+    seen = []
+    tracer.subscribe(lambda *facts: seen.append(facts))
+    monkeypatch.setattr(tracer_module, "TraceEvent", no_record)
+    res = run_transfer(sc, nbytes=20_000, sndbuf=64 * 1024)
+    assert res.ok and seen
+    assert len(tracer.events) == 0 and tracer.dropped == len(seen)
+    # a listener is a reader
+    tracer.add_listener(lambda ev: None)
+    with pytest.raises(AssertionError, match="built for nobody"):
+        sc.sender.tap("tx", seen[0][4], "peer", 0)
