@@ -18,7 +18,7 @@ import sys
 import time
 
 from repro.harness.runner import run_transfer
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.stats.bench import write_bench_snapshot
 from repro.workloads.scenarios import build_lan
 

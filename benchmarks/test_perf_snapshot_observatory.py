@@ -28,7 +28,7 @@ import os
 import time
 
 from repro.harness.runner import run_transfer
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.obs.perf import PerfObservatory
 from repro.stats.bench import measure_events_per_s, write_bench_snapshot
 from repro.workloads.scenarios import build_lan

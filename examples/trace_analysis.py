@@ -12,10 +12,12 @@ Run:  python examples/trace_analysis.py
 """
 
 from repro.harness.runner import run_transfer
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.stats.report import format_table
-from repro.trace import (PacketTracer, feedback_latency, packet_summary,
-                         sequence_progress, sparkline, throughput_timeline)
+from repro.trace.analyzer import (feedback_latency, packet_summary,
+                                  sequence_progress, sparkline,
+                                  throughput_timeline)
+from repro.trace.tracer import PacketTracer
 from repro.workloads.groups import GROUP_C
 from repro.workloads.scenarios import build_wan
 

@@ -13,7 +13,6 @@ Top-level convenience exports; see the subpackages for the full API:
 
 from repro.core import HRMCConfig, open_hrmc_socket
 from repro.harness import TransferResult, run_transfer
-from repro.core.rmc import open_rmc_socket
 from repro.workloads import build_lan, build_wan
 
 __version__ = "1.0.0"
@@ -28,3 +27,12 @@ __all__ = [
     "build_wan",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # `import repro` runs before every H-RMC transfer; the RMC preset is
+    # imported when someone asks for it
+    if name == "open_rmc_socket":
+        from repro.core.rmc import open_rmc_socket
+        return open_rmc_socket
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,16 +18,3 @@ simulation -- as code, not reviewer folklore.  The rule catalog
 See DESIGN.md §5f for the catalog rationale and the mapping onto the
 kernel-fault taxonomy of *Faults in Linux 2.6* (Palix et al.).
 """
-
-from repro.analysis.baseline import Baseline, BaselineError
-from repro.analysis.findings import Finding, baseline_key
-from repro.analysis.registry import Rule, all_rules, get_rule, rule_ids
-from repro.analysis.runner import (AnalysisReport, analyze_paths,
-                                   analyze_source)
-from repro.analysis.version import RULESET_VERSION
-
-__all__ = [
-    "AnalysisReport", "Baseline", "BaselineError", "Finding", "Rule",
-    "RULESET_VERSION", "all_rules", "analyze_paths", "analyze_source",
-    "baseline_key", "get_rule", "rule_ids",
-]

@@ -52,8 +52,10 @@ class WorstRtt:
     """Tracks the worst (largest) smoothed RTT over all receivers.
 
     Each receiver gets its own estimator keyed by address; the protocol
-    reads :attr:`rtt_us` = max over receivers.  A slow decay is applied
-    when the worst receiver leaves.
+    reads :attr:`rtt_us` = max over receivers.  :meth:`forget` drops a
+    departed receiver's estimator, so when the worst receiver leaves the
+    maximum falls at once to the worst of those that remain; there is no
+    decay.
     """
 
     def __init__(self, initial_us: int, min_us: int = 1_000):

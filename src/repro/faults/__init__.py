@@ -11,16 +11,3 @@ An :class:`~repro.faults.invariants.InvariantChecker` rides the packet
 tracer and re-asserts the protocol's safety properties after every
 captured event, failing fast with the offending trace slice.
 """
-
-from repro.faults.plan import (ClockSkew, FaultAction, FaultPlan, HostPause,
-                               LinkDegrade, LinkFlap, NicBurstDrop,
-                               NicCorrupt, ReceiverCrash, TimerStall)
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import InvariantChecker, InvariantViolation
-
-__all__ = [
-    "FaultAction", "FaultPlan",
-    "LinkFlap", "LinkDegrade", "NicBurstDrop", "NicCorrupt",
-    "ReceiverCrash", "HostPause", "ClockSkew", "TimerStall",
-    "FaultInjector", "InvariantChecker", "InvariantViolation",
-]

@@ -87,7 +87,7 @@ def run_spec(spec: RunSpec) -> RunSummary:
     obs = None
     perf = None
     if spec.obs or spec.perf or spec.health:
-        from repro.obs import Observability
+        from repro.obs.observer import Observability
         if spec.perf:
             # tax table only: flamegraph stacks would bloat the cached
             # summary (sample_every=0 disables the stack sampler)

@@ -85,8 +85,17 @@ import os
 import sys
 import time
 
-from repro.harness.experiments import (EXPERIMENTS, inventory_rows,
-                                       run_experiments)
+# `--list` reads the inventory, which is plain data.  What `report` runs
+# is imported with the CLI, so a profile of main() sees the command's
+# work rather than its imports.  Every other command imports its own
+# modules, and only the commands that run experiments load the
+# experiments and the fleet.
+from repro.harness.inventory import INVENTORY, inventory_rows
+from repro.harness.runner import run_transfer
+from repro.obs.observer import Observability
+from repro.trace.tracer import PacketTracer, trace_meta
+from repro.workloads.groups import expand_test_case
+from repro.workloads.scenarios import build_chaos, build_lan, build_wan
 
 __all__ = ["main"]
 
@@ -126,8 +135,6 @@ def _run_chaos(args) -> int:
     """Run one fault-injected transfer and report what happened."""
     from repro.faults.plan import FaultPlan
     from repro.harness.experiments import chaos_config
-    from repro.harness.runner import run_transfer
-    from repro.workloads.scenarios import build_chaos, build_lan
 
     if args.fault_plan:
         try:
@@ -145,8 +152,6 @@ def _run_chaos(args) -> int:
     print(plan.describe())
     obs = tracer = None
     if args.metrics_out:
-        from repro.obs import Observability
-        from repro.trace.tracer import PacketTracer
         obs = Observability(profile=True, lineage=True)
         tracer = PacketTracer()
     try:
@@ -201,9 +206,6 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_scenario(args):
-    from repro.workloads.groups import expand_test_case
-    from repro.workloads.scenarios import build_chaos, build_lan, build_wan
-
     bw = args.bandwidth * 1e6
     if args.scenario == "lan":
         scenario = build_lan(args.receivers, bw, seed=args.seed)
@@ -297,7 +299,6 @@ def _report_offline(args) -> int:
     print(summary.rstrip("\n"))
 
     if os.path.exists(trace_path):
-        from repro.trace.tracer import trace_meta
         try:
             meta = trace_meta(trace_path)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -334,9 +335,6 @@ def _report_offline(args) -> int:
 
 def _run_report(argv) -> int:
     """``report`` subcommand: one observed transfer + obs summary."""
-    from repro.harness.runner import run_transfer
-    from repro.obs import Observability
-
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments report",
         description="Run one observed transfer and print the "
@@ -371,7 +369,6 @@ def _run_report(argv) -> int:
     obs = Observability(profile=not args.no_profile, lineage=lineage)
     tracer = None
     if lineage and args.metrics_out:
-        from repro.trace.tracer import PacketTracer
         tracer = PacketTracer()
     scenario, kwargs = _build_scenario(args)
     result = run_transfer(scenario, nbytes=args.nbytes,
@@ -401,9 +398,6 @@ def _run_report(argv) -> int:
 
 def _run_why(argv) -> int:
     """``why`` subcommand: run with lineage on, answer why(seq)."""
-    from repro.harness.runner import run_transfer
-    from repro.obs import Observability
-
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments why",
         description="Run a lineage-traced transfer and explain why a "
@@ -423,7 +417,6 @@ def _run_why(argv) -> int:
     obs = Observability(profile=False, lineage=True)
     tracer = None
     if args.metrics_out:
-        from repro.trace.tracer import PacketTracer
         tracer = PacketTracer()
     scenario, kwargs = _build_scenario(args)
     result = run_transfer(scenario, nbytes=args.nbytes,
@@ -468,8 +461,6 @@ def _run_why(argv) -> int:
 def _run_perf_profile(argv) -> int:
     """``perf profile lan|wan|chaos``: one transfer under the hot-path
     performance observatory (repro.obs.perf)."""
-    from repro.harness.runner import run_transfer
-    from repro.obs import Observability
     from repro.obs.perf import PerfObservatory
     from repro.stats.report import format_table
 
@@ -504,7 +495,6 @@ def _run_perf_profile(argv) -> int:
     obs = Observability(perf=perf, lineage=args.html)
     tracer = None
     if args.html:
-        from repro.trace.tracer import PacketTracer
         tracer = PacketTracer()
     scenario, kwargs = _build_scenario(args)
     wall_t0 = time.perf_counter()
@@ -698,8 +688,6 @@ def _run_health_report(argv) -> int:
     bounds.  Exit 0 = healthy, 1 = run failed or bound violated,
     2 = unusable input.
     """
-    from repro.harness.runner import run_transfer
-    from repro.obs import Observability
     from repro.stats.report import format_table
     from repro.stats.scaling import health_cell
 
@@ -1021,18 +1009,19 @@ def main(argv=None) -> int:
             print(f"{exp_id:<{wid}}  {figure:<{wfig}}  {bench}")
         return 0
 
-    targets = list(EXPERIMENTS) if args.all else args.experiments
+    targets = list(INVENTORY) if args.all else args.experiments
     if not targets:
         parser.print_usage()
         return 2
-    unknown = [t for t in targets if t not in EXPERIMENTS]
+    unknown = [t for t in targets if t not in INVENTORY]
     if unknown:
         for exp_id in unknown:
             print(f"unknown experiment {exp_id!r}; "
-                  f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+                  f"known: {', '.join(INVENTORY)}", file=sys.stderr)
         return 2
 
     from repro.fleet import DEFAULT_CACHE_DIR, Fleet, FleetError
+    from repro.harness.experiments import run_experiments
     cache_dir = None if args.no_cache else \
         (args.cache_dir or DEFAULT_CACHE_DIR)
     fleet = Fleet(workers=args.parallel, cache_dir=cache_dir,

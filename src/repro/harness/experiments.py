@@ -27,13 +27,12 @@ from repro.core.types import PACKET_TYPE_USE, PacketType
 from repro.fleet.executor import Fleet
 from repro.fleet.grid import Grid
 from repro.fleet.spec import RunSpec
+from repro.harness.inventory import INVENTORY
 from repro.stats.report import format_table
 from repro.workloads.groups import GROUP_A, GROUP_B, GROUP_C, TEST_CASES
 
-__all__ = ["Report", "EXPERIMENTS", "INVENTORY", "ExperimentInfo",
-           "run_experiment", "run_experiments", "plan_experiment",
-           "inventory_rows", "inventory_markdown", "file_sizes",
-           "BUFFERS_K", "BUFFERS_BIG_K"]
+__all__ = ["Report", "EXPERIMENTS", "run_experiment", "run_experiments",
+           "plan_experiment", "file_sizes", "BUFFERS_K", "BUFFERS_BIG_K"]
 
 BUFFERS_K = (64, 128, 256, 512, 1024)
 BUFFERS_BIG_K = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -671,7 +670,7 @@ def chaos_suite(scale: Optional[str] = None,
 
 
 # ---------------------------------------------------------------------------
-# Registry + inventory (single source of truth for docs and CLI)
+# Registry (the inventory it must match is repro.harness.inventory)
 
 EXPERIMENTS: dict[str, Callable[..., Report]] = {
     "table1": table1_packet_types,
@@ -696,83 +695,8 @@ EXPERIMENTS: dict[str, Callable[..., Report]] = {
     "chaos": chaos_suite,
 }
 
-
-@dataclass(frozen=True)
-class ExperimentInfo:
-    """Inventory row: what an experiment regenerates, and which bench
-    asserts its shape claims.  ``hrmc-experiments --list`` and the
-    EXPERIMENTS.md per-experiment table both render from this."""
-
-    exp_id: str
-    figure: str
-    bench: str
-
-
-INVENTORY: dict[str, ExperimentInfo] = {info.exp_id: info for info in (
-    ExperimentInfo("table1", "Table 1",
-                   "benchmarks/test_table1_packet_types.py"),
-    ExperimentInfo("fig3", "Figure 3(a,b)",
-                   "benchmarks/test_fig03_release_info.py"),
-    ExperimentInfo("fig10", "Figure 10(a–d)",
-                   "benchmarks/test_fig10_throughput_10mbps.py"),
-    ExperimentInfo("fig11", "Figure 11(a–d)",
-                   "benchmarks/test_fig11_feedback_10mbps.py"),
-    ExperimentInfo("fig12", "Figure 12(a,b)",
-                   "benchmarks/test_fig12_throughput_100mbps.py"),
-    ExperimentInfo("fig13", "Figure 13(a,b)",
-                   "benchmarks/test_fig13_nic_drops.py"),
-    ExperimentInfo("fig14", "Figure 14(a,b)",
-                   "benchmarks/test_fig14_groups.py"),
-    ExperimentInfo("fig15", "Figure 15(a–c)",
-                   "benchmarks/test_fig15_sim_10mbps.py"),
-    ExperimentInfo("fig16", "Figure 16(a,b)",
-                   "benchmarks/test_fig16_sim_100mbps.py"),
-    ExperimentInfo("scaling", "§5.2 scaling claim",
-                   "benchmarks/test_scaling_100rcv.py"),
-    ExperimentInfo("baselines", "§6 comparison",
-                   "benchmarks/test_baselines_compare.py"),
-    ExperimentInfo("ablation-updates", "§3 mechanism: updates",
-                   "benchmarks/test_ablation_updates.py"),
-    ExperimentInfo("ablation-probes",
-                   "§3 mechanism: probe-before-release",
-                   "benchmarks/test_ablation_probes.py"),
-    ExperimentInfo("ablation-update-timer",
-                   "§3 mechanism: dynamic update timer",
-                   "benchmarks/test_ablation_update_timer.py"),
-    ExperimentInfo("ablation-early-probes",
-                   "§6 future work (1): early probes",
-                   "benchmarks/test_ablation_early_probes.py"),
-    ExperimentInfo("ablation-mcast-probes",
-                   "§6 future work (2): multicast probes",
-                   "benchmarks/test_ablation_mcast_probes.py"),
-    ExperimentInfo("ablation-minbuf",
-                   "§3 MINBUF hold heuristic",
-                   "benchmarks/test_ablation_minbuf.py"),
-    ExperimentInfo("ablation-local-recovery",
-                   "§6 future work (3): local recovery",
-                   "benchmarks/test_ablation_local_recovery.py"),
-    ExperimentInfo("ablation-fec",
-                   "§6 future work (4): FEC",
-                   "benchmarks/test_ablation_fec.py"),
-    ExperimentInfo("chaos", "beyond the paper: fault injection",
-                   "tests/faults/test_chaos_battery.py"),
-)}
-
 assert set(INVENTORY) == set(EXPERIMENTS), \
     "experiment registry and inventory diverged"
-
-
-def inventory_rows() -> list[tuple[str, str, str]]:
-    return [(i.exp_id, i.figure, i.bench) for i in INVENTORY.values()]
-
-
-def inventory_markdown() -> str:
-    """The EXPERIMENTS.md per-experiment table (kept drift-free by
-    ``tests/harness/test_experiments.py``)."""
-    lines = ["| id | regenerates | bench |", "|---|---|---|"]
-    for exp_id, figure, bench in inventory_rows():
-        lines.append(f"| `{exp_id}` | {figure} | `{bench}` |")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,25 @@ sender and receiver application processes to completion, and returns a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.apps.diskmodel import DiskModel
 from repro.apps.filetransfer import AppResult, receiver_app, sender_app
-from repro.baselines.ack import open_ack_socket
-from repro.baselines.polling import open_polling_socket
-from repro.baselines.tcp import TcpLikeTransport
 from repro.core.config import HRMCConfig
 from repro.core.protocol import open_hrmc_socket
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import InvariantChecker
-from repro.faults.plan import FaultPlan
 from repro.kernel.socket_api import Socket
-from repro.obs.observer import Observability
-from repro.core.rmc import open_rmc_socket
 from repro.sim.engine import US_PER_SEC
 from repro.sim.process import Process
 from repro.stats.metrics import Counters
-from repro.trace.tracer import PacketTracer
-from repro.workloads.scenarios import Scenario
+
+# the baselines, RMC, fault injection, the invariant checker, the tracer
+# and the observer are imported on the branch that runs them: a bare
+# H-RMC transfer loads none of them
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultPlan
+    from repro.obs.observer import Observability
+    from repro.trace.tracer import PacketTracer
+    from repro.workloads.scenarios import Scenario
 
 __all__ = ["TransferResult", "run_transfer", "PROTOCOLS"]
 
@@ -92,11 +91,14 @@ def _open_socket(protocol: str, host, cfg: HRMCConfig, *, sndbuf: int,
     if protocol == "hrmc":
         return open_hrmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=rcvbuf)
     if protocol == "rmc":
+        from repro.core.rmc import open_rmc_socket
         return open_rmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=rcvbuf)
     if protocol == "ack":
+        from repro.baselines.ack import open_ack_socket
         return open_ack_socket(host, expected_receivers=n_receivers,
                                sndbuf=sndbuf, rcvbuf=rcvbuf)
     if protocol == "polling":
+        from repro.baselines.polling import open_polling_socket
         return open_polling_socket(host, expected_receivers=n_receivers,
                                    sndbuf=sndbuf, rcvbuf=rcvbuf)
     raise ValueError(f"unknown protocol {protocol!r}")
@@ -156,11 +158,15 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
             # violation tail and the lineage artifact dump: they get a
             # flight recorder (bounded memory, listeners see everything);
             # an observer alone subscribes to the tap and keeps nothing
+            from repro.trace.tracer import PacketTracer
             recorded = invariants or obs.want_lineage
             tracer = PacketTracer(max_events=256 if recorded else 0,
                                   ring=recorded)
         tracer.attach(scenario.sender, *scenario.receivers)
-    checker = InvariantChecker(tracer, obs=obs) if invariants else None
+    checker = None
+    if invariants:
+        from repro.faults.invariants import InvariantChecker
+        checker = InvariantChecker(tracer, obs=obs)
 
     base = cfg or HRMCConfig()
     if protocol in ("hrmc", "rmc"):
@@ -218,6 +224,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     injector = None
     rejoin_results: list[AppResult] = []
     if fault_plan is not None:
+        from repro.faults.injector import FaultInjector
         injector = FaultInjector(scenario, fault_plan, checker=checker)
 
         def rejoin(idx: int) -> None:
@@ -272,6 +279,8 @@ def _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf, sender_result,
     sockets and the processes nobody joins: the receivers and the
     orchestrator (which joins each sender, and dies of what it died
     of)."""
+    from repro.baselines.tcp import TcpLikeTransport
+
     sim = scenario.sim
     sender_socks: list[Socket] = []
     rsocks: list[Socket] = []

@@ -10,11 +10,19 @@ either payload kind and compare materialized bytes.
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["Payload", "BytesPayload", "PatternPayload", "pattern_bytes"]
 
 _PATTERN_PERIOD = 65536
-# A fixed pseudo-random-looking pattern; byte i = (i*197 + (i>>8)*73 + 11) & 0xFF
-_PATTERN = bytes(((i * 197 + (i >> 8) * 73 + 11) & 0xFF)
+
+
+@functools.cache
+def _pattern() -> bytes:
+    """One period of a fixed pseudo-random-looking pattern, byte i =
+    (i*197 + (i>>8)*73 + 11) & 0xFF.  Built the first time bytes are
+    materialised: a transfer that verifies offsets never needs it."""
+    return bytes(((i * 197 + (i >> 8) * 73 + 11) & 0xFF)
                  for i in range(_PATTERN_PERIOD))
 
 
@@ -26,8 +34,8 @@ def pattern_bytes(offset: int, length: int) -> bytes:
     end = start + length
     reps = (end + _PATTERN_PERIOD - 1) // _PATTERN_PERIOD
     if reps == 1:
-        return _PATTERN[start:end]
-    return (_PATTERN * reps)[start:end]
+        return _pattern()[start:end]
+    return (_pattern() * reps)[start:end]
 
 
 class Payload:

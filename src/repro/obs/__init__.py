@@ -21,31 +21,8 @@
   wires the above into ``run_transfer(obs=...)``.
 """
 
-from repro.obs.causal import (CauseNode, LineageRecorder, load_lineage,
-                              walk_chain)
-from repro.obs.diag import (Diagnoser, StallReport, Watchdog, WhyReport,
-                            format_chain)
-from repro.obs.diffing import DiffResult, RunArtifacts, diff_runs, load_run
-from repro.obs.export import (chrome_trace, summary_text,
-                              write_chrome_trace, write_series_csv,
-                              write_series_jsonl)
-from repro.obs.html import render_report, sparkline_svg, write_report
-from repro.obs.metrics import (LATENCY_BOUNDS_US, Counter, Histogram,
-                               MetricsRegistry, TimeSeries)
+# the facade only: the lineage, diagnosis, diffing and HTML modules are
+# imported by the code that uses them
 from repro.obs.observer import Observability
-from repro.obs.profiler import SimProfiler, SiteStats, site_of
-from repro.obs.spans import Span, SpanCollector
 
-__all__ = [
-    "Observability",
-    "MetricsRegistry", "Counter", "Histogram", "TimeSeries",
-    "LATENCY_BOUNDS_US",
-    "Span", "SpanCollector",
-    "SimProfiler", "SiteStats", "site_of",
-    "CauseNode", "LineageRecorder", "load_lineage", "walk_chain",
-    "Diagnoser", "Watchdog", "WhyReport", "StallReport", "format_chain",
-    "DiffResult", "RunArtifacts", "diff_runs", "load_run",
-    "render_report", "sparkline_svg", "write_report",
-    "chrome_trace", "summary_text", "write_chrome_trace",
-    "write_series_csv", "write_series_jsonl",
-]
+__all__ = ["Observability"]

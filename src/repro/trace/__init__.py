@@ -10,12 +10,5 @@ throughput timelines and sequence-progress views.
 
 from repro.trace.tracer import (PacketTracer, TraceEvent, load_trace,
                                 trace_meta)
-from repro.trace.analyzer import (load_capture, packet_summary,
-                                  throughput_timeline, sequence_progress,
-                                  sparkline, feedback_latency)
 
-__all__ = [
-    "PacketTracer", "TraceEvent", "load_trace", "trace_meta",
-    "load_capture", "packet_summary", "throughput_timeline",
-    "sequence_progress", "sparkline", "feedback_latency",
-]
+__all__ = ["PacketTracer", "TraceEvent", "load_trace", "trace_meta"]

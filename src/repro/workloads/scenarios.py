@@ -11,14 +11,16 @@ Two scenario kinds cover the paper's evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.faults.plan import FaultPlan
 from repro.kernel.host import CostModel, Host
 from repro.net.addr import host_addr, mcast_addr
 from repro.net.topology import (EthernetLanTopology, GroupSpec, Network,
                                 WanTreeTopology)
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultPlan
 
 __all__ = ["Scenario", "LanScenario", "WanScenario", "build_lan",
            "build_wan", "build_chaos"]
@@ -100,6 +102,8 @@ def build_chaos(n_receivers: int, bandwidth_bps: float, *, seed: int,
     a transfer that takes roughly ``horizon_us`` of simulated time.
     The same seed drives both the topology and the plan, so one integer
     reproduces the whole chaotic run."""
+    from repro.faults.plan import FaultPlan
+
     scenario = build_lan(n_receivers, bandwidth_bps, seed=seed, cost=cost)
     scenario.fault_plan = FaultPlan.random(
         seed, n_receivers=n_receivers, horizon_us=horizon_us,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import repro.net.packet as packet_mod
-from repro.analysis import analyze_source
+from repro.analysis.runner import analyze_source
 
 PACKET_PY = Path(packet_mod.__file__)
 

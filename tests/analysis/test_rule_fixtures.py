@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_source
+from repro.analysis.runner import analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 _EXPECT_RE = re.compile(r"#\s*expect:\s*(?P<rules>[A-Z0-9, ]+)")

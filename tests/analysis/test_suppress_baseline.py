@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Baseline, BaselineError, analyze_paths,
-                            analyze_source, baseline_key)
+from repro.analysis.baseline import Baseline, BaselineError
+from repro.analysis.findings import baseline_key
+from repro.analysis.runner import analyze_paths, analyze_source
 
 BAD = ("# simlint: module=repro.net.suppress_fixture\n"
        "_pending = []\n")

@@ -14,7 +14,7 @@ import pytest
 from repro.core.config import HRMCConfig
 from repro.core.receiver import HRMCReceiver
 from repro.core.sender import HRMCSender
-from repro.faults import InvariantViolation
+from repro.faults.invariants import InvariantViolation
 from repro.harness.experiments import chaos_config
 from repro.harness.runner import run_transfer
 from repro.core.types import PacketType

@@ -6,9 +6,8 @@ import pytest
 
 from repro.fleet.grid import PROBE, Grid
 from repro.fleet.spec import RunSpec
-from repro.harness.experiments import (EXPERIMENTS, INVENTORY,
-                                       inventory_markdown,
-                                       plan_experiment)
+from repro.harness.experiments import EXPERIMENTS, plan_experiment
+from repro.harness.inventory import INVENTORY, inventory_markdown
 
 REPO = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -75,5 +74,5 @@ def test_experiments_md_inventory_is_not_drifted():
     assert table in doc, (
         "EXPERIMENTS.md per-experiment inventory is out of date; "
         "regenerate it with: PYTHONPATH=src python -c "
-        '"from repro.harness.experiments import inventory_markdown; '
+        '"from repro.harness.inventory import inventory_markdown; '
         'print(inventory_markdown())"')

@@ -64,8 +64,8 @@ import pstats
 import pytest
 
 from repro.harness.runner import run_transfer
-from repro.obs import Observability
-from repro.trace import PacketTracer
+from repro.obs.observer import Observability
+from repro.trace.tracer import PacketTracer
 from repro.workloads import build_lan, build_wan, expand_test_case
 
 SEED = 7

@@ -116,7 +116,7 @@ def test_a_killed_process_is_not_a_lost_one():
 def test_only_a_reader_gets_a_flight_recorder():
     """An observer alone subscribes to the tap and keeps no capture;
     the lineage artifact dump reads one, and gets the 256-event ring."""
-    from repro.obs import Observability
+    from repro.obs.observer import Observability
     for lineage, kept in ((False, 0), (True, 256)):
         obs = Observability(lineage=lineage)
         res = run_transfer(build_lan(2, 10e6, seed=46), nbytes=200_000,

@@ -1,5 +1,7 @@
 """Unit tests for payload descriptors."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,19 @@ def test_pattern_wraps_period():
     big = pattern_bytes(0, 65536 * 2 + 100)
     assert big[:65536] == big[65536:131072]
     assert pattern_bytes(65530, 20) == big[65530:65550]
+
+
+def test_pattern_bytes_are_pinned():
+    """Every verified stream compares against these bytes: however the
+    pattern is built, one period and a read across the period boundary
+    keep the digests recorded when it was built at import."""
+    def digest(offset, length):
+        return hashlib.sha256(pattern_bytes(offset, length)).hexdigest()
+
+    assert digest(0, 65536) == ("8ca5bb2d683a4f2b2d79557eb2be1469"
+                                "3ef6f0fcf7b433b5ec551c7f38dd1267")
+    assert digest(65000, 2000) == ("e55e4038bfb6f7fa7d33f349340f7299"
+                                   "1d62e064cc565ed4b7b65449377e8121")
 
 
 def test_pattern_empty():

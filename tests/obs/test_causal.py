@@ -17,7 +17,7 @@ import pytest
 from repro.faults.plan import FaultPlan, NicBurstDrop
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.obs.causal import (CauseNode, LineageRecorder, load_lineage,
                               walk_chain)
 from repro.workloads.scenarios import build_chaos, build_lan, build_wan

@@ -7,9 +7,10 @@ import pytest
 from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs import Observability, diff_runs, load_run
+from repro.obs.diffing import diff_runs, load_run
+from repro.obs.observer import Observability
 from repro.obs.diag import Watchdog
-from repro.trace import PacketTracer
+from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_wan
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)

@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import HRMCConfig
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.obs.health import HealthMonitor
 from repro.workloads.scenarios import build_wan
 

@@ -24,7 +24,7 @@ import pytest
 from repro.core.types import FIN, PacketType
 from repro.harness.runner import run_transfer
 from repro.kernel.skbuff import SKBuff
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.obs.spans import SpanCollector
 from tests.harness.test_pinned_stats import PINNED, SEED
 

@@ -12,7 +12,7 @@ protocol (zero-perturbation is proven in test_perf_disabled.py).
 import pytest
 
 from repro.harness.runner import run_transfer
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.obs.perf import (EVENT_CLASSES, PerfObservatory, classify,
                             register_site)
 from repro.obs.perf.taxonomy import infer, timer_class

@@ -21,9 +21,9 @@ import tracemalloc
 
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs import Observability
+from repro.obs.observer import Observability
 from repro.obs.perf import PerfObservatory
-from repro.trace import PacketTracer
+from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_chaos, build_wan
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)

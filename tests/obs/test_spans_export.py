@@ -7,7 +7,8 @@ import pytest
 
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs import Observability, chrome_trace
+from repro.obs.export import chrome_trace
+from repro.obs.observer import Observability
 from repro.workloads.scenarios import build_lan, build_wan
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
@@ -122,7 +123,7 @@ def test_chrome_trace_structure(observed_run, tmp_path):
     assert ts == sorted(ts)
     # and the file round-trips as JSON
     path = tmp_path / "trace.json"
-    from repro.obs import write_chrome_trace
+    from repro.obs.export import write_chrome_trace
     n = write_chrome_trace(obs, str(path))
     assert n == len(events)
     assert json.loads(path.read_text())["displayTimeUnit"] == "ms"

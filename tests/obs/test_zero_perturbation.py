@@ -11,8 +11,8 @@ import pytest
 
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs import Observability
-from repro.trace import PacketTracer
+from repro.obs.observer import Observability
+from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_chaos, build_lan, build_wan
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)

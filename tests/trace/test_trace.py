@@ -5,10 +5,10 @@ import pytest
 
 from repro.core.types import PacketType
 from repro.harness.runner import run_transfer
-from repro.trace import (PacketTracer, feedback_latency, load_trace,
-                         packet_summary, sequence_progress, sparkline,
-                         throughput_timeline)
-from repro.trace.tracer import TraceEvent
+from repro.trace.analyzer import (feedback_latency, packet_summary,
+                                  sequence_progress, sparkline,
+                                  throughput_timeline)
+from repro.trace.tracer import PacketTracer, TraceEvent, load_trace
 from repro.net.topology import GroupSpec
 from repro.workloads.groups import GROUP_B
 from repro.workloads.scenarios import build_lan, build_wan
@@ -150,7 +150,7 @@ def _mk_event(t_us, seq, host="h1", direction="tx"):
 def test_ring_save_is_time_ordered_with_meta(tmp_path):
     """A truncated ring capture saves time-ordered events behind a
     _meta line that records the loss."""
-    from repro.trace import trace_meta
+    from repro.trace.tracer import trace_meta
     tracer = PacketTracer(max_events=5, ring=True)
     for i in range(12):
         tracer.events.append(_mk_event(t_us=100 + i, seq=i))
@@ -179,7 +179,7 @@ def test_ring_capture_counts_evictions():
 def test_ring_run_save_load_analyzer(tmp_path):
     """End to end: a truncated live capture saves, loads and analyzes
     even though the first events of the run are missing."""
-    from repro.trace import trace_meta
+    from repro.trace.tracer import trace_meta
     sc = build_lan(2, 10e6, seed=64)
     tracer = PacketTracer(max_events=32, ring=True)
     res = run_transfer(sc, nbytes=200_000, sndbuf=64 * 1024,
@@ -202,7 +202,7 @@ def test_ring_run_save_load_analyzer(tmp_path):
 
 
 def test_complete_capture_has_no_meta(tmp_path):
-    from repro.trace import trace_meta
+    from repro.trace.tracer import trace_meta
     tracer = PacketTracer()
     tracer.events.append(_mk_event(t_us=1, seq=0))
     path = tmp_path / "ok.jsonl"
@@ -234,7 +234,7 @@ def test_load_trace_sorts_out_of_order_records(tmp_path):
 def test_load_capture_surfaces_truncation(tmp_path):
     """The analyzer consumes the _meta record explicitly: a truncated
     capture is flagged in packet_summary output, a complete one is not."""
-    from repro.trace import load_capture
+    from repro.trace.analyzer import load_capture
     tracer = PacketTracer(max_events=5, ring=True)
     for i in range(12):
         tracer.events.append(_mk_event(t_us=100 + i, seq=i))
