@@ -6,9 +6,9 @@ pure detectors and a reviewer can audit the whole policy at a glance.
 The mental model: *everything under* ``repro`` *is simulation path
 unless it is explicitly carved out below*.  The carve-outs are the
 boundary layers that legitimately talk to the host machine -- the CLI
-harness (progress timing), the wall-clock side of the dual profiler,
-the fleet executor (worker wall-clock timeouts) and the bench
-envelope.  New carve-outs belong in this file, in a PR, with a reason
+harness (progress timing), the wall-clock side of the profiler, the
+performance observatory and the fleet executor (worker wall-clock
+timeouts).  New carve-outs belong in this file, in a PR, with a reason
 -- not scattered through the tree as suppressions.
 """
 
@@ -26,15 +26,14 @@ __all__ = [
 ]
 
 #: modules that may read the host clock: harness progress output, the
-#: wall half of the dual profiler, the performance observatory (wall
-#: attribution, stack sampling, tracemalloc/gc accounting), executor
-#: job timeouts, bench envelope + trajectory
+#: wall half of the profiler, the performance observatory (wall
+#: attribution, stack sampling, tracemalloc/gc accounting) and executor
+#: job timeouts
 WALLCLOCK_ALLOWED = (
     "repro.harness",
     "repro.obs.profiler",
     "repro.obs.perf",
     "repro.fleet.executor",
-    "repro.stats.bench",
 )
 
 #: the one module allowed to touch the stdlib ``random`` module: it is
@@ -58,7 +57,7 @@ ORDERING_PACKAGES = (
 )
 
 #: the only package that may reach fork/subprocess machinery at all
-FORK_ALLOWED = ("repro.fleet", "repro.stats.bench")
+FORK_ALLOWED = ("repro.fleet",)
 
 #: the only module that may install signal handlers / arm timers
 #: (per-job SIGALRM wall-clock timeouts around worker runs)

@@ -17,8 +17,6 @@ Usage::
     hrmc-experiments why wan --seq 58401 --seed 21
     hrmc-experiments diff out/runA out/runB
     hrmc-experiments perf profile lan --html --alloc
-    hrmc-experiments perf compare BENCH_PR2.json perf-artifacts/fresh.json
-    hrmc-experiments perf history
     hrmc-experiments health report wan --bounds HEALTH_BOUNDS.json
     hrmc-experiments health sweep --experiment fig14 --html sweep.html
 
@@ -59,9 +57,6 @@ Subcommands:
 * ``perf profile lan|wan|chaos`` runs one transfer under the hot-path
   performance observatory (:mod:`repro.obs.perf`): event-class tax
   table, collapsed-stack flamegraph, optional allocation tracking.
-  ``perf compare OLD NEW`` gates a candidate snapshot against a
-  baseline (exit 0 = within thresholds, 1 = regressed, 2 = unusable);
-  ``perf history`` renders the longitudinal ``BENCH_HISTORY.jsonl``.
 * ``health report lan|wan|chaos`` runs one transfer under the
   protocol-health observatory (:mod:`repro.obs.health`): NAK-
   suppression ledger, feedback-implosion index, repair economics and
@@ -482,9 +477,6 @@ def _run_perf_profile(argv) -> int:
     parser.add_argument("--html", action="store_true",
                         help="also write the self-contained HTML report "
                              "with the flamegraph inline")
-    parser.add_argument("--bench-out", metavar="FILE", default=None,
-                        help="also write a schema-v2 bench snapshot "
-                             "(appends to BENCH_HISTORY.jsonl beside it)")
     args = parser.parse_args(argv)
     if args.sample_every < 0:
         print("--sample-every must be >= 0", file=sys.stderr)
@@ -519,115 +511,16 @@ def _run_perf_profile(argv) -> int:
         print(f"cannot write artifacts to {args.out!r}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
-    if args.bench_out:
-        from repro.stats.bench import write_bench_snapshot
-        payload = {
-            "scenario": {"kind": args.scenario,
-                         "receivers": args.receivers,
-                         "seed": args.seed, "nbytes": args.nbytes,
-                         "bandwidth_bps": args.bandwidth * 1e6},
-            "sim_events": result.sim_events,
-            "wall_s": round(wall_s, 3),
-            "perf": perf.bench_payload(),
-        }
-        try:
-            write_bench_snapshot(args.bench_out, "perf-profile", payload,
-                                 events_per_s=events_per_s)
-        except OSError as exc:
-            print(f"cannot write {args.bench_out!r}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 2
-        paths["bench"] = args.bench_out
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
     return 0 if result.ok else 1
-
-
-def _run_perf_compare(argv) -> int:
-    """``perf compare OLD NEW``: trajectory regression gate.
-
-    Exit status: 0 = within thresholds, 1 = regressed, 2 = unusable.
-    """
-    from repro.stats.report import format_table
-    from repro.stats.trajectory import compare
-
-    parser = argparse.ArgumentParser(
-        prog="hrmc-experiments perf compare",
-        description="Compare two BENCH_*.json snapshots against the "
-                    "events/s regression threshold.")
-    parser.add_argument("old", help="baseline bench snapshot")
-    parser.add_argument("new", help="candidate bench snapshot")
-    parser.add_argument("--threshold", type=float, default=0.15,
-                        metavar="FRAC",
-                        help="tolerated fractional events/s drop "
-                             "(default 0.15)")
-    args = parser.parse_args(argv)
-    if not 0 <= args.threshold < 1:
-        print("--threshold must be in [0, 1)", file=sys.stderr)
-        return 2
-
-    try:
-        verdict = compare(args.old, args.new,
-                          {"events_per_s": args.threshold})
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(format_table(f"{args.old} -> {args.new}",
-                       ["metric", "old", "new", "ratio", "gate",
-                        "verdict"], verdict.rows()))
-    if not verdict.usable:
-        print("no comparable metric present in both snapshots",
-              file=sys.stderr)
-        return 2
-    return 1 if verdict.regressed else 0
-
-
-def _run_perf_history(argv) -> int:
-    """``perf history``: render the longitudinal BENCH_HISTORY.jsonl."""
-    from repro.stats.report import format_table
-    from repro.stats.trajectory import collapse_history, history_rows
-
-    parser = argparse.ArgumentParser(
-        prog="hrmc-experiments perf history",
-        description="Show the bench trajectory appended by every "
-                    "snapshot regeneration.")
-    parser.add_argument("--file", metavar="PATH",
-                        default="BENCH_HISTORY.jsonl",
-                        help="history log (default BENCH_HISTORY.jsonl)")
-    parser.add_argument("--bench", metavar="NAME", default=None,
-                        help="only rows of this bench name")
-    args = parser.parse_args(argv)
-
-    try:
-        rows = history_rows(args.file)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    # histories written before the replace-on-match fix can carry
-    # duplicate (bench, rev) rows; show one point per revision
-    rows = collapse_history(rows)
-    if args.bench:
-        rows = [r for r in rows if r.get("bench") == args.bench]
-    table = [[r.get("date", "?"), r.get("bench", "?"),
-              r.get("git_rev", "?"), r.get("events_per_s", "?"),
-              r.get("python", "?"), r.get("host", "?")]
-             for r in rows]
-    print(format_table(f"bench trajectory ({args.file})",
-                       ["date", "bench", "rev", "events/s", "python",
-                        "host"], table))
-    return 0
 
 
 def _run_perf(argv) -> int:
     """Dispatch the ``perf`` subcommand family."""
     if argv and argv[0] == "profile":
         return _run_perf_profile(argv[1:])
-    if argv and argv[0] == "compare":
-        return _run_perf_compare(argv[1:])
-    if argv and argv[0] == "history":
-        return _run_perf_history(argv[1:])
-    print("usage: hrmc-experiments perf {profile,compare,history} ...",
-          file=sys.stderr)
+    print("usage: hrmc-experiments perf profile ...", file=sys.stderr)
     return 2
 
 
@@ -652,25 +545,33 @@ def _load_health_bounds(path: str, scenario: str):
               file=sys.stderr)
         return None
     bounds = doc.get(scenario, doc.get("*"))
-    if bounds is None:
-        print(f"health bounds {path!r}: no entry for {scenario!r}",
-              file=sys.stderr)
+    error = _bounds_error(scenario, bounds)
+    if error is not None:
+        print(f"health bounds {path!r}: {error}", file=sys.stderr)
         return None
     return bounds
 
 
+def _bounds_error(scenario: str, bounds) -> str | None:
+    """Why a bounds entry cannot gate a run, or ``None`` if it can."""
+    if bounds is None:
+        return f"no entry for {scenario!r}"
+    if not isinstance(bounds, dict):
+        return f"entry for {scenario!r} is not an object"
+    for key, limit in sorted(bounds.items()):
+        if not key.endswith(("_min", "_max")):
+            return f"bad bound key {key!r} (want metric_min / metric_max)"
+        if not isinstance(limit, (int, float)) or isinstance(limit, bool):
+            return f"bound {key!r}: limit {limit!r} is not a number"
+    return None
+
+
 def _check_health_bounds(bounds: dict, cell: dict) -> list[str]:
-    """Gate a flat health cell; returns violation messages."""
+    """Gate a flat health cell against bounds that passed
+    :func:`_bounds_error`; returns violation messages."""
     violations = []
     for key, limit in sorted(bounds.items()):
-        if key.endswith("_min"):
-            metric, low = key[:-4], True
-        elif key.endswith("_max"):
-            metric, low = key[:-4], False
-        else:
-            violations.append(f"bad bound key {key!r} "
-                              f"(want metric_min / metric_max)")
-            continue
+        metric, low = key[:-4], key.endswith("_min")
         value = cell.get(metric)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             violations.append(f"{metric}: absent from the health payload")

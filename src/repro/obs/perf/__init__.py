@@ -1,8 +1,7 @@
 """Hot-path performance observatory (``repro.obs.perf``).
 
-The measurement side of ROADMAP item 1: before the engine hot path can
-be rebuilt ~5x faster, someone has to say *where* the current ~55-75k
-events/s budget goes.  This package layers three instruments on the
+Says *where* the engine's host time goes, so a hot-path change can be
+aimed before it is made.  This package layers three instruments on the
 existing ``Simulator.profiler`` hook:
 
 * **event-class tax table** -- every executed callback attributed to a

@@ -3,9 +3,9 @@
 The tax table of the performance observatory attributes every executed
 engine callback to one of a small, *stable* set of event classes -- the
 vocabulary in which ROADMAP item 1 (the engine hot-path overhaul) makes
-its scheduler decisions.  Classes must not churn between PRs or the
-bench trajectory stops being comparable, so they live here as a frozen
-tuple:
+its scheduler decisions.  Classes must not churn: two tax tables
+compare only in one vocabulary, and timers spell their class where
+they are created, so they live here as a frozen tuple:
 
 ``jiffy-timer``
     Periodic protocol ticks driven off the 10 ms jiffy machinery

@@ -12,9 +12,8 @@ health payloads into:
   exponent near zero: NAK suppression keeps sender-visible feedback
   flat as groups grow) and repair traffic vs loss rate,
 * direction-aware per-cell anomaly flags (:func:`flag_anomalies`)
-  that reuse :func:`repro.stats.trajectory.compare` -- each cell is
-  gated against the sweep median, with health-specific regression
-  directions (an implosion-index *rise* regresses, a
+  -- each cell is gated against the sweep median, with health-specific
+  regression directions (an implosion-index *rise* regresses, a
   suppression-effectiveness *drop* regresses).
 
 Everything is pure python over plain dicts: no numpy, no scenario
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from repro.stats.trajectory import compare
 
 __all__ = ["PowerLawFit", "CellAnomaly", "fit_power_law", "health_cell",
            "flag_anomalies", "sweep_fits", "sweep_report",
@@ -200,32 +197,33 @@ def flag_anomalies(cells: list[dict],
                    ) -> list[CellAnomaly]:
     """Gate every cell against the sweep median, direction-aware.
 
-    Reuses :func:`repro.stats.trajectory.compare` with the health
-    direction set: the median row plays "old", each cell plays "new",
-    and a cell regresses when it drifts past the metric's gate in its
-    bad direction.  Needs three or more cells -- with fewer, every
-    cell *is* the median neighbourhood.
+    A cell is flagged when a metric drifts past its fractional gate in
+    the metric's bad direction: upward for
+    :data:`HEALTH_LOWER_IS_BETTER`, downward for everything else.  A
+    metric is gated only when every cell carries it as a number.
+    Needs three or more cells -- with fewer, every cell *is* the
+    median neighbourhood.
     """
     thresholds = (DEFAULT_ANOMALY_THRESHOLDS if thresholds is None
                   else thresholds)
     if len(cells) < 3:
         return []
-    median_doc: dict = {"bench": "sweep-median"}
+    medians: dict[str, float] = {}
     for metric in thresholds:
         values = [float(c[metric]) for c in cells
                   if isinstance(c.get(metric), (int, float))
                   and not isinstance(c.get(metric), bool)]
         if len(values) == len(cells):
-            median_doc[metric] = _median(values)
+            medians[metric] = _median(values)
     flags: list[CellAnomaly] = []
     for cell in cells:
-        verdict = compare(median_doc, cell, thresholds,
-                          lower_is_better=HEALTH_LOWER_IS_BETTER)
-        for d in verdict.deltas:
-            if d.regressed:
-                flags.append(CellAnomaly(
-                    cell.get("label", "?"), d.metric, d.new, d.old,
-                    d.threshold, d.lower_is_better))
+        for metric, median in medians.items():
+            value, gate = float(cell[metric]), float(thresholds[metric])
+            lower = metric in HEALTH_LOWER_IS_BETTER
+            if (value > median * (1.0 + gate) if lower
+                    else value < median * (1.0 - gate)):
+                flags.append(CellAnomaly(cell.get("label", "?"), metric,
+                                         value, median, gate, lower))
     return flags
 
 

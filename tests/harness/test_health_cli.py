@@ -1,6 +1,6 @@
 """The ``health`` CLI family: report (with bounds gating) and sweep.
 
-Exit-code contract (shared with ``diff``/``perf compare``): 0 = healthy
+Exit-code contract (shared with ``diff``): 0 = healthy
 / clean sweep, 1 = run failed / bound violated / anomalies flagged,
 2 = unusable input.  The sweep test doubles as the quick-scale
 acceptance check for the paper's §5.2 claim: loss-driven feedback at
@@ -74,7 +74,7 @@ def test_report_bounds_gate_passes_and_trips(tmp_path, capsys):
     assert "effectiveness" in err
 
 
-def test_report_bounds_unusable_inputs(tmp_path):
+def test_report_bounds_unusable_inputs(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["health", "report", "wan", *WAN_ARGS,
                      "--bounds", str(missing)]) == 2
@@ -82,6 +82,18 @@ def test_report_bounds_unusable_inputs(tmp_path):
     noscenario.write_text(json.dumps({"lan": {}}))
     assert cli_main(["health", "report", "wan", *WAN_ARGS,
                      "--bounds", str(noscenario)]) == 2
+    # malformed entries are refused before the transfer runs, with a
+    # one-line reason: not an object, a bad key, a non-numeric limit
+    capsys.readouterr()
+    for entry in ([1], {"effectiveness": 0.5},
+                  {"effectiveness_min": "0.5"},
+                  {"unresolved_max": True}):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"wan": entry}))
+        assert cli_main(["health", "report", "wan", *WAN_ARGS,
+                         "--bounds", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, (entry, err)
 
 
 COMMITTED_BOUNDS = os.path.join(os.path.dirname(__file__), "..", "..",

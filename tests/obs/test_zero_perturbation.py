@@ -92,10 +92,14 @@ def test_zero_perturbation_with_health_lan():
     bare = _run(False, build)
     healthy = _run(True, build, health=True)
     _assert_identical(bare, healthy)
-    # non-vacuous even when lossless: feedback still reaches the sender
+    # a lossless LAN leaves a clean ledger over the whole group...
     payload = healthy[2].obs.health.payload()
-    assert payload["implosion"]["feedback_at_sender"] > 0
+    assert payload["group_size"] == 3
     assert payload["suppression"]["naks_sent"] == 0
+    assert payload["repair"]["retrans_pkts"] == 0
+    assert payload["lag"]["unresolved"] == 0
+    # ...but not a vacuous one: feedback still reaches the sender
+    assert payload["implosion"]["feedback_at_sender"] > 0
 
 
 def test_zero_perturbation_with_health_lossy_wan():

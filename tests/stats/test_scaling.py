@@ -1,14 +1,12 @@
-"""Sweep analytics: power-law fits, anomaly flags, history dedupe."""
+"""Sweep analytics: power-law fits and anomaly flags."""
 
 import json
 
 import pytest
 
-from repro.stats.bench import append_history
 from repro.stats.scaling import (DEFAULT_ANOMALY_THRESHOLDS,
                                  fit_power_law, flag_anomalies,
                                  health_cell, sweep_fits, sweep_report)
-from repro.stats.trajectory import collapse_history, history_rows
 
 
 # -- fit_power_law ------------------------------------------------------
@@ -169,49 +167,3 @@ def test_sweep_report_is_json_safe():
     assert json.loads(json.dumps(report)) == report
     assert set(report) == {"cells", "fits", "anomalies"}
 
-
-# -- history dedupe (satellite: BENCH_HISTORY.jsonl hygiene) -----------
-
-ENV = {"git_rev": "abc1234", "python": "3.x", "host": "h", "cpus": 4}
-
-
-def test_append_history_replaces_same_bench_and_rev(tmp_path):
-    hist = str(tmp_path / "BENCH_HISTORY.jsonl")
-    append_history(hist, "a", 100.0, ENV)
-    append_history(hist, "b", 200.0, ENV)
-    append_history(hist, "a", 150.0, ENV)          # rerun, same rev
-    rows = history_rows(hist)
-    assert [(r["bench"], r["events_per_s"]) for r in rows] == \
-        [("b", 200.0), ("a", 150.0)]
-
-
-def test_append_history_keeps_other_revisions(tmp_path):
-    hist = str(tmp_path / "BENCH_HISTORY.jsonl")
-    append_history(hist, "a", 100.0, dict(ENV, git_rev="old1234"))
-    append_history(hist, "a", 150.0, ENV)
-    assert [r["git_rev"] for r in history_rows(hist)] == \
-        ["old1234", "abc1234"]
-
-
-def test_append_history_preserves_unparseable_lines(tmp_path):
-    hist = tmp_path / "BENCH_HISTORY.jsonl"
-    hist.write_text("not json\n")
-    append_history(str(hist), "a", 100.0, ENV)
-    lines = hist.read_text().splitlines()
-    assert lines[0] == "not json"
-    assert json.loads(lines[1])["bench"] == "a"
-
-
-def test_collapse_history_keeps_last_duplicate():
-    rows = [{"bench": "a", "git_rev": "r1", "events_per_s": 1},
-            {"bench": "a", "git_rev": "r2", "events_per_s": 2},
-            {"bench": "a", "git_rev": "r1", "events_per_s": 3},
-            {"note": "no identity keys"}]
-    collapsed = collapse_history(rows)
-    assert collapsed == [rows[1], rows[2], rows[3]]
-
-
-def test_collapse_history_no_duplicates_is_identity():
-    rows = [{"bench": "a", "git_rev": "r1"},
-            {"bench": "b", "git_rev": "r1"}]
-    assert collapse_history(rows) == rows
