@@ -40,13 +40,19 @@ class NakRange:
 
 
 class NakList:
-    """Ordered, disjoint set of missing ranges."""
+    """Ordered, disjoint set of missing ranges, and the books of their
+    recovery: gaps opened (and their bytes), filled or abandoned,
+    re-NAKs the suppression timer withheld, and one gap-open -> gap-fill
+    lag per filled gap."""
 
     def __init__(self):
         self._ranges: list[NakRange] = []
-        # optional protocol-health probe (repro.obs.health); None in
-        # ordinary runs -- every hook site is a single attribute test
-        self.health = None
+        self.gaps_opened = 0
+        self.gap_bytes = 0
+        self.gaps_filled = 0
+        self.gaps_abandoned = 0
+        self.suppressed_timer = 0
+        self.lags_us: list[int] = []
 
     def __len__(self) -> int:
         return len(self._ranges)
@@ -74,21 +80,23 @@ class NakList:
                 if seq_lt(cursor, rng.start):   # uncovered stretch before rng
                     ranges.insert(i, NakRange(cursor, rng.start, now_us))
                     new.append(ranges[i])
+                    self.gaps_opened += 1
+                    self.gap_bytes += seq_sub(rng.start, cursor)
                     i += 1
                 cursor = rng.end
             i += 1
         if seq_lt(cursor, end):
             ranges.insert(i, NakRange(cursor, end, now_us))
             new.append(ranges[i])
-        if new and self.health is not None:
-            self.health.on_gaps_opened(new)
+            self.gaps_opened += 1
+            self.gap_bytes += seq_sub(end, cursor)
         return new
 
-    def fill(self, start: int, end: int) -> None:
-        """Data [start, end) arrived; shrink/split/remove covered ranges."""
+    def fill(self, start: int, end: int, now_us: int) -> None:
+        """Data [start, end) arrived at ``now_us``; shrink/split/remove
+        covered ranges."""
         if seq_geq(start, end):
             return
-        h = self.health
         out: list[NakRange] = []
         for rng in self._ranges:
             if seq_leq(end, rng.start) or seq_geq(start, rng.end):
@@ -105,18 +113,24 @@ class NakList:
             elif seq_lt(rng.start, start):
                 rng.end = start
                 out.append(rng)
-            elif h is not None:
-                h.on_gap_removed(rng)
+            else:
+                self.gaps_filled += 1
+                self.lags_us.append(now_us - rng.created_us)
         self._ranges = out
 
-    def fill_below(self, seq: int) -> None:
-        """Everything below ``seq`` is now in order."""
-        h = self.health
+    def fill_below(self, seq: int, now_us: int, *,
+                   abandon: bool = False) -> None:
+        """Everything below ``seq`` is now in order: the ranges it
+        closes were filled at ``now_us`` or, when a NAK_ERR moved
+        ``seq`` past them (``abandon``), given up."""
         out = []
         for rng in self._ranges:
             if seq_leq(rng.end, seq):
-                if h is not None:
-                    h.on_gap_removed(rng)
+                if abandon:
+                    self.gaps_abandoned += 1
+                else:
+                    self.gaps_filled += 1
+                    self.lags_us.append(now_us - rng.created_us)
                 continue
             if seq_lt(rng.start, seq):
                 rng.start = seq
@@ -127,12 +141,14 @@ class NakList:
     BACKOFF = 2.0
     MAX_INTERVAL_US = 2_000_000
 
-    def due(self, now_us: int, suppress_interval_us: int) -> list[NakRange]:
+    def due(self, now_us: int, suppress_interval_us: int, *,
+            tick: bool = False) -> list[NakRange]:
         """Ranges whose NAK may be (re)sent under local suppression.
 
         The suppression interval backs off exponentially with the number
         of unanswered tries (capped), so a slow retransmission path is
-        not pounded with duplicate NAKs.
+        not pounded with duplicate NAKs.  At a NAK-manager ``tick``, a
+        range held back is a re-NAK the timer suppressed.
         """
         out = []
         for r in self._ranges:
@@ -141,6 +157,8 @@ class NakList:
                 self.MAX_INTERVAL_US)
             if now_us - r.last_sent_us >= interval:
                 out.append(r)
+            elif tick:
+                self.suppressed_timer += 1
         return out
 
     def mark_sent(self, rng: NakRange, now_us: int) -> None:

@@ -39,10 +39,6 @@ class HRMCTransport(Transport):
         self.stats = Counters()
         self.sender: Optional[HRMCSender] = None
         self.receiver: Optional[HRMCReceiver] = None
-        # optional protocol-health monitor (repro.obs.health): set by
-        # Observability.attach before the sim runs; forwarded to the
-        # lazily created role at connect/join time
-        self.health = None
         self._bound_port: Optional[int] = None
         self._group: Optional[str] = None
         self._backlog: deque[tuple[SKBuff, str]] = deque()
@@ -69,8 +65,6 @@ class HRMCTransport(Transport):
         self.sock.dport = dport
         self.sock.tp_pinfo = self.sender = HRMCSender(
             self.host, self.sock, self.cfg, self.stats)
-        if self.health is not None:
-            self.health.bind_sender(self.sender)
         self._deliver = self.sender.segment_received
         self.sender.start()
 
@@ -86,8 +80,6 @@ class HRMCTransport(Transport):
         self.sock.dport = port
         self.sock.tp_pinfo = self.receiver = HRMCReceiver(
             self.host, self.sock, self.cfg, self.stats)
-        if self.health is not None:
-            self.health.bind_receiver(self.receiver)
         self._deliver = self.receiver.segment_received
         self.receiver.start()
 

@@ -90,9 +90,21 @@ class HRMCReceiver:
         self._repairs_seen: dict[int, int] = {}   # seq -> time observed
         self._lr_rng = substream(0, f"local-recovery:{host.addr}")
 
-        # optional protocol-health probe (repro.obs.health), installed
-        # by HealthMonitor.bind_receiver; None in ordinary runs
-        self.health = None
+        # recovery books (the NAK list keeps the gap ledger): re-sent
+        # NAKs, pending NAKs a peer's repair answered, repairs that
+        # filled a hole or arrived for data already held, and the
+        # repair cache's traffic
+        self.naks_resent = 0
+        self.naks_suppressed_peer = 0
+        self.repairs_useful = 0
+        self.repairs_redundant = 0
+        self.repair_redundant_bytes = 0
+        self.cache_inserts = 0
+        self.cache_evictions = 0
+        self.cache_overwrites = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.repairs_suppressed = 0
 
         self.leave_acked = False
         self.failed = False             # sender declared dead
@@ -195,20 +207,22 @@ class HRMCReceiver:
         peer_repair = (self.cfg.local_recovery and src and
                        self.sender_addr is not None and
                        src != self.sender_addr)
-        h = self.health
         if peer_repair:
             # remember the repair so our own pending repair for the same
             # data is suppressed
             self._repairs_seen[seq] = self.sim.now
-            if h is not None:
-                # pending NAKs this repair resolves were suppressed by
-                # the peer, not by our own re-NAK reaching the sender
-                h.on_peer_repair(self.naks, seq, end)
+            # pending NAKs this repair resolves were suppressed by the
+            # peer, not by our own re-NAK reaching the sender
+            for rng in self.naks:
+                if seq_lt(rng.start, end) and seq_gt(rng.end, seq):
+                    self.naks_suppressed_peer += 1
+        repair = skb.tries > 1 or peer_repair      # a retransmission
 
         if not 0 < ((end - rcv_nxt) & SEQ_MASK) < SEQ_HALF:     # seq_leq
             self.stats.dup_pkts_rcvd += 1
-            if h is not None:
-                h.on_duplicate_data(skb, peer_repair)
+            if repair:
+                self.repairs_redundant += 1
+                self.repair_redundant_bytes += skb.length
             self._flow_control(skb)
             return
         if peer_repair:
@@ -226,17 +240,18 @@ class HRMCReceiver:
             self.stats.out_of_order_pkts += 1
             if seq not in self._ooo:
                 self._ooo[seq] = skb
-                if h is not None and (skb.tries > 1 or peer_repair):
-                    h.on_repair_useful(skb)
-                self.naks.fill(seq, end)
+                if repair:
+                    self.repairs_useful += 1
+                self.naks.fill(seq, end, self.sim.now)
                 self._note_gap(seq)
             else:
                 self.stats.dup_pkts_rcvd += 1
-                if h is not None:
-                    h.on_duplicate_data(skb, peer_repair)
+                if repair:
+                    self.repairs_redundant += 1
+                    self.repair_redundant_bytes += skb.length
         else:
-            if h is not None and (skb.tries > 1 or peer_repair):
-                h.on_repair_useful(skb)
+            if repair:
+                self.repairs_useful += 1
             self._integrate(skb)
             if self._ooo:
                 self._drain_ooo()
@@ -251,7 +266,7 @@ class HRMCReceiver:
         if skb.flags & FIN:
             self.eof_seq = seq
             self.rcv_nxt = end  # consume the phantom byte
-            self.naks.fill_below(end)
+            self.naks.fill_below(end, self.sim.now)
             self.sock.data_ready.fire()
             return
         # seq_sub(rcv_nxt, seq)
@@ -266,28 +281,24 @@ class HRMCReceiver:
         if self.cfg.local_recovery and payload is not None:
             self._cache_for_repair(out.seq, length, payload)
         self.rcv_nxt = end
-        self.naks.fill_below(end)
+        self.naks.fill_below(end, self.sim.now)
         self.sock.data_ready.fire()
 
     def _cache_for_repair(self, seq: int, length: int,
                           payload: Payload) -> None:
         """Retain delivered data so we can serve peer repair requests."""
-        h = self.health
         if seq in self._repair_cache:
-            if h is not None:
-                h.on_cache_overwrite()
+            self.cache_overwrites += 1
             return
         entry = SKBuff(sport=self.sock.num, dport=self.sock.num, seq=seq,
                        ptype=PacketType.DATA, length=length, payload=payload)
         self._repair_cache[seq] = entry
         self._repair_cache_bytes += length
-        if h is not None:
-            h.on_cache_insert()
+        self.cache_inserts += 1
         while self._repair_cache_bytes > self.cfg.repair_cache_bytes:
             _, old = self._repair_cache.popitem(last=False)
             self._repair_cache_bytes -= old.length
-            if h is not None:
-                h.on_cache_evict()
+            self.cache_evictions += 1
 
     def _drain_ooo(self) -> None:
         while True:
@@ -337,13 +348,7 @@ class HRMCReceiver:
         if self._closed:
             return
         now = self.sim.now
-        due = self.naks.due(now, self._suppress_us())
-        h = self.health
-        if h is not None:
-            # pending ranges not due are re-NAK opportunities withheld
-            # by the local suppression timer
-            h.on_nak_tick(len(self.naks), len(due))
-        for rng in due:
+        for rng in self.naks.due(now, self._suppress_us(), tick=True):
             self._send_nak(rng, now)
         if self.naks:
             self.nak_timer.mod_after(self._nak_period_us())
@@ -370,8 +375,8 @@ class HRMCReceiver:
             self.host.ip_send(skb, self.sender_addr)
         self.naks.mark_sent(rng, now)
         self.stats.naks_sent += 1
-        if self.health is not None:
-            self.health.on_nak_sent(rng)
+        if rng.tries > 1:   # mark_sent already ran: 1 is a first send
+            self.naks_resent += 1
         self._feedback_since_update = True
 
     # -- peer repair (local recovery, future-work extension 3) ----------
@@ -386,13 +391,10 @@ class HRMCReceiver:
             return  # we don't have all of it either
         chunks = [e for s, e in self._repair_cache.items()
                   if seq_lt(s, end) and seq_gt(e.end_seq, start)]
-        h = self.health
         if not chunks:
-            if h is not None:
-                h.on_cache_miss()
+            self.cache_misses += 1
             return
-        if h is not None:
-            h.on_cache_hit(len(chunks[:8]))
+        self.cache_hits += len(chunks[:8])
         delay = int(self._lr_rng.uniform(0.1, 1.0) * max(self.rtt.rtt_us,
                                                          2_000))
         self.sim.call_after(delay, self._emit_repairs, chunks[:8])
@@ -402,12 +404,10 @@ class HRMCReceiver:
             return
         now = self.sim.now
         horizon = 2 * max(self.rtt.rtt_us, 2_000)
-        h = self.health
         for entry in chunks:
             seen = self._repairs_seen.get(entry.seq)
             if seen is not None and now - seen < horizon:
-                if h is not None:
-                    h.on_repair_suppressed()
+                self.repairs_suppressed += 1
                 continue  # someone else already repaired it
             repair = SKBuff(sport=self.sock.num, dport=self.sock.num,
                             seq=entry.seq, ptype=PacketType.DATA,
@@ -535,13 +535,7 @@ class HRMCReceiver:
             self.rcv_nxt = lost_to
             # unread data resumes after the hole; window origin moves too
             self.rcv_wnd = seq_max(self.rcv_wnd, lost_to)
-            h = self.health
-            if h is not None:
-                # gaps wiped by a NAK_ERR were abandoned, not recovered
-                h.abandoning = True
-            self.naks.fill_below(lost_to)
-            if h is not None:
-                h.abandoning = False
+            self.naks.fill_below(lost_to, self.sim.now, abandon=True)
             self._drain_ooo()
             self.sock.data_ready.fire()
 
@@ -571,7 +565,7 @@ class HRMCReceiver:
                     payload=PatternPayload(seq_sub(start, self.cfg.iss),
                                            length))
                 self.stats.fec_repairs += 1
-                self.naks.fill(start, end)
+                self.naks.fill(start, end, self.sim.now)
                 if seq_leq(synth.seq, self.rcv_nxt):
                     self._integrate(synth)
                     self._drain_ooo()

@@ -85,15 +85,15 @@ class HRMCSender:
         # mark belong to an already-reacted-to loss event and do not cut
         # the rate again
         self._recover_seq = cfg.iss
+        # recovery books: rate-cutting loss events, and repair requests
+        # deflected because a repair was already in flight
+        self.loss_events = 0
+        self.repairs_deflected = 0
 
         # observation point for the invariant checker: called with
         # (sender, skb) just before each segment leaves the write queue,
         # while the membership evidence justifying the release is intact
         self.release_hook: Optional[Callable[["HRMCSender", SKBuff], None]] = None
-
-        # optional protocol-health monitor (repro.obs.health), installed
-        # by HealthMonitor.bind_sender; None in ordinary runs
-        self.health = None
 
         # timers run on the host's clock so the fault layer can skew or
         # stall one machine's timer interrupt without touching sim time
@@ -393,7 +393,6 @@ class HRMCSender:
         now = self.sim.now
         pace = max(self.rtt.rtt_us, JIFFY_US)
         queued = False
-        h = self.health
         for skb in self.sock.write_queue:
             if seq_geq(skb.seq, end):
                 break
@@ -402,8 +401,7 @@ class HRMCSender:
             if skb.tries == 0:
                 break  # not sent yet; the normal path will cover it
             if skb.tries > 1 and now - skb.last_sent_us < pace:
-                if h is not None:
-                    h.on_repair_deflected()
+                self.repairs_deflected += 1
                 continue  # a repair is already in flight; don't multiply
             if not skb.retrans_pending:
                 skb.retrans_pending = True
@@ -498,9 +496,6 @@ class HRMCSender:
 
     def _on_nak(self, skb: SKBuff, src: str, now: int) -> None:
         self.stats.naks_rcvd += 1
-        h = self.health
-        if h is not None:
-            h.on_nak_rcvd()
         self._take_probe_sample(src, now)
         if self.cfg.track_membership:
             # a NAK's seq is the requested range start; the receiver's
@@ -512,8 +507,6 @@ class HRMCSender:
             # requested data is (at least partly) gone from the buffer
             self.stats.nak_errs_sent += 1
             self.stats.reliability_violations += 1
-            if h is not None:
-                h.on_nak_err()
             err = self._control_skb(PacketType.NAK_ERR, seq=self.snd_wnd)
             self.host.ip_send(err, src)
             start = self.snd_wnd
@@ -523,8 +516,7 @@ class HRMCSender:
             # a fresh loss event, not more fallout from the last one
             if self.rate.on_loss_signal(now, self.rtt.rtt_us):
                 self._recover_seq = self.snd_nxt
-                if h is not None:
-                    h.on_loss_event()
+                self.loss_events += 1
         self._queue_retransmission(start, end)
         self._kick()
 

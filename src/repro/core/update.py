@@ -31,9 +31,6 @@ class UpdatePolicy:
         self.probe_seen = False
         self.adjust_downs = 0
         self.adjust_ups = 0
-        # optional protocol-health probe (repro.obs.health); None in
-        # ordinary runs
-        self.health = None
 
     @property
     def period_us(self) -> int:
@@ -51,14 +48,10 @@ class UpdatePolicy:
                     self.period_jiffies = max(
                         self.min_jiffies, self.period_jiffies - self.step)
                     self.adjust_downs += 1
-                    if self.health is not None:
-                        self.health.on_update_adjust(-1)
             else:
                 if self.period_jiffies < self.max_jiffies:
                     self.period_jiffies = min(
                         self.max_jiffies, self.period_jiffies + self.step)
                     self.adjust_ups += 1
-                    if self.health is not None:
-                        self.health.on_update_adjust(+1)
         self.probe_seen = False
         return self.period_us

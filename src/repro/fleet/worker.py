@@ -86,26 +86,30 @@ def run_spec(spec: RunSpec) -> RunSummary:
     cfg = _build_config(spec)
     obs = None
     perf = None
-    if spec.obs or spec.perf or spec.health:
+    if spec.obs or spec.perf:
         from repro.obs.observer import Observability
         if spec.perf:
             # tax table only: flamegraph stacks would bloat the cached
             # summary (sample_every=0 disables the stack sampler)
             from repro.obs.perf import PerfObservatory
             perf = PerfObservatory(sample_every=0)
-        obs = Observability(perf=perf, health=spec.health)
+        obs = Observability(perf=perf)
     result = run_transfer(
         scenario, nbytes=spec.nbytes, protocol=spec.protocol,
         sndbuf=spec.sndbuf, rcvbuf=spec.rcvbuf, cfg=cfg, disk=spec.disk,
         max_sim_s=spec.max_sim_s, invariants=spec.invariants, obs=obs)
+    health = None
+    if spec.health:
+        # a read of the finished run's books: nothing was attached
+        from repro.obs.health import payload
+        health = payload(result)
     plan = getattr(scenario, "fault_plan", None)
     return summarize_result(
         result, plan_actions=len(plan) if plan is not None else 0,
         obs_tables=obs.summary_tables() if obs is not None and spec.obs
         else None,
         perf=perf.bench_payload() if perf is not None else None,
-        health=obs.health.payload()
-        if obs is not None and obs.health is not None else None)
+        health=health)
 
 
 def execute_spec(spec_dict: dict,

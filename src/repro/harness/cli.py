@@ -57,10 +57,10 @@ Subcommands:
 * ``perf profile lan|wan|chaos`` runs one transfer under the hot-path
   performance observatory (:mod:`repro.obs.perf`): event-class tax
   table, collapsed-stack flamegraph, optional allocation tracking.
-* ``health report lan|wan|chaos`` runs one transfer under the
-  protocol-health observatory (:mod:`repro.obs.health`): NAK-
-  suppression ledger, feedback-implosion index, repair economics and
-  recovery-lag distributions; ``--bounds`` gates effectiveness /
+* ``health report lan|wan|chaos`` runs one transfer and reads its
+  protocol health (:mod:`repro.obs.health`): NAK-suppression ledger,
+  feedback-implosion index, repair economics and recovery-lag
+  distributions; ``--bounds`` gates effectiveness /
   redundancy against the committed ``HEALTH_BOUNDS.json`` (exit 0 =
   healthy, 1 = violated, 2 = unusable).  ``health sweep`` runs a
   fleet grid over group sizes and fits scaling laws
@@ -220,6 +220,49 @@ def _build_scenario(args):
     return scenario, kwargs
 
 
+def _transfer(args, obs=None, tracer=None):
+    """Run one transfer of the canned scenario ``args`` names: the run
+    behind ``report``, ``why``, ``perf profile`` and ``health report``."""
+    scenario, kwargs = _build_scenario(args)
+    return run_transfer(scenario, nbytes=args.nbytes,
+                        protocol=args.protocol, obs=obs, max_sim_s=300,
+                        tracer=tracer, **kwargs)
+
+
+def _write_artifacts(obs, outdir: str, prefix: str, *, html: bool = False,
+                     spaced: bool = False) -> bool:
+    """Write an observed run's artifacts into ``outdir`` and list them
+    on stdout (after a blank line if ``spaced``); ``False`` after a
+    one-line reason on stderr if the directory cannot be written."""
+    try:
+        paths = obs.write_artifacts(outdir, prefix=prefix, html=html)
+    except OSError as exc:
+        print(f"cannot write artifacts to {outdir!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    if spaced:
+        print()
+    for name, path in paths.items():
+        print(f"wrote {name}: {path}")
+    return True
+
+
+def _write_file(what: str, path: str, text: str, status) -> bool:
+    """Write ``text`` and a newline to ``path``, then say so on
+    ``status`` (stderr when stdout carries a JSON document); ``False``
+    after a one-line reason on stderr if ``path`` cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"cannot write {path!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return False
+    print(f"wrote {what}: {path}", file=status)
+    return True
+
+
 # -- report subcommand --------------------------------------------------
 
 class _OfflineObs:
@@ -266,8 +309,6 @@ def _load_series(path: str):
                     registry.series[name].append(rec["t_us"], rec["value"])
                     last_t = rec["t_us"] if last_t is None \
                         else max(last_t, rec["t_us"])
-                elif kind == "counter":
-                    registry.counter(rec["name"]).inc(int(rec["value"]))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"corrupt series file {path!r}: {exc}") from None
     registry.scrapes = max((len(s) for s in registry.series.values()),
@@ -362,30 +403,17 @@ def _run_report(argv) -> int:
 
     lineage = args.lineage or args.html
     obs = Observability(profile=not args.no_profile, lineage=lineage)
-    tracer = None
-    if lineage and args.metrics_out:
-        tracer = PacketTracer()
-    scenario, kwargs = _build_scenario(args)
-    result = run_transfer(scenario, nbytes=args.nbytes,
-                          protocol=args.protocol, obs=obs,
-                          max_sim_s=300, tracer=tracer, **kwargs)
+    tracer = PacketTracer() if lineage and args.metrics_out else None
+    result = _transfer(args, obs, tracer)
     print(f"{args.scenario} x{args.receivers} {args.protocol} "
           f"{args.nbytes} bytes: ok={result.ok} "
           f"throughput={result.throughput_mbps:.2f} Mbit/s "
           f"duration={result.duration_us / 1e6:.3f} s\n")
     print(obs.summary())
-    if args.metrics_out:
-        try:
-            paths = obs.write_artifacts(args.metrics_out,
-                                        prefix=args.scenario,
-                                        html=args.html)
-        except OSError as exc:
-            print(f"cannot write artifacts to {args.metrics_out!r}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 2
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
+    if args.metrics_out and not _write_artifacts(
+            obs, args.metrics_out, args.scenario, html=args.html,
+            spaced=True):
+        return 2
     return 0 if result.ok else 1
 
 
@@ -410,13 +438,8 @@ def _run_why(argv) -> int:
     args = parser.parse_args(argv)
 
     obs = Observability(profile=False, lineage=True)
-    tracer = None
-    if args.metrics_out:
-        tracer = PacketTracer()
-    scenario, kwargs = _build_scenario(args)
-    result = run_transfer(scenario, nbytes=args.nbytes,
-                          protocol=args.protocol, obs=obs,
-                          max_sim_s=300, tracer=tracer, **kwargs)
+    tracer = PacketTracer() if args.metrics_out else None
+    result = _transfer(args, obs, tracer)
     print(f"{args.scenario} x{args.receivers} {args.protocol} "
           f"{args.nbytes} bytes: ok={result.ok} "
           f"duration={result.duration_us / 1e6:.3f} s\n")
@@ -437,17 +460,9 @@ def _run_why(argv) -> int:
     if stall is not None:
         print()
         print(stall.render())
-    if args.metrics_out:
-        try:
-            paths = obs.write_artifacts(args.metrics_out,
-                                        prefix=args.scenario)
-        except OSError as exc:
-            print(f"cannot write artifacts to {args.metrics_out!r}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 2
-        print()
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
+    if args.metrics_out and not _write_artifacts(
+            obs, args.metrics_out, args.scenario, spaced=True):
+        return 2
     return 0 if result.ok else 1
 
 
@@ -485,14 +500,9 @@ def _run_perf_profile(argv) -> int:
     perf = PerfObservatory(sample_every=args.sample_every,
                            alloc=args.alloc)
     obs = Observability(perf=perf, lineage=args.html)
-    tracer = None
-    if args.html:
-        tracer = PacketTracer()
-    scenario, kwargs = _build_scenario(args)
+    tracer = PacketTracer() if args.html else None
     wall_t0 = time.perf_counter()
-    result = run_transfer(scenario, nbytes=args.nbytes,
-                          protocol=args.protocol, obs=obs,
-                          max_sim_s=300, tracer=tracer, **kwargs)
+    result = _transfer(args, obs, tracer)
     wall_s = time.perf_counter() - wall_t0
 
     events_per_s = result.sim_events / wall_s if wall_s > 0 else 0.0
@@ -503,16 +513,8 @@ def _run_perf_profile(argv) -> int:
     for title, headers, rows in perf.summary_tables():
         print(format_table(title, headers, rows))
         print()
-
-    try:
-        paths = obs.write_artifacts(args.out, prefix=args.scenario,
-                                    html=args.html)
-    except OSError as exc:
-        print(f"cannot write artifacts to {args.out!r}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
+    if not _write_artifacts(obs, args.out, args.scenario, html=args.html):
         return 2
-    for name, path in paths.items():
-        print(f"wrote {name}: {path}")
     return 0 if result.ok else 1
 
 
@@ -584,20 +586,22 @@ def _check_health_bounds(bounds: dict, cell: dict) -> list[str]:
 
 
 def _run_health_report(argv) -> int:
-    """``health report lan|wan|chaos``: one transfer under the
-    protocol-health observatory, optionally gated against committed
-    bounds.  Exit 0 = healthy, 1 = run failed or bound violated,
+    """``health report lan|wan|chaos``: one transfer, then a read of
+    its protocol health, optionally gated against committed bounds.
+    The run is bare unless ``--html`` needs the observer's tables.
+    With ``--json`` stdout is the payload alone; status lines go to
+    stderr.  Exit 0 = healthy, 1 = run failed or bound violated,
     2 = unusable input.
     """
+    from repro.obs.health import payload as health_payload, summary_tables
     from repro.stats.report import format_table
     from repro.stats.scaling import health_cell
 
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments health report",
-        description="Run one transfer with the protocol-health "
-                    "observatory attached and print the NAK-"
-                    "suppression ledger, implosion/repair economics "
-                    "and recovery-lag tables.")
+        description="Run one transfer and print its protocol health: "
+                    "the NAK-suppression ledger, implosion/repair "
+                    "economics and recovery-lag tables.")
     _scenario_args(parser)
     parser.add_argument("--json", action="store_true",
                         help="emit the health payload as JSON instead "
@@ -618,42 +622,32 @@ def _run_health_report(argv) -> int:
         if bounds is None:
             return 2
 
-    obs = Observability(profile=False, health=True)
-    scenario, kwargs = _build_scenario(args)
-    result = run_transfer(scenario, nbytes=args.nbytes,
-                          protocol=args.protocol, obs=obs,
-                          max_sim_s=300, **kwargs)
-    payload = obs.health.payload()
+    obs = Observability(profile=False) if args.html else None
+    result = _transfer(args, obs)
+    payload = health_payload(result)
+    tables = summary_tables(payload)
 
+    doc = json.dumps(payload, indent=2, sort_keys=True)
+    status = sys.stderr if args.json else sys.stdout
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(doc)
     else:
         print(f"{args.scenario} x{args.receivers} {args.protocol} "
               f"{args.nbytes} bytes: ok={result.ok} "
               f"throughput={result.throughput_mbps:.2f} Mbit/s\n")
-        for title, headers, rows in obs.health.summary_tables():
+        for title, headers, rows in tables:
             print(format_table(title, headers, rows))
             print()
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"cannot write {args.out!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote health payload: {args.out}")
+    if args.out and not _write_file("health payload", args.out, doc,
+                                    status):
+        return 2
     if args.html:
-        from repro.obs.html import write_report
-        try:
-            write_report(args.html, obs,
-                         title=f"H-RMC protocol health: {args.scenario}")
-        except OSError as exc:
-            print(f"cannot write {args.html!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
+        from repro.obs.html import render_report
+        page = render_report(obs, extra_tables=tables,
+                             title=f"H-RMC protocol health: "
+                                   f"{args.scenario}")
+        if not _write_file("html", args.html, page, status):
             return 2
-        print(f"wrote html: {args.html}")
 
     rc = 0 if result.ok else 1
     if bounds is not None:
@@ -665,15 +659,16 @@ def _run_health_report(argv) -> int:
         if violations:
             rc = 1
         else:
-            print(f"health bounds ok ({len(bounds)} gates)")
+            print(f"health bounds ok ({len(bounds)} gates)", file=status)
     return rc
 
 
 def _run_health_sweep(argv) -> int:
     """``health sweep``: a fleet grid over group sizes with health
     payloads on, reduced to scaling-law fits and per-cell anomaly
-    flags.  Exit 0 = clean, 1 = anomalies flagged or a cell failed,
-    2 = unusable input.
+    flags.  With ``--json`` stdout is the report alone; status lines
+    go to stderr.  Exit 0 = clean, 1 = anomalies flagged or a cell
+    failed, 2 = unusable input.
     """
     from repro.fleet import DEFAULT_CACHE_DIR, Fleet, FleetError, RunSpec
     from repro.stats.report import format_table
@@ -746,8 +741,10 @@ def _run_health_sweep(argv) -> int:
             throughput_bps=summary.throughput_bps))
     report = sweep_report(cells)
 
+    doc = json.dumps(report, indent=2, sort_keys=True)
+    status = sys.stderr if args.json else sys.stdout
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(doc)
     else:
         from repro.obs.html import _SWEEP_COLUMNS
         columns = [c for c in _SWEEP_COLUMNS
@@ -774,28 +771,15 @@ def _run_health_sweep(argv) -> int:
                       f"median {a['median']:g}")
         else:
             print("no per-cell anomalies")
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"cannot write {args.out!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote sweep report: {args.out}")
+    if args.out and not _write_file("sweep report", args.out, doc, status):
+        return 2
     if args.html:
-        from repro.obs.html import write_sweep_report
-        try:
-            write_sweep_report(
-                args.html, report,
-                title=f"H-RMC health sweep: {args.experiment} "
-                      f"(test {args.wan_test}, seed {args.seed})")
-        except OSError as exc:
-            print(f"cannot write {args.html!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
+        from repro.obs.html import render_sweep_report
+        page = render_sweep_report(
+            report, title=f"H-RMC health sweep: {args.experiment} "
+                          f"(test {args.wan_test}, seed {args.seed})")
+        if not _write_file("html", args.html, page, status):
             return 2
-        print(f"wrote html: {args.html}")
     return 1 if (failed or report["anomalies"]) else 0
 
 

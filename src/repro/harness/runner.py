@@ -62,6 +62,9 @@ class TransferResult:
     restarted_receivers: list = field(default_factory=list)
     invariant_checks: int = 0
     rejoin_results: list = field(default_factory=list)
+    # (sender socket, receiver sockets) as the statistics above read
+    # them: what a post-run read such as repro.obs.health folds
+    sockets: tuple = ()
     # observability (set when the run was passed obs=Observability(...))
     obs: Optional[Observability] = None
 
@@ -369,4 +372,5 @@ def _collect(scenario, protocol, nbytes, sockets, sender_result,
         sim_events=sim.events_processed,
         wall_events_per_packet=sim.events_processed / pkts,
         drop_summary=scenario.network.drop_summary(),
+        sockets=sockets,
     )

@@ -2,8 +2,8 @@
 
 ``repro.obs`` instruments a scenario without perturbing it:
 
-* :mod:`repro.obs.metrics` -- deterministic counters, gauges, fixed-
-  bucket histograms and time series, sampled on simulated time,
+* :mod:`repro.obs.metrics` -- deterministic gauges, fixed-bucket
+  histograms and time series, sampled on simulated time,
 * :mod:`repro.obs.spans` -- packet-lifecycle latency histograms and
   protocol-phase spans stitched from the packet tap,
 * :mod:`repro.obs.profiler` -- simulated-time and wall-clock
@@ -18,11 +18,18 @@
 * :mod:`repro.obs.export` -- JSONL/CSV series dumps, text summaries
   and Chrome Trace Event Format JSON for Perfetto,
 * :mod:`repro.obs.observer` -- the :class:`Observability` facade that
-  wires the above into ``run_transfer(obs=...)``.
+  wires the above into ``run_transfer(obs=...)``,
+* :mod:`repro.obs.health` -- protocol health, read from a finished
+  run's own recovery books (nothing attached).
 """
 
-# the facade only: the lineage, diagnosis, diffing and HTML modules are
-# imported by the code that uses them
-from repro.obs.observer import Observability
-
 __all__ = ["Observability"]
+
+
+def __getattr__(name: str):
+    # the facade on first use: importing ``repro.obs.health`` (a read
+    # of a finished run) loads no observer, span collector or tracer
+    if name == "Observability":
+        from repro.obs.observer import Observability
+        return Observability
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,9 +2,8 @@
 
 Three formats, all deterministic for a fixed seed:
 
-* **JSONL / CSV** -- one record per time-series sample (plus counter
-  and histogram records in the JSONL), for offline plotting and
-  diffing across runs,
+* **JSONL / CSV** -- one record per time-series sample, for offline
+  plotting and diffing across runs,
 * **text summary** -- aligned tables appended to harness reports,
 * **Chrome Trace Event Format JSON** -- protocol-phase and recovery
   spans as duration events, metric series as counter tracks and
@@ -33,30 +32,18 @@ __all__ = ["write_series_jsonl", "write_series_csv", "chrome_trace",
 
 
 def write_series_jsonl(registry: MetricsRegistry, path: str) -> int:
-    """Dump every series sample, counter and histogram as JSON lines;
-    returns the number of records written."""
+    """Dump every series sample as JSON lines; returns the number of
+    records written."""
     n = 0
     with open(path, "w") as fh:
-        def emit(record: dict) -> None:
-            nonlocal n
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-
         for name, series in registry.series.items():
             for t_us, value in series.samples():
-                emit({"kind": "sample", "series": name,
-                      "unit": series.unit, "t_us": t_us,
-                      "value": round(value, 6)})
-        for name, counter in registry.counters.items():
-            emit({"kind": "counter", "name": name, "value": counter.value})
-        for name, hist in registry.histograms.items():
-            emit({"kind": "histogram", "name": name, "count": hist.count,
-                  "sum": round(hist.total, 3), "min": hist.min,
-                  "max": hist.max,
-                  "buckets": [[b, c] for b, c in
-                              zip(hist.bounds, hist.counts)] +
-                             [[None, hist.counts[-1]]]})
+                fh.write(json.dumps(
+                    {"kind": "sample", "series": name, "unit": series.unit,
+                     "t_us": t_us, "value": round(value, 6)},
+                    separators=(",", ":")))
+                fh.write("\n")
+                n += 1
     return n
 
 

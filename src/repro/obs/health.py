@@ -1,12 +1,20 @@
-"""Protocol-health observatory (``repro.obs.health``).
+"""Protocol health of a finished H-RMC run (``repro.obs.health``).
 
-First-class protocol-semantic measurements over an H-RMC run, riding
-the same zero-perturbation hook pattern as causal lineage
-(``sim.lineage``) and the sender's ``release_hook``: every instrumented
-site reads its ``health`` attribute once and skips in a single ``is
-None`` test when health accounting is off, so a health-on run produces
-a byte-identical packet trace (the regression test in ``tests/obs``
-holds this line).
+The H-RMC roles keep their recovery books themselves, as plain counters
+that are always on -- the way a kernel protocol keeps
+``/proc/net/snmp`` -- and this module reads them after the run.
+Nothing is attached to the run, so a run whose health is read is the
+bare run:
+
+* the receiver's ``NakList``: gaps opened (and their bytes), filled or
+  abandoned after a NAK_ERR, re-NAKs the suppression timer withheld,
+  and one gap-open -> gap-fill lag per filled gap;
+* the receiver: re-sent NAKs, pending NAKs a peer's repair answered,
+  useful and redundant repairs, and the repair cache's traffic;
+* the sender: rate-cutting loss events and deflected repair requests;
+* and, read rather than re-counted, ``Counters`` (``naks_sent``,
+  ``dup_pkts_rcvd``, ``naks_rcvd``, ``nak_errs_sent``) and the
+  ``UpdatePolicy`` adjustments.
 
 Four measurement families, chosen so the paper's evaluation quantities
 (Fig. 11 feedback traffic, Fig. 14 group-size sweep, the section 5.2
@@ -30,21 +38,16 @@ directly comparable across runs:
   (histogram + per-host aggregates), the worst receiver, and
   abandoned (NAK_ERR) / unresolved gaps.
 
-Wiring: the harness sets ``transport.health`` on the H-RMC endpoints
-before the simulation runs; the transport forwards the monitor to the
-lazily created sender/receiver roles (``bind_sender`` /
-``bind_receiver``), which install per-role probes on the role, its
-``NakList`` and its ``UpdatePolicy``.
+The read covers the endpoints the run's statistics cover
+(``TransferResult.sockets``): a receiver that rejoined after a crash
+is in neither.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.obs.metrics import Histogram
 
-from repro.core.seq import seq_gt, seq_lt
-from repro.obs.metrics import Counter, Histogram
-
-__all__ = ["HealthMonitor", "ReceiverHealthProbe"]
+__all__ = ["payload", "summary_tables", "suppression_effectiveness"]
 
 #: recovery-lag bucket edges (us): gap detected -> gap filled spans a
 #: couple of RTTs on a healthy path and whole back-off cycles on a sick
@@ -52,315 +55,148 @@ __all__ = ["HealthMonitor", "ReceiverHealthProbe"]
 LAG_BOUNDS_US = (1_000, 5_000, 10_000, 25_000, 50_000, 100_000,
                  250_000, 500_000, 1_000_000, 2_000_000, 5_000_000)
 
-#: every ledger cell the monitor keeps, in fixed registration order so
-#: exports stay deterministic
-_COUNTER_KEYS = (
-    "gap_opened", "gap_bytes", "gap_filled", "gap_abandoned",
-    "nak_sent", "nak_resent", "nak_suppressed_timer",
-    "nak_suppressed_peer",
-    "dup_data", "repair_useful", "repair_redundant",
-    "repair_redundant_bytes",
-    "cache_insert", "cache_evict", "cache_overwrite", "cache_hit",
-    "cache_miss", "repair_suppressed",
-    "sender_naks_rcvd", "sender_nak_errs", "sender_loss_events",
-    "repair_deflected",
-    "update_up", "update_down",
-)
+
+def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:
+    opportunities = sent + timer + peer
+    return (timer + peer) / opportunities if opportunities else 0.0
 
 
-class ReceiverHealthProbe:
-    """Per-receiver hook target, shared by the receiver role, its
-    ``NakList`` and its ``UpdatePolicy``.  Holds the host address and a
-    sim reference so gap-fill instants can be timestamped from inside
-    ``NakList`` (which itself has no clock)."""
+def payload(result) -> dict:
+    """The compact JSON-safe health document of a finished run: what
+    crosses the fleet worker boundary and what ``health report --json``
+    and the sweep analytics consume.  Endpoints without an H-RMC role
+    (the baselines, the TCP-like reference) contribute nothing."""
+    ssock, rsocks = result.sockets
+    sender = getattr(getattr(ssock, "transport", None), "sender", None)
+    receivers = [r for r in (getattr(s.transport, "receiver", None)
+                             for s in rsocks) if r is not None]
+    naks = [r.naks for r in receivers]
 
-    __slots__ = ("mon", "addr", "sim", "abandoning")
+    def total(objs, attr: str) -> int:
+        return sum(getattr(o, attr) for o in objs)
 
-    def __init__(self, mon: "HealthMonitor", addr: str, sim):
-        self.mon = mon
-        self.addr = addr
-        self.sim = sim
-        #: set by the receiver around the NAK_ERR ``fill_below`` so the
-        #: removed ranges count as abandoned, not recovered
-        self.abandoning = False
+    stats = [r.stats for r in receivers]
+    sent = total(stats, "naks_sent")
+    timer = total(naks, "suppressed_timer")
+    peer = total(receivers, "naks_suppressed_peer")
+    useful = total(receivers, "repairs_useful")
+    redundant = total(receivers, "repairs_redundant")
+    sstats = sender.stats if sender is not None else None
+    naks_rcvd = sstats.naks_rcvd if sstats is not None else 0
+    losses = sender.loss_events if sender is not None else 0
+    feedback = (sstats.naks_rcvd + sstats.updates_rcvd +
+                sstats.rate_requests_rcvd + sstats.urgent_requests_rcvd
+                if sstats is not None else 0)
 
-    # -- NakList hooks --------------------------------------------------
-
-    def on_gaps_opened(self, fresh) -> None:
-        c = self.mon.c
-        c["gap_opened"].inc(len(fresh))
-        c["gap_bytes"].inc(sum(r.length for r in fresh))
-
-    def on_gap_removed(self, rng) -> None:
-        if self.abandoning:
-            self.mon.c["gap_abandoned"].inc()
-            return
-        self.mon.c["gap_filled"].inc()
-        self.mon.observe_lag(self.addr, self.sim.now - rng.created_us)
-
-    # -- NAK-manager hooks ----------------------------------------------
-
-    def on_nak_tick(self, pending: int, due: int) -> None:
-        if pending > due:
-            self.mon.c["nak_suppressed_timer"].inc(pending - due)
-
-    def on_nak_sent(self, rng) -> None:
-        c = self.mon.c
-        c["nak_sent"].inc()
-        if rng.tries > 1:   # mark_sent already ran: tries==1 is a first send
-            c["nak_resent"].inc()
-
-    def on_peer_repair(self, naks, start: int, end: int) -> None:
-        """A peer's multicast repair arrived covering [start, end):
-        every pending NAK range it overlaps was resolved by the peer
-        instead of by our own re-NAK reaching the sender."""
-        overlapped = 0
-        for rng in naks:
-            if seq_lt(rng.start, end) and seq_gt(rng.end, start):
-                overlapped += 1
-        if overlapped:
-            self.mon.c["nak_suppressed_peer"].inc(overlapped)
-
-    # -- data-path hooks -------------------------------------------------
-
-    def on_duplicate_data(self, skb, peer_repair: bool) -> None:
-        c = self.mon.c
-        c["dup_data"].inc()
-        if skb.tries > 1 or peer_repair:
-            c["repair_redundant"].inc()
-            c["repair_redundant_bytes"].inc(skb.length)
-
-    def on_repair_useful(self, skb) -> None:
-        self.mon.c["repair_useful"].inc()
-
-    # -- repair-cache hooks ----------------------------------------------
-
-    def on_cache_insert(self) -> None:
-        self.mon.c["cache_insert"].inc()
-
-    def on_cache_evict(self) -> None:
-        self.mon.c["cache_evict"].inc()
-
-    def on_cache_overwrite(self) -> None:
-        self.mon.c["cache_overwrite"].inc()
-
-    def on_cache_hit(self, chunks: int) -> None:
-        self.mon.c["cache_hit"].inc(chunks)
-
-    def on_cache_miss(self) -> None:
-        self.mon.c["cache_miss"].inc()
-
-    def on_repair_suppressed(self) -> None:
-        self.mon.c["repair_suppressed"].inc()
-
-    # -- update-policy hook ----------------------------------------------
-
-    def on_update_adjust(self, delta: int) -> None:
-        self.mon.c["update_up" if delta > 0 else "update_down"].inc()
-
-
-class HealthMonitor:
-    """One run's protocol-health ledger.
-
-    Doubles as the sender-side probe (the sender's hook sites call the
-    monitor directly); receivers get a :class:`ReceiverHealthProbe`
-    each.  With a :class:`~repro.obs.metrics.MetricsRegistry` supplied,
-    the ledger counters live in the registry (``health.*``) and ride
-    every existing export; standalone, they are plain counters.
-    """
-
-    def __init__(self, registry=None):
-        self.c: dict[str, Counter] = {}
-        for key in _COUNTER_KEYS:
-            name = f"health.{key}"
-            self.c[key] = (registry.counter(name) if registry is not None
-                           else Counter(name))
-        self.lag_hist = (registry.histogram("health.recovery_lag_us",
-                                            LAG_BOUNDS_US)
-                         if registry is not None
-                         else Histogram("health.recovery_lag_us",
-                                        LAG_BOUNDS_US))
-        #: host -> [filled, total_lag_us, max_lag_us]
-        self._lag_by_host: dict[str, list] = {}
-        self._sender = None
-        self._receivers: list = []
-        self.finalized_at_us: Optional[int] = None
-
-    # -- wiring (called by HRMCTransport when roles come up) -------------
-
-    def bind_sender(self, sender) -> None:
-        self._sender = sender
-        sender.health = self
-
-    def bind_receiver(self, receiver) -> None:
-        probe = ReceiverHealthProbe(self, receiver.host.addr,
-                                    receiver.sim)
-        receiver.health = probe
-        receiver.naks.health = probe
-        receiver.update.health = probe
-        self._receivers.append(receiver)
-
-    # -- sender-side hooks ------------------------------------------------
-
-    def on_nak_rcvd(self) -> None:
-        self.c["sender_naks_rcvd"].inc()
-
-    def on_nak_err(self) -> None:
-        self.c["sender_nak_errs"].inc()
-
-    def on_loss_event(self) -> None:
-        self.c["sender_loss_events"].inc()
-
-    def on_repair_deflected(self) -> None:
-        self.c["repair_deflected"].inc()
-
-    # -- lag accounting ---------------------------------------------------
-
-    def observe_lag(self, addr: str, lag_us: int) -> None:
-        self.lag_hist.observe(lag_us)
-        agg = self._lag_by_host.get(addr)
-        if agg is None:
-            self._lag_by_host[addr] = [1, lag_us, lag_us]
-        else:
-            agg[0] += 1
-            agg[1] += lag_us
-            if lag_us > agg[2]:
-                agg[2] = lag_us
-
-    # -- views -------------------------------------------------------------
-
-    @property
-    def group_size(self) -> int:
-        return len(self._receivers)
-
-    def finalize(self, now_us: int) -> None:
-        if self.finalized_at_us is None:
-            self.finalized_at_us = now_us
-
-    def unresolved_gaps(self) -> int:
-        return sum(len(r.naks) for r in self._receivers)
-
-    @staticmethod
-    def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:
-        opportunities = sent + timer + peer
-        return (timer + peer) / opportunities if opportunities else 0.0
-
-    def payload(self) -> dict:
-        """The compact JSON-safe health document: what crosses the
-        fleet worker boundary and what ``health report --json`` and the
-        sweep analytics consume."""
-        v = {k: c.value for k, c in self.c.items()}
-        eff = self.suppression_effectiveness(
-            v["nak_sent"], v["nak_suppressed_timer"],
-            v["nak_suppressed_peer"])
-        losses = v["sender_loss_events"]
-        useful, redundant = v["repair_useful"], v["repair_redundant"]
-        sstats = self._sender.stats if self._sender is not None else None
-        feedback = (sstats.naks_rcvd + sstats.updates_rcvd +
-                    sstats.rate_requests_rcvd +
-                    sstats.urgent_requests_rcvd
-                    if sstats is not None else 0)
-        per_host = [
-            {"host": host, "filled": agg[0],
-             "mean_us": round(agg[1] / agg[0], 1), "max_us": agg[2]}
-            for host, agg in sorted(self._lag_by_host.items())]
-        worst = max(per_host, key=lambda r: r["max_us"]) if per_host \
-            else None
-        h = self.lag_hist
-        return {
-            "group_size": self.group_size,
-            "suppression": {
-                "gaps_opened": v["gap_opened"],
-                "gap_bytes": v["gap_bytes"],
-                "naks_sent": v["nak_sent"],
-                "naks_resent": v["nak_resent"],
-                "suppressed_timer": v["nak_suppressed_timer"],
-                "suppressed_peer": v["nak_suppressed_peer"],
-                "duplicate_data": v["dup_data"],
-                "effectiveness": round(eff, 4),
+    hist = Histogram("health.recovery_lag_us", LAG_BOUNDS_US)
+    per_host = []
+    for r in receivers:
+        lags = r.naks.lags_us
+        for lag in lags:
+            hist.observe(lag)
+        if lags:
+            per_host.append({"host": r.host.addr, "filled": len(lags),
+                             "mean_us": round(sum(lags) / len(lags), 1),
+                             "max_us": max(lags)})
+    per_host.sort(key=lambda row: row["host"])
+    worst = max(per_host, key=lambda row: row["max_us"]) if per_host \
+        else None
+    updates = [r.update for r in receivers]
+    return {
+        "group_size": len(receivers),
+        "suppression": {
+            "gaps_opened": total(naks, "gaps_opened"),
+            "gap_bytes": total(naks, "gap_bytes"),
+            "naks_sent": sent,
+            "naks_resent": total(receivers, "naks_resent"),
+            "suppressed_timer": timer,
+            "suppressed_peer": peer,
+            "duplicate_data": total(stats, "dup_pkts_rcvd"),
+            "effectiveness": round(
+                suppression_effectiveness(sent, timer, peer), 4),
+        },
+        "implosion": {
+            "naks_at_sender": naks_rcvd,
+            "loss_events": losses,
+            "nak_errs": sstats.nak_errs_sent if sstats is not None else 0,
+            "feedback_at_sender": feedback,
+            "index": round(naks_rcvd / losses, 3) if losses else 0.0,
+        },
+        "repair": {
+            "retrans_pkts": sstats.retrans_pkts if sstats else 0,
+            "retrans_bytes": sstats.retrans_bytes if sstats else 0,
+            "useful": useful,
+            "redundant": redundant,
+            "redundant_bytes": total(receivers, "repair_redundant_bytes"),
+            "redundant_ratio": round(redundant / (useful + redundant), 4)
+            if useful + redundant else 0.0,
+            "deflected": sender.repairs_deflected
+            if sender is not None else 0,
+            "cache": {
+                "inserts": total(receivers, "cache_inserts"),
+                "evictions": total(receivers, "cache_evictions"),
+                "overwrite_skips": total(receivers, "cache_overwrites"),
+                "hits": total(receivers, "cache_hits"),
+                "misses": total(receivers, "cache_misses"),
+                "peer_suppressed": total(receivers, "repairs_suppressed"),
             },
-            "implosion": {
-                "naks_at_sender": v["sender_naks_rcvd"],
-                "loss_events": losses,
-                "nak_errs": v["sender_nak_errs"],
-                "feedback_at_sender": feedback,
-                "index": round(v["sender_naks_rcvd"] / losses, 3)
-                if losses else 0.0,
-            },
-            "repair": {
-                "retrans_pkts": sstats.retrans_pkts if sstats else 0,
-                "retrans_bytes": sstats.retrans_bytes if sstats else 0,
-                "useful": useful,
-                "redundant": redundant,
-                "redundant_bytes": v["repair_redundant_bytes"],
-                "redundant_ratio": round(
-                    redundant / (useful + redundant), 4)
-                if useful + redundant else 0.0,
-                "deflected": v["repair_deflected"],
-                "cache": {
-                    "inserts": v["cache_insert"],
-                    "evictions": v["cache_evict"],
-                    "overwrite_skips": v["cache_overwrite"],
-                    "hits": v["cache_hit"],
-                    "misses": v["cache_miss"],
-                    "peer_suppressed": v["repair_suppressed"],
-                },
-            },
-            "lag": {
-                "filled": v["gap_filled"],
-                "abandoned": v["gap_abandoned"],
-                "unresolved": self.unresolved_gaps(),
-                "mean_us": round(h.mean, 1) if h.count else 0.0,
-                "p50_us": round(h.quantile(0.5), 1) if h.count else 0.0,
-                "p90_us": round(h.quantile(0.9), 1) if h.count else 0.0,
-                "max_us": h.max if h.count else 0,
-                "worst_host": worst["host"] if worst else None,
-                "worst_max_us": worst["max_us"] if worst else 0,
-                "per_host": per_host,
-            },
-            "update": {"ups": v["update_up"], "downs": v["update_down"]},
-        }
+        },
+        "lag": {
+            "filled": total(naks, "gaps_filled"),
+            "abandoned": total(naks, "gaps_abandoned"),
+            "unresolved": sum(len(n) for n in naks),
+            "mean_us": round(hist.mean, 1) if hist.count else 0.0,
+            "p50_us": round(hist.quantile(0.5), 1) if hist.count else 0.0,
+            "p90_us": round(hist.quantile(0.9), 1) if hist.count else 0.0,
+            "max_us": hist.max if hist.count else 0,
+            "worst_host": worst["host"] if worst else None,
+            "worst_max_us": worst["max_us"] if worst else 0,
+            "per_host": per_host,
+        },
+        "update": {"ups": total(updates, "adjust_ups"),
+                   "downs": total(updates, "adjust_downs")},
+    }
 
-    def summary_tables(self) -> list[tuple[str, list, list]]:
-        """(title, headers, rows) tables in the harness-report shape."""
-        doc = self.payload()
-        sup, imp, rep = doc["suppression"], doc["implosion"], doc["repair"]
-        ledger = [
-            ["NAKs sent", sup["naks_sent"]],
-            ["  of which re-sends", sup["naks_resent"]],
-            ["suppressed by timer", sup["suppressed_timer"]],
-            ["suppressed by peer repair", sup["suppressed_peer"]],
-            ["duplicate data arrivals", sup["duplicate_data"]],
-            ["suppression effectiveness",
-             f"{sup['effectiveness']:.1%}"],
-        ]
-        econ = [
-            ["NAKs at sender", imp["naks_at_sender"]],
-            ["loss events (rate cuts)", imp["loss_events"]],
-            ["implosion index (NAKs/loss event)", imp["index"]],
-            ["feedback pkts at sender", imp["feedback_at_sender"]],
-            ["retransmissions", rep["retrans_pkts"]],
-            ["useful repairs", rep["useful"]],
-            ["redundant repairs", rep["redundant"]],
-            ["redundant repair bytes", rep["redundant_bytes"]],
-            ["redundant-repair ratio", f"{rep['redundant_ratio']:.1%}"],
-            ["requests deflected (in flight)", rep["deflected"]],
-            ["cache hit/miss/evict",
-             f"{rep['cache']['hits']}/{rep['cache']['misses']}"
-             f"/{rep['cache']['evictions']}"],
-        ]
-        tables = [
-            ("protocol health: NAK-suppression ledger",
-             ["outcome", "count"], ledger),
-            ("protocol health: implosion & repair economics",
-             ["metric", "value"], econ),
-        ]
-        lag = doc["lag"]
-        if lag["per_host"]:
-            rows = [[r["host"], r["filled"], r["mean_us"], r["max_us"]]
-                    for r in lag["per_host"]]
-            rows.append(["(all)", lag["filled"], lag["mean_us"],
-                         lag["max_us"]])
-            tables.append(("protocol health: recovery lag (us)",
-                           ["receiver", "filled", "mean", "max"], rows))
-        return tables
+
+def summary_tables(doc: dict) -> list[tuple[str, list, list]]:
+    """(title, headers, rows) tables of a :func:`payload`, in the
+    harness-report shape."""
+    sup, imp, rep = doc["suppression"], doc["implosion"], doc["repair"]
+    ledger = [
+        ["NAKs sent", sup["naks_sent"]],
+        ["  of which re-sends", sup["naks_resent"]],
+        ["suppressed by timer", sup["suppressed_timer"]],
+        ["suppressed by peer repair", sup["suppressed_peer"]],
+        ["duplicate data arrivals", sup["duplicate_data"]],
+        ["suppression effectiveness", f"{sup['effectiveness']:.1%}"],
+    ]
+    econ = [
+        ["NAKs at sender", imp["naks_at_sender"]],
+        ["loss events (rate cuts)", imp["loss_events"]],
+        ["implosion index (NAKs/loss event)", imp["index"]],
+        ["feedback pkts at sender", imp["feedback_at_sender"]],
+        ["retransmissions", rep["retrans_pkts"]],
+        ["useful repairs", rep["useful"]],
+        ["redundant repairs", rep["redundant"]],
+        ["redundant repair bytes", rep["redundant_bytes"]],
+        ["redundant-repair ratio", f"{rep['redundant_ratio']:.1%}"],
+        ["requests deflected (in flight)", rep["deflected"]],
+        ["cache hit/miss/evict",
+         f"{rep['cache']['hits']}/{rep['cache']['misses']}"
+         f"/{rep['cache']['evictions']}"],
+    ]
+    tables = [
+        ("protocol health: NAK-suppression ledger",
+         ["outcome", "count"], ledger),
+        ("protocol health: implosion & repair economics",
+         ["metric", "value"], econ),
+    ]
+    lag = doc["lag"]
+    if lag["per_host"]:
+        rows = [[r["host"], r["filled"], r["mean_us"], r["max_us"]]
+                for r in lag["per_host"]]
+        rows.append(["(all)", lag["filled"], lag["mean_us"],
+                     lag["max_us"]])
+        tables.append(("protocol health: recovery lag (us)",
+                       ["receiver", "filled", "mean", "max"], rows))
+    return tables

@@ -15,7 +15,7 @@ import html as _html
 from typing import Optional
 
 __all__ = ["render_report", "write_report", "sparkline_svg",
-           "render_sweep_report", "write_sweep_report"]
+           "render_sweep_report"]
 
 _STYLE = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -73,12 +73,15 @@ def _table(headers: list, rows: list) -> list[str]:
 
 def render_report(obs, *, title: str = "H-RMC run report",
                   diagnoser=None, worst_k: int = 3,
-                  extra_meta: Optional[dict] = None) -> str:
+                  extra_meta: Optional[dict] = None,
+                  extra_tables: tuple = ()) -> str:
     """Build the full HTML document for one observed run.
 
     ``obs`` is the run's :class:`~repro.obs.observer.Observability`;
     ``diagnoser`` (a :class:`~repro.obs.diag.Diagnoser`, optional)
-    contributes the worst-recovery causal chains and any stall report.
+    contributes the worst-recovery causal chains and any stall report;
+    ``extra_tables`` (e.g. :func:`repro.obs.health.summary_tables`)
+    follow the observer's own tables.
     """
     out = ["<!DOCTYPE html>", '<html lang="en"><head>',
            '<meta charset="utf-8">',
@@ -95,7 +98,8 @@ def render_report(obs, *, title: str = "H-RMC run report",
     out.append(f'<p class="meta">{" · ".join(meta_bits)}</p>')
 
     # -- metrics tables (the PR-2 summary layer, verbatim) -------------
-    for table_title, headers, rows in obs.summary_tables():
+    for table_title, headers, rows in [*obs.summary_tables(),
+                                       *extra_tables]:
         out.append(f"<h2>{_esc(table_title)}</h2>")
         out.extend(_table(headers, rows))
 
@@ -245,11 +249,3 @@ def render_sweep_report(report: dict, *,
 
     out.append("</body></html>")
     return "\n".join(out)
-
-
-def write_sweep_report(path: str, report: dict, **kwargs) -> str:
-    """Render and write the sweep dashboard; returns ``path``."""
-    with open(path, "w") as fh:
-        fh.write(render_sweep_report(report, **kwargs))
-        fh.write("\n")
-    return path

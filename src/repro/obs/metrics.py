@@ -1,5 +1,5 @@
-"""Deterministic metrics primitives: counters, gauges, histograms and
-time series.
+"""Deterministic metrics primitives: gauges, histograms and time
+series.
 
 Everything here is pure bookkeeping driven by *simulated* time -- no
 wall clocks, no allocation-order iteration, no randomness -- so two
@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.sim.engine import US_PER_SEC
 
-__all__ = ["Counter", "Histogram", "TimeSeries", "MetricsRegistry",
+__all__ = ["Histogram", "TimeSeries", "MetricsRegistry",
            "LATENCY_BOUNDS_US"]
 
 #: default histogram buckets for latency-flavoured metrics (microseconds,
@@ -25,19 +25,6 @@ __all__ = ["Counter", "Histogram", "TimeSeries", "MetricsRegistry",
 LATENCY_BOUNDS_US = (100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000,
                      50_000, 100_000, 250_000, 500_000, 1_000_000,
                      2_500_000, 5_000_000)
-
-
-class Counter:
-    """A monotonically increasing event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
 
 
 class Histogram:
@@ -92,17 +79,6 @@ class Histogram:
                     return self.bounds[i]
                 return float(self.max)
         return float(self.max)
-
-    def summary(self) -> dict:
-        """Compact JSON-safe digest -- the shape carried in
-        protocol-health payloads across the fleet worker boundary."""
-        if not self.count:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p90": 0.0,
-                    "max": 0.0}
-        return {"count": self.count, "mean": round(self.mean, 1),
-                "p50": round(self.quantile(0.5), 1),
-                "p90": round(self.quantile(0.9), 1),
-                "max": float(self.max)}
 
     def bucket_rows(self) -> list[tuple[str, int]]:
         """(upper-edge label, count) per non-empty-prefix bucket."""
@@ -160,31 +136,18 @@ class _Gauge:
 
 
 class MetricsRegistry:
-    """Namespace of counters, histograms, gauges and their series.
+    """Namespace of gauges and their series.
 
     Registration order is preserved everywhere (exports iterate dicts,
     which are insertion-ordered), keeping dumps deterministic.
     """
 
     def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
-        self.histograms: dict[str, Histogram] = {}
         self.series: dict[str, TimeSeries] = {}
         self._gauges: list[_Gauge] = []
         self.scrapes = 0
 
     # -- registration ---------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def histogram(self, name: str,
-                  bounds: Iterable[float] = LATENCY_BOUNDS_US) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name, bounds)
-        return self.histograms[name]
 
     def timeseries(self, name: str, unit: str = "") -> TimeSeries:
         if name not in self.series:
@@ -227,15 +190,10 @@ class MetricsRegistry:
     # -- views ----------------------------------------------------------
 
     def snapshot(self) -> dict[str, float]:
-        """Most recent sample of every series plus every counter --
-        the state attached to :class:`InvariantViolation` messages."""
-        out: dict[str, float] = {}
-        for name, series in self.series.items():
-            if series.values:
-                out[name] = series.values[-1]
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        return out
+        """Most recent sample of every series -- the state attached to
+        :class:`InvariantViolation` messages."""
+        return {name: series.values[-1]
+                for name, series in self.series.items() if series.values}
 
     def summary_rows(self) -> list[list]:
         """(series, samples, min, mean, max, last) per non-empty series."""

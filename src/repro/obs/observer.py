@@ -62,18 +62,11 @@ class Observability:
                  profile: bool = False, lineage: bool = False,
                  lineage_max_nodes: int = 200_000,
                  stall_after_us: int = 2_000_000,
-                 latency_bounds=LATENCY_BOUNDS_US, perf=None,
-                 health: bool = False):
+                 latency_bounds=LATENCY_BOUNDS_US, perf=None):
         if scrape_interval_us <= 0:
             raise ValueError("scrape_interval_us must be positive")
         self.scrape_interval_us = int(scrape_interval_us)
         self.registry = MetricsRegistry()
-        # the protocol-health observatory (repro.obs.health): ledger
-        # counters live in this registry so they ride every export
-        self.health = None
-        if health:
-            from repro.obs.health import HealthMonitor
-            self.health = HealthMonitor(self.registry)
         # the perf observatory (repro.obs.perf.PerfObservatory) brings
         # its own profiler (with its stack sampler), superseding
         # profile=True
@@ -114,17 +107,6 @@ class Observability:
         self.spans = SpanCollector(scenario.sender.addr,
                                    self._latency_bounds)
         tracer.subscribe(self.spans.on_packet)
-
-        if self.health is not None:
-            # hand the monitor to every H-RMC endpoint; the transport
-            # forwards it to the lazily created sender/receiver role
-            # (baseline transports have no ``health`` slot and are
-            # simply not health-instrumented)
-            endpoints = ([ssock] if ssock is not None else []) + list(rsocks)
-            for sock in endpoints:
-                t = getattr(sock, "transport", None)
-                if t is not None and hasattr(t, "health"):
-                    t.health = self.health
 
         if self.want_lineage:
             from repro.obs.causal import LineageRecorder
@@ -216,8 +198,6 @@ class Observability:
             self.spans.finalize(now_us)
         if self.perf is not None:
             self.perf.finalize(now_us, self.spans)
-        if self.health is not None:
-            self.health.finalize(now_us)
 
     @staticmethod
     def _progress_signature(ssock, rsocks):
@@ -316,7 +296,7 @@ class Observability:
     # -- views / export -------------------------------------------------
 
     def snapshot(self) -> dict[str, float]:
-        """Latest value of every series and counter (attached to
+        """Latest value of every series (attached to
         :class:`~repro.faults.invariants.InvariantViolation`)."""
         snap = self.registry.snapshot()
         if self.spans is not None:
@@ -345,8 +325,6 @@ class Observability:
                                 "max"], hist_rows))
         if self.perf is not None:
             tables.extend(self.perf.summary_tables())
-        if self.health is not None:
-            tables.extend(self.health.summary_tables())
         return tables
 
     def summary(self) -> str:

@@ -1,6 +1,6 @@
 """Cross-run sweep analytics for the protocol-health observatory.
 
-One run's :func:`repro.obs.health.HealthMonitor.payload` says how a
+One run's :func:`repro.obs.health.payload` says how a
 single world behaved; a *sweep* over a grid (group sizes, loss rates)
 says how the protocol *scales*.  This module turns a list of per-run
 health payloads into:
@@ -143,7 +143,7 @@ def health_cell(health: dict, *, label: str = "",
                 throughput_bps: float | None = None) -> dict:
     """Flatten one run's health payload into a sweep-cell row.
 
-    ``health`` is :meth:`HealthMonitor.payload` (possibly JSON
+    ``health`` is :func:`repro.obs.health.payload` (possibly JSON
     round-tripped off the fleet cache).  The grid coordinates
     (``group_size``, ``loss_rate``) come from the spec, not the
     payload -- the payload's own ``group_size`` is the fallback.

@@ -51,14 +51,14 @@ def test_empty_gap_ignored():
 def test_fill_removes_covered():
     nl = NakList()
     nl.add_gap(100, 200, 0)
-    nl.fill(100, 200)
+    nl.fill(100, 200, 0)
     assert not nl
 
 
 def test_fill_partial_splits():
     nl = NakList()
     nl.add_gap(100, 400, 0)
-    nl.fill(200, 300)
+    nl.fill(200, 300, 0)
     assert spans(nl) == [(100, 200), (300, 400)]
 
 
@@ -67,7 +67,7 @@ def test_fill_preserves_send_bookkeeping():
     nl.add_gap(100, 400, 0)
     rng = nl.first()
     nl.mark_sent(rng, 50)
-    nl.fill(100, 200)
+    nl.fill(100, 200, 60)
     remaining = nl.first()
     assert remaining.last_sent_us == 50
     assert remaining.tries == 1
@@ -77,8 +77,36 @@ def test_fill_below():
     nl = NakList()
     nl.add_gap(100, 200, 0)
     nl.add_gap(300, 400, 0)
-    nl.fill_below(350)
+    nl.fill_below(350, 0)
     assert spans(nl) == [(350, 400)]
+
+
+def test_books_count_each_gap_once():
+    """Opened gaps and their bytes, then each closed gap exactly once:
+    filled (with its open -> fill lag) or abandoned by a NAK_ERR."""
+    nl = NakList()
+    nl.add_gap(100, 200, 10)
+    nl.add_gap(150, 400, 20)            # only [200, 400) is new
+    nl.add_gap(500, 600, 30)
+    assert (nl.gaps_opened, nl.gap_bytes) == (3, 400)
+    nl.fill(250, 300, 40)               # a hole punched: nothing closed
+    nl.fill(100, 200, 50)
+    nl.fill_below(300, 70)              # closes the [200, 250) remnant
+    assert (nl.gaps_filled, nl.lags_us) == (2, [40, 50])
+    nl.fill_below(600, 90, abandon=True)
+    assert (nl.gaps_filled, nl.gaps_abandoned) == (2, 2)
+    assert not nl
+
+
+def test_due_counts_what_the_timer_holds_back():
+    nl = NakList()
+    nl.add_gap(100, 200, 0)
+    nl.add_gap(300, 400, 0)
+    nl.mark_sent(nl.first(), 0)
+    assert len(nl.due(500, 1000)) == 1
+    assert nl.suppressed_timer == 0, "only a NAK-manager tick counts"
+    assert len(nl.due(500, 1000, tick=True)) == 1
+    assert nl.suppressed_timer == 1
 
 
 def test_due_respects_suppression():
@@ -131,7 +159,7 @@ def test_naklist_matches_set_model(ops):
             nl.add_gap(start, end, 0)
             model |= set(range(start, end))
         else:
-            nl.fill(start, end)
+            nl.fill(start, end, 0)
             model -= set(range(start, end))
         listed = set()
         for r in nl:

@@ -116,3 +116,33 @@ def test_an_experiment_cell_loads_no_observer():
          "assert summary.ok\n"
          "extra = under(('repro.obs',))\n"
          "assert not extra, extra\n")
+
+
+#: what watching a run takes, and reading its health does not
+INSTRUMENTS = ("repro.obs.observer", "repro.obs.spans", "repro.trace.tracer")
+
+
+def test_reading_health_attaches_nothing():
+    """Protocol health is a read of the finished run's books: a
+    `RunSpec(health=True)` cell loads no observer, span collector or
+    tracer, and `health report wan` (whose CLI import already holds
+    them, for `report`) builds none of the three."""
+    _run("from repro.fleet.executor import Fleet\n"
+         "from repro.fleet.spec import RunSpec\n"
+         "spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, "
+         "seed=21, nbytes=60_000, health=True)\n"
+         "summary = Fleet(cache_dir=None).run_specs([spec])"
+         "[spec.content_hash()]\n"
+         "assert summary.ok and summary.health['group_size'] == 3\n"
+         f"extra = under({INSTRUMENTS!r})\n"
+         "assert not extra, extra\n"
+         "import repro.harness.cli as cli\n"
+         "from repro.obs.observer import Observability\n"
+         "from repro.obs.spans import SpanCollector\n"
+         "from repro.trace.tracer import PacketTracer\n"
+         "def refuse(self, *args, **kwargs):\n"
+         "    raise AssertionError(f'{type(self).__name__} built')\n"
+         "for cls in (Observability, SpanCollector, PacketTracer):\n"
+         "    cls.__init__ = refuse\n"
+         "assert quietly(cli.main, ['health', 'report', 'wan', "
+         "'--receivers', '3', '--nbytes', '60000', '--seed', '21']) == 0\n")

@@ -21,7 +21,7 @@ WAN_ARGS = ["--receivers", "3", "--nbytes", "200000", "--seed", "21"]
 
 @pytest.fixture(scope="module")
 def reported(tmp_path_factory):
-    """One observed wan run shared by the report tests."""
+    """One wan run shared by the report tests."""
     tmp = tmp_path_factory.mktemp("health-cli")
     out = tmp / "health.json"
     html = tmp / "health.html"
@@ -49,11 +49,34 @@ def test_report_text_tables(capsys):
     assert "recovery lag (us)" in text
 
 
-def test_report_json_mode(capsys):
-    rc = cli_main(["health", "report", "wan", *WAN_ARGS, "--json"])
+def test_report_json_mode(tmp_path, capsys):
+    """With --json stdout is the payload and nothing else: the lines
+    saying what was written and that the bounds held go to stderr."""
+    out = tmp_path / "health.json"
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps({"wan": {"effectiveness_min": 0.01}}))
+    rc = cli_main(["health", "report", "wan", *WAN_ARGS, "--json",
+                   "--out", str(out), "--html", str(tmp_path / "h.html"),
+                   "--bounds", str(loose)])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    stdout, stderr = capsys.readouterr()
+    payload = json.loads(stdout)
     assert payload["implosion"]["naks_at_sender"] > 0
+    assert stdout == out.read_text()
+    assert "wrote health payload" in stderr and "wrote html" in stderr
+    assert "health bounds ok" in stderr
+
+
+def test_sweep_json_mode(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    rc = cli_main(["health", "sweep", "--grid", "2,3", "--nbytes", "60000",
+                   "--no-cache", "--json", "--out", str(out),
+                   "--html", str(tmp_path / "sweep.html")])
+    assert rc == 0
+    stdout, stderr = capsys.readouterr()
+    assert [c["group_size"] for c in json.loads(stdout)["cells"]] == [2, 3]
+    assert stdout == out.read_text()
+    assert "wrote sweep report" in stderr and "wrote html" in stderr
 
 
 def test_report_bounds_gate_passes_and_trips(tmp_path, capsys):

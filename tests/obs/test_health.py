@@ -1,36 +1,106 @@
-"""Protocol-health observatory: does the ledger measure what it claims?
+"""Protocol health: does the ledger measure what it claims?
 
-The zero-perturbation battery proves health-on runs don't change the
-protocol; this file proves the numbers mean something.  The core
-evidence is a *mutation test*: disabling the NAK suppression timer
-(``nak_suppress_rtts=0``) must visibly shift the ledger from
-suppressed-by-timer to sent and inflate the feedback-implosion index
--- if it doesn't, the ledger isn't actually distinguishing suppressed
-from sent feedback.  A second mutation (``local_recovery=True``)
-exercises the peer-suppression and repair-cache columns.
+Health is a read of a finished bare run (the roles keep the books), so
+there is nothing to perturb; this file proves the numbers mean
+something.  The core evidence is a *mutation test*: disabling the NAK
+suppression timer (``nak_suppress_rtts=0``) must visibly shift the
+ledger from suppressed-by-timer to sent and inflate the
+feedback-implosion index -- if it doesn't, the ledger isn't actually
+distinguishing suppressed from sent feedback.  A second mutation
+(``local_recovery=True``) exercises the peer-suppression and
+repair-cache columns, and an RMC run whose sender releases data after
+one RTT exercises the abandoned-gap column.
+
+``PAYLOAD_SHA`` pins each payload, byte for byte, to what the
+health probe that the roles' books replaced reported for the same run.
+Print them with:
+
+    PYTHONPATH=src:. python -c "from tests.obs.test_health import \\
+        PINNED_RUNS, payload_sha; \\
+        [print(n, payload_sha(n)) for n in PINNED_RUNS]"
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.core.config import HRMCConfig
+from repro.harness.experiments import chaos_config
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs.observer import Observability
-from repro.obs.health import HealthMonitor
-from repro.workloads.scenarios import build_wan
+from repro.obs.health import payload, suppression_effectiveness
+from repro.workloads.groups import GROUP_C, expand_test_case
+from repro.workloads.scenarios import build_chaos, build_lan, build_wan
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 
 
 def _run_health(cfg=None, receivers=3):
     sc = build_wan([LOSSY] * receivers, 10e6, seed=21)
-    obs = Observability(profile=False, health=True)
     res = run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
-                       max_sim_s=300, obs=obs, cfg=cfg)
+                       max_sim_s=300, cfg=cfg)
     assert res.ok
-    return res, obs.health.payload()
+    return res, payload(res)
+
+
+#: name -> bare run whose payload is pinned: the CI gate runs (lan, wan),
+#: `health report chaos --receivers 3 --nbytes 300000 --seed 4`, the
+#: local-recovery fixture below, and RMC abandoning gaps
+PINNED_RUNS = {
+    "lan-gate": lambda: run_transfer(
+        build_lan(2, 100e6, seed=7), nbytes=200_000, max_sim_s=300),
+    "wan-gate": lambda: run_transfer(
+        build_wan(expand_test_case(2, 5), 10e6, seed=1), nbytes=500_000,
+        max_sim_s=300),
+    "chaos": lambda: run_transfer(
+        build_chaos(3, 10e6, seed=4, horizon_us=1_000_000,
+                    allow_crash=False), nbytes=300_000, max_sim_s=300,
+        cfg=chaos_config(), invariants=True, sndbuf=128 * 1024),
+    "local-recovery": lambda: run_transfer(
+        build_wan([LOSSY] * 5, 10e6, seed=21), nbytes=250_000,
+        sndbuf=128 * 1024, max_sim_s=300,
+        cfg=replace(HRMCConfig(), local_recovery=True)),
+    "rmc-abandon": lambda: run_transfer(
+        build_wan([GROUP_C] * 3, 10e6, seed=9), nbytes=300_000,
+        sndbuf=64 * 1024, protocol="rmc",
+        cfg=replace(HRMCConfig(), minbuf_rtts=1)),
+}
+
+PAYLOAD_SHA = {
+    "lan-gate":
+        "167bc17bce789ec47ebd78fd87cd1d95a66155b9a57bf400b0439208ac762f62",
+    "wan-gate":
+        "7e815334c6cd3540b6c38ba97b16ee5e88b5e633620f67ae15492320c6da8b4a",
+    "chaos":
+        "17fec25f369076b25e657b293c1fc8ade569c3f8896276fd2e9a77c18f55e9fa",
+    "local-recovery":
+        "3281fc0aac155bf7a92a6773ec51284fcc11d2b86fb1364ea76336bc4a5d020d",
+    "rmc-abandon":
+        "b5fd739e021d4751a12951b2dc106a45a444952ee3b47c66c6981be108315248",
+}
+
+
+def payload_sha(name) -> str:
+    doc = payload(PINNED_RUNS[name]())
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_payload_is_pinned(name):
+    assert payload_sha(name) == PAYLOAD_SHA[name]
+
+
+def test_rmc_release_abandons_gaps():
+    """RMC releasing after one RTT answers late NAKs with NAK_ERR: the
+    gaps it wipes are abandoned, not filled, and none stay open."""
+    res = PINNED_RUNS["rmc-abandon"]()
+    lag = payload(res)["lag"]
+    assert not res.ok and res.lost_bytes > 0
+    assert lag["abandoned"] == 6
+    assert lag["filled"] == 0 and lag["unresolved"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -83,18 +153,16 @@ def test_disabling_timer_inflates_implosion_index(baseline,
 
 
 def test_mutated_run_still_counted_consistently(timer_disabled):
-    res, payload = timer_disabled
-    assert payload["implosion"]["naks_at_sender"] == \
-        res.sender_stats.naks_rcvd
-    assert payload["suppression"]["naks_sent"] == \
-        res.receiver_stats.naks_sent
+    res, doc = timer_disabled
+    assert doc["implosion"]["naks_at_sender"] == res.sender_stats.naks_rcvd
+    assert doc["suppression"]["naks_sent"] == res.receiver_stats.naks_sent
 
 
 # -- peer-vs-timer distinction: local recovery lights the peer columns -
 
 def test_local_recovery_exercises_peer_suppression(local_recovery):
-    _, payload = local_recovery
-    supp, cache = payload["suppression"], payload["repair"]["cache"]
+    _, doc = local_recovery
+    supp, cache = doc["suppression"], doc["repair"]["cache"]
     assert supp["suppressed_peer"] > 0, \
         "a peer repair overlapping a pending NAK counts as peer-suppressed"
     assert cache["inserts"] > 0, "receivers cache data for local repair"
@@ -108,15 +176,14 @@ def test_local_recovery_exercises_peer_suppression(local_recovery):
 # -- payload shape and unit-level accounting ---------------------------
 
 def test_payload_is_json_safe_and_complete(baseline):
-    import json
-    _, payload = baseline
-    rehydrated = json.loads(json.dumps(payload))
-    assert rehydrated == payload
+    _, doc = baseline
+    rehydrated = json.loads(json.dumps(doc))
+    assert rehydrated == doc
     for section in ("suppression", "implosion", "repair", "lag",
                     "update"):
-        assert section in payload
-    assert payload["group_size"] == 3
-    lag = payload["lag"]
+        assert section in doc
+    assert doc["group_size"] == 3
+    lag = doc["lag"]
     assert lag["filled"] > 0
     assert lag["worst_host"].startswith("10.")
     # percentiles are bucket upper bounds, so p90 may exceed the true
@@ -128,30 +195,7 @@ def test_payload_is_json_safe_and_complete(baseline):
 
 
 def test_effectiveness_ratio_definition():
-    assert HealthMonitor.suppression_effectiveness(0, 0, 0) == 0.0
-    assert HealthMonitor.suppression_effectiveness(1, 0, 0) == 0.0
-    assert HealthMonitor.suppression_effectiveness(0, 3, 1) == 1.0
-    assert HealthMonitor.suppression_effectiveness(1, 2, 1) == 0.75
-
-
-def test_standalone_monitor_needs_no_registry():
-    mon = HealthMonitor()
-    mon.c["nak_sent"].inc(3)
-    mon.observe_lag("10.1.0.2", 4_000)
-    mon.finalize(10_000)
-    payload = mon.payload()
-    assert payload["suppression"]["naks_sent"] == 3
-    assert payload["lag"]["per_host"][0]["host"] == "10.1.0.2"
-    assert mon.summary_tables()
-
-
-def test_registry_backed_counters_ride_metric_exports(baseline):
-    """With a registry, health counters appear as health.* metrics."""
-    sc = build_wan([LOSSY] * 3, 10e6, seed=21)
-    obs = Observability(profile=False, health=True)
-    run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024, max_sim_s=300,
-                 obs=obs)
-    names = set(obs.registry.counters)
-    assert "health.nak_sent" in names
-    assert obs.registry.counters["health.nak_sent"].value == \
-        baseline[1]["suppression"]["naks_sent"]
+    assert suppression_effectiveness(0, 0, 0) == 0.0
+    assert suppression_effectiveness(1, 0, 0) == 0.0
+    assert suppression_effectiveness(0, 3, 1) == 1.0
+    assert suppression_effectiveness(1, 2, 1) == 0.75

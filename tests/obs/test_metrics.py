@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import (Counter, Histogram, MetricsRegistry,
-                               TimeSeries)
-
-
-def test_counter_increments():
-    c = Counter("x")
-    assert c.value == 0
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
+from repro.obs.metrics import Histogram, MetricsRegistry, TimeSeries
 
 
 def test_histogram_bucketing():
@@ -101,17 +92,15 @@ def test_registry_rate_gauge_scale():
 
 def test_registry_idempotent_registration():
     reg = MetricsRegistry()
-    assert reg.counter("c") is reg.counter("c")
-    assert reg.histogram("h") is reg.histogram("h")
     assert reg.timeseries("s") is reg.timeseries("s")
 
 
 def test_registry_snapshot_and_summary():
     reg = MetricsRegistry()
-    reg.counter("events").inc(3)
     reg.gauge("depth", lambda: 4)
+    reg.gauge("unready", lambda: None)
     reg.scrape(1000)
     snap = reg.snapshot()
-    assert snap == {"depth": 4.0, "events": 3}
+    assert snap == {"depth": 4.0}
     rows = reg.summary_rows()
     assert rows == [["depth", 1, 4.0, 4.0, 4.0, 4.0]]
