@@ -50,10 +50,8 @@ class AckTransport(BaseTransport):
         # receiver state
         self.rx: Optional[ReassemblyBuffer] = None
         self._sender: Optional[tuple[str, int]] = None
-        self.transmit_timer = Timer(host.clock, self._tick, "ack-tx",
-                                    event_class="jiffy-timer")
-        self.rto_timer = Timer(host.clock, self._rto_fire, "ack-rto",
-                               event_class="nak-repair-timer")
+        self.transmit_timer = Timer(host.clock, self._tick, "ack-tx")
+        self.rto_timer = Timer(host.clock, self._rto_fire, "ack-rto")
 
     # ------------------------------------------------------------------
     # sender

@@ -122,7 +122,7 @@ class BaseTransport(Transport):
         elif self.is_receiver and self.RECEIVER_LINGER_US > 0:
             from repro.sim.timer import Timer
             timeout = Timer(self.host.clock, self.sock.state_change.fire,
-                            "linger", event_class="jiffy-timer")
+                            "linger")
             timeout.mod_after(self.RECEIVER_LINGER_US)
             yield self.sock.state_change
             timeout.del_timer()

@@ -64,10 +64,8 @@ class PollingTransport(BaseTransport):
         # receiver state
         self.rx: Optional[ReassemblyBuffer] = None
         self._sender: Optional[tuple[str, int]] = None
-        self.transmit_timer = Timer(host.clock, self._tick, "poll-tx",
-                                    event_class="jiffy-timer")
-        self.poll_timer = Timer(host.clock, self._poll_round, "poll",
-                                event_class="jiffy-timer")
+        self.transmit_timer = Timer(host.clock, self._tick, "poll-tx")
+        self.poll_timer = Timer(host.clock, self._poll_round, "poll")
 
     # ------------------------------------------------------------------
     # sender

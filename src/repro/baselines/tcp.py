@@ -53,10 +53,8 @@ class TcpLikeTransport(BaseTransport):
         # receiver state
         self.rx: Optional[ReassemblyBuffer] = None
         self._sender: Optional[tuple[str, int]] = None
-        self.transmit_timer = Timer(host.clock, self._tick, "tcp-tx",
-                                    event_class="jiffy-timer")
-        self.rto_timer = Timer(host.clock, self._rto_fire, "tcp-rto",
-                               event_class="nak-repair-timer")
+        self.transmit_timer = Timer(host.clock, self._tick, "tcp-tx")
+        self.rto_timer = Timer(host.clock, self._rto_fire, "tcp-rto")
 
     # ------------------------------------------------------------------
     # sender

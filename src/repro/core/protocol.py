@@ -129,7 +129,7 @@ class HRMCTransport(Transport):
             # retransmit LEAVE until acknowledged (it may be lost); the
             # sender's probe timeout is the backstop if we give up
             timeout = Timer(self.host.clock, self.sock.state_change.fire,
-                            "leave-timeout", event_class="jiffy-timer")
+                            "leave-timeout")
             for _ in range(self.cfg.leave_max_tries):
                 self.receiver.send_leave()
                 timeout.mod_after(4 * self.receiver.rtt.rtt_us)

@@ -109,14 +109,11 @@ class HRMCReceiver:
         self.leave_acked = False
         self.failed = False             # sender declared dead
         self._last_sender_us = -1
-        self.nak_timer = Timer(host.clock, self._nak_tick, "nak",
-                               event_class="nak-repair-timer")
-        self.update_timer = Timer(host.clock, self._update_tick, "update",
-                                  event_class="jiffy-timer")
-        self.join_timer = Timer(host.clock, self._join_retry, "join-retry",
-                                event_class="nak-repair-timer")
+        self.nak_timer = Timer(host.clock, self._nak_tick, "nak")
+        self.update_timer = Timer(host.clock, self._update_tick, "update")
+        self.join_timer = Timer(host.clock, self._join_retry, "join-retry")
         self.liveness_timer = Timer(host.clock, self._liveness_tick,
-                                    "liveness", event_class="jiffy-timer")
+                                    "liveness")
         self._closed = False
 
     # ------------------------------------------------------------------

@@ -98,11 +98,9 @@ class HRMCSender:
         # timers run on the host's clock so the fault layer can skew or
         # stall one machine's timer interrupt without touching sim time
         self.transmit_timer = Timer(host.clock, self._transmit_tick,
-                                    "transmit", event_class="jiffy-timer")
-        self.retrans_timer = Timer(host.clock, self._retrans_tick,
-                                   "retrans", event_class="nak-repair-timer")
-        self.ka_timer = Timer(host.clock, self._keepalive_tick,
-                              "keepalive", event_class="jiffy-timer")
+                                    "transmit")
+        self.retrans_timer = Timer(host.clock, self._retrans_tick, "retrans")
+        self.ka_timer = Timer(host.clock, self._keepalive_tick, "keepalive")
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -1,8 +1,9 @@
 """Always-on protocol-invariant checking.
 
-The :class:`InvariantChecker` rides a :class:`~repro.trace.tracer.PacketTracer`
-as a listener and re-asserts the protocol's safety properties after
-every captured packet event, on every watched endpoint:
+The :class:`InvariantChecker` subscribes to the packet seam of a
+:class:`~repro.trace.tracer.PacketTracer` and re-asserts the protocol's
+safety properties after every segment sent or received, on every
+watched endpoint:
 
 * **Release safety** -- with reliable release enabled, the sender never
   releases a byte below some current member's next-expected sequence
@@ -32,7 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.seq import seq_gt, seq_lt, seq_sub
-from repro.trace.tracer import PacketTracer, TraceEvent
+from repro.trace.tracer import PacketTracer
 
 __all__ = ["InvariantChecker", "InvariantViolation"]
 
@@ -79,7 +80,7 @@ class InvariantChecker:
         self._receivers: list = []
         self._last: dict[int, tuple[int, int]] = {}   # id -> (rcv_nxt, rcv_wnd)
         self._hooked: set[int] = set()
-        tracer.add_listener(self._on_event)
+        tracer.subscribe(self._on_packet)
 
     # -- registration ---------------------------------------------------
 
@@ -109,7 +110,12 @@ class InvariantChecker:
 
     # -- event pump ---------------------------------------------------
 
-    def _on_event(self, ev: TraceEvent) -> None:
+    def _on_packet(self, now: int, fact: str, where: str, pkt,
+                   blame: int = 0) -> None:
+        """Seam subscriber: re-check after every segment a watched host
+        sent or received (a drop changes no endpoint's state)."""
+        if fact != "tx" and fact != "rx":
+            return
         self.checks += 1
         audit = (self.checks % self.AUDIT_EVERY) == 0
         for t in self._senders:

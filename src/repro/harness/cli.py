@@ -51,8 +51,9 @@ Subcommands:
 * ``why lan|wan|chaos`` runs the scenario with causal lineage enabled
   and answers "why did sequence N need recovery?" (``--seq N``) or
   explains the worst recovery episodes (default).
-* ``diff RUN_A RUN_B`` aligns two artifact directories and reports the
-  first causally significant divergence.  Exit status: 0 = runs align,
+* ``diff RUN_A RUN_B`` aligns two artifact directories (written by
+  ``report --lineage --metrics-out``) and reports the first causally
+  significant divergence.  Exit status: 0 = runs align,
   1 = diverged, 2 = unusable input.
 * ``perf profile lan|wan|chaos`` runs one transfer under the hot-path
   performance observatory (:mod:`repro.obs.perf`): event-class tax
@@ -378,9 +379,9 @@ def _run_report(argv) -> int:
                     "lifecycle latency, protocol phases, profile).")
     _scenario_args(parser)
     parser.add_argument("--metrics-out", metavar="DIR", default=None,
-                        help="also write JSONL/CSV series, summary, "
-                             "Perfetto trace, packet trace and causal "
-                             "lineage into DIR")
+                        help="also write JSONL/CSV series, summary and "
+                             "Perfetto trace into DIR; with --lineage, "
+                             "the packet trace and causal lineage too")
     parser.add_argument("--html", action="store_true",
                         help="also write the self-contained HTML report "
                              "(implies causal lineage; needs "

@@ -134,7 +134,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
 
     ``obs`` attaches a :class:`~repro.obs.observer.Observability`
     instance for the run: gauges are scraped on simulated time, spans
-    are stitched from the packet tap, and the finished instance is
+    are stitched from the packet seam, and the finished instance is
     returned on ``TransferResult.obs``.  Observation is read-only and
     does not change protocol behaviour.
 
@@ -159,8 +159,8 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
         if tracer is None:
             # a capture nobody passed in has two readers, the checker's
             # violation tail and the lineage artifact dump: they get a
-            # flight recorder (bounded memory, listeners see everything);
-            # an observer alone subscribes to the tap and keeps nothing
+            # flight recorder (bounded memory, subscribers see
+            # everything); an observer alone subscribes and keeps nothing
             from repro.trace.tracer import PacketTracer
             recorded = invariants or obs.want_lineage
             tracer = PacketTracer(max_events=256 if recorded else 0,

@@ -16,7 +16,7 @@ since the lower-layer work overlaps with NIC DMA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.net.packet import NetPacket
 from repro.net.nic import NetworkInterface
@@ -158,9 +158,6 @@ class Host:
         self.unroutable = 0
         self.tx_ring_busy_drops = 0
         self.checksum_drops = 0
-        # optional packet tap: fn(direction, skb, peer_addr, now_us);
-        # used by repro.trace to observe traffic without altering it
-        self.tap: Optional[Callable[[str, SKBuff, str, int], None]] = None
         nic.rx_handler = self._packet_arrived
         nic.rx_cost_fn = self._rx_cost
         nic.cpu_run = self.cpu_run
@@ -252,20 +249,9 @@ class Host:
         pkt = NetPacket(self.addr, dst_addr, skb, seg_bytes,
                         born_us=self.sim.now,
                         pid=self.sim.new_packet_id())
-        lineage = self.sim.lineage
-        if lineage is not None:
-            # a retransmission carries the lineage of the NAK that queued
-            # it (stamped on the skb); consume it so the next send of the
-            # same segment falls back to the scheduling context.  The tx
-            # node is stamped on the packet rather than advancing the
-            # engine context: the NIC rings serialize completions, so
-            # downstream delivery must be parented per-packet.
-            cause, skb.cause = skb.cause, 0
-            pkt.cause = lineage.emit_packet(
-                "tx", self.addr, skb,
-                parent=cause if cause else None, advance=False)
-        if self.tap is not None:
-            self.tap("tx", skb, dst_addr, self.sim.now)
+        tap = self.sim.tap
+        if tap is not None:
+            tap("tx", self.addr, pkt)
         self._pending_xmit += 1
         self.cpu_run(self.cost.tx_cost(seg_bytes), self._xmit, pkt)
 
@@ -273,10 +259,9 @@ class Host:
         self._pending_xmit -= 1
         if not self.nic.try_transmit(pkt):
             self.tx_ring_busy_drops += 1
-            lineage = self.sim.lineage
-            if lineage is not None:
-                lineage.emit_drop("tx_ring_full", self.addr, pkt.segment,
-                                  parent=pkt.cause)
+            tap = self.sim.tap
+            if tap is not None:
+                tap("tx_ring_full", self.addr, pkt)
 
     def tx_space(self) -> int:
         """Device-queue slots not yet spoken for -- counts packets that
@@ -285,29 +270,22 @@ class Host:
         return max(0, self.nic.tx_space() - self._pending_xmit)
 
     def _packet_arrived(self, pkt: NetPacket) -> None:
-        lineage = self.sim.lineage
+        tap = self.sim.tap
         if self.crashed:
-            if lineage is not None:
-                lineage.emit_drop("host_crashed", self.addr, pkt.segment,
-                                  parent=pkt.cause)
+            if tap is not None:
+                tap("host_crashed", self.addr, pkt)
             return  # nothing is listening; the NIC guards make this rare
         if pkt.corrupted:
             # the header checksum (RFC 1071, over header+payload)
             # catches in-flight bit errors; damaged packets are dropped
             # here exactly like a failed hrmc checksum in the kernel
             self.checksum_drops += 1
-            if lineage is not None:
-                lineage.emit_drop("checksum", self.addr, pkt.segment,
-                                  parent=pkt.cause, blame=pkt.blame)
+            if tap is not None:
+                tap("checksum", self.addr, pkt, pkt.blame)
             return
+        if tap is not None:
+            tap("rx", self.addr, pkt)
         skb = pkt.segment
-        if lineage is not None:
-            # parent to this packet's own transmission and make the rx
-            # node the context for everything protocol processing does
-            # next (gap detection, NAK scheduling, app wake-ups)
-            lineage.emit_packet("rx", self.addr, skb, parent=pkt.cause)
-        if self.tap is not None:
-            self.tap("rx", skb, pkt.src, self.sim.now)
         transport = self._ports.get(skb.dport)
         if transport is None:
             self.unroutable += 1

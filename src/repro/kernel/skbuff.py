@@ -31,8 +31,8 @@ class SKBuff:
         # sender-side bookkeeping
         "first_sent_us", "last_sent_us", "retrans_pending",
         "release_checked",
-        # causal lineage (obs.causal): node id of the event that queued
-        # this segment for (re)transmission, consumed at ip_send time
+        # causal recorder (obs.causal): node id of the event that queued
+        # this segment for (re)transmission, consumed by its tx node
         "cause",
     )
 

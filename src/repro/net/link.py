@@ -55,7 +55,7 @@ class SharedLink:
         self.fault_loss_rate = 0.0     # link degrade: extra random loss
         self.fault_drops = 0
         self._fault_rng = substream(seed, f"fault:link:{name}")
-        # lineage id of the fault action degrading this link (obs.causal)
+        # causal node id of the fault action degrading this link
         self.fault_cause = 0
 
     def attach(self, nic: "NetworkInterface") -> None:
@@ -84,18 +84,16 @@ class SharedLink:
         """Deliver ``pkt`` to every other interface after propagation."""
         if not self.up:
             self.fault_drops += 1
-            lineage = self.sim.lineage
-            if lineage is not None:
-                lineage.emit_drop("link_down", self.name, pkt.segment,
-                                  parent=pkt.cause, blame=self.fault_cause)
+            tap = self.sim.tap
+            if tap is not None:
+                tap("link_down", self.name, pkt, self.fault_cause)
             return
         if self.fault_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_loss_rate:
             self.fault_drops += 1
-            lineage = self.sim.lineage
-            if lineage is not None:
-                lineage.emit_drop("link_fault_loss", self.name, pkt.segment,
-                                  parent=pkt.cause, blame=self.fault_cause)
+            tap = self.sim.tap
+            if tap is not None:
+                tap("link_fault_loss", self.name, pkt, self.fault_cause)
             return
         self.frames_carried += 1
         self.bytes_carried += pkt.wire_bytes

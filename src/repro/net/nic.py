@@ -104,8 +104,8 @@ class NetworkInterface:
         self.fault_drops = 0
         self.fault_corruptions = 0
         self._fault_rng = substream(seed, f"fault:nic:{addr}")
-        # lineage id of the fault action currently poisoning this card
-        # (set by the injector, cleared on restore); drops performed
+        # causal node id of the fault action currently poisoning this
+        # card (set by the injector, cleared on restore); drops performed
         # while set carry it as a ``blame`` edge (see repro.obs.causal)
         self.fault_cause = 0
 
@@ -158,10 +158,9 @@ class NetworkInterface:
             # a dead card accepts and loses the frame; the caller (a
             # crashed host's last scheduled work) must not spin on retry
             self.fault_drops += 1
-            lineage = self.sim.lineage
-            if lineage is not None:
-                lineage.emit_drop("tx_nic_dead", self.addr, pkt.segment,
-                                  parent=pkt.cause, blame=self.fault_cause)
+            tap = self.sim.tap
+            if tap is not None:
+                tap("tx_nic_dead", self.addr, pkt, self.fault_cause)
             return True
         if len(self._tx_queue) >= self.tx_ring_cap:
             return False
@@ -202,20 +201,18 @@ class NetworkInterface:
         if pkt.dst != self.addr and pkt.dst not in self._groups:
             self.filtered += 1
             return
-        lineage = self.sim.lineage
+        tap = self.sim.tap
         if not self.powered or self.sim.now < self.fault_rx_drop_until:
             self.fault_drops += 1
-            if lineage is not None:
-                why = "nic_dead" if not self.powered else "nic_burst_drop"
-                lineage.emit_drop(why, self.addr, pkt.segment,
-                                  parent=pkt.cause, blame=self.fault_cause)
+            if tap is not None:
+                tap("nic_dead" if not self.powered else "nic_burst_drop",
+                    self.addr, pkt, self.fault_cause)
             return
         if self.fault_rx_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_rx_loss_rate:
             self.fault_drops += 1
-            if lineage is not None:
-                lineage.emit_drop("nic_fault_loss", self.addr, pkt.segment,
-                                  parent=pkt.cause, blame=self.fault_cause)
+            if tap is not None:
+                tap("nic_fault_loss", self.addr, pkt, self.fault_cause)
             return
         if self.fault_corrupt_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_corrupt_rate:
@@ -225,9 +222,8 @@ class NetworkInterface:
             self.fault_corruptions += 1
         if self.rx_loss_rate > 0.0 and self._rng.random() < self.rx_loss_rate:
             self.rx_loss_drops += 1
-            if lineage is not None:
-                lineage.emit_drop("rx_loss", self.addr, pkt.segment,
-                                  parent=pkt.cause)
+            if tap is not None:
+                tap("rx_loss", self.addr, pkt)
             return
         if self.rx_latency_us:
             self.sim.call_after(self.rx_latency_us, self._rx_enqueue, pkt)
@@ -237,17 +233,15 @@ class NetworkInterface:
     def _rx_enqueue(self, pkt: NetPacket) -> None:
         if not self.powered:
             self.fault_drops += 1  # arrived via rx_latency after a crash
-            lineage = self.sim.lineage
-            if lineage is not None:
-                lineage.emit_drop("nic_dead", self.addr, pkt.segment,
-                                  parent=pkt.cause, blame=self.fault_cause)
+            tap = self.sim.tap
+            if tap is not None:
+                tap("nic_dead", self.addr, pkt, self.fault_cause)
             return
         if len(self._rx_queue) >= self.rx_ring_cap:
             self.rx_ring_drops += 1
-            lineage = self.sim.lineage
-            if lineage is not None:
-                lineage.emit_drop("rx_ring_overflow", self.addr, pkt.segment,
-                                  parent=pkt.cause)
+            tap = self.sim.tap
+            if tap is not None:
+                tap("rx_ring_overflow", self.addr, pkt)
             return
         self._rx_queue.append(pkt)
         if not self._rx_active:

@@ -43,8 +43,8 @@ class NetPacket:
         self.hops = 0
         self.born_us = born_us
         self.corrupted = False   # bit errors in flight; checksum catches
-        self.cause = 0           # lineage id of the tx event (obs.causal)
-        self.blame = 0           # lineage id of the fault that damaged us
+        self.cause = 0           # causal node id of the tx (obs.causal)
+        self.blame = 0           # causal node id of the fault that hit us
 
     @property
     def wire_bits(self) -> int:

@@ -63,26 +63,28 @@ class Pipe:
         self.fault_loss_rate = 0.0     # degrade: extra loss, own substream
         self.fault_drops = 0
         self._fault_rng = substream(seed, f"fault:pipe:{self.name}")
-        # lineage id of the fault action degrading this pipe (obs.causal)
+        # causal node id of the fault action degrading this pipe
         self.fault_cause = 0
 
-    def _fault_dropped(self, pkt: NetPacket) -> bool:
+    def _lost(self, pkt: NetPacket) -> bool:
+        """Draw the flap, fault-loss and structural-loss fates of one
+        packet entering the line; True (and reported) if it dies."""
         if not self.up:
             self.fault_drops += 1
-            self._emit_drop("pipe_down", pkt, blame=self.fault_cause)
-            return True
-        if self.fault_loss_rate > 0.0 and \
+            why, blame = "pipe_down", self.fault_cause
+        elif self.fault_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_loss_rate:
             self.fault_drops += 1
-            self._emit_drop("pipe_fault_loss", pkt, blame=self.fault_cause)
-            return True
-        return False
-
-    def _emit_drop(self, why: str, pkt: NetPacket, blame: int = 0) -> None:
-        lineage = self.sim.lineage
-        if lineage is not None:
-            lineage.emit_drop(why, self.name, pkt.segment,
-                              parent=pkt.cause, blame=blame)
+            why, blame = "pipe_fault_loss", self.fault_cause
+        elif self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+            self.loss_drops += 1
+            why, blame = "pipe_loss", 0
+        else:
+            return False
+        tap = self.sim.tap
+        if tap is not None:
+            tap(why, self.name, pkt, blame)
+        return True
 
     def connect(self, dst) -> None:
         """Attach the downstream end (Router or NetworkInterface)."""
@@ -97,15 +99,13 @@ class Pipe:
     def send(self, pkt: NetPacket) -> None:
         if self._dst is None:
             raise RuntimeError(f"{self.name} not connected")
-        if self._fault_dropped(pkt):
-            return
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.loss_drops += 1
-            self._emit_drop("pipe_loss", pkt)
+        if self._lost(pkt):
             return
         if self._queued >= self.queue_limit:
             self.queue_drops += 1
-            self._emit_drop("pipe_queue_overflow", pkt)
+            tap = self.sim.tap
+            if tap is not None:
+                tap("pipe_queue_overflow", self.name, pkt)
             return
         if self.corrupt_rate > 0.0 and self._rng.random() < self.corrupt_rate:
             pkt.corrupted = True   # delivered damaged; checksum catches it
@@ -134,11 +134,7 @@ class Pipe:
                   end_us: int) -> None:
         if self._dst is None:
             raise RuntimeError(f"{self.name} not connected")
-        if self._fault_dropped(pkt):
-            return
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.loss_drops += 1
-            self._emit_drop("pipe_loss", pkt)
+        if self._lost(pkt):
             return
         self.forwarded += 1
         self.bytes_carried += pkt.wire_bytes
@@ -192,12 +188,11 @@ class Router:
     def ingress(self, pkt: NetPacket) -> None:
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.loss_drops += 1
-            lineage = self.sim.lineage
-            if lineage is not None:
+            tap = self.sim.tap
+            if tap is not None:
                 # correlated loss: the copy dies before duplication, so
                 # every downstream receiver misses it
-                lineage.emit_drop("router_loss", self.name, pkt.segment,
-                                  parent=pkt.cause)
+                tap("router_loss", self.name, pkt)
             return
         self.sim.call_after(self.forward_delay_us, self._forward, pkt)
 

@@ -5,7 +5,7 @@
 * :mod:`repro.obs.metrics` -- deterministic gauges, fixed-bucket
   histograms and time series, sampled on simulated time,
 * :mod:`repro.obs.spans` -- packet-lifecycle latency histograms and
-  protocol-phase spans stitched from the packet tap,
+  protocol-phase spans stitched from the packet seam,
 * :mod:`repro.obs.profiler` -- simulated-time and wall-clock
   attribution per engine callback site,
 * :mod:`repro.obs.causal` -- the per-run causal lineage DAG (who

@@ -4,11 +4,14 @@ Every interesting thing that happens in a run -- a segment leaving or
 reaching a host, a protocol timer firing, a fault action executing, a
 packet being dropped, a gap being detected -- becomes a
 :class:`CauseNode` with an edge to the event that caused it.  The
-engine does the heavy lifting: while an event executes, any event it
-schedules inherits the executing event's nearest *labelled* ancestor
-(``LineageRecorder.current``), so causality flows through arbitrarily
-long chains of unlabelled bookkeeping callbacks (CPU charging, NIC
-rings, medium propagation) without instrumenting each of them.
+tx/rx/drop nodes come from the packet seam (:mod:`repro.trace.tracer`),
+which the recorder subscribes to like any other consumer: the network
+and kernel models never name it.  The engine does the heavy lifting:
+while an event executes, any event it schedules inherits the executing
+event's nearest *labelled* ancestor (``LineageRecorder.current``), so
+causality flows through arbitrarily long chains of unlabelled
+bookkeeping callbacks (CPU charging, NIC rings, medium propagation)
+without instrumenting each of them.
 
 Two refinements keep the edges exact where FIFO hardware would smear
 them:
@@ -23,9 +26,9 @@ them:
 
 Fault actions additionally leave their node id on the component they
 poison (``nic.fault_cause``, ``link.fault_cause``), and every drop that
-the poisoned component performs carries that id as a ``blame`` edge --
-this is what lets ``why(seq)`` walk from a recovered byte all the way
-back to ``fault:nic_burst_drop(plan[2])``.
+the poisoned component reports at the seam carries that id as a
+``blame`` edge -- this is what lets ``why(seq)`` walk from a recovered
+byte all the way back to ``fault:nic_burst_drop(plan[2])``.
 
 Memory is bounded: the node store is a ring pruned oldest-first once
 ``max_nodes`` is exceeded, except that *fault* nodes (lineage roots
@@ -34,7 +37,8 @@ pinned.  A backward walk that steps off the pruned edge reports the
 truncation instead of fabricating a root.
 
 Everything here is pure bookkeeping: no randomness is drawn, no
-simulator events are scheduled, no segment is copied or mutated, so a
+simulator events are scheduled, no segment is copied, and the only
+writes are the two ``cause`` slots above, which nothing else reads, so a
 lineage-enabled run is byte-identical (packet trace and counters) to a
 bare run -- the zero-perturbation regression in ``tests/obs`` covers
 this configuration too.
@@ -46,7 +50,12 @@ import json
 from collections import OrderedDict, deque
 from typing import Optional
 
+from repro.core.types import PacketType
+
 __all__ = ["CauseNode", "LineageRecorder", "load_lineage", "walk_chain"]
+
+_PTYPE_NAMES = {int(t): t.name for t in PacketType}
+_DATA = int(PacketType.DATA)
 
 
 def walk_chain(nodes, start, max_depth: int = 64):
@@ -137,14 +146,15 @@ class CauseNode:
 
 
 class LineageRecorder:
-    """Builds the causal DAG; attach as ``Simulator.lineage``.
+    """Builds the causal DAG; attach as ``Simulator.lineage`` and
+    subscribe :meth:`on_packet` to the run's packet tracer.
 
     The engine reads and writes :attr:`current` (the node id of the
-    nearest labelled ancestor of the executing callback); components
-    call :meth:`emit` / :meth:`emit_packet` / :meth:`emit_drop` at the
-    semantic instants they own.  All methods are no-allocating no-ops
-    in the common guard pattern ``lin = sim.lineage; if lin is not
-    None: ...`` -- a bare run pays one attribute read per call site.
+    nearest labelled ancestor of the executing callback); timers,
+    processes, the fault injector and the protocol's gap detection call
+    :meth:`emit` behind ``lin = sim.lineage; if lin is not None``, and
+    every segment sent, received or dropped arrives through the packet
+    seam -- a bare run pays one attribute read per site either way.
     """
 
     def __init__(self, sim, *, max_nodes: int = 200_000,
@@ -186,28 +196,34 @@ class LineageRecorder:
             self._prune()
         return eid
 
-    def emit_packet(self, direction: str, host: str, skb, *,
-                    parent: Optional[int] = None,
-                    advance: bool = True) -> int:
-        """Record a segment leaving (``tx``) or reaching (``rx``) a host."""
-        length = skb.length if skb.length > 0 else 0
-        return self.emit(direction, host, _ptype_name(skb.ptype),
-                         seq=skb.seq, end=skb.seq + length,
-                         tries=skb.tries, parent=parent, advance=advance)
-
-    def emit_drop(self, why: str, host: str, skb, *,
-                  parent: Optional[int] = None, blame: int = 0,
-                  detail: str = "") -> int:
-        """Record a dropped segment.  DATA drops are additionally kept
-        in the loss index so ``why(seq)`` can find them later."""
-        length = skb.length if skb.length > 0 else 0
-        eid = self.emit("drop", host, why, seq=skb.seq,
-                        end=skb.seq + length, tries=skb.tries,
-                        parent=parent, blame=blame, detail=detail,
+    def on_packet(self, now: int, fact: str, where: str, pkt,
+                  blame: int = 0) -> None:
+        """Packet-seam subscriber: one node per segment sent, received
+        or dropped, parented to its packet's own tx (``pkt.cause``).  A
+        tx consumes the segment's pending cause (the NAK that queued a
+        retransmission) and is stamped on the packet instead of made the
+        engine context, as the NIC rings serialize completions; an rx
+        becomes the context of what protocol processing does next; a
+        DATA drop is also indexed for ``why(seq)``."""
+        skb = pkt.segment
+        seq, ptype = skb.seq, skb.ptype
+        end = seq + skb.length if skb.length > 0 else seq
+        if fact == "tx" or fact == "rx":
+            what = _PTYPE_NAMES.get(ptype) or f"type{int(ptype)}"
+            if fact == "tx":
+                cause, skb.cause = skb.cause, 0
+                pkt.cause = self.emit("tx", where, what, seq=seq, end=end,
+                                      tries=skb.tries, parent=cause or None,
+                                      advance=False)
+            else:
+                self.emit("rx", where, what, seq=seq, end=end,
+                          tries=skb.tries, parent=pkt.cause)
+            return
+        eid = self.emit("drop", where, fact, seq=seq, end=end,
+                        tries=skb.tries, parent=pkt.cause, blame=blame,
                         advance=False)
-        if int(skb.ptype) == 1:  # PacketType.DATA, without the import cycle
+        if ptype == _DATA:
             self.drops.append(self.nodes[eid])
-        return eid
 
     # -- pruning --------------------------------------------------------
 
@@ -310,15 +326,3 @@ def load_lineage(path: str) -> tuple[dict[int, CauseNode], dict]:
         raise ValueError(f"corrupt lineage file {path!r}: {exc}") from None
     return nodes, meta
 
-
-def _ptype_name(ptype: int) -> str:
-    """Packet-type name without importing repro.core (avoids a cycle
-    for the engine-adjacent layers that emit packet nodes)."""
-    return _PTYPE_NAMES.get(int(ptype), f"type{int(ptype)}")
-
-
-_PTYPE_NAMES = {
-    1: "DATA", 2: "NAK", 3: "NAK_ERR", 4: "JOIN", 5: "JOIN_RESPONSE",
-    6: "LEAVE", 7: "LEAVE_RESPONSE", 8: "CONTROL", 9: "KEEPALIVE",
-    10: "UPDATE", 11: "PROBE",
-}

@@ -210,8 +210,9 @@ class Diagnoser:
         """Explain the history of byte ``seq``: every recorded drop of a
         segment covering it (with the fault-plan action to blame when a
         fault armed the dropping component) and the causal chain of the
-        final delivery at ``host`` (or the most-retried delivery
-        anywhere, when ``host`` is None)."""
+        final delivery at ``host`` (when ``host`` is None: the
+        most-retried delivery at a receiver that lost the byte, or
+        anywhere if only the fabric lost it)."""
         lin = self.lineage
         report = WhyReport(seq=seq, found=False)
 
@@ -241,7 +242,12 @@ class Diagnoser:
                  format_chain(chain, trunc)))
 
         if deliveries:
-            final = max(deliveries, key=lambda n: (n.tries, n.t_us))
+            # a multicast repair reaches every member at once: show it at
+            # a receiver that lost the byte, not the first one it reached
+            lost_at = {drop.host for drop, _ in report.losses
+                       if drop.host[:1].isdigit()}
+            final = max([d for d in deliveries if d.host in lost_at]
+                        or deliveries, key=lambda n: (n.tries, n.t_us))
             chain, trunc = lin.chain(final)
             what = "recovery" if final.tries > 1 else "delivery"
             report.chains.append(

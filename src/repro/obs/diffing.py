@@ -114,7 +114,8 @@ def _fmt_event(ev: Optional[TraceEvent]) -> str:
 def load_run(path: str) -> RunArtifacts:
     """Load a run directory (or a bare ``*.trace.jsonl`` file).
 
-    A run directory is whatever ``--metrics-out`` produced: it must
+    A run directory is whatever ``--lineage --metrics-out`` produced
+    (``--chaos-seed N --metrics-out`` implies lineage): it must
     contain one ``*.trace.jsonl``; ``*.lineage.jsonl`` is optional and
     enables per-side lineage in the divergence report.  Raises
     ``ValueError`` with a one-line reason for anything unusable.
@@ -130,7 +131,7 @@ def load_run(path: str) -> RunArtifacts:
                         if f.endswith(".trace.jsonl"))
         if not traces:
             raise ValueError(f"no *.trace.jsonl in {path!r} -- was the "
-                             "run made with --metrics-out?")
+                             "run made with --lineage --metrics-out?")
         trace_path = os.path.join(path, traces[0])
         lineage_path = trace_path[:-len(".trace.jsonl")] + ".lineage.jsonl"
         if not os.path.isfile(lineage_path):

@@ -1,18 +1,19 @@
 """The observability facade: wire metrics, spans and the profiler into
 a scenario without perturbing it.
 
-``Observability`` attaches three read-only instruments to a built
-scenario:
+``Observability`` attaches read-only instruments to a built scenario:
 
 * a **scrape process** that samples registered gauges (window
   occupancy, socket-buffer usage, repair-cache bytes, advertised rate,
   NAK/UPDATE/retransmission rates, engine queue depth, per-link
   utilisation) into time series every ``scrape_interval_us`` of
   simulated time,
-* a **span collector** subscribed to the packet tap
-  (packet-lifecycle latency histograms and protocol-phase spans), and
+* a **span collector** subscribed to the packet seam
+  (packet-lifecycle latency histograms and protocol-phase spans),
 * optionally the **engine profiler** (simulated-time and wall-clock
-  attribution per callback site).
+  attribution per callback site), and
+* optionally the **causal recorder**, a second seam subscriber that
+  also labels timers, processes and faults through ``sim.lineage``.
 
 Zero-perturbation guarantee: every gauge is a pure read, the span
 collector never copies or mutates segments, and the scrape events only
@@ -93,8 +94,9 @@ class Observability:
 
     def attach(self, scenario: "Scenario", tracer: "PacketTracer", *,
                ssock=None, rsocks=()) -> "Observability":
-        """Register gauges over the scenario's layers, hook the span
-        collector onto the tracer and start the scrape loop.  Call
+        """Register gauges over the scenario's layers, subscribe the
+        span collector (and the causal recorder) to the tracer's seam
+        and start the scrape loop.  Call
         after sockets exist and before the simulation runs (the harness
         does this when given ``obs=``)."""
         if self.attached:
@@ -114,6 +116,7 @@ class Observability:
             self.lineage = LineageRecorder(
                 sim, max_nodes=self._lineage_max_nodes)
             sim.lineage = self.lineage
+            tracer.subscribe(self.lineage.on_packet)
             self.watchdog = Watchdog(
                 sim, self._progress_signature(ssock, list(rsocks)),
                 stall_after_us=self._stall_after_us)

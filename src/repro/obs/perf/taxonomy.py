@@ -4,8 +4,7 @@ The tax table of the performance observatory attributes every executed
 engine callback to one of a small, *stable* set of event classes -- the
 vocabulary in which ROADMAP item 1 (the engine hot-path overhaul) makes
 its scheduler decisions.  Classes must not churn: two tax tables
-compare only in one vocabulary, and timers spell their class where
-they are created, so they live here as a frozen tuple:
+compare only in one vocabulary, so they live here as a frozen tuple:
 
 ``jiffy-timer``
     Periodic protocol ticks driven off the 10 ms jiffy machinery
@@ -40,22 +39,26 @@ they are created, so they live here as a frozen tuple:
     The observatory reports coverage = 1 - other/total; the acceptance
     bar is >= 95 %.
 
-Classification has three layers, cheapest first:
+A timer firing (``Timer._fire``: one function, many timers) is classed
+by its timer's name through :data:`TIMER_CLASSES`, the one place a
+timer's class is decided; unknown names are periodic ticks.  Every
+other callback goes through two layers, cheapest first:
 
-1. **Registration at timer creation** -- :class:`~repro.sim.timer.Timer`
-   accepts ``event_class=`` and protocol modules pass it explicitly;
-   the profiler reads it straight off the timer instance.
-2. **Registration by callback** -- :func:`register_site` maps a
-   function object to a class; this module registers the engine-adjacent
-   callbacks of the NIC, link, router, host, process and harness layers.
-3. **Callsite inference** -- :func:`infer` pattern-matches the
-   callback's module/qualname so third-party or future callbacks
-   degrade to a sensible class instead of ``other``.
+1. **Registration by callback** -- :func:`register_site` maps a
+   function object to a class, for callbacks whose module and name say
+   too little.
+2. **Callsite inference** -- :func:`infer` pattern-matches the
+   callback's module/qualname; it places every engine-adjacent callback
+   of the NIC, link, router, host, process and harness layers, and
+   third-party or future callbacks degrade to a sensible class instead
+   of ``other``.
 """
 
 from __future__ import annotations
 
 from typing import Callable
+
+from repro.sim.timer import Timer
 
 __all__ = ["EVENT_CLASSES", "classify", "infer", "register_site",
            "timer_class", "TIMER_CLASSES"]
@@ -66,7 +69,7 @@ EVENT_CLASSES = (
     "process-wake", "app", "fleet-harness", "other",
 )
 
-#: timer-name fallback for timers created without ``event_class=``
+#: timer name -> event class
 TIMER_CLASSES = {
     "transmit": "jiffy-timer",
     "update": "jiffy-timer",
@@ -81,12 +84,11 @@ TIMER_CLASSES = {
     "nak": "nak-repair-timer",
     "retrans": "nak-repair-timer",
     "join-retry": "nak-repair-timer",
-    "rto": "nak-repair-timer",
     "ack-rto": "nak-repair-timer",
     "tcp-rto": "nak-repair-timer",
 }
 
-#: function object -> event class (layer 2)
+#: function object -> event class (layer 1)
 _REGISTRY: dict[object, str] = {}
 
 
@@ -105,8 +107,7 @@ def register_site(func: Callable, event_class: str) -> None:
 
 
 def timer_class(name: str) -> str:
-    """Event class of a :class:`~repro.sim.timer.Timer` by its name
-    (fallback for timers armed without an explicit ``event_class=``)."""
+    """Event class of a :class:`~repro.sim.timer.Timer` by its name."""
     return TIMER_CLASSES.get(name, "jiffy-timer")
 
 
@@ -131,7 +132,7 @@ _INFER_RULES = (
 
 
 def infer(module: str, qualname: str) -> str:
-    """Layer-3 fallback: place a callback by its defining module and
+    """Layer-2 fallback: place a callback by its defining module and
     qualified name.  Returns ``"other"`` when nothing matches."""
     for prefix, fragment, event_class in _INFER_RULES:
         if module == prefix or module.startswith(prefix + "."):
@@ -140,55 +141,18 @@ def infer(module: str, qualname: str) -> str:
     return "other"
 
 
-# -- layer-2 registrations for the engine-adjacent callbacks ------------
-# (imports are top-down: obs.perf may depend on sim/net/kernel, never
-# the other way around)
-
-def _register_builtin_sites() -> None:
-    from repro.kernel.host import Host
-    from repro.net.link import SharedLink
-    from repro.net.nic import NetworkInterface
-    from repro.sim.process import Process, SimEvent
-
-    register_site(NetworkInterface._tx_done, "nic-tx")
-    register_site(Host._xmit, "nic-tx")
-    register_site(SharedLink._deliver_all, "link")
-    register_site(NetworkInterface.medium_deliver, "link")
-    register_site(NetworkInterface._rx_enqueue, "nic-rx")
-    register_site(NetworkInterface._rx_process, "nic-rx")
-    register_site(NetworkInterface._rx_done, "nic-rx")
-    register_site(Process._resume, "app")
-    register_site(SimEvent.fire, "process-wake")
-
-
-_register_builtin_sites()
-
-
 def classify(callback: Callable) -> str:
-    """Classify one engine callback (slow path; the profiler memoizes).
+    """Classify one engine callback (the profiler folds its table with
+    this when a class view is read).
 
-    Order: the owning object's ``event_class`` attribute (layer 1,
-    timers), then the per-timer-name fallback, then the function
-    registry (layer 2), then module/qualname inference (layer 3)."""
+    Order: a timer firing by its timer's name, then the function
+    registry (layer 1), then module/qualname inference (layer 2)."""
     fn = _underlying(callback)
     owner = getattr(callback, "__self__", None)
-    if owner is not None:
-        event_class = getattr(owner, "event_class", "")
-        if event_class:
-            return event_class
-        if fn is _TIMER_FIRE:
-            event_class = timer_class(owner.name)
-            # memoize on the timer: later fires hit the attribute path
-            owner.event_class = event_class
-            return event_class
+    if owner is not None and fn is Timer._fire:
+        return timer_class(owner.name)
     registered = _REGISTRY.get(fn)
     if registered is not None:
         return registered
     return infer(getattr(fn, "__module__", "") or "",
                  getattr(fn, "__qualname__", "") or "")
-
-
-# resolved late so the Timer import sits with its use
-from repro.sim.timer import Timer as _Timer  # noqa: E402
-
-_TIMER_FIRE = _Timer._fire

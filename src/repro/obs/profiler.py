@@ -29,7 +29,11 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable, Optional
 
+from repro.sim.timer import Timer
+
 __all__ = ["SimProfiler", "SiteStats", "site_of"]
+
+_TIMER_FIRE = Timer._fire
 
 
 def site_of(callback: Callable) -> str:
@@ -42,11 +46,12 @@ def site_of(callback: Callable) -> str:
     return f"{module}.{qualname}" if module else qualname
 
 
-def _classify(callback: Callable) -> str:
+def _classify(callback: Callable, timer: Optional[str] = None) -> str:
+    """Event class of a callback, or of the timer named ``timer``."""
     # imported on use: repro.obs.perf imports this module, and a run
     # that never reads a class view never loads the taxonomy
-    from repro.obs.perf.taxonomy import classify
-    return classify(callback)
+    from repro.obs.perf.taxonomy import classify, timer_class
+    return classify(callback) if timer is None else timer_class(timer)
 
 
 @dataclass
@@ -65,10 +70,10 @@ class SimProfiler:
         self.sampler = sampler
         # function -> [events, sim_us, wall_ns].  Keyed by the function
         # under a bound method (methods are re-bound per schedule; the
-        # function is stable).  A method whose owner names its own event
-        # class (Timer._fire: one function, many classes) is keyed
-        # (function, class) instead and never by the function alone, so
-        # execute() finds it through _row() every time.
+        # function is stable).  A timer firing (Timer._fire: one
+        # function, many timers) is keyed (function, timer name) instead
+        # and never by the function alone, so execute() finds it through
+        # _row() every time; the class view folds the name to its class.
         self._rows: dict = {}
         self._executed = 0      # advanced only while a sampler is attached
 
@@ -93,12 +98,10 @@ class SimProfiler:
     def _row(self, callback: Callable) -> list:
         """The row of a callback ``execute`` did not find by function:
         a first firing, a callable that is not a bound method, or a
-        method keyed with its owner's event class."""
+        timer firing, keyed with its timer's name."""
         key = getattr(callback, "__func__", callback)
-        owner = getattr(callback, "__self__", None)
-        if getattr(owner, "event_class", None) is not None:
-            # an empty class is inferred (and memoized on the owner)
-            key = (key, owner.event_class or _classify(callback))
+        if key is _TIMER_FIRE:
+            key = (key, callback.__self__.name)
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = [0, 0, 0]
@@ -118,12 +121,12 @@ class SimProfiler:
     # -- folds over the table -------------------------------------------
 
     def _fold(self, label_of: Callable) -> dict[str, SiteStats]:
-        """``label_of(function, owner's event class or None)`` names the
-        view row each table row is added to."""
+        """``label_of(function, timer name or None)`` names the view row
+        each table row is added to."""
         out: dict[str, SiteStats] = {}
         for key, (events, sim_us, wall_ns) in self._rows.items():
-            fn, event_class = key if type(key) is tuple else (key, None)
-            stats = out.setdefault(label_of(fn, event_class), SiteStats())
+            fn, timer = key if type(key) is tuple else (key, None)
+            stats = out.setdefault(label_of(fn, timer), SiteStats())
             stats.events += events
             stats.sim_us += sim_us
             stats.wall_ns += wall_ns
@@ -132,13 +135,12 @@ class SimProfiler:
     @property
     def sites(self) -> dict[str, SiteStats]:
         """Attribution per callback site (module-qualified function)."""
-        return self._fold(lambda fn, event_class: site_of(fn))
+        return self._fold(lambda fn, timer: site_of(fn))
 
     @property
     def classes(self) -> dict[str, SiteStats]:
         """Attribution per event class of the observatory's taxonomy."""
-        return self._fold(
-            lambda fn, event_class: event_class or _classify(fn))
+        return self._fold(_classify)
 
     @property
     def events(self) -> int:

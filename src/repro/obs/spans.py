@@ -1,15 +1,15 @@
 """Packet-lifecycle and protocol-phase spans.
 
-The :class:`SpanCollector` subscribes to the packet tap (it is handed
-the tap's own facts -- instant, host, direction, peer and the live
-``SKBuff`` -- and no record) and stitches per-packet timelines out of
-three observable instants:
+The :class:`SpanCollector` subscribes to the packet seam (it is handed
+the seam's own facts -- instant, tx/rx, host and the live packet -- and
+no record) and stitches per-packet timelines out of three observable
+instants:
 
-* ``t_enqueue`` -- the sender's tx tap fires when ``ip_send`` accepts
+* ``t_enqueue`` -- the sender's tx fact fires when ``ip_send`` accepts
   the segment (before CPU + device queueing),
 * ``t_wire`` -- the NIC stamps ``skb.last_sent_us`` when the last bit
   leaves the card,
-* ``t_rx`` -- a receiver's rx tap fires after interrupt + IP + protocol
+* ``t_rx`` -- a receiver's rx fact fires after interrupt + IP + protocol
   processing delivered the packet to the transport.
 
 From those it fills three histograms (one-way latency, sender-side
@@ -101,23 +101,27 @@ class SpanCollector:
         self._tx: OrderedDict[tuple[int, int], int] = OrderedDict()
         self._hosts: dict[str, _HostState] = {}
 
-    # -- tap pump -------------------------------------------------------
+    # -- seam pump ------------------------------------------------------
 
-    def on_packet(self, now: int, host: str, direction: str, peer: str,
-                  skb) -> None:
-        """Tap subscriber (see :meth:`PacketTracer.subscribe`); ``skb``
-        is the live segment, read-only here.
+    def on_packet(self, now: int, fact: str, host: str, pkt,
+                  blame: int = 0) -> None:
+        """Seam subscriber (see :meth:`PacketTracer.subscribe`): stitches
+        tx and rx at a host and ignores drops.  The packet is live,
+        read-only here.
 
         A loss-free DATA arrival -- nearly every packet of a run -- runs
         straight down this function: each uncommon state (first arrival,
         NAKs outstanding, FIN) is tested here, where it is one attribute
         read, and only then pays for a call."""
+        if fact != "rx" and fact != "tx":
+            return
         self.last_event_us = now
         try:
             st = self._hosts[host]
         except KeyError:
             st = self._hosts[host] = _HostState()
-        if direction == "tx":
+        skb = pkt.segment
+        if fact == "tx":
             self._on_tx(now, host, st, skb)
         elif skb.ptype == _DATA:
             join = st.join
@@ -203,8 +207,8 @@ class SpanCollector:
     # -- lifecycle ------------------------------------------------------
 
     def finalize(self, now_us: int) -> None:
-        """Close every still-open span at end of run.  Spans are tap
-        phenomena, so the close-out instant is the last tap event, not
+        """Close every still-open span at end of run.  Spans are tx/rx
+        phenomena, so the close-out instant is the last tx/rx, not
         ``now_us`` -- ``run(until=...)`` advances the clock to the time
         horizon even when traffic drained long before it."""
         end = min(now_us, self.last_event_us) if self.last_event_us \

@@ -65,6 +65,10 @@ class Simulator:
         # that captured cause while the entry executes.  Pure
         # bookkeeping -- no events, no RNG, no reordering.
         self.lineage = None
+        # the packet seam (see repro.trace.tracer): every segment sent,
+        # received or dropped is reported as ``tap(fact, where, pkt)``
+        # while the run's one tracer is attached
+        self.tap = None
         # per-simulator packet-id allocator: ids restart at 1 for every
         # run, so results never depend on what else the hosting process
         # has simulated before (fleet workers run many jobs each)

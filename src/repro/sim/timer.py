@@ -45,15 +45,13 @@ class Timer:
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], None],
-                 name: str = "", event_class: str = ""):
+                 name: str = ""):
         self._sim = sim
         self._callback = callback
         self._entry = None
+        # also what the performance observatory classes the timer by
+        # (repro.obs.perf.taxonomy.TIMER_CLASSES)
         self.name = name
-        # performance-observatory taxonomy label (see
-        # repro.obs.perf.taxonomy); a plain string so the sim layer
-        # never imports obs.  Empty means "infer from the timer name".
-        self.event_class = event_class
         self.fired_count = 0
 
     @property

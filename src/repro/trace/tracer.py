@@ -1,9 +1,15 @@
-"""Per-host packet capture.
+"""The packet seam and the capture that owns it.
 
-Attaches to the packet tap of :class:`repro.kernel.host.Host` and
-records one :class:`TraceEvent` per segment sent or received by that
-host.  Capture is observational: the protocol under trace is unchanged
-(events are plain records, segments are not copied).
+Every site that sends, receives or drops a segment reports it at one
+per-run seam, ``Simulator.tap`` (``None`` on a bare run), as
+``tap(fact, where, pkt)``: ``fact`` is ``"tx"``, ``"rx"`` or the drop
+reason (``rx_loss``, ``router_loss``, ``checksum``, ...), ``where`` the
+host address or component name; a drop by a component a fault action
+poisoned also passes its ``fault_cause`` as ``blame``.
+:class:`PacketTracer` owns the seam: it records a :class:`TraceEvent`
+per segment sent or received at the hosts it was attached to and hands
+every fact to its subscribers -- the span collector, the causal
+recorder and the invariant checker.  Segments are never copied.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ from typing import Callable, NamedTuple, Optional
 
 from repro.core.types import PacketType
 from repro.kernel.host import Host
-from repro.kernel.skbuff import SKBuff
+from repro.net.packet import NetPacket
 
 __all__ = ["TraceEvent", "PacketTracer", "load_trace", "trace_meta"]
 
 
 class TraceEvent(NamedTuple):
-    """One captured segment (built positionally on the tap, in field
+    """One captured segment (built positionally at the seam, in field
     order)."""
 
     t_us: int
@@ -47,7 +53,7 @@ class TraceEvent(NamedTuple):
 
 
 class PacketTracer:
-    """Capture traffic at one or more hosts.
+    """Own a run's packet seam and capture traffic at one or more hosts.
 
     >>> tracer = PacketTracer()
     >>> tracer.attach(scenario.sender, *scenario.receivers)
@@ -58,18 +64,11 @@ class PacketTracer:
     With ``ring=True`` the capture keeps only the most recent
     ``max_events`` records (a flight recorder for long chaos runs)
     instead of truncating at the cap; ``dropped`` counts records lost
-    off either end.  ``listeners`` are invoked for every event before
-    it is stored, independent of any cap, so online consumers (e.g. the
-    invariant checker) always see the full stream.  ``subscribers``
-    receive the tap's own facts ``(now_us, host, direction, peer,
-    skb)`` instead of a record -- the live ``SKBuff`` is read-only --
-    for consumers that need segment bookkeeping the record does not
-    carry (NIC wire-departure stamps for span stitching) or that read
-    too few fields to pay for one.
-
-    A :class:`TraceEvent` is built only for a reader: when a listener
-    is registered or the capture keeps anything (``max_events=0`` keeps
-    nothing, so a subscriber-only tracer never builds a record).
+    off either end.  ``subscribers`` see every fact, independent of any
+    cap: tx and rx at the attached hosts and every drop in the run.  A
+    :class:`TraceEvent` is built only when the capture keeps it
+    (``max_events=0`` keeps nothing, so a subscriber-only tracer never
+    builds a record).
     """
 
     def __init__(self, *, max_events: Optional[int] = None,
@@ -81,64 +80,71 @@ class PacketTracer:
         self.ring = ring
         self.max_events = max_events
         self.dropped = 0
-        self.listeners: list[Callable[[TraceEvent], None]] = []
         self.subscribers: list[
-            Callable[[int, str, str, str, SKBuff], None]] = []
-        self._hosts: list[Host] = []
+            Callable[[int, str, str, NetPacket, int], None]] = []
+        self._addrs: set[str] = set()
+        self._sim = None
+        self._seam = None
 
     def attach(self, *hosts: Host) -> "PacketTracer":
+        """Install this tracer as the run's seam (once; a second tracer
+        on the same run raises) and capture at ``hosts``."""
         for host in hosts:
-            if host.tap is not None:
+            sim = host.sim
+            if self._seam is None and sim.tap is None:
+                self._sim = sim
+                self._seam = sim.tap = self._make_seam(sim)
+            elif sim.tap is not self._seam or host.addr in self._addrs:
                 raise RuntimeError(f"{host.name} already has a tap")
-            host.tap = self._make_tap(host)
-            self._hosts.append(host)
+            self._addrs.add(host.addr)
         return self
 
     def detach(self) -> None:
-        for host in self._hosts:
-            host.tap = None
-        self._hosts.clear()
+        if self._sim is not None and self._sim.tap is self._seam:
+            self._sim.tap = None
+        self._sim = self._seam = None
+        self._addrs.clear()
 
-    def _make_tap(self, host: Host):
-        name = host.addr
+    def _make_seam(self, sim):
+        addrs = self._addrs
         events = self.events
         max_events = self.max_events
         keeps = max_events != 0
         ring = self.ring
-        listeners = self.listeners
         subscribers = self.subscribers
 
-        def tap(direction: str, skb: SKBuff, peer: str, now: int) -> None:
-            if listeners or keeps:
-                ev = TraceEvent(now, name, direction, peer, int(skb.ptype),
-                                skb.seq, skb.length, skb.rate_adv,
-                                skb.tries, skb.flags)
-                for listener in listeners:
-                    listener(ev)
+        def seam(fact: str, where: str, pkt: NetPacket,
+                 blame: int = 0) -> None:
+            traffic = fact == "tx" or fact == "rx"
+            if traffic and where not in addrs:
+                return
+            now = sim.now
             for subscriber in subscribers:
-                subscriber(now, name, direction, peer, skb)
-            if not keeps:
-                self.dropped += 1
-            elif max_events is None or len(events) < max_events:
-                events.append(ev)
-            else:
+                subscriber(now, fact, where, pkt, blame)
+            if not traffic:
+                return
+            if not keeps or (max_events is not None
+                             and len(events) >= max_events):
                 # full: a list drops the new record, a ring (deque with
                 # maxlen) evicts its oldest -- a record is lost either way
                 self.dropped += 1
-                if ring:
-                    events.append(ev)
+                if not (keeps and ring):
+                    return
+            skb = pkt.segment
+            events.append(TraceEvent(
+                now, where, fact, pkt.dst if fact == "tx" else pkt.src,
+                int(skb.ptype), skb.seq, skb.length, skb.rate_adv,
+                skb.tries, skb.flags))
 
-        return tap
-
-    def add_listener(self, fn: Callable[[TraceEvent], None]) -> None:
-        """Call ``fn(event)`` for every captured event (before storage)."""
-        self.listeners.append(fn)
+        return seam
 
     def subscribe(self,
-                  fn: Callable[[int, str, str, str, SKBuff], None]) -> None:
-        """Call ``fn(now_us, host, direction, peer, skb)`` for every
-        tapped segment, after the listeners.  The skb is the live
-        segment -- subscribers must treat it as read-only."""
+                  fn: Callable[[int, str, str, NetPacket, int], None]
+                  ) -> None:
+        """Call ``fn(now_us, fact, where, pkt, blame)`` for every fact
+        the seam reports, before the capture stores its record.  The
+        packet and its segment are live: a subscriber reads them and
+        writes nothing but the causal recorder's own ``cause`` slots."""
         self.subscribers.append(fn)
 
     def recent(self, n: int = 20) -> list[TraceEvent]:
@@ -174,9 +180,6 @@ class PacketTracer:
 
     def at_host(self, addr: str) -> list[TraceEvent]:
         return [e for e in self.events if e.host == addr]
-
-    def of_type(self, ptype: PacketType) -> list[TraceEvent]:
-        return [e for e in self.events if e.ptype == int(ptype)]
 
 
 def load_trace(path: str) -> list[TraceEvent]:

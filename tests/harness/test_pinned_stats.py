@@ -127,20 +127,20 @@ CALLS_PER_PACKET = {
 #: already bounds.
 OBSERVED_CALLS_PER_PACKET = {
     "lan-2": {
-        "profile": 230.0,           # 223.0 / 263.7
-        "lineage": 246.0},          # 238.6 / 244.4
+        "profile": 229.5,           # 222.8 / 263.7
+        "lineage": 243.5},          # 236.2 / 244.4
     "lan-2-long": {
-        "profile": 230.0,           # 222.5 / 263.4
-        "lineage": 246.0},          # 238.3 / 244.0
+        "profile": 229.0,           # 222.4 / 263.4
+        "lineage": 242.0},          # 235.1 / 244.0
     "lan-40": {
-        "profile": 3_470.0,         # 3 368.3 / 3 974.6
-        "lineage": 3_790.0},        # 3 680.1 / 3 832.6
+        "profile": 3_468.0,         # 3 367.0 / 3 974.6
+        "lineage": 3_745.0},        # 3 635.4 / 3 832.6
     "wan-case-3": {
-        "profile": 2_535.0,         # 2 462.6 / 2 676.6
-        "lineage": 2_575.0},        # 2 498.5 / 2 530.7
+        "profile": 2_532.0,         # 2 458.4 / 2 676.6
+        "lineage": 2_560.0},        # 2 486.2 / 2 530.7
     "lan-disk": {
-        "profile": 310.0,           # 301.1 / 356.4
-        "lineage": 336.0},          # 326.3 / 335.1
+        "profile": 309.5,           # 300.8 / 356.4
+        "lineage": 331.0},          # 321.5 / 335.1
 }
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.plan import FaultPlan, NicBurstDrop
+from repro.harness.cli import main as cli_main
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
 from repro.obs.observer import Observability
@@ -133,6 +134,19 @@ def test_explain_worst_returns_rooted_reports():
         assert report.found, span.name
 
 
+def test_why_credits_the_recovery_to_the_receiver_that_lost_the_byte(capsys):
+    """Only 10.1.0.2 lost byte 58401; the multicast repair reached all
+    three receivers at the same instant, and the recovery shown is the
+    one at the receiver that needed it."""
+    assert cli_main(["why", "wan", "--receivers", "3", "--nbytes", "200000",
+                     "--seed", "21", "--seq", "58401"]) == 0
+    out = capsys.readouterr().out
+    assert "lost 1 time(s)" in out
+    assert "drop:rx_loss(58401+1460)@10.1.0.2" in out
+    assert "recovery at t=206484 (10.1.0.2)" in out
+    assert "rx:DATA(58401+1460)#2@10.1.0.2" in out
+
+
 # -- bounded memory -----------------------------------------------------
 
 def test_ring_pruning_bounds_and_pins_faults():
@@ -153,9 +167,11 @@ def test_ring_pruning_bounds_and_pins_faults():
     assert truncated
     # the drop index is independently bounded
     for i in range(50):
-        class _Skb:
-            ptype, seq, length, tries = 1, i, 1, 1
-        lin.emit_drop("rx_loss", "10.0.0.2", _Skb())
+        class _Pkt:
+            class segment:
+                ptype, seq, length, tries = 1, i, 1, 1
+            cause = 0
+        lin.on_packet(i, "rx_loss", "10.0.0.2", _Pkt())
     assert len(lin.drops) <= 10
 
 
@@ -174,3 +190,4 @@ def test_diag_requires_lineage():
     obs = Observability(profile=False)
     with pytest.raises(RuntimeError):
         obs.diag()
+

@@ -168,3 +168,16 @@ def test_watchdog_trips_once_per_stall_episode():
     assert dog.check(3_000) is None
     assert dog.check(5_000) is not None  # ...and a new stall re-arms it
     assert len(dog.reports) == 2
+
+
+def test_cli_diff_names_lineage_for_runs_made_without_it(tmp_path, capsys):
+    """`report --metrics-out` without `--lineage` writes no packet trace:
+    `diff` refuses the pair and names the flag that was missing."""
+    for name, seed in (("a", "21"), ("b", "22")):
+        assert cli_main(["report", "wan", "--receivers", "3", "--nbytes",
+                         "200000", "--seed", seed, "--metrics-out",
+                         str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert cli_main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "--lineage" in err and err.count("\n") == 1

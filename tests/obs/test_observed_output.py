@@ -24,6 +24,7 @@ import pytest
 from repro.core.types import FIN, PacketType
 from repro.harness.runner import run_transfer
 from repro.kernel.skbuff import SKBuff
+from repro.net.packet import NetPacket
 from repro.obs.observer import Observability
 from repro.obs.spans import SpanCollector
 from tests.harness.test_pinned_stats import PINNED, SEED
@@ -79,15 +80,20 @@ def _skb(ptype, seq=0, length=0, tries=1, flags=0, wire_us=-1):
     return skb
 
 
+def _pkt(skb):
+    return NetPacket("", "", skb, 20 + skb.length)
+
+
 def _data_stream(n):
-    """`n` DATA segments: enqueued every 100 us, on the wire 30 us
-    later, at the receiver 250 us after enqueue."""
+    """`n` DATA segments as seam facts `(now, fact, where, pkt)`:
+    enqueued every 100 us, on the wire 30 us later, at the receiver
+    250 us after enqueue."""
     packets = []
     for i in range(n):
         t = 1_000 + 100 * i
         skb = _skb(PacketType.DATA, seq=i * MSS, length=MSS, wire_us=t + 30)
-        packets.append((t, SENDER, "tx", "224.0.0.1", skb))
-        packets.append((t + 250, RCV, "rx", SENDER, skb))
+        packets.append((t, "tx", SENDER, _pkt(skb)))
+        packets.append((t + 250, "rx", RCV, _pkt(skb)))
     return sorted(packets, key=lambda p: p[0])
 
 
@@ -122,21 +128,21 @@ def test_uncommon_states_do_not_move_what_a_data_arrival_records():
     marks."""
     quiet, busy = _data_stream(8), _data_stream(8)
     # a join the first DATA arrival closes
-    busy.append((900, RCV, "tx", SENDER, _skb(PacketType.JOIN)))
+    busy.append((900, "tx", RCV, _pkt(_skb(PacketType.JOIN))))
     # segment 3 is NAKed before it arrives (the "repair" is its first
     # copy), and so is a range nothing here ever covers, which keeps
     # NAKs outstanding for every later arrival until NAK_ERR refuses it
-    busy.append((1_500, RCV, "tx", SENDER,
-                 _skb(PacketType.NAK, seq=3 * MSS, length=MSS)))
-    busy.append((1_540, RCV, "tx", SENDER,
-                 _skb(PacketType.NAK, seq=90 * MSS, length=MSS)))
-    busy.append((1_900, RCV, "rx", SENDER,
-                 _skb(PacketType.NAK_ERR, seq=100 * MSS)))
-    busy.append((1_905, RCV, "tx", SENDER, _skb(PacketType.UPDATE)))
+    busy.append((1_500, "tx", RCV,
+                 _pkt(_skb(PacketType.NAK, seq=3 * MSS, length=MSS))))
+    busy.append((1_540, "tx", RCV,
+                 _pkt(_skb(PacketType.NAK, seq=90 * MSS, length=MSS))))
+    busy.append((1_900, "rx", RCV,
+                 _pkt(_skb(PacketType.NAK_ERR, seq=100 * MSS))))
+    busy.append((1_905, "tx", RCV, _pkt(_skb(PacketType.UPDATE))))
     busy.sort(key=lambda p: p[0])
     # the last segment carries FIN; the receiver then leaves
-    busy[-1][4].flags = FIN
-    busy.append((2_100, RCV, "tx", SENDER, _skb(PacketType.LEAVE)))
+    busy[-1][3].segment.flags = FIN
+    busy.append((2_100, "tx", RCV, _pkt(_skb(PacketType.LEAVE))))
 
     a, b = _replay(quiet), _replay(busy)
     assert _hist(a.one_way_us) == _hist(b.one_way_us)
@@ -167,9 +173,9 @@ def test_enqueue_times_are_evicted_oldest_first(monkeypatch):
     c = SpanCollector(SENDER)
     skbs = [_skb(PacketType.DATA, seq=i * MSS, length=MSS) for i in range(6)]
     for i, skb in enumerate(skbs):
-        c.on_packet(100 + i, SENDER, "tx", "224.0.0.1", skb)
+        c.on_packet(100 + i, "tx", SENDER, _pkt(skb))
     assert list(c._tx) == [(i * MSS, 1) for i in (2, 3, 4, 5)]
-    c.on_packet(500, RCV, "rx", SENDER, skbs[0])
+    c.on_packet(500, "rx", RCV, _pkt(skbs[0]))
     assert c.one_way_us.count == 0
-    c.on_packet(501, RCV, "rx", SENDER, skbs[2])
+    c.on_packet(501, "rx", RCV, _pkt(skbs[2]))
     assert _hist(c.one_way_us)[:4] == (1, 399.0, 399, 399)

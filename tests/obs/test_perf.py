@@ -9,16 +9,21 @@ whole thing rides the existing profiler hook without touching the
 protocol (zero-perturbation is proven in test_perf_disabled.py).
 """
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.harness.runner import run_transfer
 from repro.obs.observer import Observability
 from repro.obs.perf import (EVENT_CLASSES, PerfObservatory, classify,
                             register_site)
-from repro.obs.perf.taxonomy import infer, timer_class
+from repro.obs.perf.taxonomy import TIMER_CLASSES, infer, timer_class
 from repro.sim.engine import Simulator
 from repro.sim.timer import Timer
 from repro.workloads.scenarios import build_lan
+from tests.harness.test_pinned_stats import PINNED, SEED
 
 
 def _profiled_run(sample_every=16, alloc=False, nbytes=200_000):
@@ -46,19 +51,34 @@ def test_register_site_classifies_plain_function():
     assert classify(my_callback) == "fleet-harness"
 
 
-def test_timer_event_class_is_layer_one():
+def test_every_timer_the_stack_creates_is_in_the_name_table():
+    """The name table is the one place a timer's class is decided: every
+    `Timer(...)` in the source names its timer with a literal the table
+    holds, and a timer of that name is classed by it."""
+    names = []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "Timer":
+                [name] = node.args[2:3] + [k.value for k in node.keywords
+                                           if k.arg == "name"]
+                names.append(name.value)
+    assert len(names) == 15 and set(names) <= set(TIMER_CLASSES)
     sim = Simulator()
-    t = Timer(sim, lambda: None, name="whatever", event_class="nic-tx")
-    assert classify(t._fire) == "nic-tx"
+    for name in names:
+        timer = Timer(sim, lambda: None, name)
+        assert classify(timer._fire) == TIMER_CLASSES[name]
 
 
 def test_timer_name_fallback_memoizes():
+    """Nothing is kept on the timer: its class is read from its name
+    each time, so a renamed timer is classed by the new name."""
     sim = Simulator()
     t = Timer(sim, lambda: None, name="nak")
-    assert t.event_class == ""
     assert classify(t._fire) == "nak-repair-timer"
-    # classify memoized the class onto the instance (layer-1 next time)
-    assert t.event_class == "nak-repair-timer"
+    assert not hasattr(t, "event_class")
+    t.name = "transmit"
+    assert classify(t._fire) == "jiffy-timer"
 
 
 def test_timer_class_names():
@@ -93,6 +113,29 @@ def test_tax_table_coverage_meets_bar():
         assert expected in classes
     # events add up to the engine's count
     assert sum(r[1] for r in rows) == res.sim_events
+
+
+#: engine events per class of two pinned transfers, recorded while
+#: every timer still carried its class from its construction site
+PINNED_CLASS_EVENTS = {
+    "lan-2": {"app": 2831, "fleet-harness": 17, "jiffy-timer": 87,
+              "link": 1507, "nic-rx": 2880, "nic-tx": 3014},
+    "wan-case-3": {"app": 2773, "fleet-harness": 56, "jiffy-timer": 331,
+                   "link": 3700, "nak-repair-timer": 123, "nic-rx": 2271,
+                   "nic-tx": 716},
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CLASS_EVENTS)
+def test_class_events_of_the_pinned_transfers(name):
+    build, kwargs = PINNED[name][:2]
+    perf = PerfObservatory(sample_every=0)
+    res = run_transfer(build(), seed=SEED, obs=Observability(perf=perf),
+                       **kwargs)
+    assert res.ok
+    classes = perf.bench_payload()["classes"]
+    assert {c: block["events"] for c, block in classes.items()} == \
+        PINNED_CLASS_EVENTS[name]
 
 
 def test_tax_table_rows_in_taxonomy_order():

@@ -259,7 +259,7 @@ def test_load_capture_surfaces_truncation(tmp_path):
     assert "_capture" not in packet_summary(events, meta)
 
 
-# -- the tap's two kinds of consumer ------------------------------------------
+# -- the seam and its consumers -----------------------------------------------
 
 def test_saved_record_format_is_pinned(tmp_path):
     """One JSON object per event, fields in record order: the bytes the
@@ -282,25 +282,35 @@ def test_saved_record_format_is_pinned(tmp_path):
         "seq=3, length=10, rate_adv=0, tries=1, flags=0)")
 
 
-def test_subscribers_get_the_taps_facts_after_the_listeners():
-    sc = build_lan(1, 10e6, seed=65)
-    tracer = PacketTracer().attach(sc.sender, *sc.receivers)
-    order = []
-    tracer.add_listener(lambda ev: order.append(("record", ev)))
-    tracer.subscribe(lambda *facts: order.append(("facts", facts)))
-    run_transfer(sc, nbytes=20_000, sndbuf=64 * 1024)
-    assert len(order) == 2 * len(tracer.events) > 0
-    for (kind_a, ev), (kind_b, facts) in zip(order[::2], order[1::2]):
-        assert (kind_a, kind_b) == ("record", "facts")
-        now, host, direction, peer, skb = facts
-        assert (now, host, direction, peer, skb.seq, skb.length) == \
-            (ev.t_us, ev.host, ev.direction, ev.peer, ev.seq, ev.length)
+def test_subscribers_see_every_drop_and_the_attached_hosts_traffic():
+    """The seam hands subscribers each tx/rx at the attached hosts, in
+    the order the capture records them, and every drop anywhere in the
+    fabric, once."""
+    lossy = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
+    sc = build_wan([lossy] * 3, 10e6, seed=7)
+    tracer = PacketTracer().attach(sc.sender, sc.receivers[0])
+    facts = []
+    tracer.subscribe(lambda *fact: facts.append(fact))
+    res = run_transfer(sc, nbytes=300_000, sndbuf=256 * 1024,
+                       max_sim_s=300)
+    assert res.ok
+    traffic = [(now, where, fact, pkt.segment.seq, pkt.segment.length)
+               for now, fact, where, pkt, _ in facts if fact in ("tx", "rx")]
+    assert traffic == [(e.t_us, e.host, e.direction, e.seq, e.length)
+                       for e in tracer.events]
+    assert {e.host for e in tracer.events} == \
+        {sc.sender.addr, sc.receivers[0].addr}
+    drops = [fact for _, fact, *_ in facts if fact not in ("tx", "rx")]
+    counted = ("router_loss", "pipe_loss", "pipe_queue", "nic_rx_ring",
+               "nic_rx_loss")
+    assert drops
+    assert len(drops) == sum(res.drop_summary[k] for k in counted)
 
 
 def test_a_record_is_built_only_for_a_reader(monkeypatch):
-    """A tracer that keeps nothing and has no listener hands its
-    subscribers the facts and never builds a TraceEvent; every tapped
-    packet still counts as one the capture lost."""
+    """A tracer that keeps nothing hands its subscribers the facts and
+    never builds a TraceEvent; every tx/rx still counts as one the
+    capture lost."""
     from repro.trace import tracer as tracer_module
 
     def no_record(*fields):
@@ -314,7 +324,11 @@ def test_a_record_is_built_only_for_a_reader(monkeypatch):
     res = run_transfer(sc, nbytes=20_000, sndbuf=64 * 1024)
     assert res.ok and seen
     assert len(tracer.events) == 0 and tracer.dropped == len(seen)
-    # a listener is a reader
-    tracer.add_listener(lambda ev: None)
+    # a capture that keeps records builds one per tx/rx, never per drop
+    tracer.detach()
+    assert sc.sim.tap is None
+    PacketTracer(max_events=1).attach(sc.sender)
+    pkt = seen[0][3]
+    sc.sim.tap("rx_loss", sc.sender.addr, pkt)
     with pytest.raises(AssertionError, match="built for nobody"):
-        sc.sender.tap("tx", seen[0][4], "peer", 0)
+        sc.sim.tap("tx", sc.sender.addr, pkt)
