@@ -30,7 +30,7 @@ from repro.core.config import HRMCConfig
 from repro.core.nak import NakList
 from repro.core.rtt import RttEstimator
 from repro.core.seq import (SEQ_HALF, SEQ_MASK, seq_add, seq_geq, seq_gt,
-                            seq_leq, seq_lt, seq_max, seq_sub)
+                            seq_leq, seq_lt, seq_max, seq_min, seq_sub)
 from repro.core.types import FIN, URG, PacketType
 from repro.core.window import Region, classify_fill, window_empty
 from repro.core.update import UpdatePolicy
@@ -83,6 +83,10 @@ class HRMCReceiver:
         self._last_adv_rate = 0
 
         self._ooo: dict[int, SKBuff] = {}       # out_of_order_queue by seq
+        # claim frontier, never behind rcv_nxt: every byte of
+        # [rcv_nxt, _claimed_to) is parked or pending in naks, and no
+        # byte at or past it is parked
+        self._claimed_to = cfg.iss
         self._parity: dict[int, int] = {}       # FEC: block start -> extent
         # local recovery (future-work extension 3)
         self._repair_cache: "OrderedDict[int, SKBuff]" = OrderedDict()
@@ -236,11 +240,9 @@ class HRMCReceiver:
             # a gap precedes this segment
             self.stats.out_of_order_pkts += 1
             if seq not in self._ooo:
-                self._ooo[seq] = skb
                 if repair:
                     self.repairs_useful += 1
-                self.naks.fill(seq, end, self.sim.now)
-                self._note_gap(seq)
+                self._park(skb, end)
             else:
                 self.stats.dup_pkts_rcvd += 1
                 if repair:
@@ -260,6 +262,9 @@ class HRMCReceiver:
         """Deliver an skb that starts at or before rcv_nxt."""
         seq = skb.seq
         end = (seq + skb.length) & SEQ_MASK             # skb.end_seq
+        # the frontier keeps up with rcv_nxt, so it is never 2**31 behind
+        if (self._claimed_to - end) & SEQ_HALF:         # seq_max
+            self._claimed_to = end
         if skb.flags & FIN:
             self.eof_seq = seq
             self.rcv_nxt = end  # consume the phantom byte
@@ -298,30 +303,51 @@ class HRMCReceiver:
             self.cache_evictions += 1
 
     def _drain_ooo(self) -> None:
+        ooo = self._ooo
         while True:
-            skb = self._ooo.pop(self.rcv_nxt, None)
+            skb = ooo.pop(self.rcv_nxt, None)
             if skb is None:
                 # tolerate retransmissions that re-segmented: find any
-                # parked segment now overlapping rcv_nxt
+                # parked segment now overlapping rcv_nxt, and free those
+                # it has passed (a NAK_ERR jump, an in-order repair cut
+                # at other boundaries)
                 candidate = None
-                for s, parked in self._ooo.items():
-                    if seq_leq(s, self.rcv_nxt) and \
-                            seq_gt(parked.end_seq, self.rcv_nxt):
-                        candidate = s
-                        break
+                passed = []
+                for s, parked in ooo.items():
+                    if seq_leq(s, self.rcv_nxt):
+                        if seq_gt(parked.end_seq, self.rcv_nxt):
+                            candidate = s
+                            break
+                        passed.append(s)
+                for s in passed:
+                    del ooo[s]
                 if candidate is None:
                     break
-                skb = self._ooo.pop(candidate)
+                skb = ooo.pop(candidate)
             self._integrate(skb)
+
+    def _park(self, skb: SKBuff, end: int) -> None:
+        """Hold ``skb``, which starts past rcv_nxt, until the bytes before
+        it arrive: its own bytes are no longer wanted, those before it
+        are claimed, and the frontier moves to its ``end``."""
+        seq = skb.seq
+        self._ooo[seq] = skb
+        self.naks.fill(seq, end, self.sim.now)
+        self._note_gap(seq)
+        self._claimed_to = seq_max(self._claimed_to, end)
 
     def _note_gap(self, end: int) -> None:
         """The sender is known to have sent everything below ``end``:
-        claim the bytes of [rcv_nxt, end) not held (every claim site
-        comes through here, so ``naks`` is always revealed-minus-held)
-        and NAK the newly claimed ranges."""
+        claim [_claimed_to, end) -- below the frontier every byte is
+        already parked or pending, past it none is parked -- NAK it and
+        move the frontier to ``end``.  Every claim site comes through
+        here, so ``naks`` is always revealed-minus-held."""
         now = self.sim.now
-        fresh = [rng for start, stop in self._gaps_in(self.rcv_nxt, end)
-                 for rng in self.naks.add_gap(start, stop, now)]
+        start = self._claimed_to
+        fresh = []
+        if seq_lt(start, end):
+            self._claimed_to = end
+            fresh = self.naks.add_gap(start, end, now)
         lineage = self.sim.lineage
         if fresh and lineage is not None:
             # the arrival we are processing *revealed* the gap; NAK
@@ -530,6 +556,7 @@ class HRMCReceiver:
         if seq_gt(lost_to, self.rcv_nxt):
             self.lost_bytes += seq_sub(lost_to, self.rcv_nxt)
             self.rcv_nxt = lost_to
+            self._claimed_to = seq_max(self._claimed_to, lost_to)
             # unread data resumes after the hole; window origin moves too
             self.rcv_wnd = seq_max(self.rcv_wnd, lost_to)
             self.naks.fill_below(lost_to, self.sim.now, abandon=True)
@@ -552,49 +579,41 @@ class HRMCReceiver:
                 repaired.append(block_start)
                 continue
             gaps = self._gaps_in(block_start, block_end)
-            if len(gaps) == 1 and gaps[0][1] - gaps[0][0] <= self.cfg.mss:
+            if len(gaps) == 1 and \
+                    seq_sub(gaps[0][1], gaps[0][0]) <= self.cfg.mss:
                 start, end = gaps[0]
-                length = end - start
+                length = seq_sub(end, start)
                 synth = SKBuff(
                     sport=self.sender_port or 0, dport=self.sock.num,
-                    seq=start % (1 << 32), ptype=PacketType.DATA,
-                    length=length,
+                    seq=start, ptype=PacketType.DATA, length=length,
                     payload=PatternPayload(seq_sub(start, self.cfg.iss),
                                            length))
                 self.stats.fec_repairs += 1
-                self.naks.fill(start, end, self.sim.now)
                 if seq_leq(synth.seq, self.rcv_nxt):
                     self._integrate(synth)
                     self._drain_ooo()
                 else:
-                    self._ooo.setdefault(synth.seq, synth)
+                    self._park(synth, end)  # a gap's start is never parked
                 repaired.append(block_start)
         for b in repaired:
             self._parity.pop(b, None)
 
     def _gaps_in(self, start: int, end: int) -> list[tuple[int, int]]:
-        """Missing subranges of [start, end) given rcv_nxt and the ooo
-        queue -- the one place uncovered spans are computed, for gap
-        claims and FEC alike.  Works on positions relative to ``lo``."""
+        """Missing subranges of [start, end), as maximal runs: the
+        pending NAK ranges, and the span past the claim frontier, where
+        nothing is parked."""
         lo = seq_max(start, self.rcv_nxt)
-        if seq_geq(lo, end):
-            return []
-        covered: list[tuple[int, int]] = []
-        for s, skb in self._ooo.items():
-            e = skb.end_seq
-            if seq_lt(s, end) and seq_gt(e, lo):
-                covered.append((seq_sub(s, lo), seq_sub(e, lo)))
-        covered.sort()
-        span = seq_sub(end, lo)
+        runs = [(rng.start, rng.end) for rng in self.naks]
+        runs.append((self._claimed_to, end))
         gaps: list[tuple[int, int]] = []
-        cursor = 0
-        for s, e in covered:
-            if s > cursor:
-                gaps.append((cursor, s))
-            cursor = max(cursor, e)
-        if cursor < span:
-            gaps.append((cursor, span))
-        return [(seq_add(lo, g0), seq_add(lo, g1)) for g0, g1 in gaps]
+        for a, b in runs:
+            a, b = seq_max(a, lo), seq_min(b, end)
+            if seq_lt(a, b):
+                if gaps and gaps[-1][1] == a:
+                    gaps[-1] = (gaps[-1][0], b)
+                else:
+                    gaps.append((a, b))
+        return gaps
 
     # ------------------------------------------------------------------
     # application interface (hrmc_recvmsg)

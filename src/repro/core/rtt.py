@@ -52,16 +52,19 @@ class WorstRtt:
     """Tracks the worst (largest) smoothed RTT over all receivers.
 
     Each receiver gets its own estimator keyed by address; the protocol
-    reads :attr:`rtt_us` = max over receivers.  :meth:`forget` drops a
-    departed receiver's estimator, so when the worst receiver leaves the
-    maximum falls at once to the worst of those that remain; there is no
-    decay.
+    reads :attr:`rtt_us` = max over the sampled receivers (the initial
+    estimate until one is).  :meth:`forget` drops a departed receiver's
+    estimator, so when the worst receiver leaves the maximum falls at
+    once to the worst of those that remain; there is no decay.  An
+    estimate moves only when its member is sampled, so :meth:`sample`
+    and :meth:`forget` recompute the maximum and a read is a value.
     """
 
     def __init__(self, initial_us: int, min_us: int = 1_000):
         self._initial = int(initial_us)
         self._min = int(min_us)
         self._per_member: dict[str, RttEstimator] = {}
+        self.rtt_us = self._initial
 
     def sample(self, member_addr: str, rtt_us: int) -> None:
         est = self._per_member.get(member_addr)
@@ -69,24 +72,12 @@ class WorstRtt:
             est = RttEstimator(self._initial, self._min)
             self._per_member[member_addr] = est
         est.sample(rtt_us)
+        self._recompute()
 
     def forget(self, member_addr: str) -> None:
-        self._per_member.pop(member_addr, None)
+        if self._per_member.pop(member_addr, None) is not None:
+            self._recompute()
 
-    @property
-    def have_samples(self) -> bool:
-        return any(e.samples for e in self._per_member.values())
-
-    @property
-    def rtt_us(self) -> int:
+    def _recompute(self) -> None:
         sampled = [e.rtt_us for e in self._per_member.values() if e.samples]
-        if not sampled:
-            return self._initial
-        return max(sampled)
-
-    @property
-    def rto_us(self) -> int:
-        sampled = [e.rto_us for e in self._per_member.values() if e.samples]
-        if not sampled:
-            return 2 * self._initial
-        return max(sampled)
+        self.rtt_us = max(sampled) if sampled else self._initial

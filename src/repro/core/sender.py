@@ -391,7 +391,8 @@ class HRMCSender:
         now = self.sim.now
         pace = max(self.rtt.rtt_us, JIFFY_US)
         queued = False
-        for skb in self.sock.write_queue:
+        # start at the skb holding ``start`` rather than walking up to it
+        for skb in self.sock.write_queue.iter_from(start):
             if seq_geq(skb.seq, end):
                 break
             if seq_leq(skb.end_seq, start):

@@ -10,7 +10,9 @@ which only the sender touches.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.kernel.payload import Payload
@@ -92,6 +94,22 @@ class SkbQueue:
 
     def peek_tail(self) -> Optional[SKBuff]:
         return self._q[-1] if self._q else None
+
+    def iter_from(self, seq: int) -> Iterator[SKBuff]:
+        """The skbs from the last one starting at or before ``seq`` (the
+        head, if none does) to the tail, found by bisection.  The queue
+        must run in sequence order from its head, spanning under 2**31
+        bytes; each skb is keyed by its signed distance from the head."""
+        q = self._q
+        if not q:
+            return iter(())
+        base = q[0].seq
+
+        def offset(s: int) -> int:          # seq_sub(s, base)
+            return ((s - base + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+
+        i = bisect_right(q, offset(seq), key=lambda skb: offset(skb.seq))
+        return islice(q, i - 1 if i else 0, None)
 
     def enqueue(self, skb: SKBuff) -> None:
         self._q.append(skb)

@@ -62,8 +62,6 @@ def test_worst_rtt_tracks_max():
 def test_worst_rtt_initial_without_samples():
     worst = WorstRtt(70_000)
     assert worst.rtt_us == 70_000
-    assert worst.rto_us == 140_000
-    assert not worst.have_samples
 
 
 def test_worst_rtt_forget_member():
@@ -78,6 +76,28 @@ def test_worst_rtt_forget_unknown_noop():
     worst = WorstRtt(50_000)
     worst.forget("nobody")
     assert worst.rtt_us == 50_000
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("sample"), st.sampled_from("abc"),
+              st.integers(1, 500_000)),
+    st.tuples(st.just("forget"), st.sampled_from("abcd")))))
+def test_worst_rtt_is_the_max_of_the_sampled_members(ops):
+    """The value read equals the max recomputed from scratch after any
+    mix of samples and departures, or the initial estimate when no
+    member is left."""
+    worst = WorstRtt(50_000, min_us=2_000)
+    members: dict[str, RttEstimator] = {}
+    for op in ops:
+        if op[0] == "sample":
+            members.setdefault(op[1], RttEstimator(50_000, 2_000)).sample(
+                op[2])
+            worst.sample(op[1], op[2])
+        else:
+            members.pop(op[1], None)
+            worst.forget(op[1])
+        assert worst.rtt_us == max((e.rtt_us for e in members.values()),
+                                   default=50_000)
 
 
 def test_worst_rtt_per_member_smoothing():

@@ -68,10 +68,15 @@ def test_whole_span_gap_claim_trips_parked_overlap_invariant(monkeypatch):
     """A receiver that claims everything from rcv_nxt up to each
     out-of-order arrival re-requests, and gets retransmitted to the
     whole group, the segments it parked on the previous arrivals."""
-    monkeypatch.setattr(
-        HRMCReceiver, "_gaps_in",
-        # mutation: the parked segments are no longer subtracted
-        lambda self, start, end: [(self.rcv_nxt, end)])
+    note_gap = HRMCReceiver._note_gap
+
+    def whole_span(self, end):
+        # mutation: the claim ignores the frontier that parked segments
+        # and earlier claims have moved
+        self._claimed_to = self.rcv_nxt
+        note_gap(self, end)
+
+    monkeypatch.setattr(HRMCReceiver, "_note_gap", whole_span)
     with pytest.raises(InvariantViolation, match="requests parked data"):
         _lossy_wan_run()
 

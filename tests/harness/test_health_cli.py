@@ -142,8 +142,13 @@ def test_committed_wan_gate_can_tell_a_whole_span_nak_claim(monkeypatch,
             "--bounds", COMMITTED_BOUNDS]
     assert cli_main(gate) == 0
     capsys.readouterr()
-    monkeypatch.setattr(HRMCReceiver, "_gaps_in",
-                        lambda self, start, end: [(self.rcv_nxt, end)])
+    note_gap = HRMCReceiver._note_gap
+
+    def whole_span(self, end):     # claim from rcv_nxt, past the frontier
+        self._claimed_to = self.rcv_nxt
+        note_gap(self, end)
+
+    monkeypatch.setattr(HRMCReceiver, "_note_gap", whole_span)
     assert cli_main(gate) == 1
     err = capsys.readouterr().err
     assert "redundant_ratio" in err and "implosion_index" in err

@@ -54,6 +54,12 @@ CI gate on the ratio of two host timings):
         import OBSERVED_CALLS_PER_PACKET as O, calls_per_packet; \
         [print(n, i, round(calls_per_packet(n, **{i: True}), 1)) \
          for n in O for i in O[n]]"
+
+Loss recovery is held to its complexity the same way, by call counts
+of one step against a small and a large state: an out-of-order arrival
+costs the same with 10 or 1 000 segments parked, a NAK served against a
+1 000-skb write queue costs a bisection more than against 10 skbs, and
+the worst RTT is read without a call.
 """
 
 import cProfile
@@ -63,10 +69,16 @@ import pstats
 
 import pytest
 
+from repro.core.types import PacketType
 from repro.harness.runner import run_transfer
+from repro.kernel.payload import PatternPayload
+from repro.kernel.skbuff import SKBuff
 from repro.obs.observer import Observability
+from repro.sim.engine import Simulator
 from repro.trace.tracer import PacketTracer
 from repro.workloads import build_lan, build_wan, expand_test_case
+
+from tests.core.conftest import FakeHost, make_receiver, make_sender
 
 SEED = 7
 
@@ -107,13 +119,15 @@ PINNED = {
 }
 
 
-#: name -> ceiling on profiled calls per packet sent, bare run
+#: name -> ceiling on profiled calls per packet sent, bare run.
+#: Comments: today / before the per-packet call ladder was flattened.
 CALLS_PER_PACKET = {
-    "lan-2": 185.0,                 # 179.6 today; 313.7 before PR 14
-    "lan-2-long": 185.0,            # 179.6 today; 313.8 before
-    "lan-40": 2_800.0,              # 2 713.4 today; 5 214.2 before
-    "wan-case-3": 2_190.0,          # 2 126.2 today; 2 719.9 before
-    "lan-disk": 247.0,              # 239.2 today; 412.9 before
+    "lan-2": 183.5,                 # 178.2 / 313.7
+    "lan-2-long": 183.5,            # 178.2 / 313.8
+    "lan-40": 2_760.0,              # 2 679.2 / 5 214.2
+    "wan-case-3": 1_076.0,          # 1 044.5 / 2 719.9 (2 126.4 while
+                                    # loss recovery scanned its state)
+    "lan-disk": 238.5,              # 231.5 / 412.9
 }
 
 
@@ -127,20 +141,20 @@ CALLS_PER_PACKET = {
 #: already bounds.
 OBSERVED_CALLS_PER_PACKET = {
     "lan-2": {
-        "profile": 229.5,           # 222.8 / 263.7
-        "lineage": 243.5},          # 236.2 / 244.4
+        "profile": 228.0,           # 221.4 / 263.7
+        "lineage": 242.0},          # 234.8 / 244.4
     "lan-2-long": {
-        "profile": 229.0,           # 222.4 / 263.4
-        "lineage": 242.0},          # 235.1 / 244.0
+        "profile": 228.0,           # 221.0 / 263.4
+        "lineage": 241.0},          # 233.6 / 244.0
     "lan-40": {
-        "profile": 3_468.0,         # 3 367.0 / 3 974.6
-        "lineage": 3_745.0},        # 3 635.4 / 3 832.6
+        "profile": 3_433.0,         # 3 332.8 / 3 974.6
+        "lineage": 3_710.0},        # 3 601.3 / 3 832.6
     "wan-case-3": {
-        "profile": 2_532.0,         # 2 458.4 / 2 676.6
-        "lineage": 2_560.0},        # 2 486.2 / 2 530.7
+        "profile": 1_418.0,         # 1 376.5 / 2 676.6
+        "lineage": 1_447.0},        # 1 404.3 / 2 530.7
     "lan-disk": {
-        "profile": 309.5,           # 300.8 / 356.4
-        "lineage": 331.0},          # 321.5 / 335.1
+        "profile": 302.0,           # 293.1 / 356.4
+        "lineage": 323.5},          # 313.8 / 335.1
 }
 
 
@@ -205,3 +219,68 @@ def test_host_calls_per_packet_are_bounded(name):
 def test_observed_calls_per_packet_are_bounded(name, instrument):
     assert calls_per_packet(name, **{instrument: True}) <= \
         OBSERVED_CALLS_PER_PACKET[name][instrument]
+
+
+# -- loss recovery costs per hole, not per parked or buffered packet -------
+
+def calls_in(fn) -> int:
+    """Function calls cProfile counts inside ``fn()``, beyond those of
+    profiling a call that does nothing."""
+    def total(f):
+        profile = cProfile.Profile()
+        profile.runcall(f)
+        return pstats.Stats(profile).total_calls
+    return total(fn) - total(lambda: None)
+
+
+def _segment(seq, length, ptype=PacketType.DATA):
+    return SKBuff(sport=5000, dport=6000, seq=seq, ptype=ptype,
+                  length=length, rate_adv=1, tries=1)
+
+
+def _ooo_arrival_calls(parked):
+    """One out-of-order arrival opening a second hole, behind one hole
+    and ``parked`` contiguous parked segments."""
+    sim = Simulator()
+    r = make_receiver(sim, FakeHost(sim), rcvbuf=64 << 20)
+    mss = r.cfg.mss
+    r.segment_received(_segment(1, mss), "10.0.0.1")
+    for i in range(parked):
+        r.segment_received(_segment(1 + (2 + i) * mss, mss), "10.0.0.1")
+    assert len(r._ooo) == parked and len(r.naks) == 1
+    arrival = _segment(1 + (parked + 3) * mss, mss)
+    calls = calls_in(lambda: r.segment_received(arrival, "10.0.0.1"))
+    assert len(r.naks) == 2
+    return calls
+
+
+def test_an_out_of_order_arrival_does_not_scan_the_parked_segments():
+    assert _ooo_arrival_calls(1_000) == _ooo_arrival_calls(10)
+
+
+def _nak_served_calls(queued):
+    """One NAK for the last of ``queued`` sent skbs."""
+    sim = Simulator()
+    s = make_sender(sim, FakeHost(sim), sndbuf=4 * queued * 2048)
+    mss = s.cfg.mss
+    s.sendmsg_some(PatternPayload(0, queued * mss))
+    s._unsent.clear()
+    for skb in s.sock.write_queue:      # as if each went out once
+        skb.tries, skb.last_sent_us = 1, 0
+    last = s.sock.write_queue.peek_tail()
+    nak = _segment(last.seq, mss, PacketType.NAK)
+    calls = calls_in(lambda: s.segment_received(nak, "10.0.0.9"))
+    assert list(s._retrans) == [last]
+    return calls
+
+
+def test_a_nak_is_served_without_walking_the_write_queue():
+    assert _nak_served_calls(1_000) - _nak_served_calls(10) <= 30
+
+
+def test_reading_the_worst_rtt_makes_no_call():
+    sim = Simulator()
+    s = make_sender(sim, FakeHost(sim))
+    for addr in ("10.0.0.2", "10.0.0.3"):
+        s.rtt.sample(addr, 40_000)
+    assert calls_in(lambda: s.rtt.rtt_us) == 0
