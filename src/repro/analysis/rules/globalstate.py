@@ -44,9 +44,9 @@ _MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp,
 class GlobalStateRule(Rule):
     id = "R3"
     title = "module-global mutable state in a protocol package"
-    hint = ("hang per-run state off an object created per run (e.g. "
-            "the Simulator: sim.new_packet_id()); module globals leak "
-            "state between runs inside one worker process")
+    hint = ("hang per-run state off an object created per run (keep "
+            "such state on the Simulator); module globals leak state "
+            "between runs inside one worker process")
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         return policy.global_state_scoped(ctx)

@@ -274,14 +274,20 @@ class HRMCReceiver:
         # seq_sub(rcv_nxt, seq)
         trim = ((self.rcv_nxt - seq + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
         payload: Optional[Payload] = skb.payload
-        length = skb.length - trim
-        if trim > 0 and payload is not None:
-            payload = payload.slice(trim, length)
-        out = SKBuff(sport=skb.sport, dport=skb.dport, seq=self.rcv_nxt,
-                     ptype=PacketType.DATA, length=length, payload=payload)
-        self.sock.receive_queue.enqueue(out)
+        if trim:
+            # an overlap (or, at 2**31 bytes and more, a negative trim):
+            # queue a private skb holding only the new bytes
+            length = skb.length - trim
+            if trim > 0 and payload is not None:
+                payload = payload.slice(trim, length)
+            skb = SKBuff(sport=skb.sport, dport=skb.dport, seq=self.rcv_nxt,
+                         ptype=PacketType.DATA, length=length,
+                         payload=payload)
+        # else the arriving segment itself: the queue reads only seq,
+        # length and payload, which no sender writes once it is built
+        self.sock.receive_queue.enqueue(skb)
         if self.cfg.local_recovery and payload is not None:
-            self._cache_for_repair(out.seq, length, payload)
+            self._cache_for_repair(skb.seq, skb.length, payload)
         self.rcv_nxt = end
         self.naks.fill_below(end, self.sim.now)
         self.sock.data_ready.fire()

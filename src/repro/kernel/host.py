@@ -246,9 +246,7 @@ class Host:
         """
         payload_bytes = skb.payload.length if skb.payload is not None else 0
         seg_bytes = 20 + payload_bytes
-        pkt = NetPacket(self.addr, dst_addr, skb, seg_bytes,
-                        born_us=self.sim.now,
-                        pid=self.sim.new_packet_id())
+        pkt = NetPacket(self.addr, dst_addr, skb, seg_bytes)
         tap = self.sim.tap
         if tap is not None:
             tap("tx", self.addr, pkt)

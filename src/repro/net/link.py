@@ -100,18 +100,17 @@ class SharedLink:
         # one engine event for the whole fan-out: per-NIC entries would
         # share this timestamp and hold consecutive order numbers, so
         # nothing could fire between them and walking the NICs inside
-        # one event is the same firing order.  The forks' ids are
-        # claimed now, where per-NIC scheduling allocated them.
-        fanout = len(self._nics) - (sender in self._nics)
+        # one event is the same firing order
         self.sim.call_at(end_us + self.prop_delay_us, self._deliver_all, pkt,
-                         sender, self.sim.new_packet_id(fanout))
+                         sender)
 
-    def _deliver_all(self, pkt: "NetPacket", sender: "NetworkInterface",
-                     pid: int) -> None:
+    def _deliver_all(self, pkt: "NetPacket",
+                     sender: "NetworkInterface") -> None:
+        # every interface hears the same frame; a NIC that corrupts its
+        # copy forks it first
         for nic in self._nics:
             if nic is not sender:
-                nic.medium_deliver(pkt.fork(pid))
-                pid += 1
+                nic.medium_deliver(pkt)
 
     @property
     def utilization_bytes(self) -> int:

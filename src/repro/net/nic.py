@@ -216,7 +216,9 @@ class NetworkInterface:
             return
         if self.fault_corrupt_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_corrupt_rate:
-            # flip bits in our private fork; the host checksum drops it
+            # flip bits in a private copy of the shared frame; the host
+            # checksum drops it
+            pkt = pkt.fork()
             pkt.corrupted = True
             pkt.blame = self.fault_cause
             self.fault_corruptions += 1

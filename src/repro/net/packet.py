@@ -1,10 +1,11 @@
 """IP-level packet envelope.
 
 A :class:`NetPacket` wraps one transport segment with network addressing
-and accounts for wire overheads.  Routers duplicate multicast packets by
-creating copies that *share* the segment object (segments are treated as
-immutable once sent), mirroring how the paper's simulator duplicates
-packets within a router.
+and accounts for wire overheads.  One transmission is one frame object:
+the shared link and the routers hand the same packet to every receiver
+(the segment is immutable once sent), and only a site that damages one
+receiver's copy -- fault corruption at a NIC, bit errors on a pipe --
+takes a private :meth:`~NetPacket.fork` first.
 """
 
 from __future__ import annotations
@@ -26,22 +27,15 @@ class NetPacket:
     overheads.
     """
 
-    __slots__ = ("src", "dst", "segment", "seg_bytes", "wire_bytes", "id",
-                 "hops", "born_us", "corrupted", "cause", "blame")
+    __slots__ = ("src", "dst", "segment", "seg_bytes", "wire_bytes",
+                 "corrupted", "cause", "blame")
 
-    def __init__(self, src: str, dst: str, segment: Any, seg_bytes: int,
-                 born_us: int = 0, pid: int = 0):
-        # ids are allocated per-Simulator (sim.new_packet_id()), never
-        # from process-global state: two runs in one worker process must
-        # produce identical packet streams
+    def __init__(self, src: str, dst: str, segment: Any, seg_bytes: int):
         self.src = src
         self.dst = dst
         self.segment = segment
         self.seg_bytes = int(seg_bytes)
         self.wire_bytes = self.seg_bytes + IP_OVERHEAD + LINK_OVERHEAD
-        self.id = pid
-        self.hops = 0
-        self.born_us = born_us
         self.corrupted = False   # bit errors in flight; checksum catches
         self.cause = 0           # causal node id of the tx (obs.causal)
         self.blame = 0           # causal node id of the fault that hit us
@@ -50,16 +44,16 @@ class NetPacket:
     def wire_bits(self) -> int:
         return self.wire_bytes * 8
 
-    def fork(self, pid: int = 0) -> "NetPacket":
-        """Duplicate for multicast fan-out (shares the segment)."""
-        dup = NetPacket(self.src, self.dst, self.segment, self.seg_bytes,
-                        self.born_us, pid)
-        dup.hops = self.hops
+    def fork(self) -> "NetPacket":
+        """A private copy (sharing the segment) for a site about to
+        write per-receiver state: every other holder keeps the frame
+        as it was."""
+        dup = NetPacket(self.src, self.dst, self.segment, self.seg_bytes)
         dup.corrupted = self.corrupted
         dup.cause = self.cause
         dup.blame = self.blame
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"NetPacket(#{self.id} {self.src}->{self.dst} "
+        return (f"NetPacket({self.src}->{self.dst} "
                 f"{self.seg_bytes}B {self.segment!r})")

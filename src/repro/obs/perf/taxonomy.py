@@ -22,7 +22,7 @@ compare only in one vocabulary, so they live here as a frozen tuple:
     Medium propagation: the one fan-out event a broadcast schedules
     (it walks every attached NIC, so address filtering and RX-ring
     enqueue of an idle ring bill here), plus router/pipe
-    store-and-forward hops.
+    store-and-forward steps.
 ``process-wake``
     :class:`~repro.sim.process.SimEvent` fires scheduled as engine
     callbacks.  None in the stock scenarios since CPU work resumes its

@@ -69,17 +69,6 @@ class Simulator:
         # received or dropped is reported as ``tap(fact, where, pkt)``
         # while the run's one tracer is attached
         self.tap = None
-        # per-simulator packet-id allocator: ids restart at 1 for every
-        # run, so results never depend on what else the hosting process
-        # has simulated before (fleet workers run many jobs each)
-        self._next_packet_id = 0
-
-    def new_packet_id(self, n: int = 1) -> int:
-        """Allocate ``n`` consecutive :class:`~repro.net.packet.NetPacket`
-        ids and return the first."""
-        first = self._next_packet_id + 1
-        self._next_packet_id += n
-        return first
 
     def now_seconds(self) -> float:
         return self.now / US_PER_SEC

@@ -1,7 +1,7 @@
 """Worker hygiene: many jobs in one process must not contaminate each
 other.  The worker rebuilds the whole world from the spec, and nothing
 under ``src/repro`` may carry mutable module-global state between runs
-(packet ids are allocated per-Simulator since PR 4)."""
+(simlint rule R3 holds the protocol packages to that)."""
 
 from repro.fleet.spec import RunSpec
 from repro.fleet.worker import execute_spec
@@ -39,14 +39,3 @@ def test_interleaved_jobs_do_not_contaminate():
 
     # and the cross-check: the chaos run replays identically too
     assert execute_spec(_chaos()) == chaos
-
-
-def test_packet_ids_are_per_simulator():
-    """Packet ids restart for every run: the summaries above would
-    still match with a global counter (ids don't reach the summary),
-    so pin the mechanism itself."""
-    from repro.sim.engine import Simulator
-
-    a, b = Simulator(), Simulator()
-    assert [a.new_packet_id() for _ in range(3)] == [1, 2, 3]
-    assert b.new_packet_id() == 1  # not 4: no process-global sequence

@@ -120,41 +120,42 @@ PINNED = {
 
 
 #: name -> ceiling on profiled calls per packet sent, bare run.
-#: Comments: today / before the per-packet call ladder was flattened.
+#: Comments: today / before the per-packet call ladder was flattened /
+#: while every receiver got its own copy of every frame and skb.
 CALLS_PER_PACKET = {
-    "lan-2": 183.5,                 # 178.2 / 313.7
-    "lan-2-long": 183.5,            # 178.2 / 313.8
-    "lan-40": 2_760.0,              # 2 679.2 / 5 214.2
-    "wan-case-3": 1_076.0,          # 1 044.5 / 2 719.9 (2 126.4 while
-                                    # loss recovery scanned its state)
-    "lan-disk": 238.5,              # 231.5 / 412.9
+    "lan-2": 174.0,                 # 168.5 / 313.7 / 178.2
+    "lan-2-long": 174.0,            # 168.5 / 313.8 / 178.2
+    "lan-40": 2_486.0,              # 2 413.2 / 5 214.2 / 2 679.2
+    "wan-case-3": 1_036.5,          # 1 005.9 / 2 719.9 / 1 051.0 (2 126.4
+                                    # while loss recovery scanned its state)
+    "lan-disk": 222.5,              # 215.9 / 412.9 / 231.5
 }
 
 
 #: name -> instrument -> ceiling on the same count with
 #: `Observability(<instrument>=True)` attached (the span collector and
-#: the gauges ride along with each).  Comments: today / before PR 16,
-#: which stopped building a record per tapped packet and folded the two
-#: profilers into one table.  `profile` on `lan-2` is to stay under
-#: 1.30x the bare figure (1.24x today, 1.47x before).  Protocol health
-#: has no row: it is a read of the bare run, which `CALLS_PER_PACKET`
-#: already bounds.
+#: the gauges ride along with each).  Comments: today / before the
+#: packet seam stopped building a record per tapped packet and the two
+#: profilers were folded into one table.  `profile` on `lan-2` is to
+#: stay under 1.30x the bare figure (1.26x today, 1.47x before).
+#: Protocol health has no row: it is a read of the bare run, which
+#: `CALLS_PER_PACKET` already bounds.
 OBSERVED_CALLS_PER_PACKET = {
     "lan-2": {
-        "profile": 228.0,           # 221.4 / 263.7
-        "lineage": 242.0},          # 234.8 / 244.4
+        "profile": 218.5,           # 211.7 / 263.7
+        "lineage": 232.0},          # 225.2 / 244.4
     "lan-2-long": {
-        "profile": 228.0,           # 221.0 / 263.4
-        "lineage": 241.0},          # 233.6 / 244.0
+        "profile": 218.0,           # 211.3 / 263.4
+        "lineage": 231.0},          # 223.9 / 244.0
     "lan-40": {
-        "profile": 3_433.0,         # 3 332.8 / 3 974.6
-        "lineage": 3_710.0},        # 3 601.3 / 3 832.6
+        "profile": 3_159.0,         # 3 066.8 / 3 974.6
+        "lineage": 3_436.0},        # 3 335.2 / 3 832.6
     "wan-case-3": {
-        "profile": 1_418.0,         # 1 376.5 / 2 676.6
-        "lineage": 1_447.0},        # 1 404.3 / 2 530.7
+        "profile": 1_379.0,         # 1 338.0 / 2 676.6
+        "lineage": 1_407.0},        # 1 365.8 / 2 530.7
     "lan-disk": {
-        "profile": 302.0,           # 293.1 / 356.4
-        "lineage": 323.5},          # 313.8 / 335.1
+        "profile": 286.0,           # 277.4 / 356.4
+        "lineage": 307.5},          # 298.1 / 335.1
 }
 
 

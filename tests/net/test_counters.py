@@ -44,10 +44,12 @@ def test_pipe_corruption_counted_and_flagged():
 
     pipe = Pipe(sim, 1e9, corrupt_rate=1.0, seed=1)
     pipe.connect(Sink())
-    pipe.send(mkpkt("a", "b"))
+    pkt = mkpkt("a", "b")
+    pipe.send(pkt)
     sim.run()
     assert pipe.corruptions == 1
     assert got[0].corrupted
+    assert not pkt.corrupted        # the damage went on a copy
 
 
 def test_corruption_survives_fork():

