@@ -64,8 +64,9 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q`` quantile from the buckets.
-        The overflow bucket reports the observed maximum."""
+        """Upper-bound estimate of the ``q`` quantile from the buckets:
+        the bucket's upper edge, but never above the observed maximum
+        (which the overflow bucket reports), so p50 <= p90 <= max."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         if self.count == 0:
@@ -76,8 +77,8 @@ class Histogram:
             seen += c
             if seen >= target and c:
                 if i < len(self.bounds):
-                    return self.bounds[i]
-                return float(self.max)
+                    return min(self.bounds[i], float(self.max))
+                break
         return float(self.max)
 
     def bucket_rows(self) -> list[tuple[str, int]]:

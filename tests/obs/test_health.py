@@ -12,7 +12,10 @@ repair-cache columns, and an RMC run whose sender releases data after
 one RTT exercises the abandoned-gap column.
 
 ``PAYLOAD_SHA`` pins each payload, byte for byte, to what the
-health probe that the roles' books replaced reported for the same run.
+health probe that the roles' books replaced reported for the same run,
+except the lag ``p50_us`` / ``p90_us`` of ``wan-gate``, ``chaos`` and
+``local-recovery``, re-pinned when percentiles were clamped to the
+largest lag.
 Print them with:
 
     PYTHONPATH=src:. python -c "from tests.obs.test_health import \\
@@ -72,11 +75,11 @@ PAYLOAD_SHA = {
     "lan-gate":
         "167bc17bce789ec47ebd78fd87cd1d95a66155b9a57bf400b0439208ac762f62",
     "wan-gate":
-        "7e815334c6cd3540b6c38ba97b16ee5e88b5e633620f67ae15492320c6da8b4a",
+        "d8c988968eed37d150502df5aed2e5dde2262276502459f600132525c3a5e189",
     "chaos":
-        "17fec25f369076b25e657b293c1fc8ade569c3f8896276fd2e9a77c18f55e9fa",
+        "30dc04b032bd566dc39ec9f64037ab7e614e141284a8c8636f49b9fe93014e3a",
     "local-recovery":
-        "3281fc0aac155bf7a92a6773ec51284fcc11d2b86fb1364ea76336bc4a5d020d",
+        "e1686d4c844bf732fed3ebba49b380cd073d71fe7118f3c71809b10b570a2da5",
     "rmc-abandon":
         "b5fd739e021d4751a12951b2dc106a45a444952ee3b47c66c6981be108315248",
 }
@@ -186,10 +189,9 @@ def test_payload_is_json_safe_and_complete(baseline):
     lag = doc["lag"]
     assert lag["filled"] > 0
     assert lag["worst_host"].startswith("10.")
-    # percentiles are bucket upper bounds, so p90 may exceed the true
-    # max; only the ordering within each family is guaranteed
-    assert lag["p90_us"] >= lag["p50_us"] > 0
-    assert lag["max_us"] > 0
+    # percentiles are bucket upper bounds clamped to the largest lag
+    assert 0 < lag["p50_us"] <= lag["p90_us"] <= lag["max_us"]
+    assert lag["max_us"] == max(row["max_us"] for row in lag["per_host"])
     hosts = [row["host"] for row in lag["per_host"]]
     assert hosts == sorted(hosts)
 

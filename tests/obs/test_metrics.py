@@ -29,6 +29,24 @@ def test_histogram_quantile_upper_bound():
         h.quantile(1.5)
 
 
+def test_histogram_quantile_never_exceeds_the_max():
+    """A bucket's upper edge is clamped to the largest sample, so the
+    percentiles a report prints satisfy p50 <= p90 <= max."""
+    h = Histogram("lat", bounds=(10, 100, 1000))
+    for v in (1, 2, 3):
+        h.observe(v)
+    assert h.quantile(0.5) == h.quantile(0.9) == h.quantile(1.0) == 3
+    h.observe(73)                       # max now inside the 100 bucket
+    assert h.quantile(0.5) == 10 and h.quantile(0.9) == 73
+    for values in ((5,), (10,), (11, 12), (1, 99, 101, 999), (0.5, 2000)):
+        h = Histogram("lat", bounds=(10, 100, 1000))
+        for v in values:
+            h.observe(v)
+        qs = [h.quantile(q / 20) for q in range(21)]
+        assert qs == sorted(qs) and qs[-1] == h.max, values
+        assert h.quantile(0.5) <= h.quantile(0.9) <= h.max
+
+
 def test_histogram_rejects_unsorted_bounds():
     with pytest.raises(ValueError):
         Histogram("bad", bounds=(10, 10, 20))
