@@ -6,9 +6,8 @@ pure detectors and a reviewer can audit the whole policy at a glance.
 The mental model: *everything under* ``repro`` *is simulation path
 unless it is explicitly carved out below*.  The carve-outs are the
 boundary layers that legitimately talk to the host machine -- the CLI
-harness (progress timing), the wall-clock side of the profiler, the
-performance observatory and the fleet executor (worker wall-clock
-timeouts).  New carve-outs belong in this file, in a PR, with a reason
+harness (progress timing), the wall-clock side of the profiler and the
+fleet executor (worker wall-clock timeouts).  New carve-outs belong in this file, in a PR, with a reason
 -- not scattered through the tree as suppressions.
 """
 
@@ -26,13 +25,10 @@ __all__ = [
 ]
 
 #: modules that may read the host clock: harness progress output, the
-#: wall half of the profiler, the performance observatory (wall
-#: attribution, stack sampling, tracemalloc/gc accounting) and executor
-#: job timeouts
+#: wall half of the profiler and executor job timeouts
 WALLCLOCK_ALLOWED = (
     "repro.harness",
     "repro.obs.profiler",
-    "repro.obs.perf",
     "repro.fleet.executor",
 )
 

@@ -20,8 +20,7 @@ from repro.analysis.registry import Rule, register
 #: fully-qualified callables that read the host clock -- including the
 #: process-level measurement machinery (tracemalloc, gc control): heap
 #: and collector state vary with the hosting machine exactly like a
-#: clock read, so they are fenced to the same boundary modules (the
-#: perf observatory, repro.obs.perf)
+#: clock read, so they are fenced to the same boundary modules
 WALLCLOCK_CALLS = frozenset({
     "time.time", "time.time_ns",
     "time.monotonic", "time.monotonic_ns",

@@ -354,12 +354,11 @@ class HRMCReceiver:
         if seq_lt(start, end):
             self._claimed_to = end
             fresh = self.naks.add_gap(start, end, now)
-        lineage = self.sim.lineage
-        if fresh and lineage is not None:
-            # the arrival we are processing *revealed* the gap; NAK
-            # transmissions chain under this node
-            lineage.emit("gap", self.host.addr, "detected",
-                         seq=fresh[0].start, end=fresh[-1].end)
+        tap = self.sim.tap
+        if fresh and tap is not None:
+            # a seam fact: the arrival being processed *revealed* these
+            # ranges, so the NAKs sent next are its consequence
+            tap("gap", self.host.addr, fresh)
         for rng in fresh:
             self._send_nak(rng, now)
         if self.naks and not self.nak_timer.pending:

@@ -404,13 +404,12 @@ class HRMCSender:
                 continue  # a repair is already in flight; don't multiply
             if not skb.retrans_pending:
                 skb.retrans_pending = True
-                lineage = self.sim.lineage
-                if lineage is not None:
-                    # remember *which NAK* (or timer) asked for this
-                    # repair: the retransmit itself happens later, from
-                    # a transmit-timer tick, and ip_send consumes this
-                    # stamp to parent the tx node correctly
-                    skb.cause = lineage.current
+                tap = self.sim.tap
+                if tap is not None:
+                    # a seam fact: the NAK (or timer) being processed
+                    # asked for this repair, which goes out later from
+                    # a transmit-timer tick
+                    tap("repair", self.host.addr, skb)
                 self._retrans.append(skb)
                 queued = True
         if queued and not self.retrans_timer.pending:

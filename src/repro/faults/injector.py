@@ -24,16 +24,20 @@ class FaultInjector:
 
     Usage (the harness does this for you)::
 
-        injector = FaultInjector(scenario, plan, checker=checker)
+        injector = FaultInjector(scenario, plan, checker=checker,
+                                 recorder=recorder)
         injector.register_receivers(rsocks, procs, restart_fn=rejoin)
         injector.arm()
     """
 
-    def __init__(self, scenario, plan: FaultPlan, checker=None):
+    def __init__(self, scenario, plan: FaultPlan, checker=None,
+                 recorder=None):
         self.scenario = scenario
         self.sim = scenario.sim
         self.plan = plan
         self.checker = checker
+        # the run's causal recorder (repro.obs.causal), if lineage is on
+        self.recorder = recorder
         self._surfaces = scenario.network.fault_surfaces()
         self.log: list[tuple[int, str]] = []
         self.crashed: set[int] = set()
@@ -130,11 +134,10 @@ class FaultInjector:
         """Record the fault action as a causal root (see obs.causal).
         The returned node id is stamped on the poisoned component's
         ``fault_cause`` so its drops can blame this exact plan entry."""
-        lineage = self.sim.lineage
-        if lineage is None:
+        if self.recorder is None:
             return 0
-        return lineage.emit("fault", where, what,
-                            detail=detail or f"plan[{idx}]")
+        return self.recorder.emit("fault", where, what,
+                                  detail=detail or f"plan[{idx}]")
 
     # -- action bodies --------------------------------------------------
 
@@ -232,9 +235,8 @@ class FaultInjector:
         # the restart (and the rejoin it triggers) is *caused by* the
         # crash: the engine already restored the crash node as current,
         # so the new node chains under it
-        lineage = self.sim.lineage
-        if lineage is not None:
-            lineage.emit("fault", f"rcv{idx}", "receiver_restart")
+        if self.recorder is not None:
+            self.recorder.emit("fault", f"rcv{idx}", "receiver_restart")
         host.nic.fault_cause = 0
         self.restarted.add(idx)
         self._note(f"rcv{idx} restarted")

@@ -48,7 +48,7 @@ class RunSummary:
     surviving_ok: bool = True
     # observability sample (list of (title, headers, rows) tables)
     obs_tables: list = field(default_factory=list)
-    # per-job perf payload (repro.obs.perf bench_payload(); only when
+    # per-job perf payload (SimProfiler.bench_payload(); only when
     # the spec asked for it -- carries wall-clock numbers, so it is the
     # one part of a summary that varies between executions)
     perf: dict = field(default_factory=dict)

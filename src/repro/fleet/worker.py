@@ -85,15 +85,9 @@ def run_spec(spec: RunSpec) -> RunSummary:
     scenario = _build_scenario(spec)
     cfg = _build_config(spec)
     obs = None
-    perf = None
     if spec.obs or spec.perf:
         from repro.obs.observer import Observability
-        if spec.perf:
-            # tax table only: flamegraph stacks would bloat the cached
-            # summary (sample_every=0 disables the stack sampler)
-            from repro.obs.perf import PerfObservatory
-            perf = PerfObservatory(sample_every=0)
-        obs = Observability(perf=perf)
+        obs = Observability(profile=spec.perf)
     result = run_transfer(
         scenario, nbytes=spec.nbytes, protocol=spec.protocol,
         sndbuf=spec.sndbuf, rcvbuf=spec.rcvbuf, cfg=cfg, disk=spec.disk,
@@ -108,7 +102,7 @@ def run_spec(spec: RunSpec) -> RunSummary:
         result, plan_actions=len(plan) if plan is not None else 0,
         obs_tables=obs.summary_tables() if obs is not None and spec.obs
         else None,
-        perf=perf.bench_payload() if perf is not None else None,
+        perf=obs.profiler.bench_payload() if spec.perf else None,
         health=health)
 
 

@@ -12,13 +12,13 @@ Usage::
     hrmc-experiments --chaos-seed 10
     hrmc-experiments --fault-plan plan.json --metrics-out out/
     hrmc-experiments report lan --receivers 5 --metrics-out out/
-    hrmc-experiments report wan --html --metrics-out out/
+    hrmc-experiments report wan --lineage --metrics-out out/
     hrmc-experiments report wan --from out/
     hrmc-experiments why wan --seq 58401 --seed 21
     hrmc-experiments diff out/runA out/runB
-    hrmc-experiments perf profile lan --html --alloc
+    hrmc-experiments perf profile lan
     hrmc-experiments health report wan --bounds HEALTH_BOUNDS.json
-    hrmc-experiments health sweep --experiment fig14 --html sweep.html
+    hrmc-experiments health sweep --experiment fig14
 
 (or ``python -m repro.harness.cli``).  Experiment runs go through the
 fleet (:mod:`repro.fleet`): specs are planned, served from the
@@ -45,9 +45,9 @@ DAG -- into ``DIR``.
 Subcommands:
 
 * ``report lan|wan|chaos`` runs one observed transfer of a canned
-  scenario and prints the observability summary; ``--html`` also writes
-  the self-contained HTML report, ``--from DIR`` re-renders a
-  previously written artifact directory without running anything.
+  scenario and prints the observability summary; ``--from DIR``
+  re-prints a previously written artifact directory's summary without
+  running anything.
 * ``why lan|wan|chaos`` runs the scenario with causal lineage enabled
   and answers "why did sequence N need recovery?" (``--seq N``) or
   explains the worst recovery episodes (default).
@@ -55,9 +55,9 @@ Subcommands:
   ``report --lineage --metrics-out``) and reports the first causally
   significant divergence.  Exit status: 0 = runs align,
   1 = diverged, 2 = unusable input.
-* ``perf profile lan|wan|chaos`` runs one transfer under the hot-path
-  performance observatory (:mod:`repro.obs.perf`): event-class tax
-  table, collapsed-stack flamegraph, optional allocation tracking.
+* ``perf profile lan|wan|chaos`` runs one transfer under the engine
+  profiler and prints its event-class tax table
+  (:mod:`repro.obs.perf`).
 * ``health report lan|wan|chaos`` runs one transfer and reads its
   protocol health (:mod:`repro.obs.health`): NAK-suppression ledger,
   feedback-implosion index, repair economics and recovery-lag
@@ -230,13 +230,13 @@ def _transfer(args, obs=None, tracer=None):
                         tracer=tracer, **kwargs)
 
 
-def _write_artifacts(obs, outdir: str, prefix: str, *, html: bool = False,
+def _write_artifacts(obs, outdir: str, prefix: str, *,
                      spaced: bool = False) -> bool:
     """Write an observed run's artifacts into ``outdir`` and list them
     on stdout (after a blank line if ``spaced``); ``False`` after a
     one-line reason on stderr if the directory cannot be written."""
     try:
-        paths = obs.write_artifacts(outdir, prefix=prefix, html=html)
+        paths = obs.write_artifacts(outdir, prefix=prefix)
     except OSError as exc:
         print(f"cannot write artifacts to {outdir!r}: "
               f"{exc.strerror or exc}", file=sys.stderr)
@@ -266,64 +266,12 @@ def _write_file(what: str, path: str, text: str, status) -> bool:
 
 # -- report subcommand --------------------------------------------------
 
-class _OfflineObs:
-    """Enough of the :class:`Observability` surface to re-render a
-    report from a previously written ``*.series.jsonl`` (used by
-    ``report --from DIR``)."""
-
-    def __init__(self, registry, finalized_at_us):
-        self.registry = registry
-        self.finalized_at_us = finalized_at_us
-        self.spans = None
-        self.profiler = None
-
-    def summary_tables(self):
-        rows = self.registry.summary_rows()
-        return [("observed metric series",
-                 ["series", "samples", "min", "mean", "max", "last"],
-                 rows)] if rows else []
-
-
-def _load_series(path: str):
-    """Rebuild a :class:`MetricsRegistry` from a series JSONL dump.
-
-    Raises ``ValueError`` with a one-line reason on corrupt input.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    last_t = None
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                kind = rec.get("kind")
-                if kind == "sample":
-                    name = rec["series"]
-                    if name not in registry.series:
-                        from repro.obs.metrics import TimeSeries
-                        registry.series[name] = TimeSeries(
-                            name, rec.get("unit", ""))
-                    registry.series[name].append(rec["t_us"], rec["value"])
-                    last_t = rec["t_us"] if last_t is None \
-                        else max(last_t, rec["t_us"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValueError(f"corrupt series file {path!r}: {exc}") from None
-    registry.scrapes = max((len(s) for s in registry.series.values()),
-                           default=0)
-    return registry, last_t
-
-
 def _report_offline(args) -> int:
-    """``report --from DIR``: re-render the observability report from a
+    """``report --from DIR``: re-print the observability summary of a
     previously written artifact directory; never runs a transfer."""
     outdir = getattr(args, "from")
     prefix = args.scenario
     summary_path = os.path.join(outdir, f"{prefix}.summary.txt")
-    series_path = os.path.join(outdir, f"{prefix}.series.jsonl")
     trace_path = os.path.join(outdir, f"{prefix}.trace.jsonl")
 
     try:
@@ -346,27 +294,6 @@ def _report_offline(args) -> int:
             print(f"\nnote: packet trace is truncated "
                   f"({meta.get('dropped', '?')} events lost"
                   f"{' off the ring' if meta.get('ring') else ''})")
-
-    if args.html:
-        from repro.obs.html import write_report
-        try:
-            registry, last_t = _load_series(series_path)
-        except OSError as exc:
-            print(f"cannot read metrics series {series_path!r}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        html_path = os.path.join(outdir, f"{prefix}.report.html")
-        try:
-            write_report(html_path, _OfflineObs(registry, last_t),
-                         title=f"H-RMC run report: {prefix} (offline)")
-        except OSError as exc:
-            print(f"cannot write {html_path!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"\nwrote html: {html_path}")
     return 0
 
 
@@ -382,14 +309,10 @@ def _run_report(argv) -> int:
                         help="also write JSONL/CSV series, summary and "
                              "Perfetto trace into DIR; with --lineage, "
                              "the packet trace and causal lineage too")
-    parser.add_argument("--html", action="store_true",
-                        help="also write the self-contained HTML report "
-                             "(implies causal lineage; needs "
-                             "--metrics-out or --from)")
     parser.add_argument("--lineage", action="store_true",
                         help="enable causal lineage tracing for the run")
     parser.add_argument("--from", metavar="DIR", default=None,
-                        help="re-render a previously written artifact "
+                        help="re-print a previously written artifact "
                              "directory instead of running a transfer")
     parser.add_argument("--no-profile", action="store_true",
                         help="skip the engine profiler")
@@ -397,14 +320,9 @@ def _run_report(argv) -> int:
 
     if getattr(args, "from"):
         return _report_offline(args)
-    if args.html and not args.metrics_out:
-        print("--html needs --metrics-out DIR (or --from DIR)",
-              file=sys.stderr)
-        return 2
 
-    lineage = args.lineage or args.html
-    obs = Observability(profile=not args.no_profile, lineage=lineage)
-    tracer = PacketTracer() if lineage and args.metrics_out else None
+    obs = Observability(profile=not args.no_profile, lineage=args.lineage)
+    tracer = PacketTracer() if args.lineage and args.metrics_out else None
     result = _transfer(args, obs, tracer)
     print(f"{args.scenario} x{args.receivers} {args.protocol} "
           f"{args.nbytes} bytes: ok={result.ok} "
@@ -412,8 +330,7 @@ def _run_report(argv) -> int:
           f"duration={result.duration_us / 1e6:.3f} s\n")
     print(obs.summary())
     if args.metrics_out and not _write_artifacts(
-            obs, args.metrics_out, args.scenario, html=args.html,
-            spaced=True):
+            obs, args.metrics_out, args.scenario, spaced=True):
         return 2
     return 0 if result.ok else 1
 
@@ -470,40 +387,22 @@ def _run_why(argv) -> int:
 # -- perf subcommand family ---------------------------------------------
 
 def _run_perf_profile(argv) -> int:
-    """``perf profile lan|wan|chaos``: one transfer under the hot-path
-    performance observatory (repro.obs.perf)."""
-    from repro.obs.perf import PerfObservatory
+    """``perf profile lan|wan|chaos``: one transfer under the engine
+    profiler, then its event-class tax table."""
     from repro.stats.report import format_table
 
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments perf profile",
-        description="Run one transfer under the performance "
-                    "observatory: event-class tax table, collapsed-"
-                    "stack flamegraph, optional allocation/GC "
-                    "tracking.")
+        description="Run one transfer under the engine profiler and "
+                    "print the event-class tax table.")
     _scenario_args(parser)
     parser.add_argument("--out", metavar="DIR", default="perf-artifacts",
                         help="artifact directory (default perf-artifacts)")
-    parser.add_argument("--sample-every", type=int, default=16, metavar="N",
-                        help="flamegraph-sample every Nth engine event "
-                             "(0 disables stack sampling; default 16)")
-    parser.add_argument("--alloc", action="store_true",
-                        help="also track allocations and GC pauses "
-                             "(tracemalloc; slows the run)")
-    parser.add_argument("--html", action="store_true",
-                        help="also write the self-contained HTML report "
-                             "with the flamegraph inline")
     args = parser.parse_args(argv)
-    if args.sample_every < 0:
-        print("--sample-every must be >= 0", file=sys.stderr)
-        return 2
 
-    perf = PerfObservatory(sample_every=args.sample_every,
-                           alloc=args.alloc)
-    obs = Observability(perf=perf, lineage=args.html)
-    tracer = PacketTracer() if args.html else None
+    obs = Observability(profile=True)
     wall_t0 = time.perf_counter()
-    result = _transfer(args, obs, tracer)
+    result = _transfer(args, obs)
     wall_s = time.perf_counter() - wall_t0
 
     events_per_s = result.sim_events / wall_s if wall_s > 0 else 0.0
@@ -511,10 +410,9 @@ def _run_perf_profile(argv) -> int:
           f"{args.nbytes} bytes: ok={result.ok} "
           f"sim_events={result.sim_events} wall={wall_s:.3f}s "
           f"events/s={events_per_s:.0f}\n")
-    for title, headers, rows in perf.summary_tables():
-        print(format_table(title, headers, rows))
-        print()
-    if not _write_artifacts(obs, args.out, args.scenario, html=args.html):
+    print(format_table(*obs.profiler.tax_table()))
+    print()
+    if not _write_artifacts(obs, args.out, args.scenario):
         return 2
     return 0 if result.ok else 1
 
@@ -587,9 +485,8 @@ def _check_health_bounds(bounds: dict, cell: dict) -> list[str]:
 
 
 def _run_health_report(argv) -> int:
-    """``health report lan|wan|chaos``: one transfer, then a read of
-    its protocol health, optionally gated against committed bounds.
-    The run is bare unless ``--html`` needs the observer's tables.
+    """``health report lan|wan|chaos``: one bare transfer, then a read
+    of its protocol health, optionally gated against committed bounds.
     With ``--json`` stdout is the payload alone; status lines go to
     stderr.  Exit 0 = healthy, 1 = run failed or bound violated,
     2 = unusable input.
@@ -609,9 +506,6 @@ def _run_health_report(argv) -> int:
                              "of tables")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="also write the health payload as JSON")
-    parser.add_argument("--html", metavar="FILE", default=None,
-                        help="also write the self-contained HTML "
-                             "report (health tables included)")
     parser.add_argument("--bounds", metavar="FILE", default=None,
                         help="gate against committed bounds "
                              "(HEALTH_BOUNDS.json)")
@@ -623,8 +517,7 @@ def _run_health_report(argv) -> int:
         if bounds is None:
             return 2
 
-    obs = Observability(profile=False) if args.html else None
-    result = _transfer(args, obs)
+    result = _transfer(args)
     payload = health_payload(result)
     tables = summary_tables(payload)
 
@@ -642,13 +535,6 @@ def _run_health_report(argv) -> int:
     if args.out and not _write_file("health payload", args.out, doc,
                                     status):
         return 2
-    if args.html:
-        from repro.obs.html import render_report
-        page = render_report(obs, extra_tables=tables,
-                             title=f"H-RMC protocol health: "
-                                   f"{args.scenario}")
-        if not _write_file("html", args.html, page, status):
-            return 2
 
     rc = 0 if result.ok else 1
     if bounds is not None:
@@ -662,6 +548,15 @@ def _run_health_report(argv) -> int:
         else:
             print(f"health bounds ok ({len(bounds)} gates)", file=status)
     return rc
+
+
+#: the per-cell columns of the sweep table, in print order
+_SWEEP_COLUMNS = (
+    "label", "group_size", "loss_rate", "throughput_mbps",
+    "effectiveness", "naks_sent", "suppressed", "feedback_at_sender",
+    "implosion_index", "redundant_ratio", "retrans_bytes",
+    "mean_lag_us", "worst_lag_us", "unresolved",
+)
 
 
 def _run_health_sweep(argv) -> int:
@@ -702,8 +597,6 @@ def _run_health_sweep(argv) -> int:
                         help="emit the sweep report as JSON")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="also write the sweep report as JSON")
-    parser.add_argument("--html", metavar="FILE", default=None,
-                        help="also write the HTML sweep dashboard")
     args = parser.parse_args(argv)
 
     try:
@@ -747,7 +640,6 @@ def _run_health_sweep(argv) -> int:
     if args.json:
         print(doc)
     else:
-        from repro.obs.html import _SWEEP_COLUMNS
         columns = [c for c in _SWEEP_COLUMNS
                    if any(c in cell for cell in cells)]
         print(format_table(
@@ -774,13 +666,6 @@ def _run_health_sweep(argv) -> int:
             print("no per-cell anomalies")
     if args.out and not _write_file("sweep report", args.out, doc, status):
         return 2
-    if args.html:
-        from repro.obs.html import render_sweep_report
-        page = render_sweep_report(
-            report, title=f"H-RMC health sweep: {args.experiment} "
-                          f"(test {args.wan_test}, seed {args.seed})")
-        if not _write_file("html", args.html, page, status):
-            return 2
     return 1 if (failed or report["anomalies"]) else 0
 
 

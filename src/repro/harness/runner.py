@@ -228,7 +228,9 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     rejoin_results: list[AppResult] = []
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
-        injector = FaultInjector(scenario, fault_plan, checker=checker)
+        injector = FaultInjector(
+            scenario, fault_plan, checker=checker,
+            recorder=obs.lineage if obs is not None else None)
 
         def rejoin(idx: int) -> None:
             """Fresh socket + application on the restarted host: the

@@ -44,17 +44,11 @@ class HostClock:
         self._sim = sim
         self.skew = 1.0          # multiplier on programmed timer delays
         self.stalled_until = 0   # no timer may fire before this sim time
-        self.host_addr = ""      # owning host's address, for lineage labels
+        self.host_addr = ""      # owning host's address (observers label by it)
 
     @property
     def now(self) -> int:
         return self._sim.now
-
-    @property
-    def lineage(self):
-        """Forward the causal recorder so timers driven through this
-        clock can label their firings (see repro.obs.causal)."""
-        return self._sim.lineage
 
     def call_at(self, when: int, callback: Callable, *args):
         if self.skew != 1.0:

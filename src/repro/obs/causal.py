@@ -4,14 +4,18 @@ Every interesting thing that happens in a run -- a segment leaving or
 reaching a host, a protocol timer firing, a fault action executing, a
 packet being dropped, a gap being detected -- becomes a
 :class:`CauseNode` with an edge to the event that caused it.  The
-tx/rx/drop nodes come from the packet seam (:mod:`repro.trace.tracer`),
-which the recorder subscribes to like any other consumer: the network
-and kernel models never name it.  The engine does the heavy lifting:
-while an event executes, any event it schedules inherits the executing
-event's nearest *labelled* ancestor (``LineageRecorder.current``), so
-causality flows through arbitrarily long chains of unlabelled
+tx/rx/drop and gap nodes come from the packet seam
+(:mod:`repro.trace.tracer`), which the recorder subscribes to like any
+other consumer; fault nodes from the injector, which the harness hands
+the recorder.  The simulated stack never names it.  The engine does
+the heavy lifting: the recorder is the run's watch
+(``Simulator.watch``), so every entry scheduled captures the executing
+event's nearest *labelled* ancestor (``LineageRecorder.current``), and
+:meth:`LineageRecorder.execute` restores it when the entry fires.
+Causality thus flows through arbitrarily long chains of unlabelled
 bookkeeping callbacks (CPU charging, NIC rings, medium propagation)
-without instrumenting each of them.
+without instrumenting each of them; the firing of a named timer and the
+resume of a named process are labelled from the callback itself.
 
 Two refinements keep the edges exact where FIFO hardware would smear
 them:
@@ -19,10 +23,10 @@ them:
 * packets carry their tx node id (``NetPacket.cause``), so an rx/drop
   node is parented to *its own* transmission even when the NIC ring
   serviced it during another packet's completion context, and
-* sender segments carry a pending cause (``SKBuff.cause``) stamped when
-  a NAK queues the retransmission, so the eventual retransmit is
-  parented to the NAK that asked for it, not to the transmit-timer tick
-  that happened to serve the queue.
+* sender segments carry a pending cause (``SKBuff.cause``) stamped at
+  the seam's ``repair`` fact, when a NAK queues the retransmission, so
+  the eventual retransmit is parented to the NAK that asked for it, not
+  to the transmit-timer tick that happened to serve the queue.
 
 Fault actions additionally leave their node id on the component they
 poison (``nic.fault_cause``, ``link.fault_cause``), and every drop that
@@ -51,11 +55,15 @@ from collections import OrderedDict, deque
 from typing import Optional
 
 from repro.core.types import PacketType
+from repro.sim.process import Process
+from repro.sim.timer import Timer
 
 __all__ = ["CauseNode", "LineageRecorder", "load_lineage", "walk_chain"]
 
 _PTYPE_NAMES = {int(t): t.name for t in PacketType}
 _DATA = int(PacketType.DATA)
+_FIRE = Timer._fire
+_RESUME = Process._resume
 
 
 def walk_chain(nodes, start, max_depth: int = 64):
@@ -146,19 +154,19 @@ class CauseNode:
 
 
 class LineageRecorder:
-    """Builds the causal DAG; attach as ``Simulator.lineage`` and
+    """Builds the causal DAG; install as ``Simulator.watch`` and
     subscribe :meth:`on_packet` to the run's packet tracer.
 
-    The engine reads and writes :attr:`current` (the node id of the
-    nearest labelled ancestor of the executing callback); timers,
-    processes, the fault injector and the protocol's gap detection call
-    :meth:`emit` behind ``lin = sim.lineage; if lin is not None``, and
-    every segment sent, received or dropped arrives through the packet
-    seam -- a bare run pays one attribute read per site either way.
+    The engine stores :attr:`current` (the node id of the nearest
+    labelled ancestor of the executing callback) in every entry it
+    schedules and runs each firing through :meth:`execute`; the fault
+    injector calls :meth:`emit`, and every segment sent, received or
+    dropped, every gap claimed and every repair queued arrives through
+    the packet seam.  ``profiler``, if given, times the firings.
     """
 
     def __init__(self, sim, *, max_nodes: int = 200_000,
-                 max_drops: int = 20_000):
+                 max_drops: int = 20_000, profiler=None):
         if max_nodes < 1024:
             raise ValueError("max_nodes too small to be useful")
         self._sim = sim
@@ -170,8 +178,36 @@ class LineageRecorder:
         self.current = 0          # nearest labelled ancestor of executing event
         self.pruned = 0           # nodes evicted by the ring bound
         self._next_eid = 1
+        self.profiler = profiler
 
     # -- emission -------------------------------------------------------
+
+    def execute(self, callback, args: tuple, cause: int,
+                sim_dt_us: int) -> None:
+        """Run one firing (the engine's watch hook) in the context it
+        was scheduled from.  A named timer's firing becomes a
+        ``timeout`` node and a live named process's resume a ``wake``
+        node, both parented to that context."""
+        self.current = cause
+        try:
+            fn = callback.__func__
+        except AttributeError:      # not a bound method: nothing to label
+            fn = None
+        if fn is _FIRE:
+            timer = callback.__self__
+            if timer.name:
+                # `_sim` is the Simulator or a host's clock, which knows
+                # its host
+                self.emit("timeout", getattr(timer._sim, "host_addr", ""),
+                          timer.name)
+        elif fn is _RESUME:
+            proc = callback.__self__
+            if proc.alive and proc.name:
+                self.emit("wake", "", proc.name)
+        if self.profiler is None:
+            callback(*args)
+        else:
+            self.profiler.execute(callback, args, cause, sim_dt_us)
 
     def emit(self, kind: str, host: str = "", what: str = "", *,
              seq: int = -1, end: int = -1, tries: int = 0,
@@ -204,7 +240,18 @@ class LineageRecorder:
         retransmission) and is stamped on the packet instead of made the
         engine context, as the NIC rings serialize completions; an rx
         becomes the context of what protocol processing does next; a
-        DATA drop is also indexed for ``why(seq)``."""
+        DATA drop is also indexed for ``why(seq)``.  The protocol's own
+        two facts carry no packet: a ``gap`` (``pkt`` is the list of NAK
+        ranges just claimed) becomes the context of the NAKs sent next,
+        and a ``repair`` (``pkt`` is the skb just queued for
+        retransmission) has the context stamped on the skb."""
+        if fact == "gap":
+            self.emit("gap", where, "detected", seq=pkt[0].start,
+                      end=pkt[-1].end)
+            return
+        if fact == "repair":
+            pkt.cause = self.current
+            return
         skb = pkt.segment
         seq, ptype = skb.seq, skb.ptype
         end = seq + skb.length if skb.length > 0 else seq

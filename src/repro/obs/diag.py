@@ -151,12 +151,15 @@ class Watchdog:
     ``progress_fn`` returns a comparable signature of transport
     progress; :meth:`check` is called from the observability scrape
     tick.  One report is produced per stall episode (re-arming only
-    after progress resumes).
+    after progress resumes); with the run's ``lineage`` recorder, each
+    pending entry in it carries the causal chain that scheduled it.
     """
 
     def __init__(self, sim, progress_fn: Callable[[], tuple], *,
+                 lineage: Optional[LineageRecorder] = None,
                  stall_after_us: int = 2_000_000, frontier_limit: int = 12):
         self._sim = sim
+        self._lineage = lineage
         self._progress_fn = progress_fn
         self.stall_after_us = int(stall_after_us)
         self.frontier_limit = int(frontier_limit)
@@ -182,7 +185,7 @@ class Watchdog:
         return None
 
     def _snapshot(self, now_us: int, sig: tuple) -> StallReport:
-        lineage = self._sim.lineage
+        lineage = self._lineage
         frontier: list[tuple[int, str, list[str]]] = []
         for when, _, callback, _, cause in \
                 self._sim.pending_entries(self.frontier_limit):

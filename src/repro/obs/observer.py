@@ -13,7 +13,12 @@ a scenario without perturbing it.
 * optionally the **engine profiler** (simulated-time and wall-clock
   attribution per callback site), and
 * optionally the **causal recorder**, a second seam subscriber that
-  also labels timers, processes and faults through ``sim.lineage``.
+  also labels timer firings and process wake-ups.
+
+The profiler and the recorder see the engine's events through its one
+hook, ``Simulator.watch``: the recorder when lineage is on (it times
+the firings under the profiler, if there is one), else the profiler.
+A run has one watch, as it has one tracer; attaching a second raises.
 
 Zero-perturbation guarantee: every gauge is a pure read, the span
 collector never copies or mutates segments, and the scrape events only
@@ -63,18 +68,13 @@ class Observability:
                  profile: bool = False, lineage: bool = False,
                  lineage_max_nodes: int = 200_000,
                  stall_after_us: int = 2_000_000,
-                 latency_bounds=LATENCY_BOUNDS_US, perf=None):
+                 latency_bounds=LATENCY_BOUNDS_US):
         if scrape_interval_us <= 0:
             raise ValueError("scrape_interval_us must be positive")
         self.scrape_interval_us = int(scrape_interval_us)
         self.registry = MetricsRegistry()
-        # the perf observatory (repro.obs.perf.PerfObservatory) brings
-        # its own profiler (with its stack sampler), superseding
-        # profile=True
-        self.perf = perf
         self.profiler: Optional[SimProfiler] = \
-            perf.profiler if perf is not None else (
-                SimProfiler() if profile else None)
+            SimProfiler() if profile else None
         self.spans: Optional[SpanCollector] = None
         self._latency_bounds = latency_bounds
         self._sim = None
@@ -101,8 +101,12 @@ class Observability:
         does this when given ``obs=``)."""
         if self.attached:
             raise RuntimeError("Observability instance already attached")
+        sim = scenario.sim
+        watches = self.profiler is not None or self.want_lineage
+        if watches and sim.watch is not None:
+            raise RuntimeError("the run already has a watch")
         self.attached = True
-        self._sim = sim = scenario.sim
+        self._sim = sim
         self.tracer = tracer
         reg = self.registry
 
@@ -114,12 +118,14 @@ class Observability:
             from repro.obs.causal import LineageRecorder
             from repro.obs.diag import Watchdog
             self.lineage = LineageRecorder(
-                sim, max_nodes=self._lineage_max_nodes)
-            sim.lineage = self.lineage
+                sim, max_nodes=self._lineage_max_nodes,
+                profiler=self.profiler)
             tracer.subscribe(self.lineage.on_packet)
             self.watchdog = Watchdog(
                 sim, self._progress_signature(ssock, list(rsocks)),
-                stall_after_us=self._stall_after_us)
+                lineage=self.lineage, stall_after_us=self._stall_after_us)
+        if watches:
+            sim.watch = self.lineage or self.profiler
 
         # engine
         reg.gauge("engine.queue_depth", sim.pending)
@@ -166,19 +172,11 @@ class Observability:
                        lambda: sum(scenario.network.drop_summary()
                                    .values()))
 
-        if self.profiler is not None:
-            sim.profiler = self.profiler
-        if self.perf is not None:
-            self.perf.attach()
-
         self._tick()   # scrape t=0, then self-schedule
         return self
 
     def _tick(self) -> None:
         self.registry.scrape(self._sim.now)
-        if self.perf is not None:
-            # heap/GC sampling rides the scrape tick: no extra events
-            self.perf.tick(self._sim.now, self.spans)
         if self.watchdog is not None:
             # passive mid-run stall detection: piggybacks on the scrape
             # tick instead of scheduling its own events (two
@@ -199,8 +197,6 @@ class Observability:
         self.registry.scrape(now_us)
         if self.spans is not None:
             self.spans.finalize(now_us)
-        if self.perf is not None:
-            self.perf.finalize(now_us, self.spans)
 
     @staticmethod
     def _progress_signature(ssock, rsocks):
@@ -326,21 +322,20 @@ class Observability:
                 tables.append(("packet-lifecycle latency (us)",
                                ["histogram", "n", "mean", "p50", "p90",
                                 "max"], hist_rows))
-        if self.perf is not None:
-            tables.extend(self.perf.summary_tables())
+        if self.profiler is not None and self.profiler.events:
+            tables.append(self.profiler.tax_table())
         return tables
 
     def summary(self) -> str:
         """The text timeline/summary (see :func:`repro.obs.export.summary_text`)."""
         return summary_text(self)
 
-    def write_artifacts(self, outdir: str, *, prefix: str = "run",
-                        html: bool = False) -> dict[str, str]:
+    def write_artifacts(self, outdir: str, *,
+                        prefix: str = "run") -> dict[str, str]:
         """Write every export into ``outdir``: JSONL + CSV series, the
         Perfetto trace and the text summary; with lineage enabled also
         the packet trace + causal DAG (the inputs ``hrmc diff`` and
-        ``hrmc why`` align), and optionally the self-contained HTML
-        report.  Returns name -> path."""
+        ``hrmc why`` align).  Returns name -> path."""
         os.makedirs(outdir, exist_ok=True)
         paths = {
             "series_jsonl": os.path.join(outdir, f"{prefix}.series.jsonl"),
@@ -354,21 +349,10 @@ class Observability:
         with open(paths["summary"], "w") as fh:
             fh.write(self.summary())
             fh.write("\n")
-        if self.perf is not None and self.perf.sampler is not None:
-            paths["collapsed"] = os.path.join(outdir,
-                                              f"{prefix}.collapsed.txt")
-            self.perf.write_collapsed(paths["collapsed"])
         if self.tracer is not None and self.lineage is not None:
             paths["trace"] = os.path.join(outdir, f"{prefix}.trace.jsonl")
             self.tracer.save(paths["trace"])
             paths["lineage"] = os.path.join(outdir,
                                             f"{prefix}.lineage.jsonl")
             self.lineage.save(paths["lineage"])
-        if html:
-            from repro.obs.html import write_report
-            paths["html"] = os.path.join(outdir, f"{prefix}.report.html")
-            write_report(paths["html"], self,
-                         title=f"H-RMC run report: {prefix}",
-                         diagnoser=self.diag() if self.lineage is not None
-                         else None)
         return paths

@@ -1,8 +1,8 @@
 """The engine profiler: one table, every view folded from it when read.
 
-Attached as ``Simulator.profiler``, the engine routes every callback
-through :meth:`SimProfiler.execute`, which adds three numbers to the
-row of the callback's *function*:
+Installed as the run's watch (``Simulator.watch``), it runs every
+firing through :meth:`SimProfiler.execute`, which adds three numbers to
+the row of the callback's *function*:
 
 * **events** -- firings (cancelled entries never reach ``execute`` and
   heap compaction only touches entries that will never fire, so counts
@@ -13,14 +13,9 @@ row of the callback's *function*:
   simulator burns real CPU).
 
 Nothing else happens per event.  Site labels (``nic.NetworkInterface.
-_tx_done``), the event-class "tax table" of the performance observatory
-(:mod:`repro.obs.perf.taxonomy`), the totals and the coverage figure are
-all folds over that table, computed when someone reads them.
-
-With a :class:`~repro.obs.perf.flame.StackSampler` attached, every Nth
-executed callback additionally runs under it -- sampling is keyed to
-the deterministic event counter, never to wall time, so the set of
-sampled callbacks is identical across runs of the same scenario.
+_tx_done``), the event-class tax table (:mod:`repro.obs.perf.taxonomy`),
+the totals and the coverage figure are all folds over that table,
+computed when someone reads them.
 """
 
 from __future__ import annotations
@@ -48,8 +43,8 @@ def site_of(callback: Callable) -> str:
 
 def _classify(callback: Callable, timer: Optional[str] = None) -> str:
     """Event class of a callback, or of the timer named ``timer``."""
-    # imported on use: repro.obs.perf imports this module, and a run
-    # that never reads a class view never loads the taxonomy
+    # imported on use: a run that never reads a class view never loads
+    # the taxonomy
     from repro.obs.perf.taxonomy import classify, timer_class
     return classify(callback) if timer is None else timer_class(timer)
 
@@ -64,10 +59,13 @@ class SiteStats:
 
 
 class SimProfiler:
-    """Engine profiler; assign to ``Simulator.profiler`` before running."""
+    """Engine profiler; install as ``Simulator.watch`` before running
+    (or hand it to the lineage recorder, which is the watch then)."""
 
-    def __init__(self, sampler=None):
-        self.sampler = sampler
+    #: the context entries capture: a profiler alone labels nothing
+    current = 0
+
+    def __init__(self):
         # function -> [events, sim_us, wall_ns].  Keyed by the function
         # under a bound method (methods are re-bound per schedule; the
         # function is stable).  A timer firing (Timer._fire: one
@@ -75,9 +73,9 @@ class SimProfiler:
         # and never by the function alone, so execute() finds it through
         # _row() every time; the class view folds the name to its class.
         self._rows: dict = {}
-        self._executed = 0      # advanced only while a sampler is attached
 
-    def execute(self, callback: Callable, args: tuple, sim_dt_us: int) -> None:
+    def execute(self, callback: Callable, args: tuple, cause: int,
+                sim_dt_us: int) -> None:
         """Run ``callback(*args)`` under the profiler (called by the
         engine for every non-cancelled entry)."""
         try:
@@ -86,10 +84,7 @@ class SimProfiler:
             row = self._row(callback)
         t0 = perf_counter_ns()
         try:
-            if self.sampler is None:
-                callback(*args)
-            else:
-                self._run_sampled(callback, args)
+            callback(*args)
         finally:
             row[2] += perf_counter_ns() - t0
             row[0] += 1
@@ -106,17 +101,6 @@ class SimProfiler:
         if row is None:
             row = self._rows[key] = [0, 0, 0]
         return row
-
-    def _run_sampled(self, callback: Callable, args: tuple) -> None:
-        """Callbacks 0, N, 2N, ... of the execution sequence run under
-        the stack sampler."""
-        n = self._executed
-        self._executed = n + 1
-        if n % self.sampler.sample_every:
-            callback(*args)
-        else:
-            self.sampler.run(_classify(callback), site_of(callback),
-                             callback, args)
 
     # -- folds over the table -------------------------------------------
 
@@ -207,8 +191,18 @@ class SimProfiler:
             ])
         return rows
 
-    def class_payload(self) -> dict:
-        """JSON-safe per-class summary for bench snapshots."""
-        return {name: {"events": s.events, "wall_ns": s.wall_ns,
-                       "sim_us": s.sim_us}
-                for name, s in sorted(self.classes.items())}
+    def tax_table(self) -> tuple[str, list, list]:
+        """The tax table as a report table ``(title, headers, rows)``."""
+        return (f"event-class tax table (coverage "
+                f"{100.0 * self.coverage():.1f}%)",
+                ["class", "events", "ev%", "wall_ms", "wall%", "avg_us",
+                 "sim_ms"], self.tax_rows())
+
+    def bench_payload(self) -> dict:
+        """JSON-safe per-class summary for fleet summaries
+        (``RunSpec(perf=True)``)."""
+        return {"events": self.events,
+                "coverage": round(self.coverage(), 4),
+                "classes": {name: {"events": s.events, "wall_ns": s.wall_ns,
+                                   "sim_us": s.sim_us}
+                            for name, s in sorted(self.classes.items())}}

@@ -219,21 +219,3 @@ class SpanCollector:
 
     def histograms(self) -> list[Histogram]:
         return [self.one_way_us, self.queueing_us, self.recovery_us]
-
-    def current_phase(self) -> str:
-        """Coarse aggregate protocol phase right now, for attributing
-        point-in-time samples (the perf observatory's heap snapshots).
-        Recovery wins while any burst is open; otherwise the run is in
-        close once any receiver saw FIN, in transfer once data flows,
-        in join while handshakes are outstanding, else idle."""
-        hosts = self._hosts.values()
-        if any(st.burst is not None and st.burst.end_us is None
-               for st in hosts):
-            return "recovery"
-        if any(st.close is not None for st in hosts):
-            return "close"
-        if any(st.transfer is not None for st in hosts):
-            return "transfer"
-        if any(st.join is not None for st in hosts):
-            return "join"
-        return "idle"

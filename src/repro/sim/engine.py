@@ -52,22 +52,18 @@ class Simulator:
         self._running = False
         self.events_processed: int = 0
         self.compactions: int = 0
-        # optional instrumentation hook (see repro.obs.profiler): when
-        # set, every executed callback is routed through
-        # ``profiler.execute(callback, args, sim_dt_us)`` where
+        # the event hook (``None`` on a bare run): a watch has a
+        # ``current`` context, which every entry scheduled captures in
+        # its ``cause`` slot, and an ``execute(callback, args, cause,
+        # sim_dt_us)`` that runs each non-cancelled firing, where
         # ``sim_dt_us`` is the virtual-clock advance that firing caused.
-        # Cancelled entries never reach the hook and compaction only
-        # discards entries that will never fire, so attribution is exact.
-        self.profiler = None
-        # optional causal-lineage recorder (see repro.obs.causal): when
-        # set, every scheduled entry captures the lineage of the event
-        # scheduling it, and the recorder's ``current`` is restored to
-        # that captured cause while the entry executes.  Pure
-        # bookkeeping -- no events, no RNG, no reordering.
-        self.lineage = None
+        # Cancelled entries never reach it and compaction only discards
+        # entries that will never fire, so what it sees is exact.
+        self.watch = None
         # the packet seam (see repro.trace.tracer): every segment sent,
-        # received or dropped is reported as ``tap(fact, where, pkt)``
-        # while the run's one tracer is attached
+        # received or dropped, every gap claimed and every repair
+        # queued is reported as ``tap(fact, where, pkt)`` while the
+        # run's one tracer is attached
         self.tap = None
 
     def now_seconds(self) -> float:
@@ -81,10 +77,9 @@ class Simulator:
         Returns the heap entry, a plain list ``[time, order, callback,
         args, cause]``: ``order`` is unique, so heap ordering is C-level
         list comparison on the two leading ints and never reaches the
-        callback.  ``cause`` is the causal-lineage node id of the event
-        that scheduled this one (0 when lineage is off; see
-        :mod:`repro.obs.causal`).  A cancelled entry has ``callback``
-        set to ``None``.
+        callback.  ``cause`` is the watch's ``current`` context while
+        this entry was scheduled (0 on a bare run).  A cancelled entry
+        has ``callback`` set to ``None``.
         """
         if when < self.now:
             raise SimulationError(
@@ -92,9 +87,9 @@ class Simulator:
             )
         if type(when) is not int:
             when = int(when)
-        lineage = self.lineage
+        watch = self.watch
         entry = [when, self._order, callback, args,
-                 lineage.current if lineage is not None else 0]
+                 watch.current if watch is not None else 0]
         self._order += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
@@ -140,8 +135,7 @@ class Simulator:
         self._running = True
         # counts down to 0; None (and 0, as ever) never gets there
         budget = max_events or -1
-        profiler = self.profiler
-        lineage = self.lineage
+        watch = self.watch
         heappop = heapq.heappop   # hoisted: one global lookup per run
         try:
             # NOTE: self._heap must be re-read every iteration -- a
@@ -160,19 +154,17 @@ class Simulator:
                 prev = self.now
                 self.now = when
                 self.events_processed += 1
-                if lineage is not None:
-                    lineage.current = cause
-                if profiler is None:
+                if watch is None:
                     callback(*args)
                 else:
-                    profiler.execute(callback, args, when - prev)
+                    watch.execute(callback, args, cause, when - prev)
                 budget -= 1
                 if not budget:
                     break
         finally:
             self._running = False
-            if lineage is not None:
-                lineage.current = 0
+            if watch is not None:
+                watch.current = 0
         if until is not None and self.now < until:
             self.now = until
         return self.now

@@ -133,9 +133,6 @@ class Process:
         if not self.alive:
             return
         self._waiting_on = None
-        lineage = self._sim.lineage
-        if lineage is not None and self.name:
-            lineage.emit("wake", "", self.name)
         try:
             yielded = self._gen.send(value)
         except StopIteration as stop:

@@ -49,8 +49,7 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._entry = None
-        # also what the performance observatory classes the timer by
-        # (repro.obs.perf.taxonomy.TIMER_CLASSES)
+        # also what an observer classes or labels the firing by
         self.name = name
         self.fired_count = 0
 
@@ -88,12 +87,4 @@ class Timer:
     def _fire(self) -> None:
         self._entry = None
         self.fired_count += 1
-        lineage = getattr(self._sim, "lineage", None)
-        if lineage is not None and self.name:
-            # `_sim` is either the Simulator or a per-host clock view
-            # that forwards `lineage`/`host_addr`; either way the node
-            # is parented to whatever armed the timer (the entry's
-            # captured cause, restored by the engine before this call).
-            lineage.emit("timeout", getattr(self._sim, "host_addr", ""),
-                         self.name)
         self._callback()

@@ -5,8 +5,11 @@ per-run seam, ``Simulator.tap`` (``None`` on a bare run), as
 ``tap(fact, where, pkt)``: ``fact`` is ``"tx"``, ``"rx"`` or the drop
 reason (``rx_loss``, ``router_loss``, ``checksum``, ...), ``where`` the
 host address or component name; a drop by a component a fault action
-poisoned also passes its ``fault_cause`` as ``blame``.
-:class:`PacketTracer` owns the seam: it records a :class:`TraceEvent`
+poisoned also passes its ``fault_cause`` as ``blame``.  The protocol
+reports two facts of its own there, which carry no packet: ``gap``
+(the receiver at ``where`` just claimed the NAK ranges passed as
+``pkt``) and ``repair`` (the sender just queued the skb passed as
+``pkt`` for retransmission).  :class:`PacketTracer` owns the seam: it records a :class:`TraceEvent`
 per segment sent or received at the hosts it was attached to and hands
 every fact to its subscribers -- the span collector, the causal
 recorder and the invariant checker.  Segments are never copied.
@@ -65,7 +68,8 @@ class PacketTracer:
     ``max_events`` records (a flight recorder for long chaos runs)
     instead of truncating at the cap; ``dropped`` counts records lost
     off either end.  ``subscribers`` see every fact, independent of any
-    cap: tx and rx at the attached hosts and every drop in the run.  A
+    cap: tx and rx at the attached hosts, every drop in the run and the
+    protocol's gap and repair facts.  A
     :class:`TraceEvent` is built only when the capture keeps it
     (``max_events=0`` keeps nothing, so a subscriber-only tracer never
     builds a record).

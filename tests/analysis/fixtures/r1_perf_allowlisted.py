@@ -1,6 +1,6 @@
-# simlint: module=repro.obs.perf.fixture_r1_perf_allowlisted
-"""R1 negative: the perf-observatory boundary may use tracemalloc/gc
-(and the wall clock) -- it is measurement, not simulation state."""
+# simlint: module=repro.obs.profiler.fixture_r1_perf_allowlisted
+"""R1 negative: the profiler boundary may use tracemalloc/gc (and the
+wall clock) -- it is measurement, not simulation state."""
 import gc
 import tracemalloc
 from time import perf_counter_ns

@@ -1,7 +1,8 @@
-# simlint: module=repro.core.fixture_r1_perf_bad
-"""R1 positive: tracemalloc/gc measurement machinery in a protocol-path
-module.  Heap and collector state vary with the hosting machine exactly
-like a clock read, so they belong behind the repro.obs.perf boundary."""
+# simlint: module=repro.obs.perf.fixture_r1_perf_bad
+"""R1 positive: tracemalloc/gc measurement machinery outside the
+profiler boundary -- in the tax-table vocabulary package, which reads
+no clock and is no carve-out.  Heap and collector state vary with the
+hosting machine exactly like a clock read."""
 import gc
 import tracemalloc
 from tracemalloc import take_snapshot

@@ -7,10 +7,12 @@ import of the observability layer from ``repro.core`` would bring the
 probe back, so both fail here.
 
 The network and kernel models report each segment sent, received or
-dropped at one per-run packet seam, ``Simulator.tap``, and never name
-the causal recorder that subscribes to it; only ``HostClock`` forwards
-the engine's lineage context to the timers it drives.  A per-host tap
-or a ``lineage`` reference in ``net/`` would bring the second path back.
+dropped at one per-run packet seam, ``Simulator.tap``, and the protocol
+reports the gaps it claims and the repairs it queues there too; none of
+them names the causal recorder that subscribes to it.  The engine has
+one event hook, ``Simulator.watch``, and names no observer behind it.
+A per-host tap, a ``lineage`` reference in the stack or a ``profiler``
+in the engine would bring a second path back.
 """
 
 import ast
@@ -57,20 +59,31 @@ def test_core_imports_no_observability():
 _LINEAGE = re.compile(r"\blineage\b")
 
 
-def _class_lines(path, name):
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return range(node.lineno, node.end_lineno + 1)
-    return range(0)
+def _naming(pattern, *packages):
+    return [f"{path.relative_to(SRC)}:{lineno}"
+            for path in _sources(*packages)
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
 
 
 def test_net_and_kernel_never_name_lineage_outside_the_host_clock():
-    host = SRC / "kernel" / "host.py"
-    clock = {(host, lineno) for lineno in _class_lines(host, "HostClock")}
-    hits = [f"{path.relative_to(SRC)}:{lineno}"
-            for path in _sources("net", "kernel")
-            for lineno, line in enumerate(path.read_text().splitlines(), 1)
-            if _LINEAGE.search(line) and (path, lineno) not in clock]
+    hits = _naming(_LINEAGE, "net", "kernel")
+    assert not hits, hits
+
+
+def test_protocol_and_engine_never_name_lineage():
+    hits = _naming(_LINEAGE, "core", "sim")
+    assert not hits, hits
+
+
+def test_the_engine_never_names_the_profiler():
+    hits = _naming(re.compile(r"\bprofiler\b"), "sim")
+    assert not hits, hits
+
+
+def test_nothing_reads_a_lineage_off_the_simulator():
+    hits = _naming(re.compile(r"\b_?sim\.lineage\b|"
+                              r"getattr\([\w.]*sim, [\'\"]lineage"), "")
     assert not hits, hits
 
 

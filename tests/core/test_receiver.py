@@ -140,14 +140,15 @@ def test_probe_past_parked_data_claims_only_the_tail(sim, fake_host):
 
 
 def test_gap_lineage_node_only_when_a_range_is_claimed(sim, fake_host):
-    sim.lineage = LineageRecorder(sim)
+    lineage = LineageRecorder(sim)
+    sim.tap = lambda *fact: lineage.on_packet(sim.now, *fact)
     r = make_receiver(sim, fake_host)
     r.segment_received(data(1, b"a" * 100), SND)
     r.segment_received(data(301, b"c" * 100), SND)  # gap [101, 301)
     r.segment_received(data(401, b"d" * 100), SND)  # reveals nothing new
     r.segment_received(control(PacketType.PROBE, 501), SND)  # nor this
     r.segment_received(control(PacketType.PROBE, 601), SND)  # [501, 601)
-    gaps = [(n.seq, n.end) for n in sim.lineage.nodes.values()
+    gaps = [(n.seq, n.end) for n in lineage.nodes.values()
             if n.kind == "gap"]
     assert gaps == [(101, 301), (501, 601)]
 

@@ -24,20 +24,15 @@ def reported(tmp_path_factory):
     """One wan run shared by the report tests."""
     tmp = tmp_path_factory.mktemp("health-cli")
     out = tmp / "health.json"
-    html = tmp / "health.html"
-    rc = cli_main(["health", "report", "wan", *WAN_ARGS,
-                   "--out", str(out), "--html", str(html)])
+    rc = cli_main(["health", "report", "wan", *WAN_ARGS, "--out", str(out)])
     assert rc == 0
-    return {"out": out, "html": html}
+    return {"out": out}
 
 
-def test_report_writes_payload_and_html(reported):
+def test_report_writes_payload(reported):
     payload = json.loads(reported["out"].read_text())
     assert payload["group_size"] == 3
     assert payload["suppression"]["naks_sent"] > 0
-    html = reported["html"].read_text()
-    assert "NAK-suppression ledger" in html
-    assert "implosion" in html
 
 
 def test_report_text_tables(capsys):
@@ -56,27 +51,25 @@ def test_report_json_mode(tmp_path, capsys):
     loose = tmp_path / "loose.json"
     loose.write_text(json.dumps({"wan": {"effectiveness_min": 0.01}}))
     rc = cli_main(["health", "report", "wan", *WAN_ARGS, "--json",
-                   "--out", str(out), "--html", str(tmp_path / "h.html"),
-                   "--bounds", str(loose)])
+                   "--out", str(out), "--bounds", str(loose)])
     assert rc == 0
     stdout, stderr = capsys.readouterr()
     payload = json.loads(stdout)
     assert payload["implosion"]["naks_at_sender"] > 0
     assert stdout == out.read_text()
-    assert "wrote health payload" in stderr and "wrote html" in stderr
+    assert "wrote health payload" in stderr
     assert "health bounds ok" in stderr
 
 
 def test_sweep_json_mode(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     rc = cli_main(["health", "sweep", "--grid", "2,3", "--nbytes", "60000",
-                   "--no-cache", "--json", "--out", str(out),
-                   "--html", str(tmp_path / "sweep.html")])
+                   "--no-cache", "--json", "--out", str(out)])
     assert rc == 0
     stdout, stderr = capsys.readouterr()
     assert [c["group_size"] for c in json.loads(stdout)["cells"]] == [2, 3]
     assert stdout == out.read_text()
-    assert "wrote sweep report" in stderr and "wrote html" in stderr
+    assert "wrote sweep report" in stderr
 
 
 def test_report_bounds_gate_passes_and_trips(tmp_path, capsys):
@@ -166,11 +159,10 @@ def swept(tmp_path_factory):
     """One quick-scale fig14 sweep shared by the sweep tests."""
     tmp = tmp_path_factory.mktemp("health-sweep")
     out = tmp / "sweep.json"
-    html = tmp / "sweep.html"
     rc = cli_main(["health", "sweep", "--experiment", "fig14",
                    "--grid", "2,3,5", "--nbytes", "150000",
-                   "--no-cache", "--out", str(out), "--html", str(html)])
-    return {"rc": rc, "out": out, "html": html}
+                   "--no-cache", "--out", str(out)])
+    return {"rc": rc, "out": out}
 
 
 def test_sweep_exit_clean(swept):
@@ -205,14 +197,6 @@ def test_sweep_reproduces_flat_feedback_trend(swept):
         n = c["group_size"]
         assert c["feedback_at_sender"] <= 2 * n + 2     # 5 / 6 / 8 today
         assert c["retrans_bytes"] <= 2 * 1460 * c["loss_events"]  # 1460
-
-
-def test_sweep_html_dashboard(swept):
-    html = swept["html"].read_text()
-    assert "per-cell protocol health" in html
-    assert "scaling-law fits" in html
-    assert "<svg" in html, "fit sparklines are inline SVG"
-    assert "feedback_vs_group" in html
 
 
 def test_sweep_rejects_bad_grid(capsys):

@@ -21,6 +21,7 @@ from repro.net.topology import GroupSpec
 from repro.obs.observer import Observability
 from repro.obs.causal import (CauseNode, LineageRecorder, load_lineage,
                               walk_chain)
+from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_chaos, build_lan, build_wan
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
@@ -37,7 +38,6 @@ def _observed(build, nbytes=200_000, **kwargs):
 class _StubSim:
     """The minimum surface LineageRecorder needs off an engine."""
     now = 0
-    lineage = None
 
 
 # -- determinism --------------------------------------------------------
@@ -190,4 +190,24 @@ def test_diag_requires_lineage():
     obs = Observability(profile=False)
     with pytest.raises(RuntimeError):
         obs.diag()
+
+
+def test_a_second_watch_on_one_run_raises():
+    """One run has one watch, as it has one tracer: a second profiled
+    or lineage-tracing observer is refused, since it would take the
+    engine's events from the first, which would then report none."""
+    sc = build_lan(2, 10e6, seed=5)
+    tracer = PacketTracer().attach(sc.sender, *sc.receivers)
+    first = Observability(profile=True).attach(sc, tracer)
+    for second in (Observability(profile=True),
+                   Observability(lineage=True)):
+        with pytest.raises(RuntimeError, match="already has a watch"):
+            second.attach(sc, tracer)
+        assert not second.attached
+    assert sc.sim.watch is first.profiler
+    Observability().attach(sc, tracer)      # no watch: no conflict
+    for t in (10, 20):
+        sc.sim.call_at(t, lambda: None)
+    sc.sim.run()
+    assert first.profiler.events == sc.sim.events_processed == 2
 

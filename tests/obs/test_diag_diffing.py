@@ -1,4 +1,4 @@
-"""Run-divergence diffing, stall watchdog, HTML report and CLI glue."""
+"""Run-divergence diffing, stall watchdog and CLI glue."""
 
 from __future__ import annotations
 
@@ -98,38 +98,20 @@ def test_cli_report_offline_errors(tmp_path, capsys):
     assert cli_main(["report", "lan",
                      "--from", str(tmp_path / "missing")]) == 2
     assert "cannot read metrics summary" in capsys.readouterr().err
-    # corrupt series file: exit 2 + one-line stderr error
+    # corrupt packet trace: exit 2 + one-line stderr error
     outdir = tmp_path / "corrupt"
     outdir.mkdir()
     (outdir / "lan.summary.txt").write_text("summary\n")
-    (outdir / "lan.series.jsonl").write_text("garbage{{{\n")
-    assert cli_main(["report", "lan", "--from", str(outdir),
-                     "--html"]) == 2
-    assert "corrupt series file" in capsys.readouterr().err
+    (outdir / "lan.trace.jsonl").write_text("garbage{{{\n")
+    assert cli_main(["report", "lan", "--from", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read trace" in err and err.count("\n") == 1
 
 
 def test_cli_report_offline_renders(runs, capsys):
     assert cli_main(["report", "wan", "--from", runs["a"]]) == 0
     out = capsys.readouterr().out
     assert "metric series (simulated-time scrape)" in out
-
-
-# -- HTML report --------------------------------------------------------
-
-def test_html_report_is_self_contained(runs, tmp_path):
-    sc = build_wan([LOSSY] * 3, 10e6, seed=21)
-    obs = Observability(profile=False, lineage=True)
-    res = run_transfer(sc, nbytes=150_000, sndbuf=128 * 1024,
-                       max_sim_s=300, obs=obs, tracer=PacketTracer())
-    assert res.ok
-    paths = obs.write_artifacts(str(tmp_path), prefix="wan", html=True)
-    text = open(paths["html"]).read()
-    assert text.startswith("<!DOCTYPE html>")
-    assert "<svg" in text                      # sparklines are inline
-    assert 'class="chain"' in text             # causal chains embedded
-    assert "recovery episodes" in text
-    # self-contained: no external assets referenced anywhere
-    assert "src=" not in text and "href=" not in text
 
 
 # -- watchdog -----------------------------------------------------------
@@ -142,7 +124,6 @@ def _stub_entry(time, cause=0):
 class _StubSim:
     def __init__(self):
         self.now = 0
-        self.lineage = None
         self._entries = [_stub_entry(10), _stub_entry(20)]
 
     def pending(self):

@@ -1,12 +1,9 @@
-"""Performance observatory: taxonomy, tax table, flamegraph sampling.
+"""The profiler's event-class taxonomy and tax table.
 
-The observatory's promises are (a) every callback lands in a stable
-event class with >= 95 % coverage on real workloads, (b) the
-flamegraph sampler is driven by the deterministic event counter -- two
-identical seeded runs sample the same events and emit the same
-collapsed stacks (only the wall-time weights differ), and (c) the
-whole thing rides the existing profiler hook without touching the
-protocol (zero-perturbation is proven in test_perf_disabled.py).
+Every callback lands in a stable event class with >= 95 % coverage on
+real workloads, and the table rides the engine's one hook without
+touching the protocol (zero perturbation is proven in
+test_perf_disabled.py).
 """
 
 import ast
@@ -17,8 +14,7 @@ import pytest
 import repro
 from repro.harness.runner import run_transfer
 from repro.obs.observer import Observability
-from repro.obs.perf import (EVENT_CLASSES, PerfObservatory, classify,
-                            register_site)
+from repro.obs.perf import EVENT_CLASSES, classify, register_site
 from repro.obs.perf.taxonomy import TIMER_CLASSES, infer, timer_class
 from repro.sim.engine import Simulator
 from repro.sim.timer import Timer
@@ -26,14 +22,13 @@ from repro.workloads.scenarios import build_lan
 from tests.harness.test_pinned_stats import PINNED, SEED
 
 
-def _profiled_run(sample_every=16, alloc=False, nbytes=200_000):
-    perf = PerfObservatory(sample_every=sample_every, alloc=alloc)
-    obs = Observability(perf=perf)
+def _profiled_run(nbytes=200_000):
+    obs = Observability(profile=True)
     sc = build_lan(3, 100e6, seed=7)
     res = run_transfer(sc, nbytes=nbytes, sndbuf=128 * 1024,
                        max_sim_s=120, obs=obs)
     assert res.ok
-    return perf, res
+    return obs.profiler, res
 
 
 # -- taxonomy ----------------------------------------------------------
@@ -101,8 +96,8 @@ def test_infer_rules():
 
 
 def test_tax_table_coverage_meets_bar():
-    perf, res = _profiled_run(sample_every=0)
-    assert perf.profiler.events == res.sim_events
+    perf, res = _profiled_run()
+    assert perf.events == res.sim_events
     # the acceptance bar: >= 95 % of callbacks placed in a named class
     assert perf.coverage() >= 0.95
     rows = perf.tax_rows()
@@ -129,101 +124,30 @@ PINNED_CLASS_EVENTS = {
 @pytest.mark.parametrize("name", PINNED_CLASS_EVENTS)
 def test_class_events_of_the_pinned_transfers(name):
     build, kwargs = PINNED[name][:2]
-    perf = PerfObservatory(sample_every=0)
-    res = run_transfer(build(), seed=SEED, obs=Observability(perf=perf),
-                       **kwargs)
+    obs = Observability(profile=True)
+    res = run_transfer(build(), seed=SEED, obs=obs, **kwargs)
     assert res.ok
-    classes = perf.bench_payload()["classes"]
+    classes = obs.profiler.bench_payload()["classes"]
     assert {c: block["events"] for c, block in classes.items()} == \
         PINNED_CLASS_EVENTS[name]
 
 
 def test_tax_table_rows_in_taxonomy_order():
-    perf, _ = _profiled_run(sample_every=0)
+    perf, _ = _profiled_run()
     order = {c: i for i, c in enumerate(EVENT_CLASSES)}
     positions = [order[r[0]] for r in perf.tax_rows()]
     assert positions == sorted(positions)
 
 
 def test_bench_payload_shape():
-    perf, res = _profiled_run(sample_every=32)
+    perf, res = _profiled_run()
     payload = perf.bench_payload()
+    assert set(payload) == {"events", "coverage", "classes"}
     assert payload["events"] == res.sim_events
     assert payload["coverage"] >= 0.95
-    assert payload["flame_samples"] > 0
-    assert payload["flame_stacks"] > 0
     for name, block in payload["classes"].items():
         assert name in EVENT_CLASSES
         assert block["events"] > 0
-
-
-# -- deterministic flamegraph sampling --------------------------------
-
-
-def test_sampler_counts_and_stacks_deterministic():
-    perf_a, res_a = _profiled_run(sample_every=16)
-    perf_b, res_b = _profiled_run(sample_every=16)
-    # identical runs: identical event streams, so identical samples
-    assert res_a.sim_events == res_b.sim_events
-    assert perf_a.sampler.samples == perf_b.sampler.samples
-    # and identical collapsed stacks -- the *keys* are deterministic
-    # (weights are wall time and may differ between executions)
-    stacks_a = [line.rsplit(" ", 1)[0] for line in perf_a.collapsed_lines()]
-    stacks_b = [line.rsplit(" ", 1)[0] for line in perf_b.collapsed_lines()]
-    assert stacks_a == stacks_b
-
-
-def test_sampler_immune_to_foreign_gc_callbacks():
-    """A process-wide gc.callbacks entry (hypothesis registers one) must
-    never leak its frames into the sampled stack keys: GC cycles land at
-    wall-clock-dependent points, so one run would record the callback's
-    frames where the other doesn't.  The sampler defers automatic GC for
-    the duration of each sample."""
-    import gc
-
-    def nosy_gc_callback(phase, info):
-        pass
-
-    thresholds = gc.get_threshold()
-    gc.callbacks.append(nosy_gc_callback)
-    gc.set_threshold(1)          # collect (and fire callbacks) constantly
-    try:
-        perf_a, _ = _profiled_run(sample_every=16)
-        perf_b, _ = _profiled_run(sample_every=16)
-    finally:
-        gc.callbacks.remove(nosy_gc_callback)
-        gc.set_threshold(*thresholds)
-    for key in list(perf_a.sampler.stacks) + list(perf_b.sampler.stacks):
-        assert not any("nosy_gc_callback" in label for label in key), key
-    stacks_a = [ln.rsplit(" ", 1)[0] for ln in perf_a.collapsed_lines()]
-    stacks_b = [ln.rsplit(" ", 1)[0] for ln in perf_b.collapsed_lines()]
-    assert stacks_a == stacks_b
-    assert gc.isenabled()        # the sampler restored GC afterwards
-
-
-def test_collapsed_lines_format():
-    perf, _ = _profiled_run(sample_every=16)
-    lines = perf.collapsed_lines()
-    assert lines
-    for line in lines:
-        stack, weight = line.rsplit(" ", 1)
-        assert stack.startswith("engine;")
-        assert int(weight) >= 1
-    # sorted output: stable diffs between runs
-    assert lines == sorted(lines)
-
-
-def test_collapsed_lines_sorted_when_a_frame_name_prefixes_another():
-    # tuple order puts ("f",) < ("f", "g") < ("f.<locals>.h",); line
-    # order puts "f.<locals>.h" before "f;g" ('.' sorts before ';')
-    from repro.obs.perf.flame import StackSampler
-    sampler = StackSampler()
-    base = ("engine", "app")
-    for frames in (("f", "g"), ("f.<locals>.h",), ("f",)):
-        sampler.stacks[base + frames] = 2500
-    lines = sampler.collapsed_lines()
-    assert lines == ["engine;app;f 2", "engine;app;f.<locals>.h 2",
-                     "engine;app;f;g 2"] == sorted(lines)
 
 
 def test_broadcast_fanout_and_cpu_resumes_are_classified():
@@ -236,54 +160,20 @@ def test_broadcast_fanout_and_cpu_resumes_are_classified():
     assert classify(proc._resume) == "app"
     # CPU-bound resumes are CPU-completion events now: the pinned run
     # has no throw-away wake-up events left, and nothing falls to other
-    perf, _ = _profiled_run(sample_every=0)
+    perf, _ = _profiled_run()
     by_class = {row[0]: row[1] for row in perf.tax_rows()}
     assert by_class.get("process-wake", 0) == 0
     assert perf.coverage() == 1.0
     assert by_class["link"] > 0 and by_class["app"] > 0
 
 
-def test_sample_every_zero_disables_sampling():
-    perf, _ = _profiled_run(sample_every=0)
-    assert perf.sampler is None
-    assert perf.collapsed_lines() == []
-    assert perf.flame_svg() == ""
-    with pytest.raises(RuntimeError, match="disabled"):
-        perf.write_collapsed("/dev/null")
-
-
-def test_flame_svg_renders(tmp_path):
-    perf, _ = _profiled_run(sample_every=16)
-    svg = perf.flame_svg()
-    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-    assert "engine" in svg
-    out = tmp_path / "lan.collapsed.txt"
-    perf.write_collapsed(out)
-    assert out.read_text().splitlines() == perf.collapsed_lines()
-
-
-# -- allocation tracking ----------------------------------------------
-
-
-def test_alloc_tracker_phases_and_growth():
-    perf, _ = _profiled_run(alloc=True)
-    alloc = perf.alloc
-    assert alloc is not None
-    phases = [r[0] for r in alloc.phase_rows()]
-    assert "transfer" in phases
-    # the run allocates *something*; growth sites are attributed
-    assert alloc.growth_rows()
-    tables = dict((t[0], t[2]) for t in perf.summary_tables())
-    assert "heap by phase" in tables
-    assert "top allocation growth" in tables
-
-
-def test_summary_tables_without_alloc():
-    perf, _ = _profiled_run(sample_every=0)
-    tables = perf.summary_tables()
-    assert len(tables) == 1
-    title, headers, rows = tables[0]
+def test_summary_tables_carry_the_tax_table():
+    obs = Observability(profile=True)
+    res = run_transfer(build_lan(3, 100e6, seed=7), nbytes=200_000,
+                       sndbuf=128 * 1024, max_sim_s=120, obs=obs)
+    assert res.ok
+    title, headers, rows = obs.summary_tables()[-1]
     assert title.startswith("event-class tax table")
     assert "coverage" in title
     assert headers[0] == "class"
-    assert rows
+    assert rows == obs.profiler.tax_rows()

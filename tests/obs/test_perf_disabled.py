@@ -1,12 +1,12 @@
 # simlint: module=tests.obs.test_perf_disabled
-"""The performance observatory's disabled-path guarantees.
+"""The profiler's disabled-path guarantees.
 
 Two claims, both stronger than "probably fine":
 
-1. **Zero perturbation when enabled** -- a run under the full
-   observatory (event-class attribution, stack sampling, allocation
-   tracking) is byte-identical to a bare run: same packet trace, same
-   counters, same duration.  Measurement never feeds back.
+1. **Zero perturbation when enabled** -- a run under the engine
+   profiler (per-site and event-class attribution) is byte-identical to
+   a bare run: same packet trace, same counters, same duration.
+   Measurement never feeds back.
 2. **Zero cost when disabled** -- a bare run (no ``obs``, no
    ``tracer``) executes *no* code from the ``repro.obs`` / ``repro.trace``
    layers at all, proven with a tracemalloc diff: not a single byte is
@@ -22,7 +22,6 @@ import tracemalloc
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
 from repro.obs.observer import Observability
-from repro.obs.perf import PerfObservatory
 from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_chaos, build_wan
 
@@ -32,10 +31,7 @@ LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 def _run(perf_on: bool, build):
     sc = build()
     tracer = PacketTracer()
-    obs = None
-    if perf_on:
-        perf = PerfObservatory(sample_every=16, alloc=True)
-        obs = Observability(perf=perf)
+    obs = Observability(profile=True) if perf_on else None
     res = run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
                        max_sim_s=300, obs=obs, tracer=tracer)
     return sc, tracer, res
@@ -59,12 +55,10 @@ def test_perf_zero_perturbation_lossy_wan():
     bare = _run(False, build)
     profiled = _run(True, build)
     _assert_identical(bare, profiled)
-    # non-vacuous: the observatory really measured the run
-    perf = profiled[2].obs.perf
-    assert perf.profiler.events == profiled[2].sim_events
-    assert perf.coverage() >= 0.95
-    assert perf.sampler.samples > 0
-    assert perf.alloc.phase_rows()
+    # non-vacuous: the profiler really measured the run
+    profiler = profiled[2].obs.profiler
+    assert profiler.events == profiled[2].sim_events
+    assert profiler.coverage() >= 0.95
 
 
 def test_perf_zero_perturbation_chaos():
@@ -76,7 +70,7 @@ def test_perf_zero_perturbation_chaos():
     profiled = _run(True, build)
     _assert_identical(bare, profiled)
     assert bare[2].fault_events == profiled[2].fault_events
-    assert profiled[2].obs.perf.coverage() >= 0.95
+    assert profiled[2].obs.profiler.coverage() >= 0.95
 
 
 def _obs_layer_bytes(before, after):

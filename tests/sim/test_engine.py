@@ -191,16 +191,111 @@ def test_compaction_counters_consistent_after_run():
     assert sim._dead == 0
 
 
-# -- profiler instrumentation hook -----------------------------------------
+# -- the event hook: Simulator.watch ----------------------------------------
+
+class Watch:
+    """A watch that records what the engine hands it, then runs it."""
+
+    def __init__(self):
+        self.current = 0
+        self.seen = []          # (callback, args, cause, sim_dt_us)
+
+    def execute(self, callback, args, cause, sim_dt_us):
+        self.seen.append((callback, args, cause, sim_dt_us))
+        self.current = cause
+        callback(*args)
+
+
+def test_watch_executes_each_firing_once_with_its_advance_and_cause():
+    """Every firing reaches `execute` exactly once, with the clock
+    advance it caused and the context it was scheduled in -- including
+    the entries a firing schedules under the context it set."""
+    sim = Simulator()
+    sim.watch = watch = Watch()
+    log = []
+
+    def spawn(tag):
+        log.append(tag)
+        watch.current = 9
+        sim.call_after(5, log.append, tag + "-child")
+
+    watch.current = 3
+    sim.call_at(10, log.append, "a")
+    watch.current = 4
+    sim.call_at(10, spawn, "b")
+    watch.current = 0
+    sim.call_at(30, log.append, "c")
+    sim.run()
+    assert log == ["a", "b", "b-child", "c"]
+    assert [(args, cause, dt) for _, args, cause, dt in watch.seen] == [
+        (("a",), 3, 10), (("b",), 4, 0), (("b-child",), 9, 5),
+        (("c",), 0, 15)]
+    assert len(watch.seen) == sim.events_processed == 4
+    assert watch.current == 0               # reset when the run returns
+
+
+def test_watch_never_sees_a_cancelled_or_compacted_entry():
+    sim = Simulator()
+    sim.watch = watch = Watch()
+    entries = [sim.call_at(i + 1, lambda: None) for i in range(500)]
+    for i, e in enumerate(entries):
+        if (i + 1) % 10:
+            sim.cancel(e)
+    assert sim.compactions > 0
+    sim.run()
+    assert [dt for *_, dt in watch.seen] == [10] * 50
+    assert len(watch.seen) == sim.events_processed == 50
+
+
+def test_watch_sees_an_entry_pushed_back_by_until_once_when_it_fires():
+    sim = Simulator()
+    sim.watch = watch = Watch()
+    watch.current = 7
+    sim.call_at(100, lambda: None)
+    watch.current = 0
+    sim.run(until=60)
+    assert watch.seen == [] and sim.now == 60
+    sim.run(until=99)
+    assert watch.seen == []
+    sim.run()
+    [(_, _, cause, dt)] = watch.seen
+    assert (cause, dt) == (7, 1)            # 99 -> 100
+
+
+def test_watch_under_step():
+    sim = Simulator()
+    sim.watch = watch = Watch()
+    sim.call_at(5, lambda: None)
+    sim.call_at(15, lambda: None)
+    while sim.step():
+        pass
+    assert [dt for *_, dt in watch.seen] == [5, 10]
+
+
+def test_watch_sees_a_raising_callback_once():
+    def boom():
+        raise RuntimeError("x")
+
+    sim = Simulator()
+    sim.watch = watch = Watch()
+    watch.current = 5
+    sim.call_at(10, boom)
+    sim.call_at(20, lambda: None)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert [(cb, cause, dt) for cb, _, cause, dt in watch.seen] == \
+        [(boom, 5, 10)]
+    assert watch.current == 0 and sim.pending() == 1
+
 
 def test_profiler_receives_every_executed_callback():
     from repro.obs.profiler import SimProfiler
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.watch = prof = SimProfiler()
     for i in range(5):
         sim.call_at(i * 10, lambda: None)
     sim.run()
-    assert sim.profiler.events == 5 == sim.events_processed
+    assert prof.events == 5 == sim.events_processed
 
 
 def test_profiler_attribution_exact_under_cancel():
@@ -215,17 +310,17 @@ def test_profiler_attribution_exact_under_cancel():
         pass
 
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.watch = prof = SimProfiler()
     victims = [sim.call_at(i + 1, victim) for i in range(10)]
     for e in victims[:7]:
         sim.cancel(e)
     for i in range(4):
         sim.call_at(i + 20, survivor)
     sim.run()
-    sites = sim.profiler.sites
+    sites = prof.sites
     assert sites[site_of(victim)].events == 3
     assert sites[site_of(survivor)].events == 4
-    assert sim.profiler.events == 7
+    assert prof.events == 7
 
 
 def test_profiler_attribution_exact_under_compaction():
@@ -237,15 +332,15 @@ def test_profiler_attribution_exact_under_compaction():
         pass
 
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.watch = prof = SimProfiler()
     entries = [sim.call_at(i + 1, kept) for i in range(500)]
     for i, e in enumerate(entries):
         if (i + 1) % 10:
             sim.cancel(e)
     assert sim.compactions > 0
     sim.run()
-    assert sim.profiler.sites[site_of(kept)].events == 50
-    assert sim.profiler.events == 50
+    assert prof.sites[site_of(kept)].events == 50
+    assert prof.events == 50
 
 
 def test_profiler_sim_time_attribution_sums_to_final_clock():
@@ -253,26 +348,26 @@ def test_profiler_sim_time_attribution_sums_to_final_clock():
     the per-site sim_us totals partition the run's final time."""
     from repro.obs.profiler import SimProfiler
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.watch = prof = SimProfiler()
     sim.call_at(100, lambda: None)
     sim.call_at(100, lambda: None)   # same instant: zero advance
     sim.call_at(250, lambda: None)
     sim.call_at(1000, lambda: None)
     sim.run()
-    total = sum(s.sim_us for s in sim.profiler.sites.values())
+    total = sum(s.sim_us for s in prof.sites.values())
     assert total == sim.now == 1000
 
 
 def test_profiler_step_parity_with_run():
     from repro.obs.profiler import SimProfiler
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.watch = prof = SimProfiler()
     sim.call_at(5, lambda: None)
     sim.call_at(15, lambda: None)
     while sim.step():
         pass
-    assert sim.profiler.events == 2
-    total = sum(s.sim_us for s in sim.profiler.sites.values())
+    assert prof.events == 2
+    total = sum(s.sim_us for s in prof.sites.values())
     assert total == 15
 
 
@@ -285,20 +380,21 @@ def test_profiler_attributes_raising_callbacks():
         raise RuntimeError("x")
 
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.watch = prof = SimProfiler()
     sim.call_at(10, boom)
     with pytest.raises(RuntimeError):
         sim.run()
-    assert sim.profiler.events == 1
-    assert sim.profiler.wall_ns_total > 0
+    assert prof.events == 1
+    assert prof.wall_ns_total > 0
 
 
 def test_no_profiler_no_overhead_path():
-    """The default (profiler=None) path still runs everything."""
+    """The default (no watch) path still runs everything and captures
+    no context."""
     sim = Simulator()
-    assert sim.profiler is None
+    assert sim.watch is None
     fired = []
-    sim.call_at(1, fired.append, 1)
+    assert sim.call_at(1, fired.append, 1)[4] == 0
     sim.run()
     assert fired == [1]
 
@@ -428,17 +524,16 @@ def test_step_is_run_with_a_budget_of_one():
 
 
 def test_step_restores_lineage_context():
-    class Lineage:
-        current = 0
-
+    """The context an entry captured is what `execute` is handed under
+    `step()` too, and the watch's context is 0 again afterwards."""
     sim = Simulator()
-    sim.lineage = Lineage()
-    seen = []
-    sim.lineage.current = 41
-    sim.call_at(1, lambda: seen.append(sim.lineage.current))
-    sim.lineage.current = 0
+    sim.watch = watch = Watch()
+    watch.current = 41
+    sim.call_at(1, lambda: None)
+    watch.current = 0
     assert sim.step()
-    assert seen == [41] and sim.lineage.current == 0
+    assert [cause for _, _, cause, _ in watch.seen] == [41]
+    assert watch.current == 0
 
 
 def test_now_is_a_plain_int_attribute_and_times_stay_ints():

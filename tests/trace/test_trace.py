@@ -284,8 +284,8 @@ def test_saved_record_format_is_pinned(tmp_path):
 
 def test_subscribers_see_every_drop_and_the_attached_hosts_traffic():
     """The seam hands subscribers each tx/rx at the attached hosts, in
-    the order the capture records them, and every drop anywhere in the
-    fabric, once."""
+    the order the capture records them, every drop anywhere in the
+    fabric, once, and the protocol's own gap and repair facts."""
     lossy = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
     sc = build_wan([lossy] * 3, 10e6, seed=7)
     tracer = PacketTracer().attach(sc.sender, sc.receivers[0])
@@ -300,7 +300,10 @@ def test_subscribers_see_every_drop_and_the_attached_hosts_traffic():
                        for e in tracer.events]
     assert {e.host for e in tracer.events} == \
         {sc.sender.addr, sc.receivers[0].addr}
-    drops = [fact for _, fact, *_ in facts if fact not in ("tx", "rx")]
+    protocol = {fact for _, fact, *_ in facts if fact in ("gap", "repair")}
+    assert protocol == {"gap", "repair"}
+    drops = [fact for _, fact, *_ in facts
+             if fact not in ("tx", "rx", "gap", "repair")]
     counted = ("router_loss", "pipe_loss", "pipe_queue", "nic_rx_ring",
                "nic_rx_loss")
     assert drops
