@@ -5,8 +5,8 @@ from statistics import median
 
 from benchmarks.conftest import column, table
 from repro.fleet.executor import Fleet
-from repro.fleet.spec import RunSpec
 from repro.harness.experiments import MBPS_10, file_sizes
+from repro.workloads.spec import RunSpec
 
 #: the report's own seed first.  At quick scale the 1 MB file fits in a
 #: 1024K buffer whole and a run's time is wherever its last few losses

@@ -11,9 +11,10 @@ onto the live stream mid-flight -- the prefix it missed was already
 Run:  python examples/chaos_recovery.py
 """
 
-from repro.harness.experiments import chaos_config
+from repro.core.config import HRMCConfig
 from repro.harness.runner import run_transfer
 from repro.workloads.scenarios import build_chaos
+from repro.workloads.spec import CHAOS_TUNING
 
 NBYTES = 250_000
 SEED = 10
@@ -26,7 +27,8 @@ def main() -> None:
         print(f"  t={action.at_us / 1e6:.3f}s  {action.describe()}")
 
     res = run_transfer(scenario, nbytes=NBYTES, sndbuf=128 * 1024,
-                       cfg=chaos_config(), invariants=True, max_sim_s=120)
+                       cfg=HRMCConfig(**CHAOS_TUNING), invariants=True,
+                       max_sim_s=120)
 
     print(f"\n{res.fault_events} fault events fired; "
           f"{res.invariant_checks} invariant audits, all green")

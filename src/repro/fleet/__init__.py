@@ -1,16 +1,15 @@
 """Parallel experiment-fleet orchestration.
 
 The paper's evaluation is a sweep of independent deterministic
-simulations; this package turns each cell of that sweep into a
-content-addressed job:
+simulations; this package runs each cell of that sweep -- a
+:class:`~repro.workloads.spec.RunSpec`, the declarative description of
+one run that every single-transfer command builds its run from too --
+as a content-addressed job:
 
-* :mod:`repro.fleet.spec` -- :class:`RunSpec`, the declarative job
-  model (scenario builder + params + seed + config deltas) with a
-  stable content hash,
-* :mod:`repro.fleet.fingerprint` -- the protocol-code fingerprint that
-  auto-invalidates cached results when ``src/repro/`` changes,
-* :mod:`repro.fleet.worker` -- builds the world from a spec and runs
-  it (the one execution path for every mode),
+* :mod:`repro.fleet.fingerprint` -- the code fingerprint that
+  auto-invalidates cached results when what a run computes changes,
+* :mod:`repro.fleet.worker` -- runs one spec and summarizes the result
+  (the one execution path for every mode),
 * :mod:`repro.fleet.store` -- the content-addressed result cache under
   ``.hrmc-cache/`` with hit/miss/invalidation accounting,
 * :mod:`repro.fleet.executor` -- :class:`Fleet`, the fault-tolerant
@@ -22,11 +21,10 @@ content-addressed job:
 
 from repro.fleet.executor import Fleet, FleetError, FleetStats
 from repro.fleet.fingerprint import code_fingerprint
-from repro.fleet.spec import RunSpec
 from repro.fleet.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.fleet.summary import RunSummary, summarize_result
 from repro.fleet.worker import execute_spec, run_spec
 
-__all__ = ["Fleet", "FleetError", "FleetStats", "RunSpec", "RunSummary",
+__all__ = ["Fleet", "FleetError", "FleetStats", "RunSummary",
            "ResultStore", "DEFAULT_CACHE_DIR", "code_fingerprint",
            "execute_spec", "run_spec", "summarize_result"]

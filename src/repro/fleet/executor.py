@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.fleet.fingerprint import code_fingerprint
-from repro.fleet.spec import RunSpec
 from repro.fleet.store import ResultStore
 from repro.fleet.summary import RunSummary
 from repro.fleet.worker import JobTimeout, execute_spec
+from repro.workloads.spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     # imported for real where a pool is built: `--list`, `report` and

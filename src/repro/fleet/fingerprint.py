@@ -3,9 +3,10 @@ a simulation result.
 
 The fleet's cache key is ``(RunSpec content hash, code fingerprint)``:
 editing any source file under ``src/repro/`` -- the protocol, the
-network models, the engine -- silently invalidates every cached result,
-while touching the orchestration layer itself (``src/repro/fleet/``)
-does not, because the orchestrator never influences what a worker
+network models, the engine, the spec that builds a world, the worker
+and the summary it returns -- silently invalidates every cached
+result, while touching the orchestrator (the executor, the store, the
+grid, this module) does not, because it never influences what a worker
 computes from a spec.
 
 The simlint rule-set version (:data:`repro.analysis.version.
@@ -28,10 +29,13 @@ from repro.analysis.version import RULESET_VERSION
 
 __all__ = ["code_fingerprint"]
 
-#: subtrees that cannot affect a run's result and are excluded so that
-#: iterating on the orchestrator (or the analyzer: rule behaviour is
-#: captured by RULESET_VERSION instead) does not churn the cache
-_EXCLUDED_TOP_DIRS = frozenset({"fleet", "analysis"})
+#: what cannot affect a run's result, excluded so that iterating on the
+#: orchestrator (or the analyzer: rule behaviour is captured by
+#: RULESET_VERSION instead) does not churn the cache
+_EXCLUDED_TOP_DIRS = frozenset({"analysis"})
+_EXCLUDED_FILES = frozenset(
+    f"fleet/{name}.py"
+    for name in ("__init__", "executor", "store", "grid", "fingerprint"))
 
 _cached: Optional[str] = None
 
@@ -43,7 +47,8 @@ def _repro_root() -> Path:
 
 def code_fingerprint(root: Optional[str] = None) -> str:
     """BLAKE2b over every ``*.py`` under ``root`` (default: the
-    installed ``repro`` package), excluding :data:`_EXCLUDED_TOP_DIRS`.
+    installed ``repro`` package), excluding :data:`_EXCLUDED_TOP_DIRS`
+    and :data:`_EXCLUDED_FILES`.
 
     Paths are hashed relative to ``root`` with sorted ordering, so the
     fingerprint is stable across machines, processes and checkout
@@ -60,7 +65,8 @@ def code_fingerprint(root: Optional[str] = None) -> str:
     h.update(b"\x00")
     for path in sorted(base.rglob("*.py")):
         rel = path.relative_to(base)
-        if rel.parts and rel.parts[0] in _EXCLUDED_TOP_DIRS:
+        if rel.parts[0] in _EXCLUDED_TOP_DIRS or \
+                rel.as_posix() in _EXCLUDED_FILES:
             continue
         h.update(str(rel).encode())
         h.update(b"\x00")

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from repro.fleet.spec import RunSpec
 from repro.fleet.summary import RunSummary
+from repro.workloads.spec import RunSpec
 
 __all__ = ["Grid", "PROBE"]
 

@@ -19,8 +19,8 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.fleet.spec import RunSpec
 from repro.fleet.summary import RunSummary
+from repro.workloads.spec import RunSpec
 
 __all__ = ["ResultStore", "StoreStats", "DEFAULT_CACHE_DIR"]
 
@@ -78,6 +78,9 @@ class ResultStore:
         try:
             with open(path) as fh:
                 entry = json.load(fh)
+            if not isinstance(entry, dict) or \
+                    not isinstance(entry.get("spec", {}), dict):
+                raise ValueError("entry or its spec is not a JSON object")
             if entry.get("format") != _FORMAT:
                 raise ValueError(f"unknown format {entry.get('format')!r}")
             if not isinstance(entry.get("summary"), dict):

@@ -48,10 +48,6 @@ class RunSummary:
     surviving_ok: bool = True
     # observability sample (list of (title, headers, rows) tables)
     obs_tables: list = field(default_factory=list)
-    # per-job perf payload (SimProfiler.bench_payload(); only when
-    # the spec asked for it -- carries wall-clock numbers, so it is the
-    # one part of a summary that varies between executions)
-    perf: dict = field(default_factory=dict)
     # compact protocol-health payload (repro.obs.health payload();
     # only when the spec asked for it)
     health: dict = field(default_factory=dict)
@@ -83,7 +79,6 @@ class RunSummary:
 
 def summarize_result(result: Any, *, plan_actions: int = 0,
                      obs_tables: Optional[list] = None,
-                     perf: Optional[dict] = None,
                      health: Optional[dict] = None) -> RunSummary:
     """Project a :class:`TransferResult` onto the wire format."""
     return RunSummary(
@@ -107,6 +102,5 @@ def summarize_result(result: Any, *, plan_actions: int = 0,
         invariant_checks=result.invariant_checks,
         surviving_ok=result.surviving_ok,
         obs_tables=list(obs_tables) if obs_tables else [],
-        perf=dict(perf) if perf else {},
         health=dict(health) if health else {},
     )

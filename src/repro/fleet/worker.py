@@ -1,24 +1,24 @@
-"""Worker side of the fleet: build a world from a RunSpec, run it.
+"""Worker side of the fleet: run one RunSpec, summarize the result.
 
 :func:`execute_spec` is the single execution path for every mode --
-in-process serial runs, pool workers, and cache misses all call it.  It
-constructs the scenario, configuration and transfer *only* from the
-spec (no ambient state), runs the simulation, and returns the
-JSON-canonical summary dict.  Keeping the return value JSON-round-
-tripped means the multiprocess, serial and warm-cache paths hand the
-aggregation layer bit-identical data.
+in-process serial runs, pool workers, and cache misses all call it.  The
+world comes from the spec alone (:meth:`RunSpec.build`, no ambient
+state); the worker runs it and returns the JSON-canonical summary dict.
+Keeping the return value JSON-round-tripped means the multiprocess,
+serial and warm-cache paths hand the aggregation layer bit-identical
+data.
 """
 
 from __future__ import annotations
 
 import json
 import signal
-from dataclasses import replace
 from types import FrameType
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
-from repro.fleet.spec import RunSpec
 from repro.fleet.summary import RunSummary, summarize_result
+from repro.harness.runner import run_transfer
+from repro.workloads.spec import RunSpec
 
 __all__ = ["execute_spec", "run_spec", "JobTimeout"]
 
@@ -35,74 +35,24 @@ class JobTimeout(BaseException):
     """
 
 
-def _build_scenario(spec: RunSpec) -> Any:
-    from repro.workloads.groups import GROUP_A, GROUP_B, GROUP_C, \
-        expand_test_case
-    from repro.workloads.scenarios import build_chaos, build_lan, build_wan
-
-    p = spec.scenario_params
-    if spec.scenario == "lan":
-        return build_lan(p["receivers"], p["bandwidth_bps"],
-                         seed=p["seed"])
-    if spec.scenario == "wan":
-        if "test" in p:
-            groups = expand_test_case(p["test"], p["receivers"])
-        else:
-            by_name = {g.name: g for g in (GROUP_A, GROUP_B, GROUP_C)}
-            try:
-                groups = [by_name[name] for name in p["groups"]]
-            except KeyError as exc:
-                raise ValueError(f"unknown characteristic group "
-                                 f"{exc.args[0]!r}") from None
-        return build_wan(groups, p["bandwidth_bps"], seed=p["seed"])
-    if spec.scenario == "chaos":
-        return build_chaos(p["receivers"], p["bandwidth_bps"],
-                           seed=p["seed"], horizon_us=p["horizon_us"])
-    raise ValueError(f"unknown scenario {spec.scenario!r}")
-
-
-def _build_config(spec: RunSpec) -> Any:
-    from repro.core.config import HRMCConfig
-
-    if not spec.cfg:
-        return None
-    delta = dict(spec.cfg)
-    cfg = HRMCConfig()
-    if delta.pop("_rmc", False):
-        cfg = cfg.as_rmc()
-    try:
-        return replace(cfg, **delta)
-    except TypeError as exc:
-        raise ValueError(f"bad config delta for {spec.describe()}: "
-                         f"{exc}") from None
-
-
 def run_spec(spec: RunSpec) -> RunSummary:
     """Execute one spec and return the :class:`RunSummary` (objects,
-    not wire format); the world is built from the spec alone."""
-    from repro.harness.runner import run_transfer
-
-    scenario = _build_scenario(spec)
-    cfg = _build_config(spec)
+    not wire format)."""
+    scenario, kwargs = spec.build()
     obs = None
-    if spec.obs or spec.perf:
+    if spec.obs:
         from repro.obs.observer import Observability
-        obs = Observability(profile=spec.perf)
-    result = run_transfer(
-        scenario, nbytes=spec.nbytes, protocol=spec.protocol,
-        sndbuf=spec.sndbuf, rcvbuf=spec.rcvbuf, cfg=cfg, disk=spec.disk,
-        max_sim_s=spec.max_sim_s, invariants=spec.invariants, obs=obs)
+        obs = Observability()
+    result = run_transfer(scenario, obs=obs, **kwargs)
     health = None
     if spec.health:
         # a read of the finished run's books: nothing was attached
         from repro.obs.health import payload
         health = payload(result)
-    plan = getattr(scenario, "fault_plan", None)
+    plan = scenario.fault_plan
     return summarize_result(
         result, plan_actions=len(plan) if plan is not None else 0,
-        obs_tables=obs.summary_tables() if obs is not None and spec.obs
-        else None,
-        perf=obs.profiler.bench_payload() if spec.perf else None,
+        obs_tables=obs.summary_tables() if obs is not None else None,
         health=health)
 
 

@@ -64,15 +64,20 @@ Subcommands:
   distributions; ``--bounds`` gates effectiveness /
   redundancy against the committed ``HEALTH_BOUNDS.json`` (exit 0 =
   healthy, 1 = violated, 2 = unusable).  ``health sweep`` runs a
-  fleet grid over group sizes and fits scaling laws
-  (:mod:`repro.stats.scaling`) -- the paper's §5.2 flat-feedback
-  claim as a fitted exponent -- with per-cell anomaly flags.
+  fleet grid over group sizes and flags the cells that drift from the
+  sweep median.
+
+Every command that runs one transfer builds a
+:class:`~repro.workloads.spec.RunSpec` from its arguments -- the spec a
+fleet cell runs -- and exits 2 with a one-line reason when no world can
+be built from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 # argparse's gettext imports locale at the first string it translates, in
 # every invocation; named here it loads with the rest of start-up rather
 # than inside the first command (it used to ride in with the pool modules)
@@ -90,8 +95,7 @@ from repro.harness.inventory import INVENTORY, inventory_rows
 from repro.harness.runner import run_transfer
 from repro.obs.observer import Observability
 from repro.trace.tracer import PacketTracer, trace_meta
-from repro.workloads.groups import expand_test_case
-from repro.workloads.scenarios import build_chaos, build_lan, build_wan
+from repro.workloads.spec import CHAOS_TUNING, RunSpec
 
 __all__ = ["main"]
 
@@ -128,45 +132,41 @@ def _run_fleet(argv) -> int:
 
 
 def _run_chaos(args) -> int:
-    """Run one fault-injected transfer and report what happened."""
-    from repro.faults.plan import FaultPlan
-    from repro.harness.experiments import chaos_config
-
+    """Run one fault-injected transfer and report what happened: the
+    seed's chaos cell, or a LAN of the same shape under a saved plan."""
+    plan = None
     if args.fault_plan:
+        from repro.faults.plan import FaultPlan
         try:
             plan = FaultPlan.load(args.fault_plan)
         except (OSError, ValueError, KeyError) as exc:
             print(f"cannot load fault plan {args.fault_plan!r}: {exc}",
                   file=sys.stderr)
             return 2
-        scenario = build_lan(args.receivers, 10e6, seed=plan.seed)
-        scenario.fault_plan = plan
+        spec = _checked(RunSpec.lan, args.receivers, 10e6, seed=plan.seed,
+                        nbytes=args.nbytes, sndbuf=128 * 1024,
+                        cfg=CHAOS_TUNING, invariants=True, max_sim_s=120)
     else:
-        scenario = build_chaos(args.receivers, 10e6, seed=args.chaos_seed,
-                               horizon_us=1_000_000)
-        plan = scenario.fault_plan
-    print(plan.describe())
+        spec = _checked(RunSpec.chaos, args.receivers, 10e6,
+                        seed=args.chaos_seed, horizon_us=1_000_000,
+                        nbytes=args.nbytes, max_sim_s=120)
+    if spec is None:
+        return 2
+    scenario, kwargs = spec.build()
+    scenario.fault_plan = plan or scenario.fault_plan
+    print(scenario.fault_plan.describe())
     obs = tracer = None
     if args.metrics_out:
         obs = Observability(profile=True, lineage=True)
         tracer = PacketTracer()
     try:
-        result = run_transfer(scenario, protocol="hrmc", nbytes=args.nbytes,
-                              sndbuf=128 * 1024, cfg=chaos_config(),
-                              invariants=True, max_sim_s=120, obs=obs,
-                              tracer=tracer)
+        result = run_transfer(scenario, obs=obs, tracer=tracer, **kwargs)
     except ValueError as exc:  # e.g. plan targets a missing receiver
         print(f"cannot run fault plan: {exc}", file=sys.stderr)
         return 2
-    if obs is not None:
-        try:
-            paths = obs.write_artifacts(args.metrics_out, prefix="chaos")
-        except OSError as exc:
-            print(f"cannot write artifacts to {args.metrics_out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        for name, path in paths.items():
-            print(f"wrote {name}: {path}")
+    if obs is not None and not _write_artifacts(obs, args.metrics_out,
+                                                "chaos"):
+        return 2
     print(f"fault events: {result.fault_events}  "
           f"crashed: {result.crashed_receivers}  "
           f"restarted: {result.restarted_receivers}  "
@@ -201,33 +201,37 @@ def _scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="characteristic-group test case for wan")
 
 
-def _build_scenario(args):
-    bw = args.bandwidth * 1e6
-    if args.scenario == "lan":
-        scenario = build_lan(args.receivers, bw, seed=args.seed)
-    elif args.scenario == "wan":
-        specs = expand_test_case(args.wan_test, args.receivers)
-        scenario = build_wan(specs, bw, seed=args.seed)
-    else:
-        scenario = build_chaos(args.receivers, bw, seed=args.seed,
-                               horizon_us=1_000_000, allow_crash=False)
-    kwargs = {}
-    if args.scenario == "chaos":
-        from repro.harness.experiments import chaos_config
-        kwargs = {"cfg": chaos_config(), "invariants": True,
-                  "sndbuf": 128 * 1024}
-    if getattr(args, "sndbuf", None):
-        kwargs["sndbuf"] = args.sndbuf
-    return scenario, kwargs
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; ``None`` after a one-line reason if
+    it refuses them (a spec no world can be built from)."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        print(f"unusable input: {exc}", file=sys.stderr)
+        return None
 
 
 def _transfer(args, obs=None, tracer=None):
-    """Run one transfer of the canned scenario ``args`` names: the run
-    behind ``report``, ``why``, ``perf profile`` and ``health report``."""
-    scenario, kwargs = _build_scenario(args)
-    return run_transfer(scenario, nbytes=args.nbytes,
-                        protocol=args.protocol, obs=obs, max_sim_s=300,
-                        tracer=tracer, **kwargs)
+    """Run the transfer of the canned scenario ``args`` names -- the run
+    behind ``report``, ``why``, ``perf profile`` and ``health report``
+    -- on a world built from its spec; ``None`` if the spec is refused."""
+    bw = args.bandwidth * 1e6
+    kw = {"seed": args.seed, "nbytes": args.nbytes,
+          "protocol": args.protocol, "max_sim_s": 300}
+    if args.sndbuf:
+        kw["sndbuf"] = args.sndbuf
+    if args.scenario == "lan":
+        spec = _checked(RunSpec.lan, args.receivers, bw, **kw)
+    elif args.scenario == "wan":
+        spec = _checked(RunSpec.wan, test=args.wan_test, bandwidth_bps=bw,
+                        receivers=args.receivers, **kw)
+    else:
+        spec = _checked(RunSpec.chaos, args.receivers, bw,
+                        horizon_us=1_000_000, allow_crash=False, **kw)
+    if spec is None:
+        return None
+    scenario, kwargs = spec.build()
+    return run_transfer(scenario, obs=obs, tracer=tracer, **kwargs)
 
 
 def _write_artifacts(obs, outdir: str, prefix: str, *,
@@ -324,6 +328,8 @@ def _run_report(argv) -> int:
     obs = Observability(profile=not args.no_profile, lineage=args.lineage)
     tracer = PacketTracer() if args.lineage and args.metrics_out else None
     result = _transfer(args, obs, tracer)
+    if result is None:
+        return 2
     print(f"{args.scenario} x{args.receivers} {args.protocol} "
           f"{args.nbytes} bytes: ok={result.ok} "
           f"throughput={result.throughput_mbps:.2f} Mbit/s "
@@ -358,6 +364,8 @@ def _run_why(argv) -> int:
     obs = Observability(profile=False, lineage=True)
     tracer = PacketTracer() if args.metrics_out else None
     result = _transfer(args, obs, tracer)
+    if result is None:
+        return 2
     print(f"{args.scenario} x{args.receivers} {args.protocol} "
           f"{args.nbytes} bytes: ok={result.ok} "
           f"duration={result.duration_us / 1e6:.3f} s\n")
@@ -404,6 +412,8 @@ def _run_perf_profile(argv) -> int:
     wall_t0 = time.perf_counter()
     result = _transfer(args, obs)
     wall_s = time.perf_counter() - wall_t0
+    if result is None:
+        return 2
 
     events_per_s = result.sim_events / wall_s if wall_s > 0 else 0.0
     print(f"{args.scenario} x{args.receivers} {args.protocol} "
@@ -417,14 +427,6 @@ def _run_perf_profile(argv) -> int:
     return 0 if result.ok else 1
 
 
-def _run_perf(argv) -> int:
-    """Dispatch the ``perf`` subcommand family."""
-    if argv and argv[0] == "profile":
-        return _run_perf_profile(argv[1:])
-    print("usage: hrmc-experiments perf profile ...", file=sys.stderr)
-    return 2
-
-
 # -- health subcommand family -------------------------------------------
 
 def _load_health_bounds(path: str, scenario: str):
@@ -432,7 +434,7 @@ def _load_health_bounds(path: str, scenario: str):
 
     The file maps scenario name (or ``"*"``) to ``metric_min`` /
     ``metric_max`` entries over the flat cell metrics of
-    :func:`repro.stats.scaling.health_cell`.
+    :func:`repro.obs.health.health_cell`.
     """
     try:
         with open(path) as fh:
@@ -462,8 +464,9 @@ def _bounds_error(scenario: str, bounds) -> str | None:
     for key, limit in sorted(bounds.items()):
         if not key.endswith(("_min", "_max")):
             return f"bad bound key {key!r} (want metric_min / metric_max)"
-        if not isinstance(limit, (int, float)) or isinstance(limit, bool):
-            return f"bound {key!r}: limit {limit!r} is not a number"
+        if not isinstance(limit, (int, float)) or isinstance(limit, bool) \
+                or not math.isfinite(limit):
+            return f"bound {key!r}: limit {limit!r} is not a finite number"
     return None
 
 
@@ -491,9 +494,9 @@ def _run_health_report(argv) -> int:
     stderr.  Exit 0 = healthy, 1 = run failed or bound violated,
     2 = unusable input.
     """
-    from repro.obs.health import payload as health_payload, summary_tables
+    from repro.obs.health import health_cell, payload as health_payload, \
+        summary_tables
     from repro.stats.report import format_table
-    from repro.stats.scaling import health_cell
 
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments health report",
@@ -518,6 +521,8 @@ def _run_health_report(argv) -> int:
             return 2
 
     result = _transfer(args)
+    if result is None:
+        return 2
     payload = health_payload(result)
     tables = summary_tables(payload)
 
@@ -551,32 +556,56 @@ def _run_health_report(argv) -> int:
 
 
 #: the per-cell columns of the sweep table, in print order
-_SWEEP_COLUMNS = (
-    "label", "group_size", "loss_rate", "throughput_mbps",
-    "effectiveness", "naks_sent", "suppressed", "feedback_at_sender",
-    "implosion_index", "redundant_ratio", "retrans_bytes",
-    "mean_lag_us", "worst_lag_us", "unresolved",
-)
+_SWEEP_COLUMNS = ("label", "group_size", "throughput_mbps", "effectiveness",
+                  "naks_sent", "suppressed", "feedback_at_sender",
+                  "implosion_index", "redundant_ratio", "retrans_bytes",
+                  "mean_lag_us", "worst_lag_us", "unresolved")
+
+#: how far a sweep cell may drift from the sweep median, as a fraction,
+#: before it is flagged: downward for effectiveness, upward for the rest
+#: (loose on lag, which is long-tailed)
+ANOMALY_GATES = {"effectiveness": 0.25, "implosion_index": 0.75,
+                 "redundant_ratio": 0.50, "worst_lag_us": 2.0}
+
+
+def flag_anomalies(cells: list[dict]) -> list[dict]:
+    """Every cell metric past its gate from the sweep median, in the
+    metric's bad direction; none below three cells, where every cell
+    is the median's neighbourhood."""
+    from statistics import median as median_of
+
+    if len(cells) < 3:
+        return []
+    medians = {m: median_of(c[m] for c in cells) for m in ANOMALY_GATES}
+    flags = []
+    for cell in cells:
+        for metric, gate in ANOMALY_GATES.items():
+            value, median = cell[metric], medians[metric]
+            direction = "low" if metric == "effectiveness" else "high"
+            if (value < median * (1 - gate) if direction == "low"
+                    else value > median * (1 + gate)):
+                flags.append({"cell": cell["label"], "metric": metric,
+                              "value": value, "median": median,
+                              "threshold": gate, "direction": direction})
+    return flags
 
 
 def _run_health_sweep(argv) -> int:
     """``health sweep``: a fleet grid over group sizes with health
-    payloads on, reduced to scaling-law fits and per-cell anomaly
-    flags.  With ``--json`` stdout is the report alone; status lines
-    go to stderr.  Exit 0 = clean, 1 = anomalies flagged or a cell
-    failed, 2 = unusable input.
+    payloads on, one flat cell per run, and the cells that drift from
+    the sweep median flagged.  With ``--json`` stdout is the report
+    alone; status lines go to stderr.  Exit 0 = clean, 1 = anomalies
+    flagged or a cell failed, 2 = unusable input.
     """
-    from repro.fleet import DEFAULT_CACHE_DIR, Fleet, FleetError, RunSpec
+    from repro.fleet import DEFAULT_CACHE_DIR, Fleet, FleetError
+    from repro.obs.health import health_cell
     from repro.stats.report import format_table
-    from repro.stats.scaling import health_cell, sweep_report
 
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments health sweep",
         description="Sweep the protocol-health observatory over a "
-                    "group-size grid (Figure-14 axis) and report "
-                    "scaling-law fits -- does sender-visible feedback "
-                    "stay flat as the group grows? -- plus per-cell "
-                    "anomaly flags against the sweep median.")
+                    "group-size grid (Figure-14 axis) and flag the "
+                    "cells that drift from the sweep median.")
     parser.add_argument("--experiment", default="fig14",
                         choices=("fig14",),
                         help="sweep family (fig14: feedback vs group "
@@ -602,20 +631,17 @@ def _run_health_sweep(argv) -> int:
     try:
         sizes = [int(tok) for tok in args.grid.split(",") if tok.strip()]
     except ValueError:
-        print(f"bad --grid {args.grid!r}: want comma-separated ints",
+        sizes = []
+    if not sizes:
+        print(f"bad --grid {args.grid!r}: want comma-separated group sizes",
               file=sys.stderr)
         return 2
-    if not sizes or any(n < 1 for n in sizes):
-        print(f"bad --grid {args.grid!r}: need positive group sizes",
-              file=sys.stderr)
+    specs = _checked(lambda: [RunSpec.wan(
+        test=args.wan_test, receivers=n, bandwidth_bps=args.bandwidth * 1e6,
+        seed=args.seed, nbytes=args.nbytes, sndbuf=128 * 1024,
+        max_sim_s=300.0, health=True) for n in sizes])
+    if specs is None:
         return 2
-
-    specs = [RunSpec.wan(test=args.wan_test, receivers=n,
-                         bandwidth_bps=args.bandwidth * 1e6,
-                         seed=args.seed, nbytes=args.nbytes,
-                         sndbuf=128 * 1024, max_sim_s=300.0,
-                         health=True, tag=f"health-n{n}")
-             for n in sizes]
     fleet = Fleet(workers=args.parallel,
                   cache_dir=None if args.no_cache
                   else (args.cache_dir or DEFAULT_CACHE_DIR))
@@ -625,37 +651,21 @@ def _run_health_sweep(argv) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    cells, failed = [], 0
-    for n, spec in zip(sizes, specs):
-        summary = results[spec.content_hash()]
-        if not summary.ok:
-            failed += 1
-        cells.append(health_cell(
-            summary.health, label=f"n={n}", group_size=n,
-            throughput_bps=summary.throughput_bps))
-    report = sweep_report(cells)
+    summaries = [results[spec.content_hash()] for spec in specs]
+    cells = [health_cell(s.health, label=f"n={n}", group_size=n,
+                         throughput_bps=s.throughput_bps)
+             for n, s in zip(sizes, summaries)]
+    report = {"cells": cells, "anomalies": flag_anomalies(cells)}
 
     doc = json.dumps(report, indent=2, sort_keys=True)
     status = sys.stderr if args.json else sys.stdout
     if args.json:
         print(doc)
     else:
-        columns = [c for c in _SWEEP_COLUMNS
-                   if any(c in cell for cell in cells)]
         print(format_table(
             f"health sweep ({args.experiment}, test {args.wan_test}, "
-            f"seed {args.seed})", columns,
-            [[cell.get(c, "-") for c in columns] for cell in cells]))
-        print()
-        if report["fits"]:
-            print(format_table(
-                "scaling-law fits (log-log least squares)",
-                ["fit", "exponent", "coefficient", "r2", "n"],
-                [[name, f["exponent"], f["coefficient"], f["r2"],
-                  f["n"]]
-                 for name, f in sorted(report["fits"].items())]))
-        else:
-            print("no scaling fits (grid too small or zero metrics)")
+            f"seed {args.seed})", _SWEEP_COLUMNS,
+            [[cell[c] for c in _SWEEP_COLUMNS] for cell in cells]))
         print()
         if report["anomalies"]:
             for a in report["anomalies"]:
@@ -666,18 +676,7 @@ def _run_health_sweep(argv) -> int:
             print("no per-cell anomalies")
     if args.out and not _write_file("sweep report", args.out, doc, status):
         return 2
-    return 1 if (failed or report["anomalies"]) else 0
-
-
-def _run_health(argv) -> int:
-    """Dispatch the ``health`` subcommand family."""
-    if argv and argv[0] == "report":
-        return _run_health_report(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _run_health_sweep(argv[1:])
-    print("usage: hrmc-experiments health {report,sweep} ...",
-          file=sys.stderr)
-    return 2
+    return 1 if report["anomalies"] or not all(s.ok for s in summaries) else 0
 
 
 # -- diff subcommand ----------------------------------------------------
@@ -707,20 +706,25 @@ def _run_diff(argv) -> int:
     return 1 if result.diverged else 0
 
 
+#: the subcommands, by their first one or two words
+_COMMANDS = {
+    "report": _run_report, "why": _run_why, "diff": _run_diff,
+    "fleet": _run_fleet, "perf profile": _run_perf_profile,
+    "health report": _run_health_report, "health sweep": _run_health_sweep,
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "report":
-        return _run_report(argv[1:])
-    if argv and argv[0] == "why":
-        return _run_why(argv[1:])
-    if argv and argv[0] == "diff":
-        return _run_diff(argv[1:])
-    if argv and argv[0] == "fleet":
-        return _run_fleet(argv[1:])
-    if argv and argv[0] == "perf":
-        return _run_perf(argv[1:])
-    if argv and argv[0] == "health":
-        return _run_health(argv[1:])
+    for words in (2, 1):
+        command = _COMMANDS.get(" ".join(argv[:words]))
+        if command is not None:
+            return command(argv[words:])
+    if argv and argv[0] in ("perf", "health"):
+        subs = [c.split()[1] for c in _COMMANDS if c.startswith(argv[0])]
+        print(f"usage: hrmc-experiments {argv[0]} {{{','.join(subs)}}} ...",
+              file=sys.stderr)
+        return 2
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments",
         description="Regenerate the tables and figures of the H-RMC "
@@ -811,13 +815,9 @@ def main(argv=None) -> int:
             stats = dict(fleet.stats.as_dict(), argv=targets,
                          parallel=args.parallel, scale=args.scale,
                          elapsed_s=round(elapsed, 3))
-            try:
-                with open(args.cache_stats, "w") as fh:
-                    json.dump(stats, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError as exc:
-                print(f"cannot write {args.cache_stats!r}: "
-                      f"{exc.strerror or exc}", file=sys.stderr)
+            _write_file("cache stats", args.cache_stats,
+                        json.dumps(stats, indent=2, sort_keys=True),
+                        sys.stderr)
 
     # stdout carries only the deterministic report bodies: identical
     # for serial, parallel and warm-cache executions (CI byte-compares)

@@ -8,7 +8,7 @@ paper-size runs.  Shape claims -- who wins, trend directions, where the
 NAK onset falls -- hold at either scale.
 
 Since PR 4 every experiment expresses its simulations as a
-:class:`~repro.fleet.spec.RunSpec` grid executed through the fleet
+:class:`~repro.workloads.spec.RunSpec` grid executed through the fleet
 (:mod:`repro.fleet`): the experiment function is evaluated once to
 *plan* the grid, the fleet runs (or cache-serves) the specs -- in
 parallel if asked -- and the function is evaluated again to assemble
@@ -22,14 +22,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.config import HRMCConfig
 from repro.core.types import PACKET_TYPE_USE, PacketType
 from repro.fleet.executor import Fleet
 from repro.fleet.grid import Grid
-from repro.fleet.spec import RunSpec
 from repro.harness.inventory import INVENTORY
 from repro.stats.report import format_table
 from repro.workloads.groups import GROUP_A, GROUP_B, GROUP_C, TEST_CASES
+from repro.workloads.spec import RunSpec
 
 __all__ = ["Report", "EXPERIMENTS", "run_experiment", "run_experiments",
            "plan_experiment", "file_sizes", "BUFFERS_K", "BUFFERS_BIG_K"]
@@ -618,18 +617,6 @@ def ablation_fec(scale: Optional[str] = None,
 # Chaos: fault injection + invariant checking (beyond the paper, which
 # validated on a clean testbed)
 
-#: chaos runs shorten the sender's member-eviction horizon so a crashed
-#: receiver stops blocking window release within ~2 s instead of ~10 s
-def chaos_config() -> HRMCConfig:
-    from dataclasses import replace
-    return replace(HRMCConfig(), **chaos_config_delta())
-
-
-def chaos_config_delta() -> dict:
-    """The chaos tuning as a RunSpec config delta."""
-    return {"member_timeout_us": 2_000_000, "member_timeout_probes": 4}
-
-
 def chaos_suite(scale: Optional[str] = None,
                 grid: Optional[Grid] = None) -> Report:
     """Seeded random fault plans (link flaps/loss, NIC bursts and
@@ -649,7 +636,6 @@ def chaos_suite(scale: Optional[str] = None,
         # suite's observability sample (metrics + spans in the report)
         res = grid.run(RunSpec.chaos(
             3, MBPS_10, seed=seed, horizon_us=1_000_000, nbytes=nbytes,
-            sndbuf=128 * 1024, cfg=chaos_config_delta(), invariants=True,
             max_sim_s=120, obs=(seed == 1)))
         if res.obs_tables:
             obs_tables = res.obs_tables

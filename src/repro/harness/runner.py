@@ -26,7 +26,6 @@ from repro.stats.metrics import Counters
 # and the observer are imported on the branch that runs them: a bare
 # H-RMC transfer loads none of them
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.plan import FaultPlan
     from repro.obs.observer import Observability
     from repro.trace.tracer import PacketTracer
     from repro.workloads.scenarios import Scenario
@@ -114,7 +113,6 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
                  disk: bool = False, chunk: int = 64 * 1024,
                  verify: str = "offsets", seed: int = 0,
                  max_sim_s: float = 3600.0,
-                 fault_plan: Optional[FaultPlan] = None,
                  invariants: bool = False,
                  tracer: Optional[PacketTracer] = None,
                  obs: Optional[Observability] = None) -> TransferResult:
@@ -124,9 +122,9 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     axis; ``rcvbuf`` defaults to the same value (the paper varies them
     together as "the kernel buffer size").
 
-    ``fault_plan`` (or ``scenario.fault_plan``) schedules fault
-    injection for the run; ``invariants=True`` attaches the
-    always-on protocol-invariant checker, which raises
+    ``scenario.fault_plan`` schedules fault injection for the run;
+    ``invariants=True`` attaches the always-on protocol-invariant
+    checker, which raises
     :class:`~repro.faults.invariants.InvariantViolation` at the first
     unsafe state.  Pass a ``tracer`` to keep the capture (the harness
     attaches it to every host); otherwise the checker runs on an
@@ -150,8 +148,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     sim = scenario.sim
     n = scenario.n_receivers
 
-    fault_plan = fault_plan if fault_plan is not None \
-        else getattr(scenario, "fault_plan", None)
+    fault_plan = scenario.fault_plan
     if fault_plan is not None and protocol == "tcp":
         raise ValueError("fault plans are not supported for the "
                          "tcp-like reference (sequential unicast)")

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 from repro.obs.metrics import Histogram
 
-__all__ = ["payload", "summary_tables", "suppression_effectiveness"]
+__all__ = ["payload", "health_cell", "summary_tables",
+           "suppression_effectiveness"]
 
 #: recovery-lag bucket edges (us): gap detected -> gap filled spans a
 #: couple of RTTs on a healthy path and whole back-off cycles on a sick
@@ -64,7 +65,7 @@ def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:
 def payload(result) -> dict:
     """The compact JSON-safe health document of a finished run: what
     crosses the fleet worker boundary and what ``health report --json``
-    and the sweep analytics consume.  Endpoints without an H-RMC role
+    and ``health sweep`` consume.  Endpoints without an H-RMC role
     (the baselines, the TCP-like reference) contribute nothing."""
     ssock, rsocks = result.sockets
     sender = getattr(getattr(ssock, "transport", None), "sender", None)
@@ -156,6 +157,43 @@ def payload(result) -> dict:
         "update": {"ups": total(updates, "adjust_ups"),
                    "downs": total(updates, "adjust_downs")},
     }
+
+
+def health_cell(doc: dict, *, label: str = "",
+                group_size: int | None = None,
+                throughput_bps: float | None = None) -> dict:
+    """A :func:`payload` (possibly JSON round-tripped off the fleet
+    cache) as one flat row of numbers: what ``health report --bounds``
+    gates and what a ``health sweep`` cell holds.  ``group_size`` is
+    the grid coordinate, the payload's own the fallback; a missing
+    section reads as zeros."""
+    def num(section: str, key: str) -> float:
+        v = doc.get(section, {}).get(key, 0)
+        return float(v) if isinstance(v, (int, float)) \
+            and not isinstance(v, bool) else 0.0
+
+    cell = {
+        "label": label,
+        "group_size": int(group_size if group_size is not None
+                          else doc.get("group_size", 0) or 0),
+        "effectiveness": num("suppression", "effectiveness"),
+        "naks_sent": num("suppression", "naks_sent"),
+        "suppressed": (num("suppression", "suppressed_timer")
+                       + num("suppression", "suppressed_peer")),
+        "feedback_at_sender": num("implosion", "feedback_at_sender"),
+        "naks_at_sender": num("implosion", "naks_at_sender"),
+        "loss_events": num("implosion", "loss_events"),
+        "implosion_index": num("implosion", "index"),
+        "retrans_pkts": num("repair", "retrans_pkts"),
+        "retrans_bytes": num("repair", "retrans_bytes"),
+        "redundant_ratio": num("repair", "redundant_ratio"),
+        "mean_lag_us": num("lag", "mean_us"),
+        "worst_lag_us": num("lag", "worst_max_us"),
+        "unresolved": num("lag", "unresolved"),
+    }
+    if throughput_bps is not None:
+        cell["throughput_mbps"] = round(float(throughput_bps) / 1e6, 3)
+    return cell
 
 
 def summary_tables(doc: dict) -> list[tuple[str, list, list]]:

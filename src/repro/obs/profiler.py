@@ -197,12 +197,3 @@ class SimProfiler:
                 f"{100.0 * self.coverage():.1f}%)",
                 ["class", "events", "ev%", "wall_ms", "wall%", "avg_us",
                  "sim_ms"], self.tax_rows())
-
-    def bench_payload(self) -> dict:
-        """JSON-safe per-class summary for fleet summaries
-        (``RunSpec(perf=True)``)."""
-        return {"events": self.events,
-                "coverage": round(self.coverage(), 4),
-                "classes": {name: {"events": s.events, "wall_ns": s.wall_ns,
-                                   "sim_us": s.sim_us}
-                            for name, s in sorted(self.classes.items())}}

@@ -2,10 +2,9 @@
 
 from repro.workloads.groups import (GROUP_A, GROUP_B, GROUP_C, TEST_CASES,
                                     expand_test_case)
-from repro.workloads.scenarios import (LanScenario, WanScenario, Scenario,
-                                       build_lan, build_wan)
+from repro.workloads.scenarios import Scenario, build_lan, build_wan
 
 __all__ = [
     "GROUP_A", "GROUP_B", "GROUP_C", "TEST_CASES", "expand_test_case",
-    "Scenario", "LanScenario", "WanScenario", "build_lan", "build_wan",
+    "Scenario", "build_lan", "build_wan",
 ]

@@ -22,8 +22,7 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
 
-__all__ = ["Scenario", "LanScenario", "WanScenario", "build_lan",
-           "build_wan", "build_chaos"]
+__all__ = ["Scenario", "build_lan", "build_wan", "build_chaos"]
 
 SENDER_ADDR = "10.0.0.1"
 
@@ -48,16 +47,8 @@ class Scenario:
         return len(self.receivers)
 
 
-class LanScenario(Scenario):
-    pass
-
-
-class WanScenario(Scenario):
-    pass
-
-
 def build_lan(n_receivers: int, bandwidth_bps: float, *, seed: int = 0,
-              cost: CostModel | None = None) -> LanScenario:
+              cost: CostModel | None = None) -> Scenario:
     """All hosts on one shared Ethernet segment."""
     sim = Simulator()
     lan = EthernetLanTopology(sim, bandwidth_bps, seed=seed)
@@ -66,13 +57,13 @@ def build_lan(n_receivers: int, bandwidth_bps: float, *, seed: int = 0,
         Host(sim, lan, lan.make_nic(host_addr(0, i + 2)), cost=cost)
         for i in range(n_receivers)
     ]
-    return LanScenario(sim=sim, network=lan, sender=sender,
+    return Scenario(sim=sim, network=lan, sender=sender,
                        receivers=receivers, bandwidth_bps=bandwidth_bps)
 
 
 def build_wan(group_specs: list[GroupSpec], bandwidth_bps: float, *,
               seed: int = 0, cost: CostModel | None = None,
-              symmetric_loss: bool = True) -> WanScenario:
+              symmetric_loss: bool = True) -> Scenario:
     """Sender behind a backbone; one receiver per entry in
     ``group_specs``, placed in that entry's characteristic group."""
     sim = Simulator()
@@ -90,14 +81,14 @@ def build_wan(group_specs: list[GroupSpec], bandwidth_bps: float, *,
         site_count[spec.name] = idx
         nic = wan.add_receiver(host_addr(site, idx), spec)
         receivers.append(Host(sim, wan, nic, cost=cost))
-    return WanScenario(sim=sim, network=wan, sender=sender,
+    return Scenario(sim=sim, network=wan, sender=sender,
                        receivers=receivers, bandwidth_bps=bandwidth_bps)
 
 
 def build_chaos(n_receivers: int, bandwidth_bps: float, *, seed: int,
                 horizon_us: int = 2_000_000, allow_crash: bool = True,
                 max_outage_us: Optional[int] = None,
-                cost: CostModel | None = None) -> LanScenario:
+                cost: CostModel | None = None) -> Scenario:
     """A LAN scenario carrying a seed-random :class:`FaultPlan` sized to
     a transfer that takes roughly ``horizon_us`` of simulated time.
     The same seed drives both the topology and the plan, so one integer

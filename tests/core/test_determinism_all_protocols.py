@@ -4,10 +4,11 @@ comparisons paired)."""
 
 import pytest
 
-from repro.harness.experiments import chaos_config
+from repro.core.config import HRMCConfig
 from repro.harness.runner import PROTOCOLS, run_transfer
 from repro.workloads.groups import GROUP_B
 from repro.workloads.scenarios import build_chaos, build_wan
+from repro.workloads.spec import CHAOS_TUNING
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -34,7 +35,7 @@ def test_chaos_run_reproducible(protocol):
         sc = build_chaos(3, 10e6, seed=11, horizon_us=1_000_000,
                          allow_crash=(protocol == "hrmc"),
                          max_outage_us=300_000)
-        cfg = chaos_config() if protocol == "hrmc" else None
+        cfg = HRMCConfig(**CHAOS_TUNING) if protocol == "hrmc" else None
         res = run_transfer(sc, nbytes=200_000, protocol=protocol,
                            sndbuf=128 * 1024, cfg=cfg, invariants=True,
                            max_sim_s=120)

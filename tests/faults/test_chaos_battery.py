@@ -14,9 +14,10 @@ the invariant checker attached, and asserts the safety contract:
 
 import pytest
 
-from repro.harness.experiments import chaos_config
+from repro.core.config import HRMCConfig
 from repro.harness.runner import run_transfer
 from repro.workloads.scenarios import build_chaos
+from repro.workloads.spec import CHAOS_TUNING
 
 MBPS_10 = 10e6
 NBYTES = 200_000
@@ -38,7 +39,8 @@ def _run_chaos(protocol, seed, *, allow_crash, max_outage_us=None, cfg=None):
 
 @pytest.mark.parametrize("seed", HRMC_SEEDS)
 def test_hrmc_survives_random_faults(seed):
-    sc, res = _run_chaos("hrmc", seed, allow_crash=True, cfg=chaos_config())
+    sc, res = _run_chaos("hrmc", seed, allow_crash=True,
+                         cfg=HRMCConfig(**CHAOS_TUNING))
     assert res.invariant_checks > 0
     assert res.surviving_ok, (sc.fault_plan.describe(),
                               [(r.name, r.bytes_done, r.errors)

@@ -10,10 +10,11 @@ import filecmp
 
 import pytest
 
-from repro.harness.experiments import chaos_config
+from repro.core.config import HRMCConfig
 from repro.harness.runner import run_transfer
 from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_chaos
+from repro.workloads.spec import CHAOS_TUNING
 
 pytestmark = pytest.mark.chaos
 
@@ -24,7 +25,7 @@ NBYTES = 250_000
 def _run(tracer=None):
     sc = build_chaos(3, 10e6, seed=SEED, horizon_us=1_000_000)
     res = run_transfer(sc, nbytes=NBYTES, sndbuf=128 * 1024,
-                       cfg=chaos_config(), invariants=True,
+                       cfg=HRMCConfig(**CHAOS_TUNING), invariants=True,
                        tracer=tracer, max_sim_s=120)
     return sc, res
 

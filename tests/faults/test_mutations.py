@@ -15,12 +15,12 @@ from repro.core.config import HRMCConfig
 from repro.core.receiver import HRMCReceiver
 from repro.core.sender import HRMCSender
 from repro.faults.invariants import InvariantViolation
-from repro.harness.experiments import chaos_config
 from repro.harness.runner import run_transfer
 from repro.core.types import PacketType
 from repro.kernel.skbuff import SKBuff
 from repro.workloads.groups import expand_test_case
 from repro.workloads.scenarios import build_chaos, build_lan, build_wan
+from repro.workloads.spec import CHAOS_TUNING
 
 pytestmark = pytest.mark.chaos
 
@@ -33,7 +33,8 @@ def test_skipping_membership_gate_trips_release_invariant(monkeypatch):
     sc = build_chaos(3, 10e6, seed=3, horizon_us=1_000_000)
     with pytest.raises(InvariantViolation, match="releasing"):
         run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
-                     cfg=chaos_config(), invariants=True, max_sim_s=120)
+                     cfg=HRMCConfig(**CHAOS_TUNING), invariants=True,
+                     max_sim_s=120)
 
 
 def test_skipping_repair_cache_trim_trips_bound_invariant(monkeypatch):
@@ -85,7 +86,8 @@ def test_unmutated_runs_stay_green():
     """Control: the same scenarios pass with the real implementation."""
     sc = build_chaos(3, 10e6, seed=3, horizon_us=1_000_000)
     res = run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
-                       cfg=chaos_config(), invariants=True, max_sim_s=120)
+                       cfg=HRMCConfig(**CHAOS_TUNING), invariants=True,
+                       max_sim_s=120)
     assert res.surviving_ok
 
     cfg = replace(HRMCConfig(), local_recovery=True,

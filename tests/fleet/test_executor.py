@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.fleet import Fleet, FleetError
-from repro.fleet.spec import RunSpec
+from repro.workloads.spec import RunSpec
 
 
 def _grid(n: int = 4) -> list[RunSpec]:
@@ -73,7 +73,7 @@ def test_resume_after_sigkill(tmp_path):
         "import sys\n"
         "sys.path.insert(0, 'src')\n"
         "from repro.fleet import Fleet\n"
-        "from repro.fleet.spec import RunSpec\n"
+        "from repro.workloads.spec import RunSpec\n"
         "specs = [RunSpec.lan(1, 10e6, seed=s, nbytes=60_000)\n"
         "         for s in range(1, 7)]\n"
         f"Fleet(workers=1, cache_dir={cache!r}).run_specs(specs)\n"
@@ -123,14 +123,12 @@ def test_refresh_re_executes_and_overwrites(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_job_raises_fleet_error_after_retries(tmp_path, workers):
-    bad = RunSpec(scenario="wan",
-                  scenario_params={"bandwidth_bps": 10e6, "seed": 1,
-                                   "groups": ["Z"]},  # unknown group
-                  nbytes=1000)
+    bad = RunSpec.lan(1, 10e6, seed=1, nbytes=1000,
+                      cfg={"no_such_knob": True})   # fails in the worker
     good = _grid(1)
     fleet = Fleet(workers=workers, cache_dir=str(tmp_path / "c"),
                   retries=1, backoff_s=0.01)
-    with pytest.raises(FleetError, match="unknown characteristic group"):
+    with pytest.raises(FleetError, match="bad config delta"):
         fleet.run_specs(good + [bad])
     assert fleet.stats.failed == 1
     assert fleet.stats.retries == 1

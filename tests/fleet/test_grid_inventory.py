@@ -5,9 +5,9 @@ import os
 import pytest
 
 from repro.fleet.grid import PROBE, Grid
-from repro.fleet.spec import RunSpec
 from repro.harness.experiments import EXPERIMENTS, plan_experiment
 from repro.harness.inventory import INVENTORY, inventory_markdown
+from repro.workloads.spec import RunSpec
 
 REPO = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))

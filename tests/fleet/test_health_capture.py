@@ -3,9 +3,9 @@ compact protocol-health payload across the worker boundary."""
 
 import json
 
-from repro.fleet.spec import RunSpec
 from repro.fleet.summary import RunSummary
 from repro.fleet.worker import execute_spec, run_spec
+from repro.workloads.spec import RunSpec
 
 
 def _lan(**kw):

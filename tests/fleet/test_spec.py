@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.fleet.spec import SPEC_VERSION, RunSpec
+from repro.workloads.spec import SPEC_VERSION, RunSpec
 
 
 def _spec() -> RunSpec:
@@ -57,7 +57,7 @@ def test_hash_is_stable_across_processes():
     prog = (
         "import json,sys\n"
         "sys.path.insert(0, 'src')\n"
-        "from repro.fleet.spec import RunSpec\n"
+        "from repro.workloads.spec import RunSpec\n"
         f"spec = RunSpec.from_dict(json.loads({spec.canonical_json()!r}))\n"
         "print(spec.content_hash())\n"
     )
@@ -100,3 +100,20 @@ def test_wan_needs_exactly_one_of_groups_or_test():
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         RunSpec(scenario="moon", scenario_params={}, nbytes=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RunSpec.lan(0, 10e6, seed=1, nbytes=1000),
+    lambda: RunSpec.lan(2, 10e6, seed=1, nbytes=1000, protocol="bogus"),
+    lambda: RunSpec.wan(test=9, receivers=3, bandwidth_bps=10e6, seed=1,
+                        nbytes=1000),
+    lambda: RunSpec.wan(groups=["A", "Z"], bandwidth_bps=10e6, seed=1,
+                        nbytes=1000),
+    lambda: RunSpec.wan(groups=[], bandwidth_bps=10e6, seed=1, nbytes=1000),
+    lambda: RunSpec.chaos(3, 10e6, seed=1, nbytes=1000, protocol="tcp"),
+], ids=["no-receivers", "protocol", "test-case", "group", "no-groups",
+        "tcp-chaos"])
+def test_spec_no_world_can_be_built_from_is_refused(make):
+    """A fleet cell with no receivers used to summarize as ok=True."""
+    with pytest.raises(ValueError):
+        make()

@@ -5,9 +5,9 @@ import os
 import shutil
 
 from repro.fleet.fingerprint import code_fingerprint
-from repro.fleet.spec import RunSpec
 from repro.fleet.store import ResultStore
 from repro.fleet.worker import execute_spec
+from repro.workloads.spec import RunSpec
 
 
 def _spec(seed: int = 1) -> RunSpec:
@@ -41,24 +41,27 @@ def test_fingerprint_mismatch_counts_as_invalidation(tmp_path):
 
 
 def test_fingerprint_tracks_protocol_source_edits(tmp_path):
-    """Editing anything under the protocol tree changes the
-    fingerprint; editing the fleet itself does not."""
+    """Editing anything that decides what a cached result holds -- the
+    protocol, the spec that builds a world, the worker, the summary --
+    changes the fingerprint; editing the orchestrator does not."""
     import repro
     src = os.path.dirname(repro.__file__)
     tree = str(tmp_path / "repro")
-    shutil.copytree(src, tree)
+    shutil.copytree(src, tree, ignore=shutil.ignore_patterns("__pycache__"))
 
-    before = code_fingerprint(tree)
-    assert before == code_fingerprint(tree)  # deterministic
+    def touch(*rel):
+        with open(os.path.join(tree, *rel), "a") as fh:
+            fh.write("\n# tweak\n")
+        return code_fingerprint(tree)
 
-    with open(os.path.join(tree, "core", "config.py"), "a") as fh:
-        fh.write("\n# tweak\n")
-    after = code_fingerprint(tree)
-    assert after != before
-
-    with open(os.path.join(tree, "fleet", "store.py"), "a") as fh:
-        fh.write("\n# cache-layer tweak\n")
-    assert code_fingerprint(tree) == after
+    fingerprint = code_fingerprint(tree)
+    assert fingerprint == code_fingerprint(tree)  # deterministic
+    for rel in (("core", "config.py"), ("workloads", "spec.py"),
+                ("fleet", "worker.py"), ("fleet", "summary.py")):
+        before, fingerprint = fingerprint, touch(*rel)
+        assert fingerprint != before, rel
+    for rel in (("fleet", "store.py"), ("fleet", "executor.py")):
+        assert touch(*rel) == fingerprint, rel
 
 
 def test_corrupt_entry_is_a_miss_with_one_line_warning(tmp_path, capsys):
@@ -68,16 +71,22 @@ def test_corrupt_entry_is_a_miss_with_one_line_warning(tmp_path, capsys):
     store.put(spec, _summary(spec))
 
     path = store.path_for(spec.content_hash())
-    with open(path, "w") as fh:
-        fh.write('{"format": 1, "summ')  # truncated mid-write
-
-    fresh = ResultStore(cache, "fp")
-    assert fresh.get(spec) is None
-    assert fresh.stats.corrupt == 1
-    err = capsys.readouterr().err
-    lines = [ln for ln in err.splitlines() if ln]
-    assert len(lines) == 1
-    assert "corrupt entry" in lines[0] and "miss" in lines[0]
+    # valid JSON that is not an entry object, or whose spec is not one
+    entry = json.loads(json.dumps({"format": 1, "spec": [],
+                                   "summary": _summary(spec)}))
+    for text in ('{"format": 1, "summ',  # truncated mid-write
+                 "[]", json.dumps(entry)):
+        with open(path, "w") as fh:
+            fh.write(text)
+        fresh = ResultStore(cache, "fp")
+        assert fresh.get(spec) is None, text
+        assert fresh.stats.corrupt == 1
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if ln]
+        assert len(lines) == 1
+        assert "corrupt entry" in lines[0] and "miss" in lines[0]
+        assert fresh.status().corrupt == 1
+        capsys.readouterr()
 
 
 def test_malformed_summary_is_corrupt_not_crash(tmp_path, capsys):

@@ -3,8 +3,8 @@ other.  The worker rebuilds the whole world from the spec, and nothing
 under ``src/repro`` may carry mutable module-global state between runs
 (simlint rule R3 holds the protocol packages to that)."""
 
-from repro.fleet.spec import RunSpec
 from repro.fleet.worker import execute_spec
+from repro.workloads.spec import RunSpec
 
 
 def _lan(seed: int) -> dict:

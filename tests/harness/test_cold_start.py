@@ -114,11 +114,23 @@ def test_the_cli_import_is_exactly_what_report_runs():
          "assert not added, added\n")
 
 
+def test_a_single_chaos_run_loads_no_experiment_code():
+    """`report chaos` and `--chaos-seed` build their run from the spec
+    module's chaos cell, not from the experiment suites."""
+    _run("import repro.harness.cli as cli\n"
+         "assert quietly(cli.main, ['report', 'chaos', '--receivers', '2', "
+         "'--nbytes', '50000']) == 0\n"
+         "assert quietly(cli.main, ['--chaos-seed', '3', '--nbytes', "
+         "'50000']) == 0\n"
+         "extra = under(('repro.harness.experiments', 'repro.fleet'))\n"
+         "assert not extra, extra\n")
+
+
 def test_an_experiment_cell_loads_no_observer():
     """An unobserved fleet cell -- what every experiment runs -- never
     loads the observability layer."""
     _run("from repro.fleet.executor import Fleet\n"
-         "from repro.fleet.spec import RunSpec\n"
+         "from repro.workloads.spec import RunSpec\n"
          "from repro.harness.experiments import run_experiments\n"
          "spec = RunSpec.lan(2, 10e6, seed=1, nbytes=20_000)\n"
          "summary = Fleet(cache_dir=None).run_specs([spec])"
@@ -138,7 +150,7 @@ def test_reading_health_attaches_nothing():
     tracer, and `health report wan` (whose CLI import already holds
     them, for `report`) builds none of the three."""
     _run("from repro.fleet.executor import Fleet\n"
-         "from repro.fleet.spec import RunSpec\n"
+         "from repro.workloads.spec import RunSpec\n"
          "spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, "
          "seed=21, nbytes=60_000, health=True)\n"
          "summary = Fleet(cache_dir=None).run_specs([spec])"

@@ -1,4 +1,5 @@
-"""The ``health`` CLI family: report (with bounds gating) and sweep.
+"""The ``health`` CLI family: report (with bounds gating) and sweep
+(with its per-cell anomaly flags).
 
 Exit-code contract (shared with ``diff``): 0 = healthy
 / clean sweep, 1 = run failed / bound violated / anomalies flagged,
@@ -14,6 +15,7 @@ import os
 import pytest
 
 from repro.core.receiver import HRMCReceiver
+from repro.harness.cli import ANOMALY_GATES, flag_anomalies
 from repro.harness.cli import main as cli_main
 
 WAN_ARGS = ["--receivers", "3", "--nbytes", "200000", "--seed", "21"]
@@ -99,11 +101,15 @@ def test_report_bounds_unusable_inputs(tmp_path, capsys):
     assert cli_main(["health", "report", "wan", *WAN_ARGS,
                      "--bounds", str(noscenario)]) == 2
     # malformed entries are refused before the transfer runs, with a
-    # one-line reason: not an object, a bad key, a non-numeric limit
+    # one-line reason: not an object, a bad key, a limit that is not a
+    # finite number (json reads NaN, which no comparison trips)
     capsys.readouterr()
     for entry in ([1], {"effectiveness": 0.5},
                   {"effectiveness_min": "0.5"},
-                  {"unresolved_max": True}):
+                  {"unresolved_max": True},
+                  {"naks_sent_max": float("nan")},
+                  {"retrans_bytes_min": float("-inf")},
+                  {"redundant_ratio_max": float("inf")}):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"wan": entry}))
         assert cli_main(["health", "report", "wan", *WAN_ARGS,
@@ -172,14 +178,13 @@ def test_sweep_exit_clean(swept):
 def test_sweep_reproduces_flat_feedback_trend(swept):
     """Paper §5.2 at quick scale: sender-visible feedback does not
     implode as the group grows.  Every cell loses the same one packet,
-    so a power-law fit of the loss-driven feedback would be a fit of a
-    constant; its independence of group size is asserted directly --
-    one NAK per loss event, and what the sender hears beyond one
-    UPDATE exchange per member (NAKs + rate requests) does not move
-    with n.  The per-member part is linear by construction, hence the
-    absolute ceilings per group size instead of an exponent gate.  A
-    receiver that re-requests data it holds shows up in both ceilings
-    (49 packets / 65 536 B at n = 2 when every out-of-order arrival
+    so its independence of group size is asserted directly -- one NAK
+    per loss event, and what the sender hears beyond one UPDATE
+    exchange per member (NAKs + rate requests) does not move with n.
+    The per-member part is linear by construction, hence the absolute
+    ceilings per group size instead of an exponent gate.  A receiver
+    that re-requests data it holds shows up in both ceilings (49
+    packets / 65 536 B at n = 2 when every out-of-order arrival
     re-NAKed the parked segments)."""
     report = json.loads(swept["out"].read_text())
     cells = report["cells"]
@@ -190,9 +195,6 @@ def test_sweep_reproduces_flat_feedback_trend(swept):
     assert len({c["feedback_at_sender"] - c["group_size"]
                 for c in cells}) == 1, "feedback beyond the per-member " \
                                        "UPDATEs grows with the group"
-    # and the per-loss-event implosion index does not explode with n
-    imp = report["fits"]["implosion_vs_group"]
-    assert imp["n"] == 3 and imp["exponent"] < 0.5
     for c in cells:
         n = c["group_size"]
         assert c["feedback_at_sender"] <= 2 * n + 2     # 5 / 6 / 8 today
@@ -202,3 +204,54 @@ def test_sweep_reproduces_flat_feedback_trend(swept):
 def test_sweep_rejects_bad_grid(capsys):
     assert cli_main(["health", "sweep", "--grid", "2,x"]) == 2
     assert cli_main(["health", "sweep", "--grid", "0,3"]) == 2
+
+
+# -- anomaly flags ------------------------------------------------------
+
+def _cells(**overrides):
+    base = {"effectiveness": 0.7, "implosion_index": 2.0,
+            "redundant_ratio": 0.2, "worst_lag_us": 50_000}
+    cells = []
+    for i in range(5):
+        cell = dict(base, label=f"n={i}")
+        for key, values in overrides.items():
+            if i in values:
+                cell[key] = values[i]
+        cells.append(cell)
+    return cells
+
+
+def test_anomaly_flags_implosion_rise_not_drop():
+    """Direction-aware: a high implosion index regresses, a low one is
+    an improvement and must NOT be flagged."""
+    flags = flag_anomalies(_cells(implosion_index={0: 20.0, 1: 0.1}))
+    assert [f["cell"] for f in flags] == ["n=0"]
+    assert flags[0]["metric"] == "implosion_index"
+    assert flags[0]["direction"] == "high"
+    assert flags[0]["median"] == 2.0 and flags[0]["threshold"] == 0.75
+
+
+def test_anomaly_flags_effectiveness_drop_not_rise():
+    flags = flag_anomalies(_cells(effectiveness={2: 0.1, 3: 0.99}))
+    assert [f["cell"] for f in flags] == ["n=2"]
+    assert flags[0]["direction"] == "low"
+
+
+def test_anomaly_needs_three_cells():
+    assert flag_anomalies(_cells()[:2]) == []
+
+
+def test_anomaly_all_equal_cells_are_clean():
+    assert flag_anomalies(_cells()) == []
+
+
+def test_anomaly_redundant_ratio_gate():
+    assert flag_anomalies(_cells(redundant_ratio={4: 0.3})) == []  # +50 %
+    flags = flag_anomalies(_cells(redundant_ratio={4: 0.31}))
+    assert [f["cell"] for f in flags] == ["n=4"]
+    assert flags[0]["threshold"] == 0.5
+
+
+def test_default_thresholds_gate_the_issue_metrics():
+    assert {"effectiveness", "redundant_ratio",
+            "implosion_index"} <= set(ANOMALY_GATES)

@@ -92,8 +92,8 @@ def test_a_failed_run_is_not_cached(monkeypatch, tmp_path):
     stored -- the next sweep runs the cell again instead of serving a
     plausible-looking result from a run that lost a receiver."""
     from repro.fleet import Fleet
-    from repro.fleet.spec import RunSpec
     from repro.harness import runner
+    from repro.workloads.spec import RunSpec
     monkeypatch.setattr(runner, "receiver_app", _dying_receiver_app("rcv1"))
     spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000)
     fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"), retries=0)

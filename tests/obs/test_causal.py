@@ -27,11 +27,13 @@ from repro.workloads.scenarios import build_chaos, build_lan, build_wan
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 
 
-def _observed(build, nbytes=200_000, **kwargs):
+def _observed(build, nbytes=200_000, fault_plan=None):
     sc = build()
+    if fault_plan is not None:
+        sc.fault_plan = fault_plan
     obs = Observability(profile=False, lineage=True)
     res = run_transfer(sc, nbytes=nbytes, sndbuf=128 * 1024,
-                       max_sim_s=300, obs=obs, **kwargs)
+                       max_sim_s=300, obs=obs)
     return obs, res
 
 

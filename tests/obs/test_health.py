@@ -30,12 +30,13 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import HRMCConfig
-from repro.harness.experiments import chaos_config
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs.health import payload, suppression_effectiveness
+from repro.obs.health import (health_cell, payload,
+                              suppression_effectiveness)
 from repro.workloads.groups import GROUP_C, expand_test_case
 from repro.workloads.scenarios import build_chaos, build_lan, build_wan
+from repro.workloads.spec import CHAOS_TUNING
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 
@@ -60,7 +61,7 @@ PINNED_RUNS = {
     "chaos": lambda: run_transfer(
         build_chaos(3, 10e6, seed=4, horizon_us=1_000_000,
                     allow_crash=False), nbytes=300_000, max_sim_s=300,
-        cfg=chaos_config(), invariants=True, sndbuf=128 * 1024),
+        cfg=HRMCConfig(**CHAOS_TUNING), invariants=True, sndbuf=128 * 1024),
     "local-recovery": lambda: run_transfer(
         build_wan([LOSSY] * 5, 10e6, seed=21), nbytes=250_000,
         sndbuf=128 * 1024, max_sim_s=300,
@@ -201,3 +202,39 @@ def test_effectiveness_ratio_definition():
     assert suppression_effectiveness(1, 0, 0) == 0.0
     assert suppression_effectiveness(0, 3, 1) == 1.0
     assert suppression_effectiveness(1, 2, 1) == 0.75
+
+
+# -- the flat cell ------------------------------------------------------
+
+CELL_PAYLOAD = {
+    "group_size": 4,
+    "suppression": {"effectiveness": 0.7, "naks_sent": 10,
+                    "suppressed_timer": 20, "suppressed_peer": 3},
+    "implosion": {"feedback_at_sender": 40, "naks_at_sender": 10,
+                  "loss_events": 5, "index": 2.0},
+    "repair": {"retrans_pkts": 8, "retrans_bytes": 11680,
+               "redundant_ratio": 0.25},
+    "lag": {"mean_us": 30_000, "worst_max_us": 90_000, "unresolved": 0},
+}
+
+
+def test_health_cell_flattens_payload():
+    cell = health_cell(CELL_PAYLOAD, label="n=4", throughput_bps=2_000_000)
+    assert cell["label"] == "n=4"
+    assert cell["group_size"] == 4
+    assert cell["effectiveness"] == 0.7
+    assert cell["suppressed"] == 23
+    assert cell["implosion_index"] == 2.0
+    assert cell["throughput_mbps"] == 2.0
+    assert cell["worst_lag_us"] == 90_000
+
+
+def test_health_cell_grid_coordinates_beat_payload():
+    assert health_cell(CELL_PAYLOAD, group_size=16)["group_size"] == 16
+
+
+def test_health_cell_tolerates_partial_payload():
+    cell = health_cell({"group_size": 2})
+    assert cell["effectiveness"] == 0.0
+    assert cell["implosion_index"] == 0.0
+    assert "throughput_mbps" not in cell

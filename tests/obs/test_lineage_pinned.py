@@ -80,10 +80,10 @@ def _pipe_faults(outdir) -> str:
         LinkDegrade(at_us=250_000, surface="rx:10.1.0.2", loss_rate=0.3,
                     duration_us=300_000)))
     scenario = build_wan(expand_test_case(2, 3), 10e6, seed=21)
+    scenario.fault_plan = plan
     obs = Observability(profile=False, lineage=True)
     result = run_transfer(scenario, nbytes=200_000, sndbuf=128 * 1024,
-                          max_sim_s=300, obs=obs, tracer=PacketTracer(),
-                          fault_plan=plan)
+                          max_sim_s=300, obs=obs, tracer=PacketTracer())
     assert result.ok
     obs.write_artifacts(str(outdir), prefix="pipes")
     return f"{outdir}/pipes"

@@ -127,8 +127,8 @@ def test_class_events_of_the_pinned_transfers(name):
     obs = Observability(profile=True)
     res = run_transfer(build(), seed=SEED, obs=obs, **kwargs)
     assert res.ok
-    classes = obs.profiler.bench_payload()["classes"]
-    assert {c: block["events"] for c, block in classes.items()} == \
+    classes = obs.profiler.classes
+    assert {c: s.events for c, s in classes.items()} == \
         PINNED_CLASS_EVENTS[name]
 
 
@@ -137,17 +137,6 @@ def test_tax_table_rows_in_taxonomy_order():
     order = {c: i for i, c in enumerate(EVENT_CLASSES)}
     positions = [order[r[0]] for r in perf.tax_rows()]
     assert positions == sorted(positions)
-
-
-def test_bench_payload_shape():
-    perf, res = _profiled_run()
-    payload = perf.bench_payload()
-    assert set(payload) == {"events", "coverage", "classes"}
-    assert payload["events"] == res.sim_events
-    assert payload["coverage"] >= 0.95
-    for name, block in payload["classes"].items():
-        assert name in EVENT_CLASSES
-        assert block["events"] > 0
 
 
 def test_broadcast_fanout_and_cpu_resumes_are_classified():
