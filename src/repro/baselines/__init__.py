@@ -15,14 +15,6 @@ comparison in the conclusions:
 * :mod:`repro.baselines.tcp` -- a TCP-like unicast stream (cumulative
   ACKs, fast retransmit, slow start / congestion avoidance);
   ``n`` receivers are served by ``n`` sequential transfers.
+
+:mod:`repro.baselines.common` holds what the three share.
 """
-
-from repro.baselines.ack import AckTransport, open_ack_socket
-from repro.baselines.polling import PollingTransport, open_polling_socket
-from repro.baselines.tcp import TcpLikeTransport, open_tcp_socket
-
-__all__ = [
-    "AckTransport", "open_ack_socket",
-    "PollingTransport", "open_polling_socket",
-    "TcpLikeTransport", "open_tcp_socket",
-]

@@ -146,7 +146,7 @@ class InvariantChecker:
         if sender is not None:
             self._check_hrmc_sender(t, sender, audit)
         elif getattr(t, "is_sender", False):
-            if hasattr(t, "snd_una"):
+            if hasattr(t, "_acked"):
                 self._check_ack_sender(t)
             elif hasattr(t, "_marks"):
                 self._check_polling_sender(t)
@@ -237,13 +237,13 @@ class InvariantChecker:
 
     def _check_polling_sender(self, t) -> None:
         for addr, mark in t._marks.items():
-            if seq_gt(t.snd_wnd, mark):
+            if seq_gt(t.snd_una, mark):
                 self._fail(
-                    f"{t.sock.name}: snd_wnd={t.snd_wnd} passed "
+                    f"{t.sock.name}: snd_una={t.snd_una} passed "
                     f"{addr}'s reported mark {mark}")
         if t.sock.wmem_free() < 0:
             self._fail(f"{t.sock.name}: send-buffer charge exceeds sndbuf")
-        self._check_write_queue(t.sock, t.snd_wnd, t.snd_nxt,
+        self._check_write_queue(t.sock, t.snd_una, t.snd_nxt,
                                 head_at_wnd=True)
 
     # -- receiver-side properties ----------------------------------------

@@ -96,13 +96,13 @@ def _open_socket(protocol: str, host, cfg: HRMCConfig, *, sndbuf: int,
         from repro.core.rmc import open_rmc_socket
         return open_rmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=rcvbuf)
     if protocol == "ack":
-        from repro.baselines.ack import open_ack_socket
-        return open_ack_socket(host, expected_receivers=n_receivers,
-                               sndbuf=sndbuf, rcvbuf=rcvbuf)
+        from repro.baselines.ack import AckTransport
+        return Socket(AckTransport(host, expected_receivers=n_receivers,
+                                   sndbuf=sndbuf, rcvbuf=rcvbuf))
     if protocol == "polling":
-        from repro.baselines.polling import open_polling_socket
-        return open_polling_socket(host, expected_receivers=n_receivers,
-                                   sndbuf=sndbuf, rcvbuf=rcvbuf)
+        from repro.baselines.polling import PollingTransport
+        return Socket(PollingTransport(host, expected_receivers=n_receivers,
+                                       sndbuf=sndbuf, rcvbuf=rcvbuf))
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

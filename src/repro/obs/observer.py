@@ -241,8 +241,6 @@ class Observability:
             return seq_sub(sender.snd_nxt, sender.snd_wnd)
         if hasattr(transport, "snd_nxt") and hasattr(transport, "snd_una"):
             return seq_sub(transport.snd_nxt, transport.snd_una)
-        if hasattr(transport, "snd_nxt") and hasattr(transport, "snd_wnd"):
-            return seq_sub(transport.snd_nxt, transport.snd_wnd)
         return None
 
     @staticmethod

@@ -76,16 +76,12 @@ TIMER_CLASSES = {
     "keepalive": "jiffy-timer",
     "liveness": "jiffy-timer",
     "poll": "jiffy-timer",
-    "poll-tx": "jiffy-timer",
-    "ack-tx": "jiffy-timer",
-    "tcp-tx": "jiffy-timer",
     "linger": "jiffy-timer",
     "leave-timeout": "jiffy-timer",
     "nak": "nak-repair-timer",
     "retrans": "nak-repair-timer",
     "join-retry": "nak-repair-timer",
-    "ack-rto": "nak-repair-timer",
-    "tcp-rto": "nak-repair-timer",
+    "rto": "nak-repair-timer",
 }
 
 #: function object -> event class (layer 1)

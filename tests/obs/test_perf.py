@@ -58,7 +58,7 @@ def test_every_timer_the_stack_creates_is_in_the_name_table():
                 [name] = node.args[2:3] + [k.value for k in node.keywords
                                            if k.arg == "name"]
                 names.append(name.value)
-    assert len(names) == 15 and set(names) <= set(TIMER_CLASSES)
+    assert len(names) == 12 and set(names) <= set(TIMER_CLASSES)
     sim = Simulator()
     for name in names:
         timer = Timer(sim, lambda: None, name)
@@ -79,7 +79,7 @@ def test_timer_name_fallback_memoizes():
 def test_timer_class_names():
     assert timer_class("transmit") == "jiffy-timer"
     assert timer_class("retrans") == "nak-repair-timer"
-    assert timer_class("tcp-rto") == "nak-repair-timer"
+    assert timer_class("rto") == "nak-repair-timer"
     # unknown timer names degrade to the periodic-tick class
     assert timer_class("mystery") == "jiffy-timer"
 
