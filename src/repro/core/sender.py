@@ -216,8 +216,6 @@ class HRMCSender:
 
     def _send_data(self, skb: SKBuff, now: int, *, retrans: bool) -> None:
         skb.tries += 1
-        if skb.first_sent_us < 0:
-            skb.first_sent_us = now
         skb.last_sent_us = now
         skb.rate_adv = self.rate.rate_bps
         self.host.ip_send(skb, self.sock.daddr)

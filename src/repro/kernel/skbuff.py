@@ -31,8 +31,7 @@ class SKBuff:
         "sport", "dport", "seq", "rate_adv", "length", "tries", "ptype",
         "flags", "payload",
         # sender-side bookkeeping
-        "first_sent_us", "last_sent_us", "retrans_pending",
-        "release_checked",
+        "last_sent_us", "retrans_pending", "release_checked",
         # causal recorder (obs.causal): node id of the event that queued
         # this segment for (re)transmission, consumed by its tx node
         "cause",
@@ -50,7 +49,6 @@ class SKBuff:
         self.ptype = ptype
         self.flags = flags
         self.payload = payload
-        self.first_sent_us = -1
         self.last_sent_us = -1
         self.retrans_pending = False
         self.release_checked = False
