@@ -86,6 +86,21 @@ def test_a_bare_transfer_loads_only_what_it_runs():
          "assert not added, added\n")
 
 
+def test_a_baseline_transfer_loads_only_its_own_protocol():
+    """A polling or ACK transfer loads the baselines' shared transport
+    and its own protocol module, and none of the other baselines."""
+    for protocol in ("polling", "ack"):
+        _run("from repro.harness.runner import run_transfer\n"
+             "from repro.workloads import build_lan\n"
+             "result = run_transfer(build_lan(2, 10e6, seed=1), "
+             f"nbytes=20_000, protocol={protocol!r})\n"
+             "assert result.ok\n"
+             "loaded = under(('repro.baselines',))\n"
+             "assert loaded == sorted(['repro.baselines', "
+             f"'repro.baselines.common', 'repro.baselines.{protocol}']), "
+             "loaded\n")
+
+
 def test_listing_experiments_loads_no_experiment_code():
     _run("from repro.harness import cli\n"
          "assert quietly(cli.main, ['--list']) == 0\n"
