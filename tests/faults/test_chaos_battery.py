@@ -70,7 +70,7 @@ def test_ack_survives_transient_faults(seed):
 
 @pytest.mark.parametrize("seed", BASELINE_SEEDS)
 def test_polling_survives_transient_faults(seed):
-    # Polling evicts members after evict_after_polls silent polls, so
+    # Polling evicts members after EVICT_AFTER_POLLS silent polls, so
     # outages must stay well inside the eviction horizon.
     sc, res = _run_chaos("polling", seed, allow_crash=False,
                          max_outage_us=300_000)
