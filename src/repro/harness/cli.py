@@ -17,7 +17,8 @@ Usage::
     hrmc-experiments why wan --seq 58401 --seed 21
     hrmc-experiments diff out/runA out/runB
     hrmc-experiments perf profile lan
-    hrmc-experiments health report wan --bounds HEALTH_BOUNDS.json
+    hrmc-experiments protocol-health
+    hrmc-experiments health report wan
     hrmc-experiments health sweep --experiment fig14
 
 (or ``python -m repro.harness.cli``).  Experiment runs go through the
@@ -27,7 +28,9 @@ content-addressed cache under ``--cache-dir`` (default
 worker processes when asked.  Report bodies go to stdout and are
 byte-identical regardless of worker count or cache temperature; timing,
 progress and cache accounting go to stderr (``--cache-stats FILE``
-saves the accounting as JSON).  ``--no-cache`` runs without touching
+saves the accounting as JSON).  Each report states its claims; the
+exit status is 1 if any fails, with one ``CLAIM FAILED`` line per
+failure on stderr.  ``--no-cache`` runs without touching
 the cache; ``--refresh`` re-executes and overwrites cached entries.
 
 ``fleet status`` summarizes the cache directory (entries, freshness
@@ -61,11 +64,10 @@ Subcommands:
 * ``health report lan|wan|chaos`` runs one transfer and reads its
   protocol health (:mod:`repro.obs.health`): NAK-suppression ledger,
   feedback-implosion index, repair economics and recovery-lag
-  distributions; ``--bounds`` gates effectiveness /
-  redundancy against the committed ``HEALTH_BOUNDS.json`` (exit 0 =
-  healthy, 1 = violated, 2 = unusable).  ``health sweep`` runs a
-  fleet grid over group sizes and flags the cells that drift from the
-  sweep median.
+  distributions.  The ``protocol-health`` experiment holds the two
+  pinned runs to their bounds.  ``health sweep`` runs a fleet grid
+  over group sizes and flags the cells that drift from the sweep
+  median.
 
 Every command that runs one transfer builds a
 :class:`~repro.workloads.spec.RunSpec` from its arguments -- the spec a
@@ -77,7 +79,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 # argparse's gettext imports locale at the first string it translates, in
 # every invocation; named here it loads with the rest of start-up rather
 # than inside the first command (it used to ride in with the pool modules)
@@ -91,7 +92,7 @@ import time
 # work rather than its imports.  Every other command imports its own
 # modules, and only the commands that run experiments load the
 # experiments and the fleet.
-from repro.harness.inventory import INVENTORY, inventory_rows
+from repro.harness.inventory import INVENTORY
 from repro.harness.runner import run_transfer
 from repro.obs.observer import Observability
 from repro.trace.tracer import PacketTracer, trace_meta
@@ -429,73 +430,14 @@ def _run_perf_profile(argv) -> int:
 
 # -- health subcommand family -------------------------------------------
 
-def _load_health_bounds(path: str, scenario: str):
-    """Load the committed gate file; ``None`` means unusable input.
-
-    The file maps scenario name (or ``"*"``) to ``metric_min`` /
-    ``metric_max`` entries over the flat cell metrics of
-    :func:`repro.obs.health.health_cell`.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read health bounds {path!r}: {exc}",
-              file=sys.stderr)
-        return None
-    if not isinstance(doc, dict):
-        print(f"health bounds {path!r}: expected a JSON object",
-              file=sys.stderr)
-        return None
-    bounds = doc.get(scenario, doc.get("*"))
-    error = _bounds_error(scenario, bounds)
-    if error is not None:
-        print(f"health bounds {path!r}: {error}", file=sys.stderr)
-        return None
-    return bounds
-
-
-def _bounds_error(scenario: str, bounds) -> str | None:
-    """Why a bounds entry cannot gate a run, or ``None`` if it can."""
-    if bounds is None:
-        return f"no entry for {scenario!r}"
-    if not isinstance(bounds, dict):
-        return f"entry for {scenario!r} is not an object"
-    for key, limit in sorted(bounds.items()):
-        if not key.endswith(("_min", "_max")):
-            return f"bad bound key {key!r} (want metric_min / metric_max)"
-        if not isinstance(limit, (int, float)) or isinstance(limit, bool) \
-                or not math.isfinite(limit):
-            return f"bound {key!r}: limit {limit!r} is not a finite number"
-    return None
-
-
-def _check_health_bounds(bounds: dict, cell: dict) -> list[str]:
-    """Gate a flat health cell against bounds that passed
-    :func:`_bounds_error`; returns violation messages."""
-    violations = []
-    for key, limit in sorted(bounds.items()):
-        metric, low = key[:-4], key.endswith("_min")
-        value = cell.get(metric)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            violations.append(f"{metric}: absent from the health payload")
-            continue
-        if low and value < limit:
-            violations.append(f"{metric}={value:g} below bound {limit:g}")
-        elif not low and value > limit:
-            violations.append(f"{metric}={value:g} above bound {limit:g}")
-    return violations
-
-
 def _run_health_report(argv) -> int:
     """``health report lan|wan|chaos``: one bare transfer, then a read
-    of its protocol health, optionally gated against committed bounds.
-    With ``--json`` stdout is the payload alone; status lines go to
-    stderr.  Exit 0 = healthy, 1 = run failed or bound violated,
-    2 = unusable input.
+    of its protocol health.  With ``--json`` stdout is the payload
+    alone; status lines go to stderr.  Exit 0 = the run delivered,
+    1 = it failed, 2 = unusable input.  The gated pinned runs are the
+    ``protocol-health`` experiment.
     """
-    from repro.obs.health import health_cell, payload as health_payload, \
-        summary_tables
+    from repro.obs.health import payload as health_payload, summary_tables
     from repro.stats.report import format_table
 
     parser = argparse.ArgumentParser(
@@ -509,16 +451,7 @@ def _run_health_report(argv) -> int:
                              "of tables")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="also write the health payload as JSON")
-    parser.add_argument("--bounds", metavar="FILE", default=None,
-                        help="gate against committed bounds "
-                             "(HEALTH_BOUNDS.json)")
     args = parser.parse_args(argv)
-
-    bounds = None
-    if args.bounds:
-        bounds = _load_health_bounds(args.bounds, args.scenario)
-        if bounds is None:
-            return 2
 
     result = _transfer(args)
     if result is None:
@@ -540,26 +473,8 @@ def _run_health_report(argv) -> int:
     if args.out and not _write_file("health payload", args.out, doc,
                                     status):
         return 2
+    return 0 if result.ok else 1
 
-    rc = 0 if result.ok else 1
-    if bounds is not None:
-        cell = health_cell(payload, label=args.scenario,
-                           throughput_bps=result.throughput_bps)
-        violations = _check_health_bounds(bounds, cell)
-        for msg in violations:
-            print(f"HEALTH BOUND VIOLATED: {msg}", file=sys.stderr)
-        if violations:
-            rc = 1
-        else:
-            print(f"health bounds ok ({len(bounds)} gates)", file=status)
-    return rc
-
-
-#: the per-cell columns of the sweep table, in print order
-_SWEEP_COLUMNS = ("label", "group_size", "throughput_mbps", "effectiveness",
-                  "naks_sent", "suppressed", "feedback_at_sender",
-                  "implosion_index", "redundant_ratio", "retrans_bytes",
-                  "mean_lag_us", "worst_lag_us", "unresolved")
 
 #: how far a sweep cell may drift from the sweep median, as a fraction,
 #: before it is flagged: downward for effectiveness, upward for the rest
@@ -598,7 +513,7 @@ def _run_health_sweep(argv) -> int:
     flagged or a cell failed, 2 = unusable input.
     """
     from repro.fleet import DEFAULT_CACHE_DIR, Fleet, FleetError
-    from repro.obs.health import health_cell
+    from repro.obs.health import CELL_COLUMNS, health_cell
     from repro.stats.report import format_table
 
     parser = argparse.ArgumentParser(
@@ -664,8 +579,8 @@ def _run_health_sweep(argv) -> int:
     else:
         print(format_table(
             f"health sweep ({args.experiment}, test {args.wan_test}, "
-            f"seed {args.seed})", _SWEEP_COLUMNS,
-            [[cell[c] for c in _SWEEP_COLUMNS] for cell in cells]))
+            f"seed {args.seed})", CELL_COLUMNS,
+            [[cell[c] for c in CELL_COLUMNS] for cell in cells]))
         print()
         if report["anomalies"]:
             for a in report["anomalies"]:
@@ -777,11 +692,9 @@ def main(argv=None) -> int:
         return _run_chaos(args)
 
     if args.list:
-        rows = inventory_rows()
-        wid = max(len(r[0]) for r in rows)
-        wfig = max(len(r[1]) for r in rows)
-        for exp_id, figure, bench in rows:
-            print(f"{exp_id:<{wid}}  {figure:<{wfig}}  {bench}")
+        wid = max(map(len, INVENTORY))
+        for info in INVENTORY.values():
+            print(f"{info.exp_id:<{wid}}  {info.figure}")
         return 0
 
     targets = list(INVENTORY) if args.all else args.experiments
@@ -821,6 +734,7 @@ def main(argv=None) -> int:
 
     # stdout carries only the deterministic report bodies: identical
     # for serial, parallel and warm-cache executions (CI byte-compares)
+    failed = 0
     for exp_id in targets:
         report = reports[exp_id]
         if args.json:
@@ -829,15 +743,20 @@ def main(argv=None) -> int:
                 "title": report.title,
                 "tables": [{"title": t, "headers": h, "rows": r}
                            for t, h, r in report.tables],
+                "claims": [{"text": t, "holds": ok}
+                           for t, ok in report.claims],
                 "notes": report.notes,
             }, sort_keys=True))
         else:
             print(report.render())
             print()
+        for text in report.failed:
+            print(f"CLAIM FAILED {exp_id}: {text}", file=sys.stderr)
+        failed += len(report.failed)
         print(f"[{exp_id} done]", file=sys.stderr)
     print(f"[{len(targets)} experiment(s) in {elapsed:.1f}s]",
           file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from repro.obs.metrics import Histogram
 
-__all__ = ["payload", "health_cell", "summary_tables",
+__all__ = ["payload", "health_cell", "CELL_COLUMNS", "summary_tables",
            "suppression_effectiveness"]
 
 #: recovery-lag bucket edges (us): gap detected -> gap filled spans a
@@ -163,10 +163,10 @@ def health_cell(doc: dict, *, label: str = "",
                 group_size: int | None = None,
                 throughput_bps: float | None = None) -> dict:
     """A :func:`payload` (possibly JSON round-tripped off the fleet
-    cache) as one flat row of numbers: what ``health report --bounds``
-    gates and what a ``health sweep`` cell holds.  ``group_size`` is
-    the grid coordinate, the payload's own the fallback; a missing
-    section reads as zeros."""
+    cache) as one flat row of numbers: what the ``protocol-health``
+    experiment gates and what a ``health sweep`` cell holds.
+    ``group_size`` is the grid coordinate, the payload's own the
+    fallback; a missing section reads as zeros."""
     def num(section: str, key: str) -> float:
         v = doc.get(section, {}).get(key, 0)
         return float(v) if isinstance(v, (int, float)) \
@@ -194,6 +194,13 @@ def health_cell(doc: dict, *, label: str = "",
     if throughput_bps is not None:
         cell["throughput_mbps"] = round(float(throughput_bps) / 1e6, 3)
     return cell
+
+
+#: the columns of a table of cells, in print order
+CELL_COLUMNS = ("label", "group_size", "throughput_mbps", "effectiveness",
+                "naks_sent", "suppressed", "feedback_at_sender",
+                "implosion_index", "redundant_ratio", "retrans_bytes",
+                "mean_lag_us", "worst_lag_us", "unresolved")
 
 
 def summary_tables(doc: dict) -> list[tuple[str, list, list]]:

@@ -58,23 +58,6 @@ def test_inventory_covers_exactly_the_registry():
     assert set(INVENTORY) == set(EXPERIMENTS)
 
 
-def test_inventory_bench_files_exist():
-    for info in INVENTORY.values():
-        path = os.path.join(REPO, info.bench)
-        assert os.path.isfile(path), \
-            f"{info.exp_id}: bench file {info.bench} does not exist"
-
-
-def test_every_bench_file_is_a_figure_check():
-    """``benchmarks/`` holds the inventory's shape checks and nothing
-    else: perf tooling does not get to grow back beside them."""
-    listed = {info.bench for info in INVENTORY.values()}
-    present = {f"benchmarks/{name}"
-               for name in os.listdir(os.path.join(REPO, "benchmarks"))
-               if name.startswith("test_") and name.endswith(".py")}
-    assert present <= listed, sorted(present - listed)
-
-
 def test_experiments_md_inventory_is_not_drifted():
     """EXPERIMENTS.md embeds ``inventory_markdown()`` verbatim -- the
     CLI ``--list``, the docs and this test share one source of truth."""

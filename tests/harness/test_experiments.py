@@ -33,6 +33,11 @@ def test_report_render_contains_tables():
     assert "A Title" in out
     assert "tbl" in out
     assert "note: hello" in out
+    rep.claim("one is one", 1 == 1)
+    rep.claim("one is two", 1 == 2)
+    assert rep.failed == ["one is two"]
+    assert "\n\nclaim ✓ one is one\nclaim ✗ one is two\n\nnote: hello" \
+        in rep.render()
 
 
 def test_cheap_experiments_run(capsys):
@@ -47,13 +52,12 @@ def test_cli_list(capsys):
     assert "fig10" in out and "ablation-fec" in out
 
 
-def test_cli_list_shows_figure_and_bench(capsys):
+def test_cli_list_shows_id_and_figure(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
     line = next(ln for ln in out.splitlines()
                 if ln.startswith("fig13 "))
-    assert "Figure 13(a,b)" in line
-    assert "benchmarks/test_fig13_nic_drops.py" in line
+    assert line.split() == ["fig13", "Figure", "13(a,b)"]
 
 
 def test_reports_identical_across_execution_modes(tmp_path):
@@ -77,6 +81,63 @@ def test_cli_runs_experiment(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "UPDATE" in out and "PROBE" in out
+
+
+def _two_failures(scale=None, grid=None):
+    rep = Report("table1", "stand-in")
+    rep.add("tbl", ["a"], [[1]])
+    rep.claim("holds", True)
+    rep.claim("first failure", False)
+    rep.claim("second failure", False)
+    return rep
+
+
+def test_cli_exits_1_on_a_failed_claim(monkeypatch, capsys):
+    """Each failed claim is one stderr line and the exit status is 1;
+    stdout still carries every report in full."""
+    monkeypatch.setitem(EXPERIMENTS, "table1", _two_failures)
+    assert main(["table1", "fig14", "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert [ln for ln in err.splitlines() if "CLAIM" in ln] == [
+        "CLAIM FAILED table1: first failure",
+        "CLAIM FAILED table1: second failure"]
+    assert out == "".join(rep.render() + "\n\n" for rep in (
+        _two_failures(), run_experiment("fig14")))
+
+
+def test_cli_json_carries_claims(monkeypatch, capsys):
+    import json
+
+    monkeypatch.setitem(EXPERIMENTS, "table1", _two_failures)
+    assert main(["table1", "--json", "--no-cache"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["claims"] == [
+        {"text": "holds", "holds": True},
+        {"text": "first failure", "holds": False},
+        {"text": "second failure", "holds": False}]
+
+
+def test_cli_exits_1_when_a_baseline_loses_data(monkeypatch, capsys):
+    """A protocol that does not deliver fails `baselines`, where its row
+    used to read "reliable NO" under exit status 0."""
+    from repro.fleet import Fleet
+
+    run_specs = Fleet.run_specs
+
+    def polling_loses_data(self, specs):
+        results = run_specs(self, specs)
+        for spec in specs:
+            if spec.protocol == "polling":
+                results[spec.content_hash()].ok = False
+        return results
+
+    monkeypatch.setattr(Fleet, "run_specs", polling_loses_data)
+    assert main(["baselines", "--no-cache"]) == 1
+    out, err = capsys.readouterr()
+    assert "reliable" in out and " NO" in out
+    assert [ln for ln in err.splitlines() if "CLAIM" in ln] == [
+        "CLAIM FAILED baselines: every protocol delivers every byte to "
+        "every receiver"]
 
 
 def test_cli_unknown_experiment(capsys):

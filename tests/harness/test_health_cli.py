@@ -1,8 +1,9 @@
-"""The ``health`` CLI family: report (with bounds gating) and sweep
-(with its per-cell anomaly flags).
+"""The ``health`` CLI family: report and sweep (with its per-cell
+anomaly flags), and the ``protocol-health`` experiment that gates the
+pinned runs.
 
 Exit-code contract (shared with ``diff``): 0 = healthy
-/ clean sweep, 1 = run failed / bound violated / anomalies flagged,
+/ clean sweep, 1 = run failed / anomalies flagged,
 2 = unusable input.  The sweep test doubles as the quick-scale
 acceptance check for the paper's §5.2 claim: loss-driven feedback at
 the sender stays flat as the group grows and total feedback stays
@@ -10,7 +11,6 @@ under a per-group-size ceiling.
 """
 
 import json
-import os
 
 import pytest
 
@@ -47,20 +47,17 @@ def test_report_text_tables(capsys):
 
 
 def test_report_json_mode(tmp_path, capsys):
-    """With --json stdout is the payload and nothing else: the lines
-    saying what was written and that the bounds held go to stderr."""
+    """With --json stdout is the payload and nothing else: the line
+    saying what was written goes to stderr."""
     out = tmp_path / "health.json"
-    loose = tmp_path / "loose.json"
-    loose.write_text(json.dumps({"wan": {"effectiveness_min": 0.01}}))
     rc = cli_main(["health", "report", "wan", *WAN_ARGS, "--json",
-                   "--out", str(out), "--bounds", str(loose)])
+                   "--out", str(out)])
     assert rc == 0
     stdout, stderr = capsys.readouterr()
     payload = json.loads(stdout)
     assert payload["implosion"]["naks_at_sender"] > 0
     assert stdout == out.read_text()
     assert "wrote health payload" in stderr
-    assert "health bounds ok" in stderr
 
 
 def test_sweep_json_mode(tmp_path, capsys):
@@ -74,73 +71,10 @@ def test_sweep_json_mode(tmp_path, capsys):
     assert "wrote sweep report" in stderr
 
 
-def test_report_bounds_gate_passes_and_trips(tmp_path, capsys):
-    loose = tmp_path / "loose.json"
-    loose.write_text(json.dumps(
-        {"wan": {"effectiveness_min": 0.01, "unresolved_max": 0}}))
-    assert cli_main(["health", "report", "wan", *WAN_ARGS,
-                     "--bounds", str(loose)]) == 0
-    capsys.readouterr()
-    tight = tmp_path / "tight.json"
-    tight.write_text(json.dumps(
-        {"wan": {"effectiveness_min": 0.999,
-                 "redundant_ratio_max": 0.0}}))
-    assert cli_main(["health", "report", "wan", *WAN_ARGS,
-                     "--bounds", str(tight)]) == 1
-    err = capsys.readouterr().err
-    assert "HEALTH BOUND VIOLATED" in err
-    assert "effectiveness" in err
-
-
-def test_report_bounds_unusable_inputs(tmp_path, capsys):
-    missing = tmp_path / "missing.json"
-    assert cli_main(["health", "report", "wan", *WAN_ARGS,
-                     "--bounds", str(missing)]) == 2
-    noscenario = tmp_path / "noscenario.json"
-    noscenario.write_text(json.dumps({"lan": {}}))
-    assert cli_main(["health", "report", "wan", *WAN_ARGS,
-                     "--bounds", str(noscenario)]) == 2
-    # malformed entries are refused before the transfer runs, with a
-    # one-line reason: not an object, a bad key, a limit that is not a
-    # finite number (json reads NaN, which no comparison trips)
-    capsys.readouterr()
-    for entry in ([1], {"effectiveness": 0.5},
-                  {"effectiveness_min": "0.5"},
-                  {"unresolved_max": True},
-                  {"naks_sent_max": float("nan")},
-                  {"retrans_bytes_min": float("-inf")},
-                  {"redundant_ratio_max": float("inf")}):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"wan": entry}))
-        assert cli_main(["health", "report", "wan", *WAN_ARGS,
-                         "--bounds", str(bad)]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1, (entry, err)
-
-
-COMMITTED_BOUNDS = os.path.join(os.path.dirname(__file__), "..", "..",
-                                "HEALTH_BOUNDS.json")
-#: the WAN scenario the CI `protocol-health` job gates
-PINNED_WAN = ["--receivers", "5", "--nbytes", "500000", "--seed", "1"]
-
-
-def test_committed_bounds_cover_pinned_scenarios():
-    """The repo-root HEALTH_BOUNDS.json (the CI gate file) names both
-    pinned scenarios and gates the two ISSUE metrics."""
-    doc = json.loads(open(COMMITTED_BOUNDS).read())
-    assert "lan" in doc and "wan" in doc
-    assert "effectiveness_min" in doc["wan"]
-    assert "redundant_ratio_max" in doc["wan"]
-
-
 def test_committed_wan_gate_can_tell_a_whole_span_nak_claim(monkeypatch,
                                                             capsys):
-    """The pinned WAN run passes the committed bounds, and stops
-    passing when receivers re-request the data they parked."""
-    gate = ["health", "report", "wan", *PINNED_WAN,
-            "--bounds", COMMITTED_BOUNDS]
-    assert cli_main(gate) == 0
-    capsys.readouterr()
+    """The pinned runs fail `protocol-health` when receivers re-request
+    the data they parked; the failed claims name the two WAN gates."""
     note_gap = HRMCReceiver._note_gap
 
     def whole_span(self, end):     # claim from rcv_nxt, past the frontier
@@ -148,9 +82,11 @@ def test_committed_wan_gate_can_tell_a_whole_span_nak_claim(monkeypatch,
         note_gap(self, end)
 
     monkeypatch.setattr(HRMCReceiver, "_note_gap", whole_span)
-    assert cli_main(gate) == 1
-    err = capsys.readouterr().err
-    assert "redundant_ratio" in err and "implosion_index" in err
+    assert cli_main(["protocol-health", "--no-cache"]) == 1
+    failed = [ln for ln in capsys.readouterr().err.splitlines()
+              if ln.startswith("CLAIM FAILED protocol-health: ")]
+    assert any("wan: redundant_ratio" in ln for ln in failed), failed
+    assert any("wan: implosion_index" in ln for ln in failed), failed
 
 
 def test_health_usage_error():
