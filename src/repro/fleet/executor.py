@@ -1,8 +1,7 @@
 """Fault-tolerant parallel executor for RunSpec grids.
 
 :class:`Fleet` fans a list of :class:`RunSpec` jobs out over a
-process pool (forkserver where available, so workers start from a
-clean interpreter) with:
+process pool, one worker per usable CPU unless told otherwise, with:
 
 * a content-addressed result cache consulted before any execution,
 * per-job wall-clock timeouts (armed inside the worker),
@@ -14,12 +13,21 @@ clean interpreter) with:
   execution path (serial, parallel, cached) flows through the same
   canonical summary dicts, so aggregates are byte-identical.
 
+Workers are forked, not spawned: they start without re-importing
+``__main__`` and inherit the parent's module state, so a monkeypatch
+made before :meth:`Fleet.run_specs` reaches the jobs a pool runs.
+``test_job_timeout_in_a_pool_worker_is_a_bounded_failure`` and
+``test_committed_wan_gate_can_tell_a_whole_span_nak_claim`` rely on
+it.  Job isolation does not depend on that state: the worker rebuilds the
+whole world from the spec.
+
 Progress (completed / running / cached / failed) is reported on stderr
 when ``progress=True``.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,11 +40,20 @@ from repro.fleet.worker import JobTimeout, execute_spec
 from repro.workloads.spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    # imported for real where a pool is built: `--list`, `report` and
-    # every serial sweep never build one
+    # imported for real where a pool is built: `--list`, `report`, a
+    # one-job sweep and a warm cache never build one
     from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = ["Fleet", "FleetError", "FleetStats"]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return os.cpu_count() or 1
 
 
 class FleetError(RuntimeError):
@@ -47,6 +64,7 @@ class FleetError(RuntimeError):
 class FleetStats:
     """What one :meth:`Fleet.run_specs` sweep did."""
 
+    workers: int = 0         # the fleet's resolved worker count
     runs: int = 0            # unique specs requested
     executed: int = 0        # simulations actually run
     cached: int = 0          # served from the store
@@ -57,7 +75,8 @@ class FleetStats:
     store: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        d = {"runs": self.runs, "executed": self.executed,
+        d = {"workers": self.workers,
+             "runs": self.runs, "executed": self.executed,
              "cached": self.cached, "failed": self.failed,
              "retries": self.retries,
              "pool_restarts": self.pool_restarts,
@@ -104,17 +123,23 @@ class _Progress:
 class Fleet:
     """Executor for RunSpec grids; construct once, run many sweeps.
 
-    ``workers=1`` (the default) runs jobs in-process through the very
-    same worker entry point the pool uses; ``cache_dir=None`` disables
-    the result store entirely (every job executes).
+    ``workers=None`` (the default) means :func:`_usable_cpus`, except in
+    a thread under a profiler (``sys.getprofile()``), where it means 1:
+    a pool would take the work out of the profile.  A sweep runs on a
+    pool of ``min(workers, pending jobs)`` processes; ``workers=1`` or a
+    single pending job runs in-process, through the very same worker
+    entry point the pool uses.  ``cache_dir=None`` disables the result
+    store entirely (every job executes).
     """
 
-    def __init__(self, *, workers: int = 1,
+    def __init__(self, *, workers: Optional[int] = None,
                  cache_dir: Optional[str] = None,
                  refresh: bool = False,
                  timeout_s: Optional[float] = 900.0,
                  retries: int = 2, backoff_s: float = 0.25,
                  progress: bool = False) -> None:
+        if workers is None:
+            workers = 1 if sys.getprofile() is not None else _usable_cpus()
         self.workers = max(1, int(workers))
         self.refresh = refresh
         self.timeout_s = timeout_s
@@ -124,7 +149,7 @@ class Fleet:
         self.fingerprint = code_fingerprint()
         self.store = (ResultStore(cache_dir, self.fingerprint)
                       if cache_dir else None)
-        self.stats = FleetStats()
+        self.stats = FleetStats(workers=self.workers)
 
     # -- public API ----------------------------------------------------
 
@@ -161,11 +186,11 @@ class Fleet:
         progress = _Progress(self.progress, len(ordered))
         progress.update(len(results), 0, self.stats.cached, 0)
         try:
-            if pending:
-                if self.workers == 1:
-                    self._run_serial(pending, results, errors, progress)
-                else:
-                    self._run_pool(pending, results, errors, progress)
+            size = min(self.workers, len(pending))
+            if size == 1:
+                self._run_serial(pending, results, errors, progress)
+            elif size > 1:
+                self._run_pool(size, pending, results, errors, progress)
         finally:
             progress.finish()
             self.stats.wall_s += time.perf_counter() - t0
@@ -218,29 +243,26 @@ class Fleet:
                     time.sleep(self.backoff_s * (2 ** (attempts - 1)))
             progress.update(done, 0, self.stats.cached, self.stats.failed)
 
-    def _new_pool(self) -> ProcessPoolExecutor:
+    def _new_pool(self, size: int) -> ProcessPoolExecutor:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork: cheap worker start and no __main__ re-import requirement.
-        # Job isolation does not depend on process hygiene -- the worker
-        # rebuilds the whole world from the spec (regression-tested) -- so
-        # inheriting the parent image is safe.
+        # fork (see the module docstring): cheap worker start, no
+        # __main__ re-import, and the parent's patches reach the workers
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = multiprocessing.get_context("spawn")
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=ctx)
+        return ProcessPoolExecutor(max_workers=size, mp_context=ctx)
 
-    def _run_pool(self, pending: list[RunSpec],
+    def _run_pool(self, size: int, pending: list[RunSpec],
                   results: dict[str, RunSummary],
                   errors: dict[str, str],
                   progress: _Progress) -> None:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        pool = self._new_pool()
+        pool = self._new_pool(size)
         attempts: dict[str, int] = {}
         # jobs whose backoff has not elapsed yet: [(ready_at, spec)]
         backlog: list[tuple[float, RunSpec]] = []
@@ -261,7 +283,7 @@ class Fleet:
                                           self.timeout_s)
                     except (BrokenProcessPool, RuntimeError):
                         pool, queue, inflight = self._rebuild_pool(
-                            pool, spec, queue, inflight,
+                            pool, size, spec, queue, inflight,
                             max_pool_restarts)
                         continue
                     inflight[fut] = spec
@@ -287,7 +309,7 @@ class Fleet:
                         # was in flight, this job included; remaining
                         # futures of the dead pool are orphaned above
                         pool, queue, inflight = self._rebuild_pool(
-                            pool, spec, queue, inflight,
+                            pool, size, spec, queue, inflight,
                             max_pool_restarts)
                         break
                     except (Exception, JobTimeout) as exc:
@@ -307,11 +329,15 @@ class Fleet:
                     done += 1
                 progress.update(done, len(inflight), self.stats.cached,
                                 self.stats.failed)
-        finally:
+        except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        # reap the workers: their CPU time reaches RUSAGE_CHILDREN now,
+        # and none outlives the sweep
+        pool.shutdown(wait=True)
 
     def _rebuild_pool(
-            self, pool: ProcessPoolExecutor, spec: RunSpec,
+            self, pool: ProcessPoolExecutor, size: int, spec: RunSpec,
             queue: list[RunSpec], inflight: dict[Future, RunSpec],
             max_restarts: int,
     ) -> tuple[ProcessPoolExecutor, list[RunSpec],
@@ -324,4 +350,4 @@ class Fleet:
                 f"giving up (last job: {spec.describe()})")
         pool.shutdown(wait=False, cancel_futures=True)
         requeue = [spec] + list(inflight.values()) + queue
-        return self._new_pool(), requeue, {}
+        return self._new_pool(size), requeue, {}

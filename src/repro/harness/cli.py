@@ -4,7 +4,7 @@ Usage::
 
     hrmc-experiments --list
     hrmc-experiments fig10 fig13
-    hrmc-experiments --all --parallel 4
+    hrmc-experiments --all
     hrmc-experiments --all --scale full --parallel 8 --cache-stats s.json
     hrmc-experiments fig13 --refresh
     hrmc-experiments fleet status
@@ -24,8 +24,8 @@ Usage::
 (or ``python -m repro.harness.cli``).  Experiment runs go through the
 fleet (:mod:`repro.fleet`): specs are planned, served from the
 content-addressed cache under ``--cache-dir`` (default
-``.hrmc-cache``), and misses are executed -- across ``--parallel N``
-worker processes when asked.  Report bodies go to stdout and are
+``.hrmc-cache``), and misses are executed -- on one worker process per
+usable CPU, or on ``--parallel N``.  Report bodies go to stdout and are
 byte-identical regardless of worker count or cache temperature; timing,
 progress and cache accounting go to stderr (``--cache-stats FILE``
 saves the accounting as JSON).  Each report states its claims; the
@@ -534,7 +534,10 @@ def _run_health_sweep(argv) -> int:
     parser.add_argument("--seed", type=int, default=21)
     parser.add_argument("--bandwidth", type=float, default=10.0,
                         metavar="MBPS")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N")
+    parser.add_argument("--parallel", type=int, default=None, metavar="N",
+                        help="worker processes for the run fleet "
+                             "(default: one per usable CPU; 1 = serial "
+                             "in-process)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None)
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--json", action="store_true",
@@ -655,9 +658,10 @@ def main(argv=None) -> int:
                              "full = paper-size 10/40 MB transfers")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of tables")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
+    parser.add_argument("--parallel", type=int, default=None, metavar="N",
                         help="worker processes for the run fleet "
-                             "(default 1 = serial in-process)")
+                             "(default: one per usable CPU; 1 = serial "
+                             "in-process)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="content-addressed run cache location "
                              "(default .hrmc-cache)")
@@ -726,8 +730,7 @@ def main(argv=None) -> int:
         print(fleet.stats.render(), file=sys.stderr)
         if args.cache_stats:
             stats = dict(fleet.stats.as_dict(), argv=targets,
-                         parallel=args.parallel, scale=args.scale,
-                         elapsed_s=round(elapsed, 3))
+                         scale=args.scale, elapsed_s=round(elapsed, 3))
             _write_file("cache stats", args.cache_stats,
                         json.dumps(stats, indent=2, sort_keys=True),
                         sys.stderr)

@@ -13,12 +13,12 @@ it has just computed; ``hrmc-experiments`` exits 1 when one fails.
 Every experiment expresses its simulations as a
 :class:`~repro.workloads.spec.RunSpec` grid executed through the fleet
 (:mod:`repro.fleet`): the experiment function is evaluated once to
-*plan* the grid, the fleet runs (or cache-serves) the specs -- in
-parallel if asked -- and the function is evaluated again to assemble
-the report from the summaries.  Serial, parallel and warm-cache
-executions produce byte-identical reports.  Claims stated on the
-planning pass read :data:`~repro.fleet.grid.PROBE` zeros; that report
-is discarded.
+*plan* the grid, the fleet runs (or cache-serves) the specs -- on
+every usable CPU by default -- and the function is evaluated again to
+assemble the report from the summaries.  Serial, parallel and
+warm-cache executions produce byte-identical reports.  Claims stated
+on the planning pass read :data:`~repro.fleet.grid.PROBE` zeros; that
+report is discarded.
 """
 
 from __future__ import annotations

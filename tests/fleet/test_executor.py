@@ -39,6 +39,39 @@ def test_serial_parallel_and_warm_are_byte_identical(tmp_path):
     assert _dicts(serial) == _dicts(cold) == _dicts(warm)
 
 
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    fleet = Fleet()
+    assert fleet.workers == 3
+    assert fleet.stats.as_dict()["workers"] == 3
+    assert Fleet(workers=5).workers == 5      # an explicit count wins
+
+
+def test_a_profiled_thread_defaults_to_one_worker():
+    import cProfile
+    with cProfile.Profile():
+        assert Fleet().workers == 1
+        assert Fleet(workers=2).workers == 2
+
+
+def test_one_pending_job_builds_no_pool(monkeypatch):
+    def no_pool(self, *args):
+        raise AssertionError("built a pool for one job")
+
+    monkeypatch.setattr(Fleet, "_new_pool", no_pool)
+    results = Fleet(workers=4).run_specs(_grid(1))
+    assert [r.ok for r in results.values()] == [True]
+
+
+def test_pool_workers_are_reaped_before_run_specs_returns():
+    import multiprocessing
+    fleet = Fleet(workers=2)
+    fleet.run_specs(_grid(3))
+    assert fleet.stats.executed == 3
+    assert multiprocessing.active_children() == []
+
+
 def test_duplicate_specs_run_once(tmp_path):
     specs = _grid(2)
     fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"))

@@ -60,8 +60,8 @@ def test_running_anything_does_not_import_numpy():
 
 def test_listing_experiments_does_not_import_a_process_pool():
     """`multiprocessing` and `concurrent.futures` (~20 ms of a 120 ms
-    `--list`) are imported where the fleet builds a pool; `--list`,
-    `report` and every serial sweep never do."""
+    `--list`) are imported only where the fleet builds a pool, which
+    `--list` never does."""
     _run("from repro.harness import cli\n"
          "assert cli.main(['--list']) == 0\n"
          "pool = under(('multiprocessing', 'concurrent.futures'))\n"

@@ -66,7 +66,7 @@ def test_reports_identical_across_execution_modes(tmp_path):
     from repro.fleet import Fleet
 
     cache = str(tmp_path / "c")
-    serial = run_experiment("ablation-fec", "quick")
+    serial = run_experiment("ablation-fec", "quick", Fleet(workers=1))
     cold = run_experiments(["ablation-fec"], "quick",
                            Fleet(workers=2, cache_dir=cache))
     warm_fleet = Fleet(workers=1, cache_dir=cache)
@@ -75,6 +75,15 @@ def test_reports_identical_across_execution_modes(tmp_path):
         == warm["ablation-fec"].render()
     assert warm_fleet.stats.cached == 2
     assert warm_fleet.stats.executed == 0
+
+
+def test_cli_default_and_serial_runs_print_the_same_bytes(capsys):
+    """The default fleet (one worker per usable CPU) and `--parallel 1`
+    print the same report bodies."""
+    assert main(["ablation-fec", "--no-cache"]) == 0
+    default = capsys.readouterr().out
+    assert main(["ablation-fec", "--no-cache", "--parallel", "1"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_cli_runs_experiment(capsys):
