@@ -5,13 +5,14 @@ process pool, one worker per usable CPU unless told otherwise, with:
 
 * a content-addressed result cache consulted before any execution,
 * per-job wall-clock timeouts (armed inside the worker),
-* bounded retries with exponential backoff,
+* one attempt per job: a run is deterministic, so a job that raises
+  or times out is recorded as failed, not re-run, and never cached,
 * crashed-worker recovery -- a broken pool is rebuilt and the
   incomplete jobs requeued,
 * deterministic output: results are keyed by spec hash and returned in
   submission order, independent of completion order, and every
   execution path (serial, parallel, cached) flows through the same
-  canonical summary dicts, so aggregates are byte-identical.
+  canonical run record dicts, so aggregates are byte-identical.
 
 Workers are forked, not spawned: they start without re-importing
 ``__main__`` and inherit the parent's module state, so a monkeypatch
@@ -35,8 +36,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.fleet.fingerprint import code_fingerprint
 from repro.fleet.store import ResultStore
-from repro.fleet.summary import RunSummary
 from repro.fleet.worker import JobTimeout, execute_spec
+from repro.harness.runner import TransferResult
 from repro.workloads.spec import RunSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +58,7 @@ def _usable_cpus() -> int:
 
 
 class FleetError(RuntimeError):
-    """Raised when jobs are still failing after every retry."""
+    """Raised when a sweep's jobs failed."""
 
 
 @dataclass
@@ -68,8 +69,7 @@ class FleetStats:
     runs: int = 0            # unique specs requested
     executed: int = 0        # simulations actually run
     cached: int = 0          # served from the store
-    failed: int = 0          # gave up after retries
-    retries: int = 0         # re-submissions after a failure
+    failed: int = 0          # raised or timed out (run once, not cached)
     pool_restarts: int = 0   # broken pools rebuilt
     wall_s: float = 0.0
     store: dict = field(default_factory=dict)
@@ -78,7 +78,6 @@ class FleetStats:
         d = {"workers": self.workers,
              "runs": self.runs, "executed": self.executed,
              "cached": self.cached, "failed": self.failed,
-             "retries": self.retries,
              "pool_restarts": self.pool_restarts,
              "wall_s": round(self.wall_s, 3)}
         if self.store:
@@ -88,8 +87,6 @@ class FleetStats:
     def render(self) -> str:
         bits = [f"{self.runs} runs", f"{self.cached} cached",
                 f"{self.executed} executed"]
-        if self.retries:
-            bits.append(f"{self.retries} retries")
         if self.pool_restarts:
             bits.append(f"{self.pool_restarts} pool restarts")
         if self.failed:
@@ -136,15 +133,12 @@ class Fleet:
                  cache_dir: Optional[str] = None,
                  refresh: bool = False,
                  timeout_s: Optional[float] = 900.0,
-                 retries: int = 2, backoff_s: float = 0.25,
                  progress: bool = False) -> None:
         if workers is None:
             workers = 1 if sys.getprofile() is not None else _usable_cpus()
         self.workers = max(1, int(workers))
         self.refresh = refresh
         self.timeout_s = timeout_s
-        self.retries = max(0, int(retries))
-        self.backoff_s = backoff_s
         self.progress = progress
         self.fingerprint = code_fingerprint()
         self.store = (ResultStore(cache_dir, self.fingerprint)
@@ -154,12 +148,12 @@ class Fleet:
     # -- public API ----------------------------------------------------
 
     def run_specs(self, specs: list[RunSpec], *,
-                  strict: bool = True) -> dict[str, RunSummary]:
-        """Execute ``specs``; returns ``{content_hash: RunSummary}`` in
-        submission order.  With ``strict`` (default), any job that
-        still fails after the retry budget raises :class:`FleetError`
-        naming every failed spec (after the rest of the sweep has
-        completed, so partial results land in the cache)."""
+                  strict: bool = True) -> dict[str, TransferResult]:
+        """Execute ``specs``; returns ``{content_hash: TransferResult}``
+        in submission order.  With ``strict`` (default), any failed job
+        raises :class:`FleetError` naming every failed spec (after the
+        rest of the sweep has completed, so partial results land in the
+        cache)."""
         t0 = time.perf_counter()
         ordered: list[RunSpec] = []
         seen: set[str] = set()
@@ -170,7 +164,7 @@ class Fleet:
                 ordered.append(spec)
         self.stats.runs += len(ordered)
 
-        results: dict[str, RunSummary] = {}
+        results: dict[str, TransferResult] = {}
         errors: dict[str, str] = {}
         pending: list[RunSpec] = []
         for spec in ordered:
@@ -200,48 +194,42 @@ class Fleet:
         if errors and strict:
             lines = "\n".join(f"  {h[:12]}: {msg}"
                               for h, msg in sorted(errors.items()))
-            raise FleetError(
-                f"{len(errors)} job(s) failed after "
-                f"{self.retries} retries:\n{lines}")
+            raise FleetError(f"{len(errors)} job(s) failed:\n{lines}")
         # submission order, not completion order
         return {s.content_hash(): results[s.content_hash()]
                 for s in ordered if s.content_hash() in results}
 
     # -- execution paths -----------------------------------------------
 
-    def _record(self, spec: RunSpec, summary_dict: dict,
-                results: dict[str, RunSummary]) -> None:
+    def _record(self, spec: RunSpec, record: dict,
+                results: dict[str, TransferResult]) -> None:
         if self.store is not None:
-            self.store.put(spec, summary_dict)
-        results[spec.content_hash()] = RunSummary.from_dict(summary_dict)
+            self.store.put(spec, record)
+        results[spec.content_hash()] = TransferResult.from_dict(record)
         self.stats.executed += 1
 
+    def _fail(self, spec: RunSpec, exc: BaseException,
+              errors: dict[str, str]) -> None:
+        """A job raised or ran out of time: deterministic, so it is
+        recorded once as failed, never re-run and never cached."""
+        errors[spec.content_hash()] = f"{spec.describe()}: {exc}"
+        self.stats.failed += 1
+
     def _run_serial(self, pending: list[RunSpec],
-                    results: dict[str, RunSummary],
+                    results: dict[str, TransferResult],
                     errors: dict[str, str],
                     progress: _Progress) -> None:
-        done = len(results)
         for spec in pending:
-            attempts = 0
-            while True:
-                try:
-                    progress.update(done, 1, self.stats.cached,
-                                    self.stats.failed)
-                    self._record(spec, execute_spec(spec.to_dict(),
-                                                    self.timeout_s),
-                                 results)
-                    done += 1
-                    break
-                except (Exception, JobTimeout) as exc:  # job boundary
-                    attempts += 1
-                    if attempts > self.retries:
-                        errors[spec.content_hash()] = \
-                            f"{spec.describe()}: {exc}"
-                        self.stats.failed += 1
-                        break
-                    self.stats.retries += 1
-                    time.sleep(self.backoff_s * (2 ** (attempts - 1)))
-            progress.update(done, 0, self.stats.cached, self.stats.failed)
+            progress.update(len(results), 1, self.stats.cached,
+                            self.stats.failed)
+            try:
+                record = execute_spec(spec.to_dict(), self.timeout_s)
+            except (Exception, JobTimeout) as exc:  # job boundary
+                self._fail(spec, exc, errors)
+            else:
+                self._record(spec, record, results)
+            progress.update(len(results), 0, self.stats.cached,
+                            self.stats.failed)
 
     def _new_pool(self, size: int) -> ProcessPoolExecutor:
         import multiprocessing
@@ -256,26 +244,18 @@ class Fleet:
         return ProcessPoolExecutor(max_workers=size, mp_context=ctx)
 
     def _run_pool(self, size: int, pending: list[RunSpec],
-                  results: dict[str, RunSummary],
+                  results: dict[str, TransferResult],
                   errors: dict[str, str],
                   progress: _Progress) -> None:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
         pool = self._new_pool(size)
-        attempts: dict[str, int] = {}
-        # jobs whose backoff has not elapsed yet: [(ready_at, spec)]
-        backlog: list[tuple[float, RunSpec]] = []
         inflight: dict[Future, RunSpec] = {}
         queue = list(pending)
-        done = len(results)
         max_pool_restarts = self.workers + 2
         try:
-            while queue or inflight or backlog:
-                now = time.monotonic()
-                ready = [s for t, s in backlog if t <= now]
-                backlog = [(t, s) for t, s in backlog if t > now]
-                queue.extend(ready)
+            while queue or inflight:
                 while queue:
                     spec = queue.pop(0)
                     try:
@@ -287,13 +267,8 @@ class Fleet:
                             max_pool_restarts)
                         continue
                     inflight[fut] = spec
-                progress.update(done, len(inflight), self.stats.cached,
-                                self.stats.failed)
-                if not inflight:
-                    if backlog:
-                        time.sleep(max(0.0, min(t for t, _ in backlog)
-                                       - time.monotonic()))
-                    continue
+                progress.update(len(results), len(inflight),
+                                self.stats.cached, self.stats.failed)
                 completed, _ = wait(list(inflight),
                                     return_when=FIRST_COMPLETED,
                                     timeout=0.5)
@@ -302,7 +277,7 @@ class Fleet:
                     if spec is None:  # orphaned by a pool rebuild
                         continue
                     try:
-                        summary_dict = fut.result()
+                        record = fut.result()
                     except BrokenProcessPool:
                         # the worker died (OOM-kill, segfault, ...):
                         # rebuild the pool and requeue everything that
@@ -313,22 +288,11 @@ class Fleet:
                             max_pool_restarts)
                         break
                     except (Exception, JobTimeout) as exc:
-                        h = spec.content_hash()
-                        attempts[h] = attempts.get(h, 0) + 1
-                        if attempts[h] > self.retries:
-                            errors[h] = f"{spec.describe()}: {exc}"
-                            self.stats.failed += 1
-                        else:
-                            self.stats.retries += 1
-                            delay = self.backoff_s * \
-                                (2 ** (attempts[h] - 1))
-                            backlog.append((time.monotonic() + delay,
-                                            spec))
-                        continue
-                    self._record(spec, summary_dict, results)
-                    done += 1
-                progress.update(done, len(inflight), self.stats.cached,
-                                self.stats.failed)
+                        self._fail(spec, exc, errors)
+                    else:
+                        self._record(spec, record, results)
+                progress.update(len(results), len(inflight),
+                                self.stats.cached, self.stats.failed)
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise

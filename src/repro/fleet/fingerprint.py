@@ -4,7 +4,7 @@ a simulation result.
 The fleet's cache key is ``(RunSpec content hash, code fingerprint)``:
 editing any source file under ``src/repro/`` -- the protocol, the
 network models, the engine, the spec that builds a world, the worker
-and the summary it returns -- silently invalidates every cached
+and the run record it returns -- silently invalidates every cached
 result, while touching the orchestrator (the executor, the store, the
 grid, this module) does not, because it never influences what a worker
 computes from a spec.

@@ -10,7 +10,8 @@ loops building tables), against ``grid.run(spec)`` instead of a direct
    so the surrounding table-building code runs through without
    executing a single simulation;
 2. **report pass** -- ``Grid(results)`` after the fleet executed the
-   specs: ``run`` serves the real :class:`RunSummary` for each spec
+   specs: ``run`` serves the real
+   :class:`~repro.harness.runner.TransferResult` for each spec
    and the same code produces the real tables.
 
 Because the grid is keyed by spec content hash, identical cells that
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from repro.fleet.summary import RunSummary
+from repro.harness.runner import TransferResult
 from repro.workloads.spec import RunSpec
 
 __all__ = ["Grid", "PROBE"]
@@ -57,7 +58,8 @@ class Grid:
     """One experiment's spec grid; see the module docstring."""
 
     def __init__(self,
-                 results: Optional[dict[str, RunSummary]] = None) -> None:
+                 results: Optional[dict[str, TransferResult]] = None
+                 ) -> None:
         self.specs: list[RunSpec] = []
         self._seen: set[str] = set()
         self._results = results
@@ -66,8 +68,8 @@ class Grid:
     def planning(self) -> bool:
         return self._results is None
 
-    def run(self, spec: RunSpec) -> Union[RunSummary, _Probe]:
-        """Register ``spec``; return its summary (or the probe)."""
+    def run(self, spec: RunSpec) -> Union[TransferResult, _Probe]:
+        """Register ``spec``; return its result (or the probe)."""
         h = spec.content_hash()
         if h not in self._seen:
             self._seen.add(h)

@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.fleet.summary import RunSummary
+from repro.harness.runner import TransferResult
 from repro.workloads.spec import RunSpec
 
 __all__ = ["ResultStore", "StoreStats", "DEFAULT_CACHE_DIR"]
@@ -60,7 +60,7 @@ class StoreStatus:
 
 
 class ResultStore:
-    """Cache of :class:`RunSummary` results keyed by spec hash."""
+    """Cache of :class:`TransferResult` records keyed by spec hash."""
 
     def __init__(self, cache_dir: str, fingerprint: str) -> None:
         self.cache_dir = cache_dir
@@ -96,7 +96,7 @@ class ResultStore:
 
     # -- get / put -----------------------------------------------------
 
-    def get(self, spec: RunSpec) -> Optional[RunSummary]:
+    def get(self, spec: RunSpec) -> Optional[TransferResult]:
         path = self.path_for(spec.content_hash())
         entry = self._read_entry(path)
         if entry is None:
@@ -106,17 +106,17 @@ class ResultStore:
             self.stats.invalidated += 1
             return None
         try:
-            summary = RunSummary.from_dict(entry["summary"])
+            result = TransferResult.from_dict(entry["summary"])
         except ValueError as exc:
             self.stats.corrupt += 1
             print(f"hrmc-cache: treating corrupt entry {path} as a miss "
                   f"({exc})", file=sys.stderr)
             return None
         self.stats.hits += 1
-        return summary
+        return result
 
-    def put(self, spec: RunSpec, summary_dict: dict) -> str:
-        """Atomically store a worker's canonical summary dict."""
+    def put(self, spec: RunSpec, record: dict) -> str:
+        """Atomically store a worker's canonical run record dict."""
         spec_hash = spec.content_hash()
         path = self.path_for(spec_hash)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -125,7 +125,7 @@ class ResultStore:
             "spec_hash": spec_hash,
             "fingerprint": self.fingerprint,
             "spec": spec.to_dict(),
-            "summary": summary_dict,
+            "summary": record,
         }
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
                                    prefix=".tmp-", suffix=".json")

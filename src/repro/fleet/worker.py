@@ -1,12 +1,12 @@
-"""Worker side of the fleet: run one RunSpec, summarize the result.
+"""Worker side of the fleet: run one RunSpec, return its run record.
 
 :func:`execute_spec` is the single execution path for every mode --
 in-process serial runs, pool workers, and cache misses all call it.  The
 world comes from the spec alone (:meth:`RunSpec.build`, no ambient
-state); the worker runs it and returns the JSON-canonical summary dict.
-Keeping the return value JSON-round-tripped means the multiprocess,
-serial and warm-cache paths hand the aggregation layer bit-identical
-data.
+state); the worker runs it and returns the JSON-canonical
+:meth:`TransferResult.to_dict` record.  Keeping the return value
+JSON-round-tripped means the multiprocess, serial and warm-cache paths
+hand the aggregation layer bit-identical data.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import signal
 from types import FrameType
 from typing import Optional, Union
 
-from repro.fleet.summary import RunSummary, summarize_result
-from repro.harness.runner import run_transfer
+from repro.harness.runner import TransferResult, run_transfer
 from repro.workloads.spec import RunSpec
 
 __all__ = ["execute_spec", "run_spec", "JobTimeout"]
@@ -35,34 +34,32 @@ class JobTimeout(BaseException):
     """
 
 
-def run_spec(spec: RunSpec) -> RunSummary:
-    """Execute one spec and return the :class:`RunSummary` (objects,
-    not wire format)."""
+def run_spec(spec: RunSpec) -> TransferResult:
+    """Execute one spec and return its :class:`TransferResult`, with
+    the observability tables and the health payload the spec asks
+    for."""
     scenario, kwargs = spec.build()
     obs = None
     if spec.obs:
         from repro.obs.observer import Observability
         obs = Observability()
     result = run_transfer(scenario, obs=obs, **kwargs)
-    health = None
+    if obs is not None:
+        result.obs_tables = obs.summary_tables()
     if spec.health:
         # a read of the finished run's books: nothing was attached
         from repro.obs.health import payload
-        health = payload(result)
-    plan = scenario.fault_plan
-    return summarize_result(
-        result, plan_actions=len(plan) if plan is not None else 0,
-        obs_tables=obs.summary_tables() if obs is not None else None,
-        health=health)
+        result.health = payload(result)
+    return result
 
 
 def execute_spec(spec_dict: dict,
                  timeout_s: Optional[float] = None) -> dict:
-    """Pool entry point: spec dict in, canonical summary dict out.
+    """Pool entry point: spec dict in, canonical run record dict out.
 
     ``timeout_s`` arms a per-job wall-clock alarm (POSIX main thread
     only); expiry raises :class:`JobTimeout`, which the executor treats
-    like any other job failure (bounded retries, then reported).
+    like any other job failure (recorded once, never cached).
     """
     spec = RunSpec.from_dict(spec_dict)
     use_alarm = (timeout_s is not None and hasattr(signal, "SIGALRM"))
@@ -77,10 +74,10 @@ def execute_spec(spec_dict: dict,
         except ValueError:          # not the main thread
             use_alarm = False
     try:
-        summary = run_spec(spec)
+        result = run_spec(spec)
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old_handler)
     # one canonical representation for every execution path
-    return json.loads(json.dumps(summary.to_dict(), sort_keys=True))
+    return json.loads(json.dumps(result.to_dict(), sort_keys=True))

@@ -10,7 +10,7 @@ sender and receiver application processes to completion, and returns a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 from repro.apps.diskmodel import DiskModel
@@ -34,9 +34,19 @@ __all__ = ["TransferResult", "run_transfer", "PROTOCOLS"]
 
 PROTOCOLS = ("hrmc", "rmc", "ack", "polling", "tcp")
 
+#: the fields that hold live objects of the finished run, not data
+_LIVE = frozenset({"sockets", "obs"})
+
 
 @dataclass
 class TransferResult:
+    """One finished transfer: the run record every caller reads, from
+    a direct :func:`run_transfer` call to a cached fleet cell.
+
+    :meth:`to_dict` / :meth:`from_dict` carry it as JSON data, without
+    the live handles ``sockets`` and ``obs``.
+    """
+
     protocol: str
     nbytes: int
     n_receivers: int
@@ -57,10 +67,15 @@ class TransferResult:
     drop_summary: dict = field(default_factory=dict)
     # chaos bookkeeping (populated when a fault plan ran)
     fault_events: int = 0
+    plan_actions: int = 0
     crashed_receivers: list = field(default_factory=list)
     restarted_receivers: list = field(default_factory=list)
     invariant_checks: int = 0
     rejoin_results: list = field(default_factory=list)
+    # filled by a fleet worker when its spec asks for them: the
+    # observability summary tables and the protocol-health payload
+    obs_tables: list = field(default_factory=list)
+    health: dict = field(default_factory=dict)
     # (sender socket, receiver sockets) as the statistics above read
     # them: what a post-run read such as repro.obs.health folds
     sockets: tuple = ()
@@ -86,6 +101,29 @@ class TransferResult:
         return (all(r.done and r.verified and r.bytes_done == self.nbytes
                     for r in survivors)
                 and len(survivors) + len(crashed) == self.n_receivers)
+
+    def to_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in _LIVE}
+        d["sender_stats"] = self.sender_stats.as_dict()
+        d["receiver_stats"] = self.receiver_stats.as_dict()
+        d["per_receiver"] = [asdict(r) for r in self.per_receiver]
+        d["rejoin_results"] = [asdict(r) for r in self.rejoin_results]
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> TransferResult:
+        """Rebuild a :meth:`to_dict` record; ``ValueError`` if ``d``
+        is not one."""
+        d = dict(d)
+        try:
+            for name in ("sender_stats", "receiver_stats"):
+                d[name] = Counters(**d[name])
+            for name in ("per_receiver", "rejoin_results"):
+                d[name] = [AppResult(**r) for r in d[name]]
+            return cls(**d)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed run record: {exc}") from None
 
 
 def _open_socket(protocol: str, host, cfg: HRMCConfig, *, sndbuf: int,
@@ -267,6 +305,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     result.obs = obs
     if injector is not None:
         result.fault_events = injector.fault_events
+        result.plan_actions = len(fault_plan)
         result.crashed_receivers = sorted(injector.crashed)
         result.restarted_receivers = sorted(injector.restarted)
         result.rejoin_results = rejoin_results

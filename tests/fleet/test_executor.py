@@ -1,4 +1,4 @@
-"""Fleet executor: determinism, resume, retries, timeouts."""
+"""Fleet executor: determinism, resume, one attempt per job, timeouts."""
 
 import os
 import signal
@@ -155,31 +155,71 @@ def test_refresh_re_executes_and_overwrites(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failing_job_raises_fleet_error_after_retries(tmp_path, workers):
+def test_failing_job_raises_fleet_error_after_the_sweep(tmp_path, workers):
     bad = RunSpec.lan(1, 10e6, seed=1, nbytes=1000,
                       cfg={"no_such_knob": True})   # fails in the worker
     good = _grid(1)
-    fleet = Fleet(workers=workers, cache_dir=str(tmp_path / "c"),
-                  retries=1, backoff_s=0.01)
+    fleet = Fleet(workers=workers, cache_dir=str(tmp_path / "c"))
     with pytest.raises(FleetError, match="bad config delta"):
         fleet.run_specs(good + [bad])
     assert fleet.stats.failed == 1
-    assert fleet.stats.retries == 1
+    assert "retries" not in fleet.stats.as_dict()
     # the sweep still completed (and cached) the good cell
     assert fleet.stats.executed == 1
 
     # non-strict mode reports partial results instead of raising
-    fleet2 = Fleet(workers=workers, cache_dir=str(tmp_path / "c"),
-                   retries=0)
+    fleet2 = Fleet(workers=workers, cache_dir=str(tmp_path / "c"))
     results = fleet2.run_specs(good + [bad], strict=False)
     assert len(results) == 1
     assert fleet2.stats.cached == 1
 
 
+def test_a_failing_job_runs_once(monkeypatch):
+    """A run is deterministic: re-running a failed job would spend the
+    same budget on the same answer."""
+    from repro.fleet import executor
+    real_execute_spec = executor.execute_spec
+    calls = []
+
+    def counted(spec_dict, timeout_s=None):
+        calls.append(spec_dict)
+        return real_execute_spec(spec_dict, timeout_s)
+
+    monkeypatch.setattr(executor, "execute_spec", counted)
+    bad = RunSpec.lan(1, 10e6, seed=1, nbytes=1000,
+                      cfg={"no_such_knob": True})
+    fleet = Fleet(workers=1)
+    assert fleet.run_specs([bad], strict=False) == {}
+    assert len(calls) == 1
+    assert fleet.stats.failed == 1 and fleet.stats.executed == 0
+
+
+def test_a_killed_worker_is_requeued_on_a_new_pool(monkeypatch, tmp_path):
+    """A worker the OS kills is the one failure that is not
+    deterministic: the pool is rebuilt and the job runs again."""
+    from repro.fleet import worker
+    real_run_spec = worker.run_spec
+    marker = tmp_path / "killed"
+
+    def killed_once(spec):
+        if spec.scenario_params["seed"] == 1 and not marker.exists():
+            marker.touch()
+            os._exit(1)
+        return real_run_spec(spec)
+
+    monkeypatch.setattr(worker, "run_spec", killed_once)
+    fleet = Fleet(workers=2)
+    results = fleet.run_specs(_grid(2))
+    assert marker.exists()
+    assert fleet.stats.pool_restarts >= 1
+    assert fleet.stats.failed == 0 and fleet.stats.executed == 2
+    assert [r.ok for r in results.values()] == [True, True]
+
+
 def test_bad_config_delta_fails_cleanly(tmp_path):
     bad = RunSpec.lan(1, 10e6, seed=1, nbytes=1000,
                       cfg={"no_such_knob": True})
-    fleet = Fleet(workers=1, retries=0)
+    fleet = Fleet(workers=1)
     with pytest.raises(FleetError, match="bad config delta"):
         fleet.run_specs([bad])
 
@@ -202,7 +242,7 @@ def _alarm_inside_an_app_process(monkeypatch):
 
 def test_job_timeout_is_a_bounded_failure(monkeypatch):
     _alarm_inside_an_app_process(monkeypatch)
-    fleet = Fleet(workers=1, timeout_s=3600, retries=0)
+    fleet = Fleet(workers=1, timeout_s=3600)
     with pytest.raises(FleetError, match="wall clock"):
         fleet.run_specs(_grid(1))
     assert fleet.stats.failed == 1
@@ -213,7 +253,7 @@ def test_job_timeout_in_a_pool_worker_is_a_bounded_failure(monkeypatch):
     # pool workers are forked and inherit the patch; the BaseException
     # travels back through the future and is counted, not re-raised
     _alarm_inside_an_app_process(monkeypatch)
-    fleet = Fleet(workers=2, timeout_s=3600, retries=0)
+    fleet = Fleet(workers=2, timeout_s=3600)
     with pytest.raises(FleetError, match="wall clock"):
         fleet.run_specs(_grid(2))
     assert fleet.stats.failed == 2

@@ -3,8 +3,8 @@ compact protocol-health payload across the worker boundary."""
 
 import json
 
-from repro.fleet.summary import RunSummary
 from repro.fleet.worker import execute_spec, run_spec
+from repro.harness.runner import TransferResult
 from repro.workloads.spec import RunSpec
 
 
@@ -41,7 +41,7 @@ def test_health_capture_collects_payload():
 def test_health_payload_survives_worker_boundary():
     wire = execute_spec(_wan(health=True).to_dict())
     assert wire == json.loads(json.dumps(wire, sort_keys=True))
-    summary = RunSummary.from_dict(wire)
+    summary = TransferResult.from_dict(wire)
     assert summary.health["group_size"] == 3
     assert summary.to_dict()["health"] == wire["health"]
 

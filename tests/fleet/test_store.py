@@ -6,7 +6,8 @@ import shutil
 
 from repro.fleet.fingerprint import code_fingerprint
 from repro.fleet.store import ResultStore
-from repro.fleet.worker import execute_spec
+from repro.fleet.worker import execute_spec, run_spec
+from repro.harness.runner import TransferResult
 from repro.workloads.spec import RunSpec
 
 
@@ -29,6 +30,28 @@ def test_put_get_round_trip(tmp_path):
     assert store.stats.hits == 1 and store.stats.writes == 1
 
 
+def test_a_chaos_record_round_trips_through_the_store(tmp_path):
+    """A crash with a rejoin: the per-receiver and rejoin records, the
+    plan size and the survivors' verdict come back from the cache as
+    the run left them."""
+    spec = RunSpec.chaos(3, 10e6, seed=10, horizon_us=1_000_000,
+                         nbytes=250_000, max_sim_s=120)
+    result = run_spec(spec)
+    assert result.restarted_receivers and result.rejoin_results
+    assert result.plan_actions > 0 and result.surviving_ok
+
+    record = json.loads(json.dumps(result.to_dict(), sort_keys=True))
+    assert {"sockets", "obs"}.isdisjoint(record)
+    store = ResultStore(str(tmp_path / "c"), "fp")
+    store.put(spec, record)
+    for got in (TransferResult.from_dict(record), store.get(spec)):
+        assert got.per_receiver == result.per_receiver
+        assert got.rejoin_results == result.rejoin_results
+        assert got.plan_actions == result.plan_actions
+        assert got.surviving_ok == result.surviving_ok
+        assert got.to_dict() == record
+
+
 def test_fingerprint_mismatch_counts_as_invalidation(tmp_path):
     cache = str(tmp_path / "c")
     spec = _spec()
@@ -42,7 +65,7 @@ def test_fingerprint_mismatch_counts_as_invalidation(tmp_path):
 
 def test_fingerprint_tracks_protocol_source_edits(tmp_path):
     """Editing anything that decides what a cached result holds -- the
-    protocol, the spec that builds a world, the worker, the summary --
+    protocol, the spec that builds a world, the worker, the run record --
     changes the fingerprint; editing the orchestrator does not."""
     import repro
     src = os.path.dirname(repro.__file__)
@@ -57,7 +80,7 @@ def test_fingerprint_tracks_protocol_source_edits(tmp_path):
     fingerprint = code_fingerprint(tree)
     assert fingerprint == code_fingerprint(tree)  # deterministic
     for rel in (("core", "config.py"), ("workloads", "spec.py"),
-                ("fleet", "worker.py"), ("fleet", "summary.py")):
+                ("fleet", "worker.py"), ("harness", "runner.py")):
         before, fingerprint = fingerprint, touch(*rel)
         assert fingerprint != before, rel
     for rel in (("fleet", "store.py"), ("fleet", "executor.py")):

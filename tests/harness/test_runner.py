@@ -95,8 +95,8 @@ def test_a_failed_run_is_not_cached(monkeypatch, tmp_path):
     from repro.harness import runner
     from repro.workloads.spec import RunSpec
     monkeypatch.setattr(runner, "receiver_app", _dying_receiver_app("rcv1"))
-    spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000)
-    fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"), retries=0)
+    spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000, max_sim_s=30)
+    fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"))
     results = fleet.run_specs([spec], strict=False)
     assert results == {}
     assert fleet.stats.failed == 1 and fleet.stats.executed == 0
