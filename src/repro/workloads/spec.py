@@ -167,7 +167,8 @@ class RunSpec:
                                    allow_crash=p["allow_crash"])
         return scenario, {"nbytes": self.nbytes, "protocol": self.protocol,
                           "sndbuf": self.sndbuf, "cfg": self._config(),
-                          "disk": self.disk, "max_sim_s": self.max_sim_s,
+                          "disk": self.disk, "seed": p["seed"],
+                          "max_sim_s": self.max_sim_s,
                           "invariants": self.invariants}
 
     def _config(self) -> Optional[HRMCConfig]:

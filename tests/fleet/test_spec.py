@@ -117,3 +117,17 @@ def test_spec_no_world_can_be_built_from_is_refused(make):
     """A fleet cell with no receivers used to summarize as ok=True."""
     with pytest.raises(ValueError):
         make()
+
+
+def test_a_disk_cell_runs_on_its_spec_seed():
+    """The spec's seed drives the disk models too, as it does when the
+    same transfer is run directly."""
+    from repro.fleet.worker import run_spec
+    from repro.harness.runner import run_transfer
+    from repro.workloads.scenarios import build_lan
+    fleet = run_spec(RunSpec.lan(2, 10e6, seed=3, nbytes=500_000,
+                                 disk=True))
+    direct = run_transfer(build_lan(2, 10e6, seed=3), nbytes=500_000,
+                          disk=True, seed=3)
+    assert fleet.ok and direct.ok
+    assert fleet.duration_us == direct.duration_us
