@@ -164,17 +164,17 @@ class FaultPlan:
 
     # -- persistence ------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The plan's JSON document as data."""
         recs = []
         for a in self.actions:
             rec = asdict(a)
             rec["kind"] = a.kind
             recs.append(rec)
-        return json.dumps({"seed": self.seed, "actions": recs}, indent=2)
+        return {"seed": self.seed, "actions": recs}
 
     @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "FaultPlan":
         actions = []
         for rec in doc.get("actions", []):
             rec = dict(rec)
@@ -185,6 +185,13 @@ class FaultPlan:
                 raise ValueError(f"unknown fault kind {kind!r}") from None
             actions.append(action_cls(**rec))
         return cls(seed=int(doc.get("seed", 0)), actions=tuple(actions))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> "FaultPlan":
+        return cls.from_dict(json.loads(text))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

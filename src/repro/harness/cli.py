@@ -135,7 +135,6 @@ def _run_fleet(argv) -> int:
 def _run_chaos(args) -> int:
     """Run one fault-injected transfer and report what happened: the
     seed's chaos cell, or a LAN of the same shape under a saved plan."""
-    plan = None
     if args.fault_plan:
         from repro.faults.plan import FaultPlan
         try:
@@ -145,8 +144,9 @@ def _run_chaos(args) -> int:
                   file=sys.stderr)
             return 2
         spec = _checked(RunSpec.lan, args.receivers, 10e6, seed=plan.seed,
-                        nbytes=args.nbytes, sndbuf=128 * 1024,
-                        cfg=CHAOS_TUNING, invariants=True, max_sim_s=120)
+                        nbytes=args.nbytes, plan=plan.to_dict(),
+                        sndbuf=128 * 1024, cfg=CHAOS_TUNING,
+                        invariants=True, max_sim_s=120)
     else:
         spec = _checked(RunSpec.chaos, args.receivers, 10e6,
                         seed=args.chaos_seed, horizon_us=1_000_000,
@@ -154,7 +154,6 @@ def _run_chaos(args) -> int:
     if spec is None:
         return 2
     scenario, kwargs = spec.build()
-    scenario.fault_plan = plan or scenario.fault_plan
     print(scenario.fault_plan.describe())
     obs = tracer = None
     if args.metrics_out:

@@ -51,7 +51,9 @@ class RunSpec:
 
     ``scenario_params`` depend on the scenario:
 
-    * ``lan``   -- ``receivers``, ``bandwidth_bps``, ``seed``
+    * ``lan``   -- ``receivers``, ``bandwidth_bps``, ``seed`` and, for a
+      LAN under a saved fault plan, ``plan`` (the plan's JSON document,
+      :meth:`FaultPlan.to_dict`)
     * ``wan``   -- ``bandwidth_bps``, ``seed`` plus either ``groups``
       (list of characteristic-group names, one receiver each) or
       ``test`` + ``receivers`` (a Figure-14 test case)
@@ -97,7 +99,8 @@ class RunSpec:
             else p.get("receivers", 0)
         if receivers < 1:
             raise ValueError(f"need at least one receiver, got {receivers}")
-        if self.scenario == "chaos" and self.protocol == "tcp":
+        if (self.scenario == "chaos" or "plan" in p) and \
+                self.protocol == "tcp":
             raise ValueError("fault plans are not supported for the "
                              "tcp-like reference (sequential unicast)")
 
@@ -105,11 +108,14 @@ class RunSpec:
 
     @classmethod
     def lan(cls, receivers: int, bandwidth_bps: float, *, seed: int,
-            nbytes: int, **kw: Any) -> "RunSpec":
-        return cls(scenario="lan",
-                   scenario_params={"receivers": int(receivers),
-                                    "bandwidth_bps": float(bandwidth_bps),
-                                    "seed": int(seed)},
+            nbytes: int, plan: Optional[dict] = None,
+            **kw: Any) -> "RunSpec":
+        params: dict[str, Any] = {"receivers": int(receivers),
+                                  "bandwidth_bps": float(bandwidth_bps),
+                                  "seed": int(seed)}
+        if plan is not None:
+            params["plan"] = plan
+        return cls(scenario="lan", scenario_params=params,
                    nbytes=nbytes, **kw)
 
     @classmethod
@@ -157,6 +163,9 @@ class RunSpec:
         if self.scenario == "lan":
             scenario = build_lan(p["receivers"], p["bandwidth_bps"],
                                  seed=p["seed"])
+            if "plan" in p:
+                from repro.faults.plan import FaultPlan
+                scenario.fault_plan = FaultPlan.from_dict(p["plan"])
         elif self.scenario == "wan":
             groups = (expand_test_case(p["test"], p["receivers"])
                       if "test" in p else [_GROUPS[g] for g in p["groups"]])

@@ -131,3 +131,20 @@ def test_a_disk_cell_runs_on_its_spec_seed():
                           disk=True, seed=3)
     assert fleet.ok and direct.ok
     assert fleet.duration_us == direct.duration_us
+
+
+def test_a_fault_plan_is_part_of_the_spec():
+    from repro.faults.plan import FaultPlan
+
+    def lan(plan=None, **kw):
+        return RunSpec.lan(3, 10e6, seed=1, nbytes=1000, plan=plan, **kw)
+
+    plans = [FaultPlan.random(s, n_receivers=3, horizon_us=1_000_000)
+             for s in (1, 2)]
+    specs = [lan()] + [lan(p.to_dict()) for p in plans]
+    assert len({s.content_hash() for s in specs}) == 3
+    assert RunSpec.from_dict(specs[1].to_dict()) == specs[1]
+    assert specs[0].build()[0].fault_plan is None
+    assert [s.build()[0].fault_plan for s in specs[1:]] == plans
+    with pytest.raises(ValueError, match="tcp"):
+        lan(plans[0].to_dict(), protocol="tcp")
