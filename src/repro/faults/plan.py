@@ -186,22 +186,15 @@ class FaultPlan:
             actions.append(action_cls(**rec))
         return cls(seed=int(doc.get("seed", 0)), actions=tuple(actions))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
-
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write(self.to_json())
+            json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
         with open(path) as fh:
-            return cls.from_json(fh.read())
+            return cls.from_dict(json.load(fh))
 
     # -- random generation ------------------------------------------------
 

@@ -34,9 +34,6 @@ __all__ = ["TransferResult", "run_transfer", "PROTOCOLS"]
 
 PROTOCOLS = ("hrmc", "rmc", "ack", "polling", "tcp")
 
-#: the fields that hold live objects of the finished run, not data
-_LIVE = frozenset({"sockets", "obs"})
-
 
 @dataclass
 class TransferResult:
@@ -104,7 +101,7 @@ class TransferResult:
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in _LIVE}
+             if f.name not in ("sockets", "obs")}
         d["sender_stats"] = self.sender_stats.as_dict()
         d["receiver_stats"] = self.receiver_stats.as_dict()
         d["per_receiver"] = [asdict(r) for r in self.per_receiver]
