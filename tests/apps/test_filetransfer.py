@@ -77,3 +77,29 @@ def test_verification_catches_corruption(monkeypatch):
     assert rres.done
     assert not rres.verified
     assert rres.errors
+
+
+def test_a_receiver_killed_mid_copy_unlocks_and_delivers_the_backlog():
+    """A crash kills the application while its copy to user space holds
+    the socket: the lock is released at kill time, and the packets that
+    waited on the backlog reach the protocol then, not never."""
+    sc = build_lan(1, 100e6, seed=21)
+    cfg = HRMCConfig(expected_receivers=1).with_rate_cap(100e6)
+    ssock = open_hrmc_socket(sc.sender, cfg, sndbuf=512 * 1024)
+    rsock = open_hrmc_socket(sc.receivers[0], cfg, rcvbuf=512 * 1024)
+    proc = Process(sc.sim, receiver_app(rsock, group=sc.group_addr,
+                                        port=sc.data_port,
+                                        result=AppResult()))
+    Process(sc.sim, sender_app(ssock, 2_000_000, sport=sc.sender_port,
+                               group=sc.group_addr, port=sc.data_port,
+                               result=AppResult()))
+    transport = rsock.transport
+    while not (transport.sock.locked and transport._backlog):
+        assert sc.sim.step(), "the run ended without a backlogged copy"
+    waiting = len(transport._backlog)
+    before = transport.stats.data_pkts_rcvd
+    proc.kill()
+    assert not proc.alive and proc.error is None
+    assert not transport.sock.locked
+    assert not transport._backlog
+    assert transport.stats.data_pkts_rcvd == before + waiting
