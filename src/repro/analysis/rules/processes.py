@@ -3,9 +3,9 @@
 Sim processes are generator functions driven by
 :class:`repro.sim.process.Process`.  Two bug shapes:
 
-* **bare call** -- ``receiver_app(sock, n)`` as a statement creates the
+* **bare call** -- ``sender_app(sock, n)`` as a statement creates the
   generator and silently discards it; the process never runs.  Must be
-  ``Process(sim, receiver_app(...))`` or ``yield from receiver_app(...)``.
+  ``Process(sim, sender_app(...))`` or ``yield from sender_app(...)``.
 * **wrong awaitable** -- a process may ``yield`` only sim awaitables
   (``Delay``, a ``SimEvent``); yielding a constant or a wall-time call
   like ``time.sleep(...)`` either kills the process with a TypeError at

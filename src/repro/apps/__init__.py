@@ -1,6 +1,6 @@
 """Application models: file transfer (memory or disk backed)."""
 
 from repro.apps.diskmodel import DiskModel
-from repro.apps.filetransfer import sender_app, receiver_app, AppResult
+from repro.apps.filetransfer import AppResult, ReceiverApp, sender_app
 
-__all__ = ["DiskModel", "sender_app", "receiver_app", "AppResult"]
+__all__ = ["DiskModel", "sender_app", "ReceiverApp", "AppResult"]

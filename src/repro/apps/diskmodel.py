@@ -64,8 +64,14 @@ class DiskModel:
         yield Delay(self._op_delay(nbytes))
         return nbytes
 
+    def write_us(self, nbytes: int) -> int:
+        """Account a write of ``nbytes``; returns how long it takes (us).
+        An event-driven application schedules its next step that far
+        ahead."""
+        self.bytes_written += nbytes
+        return self._op_delay(nbytes)
+
     def write(self, nbytes: int):
         """``yield from disk.write(n)`` inside an application process."""
-        self.bytes_written += nbytes
-        yield Delay(self._op_delay(nbytes))
+        yield Delay(self.write_us(nbytes))
         return nbytes

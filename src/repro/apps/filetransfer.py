@@ -1,34 +1,37 @@
 """File-transfer applications (the paper's workload).
 
-Two application processes mirror the experimental methodology:
+Two applications mirror the experimental methodology:
 
-* :func:`sender_app` -- binds, connects to the multicast endpoint, and
-  streams ``nbytes`` of the canonical pattern; in disk mode every chunk
-  is first read from the disk model.
-* :func:`receiver_app` -- joins the group and reads until end of
+* :func:`sender_app` -- a generator process that binds, connects to the
+  multicast endpoint, and streams ``nbytes`` of the canonical pattern;
+  in disk mode every chunk is first read from the disk model.
+* :class:`ReceiverApp` -- joins the group and reads until end of
   stream; in disk mode every chunk is written to the disk model.  The
   received stream is verified against the pattern (cheap offset checks
   on the payload descriptors by default; full byte comparison on
-  demand).
+  demand).  It runs once per received packet on every receiver, so it
+  is a :class:`~repro.sim.process.Process` driven by events rather
+  than by a generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.apps.diskmodel import DiskModel
-from repro.kernel.payload import PatternPayload, pattern_bytes
+from repro.kernel.payload import Payload, PatternPayload, pattern_bytes
 from repro.kernel.socket_api import Socket
+from repro.sim.process import Process
 
-__all__ = ["AppResult", "sender_app", "receiver_app"]
+__all__ = ["AppResult", "ReceiverApp", "sender_app"]
 
 DEFAULT_CHUNK = 64 * 1024
 
 
 @dataclass
 class AppResult:
-    """Filled in by the application processes as they finish."""
+    """Filled in by the applications as they finish."""
 
     name: str = ""
     bytes_done: int = 0
@@ -64,11 +67,8 @@ def sender_app(sock: Socket, nbytes: int, *, sport: int, group: str,
     return result
 
 
-def receiver_app(sock: Socket, *, group: str, port: int, result: AppResult,
-                 disk: Optional[DiskModel] = None,
-                 chunk: int = DEFAULT_CHUNK, verify: str = "offsets",
-                 resume: bool = False):
-    """Generator process: join, read to EOF (verifying), and close.
+class ReceiverApp(Process):
+    """The receiving application: join, read to EOF (verifying), close.
 
     ``verify`` is ``"offsets"`` (check payload descriptors are the
     expected contiguous pattern slices -- zero-copy), ``"bytes"``
@@ -77,50 +77,120 @@ def receiver_app(sock: Socket, *, group: str, port: int, result: AppResult,
     With ``resume=True`` (a receiver rejoining mid-stream, e.g. after a
     crash) verification locks onto the offset of the first delivered
     payload instead of expecting the stream to start at 0.
+
+    Every wake is one engine event, the same events a generator doing
+    ``recv_payloads`` and ``disk.write`` in a loop would cause: it
+    finishes the read in flight (unlock, count, verify, and schedule
+    the disk write if there is a disk), then starts the next one --
+    ``start_read``, and the copy's CPU time with this wake at its end --
+    or waits for ``data_ready``.  At end of stream ``sock.close()`` is
+    driven as a generator.  Killed mid-copy, it unlocks the socket,
+    which hands the backlog to the protocol, as the generator's
+    ``finally`` did.
     """
-    sim = sock.host.sim
-    sock.join(group, port)
-    expected_offset: Optional[int] = None if resume else 0
-    while True:
-        payloads = yield from sock.recv_payloads(chunk)
-        if not payloads:
-            break
-        if expected_offset is None:
-            first = payloads[0]
-            expected_offset = (first.offset
-                               if isinstance(first, PatternPayload) else 0)
-            result.resumed_at_offset = expected_offset
-        start = expected_offset
-        if verify == "offsets":
-            for p in payloads:
-                if isinstance(p, PatternPayload):
-                    if p.offset != expected_offset:
-                        result.verified = False
-                        result.errors.append(
-                            f"offset {p.offset} != expected "
-                            f"{expected_offset}")
-                elif p.tobytes() != pattern_bytes(expected_offset, p.length):
-                    result.verified = False
-                    result.errors.append(
-                        f"bytes mismatch at {expected_offset}")
-                expected_offset += p.length
-        else:
-            for p in payloads:
-                expected_offset += p.length
-            if verify == "bytes":
-                data = b"".join(p.tobytes() for p in payloads)
-                if data != pattern_bytes(start, expected_offset - start):
-                    result.verified = False
-                    result.errors.append(f"bytes mismatch at {start}")
-        got = expected_offset - start
-        result.bytes_done += got
-        if disk is not None:
-            yield from disk.write(got)
-    result.data_done_at_us = sim.now
-    # surface protocol-reported stream damage (RMC's NAK_ERR path)
-    receiver = getattr(sock.transport, "receiver", None)
-    if receiver is not None and getattr(receiver, "error", None):
-        result.errors.append(receiver.error)
-    yield from sock.close()
-    result.finished_at_us = sim.now
-    return result
+
+    def __init__(self, sock: Socket, *, group: str, port: int,
+                 result: AppResult, disk: Optional[DiskModel] = None,
+                 chunk: int = DEFAULT_CHUNK, verify: str = "offsets",
+                 resume: bool = False, name: str = ""):
+        self._sock = sock
+        self._t = sock.transport
+        self._data_ready = sock.sock.data_ready
+        self._group = group
+        self._port = port
+        self._app = result
+        self._disk = disk
+        self._chunk = chunk
+        self._verify = verify
+        self._expected: Optional[int] = None if resume else 0
+        self._joined = False
+        # the payloads whose copy to user space is in flight
+        self._copying: Optional[list[Payload]] = None
+        super().__init__(sock.host.sim, None, name)
+
+    def _resume(self, value: Any) -> None:
+        if not self.alive:
+            return
+        self._waiting_on = None
+        if self._gen is not None:       # closing
+            Process._resume(self, value)
+            return
+        try:
+            payloads = self._copying
+            if payloads is not None:
+                # the copy is over: unlock, then verify and count it
+                self._copying = None
+                self._sock.end_read()
+                app = self._app
+                expected = self._expected
+                if expected is None:
+                    first = payloads[0]
+                    expected = (first.offset
+                                if type(first) is PatternPayload else 0)
+                    app.resumed_at_offset = expected
+                start = expected
+                if self._verify == "offsets":
+                    for p in payloads:
+                        if type(p) is PatternPayload:
+                            if p.offset != expected:
+                                app.verified = False
+                                app.errors.append(
+                                    f"offset {p.offset} != expected "
+                                    f"{expected}")
+                        elif p.tobytes() != pattern_bytes(expected,
+                                                          p.length):
+                            app.verified = False
+                            app.errors.append(
+                                f"bytes mismatch at {expected}")
+                        expected += p.length
+                else:
+                    for p in payloads:
+                        expected += p.length
+                    if self._verify == "bytes":
+                        data = b"".join(p.tobytes() for p in payloads)
+                        if data != pattern_bytes(start, expected - start):
+                            app.verified = False
+                            app.errors.append(f"bytes mismatch at {start}")
+                self._expected = expected
+                app.bytes_done += expected - start
+                if self._disk is not None:
+                    self._sim.call_after(
+                        self._disk.write_us(expected - start),
+                        self._resume, None)
+                    return
+            elif not self._joined:
+                self._sock.join(self._group, self._port)
+                self._joined = True
+            sock = self._sock
+            payloads = sock.start_read(self._chunk)
+            if payloads:
+                self._copying = payloads
+                sock.host.cpu_run(sock.copy_us, self._resume, None)
+            elif self._t.at_eof():
+                self._close()
+            else:
+                self._data_ready._arm(self)
+        except Exception as exc:  # propagate at join time, like Process
+            self._finish(None, exc)
+
+    def _close(self) -> None:
+        """End of stream: record it, surface protocol-reported stream
+        damage (RMC's NAK_ERR path), and run ``sock.close()``."""
+        app = self._app
+        app.data_done_at_us = self._sim.now
+        receiver = getattr(self._t, "receiver", None)
+        if receiver is not None and getattr(receiver, "error", None):
+            app.errors.append(receiver.error)
+        self._gen = self._closing()
+        Process._resume(self, None)
+
+    def _closing(self):
+        yield from self._sock.close()
+        self._app.finished_at_us = self._sim.now
+        return self._app
+
+    def kill(self) -> None:
+        if self.alive and self._copying is not None:
+            self._copying = None
+            self._sock.end_read(copied=False)
+        super().kill()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.core.seq import seq_geq, seq_gt, seq_lt
+from repro.core.seq import SEQ_HALF, seq_gt, seq_lt
 from repro.net.addr import addr_hash
 
 __all__ = ["Member", "MemberTable", "RMC_HTABLE_SIZE"]
@@ -179,7 +179,16 @@ class MemberTable:
         return [m for m in self if seq_lt(m.next_expected, boundary_seq)]
 
     def all_have(self, boundary_seq: int) -> bool:
-        return all(seq_geq(m.next_expected, boundary_seq) for m in self)
+        """Every member is known to have every byte below
+        ``boundary_seq``.  Asked for every skb the sender releases, so
+        it walks the list itself, with ``seq_geq`` spelled inline
+        (tests/core/test_inlined_forms.py)."""
+        node = self._head
+        while node is not None:
+            if (node.next_expected - boundary_seq) & SEQ_HALF:  # seq_lt
+                return False
+            node = node.next
+        return True
 
     # -- invariant check (used by tests) ---------------------------------
 

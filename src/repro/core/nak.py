@@ -46,7 +46,9 @@ class NakList:
     lag per filled gap."""
 
     def __init__(self):
-        self._ranges: list[NakRange] = []
+        #: the pending ranges in order; read-only outside this class
+        #: (a per-packet caller tests it for emptiness without a call)
+        self.ranges: list[NakRange] = []
         self.gaps_opened = 0
         self.gap_bytes = 0
         self.gaps_filled = 0
@@ -55,22 +57,22 @@ class NakList:
         self.lags_us: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._ranges)
+        return len(self.ranges)
 
     def __bool__(self) -> bool:
-        return bool(self._ranges)
+        return bool(self.ranges)
 
     def __iter__(self) -> Iterator[NakRange]:
-        return iter(self._ranges)
+        return iter(self.ranges)
 
     def total_missing(self) -> int:
-        return sum(r.length for r in self._ranges)
+        return sum(r.length for r in self.ranges)
 
     def add_gap(self, start: int, end: int, now_us: int) -> list[NakRange]:
         """Record that [start, end) is missing.  Returns the newly
         created ranges (portions not already tracked)."""
         new: list[NakRange] = []
-        ranges = self._ranges
+        ranges = self.ranges
         cursor, i = start, 0
         while i < len(ranges) and seq_lt(cursor, end):
             rng = ranges[i]
@@ -98,7 +100,7 @@ class NakList:
         if seq_geq(start, end):
             return
         out: list[NakRange] = []
-        for rng in self._ranges:
+        for rng in self.ranges:
             if seq_leq(end, rng.start) or seq_geq(start, rng.end):
                 out.append(rng)  # disjoint
             elif seq_lt(end, rng.end):
@@ -116,7 +118,7 @@ class NakList:
             else:
                 self.gaps_filled += 1
                 self.lags_us.append(now_us - rng.created_us)
-        self._ranges = out
+        self.ranges = out
 
     def fill_below(self, seq: int, now_us: int, *,
                    abandon: bool = False) -> None:
@@ -124,7 +126,7 @@ class NakList:
         closes were filled at ``now_us`` or, when a NAK_ERR moved
         ``seq`` past them (``abandon``), given up."""
         out = []
-        for rng in self._ranges:
+        for rng in self.ranges:
             if seq_leq(rng.end, seq):
                 if abandon:
                     self.gaps_abandoned += 1
@@ -135,7 +137,7 @@ class NakList:
             if seq_lt(rng.start, seq):
                 rng.start = seq
             out.append(rng)
-        self._ranges = out
+        self.ranges = out
 
     #: re-NAK interval growth per unanswered try, and its cap
     BACKOFF = 2.0
@@ -151,7 +153,7 @@ class NakList:
         range held back is a re-NAK the timer suppressed.
         """
         out = []
-        for r in self._ranges:
+        for r in self.ranges:
             interval = min(
                 suppress_interval_us * (self.BACKOFF ** min(r.tries, 8)),
                 self.MAX_INTERVAL_US)
@@ -166,4 +168,4 @@ class NakList:
         rng.tries += 1
 
     def first(self) -> Optional[NakRange]:
-        return self._ranges[0] if self._ranges else None
+        return self.ranges[0] if self.ranges else None

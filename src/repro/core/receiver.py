@@ -289,7 +289,8 @@ class HRMCReceiver:
         if self.cfg.local_recovery and payload is not None:
             self._cache_for_repair(skb.seq, skb.length, payload)
         self.rcv_nxt = end
-        self.naks.fill_below(end, self.sim.now)
+        if self.naks.ranges:        # no NAK pending: nothing to fill
+            self.naks.fill_below(end, self.sim.now)
         self.sock.data_ready.fire()
 
     def _cache_for_repair(self, seq: int, length: int,
@@ -656,6 +657,8 @@ class HRMCReceiver:
             read_to = (skb.seq + want) & SEQ_MASK       # seq_add
             if (self.rcv_wnd - read_to) & SEQ_HALF:
                 self.rcv_wnd = read_to
+            if not q.bytes:     # each skb adds its truesize (> 0) to it
+                break           # empty: no second dequeue to find out
         if self.eof_seq is not None and not self.sock.receive_queue and \
                 seq_geq(self.rcv_wnd, self.eof_seq):
             self.eof_reached = True

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 from repro.apps.diskmodel import DiskModel
-from repro.apps.filetransfer import AppResult, receiver_app, sender_app
+from repro.apps.filetransfer import AppResult, ReceiverApp, sender_app
 from repro.core.config import HRMCConfig
 from repro.core.protocol import open_hrmc_socket
 from repro.kernel.socket_api import Socket
@@ -231,14 +231,12 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
         rsocks = [_open_socket(protocol, h, base, sndbuf=sndbuf,
                                rcvbuf=rcvbuf, n_receivers=n)
                   for h in scenario.receivers]
-        rprocs = []
-        for i, rsock in enumerate(rsocks):
-            rprocs.append(
-                Process(sim, receiver_app(rsock, group=scenario.group_addr,
-                                          port=scenario.data_port,
-                                          result=receiver_results[i],
-                                          disk=disks.get(i), chunk=chunk,
-                                          verify=verify), name=f"rcv{i}"))
+        rprocs = [ReceiverApp(rsock, group=scenario.group_addr,
+                              port=scenario.data_port,
+                              result=receiver_results[i],
+                              disk=disks.get(i), chunk=chunk,
+                              verify=verify, name=f"rcv{i}")
+                  for i, rsock in enumerate(rsocks)]
         sproc = Process(sim, sender_app(ssock, nbytes,
                                         sport=scenario.sender_port,
                                         group=scenario.group_addr,
@@ -274,11 +272,10 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
             res = AppResult(name=f"rcv{idx}-rejoin")
             rejoin_results.append(res)
             procs.append(
-                Process(sim, receiver_app(sock, group=scenario.group_addr,
-                                          port=scenario.data_port,
-                                          result=res, chunk=chunk,
-                                          verify=verify, resume=True),
-                        name=f"rcv{idx}-rejoin"))
+                ReceiverApp(sock, group=scenario.group_addr,
+                            port=scenario.data_port, result=res,
+                            chunk=chunk, verify=verify, resume=True,
+                            name=f"rcv{idx}-rejoin"))
             if checker is not None:
                 checker.watch_receiver(sock.transport)
 
@@ -327,13 +324,11 @@ def _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf, sender_result,
         rsock = Socket(TcpLikeTransport(rhost, sndbuf=sndbuf,
                                         rcvbuf=rcvbuf))
         rsocks.append(rsock)
-        procs.append(Process(
-            sim,
-            receiver_app(rsock, group=rhost.addr,
-                         port=scenario.data_port,
-                         result=receiver_results[i],
-                         disk=disks.get(i), chunk=chunk, verify=verify),
-            name=f"tcp-rcv{i}"))
+        procs.append(ReceiverApp(rsock, group=rhost.addr,
+                                 port=scenario.data_port,
+                                 result=receiver_results[i],
+                                 disk=disks.get(i), chunk=chunk,
+                                 verify=verify, name=f"tcp-rcv{i}"))
 
     def orchestrate():
         total = 0

@@ -16,6 +16,7 @@ since the lower-layer work overlaps with NIC DMA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Callable
 
 from repro.net.packet import NetPacket
@@ -76,10 +77,13 @@ class CostModel:
     per_byte_us: float = 0.025
     copy_per_byte_us: float = 0.005   # recvmsg/sendmsg copy_to/from_user
     syscall_us: float = 10.0
-    # rx_cost by size, filled on first use: a run sees a handful of
-    # packet sizes and a frozen instance's entries never go stale
+    # rx_cost and copy_cost by size, filled on first use: a run sees a
+    # handful of packet and read sizes and a frozen instance's entries
+    # never go stale
     _rx_memo: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _copy_memo: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def proto_cost(self, nbytes: int) -> int:
         return round(self.per_packet_us + self.per_byte_us * nbytes)
@@ -101,7 +105,12 @@ class CostModel:
             return cost
 
     def copy_cost(self, nbytes: int) -> int:
-        return round(self.syscall_us + self.copy_per_byte_us * nbytes)
+        try:
+            return self._copy_memo[nbytes]
+        except KeyError:
+            cost = self._copy_memo[nbytes] = \
+                round(self.syscall_us + self.copy_per_byte_us * nbytes)
+            return cost
 
 
 class _CpuWork:
@@ -162,19 +171,34 @@ class Host:
         """Run ``fn(*args)`` after ``cost_us`` of CPU time, serialized
         with all other work on this host.  Arguments ride the engine
         entry itself so per-packet hot paths need no closure
-        allocation."""
+        allocation.
+
+        Two or three of these run per packet per host, so the entry is
+        built here rather than by a call to ``Simulator.call_at``: the
+        same ``[time, order, callback, args, cause]`` list (DESIGN.md
+        S1), at an ``int`` time never earlier than now."""
+        sim = self.sim
         end = self._cpu_busy_until
-        if end < self.sim.now:
-            end = self.sim.now
+        if end < sim.now:
+            end = sim.now
         if cost_us > 0:
             end += int(cost_us)
         self._cpu_busy_until = end
-        self.sim.call_at(end, fn, *args)
+        watch = sim.watch
+        heappush(sim._heap, [end, sim._order, fn, args,
+                             watch.current if watch is not None else 0])
+        sim._order += 1
+        sim._live += 1
 
     def _rx_cost(self, pkt: NetPacket) -> int:
         """The NIC's ``rx_cost_fn``; reads ``self.cost`` per packet, so
-        a cost model replaced after construction takes effect."""
-        return self.cost.rx_cost(pkt.seg_bytes)
+        a cost model replaced after construction takes effect.  A size
+        already seen is read from the model's memo without a call."""
+        cost = self.cost
+        try:
+            return cost._rx_memo[pkt.seg_bytes]
+        except KeyError:
+            return cost.rx_cost(pkt.seg_bytes)
 
     def cpu_exec(self, cost_us: int) -> tuple[_CpuWork]:
         """``yield from host.cpu_exec(c)`` inside an application process

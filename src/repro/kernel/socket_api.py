@@ -5,7 +5,9 @@ the sender binds, connects to a multicast address/port and calls
 ``send``; the receiver joins the group and calls ``recv``; both call
 ``close``.  Calls that would block in a kernel (``send`` with a full
 send buffer, ``recv`` with an empty receive queue) are generators that
-suspend the calling simulated process.
+suspend the calling simulated process.  A reader that is not a
+generator (the file-transfer receiver) takes the same read step through
+:meth:`Socket.start_read` and :meth:`Socket.end_read`.
 
 The facade works with any transport exposing the small protocol-side
 interface documented on :class:`Socket`.
@@ -46,6 +48,9 @@ class Socket:
         self._unlock = getattr(transport, "unlock", None)
         self.bytes_sent = 0
         self.bytes_received = 0
+        # the read in flight (see start_read): its size and CPU cost
+        self._copy_bytes = 0
+        self.copy_us = 0
 
     @property
     def transport(self):
@@ -100,26 +105,51 @@ class Socket:
         materializing bytes (the fast path for large benchmarks).
         Returns ``[]`` at end of stream."""
         while True:
-            chunks = self._t.recvmsg(max_bytes)
+            chunks = self.start_read(max_bytes)
             if chunks:
-                nbytes = 0
-                for c in chunks:
-                    nbytes += c.length
-                # the socket is locked while copying to user space;
-                # arriving packets queue on the transport backlog
-                if self._lock is not None:
-                    self._lock()
                 try:
-                    yield from self.host.cpu_exec(
-                        self.host.cost.copy_cost(nbytes))
-                finally:
-                    if self._unlock is not None:
-                        self._unlock()
-                self.bytes_received += nbytes
+                    yield from self.host.cpu_exec(self.copy_us)
+                except BaseException:
+                    self.end_read(copied=False)
+                    raise
+                self.end_read()
                 return chunks
             if self._t.at_eof():
                 return []
             yield self.sock.data_ready
+
+    # -- the read step, for readers that are not generators ---------------
+
+    def start_read(self, max_bytes: int) -> list[Payload]:
+        """Take up to ``max_bytes`` of in-order payload without
+        blocking.  If there is any, the socket is locked while it is
+        copied to user space -- arriving packets queue on the transport
+        backlog -- and :attr:`copy_us` is the copy's CPU cost; the
+        caller charges it to the host and then calls :meth:`end_read`.
+        Returns ``[]`` when nothing is queued."""
+        chunks = self._t.recvmsg(max_bytes)
+        if chunks:
+            nbytes = 0
+            for c in chunks:
+                nbytes += c.length
+            if self._lock is not None:
+                self._lock()
+            self._copy_bytes = nbytes
+            cost = self.host.cost    # a size already seen: no call
+            try:
+                self.copy_us = cost._copy_memo[nbytes]
+            except KeyError:
+                self.copy_us = cost.copy_cost(nbytes)
+        return chunks
+
+    def end_read(self, copied: bool = True) -> None:
+        """The copy begun by :meth:`start_read` is over: unlock, which
+        hands the backlog to the protocol, and count the bytes unless
+        the reader died mid-copy (``copied=False``)."""
+        if self._unlock is not None:
+            self._unlock()
+        if copied:
+            self.bytes_received += self._copy_bytes
 
     # -- teardown ---------------------------------------------------------
 

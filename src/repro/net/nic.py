@@ -44,6 +44,10 @@ class MediumPort(Protocol):
                   end_us: int) -> None: ...
 
 
+def _no_rx_cost(pkt: NetPacket) -> int:
+    return 0
+
+
 class NetworkInterface:
     """A host's network interface.
 
@@ -82,10 +86,11 @@ class NetworkInterface:
         self._groups: set[str] = set()
         self._rx_queue: deque[NetPacket] = deque()
         self._rx_active = False
-        # set by the owning Host
+        # set by the owning Host; a card with no host drains its RX
+        # ring at no cost, one frame per engine event
         self.rx_handler: Optional[Callable[[NetPacket], None]] = None
-        self.rx_cost_fn: Optional[Callable[[NetPacket], int]] = None
-        self.cpu_run: Optional[Callable[..., None]] = None
+        self.rx_cost_fn: Callable[[NetPacket], int] = _no_rx_cost
+        self.cpu_run: Callable[..., None] = sim.call_after
         # counters
         self.tx_packets = 0
         self.rx_packets = 0
@@ -247,35 +252,35 @@ class NetworkInterface:
             return
         self._rx_queue.append(pkt)
         if not self._rx_active:
+            # an idle ring starts on this frame at once: its CPU work,
+            # or the "assigned delay" of the paper's network-interface
+            # process first (the same two lines end _rx_done)
             self._rx_active = True
-            self._rx_next()
-
-    def _rx_next(self) -> None:
-        if not self._rx_queue:
-            self._rx_active = False
-            return
-        pkt = self._rx_queue[0]
-        if self.rx_delay_us:
-            # the "assigned delay" of the paper's network-interface process
-            self.sim.call_after(self.rx_delay_us, self._rx_process, pkt)
-        else:
-            self._rx_process(pkt)
+            if self.rx_delay_us:
+                self.sim.call_after(self.rx_delay_us, self._rx_process, pkt)
+            else:
+                self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)
 
     def _rx_process(self, pkt: NetPacket) -> None:
+        """The head frame's ``rx_delay_us`` is over: start its CPU work."""
         if not self._rx_queue or self._rx_queue[0] is not pkt:
             return  # ring torn down (power_off) while waiting for rx_delay
-        cost = self.rx_cost_fn(pkt) if self.rx_cost_fn else 0
-        if self.cpu_run is not None:
-            self.cpu_run(cost, self._rx_done, pkt)
-        else:
-            self.sim.call_after(cost, self._rx_done, pkt)
+        self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)
 
     def _rx_done(self, pkt: NetPacket) -> None:
-        if not self._rx_queue or self._rx_queue[0] is not pkt:
+        queue = self._rx_queue
+        if not queue or queue[0] is not pkt:
             return  # ring torn down (power_off) while the CPU worked on it
-        self._rx_queue.popleft()
+        queue.popleft()
         self.rx_packets += 1
         self.rx_bytes += pkt.wire_bytes
         if self.rx_handler is not None:
             self.rx_handler(pkt)
-        self._rx_next()
+        if not queue:
+            self._rx_active = False
+            return
+        pkt = queue[0]
+        if self.rx_delay_us:
+            self.sim.call_after(self.rx_delay_us, self._rx_process, pkt)
+        else:
+            self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)

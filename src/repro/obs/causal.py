@@ -63,7 +63,6 @@ __all__ = ["CauseNode", "LineageRecorder", "load_lineage", "walk_chain"]
 _PTYPE_NAMES = {int(t): t.name for t in PacketType}
 _DATA = int(PacketType.DATA)
 _FIRE = Timer._fire
-_RESUME = Process._resume
 
 
 def walk_chain(nodes, start, max_depth: int = 64):
@@ -200,7 +199,9 @@ class LineageRecorder:
                 # its host
                 self.emit("timeout", getattr(timer._sim, "host_addr", ""),
                           timer.name)
-        elif fn is _RESUME:
+        elif fn is not None and fn.__name__ == "_resume" and \
+                isinstance(callback.__self__, Process):
+            # Process._resume, or an event-driven subclass's own
             proc = callback.__self__
             if proc.alive and proc.name:
                 self.emit("wake", "", proc.name)

@@ -1,6 +1,6 @@
-"""Tests for the file-transfer application processes."""
+"""Tests for the file-transfer applications."""
 
-from repro.apps.filetransfer import AppResult, receiver_app, sender_app
+from repro.apps.filetransfer import AppResult, ReceiverApp, sender_app
 from repro.core.config import HRMCConfig
 from repro.core.protocol import open_hrmc_socket
 from repro.sim.process import Process
@@ -21,9 +21,8 @@ def run_apps(nbytes, *, disk=False, verify="offsets", n=2):
         disks = {i: DiskModel(sc.sim, seed=i, name=f"d{i}")
                  for i in range(n)}
     for i, rsock in enumerate(rsocks):
-        Process(sc.sim, receiver_app(rsock, group=sc.group_addr,
-                                     port=sc.data_port, result=rres[i],
-                                     disk=disks.get(i), verify=verify))
+        ReceiverApp(rsock, group=sc.group_addr, port=sc.data_port,
+                    result=rres[i], disk=disks.get(i), verify=verify)
     Process(sc.sim, sender_app(ssock, nbytes, sport=sc.sender_port,
                                group=sc.group_addr, port=sc.data_port,
                                result=sres))
@@ -67,8 +66,7 @@ def test_verification_catches_corruption(monkeypatch):
                 if isinstance(p, PatternPayload) else p for p in out]
 
     monkeypatch.setattr(rsock.transport.__class__, "recvmsg", corrupt)
-    Process(sc.sim, receiver_app(rsock, group=sc.group_addr,
-                                 port=sc.data_port, result=rres))
+    ReceiverApp(rsock, group=sc.group_addr, port=sc.data_port, result=rres)
     sres = AppResult()
     Process(sc.sim, sender_app(ssock, 50_000, sport=sc.sender_port,
                                group=sc.group_addr, port=sc.data_port,
@@ -87,9 +85,8 @@ def test_a_receiver_killed_mid_copy_unlocks_and_delivers_the_backlog():
     cfg = HRMCConfig(expected_receivers=1).with_rate_cap(100e6)
     ssock = open_hrmc_socket(sc.sender, cfg, sndbuf=512 * 1024)
     rsock = open_hrmc_socket(sc.receivers[0], cfg, rcvbuf=512 * 1024)
-    proc = Process(sc.sim, receiver_app(rsock, group=sc.group_addr,
-                                        port=sc.data_port,
-                                        result=AppResult()))
+    proc = ReceiverApp(rsock, group=sc.group_addr, port=sc.data_port,
+                       result=AppResult())
     Process(sc.sim, sender_app(ssock, 2_000_000, sport=sc.sender_port,
                                group=sc.group_addr, port=sc.data_port,
                                result=AppResult()))

@@ -64,23 +64,26 @@ def test_every_protocol_produces_result(protocol):
 # -- a run that lost a process is a failed run -------------------------------
 
 def _dying_receiver_app(name: str):
-    """`receiver_app`, except that receiver ``name`` joins, reads one
-    chunk and then hits an error no protocol code handles."""
-    from repro.apps.filetransfer import receiver_app
+    """`ReceiverApp`, except that receiver ``name`` writes to a full
+    disk: it joins, reads one chunk and then hits an error no protocol
+    code handles."""
+    from repro.apps.filetransfer import ReceiverApp
+
+    class FullDisk:
+        def write_us(self, nbytes):
+            raise OSError("disk full")
 
     def app(sock, *, result, **kw):
-        if result.name != name:
-            return (yield from receiver_app(sock, result=result, **kw))
-        sock.join(kw["group"], kw["port"])
-        yield from sock.recv_payloads(kw["chunk"])
-        raise OSError("disk full")
+        if result.name == name:
+            kw["disk"] = FullDisk()
+        return ReceiverApp(sock, result=result, **kw)
 
     return app
 
 
 def test_a_process_that_dies_mid_transfer_fails_the_run(monkeypatch):
     from repro.harness import runner
-    monkeypatch.setattr(runner, "receiver_app", _dying_receiver_app("rcv1"))
+    monkeypatch.setattr(runner, "ReceiverApp", _dying_receiver_app("rcv1"))
     sc = build_lan(2, 10e6, seed=45)
     with pytest.raises(RuntimeError, match="'rcv1'.*disk full") as info:
         run_transfer(sc, nbytes=200_000, sndbuf=64 * 1024, max_sim_s=30)
@@ -94,7 +97,7 @@ def test_a_failed_run_is_not_cached(monkeypatch, tmp_path):
     from repro.fleet import Fleet
     from repro.harness import runner
     from repro.workloads.spec import RunSpec
-    monkeypatch.setattr(runner, "receiver_app", _dying_receiver_app("rcv1"))
+    monkeypatch.setattr(runner, "ReceiverApp", _dying_receiver_app("rcv1"))
     spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000, max_sim_s=30)
     fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"))
     results = fleet.run_specs([spec], strict=False)
