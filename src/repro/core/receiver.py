@@ -195,7 +195,8 @@ class HRMCReceiver:
     # _on_data, _integrate, _flow_control and recvmsg run once per
     # packet and spell their core.seq / classify_fill arithmetic inline,
     # each form named by the definition it is tested against
-    # (tests/core/test_inlined_forms.py); nothing else may.
+    # (tests/core/test_inlined_forms.py); nothing else may, but for the
+    # sender's release check, MemberTable.all_have.
 
     def _on_data(self, skb: SKBuff, src: str = "") -> None:
         self.stats.data_pkts_rcvd += 1

@@ -1,8 +1,9 @@
-"""The receiver's per-packet functions against the definitions they inline.
+"""The per-packet functions against the definitions they inline.
 
-``_on_data``, ``_integrate``, ``_flow_control`` and ``recvmsg`` spell
-their ``core.seq`` comparisons and ``classify_fill``'s safe region
-inline (DESIGN.md 5g, "Call budget").  ``core/seq.py`` and
+The receiver's ``_on_data``, ``_integrate``, ``_flow_control`` and
+``recvmsg`` spell their ``core.seq`` comparisons and ``classify_fill``'s
+safe region inline, and so does the sender's release check,
+``MemberTable.all_have`` (DESIGN.md 5g, "Call budget").  ``core/seq.py`` and
 ``core/window.py`` stay the definitions: each test drives the real
 method from a hand-set state and requires the outcome the definitions
 give, at the distances where a 32-bit comparison can go wrong -- 0, 1,
@@ -15,11 +16,13 @@ import itertools
 
 import pytest
 
-from repro.core.seq import (SEQ_MASK, seq_add, seq_gt, seq_leq, seq_max,
-                            seq_sub)
+from repro.core.membership import MemberTable
+from repro.core.seq import (SEQ_MASK, seq_add, seq_geq, seq_gt, seq_leq,
+                            seq_max, seq_sub)
 from repro.core.types import URG, PacketType
 from repro.core.window import Region, classify_fill, window_fill
 from repro.harness.experiments import BUFFERS_BIG_K
+from repro.kernel.payload import PatternPayload
 from repro.kernel.skbuff import SKBuff
 from repro.sim.engine import Simulator
 
@@ -174,3 +177,34 @@ def test_recvmsg_moves_the_window_origin_like_seq_max(origin, partial):
         r.recvmsg(take)
         assert r.rcv_wnd == want, (origin, lead, partial)
         assert len(r.sock.receive_queue) == (1 if partial else 0)
+
+
+def test_recvmsg_reads_every_queued_skb_and_stops_after_the_last():
+    """It ends its loop on the queue's byte count instead of a second
+    dequeue; across the wrap, every queued skb is still read."""
+    origin = 2**32 - 150
+    r, _ = receiver()
+    r.rcv_wnd = r.rcv_nxt = r.highest_seen = origin
+    for i in range(3):
+        skb = segment(seq_add(origin, 100 * i), 100)
+        skb.payload = PatternPayload(100 * i, 100)
+        r.sock.receive_queue.enqueue(skb)
+    got = r.recvmsg(10**6)
+    assert [(p.offset, p.length) for p in got] == \
+        [(0, 100), (100, 100), (200, 100)]
+    assert not r.sock.receive_queue and r.sock.receive_queue.bytes == 0
+    assert r.rcv_wnd == seq_add(origin, 300)
+    assert r.recvmsg(10**6) == []
+
+
+# -- the release check is seq_geq over every member ----------------------
+
+@pytest.mark.parametrize("origin", ORIGINS)
+def test_all_have_is_seq_geq_for_every_member(origin):
+    for lags in itertools.product(EDGES, repeat=2):
+        t = MemberTable()
+        for i, lag in enumerate(lags):
+            t.add(f"10.0.0.{i + 2}", (origin - lag) & SEQ_MASK, 0)
+        want = all(seq_geq(m.next_expected, origin) for m in t)
+        assert t.all_have(origin) == want, (origin, lags)
+    assert MemberTable().all_have(origin)

@@ -10,7 +10,11 @@ under a ceiling per packet the sender put on the wire, which catches
 event inflation without looking at a clock.  The ACK, polling and
 TCP-like baselines are pinned on `wan-case-3`'s world as well
 (`wan-case-3-<protocol>`), so a change to their shared transport shows
-which of them it moved.
+which of them it moved.  `lan-2-crash-rejoin` crashes a receiver while
+its application holds the socket lock for a copy, with a packet on the
+backlog, and restarts it: an application that left the lock held when
+killed would never deliver that packet, and the statistics hash would
+move.
 
 The packet history is hashed per instant and host: every event, its
 timestamp and each host's own order of events are pinned; the order in
@@ -166,52 +170,59 @@ PINNED = {
 
 
 #: name -> ceiling on profiled calls per packet sent, bare run.
-#: Comments: today / before the per-packet call ladder was flattened /
-#: while every receiver got its own copy of every frame and skb.
+#: Comments: today / while the receiving application was a generator
+#: chain / before the per-packet call ladder was flattened / while every
+#: receiver got its own copy of every frame and skb.
 CALLS_PER_PACKET = {
-    "lan-2": 174.0,                 # 168.4 / 313.7 / 178.2
-    "lan-2-long": 174.0,            # 168.4 / 313.8 / 178.2
-    "lan-40": 2_486.0,              # 2 412.3 / 5 214.2 / 2 679.2
-    "wan-case-3": 1_036.5,          # 1 001.6 / 2 719.9 / 1 051.0 (2 126.4
-                                    # while loss recovery scanned its state)
-    "lan-disk": 222.5,              # 215.5 / 412.9 / 231.5
-    # today / while each baseline had its own write path (in flight
-    # summed the unsent queue; every segment built a BaselineType)
-    "wan-case-3-ack": 2_077.0,      # 2 016.5 / 2 687.8
-    "wan-case-3-polling": 907.0,    # 880.4 / 927.2
-    "wan-case-3-tcp": 424.0,        # 411.6 / 1 116.8
-    "lan-2-crash-rejoin": 143.0,    # 138.7
+    "lan-2": 131.5,                 # 127.5 / 168.4 / 313.7 / 178.2
+    "lan-2-long": 131.5,            # 127.4 / 168.4 / 313.8 / 178.2
+    "lan-40": 1_850.0,              # 1 796.3 / 2 412.3 / 5 214.2 / 2 679.2
+    "wan-case-3": 858.0,            # 833.1 / 1 001.6 / 2 719.9 / 1 051.0
+                                    # (2 126.4 while loss recovery
+                                    # scanned its state)
+    "lan-disk": 174.0,              # 169.1 / 215.5 / 412.9 / 231.5
+    # today / while the receiving application was a generator chain /
+    # while each baseline had its own write path (in flight summed the
+    # unsent queue; every segment built a BaselineType)
+    "wan-case-3-ack": 1_897.0,      # 1 841.7 / 2 016.5 / 2 687.8
+    "wan-case-3-polling": 782.5,    # 759.5 / 880.4 / 927.2
+    "wan-case-3-tcp": 402.5,        # 390.6 / 411.6 / 1 116.8
+    "lan-2-crash-rejoin": 114.0,    # 110.5 / 138.7
 }
 
 
 #: name -> instrument -> ceiling on the same count with
 #: `Observability(<instrument>=True)` attached (the span collector and
-#: the gauges ride along with each).  Comments: today / before the
-#: packet seam stopped building a record per tapped packet and the two
-#: profilers were folded into one table.  `profile` on `lan-2` is to
-#: stay under 1.30x the bare figure (1.26x today, 1.47x before).  The
-#: causal recorder is the engine's one watch, so a `lineage` run makes
-#: one `execute` call per engine event that the engine used to inline;
-#: each `lineage` ceiling rose by at most the run's events per packet
-#: (7.5 / 7.5 / 92.7 / 47.2 / 9.3) when that call arrived.
-#: Protocol health has no row: it is a read of the bare run, which
-#: `CALLS_PER_PACKET` already bounds.
+#: the gauges ride along with each).  Comments: today / while the
+#: receiving application was a generator chain / before the packet seam
+#: stopped building a record per tapped packet and the two profilers
+#: were folded into one table.  What `profile` adds on `lan-2` is the
+#: profiler's own cost per engine event, about 43 calls per packet both
+#: before and after the receiving application ran as events; the bare
+#: count fell under it, so the ratio rose by construction, from 1.26x
+#: to 1.34x bare (1.47x before the seam was folded).  The causal
+#: recorder is the engine's one watch, so a `lineage` run makes one
+#: `execute` call per engine event that the engine used to inline; each
+#: `lineage` ceiling rose by at most the run's events per packet (7.5 /
+#: 7.5 / 92.7 / 47.2 / 9.3) when that call arrived.  Protocol health
+#: has no row: it is a read of the bare run, which `CALLS_PER_PACKET`
+#: already bounds.
 OBSERVED_CALLS_PER_PACKET = {
     "lan-2": {
-        "profile": 218.5,           # 211.6 / 263.7
-        "lineage": 239.5},          # 232.5 / 244.4 (was 232.0: + execute)
+        "profile": 176.0,           # 170.8 / 211.6 / 263.7
+        "lineage": 199.5},          # 193.8 / 232.5 / 244.4
     "lan-2-long": {
-        "profile": 218.0,           # 211.2 / 263.4
-        "lineage": 238.5},          # 231.4 / 244.0 (was 231.0: + execute)
+        "profile": 175.5,           # 170.3 / 211.2 / 263.4
+        "lineage": 198.5},          # 192.5 / 231.4 / 244.0
     "lan-40": {
-        "profile": 3_159.0,         # 3 065.9 / 3 974.6
-        "lineage": 3_528.0},        # 3 427.1 / 3 832.6 (was 3 436: + execute)
+        "profile": 2_523.5,         # 2 449.9 / 3 065.9 / 3 974.6
+        "lineage": 2_939.0},        # 2 853.4 / 3 427.1 / 3 832.6
     "wan-case-3": {
-        "profile": 1_379.0,         # 1 333.9 / 2 676.6
-        "lineage": 1_451.5},        # 1 409.3 / 2 530.7 (was 1 407: + execute)
+        "profile": 1_200.5,         # 1 165.4 / 1 333.9 / 2 676.6
+        "lineage": 1_291.5},        # 1 253.9 / 1 409.3 / 2 530.7
     "lan-disk": {
-        "profile": 286.0,           # 277.1 / 356.4
-        "lineage": 316.0},          # 307.1 / 335.1 (was 307.5: + execute)
+        "profile": 237.5,           # 230.6 / 277.1 / 356.4
+        "lineage": 270.0},          # 262.2 / 307.1 / 335.1
 }
 
 

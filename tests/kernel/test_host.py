@@ -37,11 +37,14 @@ def test_cost_model_formulas():
 
 def test_rx_cost_memo_is_per_cost_model_and_matches_the_formula():
     fast = CostModel()
-    slow = CostModel(lower_layer_us=400.4, per_byte_us=0.1)
+    slow = CostModel(lower_layer_us=400.4, per_byte_us=0.1,
+                     syscall_us=20.5, copy_per_byte_us=0.01)
     for _ in range(2):                      # second pass reads the memo
         for n in (0, 20, 1020, 1480, 9000):
             assert fast.rx_cost(n) == 150 + round(10 + 0.025 * n)
             assert slow.rx_cost(n) == round(400.4) + slow.proto_cost(n)
+            assert fast.copy_cost(n) == round(10 + 0.005 * n)
+            assert slow.copy_cost(n) == round(20.5 + 0.01 * n)
     # the memo is bookkeeping, not identity
     assert fast == CostModel() and hash(fast) == hash(CostModel())
     assert "memo" not in repr(fast)
