@@ -44,6 +44,9 @@ class HRMCTransport(Transport):
         self._backlog: deque[tuple[SKBuff, str]] = deque()
         # the role's packet processor, known from connect/join onward
         self._deliver: Optional[Callable[[SKBuff, str], None]] = None
+        # hrmc_recvmsg: the receiver's own, from join onward (the
+        # socket calls it once per read)
+        self.recvmsg: Callable[[int], list[Payload]] = self._not_receiving
 
     # -- connection management (hrmc_bind / hrmc_connect) ---------------
 
@@ -81,6 +84,7 @@ class HRMCTransport(Transport):
         self.sock.tp_pinfo = self.receiver = HRMCReceiver(
             self.host, self.sock, self.cfg, self.stats)
         self._deliver = self.receiver.segment_received
+        self.recvmsg = self.receiver.recvmsg
         self.receiver.start()
 
     # -- host dispatch --------------------------------------------------
@@ -111,10 +115,8 @@ class HRMCTransport(Transport):
             raise RuntimeError("not a sending socket")
         return self.sender.sendmsg_some(payload)
 
-    def recvmsg(self, max_bytes: int) -> list[Payload]:
-        if self.receiver is None:
-            raise RuntimeError("not a receiving socket")
-        return self.receiver.recvmsg(max_bytes)
+    def _not_receiving(self, max_bytes: int) -> list[Payload]:
+        raise RuntimeError("not a receiving socket")
 
     def at_eof(self) -> bool:
         return self.receiver is not None and self.receiver.at_eof()

@@ -51,6 +51,7 @@ def test_disk_receivers_complete():
 
 def test_verification_catches_corruption(monkeypatch):
     """A receiver that delivers wrong offsets must fail verification."""
+    from repro.core.receiver import HRMCReceiver
     from repro.kernel.payload import PatternPayload
     sc = build_lan(1, 10e6, seed=22)
     cfg = HRMCConfig(expected_receivers=1).with_rate_cap(10e6)
@@ -58,14 +59,14 @@ def test_verification_catches_corruption(monkeypatch):
     rsock = open_hrmc_socket(sc.receivers[0], cfg, rcvbuf=128 * 1024)
     rres = AppResult()
 
-    orig = rsock.transport.__class__.recvmsg
+    orig = HRMCReceiver.recvmsg
 
     def corrupt(self, max_bytes):
         out = orig(self, max_bytes)
         return [PatternPayload(p.offset + 1, p.length)
                 if isinstance(p, PatternPayload) else p for p in out]
 
-    monkeypatch.setattr(rsock.transport.__class__, "recvmsg", corrupt)
+    monkeypatch.setattr(HRMCReceiver, "recvmsg", corrupt)
     ReceiverApp(rsock, group=sc.group_addr, port=sc.data_port, result=rres)
     sres = AppResult()
     Process(sc.sim, sender_app(ssock, 50_000, sport=sc.sender_port,

@@ -174,20 +174,20 @@ PINNED = {
 #: chain / before the per-packet call ladder was flattened / while every
 #: receiver got its own copy of every frame and skb.
 CALLS_PER_PACKET = {
-    "lan-2": 131.5,                 # 127.5 / 168.4 / 313.7 / 178.2
-    "lan-2-long": 131.5,            # 127.4 / 168.4 / 313.8 / 178.2
-    "lan-40": 1_850.0,              # 1 796.3 / 2 412.3 / 5 214.2 / 2 679.2
-    "wan-case-3": 858.0,            # 833.1 / 1 001.6 / 2 719.9 / 1 051.0
+    "lan-2": 129.5,                 # 125.5 / 168.4 / 313.7 / 178.2
+    "lan-2-long": 129.5,            # 125.4 / 168.4 / 313.8 / 178.2
+    "lan-40": 1_807.0,              # 1 754.3 / 2 412.3 / 5 214.2 / 2 679.2
+    "wan-case-3": 845.0,            # 820.1 / 1 001.6 / 2 719.9 / 1 051.0
                                     # (2 126.4 while loss recovery
                                     # scanned its state)
-    "lan-disk": 174.0,              # 169.1 / 215.5 / 412.9 / 231.5
+    "lan-disk": 173.5,              # 168.4 / 215.5 / 412.9 / 231.5
     # today / while the receiving application was a generator chain /
     # while each baseline had its own write path (in flight summed the
     # unsent queue; every segment built a BaselineType)
-    "wan-case-3-ack": 1_897.0,      # 1 841.7 / 2 016.5 / 2 687.8
-    "wan-case-3-polling": 782.5,    # 759.5 / 880.4 / 927.2
+    "wan-case-3-ack": 1_894.0,      # 1 841.7 / 2 016.5 / 2 687.8
+    "wan-case-3-polling": 781.5,    # 759.5 / 880.4 / 927.2
     "wan-case-3-tcp": 402.5,        # 390.6 / 411.6 / 1 116.8
-    "lan-2-crash-rejoin": 114.0,    # 110.5 / 138.7
+    "lan-2-crash-rejoin": 112.5,    # 109.1 / 138.7
 }
 
 
@@ -200,7 +200,7 @@ CALLS_PER_PACKET = {
 #: profiler's own cost per engine event, about 43 calls per packet both
 #: before and after the receiving application ran as events; the bare
 #: count fell under it, so the ratio rose by construction, from 1.26x
-#: to 1.34x bare (1.47x before the seam was folded).  The causal
+#: to 1.35x bare (1.47x before the seam was folded).  The causal
 #: recorder is the engine's one watch, so a `lineage` run makes one
 #: `execute` call per engine event that the engine used to inline; each
 #: `lineage` ceiling rose by at most the run's events per packet (7.5 /
@@ -209,20 +209,20 @@ CALLS_PER_PACKET = {
 #: already bounds.
 OBSERVED_CALLS_PER_PACKET = {
     "lan-2": {
-        "profile": 176.0,           # 170.8 / 211.6 / 263.7
-        "lineage": 199.5},          # 193.8 / 232.5 / 244.4
+        "profile": 174.0,           # 168.8 / 211.6 / 263.7
+        "lineage": 197.0},          # 191.8 / 232.5 / 244.4
     "lan-2-long": {
-        "profile": 175.5,           # 170.3 / 211.2 / 263.4
-        "lineage": 198.5},          # 192.5 / 231.4 / 244.0
+        "profile": 173.5,           # 168.2 / 211.2 / 263.4
+        "lineage": 196.5},          # 190.4 / 231.4 / 244.0
     "lan-40": {
-        "profile": 2_523.5,         # 2 449.9 / 3 065.9 / 3 974.6
-        "lineage": 2_939.0},        # 2 853.4 / 3 427.1 / 3 832.6
+        "profile": 2_480.5,         # 2 407.9 / 3 065.9 / 3 974.6
+        "lineage": 2_896.0},        # 2 811.4 / 3 427.1 / 3 832.6
     "wan-case-3": {
-        "profile": 1_200.5,         # 1 165.4 / 1 333.9 / 2 676.6
-        "lineage": 1_291.5},        # 1 253.9 / 1 409.3 / 2 530.7
+        "profile": 1_187.0,         # 1 152.3 / 1 333.9 / 2 676.6
+        "lineage": 1_278.5},        # 1 240.9 / 1 409.3 / 2 530.7
     "lan-disk": {
-        "profile": 237.5,           # 230.6 / 277.1 / 356.4
-        "lineage": 270.0},          # 262.2 / 307.1 / 335.1
+        "profile": 237.0,           # 229.9 / 277.1 / 356.4
+        "lineage": 269.5},          # 261.5 / 307.1 / 335.1
 }
 
 
