@@ -85,8 +85,8 @@ class ReceiverApp(Process):
     ``start_read``, and the copy's CPU time with this wake at its end --
     or waits for ``data_ready``.  At end of stream ``sock.close()`` is
     driven as a generator.  Killed mid-copy, it unlocks the socket,
-    which hands the backlog to the protocol, as the generator's
-    ``finally`` did.
+    which hands the backlog to the protocol at kill time, as
+    ``Socket.recv_payloads`` does for a generator reader.
     """
 
     def __init__(self, sock: Socket, *, group: str, port: int,
@@ -106,13 +106,15 @@ class ReceiverApp(Process):
         self._joined = False
         # the payloads whose copy to user space is in flight
         self._copying: Optional[list[Payload]] = None
-        super().__init__(sock.host.sim, None, name)
+        # False from end of stream on: the generator (the close) runs
+        self._reading = True
+        super().__init__(sock.host.sim, self._closing(), name)
 
     def _resume(self, value: Any) -> None:
         if not self.alive:
             return
         self._waiting_on = None
-        if self._gen is not None:       # closing
+        if not self._reading:
             Process._resume(self, value)
             return
         try:
@@ -181,10 +183,12 @@ class ReceiverApp(Process):
         receiver = getattr(self._t, "receiver", None)
         if receiver is not None and getattr(receiver, "error", None):
             app.errors.append(receiver.error)
-        self._gen = self._closing()
+        self._reading = False
         Process._resume(self, None)
 
     def _closing(self):
+        """The process's generator; it starts at end of stream (killed
+        before then, it is thrown into before its first line)."""
         yield from self._sock.close()
         self._app.finished_at_us = self._sim.now
         return self._app

@@ -90,7 +90,7 @@ class NetworkInterface:
         # ring at no cost, one frame per engine event
         self.rx_handler: Optional[Callable[[NetPacket], None]] = None
         self.rx_cost_fn: Callable[[NetPacket], int] = _no_rx_cost
-        self.cpu_run: Callable[..., None] = sim.call_after
+        self.cpu_run: Callable[..., object] = sim.call_after
         # counters
         self.tx_packets = 0
         self.rx_packets = 0

@@ -16,10 +16,11 @@ are written as generator processes:
             yield from disk.write(len(data))
 
 A process on the per-packet path may instead subclass :class:`Process`
-with no generator (``gen=None``) and override :meth:`Process._resume`
-as a plain event handler, as the file-transfer receiver does; it stays
-a process to everything that holds one (``kill``, ``alive``, ``error``,
-``done_event``, ``join``).
+and override :meth:`Process._resume` as a plain event handler, handing
+wakes to the generator only for the part that reads best as one; the
+file-transfer receiver does so, and drives only its close through the
+generator.  It stays a process to everything that holds one (``kill``,
+``alive``, ``error``, ``done_event``, ``join``).
 
 A process generator may ``yield``:
 
@@ -101,13 +102,9 @@ class SimEvent:
 
 
 class Process:
-    """Drives a generator as a cooperative simulated process.
+    """Drives a generator as a cooperative simulated process."""
 
-    ``gen`` is ``None`` for a subclass whose ``_resume`` handles its
-    wakes itself; ``kill`` then has no generator to unwind."""
-
-    def __init__(self, sim: Simulator, gen: Optional[Generator],
-                 name: str = ""):
+    def __init__(self, sim: Simulator, gen: Generator, name: str = ""):
         self._sim = sim
         self._gen = gen
         self.name = name
@@ -125,11 +122,10 @@ class Process:
         if self._waiting_on is not None:
             self._waiting_on._discard_waiter(self)
             self._waiting_on = None
-        if self._gen is not None:
-            try:
-                self._gen.throw(ProcessKilled())
-            except (ProcessKilled, StopIteration):
-                pass
+        try:
+            self._gen.throw(ProcessKilled())
+        except (ProcessKilled, StopIteration):
+            pass
         self._finish(None, None)
 
     def _finish(self, result: Any, error: Optional[BaseException]) -> None:
