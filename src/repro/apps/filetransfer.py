@@ -169,29 +169,26 @@ class ReceiverApp(Process):
                 self._copying = payloads
                 sock.host.cpu_run(sock.copy_us, self._resume, None)
             elif self._t.at_eof():
-                self._close()
+                self._reading = False
+                Process._resume(self, None)
             else:
                 self._data_ready._arm(self)
         except Exception as exc:  # propagate at join time, like Process
             self._finish(None, exc)
 
-    def _close(self) -> None:
-        """End of stream: record it, surface protocol-reported stream
-        damage (RMC's NAK_ERR path), and run ``sock.close()``."""
+    def _closing(self):
+        """The process's generator, started at end of stream (killed
+        before then, it is thrown into before its first line): record
+        the end, surface protocol-reported stream damage (RMC's NAK_ERR
+        path), and close."""
         app = self._app
         app.data_done_at_us = self._sim.now
         receiver = getattr(self._t, "receiver", None)
         if receiver is not None and getattr(receiver, "error", None):
             app.errors.append(receiver.error)
-        self._reading = False
-        Process._resume(self, None)
-
-    def _closing(self):
-        """The process's generator; it starts at end of stream (killed
-        before then, it is thrown into before its first line)."""
         yield from self._sock.close()
-        self._app.finished_at_us = self._sim.now
-        return self._app
+        app.finished_at_us = self._sim.now
+        return app
 
     def kill(self) -> None:
         if self.alive and self._copying is not None:
