@@ -8,7 +8,6 @@ when a class view is read, and ``perf profile`` prints the result.
 
 from __future__ import annotations
 
-from repro.obs.perf.taxonomy import (EVENT_CLASSES, classify, register_site,
-                                     timer_class)
+from repro.obs.perf.taxonomy import EVENT_CLASSES, classify, timer_class
 
-__all__ = ["EVENT_CLASSES", "classify", "register_site", "timer_class"]
+__all__ = ["EVENT_CLASSES", "classify", "timer_class"]

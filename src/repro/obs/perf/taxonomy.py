@@ -33,25 +33,20 @@ compare only in one vocabulary, so they live here as a frozen tuple:
     event (``Host.cpu_exec``).
 ``fleet-harness``
     Everything the harness itself schedules around a run: fault
-    injection, observability scrape ticks, watchdogs.
+    injection and observability scrape ticks.
 ``other``
-    Anything the registry and the inference fallback cannot place.
+    Anything inference cannot place.
     The observatory reports coverage = 1 - other/total; the acceptance
     bar is >= 95 %.
 
 A timer firing (``Timer._fire``: one function, many timers) is classed
 by its timer's name through :data:`TIMER_CLASSES`, the one place a
 timer's class is decided; unknown names are periodic ticks.  Every
-other callback goes through two layers, cheapest first:
-
-1. **Registration by callback** -- :func:`register_site` maps a
-   function object to a class, for callbacks whose module and name say
-   too little.
-2. **Callsite inference** -- :func:`infer` pattern-matches the
-   callback's module/qualname; it places every engine-adjacent callback
-   of the NIC, link, router, host, process and harness layers, and
-   third-party or future callbacks degrade to a sensible class instead
-   of ``other``.
+other callback is placed by **callsite inference**: :func:`infer`
+pattern-matches the callback's module/qualname; it places every
+engine-adjacent callback of the NIC, link, router, host, process and
+harness layers, and third-party or future callbacks degrade to a
+sensible class instead of ``other``.
 """
 
 from __future__ import annotations
@@ -60,8 +55,8 @@ from typing import Callable
 
 from repro.sim.timer import Timer
 
-__all__ = ["EVENT_CLASSES", "classify", "infer", "register_site",
-           "timer_class", "TIMER_CLASSES"]
+__all__ = ["EVENT_CLASSES", "classify", "infer", "timer_class",
+           "TIMER_CLASSES"]
 
 #: the frozen vocabulary of the tax table (order = report order)
 EVENT_CLASSES = (
@@ -83,24 +78,6 @@ TIMER_CLASSES = {
     "join-retry": "nak-repair-timer",
     "rto": "nak-repair-timer",
 }
-
-#: function object -> event class (layer 1)
-_REGISTRY: dict[object, str] = {}
-
-
-def _underlying(func: Callable) -> object:
-    return getattr(func, "__func__", func)
-
-
-def register_site(func: Callable, event_class: str) -> None:
-    """Register ``func`` (a plain function or an unbound method) as
-    belonging to ``event_class``.  The registration API for callbacks
-    that are not timers; modules may call this for their own callbacks."""
-    if event_class not in EVENT_CLASSES:
-        raise ValueError(f"unknown event class {event_class!r}; "
-                         f"known: {', '.join(EVENT_CLASSES)}")
-    _REGISTRY[_underlying(func)] = event_class
-
 
 def timer_class(name: str) -> str:
     """Event class of a :class:`~repro.sim.timer.Timer` by its name."""
@@ -128,8 +105,8 @@ _INFER_RULES = (
 
 
 def infer(module: str, qualname: str) -> str:
-    """Layer-2 fallback: place a callback by its defining module and
-    qualified name.  Returns ``"other"`` when nothing matches."""
+    """Place a callback by its defining module and qualified name.
+    Returns ``"other"`` when nothing matches."""
     for prefix, fragment, event_class in _INFER_RULES:
         if module == prefix or module.startswith(prefix + "."):
             if not fragment or fragment in qualname:
@@ -141,14 +118,11 @@ def classify(callback: Callable) -> str:
     """Classify one engine callback (the profiler folds its table with
     this when a class view is read).
 
-    Order: a timer firing by its timer's name, then the function
-    registry (layer 1), then module/qualname inference (layer 2)."""
-    fn = _underlying(callback)
+    A timer firing is classed by its timer's name, anything else by
+    module/qualname inference."""
+    fn = getattr(callback, "__func__", callback)
     owner = getattr(callback, "__self__", None)
     if owner is not None and fn is Timer._fire:
         return timer_class(owner.name)
-    registered = _REGISTRY.get(fn)
-    if registered is not None:
-        return registered
     return infer(getattr(fn, "__module__", "") or "",
                  getattr(fn, "__qualname__", "") or "")

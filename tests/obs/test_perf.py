@@ -14,10 +14,11 @@ import pytest
 import repro
 from repro.harness.runner import run_transfer
 from repro.obs.observer import Observability
-from repro.obs.perf import EVENT_CLASSES, classify, register_site
+from repro.obs.perf import EVENT_CLASSES, classify
 from repro.obs.perf.taxonomy import TIMER_CLASSES, infer, timer_class
 from repro.sim.engine import Simulator
 from repro.sim.timer import Timer
+from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_lan
 from tests.harness.test_pinned_stats import PINNED, SEED
 
@@ -32,18 +33,6 @@ def _profiled_run(nbytes=200_000):
 
 
 # -- taxonomy ----------------------------------------------------------
-
-
-def test_register_site_rejects_unknown_class():
-    with pytest.raises(ValueError, match="unknown event class"):
-        register_site(lambda: None, "warp-drive")
-
-
-def test_register_site_classifies_plain_function():
-    def my_callback():
-        pass
-    register_site(my_callback, "fleet-harness")
-    assert classify(my_callback) == "fleet-harness"
 
 
 def test_every_timer_the_stack_creates_is_in_the_name_table():
@@ -166,3 +155,22 @@ def test_summary_tables_carry_the_tax_table():
     assert "coverage" in title
     assert headers[0] == "class"
     assert rows == obs.profiler.tax_rows()
+
+
+def test_a_second_watch_on_one_run_raises():
+    """One run has one watch, as it has one tracer: a second profiled
+    observer is refused, since it would take the engine's events from
+    the first, which would then report none."""
+    sc = build_lan(2, 10e6, seed=5)
+    tracer = PacketTracer().attach(sc.sender, *sc.receivers)
+    first = Observability(profile=True).attach(sc, tracer)
+    second = Observability(profile=True)
+    with pytest.raises(RuntimeError, match="already has a watch"):
+        second.attach(sc, tracer)
+    assert not second.attached
+    assert sc.sim.watch is first.profiler
+    Observability().attach(sc, tracer)      # no watch: no conflict
+    for t in (10, 20):
+        sc.sim.call_at(t, lambda: None)
+    sc.sim.run()
+    assert first.profiler.events == sc.sim.events_processed == 2
