@@ -402,12 +402,6 @@ class HRMCSender:
                 continue  # a repair is already in flight; don't multiply
             if not skb.retrans_pending:
                 skb.retrans_pending = True
-                tap = self.sim.tap
-                if tap is not None:
-                    # a seam fact: the NAK (or timer) being processed
-                    # asked for this repair, which goes out later from
-                    # a transmit-timer tick
-                    tap("repair", self.host.addr, skb)
                 self._retrans.append(skb)
                 queued = True
         if queued and not self.retrans_timer.pending:

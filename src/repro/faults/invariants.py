@@ -110,8 +110,7 @@ class InvariantChecker:
 
     # -- event pump ---------------------------------------------------
 
-    def _on_packet(self, now: int, fact: str, where: str, pkt,
-                   blame: int = 0) -> None:
+    def _on_packet(self, now: int, fact: str, where: str, pkt) -> None:
         """Seam subscriber: re-check after every segment a watched host
         sent or received (a drop changes no endpoint's state)."""
         if fact != "tx" and fact != "rx":

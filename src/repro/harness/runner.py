@@ -189,14 +189,13 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
                          "tcp-like reference (sequential unicast)")
     if tracer is not None or invariants or obs is not None:
         if tracer is None:
-            # a capture nobody passed in has two readers, the checker's
-            # violation tail and the lineage artifact dump: they get a
-            # flight recorder (bounded memory, subscribers see
-            # everything); an observer alone subscribes and keeps nothing
+            # a capture nobody passed in has one reader, the checker's
+            # violation tail: it gets a flight recorder (bounded memory,
+            # subscribers see everything); an observer alone subscribes
+            # and keeps nothing
             from repro.trace.tracer import PacketTracer
-            recorded = invariants or obs.want_lineage
-            tracer = PacketTracer(max_events=256 if recorded else 0,
-                                  ring=recorded)
+            tracer = PacketTracer(max_events=256 if invariants else 0,
+                                  ring=invariants)
         tracer.attach(scenario.sender, *scenario.receivers)
     checker = None
     if invariants:
@@ -258,9 +257,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     rejoin_results: list[AppResult] = []
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
-        injector = FaultInjector(
-            scenario, fault_plan, checker=checker,
-            recorder=obs.lineage if obs is not None else None)
+        injector = FaultInjector(scenario, fault_plan, checker=checker)
 
         def rejoin(idx: int) -> None:
             """Fresh socket + application on the restarted host: the

@@ -45,7 +45,6 @@ class HostClock:
         self._sim = sim
         self.skew = 1.0          # multiplier on programmed timer delays
         self.stalled_until = 0   # no timer may fire before this sim time
-        self.host_addr = ""      # owning host's address (observers label by it)
 
     @property
     def now(self) -> int:
@@ -153,7 +152,6 @@ class Host:
         self.name = name or f"host-{nic.addr}"
         self.addr = nic.addr
         self.clock = HostClock(sim)
-        self.clock.host_addr = self.addr
         self.crashed = False
         self._cpu_busy_until = 0
         self._ports: dict[int, Transport] = {}
@@ -175,7 +173,7 @@ class Host:
 
         Two or three of these run per packet per host, so the entry is
         built here rather than by a call to ``Simulator.call_at``: the
-        same ``[time, order, callback, args, cause]`` list (DESIGN.md
+        same ``[time, order, callback, args]`` list (DESIGN.md
         S1), at an ``int`` time never earlier than now."""
         sim = self.sim
         end = self._cpu_busy_until
@@ -184,9 +182,7 @@ class Host:
         if cost_us > 0:
             end += int(cost_us)
         self._cpu_busy_until = end
-        watch = sim.watch
-        heappush(sim._heap, [end, sim._order, fn, args,
-                             watch.current if watch is not None else 0])
+        heappush(sim._heap, [end, sim._order, fn, args])
         sim._order += 1
         sim._live += 1
 
@@ -297,7 +293,7 @@ class Host:
             # here exactly like a failed hrmc checksum in the kernel
             self.checksum_drops += 1
             if tap is not None:
-                tap("checksum", self.addr, pkt, pkt.blame)
+                tap("checksum", self.addr, pkt)
             return
         if tap is not None:
             tap("rx", self.addr, pkt)

@@ -32,9 +32,6 @@ class SKBuff:
         "flags", "payload",
         # sender-side bookkeeping
         "last_sent_us", "retrans_pending", "release_checked",
-        # causal recorder (obs.causal): node id of the event that queued
-        # this segment for (re)transmission, consumed by its tx node
-        "cause",
     )
 
     def __init__(self, *, sport: int, dport: int, seq: int, ptype: int,
@@ -52,7 +49,6 @@ class SKBuff:
         self.last_sent_us = -1
         self.retrans_pending = False
         self.release_checked = False
-        self.cause = 0
 
     @property
     def end_seq(self) -> int:

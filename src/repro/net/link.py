@@ -55,8 +55,6 @@ class SharedLink:
         self.fault_loss_rate = 0.0     # link degrade: extra random loss
         self.fault_drops = 0
         self._fault_rng = substream(seed, f"fault:link:{name}")
-        # causal node id of the fault action degrading this link
-        self.fault_cause = 0
 
     def attach(self, nic: "NetworkInterface") -> None:
         self._nics.append(nic)
@@ -86,14 +84,14 @@ class SharedLink:
             self.fault_drops += 1
             tap = self.sim.tap
             if tap is not None:
-                tap("link_down", self.name, pkt, self.fault_cause)
+                tap("link_down", self.name, pkt)
             return
         if self.fault_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_loss_rate:
             self.fault_drops += 1
             tap = self.sim.tap
             if tap is not None:
-                tap("link_fault_loss", self.name, pkt, self.fault_cause)
+                tap("link_fault_loss", self.name, pkt)
             return
         self.frames_carried += 1
         self.bytes_carried += pkt.wire_bytes

@@ -109,10 +109,6 @@ class NetworkInterface:
         self.fault_drops = 0
         self.fault_corruptions = 0
         self._fault_rng = substream(seed, f"fault:nic:{addr}")
-        # causal node id of the fault action currently poisoning this
-        # card (set by the injector, cleared on restore); drops performed
-        # while set carry it as a ``blame`` edge (see repro.obs.causal)
-        self.fault_cause = 0
 
     # -- wiring ---------------------------------------------------------
 
@@ -165,7 +161,7 @@ class NetworkInterface:
             self.fault_drops += 1
             tap = self.sim.tap
             if tap is not None:
-                tap("tx_nic_dead", self.addr, pkt, self.fault_cause)
+                tap("tx_nic_dead", self.addr, pkt)
             return True
         if len(self._tx_queue) >= self.tx_ring_cap:
             return False
@@ -211,13 +207,13 @@ class NetworkInterface:
             self.fault_drops += 1
             if tap is not None:
                 tap("nic_dead" if not self.powered else "nic_burst_drop",
-                    self.addr, pkt, self.fault_cause)
+                    self.addr, pkt)
             return
         if self.fault_rx_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_rx_loss_rate:
             self.fault_drops += 1
             if tap is not None:
-                tap("nic_fault_loss", self.addr, pkt, self.fault_cause)
+                tap("nic_fault_loss", self.addr, pkt)
             return
         if self.fault_corrupt_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_corrupt_rate:
@@ -225,7 +221,6 @@ class NetworkInterface:
             # checksum drops it
             pkt = pkt.fork()
             pkt.corrupted = True
-            pkt.blame = self.fault_cause
             self.fault_corruptions += 1
         if self.rx_loss_rate > 0.0 and self._rng.random() < self.rx_loss_rate:
             self.rx_loss_drops += 1
@@ -242,7 +237,7 @@ class NetworkInterface:
             self.fault_drops += 1  # arrived via rx_latency after a crash
             tap = self.sim.tap
             if tap is not None:
-                tap("nic_dead", self.addr, pkt, self.fault_cause)
+                tap("nic_dead", self.addr, pkt)
             return
         if len(self._rx_queue) >= self.rx_ring_cap:
             self.rx_ring_drops += 1

@@ -28,7 +28,7 @@ class NetPacket:
     """
 
     __slots__ = ("src", "dst", "segment", "seg_bytes", "wire_bytes",
-                 "corrupted", "cause", "blame")
+                 "corrupted")
 
     def __init__(self, src: str, dst: str, segment: Any, seg_bytes: int):
         self.src = src
@@ -37,8 +37,6 @@ class NetPacket:
         self.seg_bytes = int(seg_bytes)
         self.wire_bytes = self.seg_bytes + IP_OVERHEAD + LINK_OVERHEAD
         self.corrupted = False   # bit errors in flight; checksum catches
-        self.cause = 0           # causal node id of the tx (obs.causal)
-        self.blame = 0           # causal node id of the fault that hit us
 
     @property
     def wire_bits(self) -> int:
@@ -50,8 +48,6 @@ class NetPacket:
         as it was."""
         dup = NetPacket(self.src, self.dst, self.segment, self.seg_bytes)
         dup.corrupted = self.corrupted
-        dup.cause = self.cause
-        dup.blame = self.blame
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

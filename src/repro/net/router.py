@@ -63,27 +63,25 @@ class Pipe:
         self.fault_loss_rate = 0.0     # degrade: extra loss, own substream
         self.fault_drops = 0
         self._fault_rng = substream(seed, f"fault:pipe:{self.name}")
-        # causal node id of the fault action degrading this pipe
-        self.fault_cause = 0
 
     def _lost(self, pkt: NetPacket) -> bool:
         """Draw the flap, fault-loss and structural-loss fates of one
         packet entering the line; True (and reported) if it dies."""
         if not self.up:
             self.fault_drops += 1
-            why, blame = "pipe_down", self.fault_cause
+            why = "pipe_down"
         elif self.fault_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_loss_rate:
             self.fault_drops += 1
-            why, blame = "pipe_fault_loss", self.fault_cause
+            why = "pipe_fault_loss"
         elif self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.loss_drops += 1
-            why, blame = "pipe_loss", 0
+            why = "pipe_loss"
         else:
             return False
         tap = self.sim.tap
         if tap is not None:
-            tap(why, self.name, pkt, blame)
+            tap(why, self.name, pkt)
         return True
 
     def connect(self, dst) -> None:

@@ -3,7 +3,7 @@
 Three formats, all deterministic for a fixed seed:
 
 * **JSONL / CSV** -- one record per time-series sample, for offline
-  plotting and diffing across runs,
+  plotting and comparing across runs,
 * **text summary** -- aligned tables appended to harness reports,
 * **Chrome Trace Event Format JSON** -- protocol-phase and recovery
   spans as duration events, metric series as counter tracks and

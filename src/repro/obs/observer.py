@@ -11,14 +11,11 @@ a scenario without perturbing it.
 * a **span collector** subscribed to the packet seam
   (packet-lifecycle latency histograms and protocol-phase spans),
 * optionally the **engine profiler** (simulated-time and wall-clock
-  attribution per callback site), and
-* optionally the **causal recorder**, a second seam subscriber that
-  also labels timer firings and process wake-ups.
+  attribution per callback site).
 
-The profiler and the recorder see the engine's events through its one
-hook, ``Simulator.watch``: the recorder when lineage is on (it times
-the firings under the profiler, if there is one), else the profiler.
-A run has one watch, as it has one tracer; attaching a second raises.
+The profiler sees the engine's events through its one hook,
+``Simulator.watch``.  A run has one watch, as it has one tracer;
+attaching a second raises.
 
 Zero-perturbation guarantee: every gauge is a pure read, the span
 collector never copies or mutates segments, and the scrape events only
@@ -69,9 +66,7 @@ class Observability:
     """
 
     def __init__(self, *, scrape_interval_us: int = 50_000,
-                 profile: bool = False, lineage: bool = False,
-                 lineage_max_nodes: int = 200_000,
-                 stall_after_us: int = 2_000_000,
+                 profile: bool = False,
                  latency_bounds=LATENCY_BOUNDS_US):
         if scrape_interval_us <= 0:
             raise ValueError("scrape_interval_us must be positive")
@@ -84,52 +79,29 @@ class Observability:
         self._sim = None
         self.attached = False
         self.finalized_at_us: Optional[int] = None
-        # causal lineage + diagnosis (repro.obs.causal / .diag): pure
-        # bookkeeping riding the same attach, preserving the
-        # zero-perturbation guarantee
-        self.want_lineage = bool(lineage)
-        self._lineage_max_nodes = int(lineage_max_nodes)
-        self._stall_after_us = int(stall_after_us)
-        self.lineage = None
-        self.watchdog = None
-        self.tracer = None
 
     # -- wiring ---------------------------------------------------------
 
     def attach(self, scenario: "Scenario", tracer: "PacketTracer", *,
                ssock=None, rsocks=()) -> "Observability":
         """Register gauges over the scenario's layers, subscribe the
-        span collector (and the causal recorder) to the tracer's seam
-        and start the scrape loop.  Call
-        after sockets exist and before the simulation runs (the harness
-        does this when given ``obs=``)."""
+        span collector to the tracer's seam and start the scrape loop.
+        Call after sockets exist and before the simulation runs (the
+        harness does this when given ``obs=``)."""
         if self.attached:
             raise RuntimeError("Observability instance already attached")
         sim = scenario.sim
-        watches = self.profiler is not None or self.want_lineage
-        if watches and sim.watch is not None:
-            raise RuntimeError("the run already has a watch")
+        if self.profiler is not None:
+            if sim.watch is not None:
+                raise RuntimeError("the run already has a watch")
+            sim.watch = self.profiler
         self.attached = True
         self._sim = sim
-        self.tracer = tracer
         reg = self.registry
 
         self.spans = SpanCollector(scenario.sender.addr,
                                    self._latency_bounds)
         tracer.subscribe(self.spans.on_packet)
-
-        if self.want_lineage:
-            from repro.obs.causal import LineageRecorder
-            from repro.obs.diag import Watchdog
-            self.lineage = LineageRecorder(
-                sim, max_nodes=self._lineage_max_nodes,
-                profiler=self.profiler)
-            tracer.subscribe(self.lineage.on_packet)
-            self.watchdog = Watchdog(
-                sim, self._progress_signature(ssock, list(rsocks)),
-                lineage=self.lineage, stall_after_us=self._stall_after_us)
-        if watches:
-            sim.watch = self.lineage or self.profiler
 
         # engine
         reg.gauge("engine.queue_depth", sim.pending)
@@ -181,11 +153,6 @@ class Observability:
 
     def _tick(self) -> None:
         self.registry.scrape(self._sim.now)
-        if self.watchdog is not None:
-            # passive mid-run stall detection: piggybacks on the scrape
-            # tick instead of scheduling its own events (two
-            # pending-gated loops would keep each other alive forever)
-            self.watchdog.check(self._sim.now)
         # re-arm only while other work is scheduled: when the protocol
         # drains, the scrape loop stops instead of ticking to the run's
         # time horizon
@@ -201,34 +168,6 @@ class Observability:
         self.registry.scrape(now_us)
         if self.spans is not None:
             self.spans.finalize(now_us)
-
-    @staticmethod
-    def _progress_signature(ssock, rsocks):
-        """A pure-read signature of transport progress for the
-        watchdog: the sender's next-to-send plus every receiver's
-        next-expected sequence.  Frozen signature + pending events =
-        the run is burning simulated time without moving data."""
-        def signature() -> tuple:
-            parts = []
-            sender = getattr(getattr(ssock, "transport", None),
-                             "sender", None)
-            parts.append(getattr(sender, "snd_nxt", None))
-            for sock in rsocks:
-                receiver = getattr(getattr(sock, "transport", None),
-                                   "receiver", None)
-                parts.append(getattr(receiver, "rcv_nxt", None))
-            return tuple(parts)
-        return signature
-
-    def diag(self):
-        """A :class:`~repro.obs.diag.Diagnoser` over this run's causal
-        DAG (requires ``lineage=True``)."""
-        if self.lineage is None:
-            raise RuntimeError("Observability(lineage=True) required "
-                               "for diagnosis")
-        from repro.obs.diag import Diagnoser
-        return Diagnoser(self.lineage, spans=self.spans,
-                         watchdog=self.watchdog)
 
     # -- gauge helpers (pure reads, defensive against role lifecycles) --
 
@@ -335,9 +274,7 @@ class Observability:
     def write_artifacts(self, outdir: str, *,
                         prefix: str = "run") -> dict[str, str]:
         """Write every export into ``outdir``: JSONL + CSV series, the
-        Perfetto trace and the text summary; with lineage enabled also
-        the packet trace + causal DAG (the inputs ``hrmc diff`` and
-        ``hrmc why`` align).  Returns name -> path."""
+        Perfetto trace and the text summary.  Returns name -> path."""
         os.makedirs(outdir, exist_ok=True)
         paths = {
             "series_jsonl": os.path.join(outdir, f"{prefix}.series.jsonl"),
@@ -351,10 +288,4 @@ class Observability:
         with open(paths["summary"], "w") as fh:
             fh.write(self.summary())
             fh.write("\n")
-        if self.tracer is not None and self.lineage is not None:
-            paths["trace"] = os.path.join(outdir, f"{prefix}.trace.jsonl")
-            self.tracer.save(paths["trace"])
-            paths["lineage"] = os.path.join(outdir,
-                                            f"{prefix}.lineage.jsonl")
-            self.lineage.save(paths["lineage"])
         return paths

@@ -59,11 +59,7 @@ class SiteStats:
 
 
 class SimProfiler:
-    """Engine profiler; install as ``Simulator.watch`` before running
-    (or hand it to the lineage recorder, which is the watch then)."""
-
-    #: the context entries capture: a profiler alone labels nothing
-    current = 0
+    """Engine profiler; install as ``Simulator.watch`` before running."""
 
     def __init__(self):
         # function -> [events, sim_us, wall_ns].  Keyed by the function
@@ -74,7 +70,7 @@ class SimProfiler:
         # _row() every time; the class view folds the name to its class.
         self._rows: dict = {}
 
-    def execute(self, callback: Callable, args: tuple, cause: int,
+    def execute(self, callback: Callable, args: tuple,
                 sim_dt_us: int) -> None:
         """Run ``callback(*args)`` under the profiler (called by the
         engine for every non-cancelled entry)."""

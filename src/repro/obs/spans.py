@@ -103,8 +103,7 @@ class SpanCollector:
 
     # -- seam pump ------------------------------------------------------
 
-    def on_packet(self, now: int, fact: str, host: str, pkt,
-                  blame: int = 0) -> None:
+    def on_packet(self, now: int, fact: str, host: str, pkt) -> None:
         """Seam subscriber (see :meth:`PacketTracer.subscribe`): stitches
         tx and rx at a host and ignores drops.  The packet is live,
         read-only here.

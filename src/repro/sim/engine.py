@@ -52,18 +52,16 @@ class Simulator:
         self._running = False
         self.events_processed: int = 0
         self.compactions: int = 0
-        # the event hook (``None`` on a bare run): a watch has a
-        # ``current`` context, which every entry scheduled captures in
-        # its ``cause`` slot, and an ``execute(callback, args, cause,
-        # sim_dt_us)`` that runs each non-cancelled firing, where
-        # ``sim_dt_us`` is the virtual-clock advance that firing caused.
+        # the event hook (``None`` on a bare run): a watch has an
+        # ``execute(callback, args, sim_dt_us)`` that runs each
+        # non-cancelled firing, where ``sim_dt_us`` is the virtual-clock
+        # advance that firing made.
         # Cancelled entries never reach it and compaction only discards
         # entries that will never fire, so what it sees is exact.
         self.watch = None
         # the packet seam (see repro.trace.tracer): every segment sent,
-        # received or dropped, every gap claimed and every repair
-        # queued is reported as ``tap(fact, where, pkt)`` while the
-        # run's one tracer is attached
+        # received or dropped is reported as ``tap(fact, where, pkt)``
+        # while the run's one tracer is attached
         self.tap = None
 
     def now_seconds(self) -> float:
@@ -75,11 +73,9 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute time ``when`` (us).
 
         Returns the heap entry, a plain list ``[time, order, callback,
-        args, cause]``: ``order`` is unique, so heap ordering is C-level
-        list comparison on the two leading ints and never reaches the
-        callback.  ``cause`` is the watch's ``current`` context while
-        this entry was scheduled (0 on a bare run).  A cancelled entry
-        has ``callback`` set to ``None``.
+        args]``: ``order`` is unique, so heap ordering is C-level list
+        comparison on the two leading ints and never reaches the
+        callback.  A cancelled entry has ``callback`` set to ``None``.
         """
         if when < self.now:
             raise SimulationError(
@@ -87,9 +83,7 @@ class Simulator:
             )
         if type(when) is not int:
             when = int(when)
-        watch = self.watch
-        entry = [when, self._order, callback, args,
-                 watch.current if watch is not None else 0]
+        entry = [when, self._order, callback, args]
         self._order += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
@@ -142,7 +136,7 @@ class Simulator:
             # callback may cancel enough entries to trigger _compact(),
             # which rebinds the list.
             while self._heap:
-                when, _, callback, args, cause = entry = heappop(self._heap)
+                when, _, callback, args = entry = heappop(self._heap)
                 if callback is None:
                     self._dead -= 1
                     continue
@@ -157,14 +151,12 @@ class Simulator:
                 if watch is None:
                     callback(*args)
                 else:
-                    watch.execute(callback, args, cause, when - prev)
+                    watch.execute(callback, args, when - prev)
                 budget -= 1
                 if not budget:
                     break
         finally:
             self._running = False
-            if watch is not None:
-                watch.current = 0
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -185,11 +177,3 @@ class Simulator:
             heapq.heappop(self._heap)
             self._dead -= 1
         return self._heap[0][0] if self._heap else None
-
-    def pending_entries(self, limit: int = 32) -> list[list]:
-        """The next ``limit`` live entries in firing order, without
-        disturbing the heap.  Diagnostic only (stall-frontier snapshots
-        -- see repro.obs.diag); O(n log n) in the heap size."""
-        live = [e for e in self._heap if e[2] is not None]
-        live.sort()
-        return live[:limit]

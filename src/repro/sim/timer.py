@@ -55,7 +55,7 @@ class Timer:
 
     @property
     def pending(self) -> bool:
-        # engine entries are [time, order, callback, args, cause];
+        # engine entries are [time, order, callback, args];
         # a cancelled one has its callback cleared
         return self._entry is not None and self._entry[2] is not None
 

@@ -4,15 +4,11 @@ Every site that sends, receives or drops a segment reports it at one
 per-run seam, ``Simulator.tap`` (``None`` on a bare run), as
 ``tap(fact, where, pkt)``: ``fact`` is ``"tx"``, ``"rx"`` or the drop
 reason (``rx_loss``, ``router_loss``, ``checksum``, ...), ``where`` the
-host address or component name; a drop by a component a fault action
-poisoned also passes its ``fault_cause`` as ``blame``.  The protocol
-reports two facts of its own there, which carry no packet: ``gap``
-(the receiver at ``where`` just claimed the NAK ranges passed as
-``pkt``) and ``repair`` (the sender just queued the skb passed as
-``pkt`` for retransmission).  :class:`PacketTracer` owns the seam: it records a :class:`TraceEvent`
-per segment sent or received at the hosts it was attached to and hands
-every fact to its subscribers -- the span collector, the causal
-recorder and the invariant checker.  Segments are never copied.
+host address or component name.  :class:`PacketTracer` owns the seam:
+it records a :class:`TraceEvent` per segment sent or received at the
+hosts it was attached to and hands every fact to its subscribers --
+the span collector and the invariant checker.  Segments are never
+copied.
 """
 
 from __future__ import annotations
@@ -68,8 +64,7 @@ class PacketTracer:
     ``max_events`` records (a flight recorder for long chaos runs)
     instead of truncating at the cap; ``dropped`` counts records lost
     off either end.  ``subscribers`` see every fact, independent of any
-    cap: tx and rx at the attached hosts, every drop in the run and the
-    protocol's gap and repair facts.  A
+    cap: tx and rx at the attached hosts and every drop in the run.  A
     :class:`TraceEvent` is built only when the capture keeps it
     (``max_events=0`` keeps nothing, so a subscriber-only tracer never
     builds a record).
@@ -85,7 +80,7 @@ class PacketTracer:
         self.max_events = max_events
         self.dropped = 0
         self.subscribers: list[
-            Callable[[int, str, str, NetPacket, int], None]] = []
+            Callable[[int, str, str, NetPacket], None]] = []
         self._addrs: set[str] = set()
         self._sim = None
         self._seam = None
@@ -117,14 +112,13 @@ class PacketTracer:
         ring = self.ring
         subscribers = self.subscribers
 
-        def seam(fact: str, where: str, pkt: NetPacket,
-                 blame: int = 0) -> None:
+        def seam(fact: str, where: str, pkt: NetPacket) -> None:
             traffic = fact == "tx" or fact == "rx"
             if traffic and where not in addrs:
                 return
             now = sim.now
             for subscriber in subscribers:
-                subscriber(now, fact, where, pkt, blame)
+                subscriber(now, fact, where, pkt)
             if not traffic:
                 return
             if not keeps or (max_events is not None
@@ -143,12 +137,11 @@ class PacketTracer:
         return seam
 
     def subscribe(self,
-                  fn: Callable[[int, str, str, NetPacket, int], None]
-                  ) -> None:
-        """Call ``fn(now_us, fact, where, pkt, blame)`` for every fact
-        the seam reports, before the capture stores its record.  The
-        packet and its segment are live: a subscriber reads them and
-        writes nothing but the causal recorder's own ``cause`` slots."""
+                  fn: Callable[[int, str, str, NetPacket], None]) -> None:
+        """Call ``fn(now_us, fact, where, pkt)`` for every fact the seam
+        reports, before the capture stores its record.  The packet and
+        its segment are live: a subscriber reads them and writes
+        nothing."""
         self.subscribers.append(fn)
 
     def recent(self, n: int = 20) -> list[TraceEvent]:

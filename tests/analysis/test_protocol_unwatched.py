@@ -7,12 +7,12 @@ import of the observability layer from ``repro.core`` would bring the
 probe back, so both fail here.
 
 The network and kernel models report each segment sent, received or
-dropped at one per-run packet seam, ``Simulator.tap``, and the protocol
-reports the gaps it claims and the repairs it queues there too; none of
-them names the causal recorder that subscribes to it.  The engine has
+dropped at one per-run packet seam, ``Simulator.tap``.  The engine has
 one event hook, ``Simulator.watch``, and names no observer behind it.
-A per-host tap, a ``lineage`` reference in the stack or a ``profiler``
-in the engine would bring a second path back.
+A per-host tap or a ``profiler`` in the engine would bring a second
+path back, and a ``cause``, ``blame`` or ``fault_cause`` slot on an
+entry, packet, skb or fault surface would bring back the bookkeeping
+of a causal recorder.
 """
 
 import ast
@@ -56,9 +56,6 @@ def test_core_imports_no_observability():
     assert not hits, hits
 
 
-_LINEAGE = re.compile(r"\blineage\b")
-
-
 def _naming(pattern, *packages):
     return [f"{path.relative_to(SRC)}:{lineno}"
             for path in _sources(*packages)
@@ -66,24 +63,14 @@ def _naming(pattern, *packages):
             if pattern.search(line)]
 
 
-def test_net_and_kernel_never_name_lineage_outside_the_host_clock():
-    hits = _naming(_LINEAGE, "net", "kernel")
-    assert not hits, hits
-
-
-def test_protocol_and_engine_never_name_lineage():
-    hits = _naming(_LINEAGE, "core", "sim")
+def test_the_stack_and_faults_carry_no_lineage_slots():
+    hits = _naming(re.compile(r"\b(cause|blame|fault_cause)\b"),
+                   *STACK, "faults")
     assert not hits, hits
 
 
 def test_the_engine_never_names_the_profiler():
     hits = _naming(re.compile(r"\bprofiler\b"), "sim")
-    assert not hits, hits
-
-
-def test_nothing_reads_a_lineage_off_the_simulator():
-    hits = _naming(re.compile(r"\b_?sim\.lineage\b|"
-                              r"getattr\([\w.]*sim, [\'\"]lineage"), "")
     assert not hits, hits
 
 

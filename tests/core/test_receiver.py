@@ -6,7 +6,6 @@ from repro.core.config import HRMCConfig
 from repro.core.types import FIN, URG, PacketType
 from repro.kernel.payload import BytesPayload, PatternPayload
 from repro.kernel.skbuff import SKBuff
-from repro.obs.causal import LineageRecorder
 from repro.sim.timer import JIFFY_US
 
 from tests.core.conftest import make_receiver
@@ -137,20 +136,6 @@ def test_probe_past_parked_data_claims_only_the_tail(sim, fake_host):
     naks = fake_host.sent_of_type(PacketType.NAK)
     assert [(skb.seq, skb.length) for skb, _ in naks] == [(401, 200)]
     assert pending(r) == [(101, 301), (401, 601)]
-
-
-def test_gap_lineage_node_only_when_a_range_is_claimed(sim, fake_host):
-    lineage = LineageRecorder(sim)
-    sim.tap = lambda *fact: lineage.on_packet(sim.now, *fact)
-    r = make_receiver(sim, fake_host)
-    r.segment_received(data(1, b"a" * 100), SND)
-    r.segment_received(data(301, b"c" * 100), SND)  # gap [101, 301)
-    r.segment_received(data(401, b"d" * 100), SND)  # reveals nothing new
-    r.segment_received(control(PacketType.PROBE, 501), SND)  # nor this
-    r.segment_received(control(PacketType.PROBE, 601), SND)  # [501, 601)
-    gaps = [(n.seq, n.end) for n in lineage.nodes.values()
-            if n.kind == "gap"]
-    assert gaps == [(101, 301), (501, 601)]
 
 
 def test_gap_fill_delivers_in_order(sim, fake_host):

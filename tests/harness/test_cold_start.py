@@ -117,8 +117,7 @@ def test_the_cli_import_is_exactly_what_report_runs():
     _run("import repro.harness.cli as cli\n"
          "extra = under(('repro.harness.experiments', 'repro.fleet', "
          "'repro.analysis', 'repro.faults', 'repro.baselines', "
-         "'repro.core.rmc', 'repro.trace.analyzer', 'repro.obs.causal', "
-         "'repro.obs.diag', 'repro.obs.diffing'))\n"
+         "'repro.core.rmc', 'repro.trace.analyzer'))\n"
          "assert not extra, extra\n"
          "before = set(sys.modules)\n"
          "rc = quietly(cli.main, ['report', 'lan', '--receivers', '2', "

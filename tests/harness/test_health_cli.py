@@ -2,7 +2,7 @@
 anomaly flags), and the ``protocol-health`` experiment that gates the
 pinned runs.
 
-Exit-code contract (shared with ``diff``): 0 = healthy
+Exit-code contract: 0 = healthy
 / clean sweep, 1 = run failed / anomalies flagged,
 2 = unusable input.  The sweep test doubles as the quick-scale
 acceptance check for the paper's §5.2 claim: loss-driven feedback at

@@ -116,14 +116,25 @@ def test_a_killed_process_is_not_a_lost_one():
     assert res.crashed_receivers and res.surviving_ok
 
 
-def test_only_a_reader_gets_a_flight_recorder():
+def test_only_a_reader_gets_a_flight_recorder(monkeypatch):
     """An observer alone subscribes to the tap and keeps no capture;
-    the lineage artifact dump reads one, and gets the 256-event ring."""
+    the invariant checker's violation tail reads one, and gets the
+    256-event ring."""
     from repro.obs.observer import Observability
-    for lineage, kept in ((False, 0), (True, 256)):
-        obs = Observability(lineage=lineage)
+    from repro.trace import tracer as tracer_module
+    made = []
+
+    class Recorded(tracer_module.PacketTracer):
+        def __init__(self, **kw):
+            super().__init__(**kw)
+            made.append(self)
+
+    monkeypatch.setattr(tracer_module, "PacketTracer", Recorded)
+    for invariants, kept in ((False, 0), (True, 256)):
+        obs = Observability()
         res = run_transfer(build_lan(2, 10e6, seed=46), nbytes=200_000,
-                           sndbuf=128 * 1024, obs=obs)
+                           sndbuf=128 * 1024, obs=obs,
+                           invariants=invariants)
         assert res.ok and obs.spans.one_way_us.count > 256
-        assert len(obs.tracer.events) == kept
-        assert obs.tracer.dropped > 0
+        assert len(made[-1].events) == kept
+        assert made[-1].dropped > 0

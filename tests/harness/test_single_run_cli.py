@@ -1,7 +1,8 @@
 """The commands that run one transfer build the fleet's RunSpec: a spec
 no world can be built from is unusable input (exit 2, one stderr line),
 `--chaos-seed N` runs the chaos experiment's seed-N cell, and
-`--fault-plan FILE` runs a spec that carries the plan."""
+`--fault-plan FILE` runs a spec that carries the plan.  `report --from
+DIR` re-prints what `report --metrics-out DIR` saved, and runs nothing."""
 
 import hashlib
 
@@ -16,7 +17,6 @@ from repro.workloads.spec import RunSpec
     ["report", "lan", "--protocol", "bogus"],
     ["report", "wan", "--wan-test", "9"],
     ["report", "lan", "--receivers", "0"],
-    ["why", "wan", "--receivers", "0"],
     ["perf", "profile", "chaos", "--protocol", "tcp"],
     ["health", "report", "chaos", "--protocol", "tcp"],
     ["--chaos-seed", "3", "--receivers", "0"],
@@ -68,3 +68,23 @@ def test_fault_plan_run_is_built_from_its_spec(monkeypatch, capsys,
     assert "restarted: [2]" in out and out.endswith("survivors ok\n")
     assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == \
         "31e8f58bfa6a7bede5aa9ea235c1121d"
+
+
+def test_cli_report_offline_errors(tmp_path, capsys):
+    # missing artifact directory: exit 2 + one-line stderr error
+    assert cli_main(["report", "lan",
+                     "--from", str(tmp_path / "missing")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "cannot read metrics summary" in err
+
+
+def test_cli_report_offline_renders(tmp_path, capsys):
+    outdir = str(tmp_path / "run")
+    assert cli_main(["report", "wan", "--receivers", "2", "--nbytes",
+                     "60000", "--metrics-out", outdir]) == 0
+    ran = capsys.readouterr().out
+    assert cli_main(["report", "wan", "--from", outdir]) == 0
+    out = capsys.readouterr().out
+    assert "metric series (simulated-time scrape)" in out
+    assert out.rstrip("\n") in ran       # the summary the run printed

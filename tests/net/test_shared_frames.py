@@ -27,8 +27,7 @@ def multicast_once(scenario, damage=None):
     (fact, host, frame) log, the segments each receiver's port got)."""
     sim = scenario.sim
     facts = []
-    sim.tap = lambda fact, where, pkt, blame=0: facts.append(
-        (fact, where, pkt))
+    sim.tap = lambda fact, where, pkt: facts.append((fact, where, pkt))
     catchers = []
     for host in scenario.receivers:
         catcher = Catcher()

@@ -19,10 +19,10 @@ from repro.workloads.scenarios import build_chaos, build_lan, build_wan
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 
 
-def _run(observe: bool, build, lineage: bool = False):
+def _run(observe: bool, build):
     sc = build()
     tracer = PacketTracer()   # run_transfer attaches it to every host
-    obs = Observability(profile=True, lineage=lineage) if observe else None
+    obs = Observability(profile=True) if observe else None
     res = run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
                        max_sim_s=300, obs=obs, tracer=tracer)
     return sc, tracer, res
@@ -57,31 +57,6 @@ def test_zero_perturbation_chaos():
     observed = _run(True, build)
     _assert_identical(bare, observed)
     assert bare[2].fault_events == observed[2].fault_events
-
-
-def test_zero_perturbation_with_lineage_lossy_wan():
-    """Causal lineage tracing (PR 3) keeps the guarantee: a
-    lineage-enabled run is byte-identical to a bare run."""
-    build = lambda: build_wan([LOSSY] * 3, 10e6, seed=21)
-    bare = _run(False, build)
-    traced = _run(True, build, lineage=True)
-    _assert_identical(bare, traced)
-    # non-vacuous: the lineage DAG actually recorded the run
-    obs = traced[2].obs
-    assert len(obs.lineage.nodes) > 100
-    assert obs.lineage.drops, "seed 21 is known lossy"
-
-
-def test_zero_perturbation_with_lineage_chaos():
-    build = lambda: build_chaos(3, 10e6, seed=4, horizon_us=1_000_000,
-                                allow_crash=False)
-    bare = _run(False, build)
-    traced = _run(True, build, lineage=True)
-    _assert_identical(bare, traced)
-    assert bare[2].fault_events == traced[2].fault_events
-    obs = traced[2].obs
-    # fault actions became pinned lineage roots
-    assert obs.lineage.find(kind="fault")
 
 
 def test_zero_perturbation_with_health_lan():

@@ -197,41 +197,33 @@ class Watch:
     """A watch that records what the engine hands it, then runs it."""
 
     def __init__(self):
-        self.current = 0
-        self.seen = []          # (callback, args, cause, sim_dt_us)
+        self.seen = []          # (callback, args, sim_dt_us)
 
-    def execute(self, callback, args, cause, sim_dt_us):
-        self.seen.append((callback, args, cause, sim_dt_us))
-        self.current = cause
+    def execute(self, callback, args, sim_dt_us):
+        self.seen.append((callback, args, sim_dt_us))
         callback(*args)
 
 
-def test_watch_executes_each_firing_once_with_its_advance_and_cause():
-    """Every firing reaches `execute` exactly once, with the clock
-    advance it caused and the context it was scheduled in -- including
-    the entries a firing schedules under the context it set."""
+def test_watch_executes_each_firing_once_with_its_advance():
+    """Every firing reaches `execute` exactly once, with its arguments
+    and the clock advance it made -- including the entries a firing
+    schedules."""
     sim = Simulator()
     sim.watch = watch = Watch()
     log = []
 
     def spawn(tag):
         log.append(tag)
-        watch.current = 9
         sim.call_after(5, log.append, tag + "-child")
 
-    watch.current = 3
     sim.call_at(10, log.append, "a")
-    watch.current = 4
     sim.call_at(10, spawn, "b")
-    watch.current = 0
     sim.call_at(30, log.append, "c")
     sim.run()
     assert log == ["a", "b", "b-child", "c"]
-    assert [(args, cause, dt) for _, args, cause, dt in watch.seen] == [
-        (("a",), 3, 10), (("b",), 4, 0), (("b-child",), 9, 5),
-        (("c",), 0, 15)]
+    assert [(args, dt) for _, args, dt in watch.seen] == [
+        (("a",), 10), (("b",), 0), (("b-child",), 5), (("c",), 15)]
     assert len(watch.seen) == sim.events_processed == 4
-    assert watch.current == 0               # reset when the run returns
 
 
 def test_watch_never_sees_a_cancelled_or_compacted_entry():
@@ -250,16 +242,14 @@ def test_watch_never_sees_a_cancelled_or_compacted_entry():
 def test_watch_sees_an_entry_pushed_back_by_until_once_when_it_fires():
     sim = Simulator()
     sim.watch = watch = Watch()
-    watch.current = 7
     sim.call_at(100, lambda: None)
-    watch.current = 0
     sim.run(until=60)
     assert watch.seen == [] and sim.now == 60
     sim.run(until=99)
     assert watch.seen == []
     sim.run()
-    [(_, _, cause, dt)] = watch.seen
-    assert (cause, dt) == (7, 1)            # 99 -> 100
+    [(_, _, dt)] = watch.seen
+    assert dt == 1                          # 99 -> 100
 
 
 def test_watch_under_step():
@@ -278,14 +268,12 @@ def test_watch_sees_a_raising_callback_once():
 
     sim = Simulator()
     sim.watch = watch = Watch()
-    watch.current = 5
     sim.call_at(10, boom)
     sim.call_at(20, lambda: None)
     with pytest.raises(RuntimeError):
         sim.run()
-    assert [(cb, cause, dt) for cb, _, cause, dt in watch.seen] == \
-        [(boom, 5, 10)]
-    assert watch.current == 0 and sim.pending() == 1
+    assert [(cb, dt) for cb, _, dt in watch.seen] == [(boom, 10)]
+    assert sim.pending() == 1
 
 
 def test_profiler_receives_every_executed_callback():
@@ -389,22 +377,22 @@ def test_profiler_attributes_raising_callbacks():
 
 
 def test_no_profiler_no_overhead_path():
-    """The default (no watch) path still runs everything and captures
-    no context."""
+    """The default (no watch) path still runs everything, from entries
+    that hold nothing past the arguments."""
     sim = Simulator()
     assert sim.watch is None
     fired = []
-    assert sim.call_at(1, fired.append, 1)[4] == 0
+    assert len(sim.call_at(1, fired.append, 1)) == 4
     sim.run()
     assert fired == [1]
 
 
-# -- list heap entries [time, order, callback, args, cause] -----------------
+# -- list heap entries [time, order, callback, args] ------------------------
 
 def test_entry_layout_and_cancel_rule():
     sim = Simulator()
     entry = sim.call_at(10, print, "a", "b")
-    assert entry == [10, 0, print, ("a", "b"), 0]
+    assert entry == [10, 0, print, ("a", "b")]
     assert sim.call_at(10, print)[1] == 1      # order numbers are unique
     sim.cancel(entry)
     assert entry[2] is None                    # cancelled = no callback
@@ -459,18 +447,6 @@ def test_peek_time_drops_cancelled_heads_and_keeps_counts():
     assert sim.pending() == 0
 
 
-def test_pending_entries_in_firing_order():
-    sim = Simulator()
-    late = sim.call_at(30, print)
-    dead = sim.call_at(10, print)
-    first = sim.call_at(20, print, 1)
-    second = sim.call_at(20, print, 2)
-    sim.cancel(dead)
-    assert sim.pending_entries() == [first, second, late]
-    assert sim.pending_entries(limit=1) == [first]
-    assert sim.pending() == 3                  # undisturbed
-
-
 def test_run_until_leaves_the_next_entry_in_place():
     """An entry past `until` goes back to the heap under the same key:
     later runs fire it in its original same-instant position."""
@@ -521,19 +497,6 @@ def test_step_is_run_with_a_budget_of_one():
     assert stepped == budgeted == plain
     assert steps == a.events_processed == c.events_processed == 6
     assert a.step() is False and a.events_processed == 6
-
-
-def test_step_restores_lineage_context():
-    """The context an entry captured is what `execute` is handed under
-    `step()` too, and the watch's context is 0 again afterwards."""
-    sim = Simulator()
-    sim.watch = watch = Watch()
-    watch.current = 41
-    sim.call_at(1, lambda: None)
-    watch.current = 0
-    assert sim.step()
-    assert [cause for _, _, cause, _ in watch.seen] == [41]
-    assert watch.current == 0
 
 
 def test_now_is_a_plain_int_attribute_and_times_stay_ints():

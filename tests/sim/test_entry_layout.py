@@ -2,8 +2,8 @@
 
 `Simulator.call_at` builds the engine's entries, and `Host.cpu_run`
 builds its own (it runs several times per packet per host; DESIGN.md
-S1).  Both must build the same `[time, order, callback, args, cause]`
-list, with or without a watch whose `current` context is non-zero.
+S1).  Both must build the same `[time, order, callback, args]` list,
+with or without a watch on the run.
 """
 
 import pytest
@@ -14,9 +14,7 @@ from repro.sim.engine import Simulator
 
 
 class _Watch:
-    current = 0
-
-    def execute(self, callback, args, cause, sim_dt_us):
+    def execute(self, callback, args, sim_dt_us):
         callback(*args)
 
 
@@ -33,15 +31,11 @@ def _last_entry(sim):
     return max(sim._heap, key=lambda e: e[1])
 
 
-@pytest.mark.parametrize("current", [None, 42])
-def test_cpu_run_builds_the_entry_call_at_builds(current):
-    watch = None
-    if current is not None:
-        watch = _Watch()
-        watch.current = current
+@pytest.mark.parametrize("watched", [False, True], ids=["bare", "watched"])
+def test_cpu_run_builds_the_entry_call_at_builds(watched):
     entries = []
     for build in ("cpu_run", "call_at"):
-        sim, host = _world(watch)
+        sim, host = _world(_Watch() if watched else None)
         live = sim.pending()
         if build == "cpu_run":
             host.cpu_run(250, print, "a", 1)
@@ -53,5 +47,4 @@ def test_cpu_run_builds_the_entry_call_at_builds(current):
     by_cpu_run, by_call_at = entries
     assert by_cpu_run == by_call_at
     assert type(by_cpu_run) is list and type(by_cpu_run[0]) is int
-    assert by_cpu_run[0] == 1_250
-    assert by_cpu_run[4] == (current or 0)
+    assert by_cpu_run == [1_250, by_cpu_run[1], print, ("a", 1)]

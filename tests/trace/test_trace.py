@@ -284,8 +284,8 @@ def test_saved_record_format_is_pinned(tmp_path):
 
 def test_subscribers_see_every_drop_and_the_attached_hosts_traffic():
     """The seam hands subscribers each tx/rx at the attached hosts, in
-    the order the capture records them, every drop anywhere in the
-    fabric, once, and the protocol's own gap and repair facts."""
+    the order the capture records them, and every drop anywhere in the
+    fabric, once."""
     lossy = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
     sc = build_wan([lossy] * 3, 10e6, seed=7)
     tracer = PacketTracer().attach(sc.sender, sc.receivers[0])
@@ -295,15 +295,12 @@ def test_subscribers_see_every_drop_and_the_attached_hosts_traffic():
                        max_sim_s=300)
     assert res.ok
     traffic = [(now, where, fact, pkt.segment.seq, pkt.segment.length)
-               for now, fact, where, pkt, _ in facts if fact in ("tx", "rx")]
+               for now, fact, where, pkt in facts if fact in ("tx", "rx")]
     assert traffic == [(e.t_us, e.host, e.direction, e.seq, e.length)
                        for e in tracer.events]
     assert {e.host for e in tracer.events} == \
         {sc.sender.addr, sc.receivers[0].addr}
-    protocol = {fact for _, fact, *_ in facts if fact in ("gap", "repair")}
-    assert protocol == {"gap", "repair"}
-    drops = [fact for _, fact, *_ in facts
-             if fact not in ("tx", "rx", "gap", "repair")]
+    drops = [fact for _, fact, *_ in facts if fact not in ("tx", "rx")]
     counted = ("router_loss", "pipe_loss", "pipe_queue", "nic_rx_ring",
                "nic_rx_loss")
     assert drops
