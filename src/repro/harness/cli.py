@@ -16,7 +16,6 @@ Usage::
     hrmc-experiments perf profile lan
     hrmc-experiments protocol-health
     hrmc-experiments health report wan
-    hrmc-experiments health sweep --experiment fig14
 
 (or ``python -m repro.harness.cli``).  Experiment runs go through the
 fleet (:mod:`repro.fleet`): specs are planned, served from the
@@ -54,9 +53,8 @@ Subcommands:
   protocol health (:mod:`repro.obs.health`): NAK-suppression ledger,
   feedback-implosion index, repair economics and recovery-lag
   distributions.  The ``protocol-health`` experiment holds the two
-  pinned runs to their bounds.  ``health sweep`` runs a fleet grid
-  over group sizes and flags the cells that drift from the sweep
-  median.
+  pinned runs to their bounds, and the ``scaling`` experiment holds
+  feedback at the sender flat as the group grows.
 
 Every command that runs one transfer builds a
 :class:`~repro.workloads.spec.RunSpec` from its arguments -- the spec a
@@ -392,132 +390,11 @@ def _run_health_report(argv) -> int:
     return 0 if result.ok else 1
 
 
-#: how far a sweep cell may drift from the sweep median, as a fraction,
-#: before it is flagged: downward for effectiveness, upward for the rest
-#: (loose on lag, which is long-tailed)
-ANOMALY_GATES = {"effectiveness": 0.25, "implosion_index": 0.75,
-                 "redundant_ratio": 0.50, "worst_lag_us": 2.0}
-
-
-def flag_anomalies(cells: list[dict]) -> list[dict]:
-    """Every cell metric past its gate from the sweep median, in the
-    metric's bad direction; none below three cells, where every cell
-    is the median's neighbourhood."""
-    from statistics import median as median_of
-
-    if len(cells) < 3:
-        return []
-    medians = {m: median_of(c[m] for c in cells) for m in ANOMALY_GATES}
-    flags = []
-    for cell in cells:
-        for metric, gate in ANOMALY_GATES.items():
-            value, median = cell[metric], medians[metric]
-            direction = "low" if metric == "effectiveness" else "high"
-            if (value < median * (1 - gate) if direction == "low"
-                    else value > median * (1 + gate)):
-                flags.append({"cell": cell["label"], "metric": metric,
-                              "value": value, "median": median,
-                              "threshold": gate, "direction": direction})
-    return flags
-
-
-def _run_health_sweep(argv) -> int:
-    """``health sweep``: a fleet grid over group sizes with health
-    payloads on, one flat cell per run, and the cells that drift from
-    the sweep median flagged.  With ``--json`` stdout is the report
-    alone; status lines go to stderr.  Exit 0 = clean, 1 = anomalies
-    flagged or a cell failed, 2 = unusable input.
-    """
-    from repro.fleet import DEFAULT_CACHE_DIR, Fleet, FleetError
-    from repro.obs.health import CELL_COLUMNS, health_cell
-    from repro.stats.report import format_table
-
-    parser = argparse.ArgumentParser(
-        prog="hrmc-experiments health sweep",
-        description="Sweep the protocol-health observatory over a "
-                    "group-size grid (Figure-14 axis) and flag the "
-                    "cells that drift from the sweep median.")
-    parser.add_argument("--experiment", default="fig14",
-                        choices=("fig14",),
-                        help="sweep family (fig14: feedback vs group "
-                             "size on the WAN test cases)")
-    parser.add_argument("--grid", metavar="N,N,...", default="2,3,5,8",
-                        help="group sizes to sweep (default 2,3,5,8)")
-    parser.add_argument("--wan-test", type=int, default=2, metavar="N",
-                        help="characteristic-group test case "
-                             "(default 2)")
-    parser.add_argument("--nbytes", type=int, default=200_000)
-    parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument("--bandwidth", type=float, default=10.0,
-                        metavar="MBPS")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="worker processes for the run fleet "
-                             "(default: one per usable CPU; 1 = serial "
-                             "in-process)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the sweep report as JSON")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the sweep report as JSON")
-    args = parser.parse_args(argv)
-
-    try:
-        sizes = [int(tok) for tok in args.grid.split(",") if tok.strip()]
-    except ValueError:
-        sizes = []
-    if not sizes:
-        print(f"bad --grid {args.grid!r}: want comma-separated group sizes",
-              file=sys.stderr)
-        return 2
-    specs = _checked(lambda: [RunSpec.wan(
-        test=args.wan_test, receivers=n, bandwidth_bps=args.bandwidth * 1e6,
-        seed=args.seed, nbytes=args.nbytes, sndbuf=128 * 1024,
-        max_sim_s=300.0, health=True) for n in sizes])
-    if specs is None:
-        return 2
-    fleet = Fleet(workers=args.parallel,
-                  cache_dir=None if args.no_cache
-                  else (args.cache_dir or DEFAULT_CACHE_DIR))
-    try:
-        results = fleet.run_specs(specs)
-    except FleetError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    summaries = [results[spec.content_hash()] for spec in specs]
-    cells = [health_cell(s.health, label=f"n={n}", group_size=n,
-                         throughput_bps=s.throughput_bps)
-             for n, s in zip(sizes, summaries)]
-    report = {"cells": cells, "anomalies": flag_anomalies(cells)}
-
-    doc = json.dumps(report, indent=2, sort_keys=True)
-    status = sys.stderr if args.json else sys.stdout
-    if args.json:
-        print(doc)
-    else:
-        print(format_table(
-            f"health sweep ({args.experiment}, test {args.wan_test}, "
-            f"seed {args.seed})", CELL_COLUMNS,
-            [[cell[c] for c in CELL_COLUMNS] for cell in cells]))
-        print()
-        if report["anomalies"]:
-            for a in report["anomalies"]:
-                print(f"ANOMALY {a['cell']}: {a['metric']}="
-                      f"{a['value']:g} {a['direction']} vs sweep "
-                      f"median {a['median']:g}")
-        else:
-            print("no per-cell anomalies")
-    if args.out and not _write_file("sweep report", args.out, doc, status):
-        return 2
-    return 1 if report["anomalies"] or not all(s.ok for s in summaries) else 0
-
-
 #: the subcommands, by their first one or two words
 _COMMANDS = {
     "report": _run_report, "fleet": _run_fleet,
     "perf profile": _run_perf_profile,
-    "health report": _run_health_report, "health sweep": _run_health_sweep,
+    "health report": _run_health_report,
 }
 
 

@@ -17,8 +17,7 @@ bare run:
   ``UpdatePolicy`` adjustments.
 
 Four measurement families, chosen so the paper's evaluation quantities
-(Fig. 11 feedback traffic, Fig. 14 group-size sweep, the section 5.2
-flat-feedback claim) and the "SRM at 30" scaling lessons become
+(Fig. 11 feedback traffic, the section 5.2 flat-feedback claim) and the "SRM at 30" scaling lessons become
 directly comparable across runs:
 
 * **NAK-suppression ledger** -- every re-NAK opportunity at a NAK-
@@ -65,7 +64,7 @@ def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:
 def payload(result) -> dict:
     """The compact JSON-safe health document of a finished run: what
     crosses the fleet worker boundary and what ``health report --json``
-    and ``health sweep`` consume.  Endpoints without an H-RMC role
+    consumes.  Endpoints without an H-RMC role
     (the baselines, the TCP-like reference) contribute nothing."""
     ssock, rsocks = result.sockets
     sender = getattr(getattr(ssock, "transport", None), "sender", None)
@@ -164,7 +163,7 @@ def health_cell(doc: dict, *, label: str = "",
                 throughput_bps: float | None = None) -> dict:
     """A :func:`payload` (possibly JSON round-tripped off the fleet
     cache) as one flat row of numbers: what the ``protocol-health``
-    experiment gates and what a ``health sweep`` cell holds.
+    experiment and ``scaling``'s feedback cells gate.
     ``group_size`` is the grid coordinate, the payload's own the
     fallback; a missing section reads as zeros."""
     def num(section: str, key: str) -> float:
