@@ -16,7 +16,6 @@ Python:
 
 from repro.sim.engine import Simulator, SimulationError
 from repro.sim.process import Process, SimEvent, Delay, ProcessKilled
-from repro.sim.resource import Resource, ResourceStats
 from repro.sim.timer import Timer, JIFFY_US, jiffies_to_us, us_to_jiffies
 from repro.sim.rng import substream
 
@@ -27,8 +26,6 @@ __all__ = [
     "SimEvent",
     "Delay",
     "ProcessKilled",
-    "Resource",
-    "ResourceStats",
     "Timer",
     "JIFFY_US",
     "jiffies_to_us",

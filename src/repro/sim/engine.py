@@ -170,10 +170,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
         return self._live
-
-    def peek_time(self) -> int | None:
-        """Time of the next live event, or ``None`` if drained."""
-        while self._heap and self._heap[0][2] is None:
-            heapq.heappop(self._heap)
-            self._dead -= 1
-        return self._heap[0][0] if self._heap else None

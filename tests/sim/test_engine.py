@@ -131,14 +131,6 @@ def test_pending_counts_live_entries():
     assert sim.pending() == 1
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    e1 = sim.call_at(10, lambda: None)
-    sim.call_at(20, lambda: None)
-    sim.cancel(e1)
-    assert sim.peek_time() == 20
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(4):
@@ -431,20 +423,6 @@ def test_same_instant_fifo_survives_compaction():
     assert sim.compactions > 0
     sim.run()
     assert fired == list(range(0, 400, 8))
-
-
-def test_peek_time_drops_cancelled_heads_and_keeps_counts():
-    sim = Simulator()
-    heads = [sim.call_at(t, lambda: None) for t in (1, 2, 3)]
-    sim.call_at(9, lambda: None)
-    for e in heads:
-        sim.cancel(e)
-    assert sim._dead == 3
-    assert sim.peek_time() == 9
-    assert sim._dead == 0 and len(sim._heap) == 1
-    sim.cancel(sim._heap[0])
-    assert sim.peek_time() is None
-    assert sim.pending() == 0
 
 
 def test_run_until_leaves_the_next_entry_in_place():
