@@ -59,26 +59,18 @@ class NetworkInterface:
         the simulation study).
     tx_ring / rx_ring:
         Ring sizes in packets.
-    rx_delay_us:
-        Extra fixed hold per delivered packet (the "assigned delay" of
-        the paper's network-interface process).
     """
 
     def __init__(self, sim: Simulator, addr: str, *,
                  tx_ring: int = 100, rx_ring: int = 768,
-                 rx_loss_rate: float = 0.0, rx_delay_us: int = 0,
-                 rx_latency_us: int = 0,
-                 seed: int = 0, name: str = ""):
+                 rx_loss_rate: float = 0.0, seed: int = 0,
+                 name: str = ""):
         self.sim = sim
         self.addr = addr
         self.name = name or f"nic-{addr}"
         self.tx_ring_cap = int(tx_ring)
         self.rx_ring_cap = int(rx_ring)
         self.rx_loss_rate = float(rx_loss_rate)
-        self.rx_delay_us = int(rx_delay_us)
-        # pipelined DMA/interrupt latency: delays delivery into the RX
-        # ring without consuming ring slots or CPU (order-preserving)
-        self.rx_latency_us = int(rx_latency_us)
         self._rng = substream(seed, f"nic:{addr}")
         self._port: Optional[MediumPort] = None
         self._tx_queue: deque[NetPacket] = deque()
@@ -227,18 +219,9 @@ class NetworkInterface:
             if tap is not None:
                 tap("rx_loss", self.addr, pkt)
             return
-        if self.rx_latency_us:
-            self.sim.call_after(self.rx_latency_us, self._rx_enqueue, pkt)
-        else:
-            self._rx_enqueue(pkt)
+        self._rx_enqueue(pkt)
 
     def _rx_enqueue(self, pkt: NetPacket) -> None:
-        if not self.powered:
-            self.fault_drops += 1  # arrived via rx_latency after a crash
-            tap = self.sim.tap
-            if tap is not None:
-                tap("nic_dead", self.addr, pkt)
-            return
         if len(self._rx_queue) >= self.rx_ring_cap:
             self.rx_ring_drops += 1
             tap = self.sim.tap
@@ -247,20 +230,10 @@ class NetworkInterface:
             return
         self._rx_queue.append(pkt)
         if not self._rx_active:
-            # an idle ring starts on this frame at once: its CPU work,
-            # or the "assigned delay" of the paper's network-interface
-            # process first (the same two lines end _rx_done)
+            # an idle ring starts its CPU work on this frame at once (the
+            # same line ends _rx_done)
             self._rx_active = True
-            if self.rx_delay_us:
-                self.sim.call_after(self.rx_delay_us, self._rx_process, pkt)
-            else:
-                self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)
-
-    def _rx_process(self, pkt: NetPacket) -> None:
-        """The head frame's ``rx_delay_us`` is over: start its CPU work."""
-        if not self._rx_queue or self._rx_queue[0] is not pkt:
-            return  # ring torn down (power_off) while waiting for rx_delay
-        self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)
+            self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)
 
     def _rx_done(self, pkt: NetPacket) -> None:
         queue = self._rx_queue
@@ -275,7 +248,4 @@ class NetworkInterface:
             self._rx_active = False
             return
         pkt = queue[0]
-        if self.rx_delay_us:
-            self.sim.call_after(self.rx_delay_us, self._rx_process, pkt)
-        else:
-            self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)
+        self.cpu_run(self.rx_cost_fn(pkt), self._rx_done, pkt)

@@ -146,16 +146,6 @@ def test_rx_loss_rate_drops_fraction():
     assert nic.rx_loss_drops == n - len(got)
 
 
-def test_rx_delay_holds_packet():
-    sim = Simulator()
-    nic = NetworkInterface(sim, "10.0.0.1", rx_delay_us=123)
-    got = []
-    nic.rx_handler = lambda pkt: got.append(sim.now)
-    nic.medium_deliver(mkpkt("10.0.0.9", "10.0.0.1"))
-    sim.run()
-    assert got == [123]
-
-
 def test_one_broadcast_event_delivers_like_per_nic_events():
     """`broadcast` schedules one engine event for the whole fan-out.
     The expected values were recorded at the commit that still
