@@ -54,15 +54,6 @@ class ImportMap:
             return None
         return f"{base}.{rest}" if rest else base
 
-    def imports_module(self, module: str) -> list[tuple[str, str]]:
-        """(local name, target) pairs whose target is ``module`` or
-        lives under it."""
-        out = []
-        for local, target in sorted(self.names.items()):
-            if target == module or target.startswith(module + "."):
-                out.append((local, target))
-        return out
-
 
 def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for nested Attribute/Name chains, else None."""

@@ -85,11 +85,6 @@ class ModuleContext:
         _collect_suppressions(ctx)
         return ctx
 
-    @classmethod
-    def from_file(cls, path: Path, module: str | None = None) -> "ModuleContext":
-        return cls.from_source(path.read_text(encoding="utf-8"), str(path),
-                               module=module)
-
     # -- helpers for rules ------------------------------------------------
 
     def line_text(self, line: int) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import posixpath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = ["Finding", "baseline_key"]
 
@@ -42,9 +42,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    def relocate(self, path: str) -> "Finding":
-        return replace(self, path=path)
 
 
 def baseline_key(finding: Finding) -> str:

@@ -35,9 +35,9 @@ class Sock:
         # memory limits / usage
         self.sndbuf = int(sndbuf)
         self.rcvbuf = int(rcvbuf)
-        # queues (cf. write_queue / back_log / receive_queue)
+        # queues (cf. write_queue / receive_queue; the transport keeps
+        # its own backlog)
         self.write_queue = SkbQueue("write")
-        self.back_log = SkbQueue("backlog")
         self.receive_queue = SkbQueue("receive")
         # transport-specific block (tp_pinfo union)
         self.tp_pinfo: Any = None
@@ -48,7 +48,7 @@ class Sock:
         # lifecycle
         self.dead = False
         # the socket lock: packets arriving while an application call
-        # holds the socket go to the backlog queue
+        # holds the socket go to the transport's backlog
         self.locked = False
 
     # -- memory accounting -------------------------------------------
@@ -56,9 +56,6 @@ class Sock:
     def wmem_free(self) -> int:
         """Free send-buffer space in bytes."""
         return self.sndbuf - self.write_queue.bytes
-
-    def rmem_used(self) -> int:
-        return self.receive_queue.bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Sock({self.name}, port={self.num}, "

@@ -109,7 +109,3 @@ class SharedLink:
         for nic in self._nics:
             if nic is not sender:
                 nic.medium_deliver(pkt)
-
-    @property
-    def utilization_bytes(self) -> int:
-        return self.bytes_carried
