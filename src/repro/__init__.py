@@ -1,5 +1,6 @@
 """hrmc-repro: a reproduction of "H-RMC: A Hybrid Reliable Multicast
 Protocol for the Linux Kernel" (McKinley, Rao & Wright, SC '99).
+The package imports nothing outside the standard library.
 
 Top-level convenience exports; see the subpackages for the full API:
 
@@ -8,7 +9,8 @@ Top-level convenience exports; see the subpackages for the full API:
 - :mod:`repro.baselines` -- ACK-based, polling-based, TCP-like
 - :mod:`repro.sim` / :mod:`repro.net` / :mod:`repro.kernel` -- substrate
 - :mod:`repro.workloads` / :mod:`repro.harness` -- experiments
-- :mod:`repro.trace` -- packet capture & analysis
+- :mod:`repro.trace` -- packet capture
+- :mod:`repro.obs` -- metric series, spans, profiler, protocol health
 """
 
 from repro.core import HRMCConfig, open_hrmc_socket

@@ -71,9 +71,6 @@ class HRMCConfig:
     probes_enabled: bool = True         # H-RMC probe-before-release
     reliable_release: bool = True       # hold window for complete info
     dynamic_update_timer: bool = True   # adapt the update period
-    track_membership: bool = True       # keep the member table (RMC keeps
-    #                                     it too, for the Fig. 3 metric,
-    #                                     but does not gate release on it)
 
     # scenario knowledge: with reliable_release the sender refuses to
     # release data until at least this many receivers have joined (the
@@ -96,7 +93,9 @@ class HRMCConfig:
     # -- convenience constructors ------------------------------------------
 
     def as_rmc(self) -> "HRMCConfig":
-        """The original, purely NAK-based RMC protocol."""
+        """The original, purely NAK-based RMC protocol.  RMC keeps the
+        member table too, for the Fig. 3 metric, but does not gate
+        release on it."""
         return replace(self, updates_enabled=False, probes_enabled=False,
                        reliable_release=False, dynamic_update_timer=False,
                        expected_receivers=None)

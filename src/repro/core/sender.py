@@ -287,8 +287,7 @@ class HRMCSender:
             boundary = skb.end_seq
             complete = self._info_complete(boundary)
             if not skb.release_checked:
-                if self.cfg.track_membership:
-                    self.release.record(complete)
+                self.release.record(complete)
                 skb.release_checked = True
             if self.cfg.reliable_release:
                 if not complete:
@@ -459,9 +458,8 @@ class HRMCSender:
 
     def _on_join(self, skb: SKBuff, src: str, now: int) -> None:
         self.stats.joins_rcvd += 1
-        if self.cfg.track_membership:
-            member = self.members.add(src, skb.seq, now)
-            member.have_info = True
+        member = self.members.add(src, skb.seq, now)
+        member.have_info = True
         # the JOIN echoes (in rate_adv) the seq of the data packet that
         # triggered it; a first-transmission match yields an RTT sample
         echo = skb.rate_adv
@@ -487,10 +485,9 @@ class HRMCSender:
     def _on_nak(self, skb: SKBuff, src: str, now: int) -> None:
         self.stats.naks_rcvd += 1
         self._take_probe_sample(src, now)
-        if self.cfg.track_membership:
-            # a NAK's seq is the requested range start; the receiver's
-            # next expected sequence number rides in rate_adv
-            self.members.update_feedback(src, skb.rate_adv, now)
+        # a NAK's seq is the requested range start; the receiver's
+        # next expected sequence number rides in rate_adv
+        self.members.update_feedback(src, skb.rate_adv, now)
         start = skb.seq
         end = seq_add(skb.seq, max(1, skb.length))
         if seq_lt(start, self.snd_wnd):
@@ -512,8 +509,7 @@ class HRMCSender:
 
     def _on_control(self, skb: SKBuff, src: str, now: int) -> None:
         self._take_probe_sample(src, now)
-        if self.cfg.track_membership:
-            self.members.update_feedback(src, skb.seq, now)
+        self.members.update_feedback(src, skb.seq, now)
         rtt = self.rtt.rtt_us
         if skb.flags & URG:
             self.stats.urgent_requests_rcvd += 1
@@ -528,8 +524,7 @@ class HRMCSender:
     def _on_update(self, skb: SKBuff, src: str, now: int) -> None:
         self.stats.updates_rcvd += 1
         self._take_probe_sample(src, now)
-        if self.cfg.track_membership:
-            self.members.update_feedback(src, skb.seq, now)
+        self.members.update_feedback(src, skb.seq, now)
         self._kick()
 
     # ------------------------------------------------------------------

@@ -210,7 +210,7 @@ class InvariantChecker:
             self._fail(f"{sock.name}: non-head release (seq={skb.seq}, "
                        f"snd_wnd={sender.snd_wnd})")
         cfg = sender.cfg
-        if cfg.reliable_release and cfg.track_membership:
+        if cfg.reliable_release:
             if not sender._membership_quorum():
                 self._fail(f"{sock.name}: release before the expected "
                            f"membership assembled")

@@ -137,13 +137,10 @@ def fig3_release_info(scale: Optional[str] = None,
         for buf in buffers:
             row = [f"{buf}K"]
             for _, group in envs:
-                # RMC keeps the member table for measurement only
-                cfg = {"_rmc": True, "track_membership": True} if rmc \
-                    else {}
                 res = grid.run(RunSpec.wan(
                     groups=[group.name] * 10, bandwidth_bps=MBPS_10,
                     seed=7, nbytes=nbytes,
-                    protocol="rmc" if rmc else "hrmc", cfg=cfg,
+                    protocol="rmc" if rmc else "hrmc",
                     sndbuf=buf * 1024))
                 row.append(round(res.release_complete_pct, 1))
             rows.append(row)
@@ -579,7 +576,7 @@ def ablation_updates(scale: Optional[str] = None,
             # update period before release -- the Figure 3 setting
             cfg = {"reliable_release": False, "probes_enabled": False,
                    "dynamic_update_timer": False,
-                   "updates_enabled": updates, "track_membership": True,
+                   "updates_enabled": updates,
                    "expected_receivers": None}
             res = grid.run(RunSpec.wan(
                 groups=[group.name] * 10, bandwidth_bps=MBPS_10, seed=7,
@@ -615,10 +612,10 @@ def ablation_probes(scale: Optional[str] = None,
                                     "(reliability with small buffers)")
     arms = [
         ("H-RMC (probes on)", "hrmc", {}),
-        ("RMC, MINBUF=10", "rmc", {"_rmc": True}),
+        ("RMC, MINBUF=10", "rmc", {}),
         # the hazard case the MINBUF heuristic is protecting against:
         # shrink the hold time and the pure-NAK design drops data
-        ("RMC, MINBUF=1", "rmc", {"_rmc": True, "minbuf_rtts": 1}),
+        ("RMC, MINBUF=1", "rmc", {"minbuf_rtts": 1}),
         ("H-RMC, MINBUF=1", "hrmc", {"minbuf_rtts": 1}),
     ]
     rows = []

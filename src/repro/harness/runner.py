@@ -124,26 +124,27 @@ class TransferResult:
 
 
 def _open_socket(protocol: str, host, cfg: HRMCConfig, *, sndbuf: int,
-                 rcvbuf: int, n_receivers: int) -> Socket:
+                 n_receivers: int) -> Socket:
+    # one kernel buffer size for sending and receiving, as in the paper
     if protocol == "hrmc":
-        return open_hrmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=rcvbuf)
+        return open_hrmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=sndbuf)
     if protocol == "rmc":
         from repro.core.rmc import open_rmc_socket
-        return open_rmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=rcvbuf)
+        return open_rmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=sndbuf)
     if protocol == "ack":
         from repro.baselines.ack import AckTransport
         return Socket(AckTransport(host, expected_receivers=n_receivers,
-                                   sndbuf=sndbuf, rcvbuf=rcvbuf))
+                                   sndbuf=sndbuf, rcvbuf=sndbuf))
     if protocol == "polling":
         from repro.baselines.polling import PollingTransport
         return Socket(PollingTransport(host, expected_receivers=n_receivers,
-                                       sndbuf=sndbuf, rcvbuf=rcvbuf))
+                                       sndbuf=sndbuf, rcvbuf=sndbuf))
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def run_transfer(scenario: Scenario, *, nbytes: int,
                  protocol: str = "hrmc",
-                 sndbuf: int = 64 * 1024, rcvbuf: Optional[int] = None,
+                 sndbuf: int = 64 * 1024,
                  cfg: Optional[HRMCConfig] = None,
                  disk: bool = False, chunk: int = 64 * 1024,
                  verify: str = "offsets", seed: int = 0,
@@ -154,8 +155,8 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     """Transfer ``nbytes`` from the scenario's sender to every receiver.
 
     ``sndbuf`` is the per-socket kernel buffer of the experiments' x
-    axis; ``rcvbuf`` defaults to the same value (the paper varies them
-    together as "the kernel buffer size").
+    axis, sending and receiving alike (the paper varies them together
+    as "the kernel buffer size").
 
     ``scenario.fault_plan`` schedules fault injection for the run;
     ``invariants=True`` attaches the always-on protocol-invariant
@@ -179,7 +180,6 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    rcvbuf = sndbuf if rcvbuf is None else rcvbuf
     sim = scenario.sim
     n = scenario.n_receivers
 
@@ -220,15 +220,15 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     # `procs`: every process this run starts that nobody else joins
     if protocol == "tcp":
         sockets, procs = _run_tcp_sequential(
-            scenario, nbytes, sndbuf, rcvbuf, sender_result,
+            scenario, nbytes, sndbuf, sender_result,
             receiver_results, disks, chunk, verify)
         if obs is not None:
             obs.attach(scenario, tracer)
     else:
         ssock = _open_socket(protocol, scenario.sender, base,
-                             sndbuf=sndbuf, rcvbuf=rcvbuf, n_receivers=n)
+                             sndbuf=sndbuf, n_receivers=n)
         rsocks = [_open_socket(protocol, h, base, sndbuf=sndbuf,
-                               rcvbuf=rcvbuf, n_receivers=n)
+                               n_receivers=n)
                   for h in scenario.receivers]
         rprocs = [ReceiverApp(rsock, group=scenario.group_addr,
                               port=scenario.data_port,
@@ -264,8 +264,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
             kernel endpoint died with the crash, so the receiver comes
             back as a new group member and resumes mid-stream."""
             sock = _open_socket(protocol, scenario.receivers[idx], base,
-                                sndbuf=sndbuf, rcvbuf=rcvbuf,
-                                n_receivers=n)
+                                sndbuf=sndbuf, n_receivers=n)
             res = AppResult(name=f"rcv{idx}-rejoin")
             rejoin_results.append(res)
             procs.append(
@@ -305,7 +304,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     return result
 
 
-def _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf, sender_result,
+def _run_tcp_sequential(scenario, nbytes, sndbuf, sender_result,
                         receiver_results, disks, chunk, verify):
     """TCP-like reference: n sequential unicast transfers.  Returns the
     sockets and the processes nobody joins: the receivers and the
@@ -319,7 +318,7 @@ def _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf, sender_result,
     procs: list[Process] = []
     for i, rhost in enumerate(scenario.receivers):
         rsock = Socket(TcpLikeTransport(rhost, sndbuf=sndbuf,
-                                        rcvbuf=rcvbuf))
+                                        rcvbuf=sndbuf))
         rsocks.append(rsock)
         procs.append(ReceiverApp(rsock, group=rhost.addr,
                                  port=scenario.data_port,
@@ -331,7 +330,7 @@ def _run_tcp_sequential(scenario, nbytes, sndbuf, rcvbuf, sender_result,
         total = 0
         for i, rhost in enumerate(scenario.receivers):
             ssock = Socket(TcpLikeTransport(scenario.sender, sndbuf=sndbuf,
-                                            rcvbuf=rcvbuf))
+                                            rcvbuf=sndbuf))
             sender_socks.append(ssock)
             one = AppResult(name=f"tcp-snd{i}")
             proc = Process(sim, sender_app(

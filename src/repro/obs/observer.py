@@ -6,7 +6,7 @@ a scenario without perturbing it.
 * a **scrape process** that samples registered gauges (window
   occupancy, socket-buffer usage, repair-cache bytes, advertised rate,
   NAK/UPDATE/retransmission rates, engine queue depth, per-link
-  utilisation) into time series every ``scrape_interval_us`` of
+  utilisation) into time series every ``SCRAPE_INTERVAL_US`` of
   simulated time,
 * a **span collector** subscribed to the packet seam
   (packet-lifecycle latency histograms and protocol-phase spans),
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.seq import seq_sub
 from repro.obs.export import (summary_text, write_chrome_trace,
                               write_series_csv, write_series_jsonl)
-from repro.obs.metrics import LATENCY_BOUNDS_US, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SimProfiler
 from repro.obs.spans import SpanCollector
 
@@ -44,16 +44,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Observability"]
 
+#: simulated time between gauge samples: 50 ms, five jiffies -- fine
+#: enough to see rate-control dynamics without bloating dumps
+SCRAPE_INTERVAL_US = 50_000
+
 
 class Observability:
     """One observed run: construct, pass to ``run_transfer(obs=...)``.
 
     Parameters
     ----------
-    scrape_interval_us:
-        Simulated time between gauge samples (default 50 ms -- five
-        jiffies, fine enough to see rate-control dynamics without
-        bloating dumps).
     profile:
         Attach the engine profiler.  Its cost is its own work per
         engine event, so it weighs more the cheaper the bare run is:
@@ -61,21 +61,13 @@ class Observability:
         1.5x its bare wall-clock time with it (``obs.overhead_ratio``,
         2-vCPU Xeon, Python 3.11).  Simulated behaviour is unaffected
         either way.
-    latency_bounds:
-        Histogram bucket edges for the packet-lifecycle spans.
     """
 
-    def __init__(self, *, scrape_interval_us: int = 50_000,
-                 profile: bool = False,
-                 latency_bounds=LATENCY_BOUNDS_US):
-        if scrape_interval_us <= 0:
-            raise ValueError("scrape_interval_us must be positive")
-        self.scrape_interval_us = int(scrape_interval_us)
+    def __init__(self, *, profile: bool = False):
         self.registry = MetricsRegistry()
         self.profiler: Optional[SimProfiler] = \
             SimProfiler() if profile else None
         self.spans: Optional[SpanCollector] = None
-        self._latency_bounds = latency_bounds
         self._sim = None
         self.attached = False
         self.finalized_at_us: Optional[int] = None
@@ -99,8 +91,7 @@ class Observability:
         self._sim = sim
         reg = self.registry
 
-        self.spans = SpanCollector(scenario.sender.addr,
-                                   self._latency_bounds)
+        self.spans = SpanCollector(scenario.sender.addr)
         tracer.subscribe(self.spans.on_packet)
 
         # engine
@@ -157,7 +148,7 @@ class Observability:
         # drains, the scrape loop stops instead of ticking to the run's
         # time horizon
         if self._sim.pending() > 0:
-            self._sim.call_after(self.scrape_interval_us, self._tick)
+            self._sim.call_after(SCRAPE_INTERVAL_US, self._tick)
 
     def finalize(self, now_us: int) -> None:
         """Final scrape and span close-out; the harness calls this when

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.types import FIN, PacketType
-from repro.obs.metrics import Histogram, LATENCY_BOUNDS_US
+from repro.obs.metrics import Histogram
 
 __all__ = ["Span", "SpanCollector"]
 
@@ -86,12 +86,12 @@ class SpanCollector:
     #: cap on exported instant marks (retransmissions, NAKs, UPDATEs)
     MARK_CAP = 20_000
 
-    def __init__(self, sender_addr: str,
-                 latency_bounds=LATENCY_BOUNDS_US):
+    def __init__(self, sender_addr: str):
         self.sender_addr = sender_addr
-        self.one_way_us = Histogram("span.one_way_us", latency_bounds)
-        self.queueing_us = Histogram("span.queueing_us", latency_bounds)
-        self.recovery_us = Histogram("span.recovery_us", latency_bounds)
+        # bucket edges: the metrics module's LATENCY_BOUNDS_US
+        self.one_way_us = Histogram("span.one_way_us")
+        self.queueing_us = Histogram("span.queueing_us")
+        self.recovery_us = Histogram("span.recovery_us")
         self.spans: list[Span] = []
         self.marks: list[_Mark] = []
         self.last_event_us = 0

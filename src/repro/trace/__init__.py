@@ -1,14 +1,13 @@
-"""Packet tracing and offline analysis.
+"""Packet tracing.
 
-A :class:`~repro.trace.tracer.PacketTracer` taps one or more hosts and
-records every transport segment they send or receive -- the simulated
-equivalent of running tcpdump on each machine of the testbed.  Traces
-can be saved to JSON-lines files and analyzed offline with
-:mod:`repro.trace.analyzer`: per-type summaries, retransmission ratios,
-throughput timelines and sequence-progress views.
+A :class:`~repro.trace.tracer.PacketTracer` owns a run's packet seam and
+records every transport segment the hosts it is attached to send or
+receive -- the simulated equivalent of running tcpdump on each machine
+of the testbed.  A capture can be saved as JSON lines
+(:meth:`~repro.trace.tracer.PacketTracer.save`); what a run did on the
+wire is measured online by the roles' counters and the ``obs`` layer.
 """
 
-from repro.trace.tracer import (PacketTracer, TraceEvent, load_trace,
-                                trace_meta)
+from repro.trace.tracer import PacketTracer, TraceEvent
 
-__all__ = ["PacketTracer", "TraceEvent", "load_trace", "trace_meta"]
+__all__ = ["PacketTracer", "TraceEvent"]

@@ -21,7 +21,7 @@ from repro.core.types import PacketType
 from repro.kernel.host import Host
 from repro.net.packet import NetPacket
 
-__all__ = ["TraceEvent", "PacketTracer", "load_trace", "trace_meta"]
+__all__ = ["TraceEvent", "PacketTracer"]
 
 
 class TraceEvent(NamedTuple):
@@ -41,14 +41,12 @@ class TraceEvent(NamedTuple):
 
     @property
     def type_name(self) -> str:
+        """The packet type's name, as the invariant checker's violation
+        tail prints it."""
         try:
             return PacketType(self.ptype).name
         except ValueError:
             return f"type{self.ptype}"
-
-    @property
-    def is_retransmission(self) -> bool:
-        return self.ptype == PacketType.DATA and self.tries > 1
 
 
 class PacketTracer:
@@ -158,8 +156,8 @@ class PacketTracer:
         Events are emitted in time order (a ring capture whose contents
         were assembled across evictions is re-sorted, stably, to be
         safe), and a truncated capture leads with a ``_meta`` line
-        recording how many records were lost, so replay tooling knows
-        the head of the run is missing.
+        recording how many records were lost, so a reader knows the
+        head of the run is missing.
         """
         events = sorted(self.events, key=lambda e: e.t_us)
         with open(path, "w") as fh:
@@ -172,45 +170,3 @@ class PacketTracer:
                 fh.write(json.dumps(ev._asdict(), separators=(",", ":")))
                 fh.write("\n")
         return len(events)
-
-    # -- convenience filters ------------------------------------------------
-
-    def at_host(self, addr: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.host == addr]
-
-
-def load_trace(path: str) -> list[TraceEvent]:
-    """Read a JSON-lines capture produced by :meth:`PacketTracer.save`.
-
-    Tolerates flight-recorder captures: a leading ``_meta`` line (ring
-    truncation marker) is skipped, unknown fields from newer writers are
-    ignored, and out-of-order records are re-sorted so downstream
-    analyzers always see a time-ordered stream even when the first
-    events of the run are missing.
-    """
-    fields = set(TraceEvent._fields)
-    out: list[TraceEvent] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "_meta" in record:
-                continue
-            out.append(TraceEvent(**{k: v for k, v in record.items()
-                                     if k in fields}))
-    out.sort(key=lambda e: e.t_us)
-    return out
-
-
-def trace_meta(path: str) -> Optional[dict]:
-    """The ``_meta`` record of a saved capture, or ``None`` if the
-    capture is complete (no truncation marker)."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                return record.get("_meta")
-    return None

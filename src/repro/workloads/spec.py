@@ -61,8 +61,8 @@ class RunSpec:
       ``horizon_us``, ``allow_crash`` (the same seed drives topology
       and fault plan)
 
-    ``cfg`` holds :class:`HRMCConfig` field overrides; the reserved key
-    ``_rmc`` applies :meth:`HRMCConfig.as_rmc` before the overrides.
+    ``cfg`` holds :class:`HRMCConfig` field overrides (``protocol="rmc"``
+    applies :meth:`HRMCConfig.as_rmc` itself).
     A spec no world can be built from raises ``ValueError`` here.
     """
 
@@ -183,12 +183,8 @@ class RunSpec:
     def _config(self) -> Optional[HRMCConfig]:
         if not self.cfg:
             return None
-        delta = dict(self.cfg)
-        cfg = HRMCConfig()
-        if delta.pop("_rmc", False):
-            cfg = cfg.as_rmc()
         try:
-            return replace(cfg, **delta)
+            return replace(HRMCConfig(), **self.cfg)
         except TypeError as exc:
             raise ValueError(f"bad config delta for {self.describe()}: "
                              f"{exc}") from None

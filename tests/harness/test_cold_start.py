@@ -1,9 +1,12 @@
 """What every invocation pays before it simulates anything.
 
 Each check runs in a fresh interpreter and counts modules, never time:
-an entry point may load only the code it runs.
+an entry point may load only the code it runs.  The first check reads
+the source instead: what any entry point can load at all is the
+standard library and ``repro``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -47,15 +50,31 @@ def _run(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_running_anything_does_not_import_numpy():
-    """numpy (~0.1 s, ~13 MB) is imported by the three plotting helpers
-    of the offline trace analyzer that use it, and by nothing the CLI or
-    a transfer imports."""
-    _run("import repro.harness.cli, repro.harness.runner\n"
-         "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-         "from repro.trace.analyzer import sparkline\n"
-         "sparkline([1, 2, 3])\n"
-         "assert 'numpy' in sys.modules\n")
+def test_the_package_imports_only_the_standard_library():
+    """Every absolute import of every module under ``src/repro`` names
+    ``repro`` or a standard-library module: running the reproduction
+    needs nothing but the interpreter."""
+    root = os.path.join(SRC, "repro")
+    outside = []
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    tops = [a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    tops = [node.module.split(".")[0]]
+                else:
+                    continue
+                outside += [f"{os.path.relpath(path, SRC)}:{node.lineno} "
+                            f"{top}" for top in tops
+                            if top != "repro"
+                            and top not in sys.stdlib_module_names]
+    assert not outside, outside
 
 
 def test_listing_experiments_does_not_import_a_process_pool():
@@ -117,7 +136,7 @@ def test_the_cli_import_is_exactly_what_report_runs():
     _run("import repro.harness.cli as cli\n"
          "extra = under(('repro.harness.experiments', 'repro.fleet', "
          "'repro.analysis', 'repro.faults', 'repro.baselines', "
-         "'repro.core.rmc', 'repro.trace.analyzer'))\n"
+         "'repro.core.rmc'))\n"
          "assert not extra, extra\n"
          "before = set(sys.modules)\n"
          "rc = quietly(cli.main, ['report', 'lan', '--receivers', '2', "

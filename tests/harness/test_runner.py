@@ -30,9 +30,14 @@ def test_result_fields_consistent():
 
 
 def test_rcvbuf_defaults_to_sndbuf():
+    """One kernel buffer size: every socket's receive buffer is the
+    ``sndbuf`` the run was given."""
     sc = build_lan(1, 10e6, seed=41)
     res = run_transfer(sc, nbytes=50_000, sndbuf=96 * 1024)
-    assert res.ok  # just exercises the default path
+    assert res.ok
+    ssock, rsocks = res.sockets
+    assert {s.transport.sock.rcvbuf for s in (ssock, *rsocks)} == \
+        {96 * 1024}
 
 
 def test_receiver_stats_aggregated():

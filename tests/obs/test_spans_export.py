@@ -142,11 +142,6 @@ def test_obs_attach_is_single_use(observed_run):
         obs.attach(sc, None)
 
 
-def test_scrape_interval_validation():
-    with pytest.raises(ValueError):
-        Observability(scrape_interval_us=0)
-
-
 def test_lan_run_has_link_utilization():
     sc = build_lan(2, 10e6, seed=3)
     obs = Observability()
