@@ -197,8 +197,16 @@ class Observability:
 
     @staticmethod
     def _rcvbuf_used(transport) -> Optional[int]:
+        """In-order queue plus the out-of-order segments parked in the
+        receiver, as Linux charges both to ``sk_rmem_alloc``: the reader
+        empties the first between scrapes, so on a lossy run the parked
+        segments are what the receive buffer holds."""
         sock = getattr(transport, "sock", None)
-        return None if sock is None else sock.receive_queue.bytes
+        if sock is None:
+            return None
+        ooo = getattr(getattr(transport, "receiver", None), "_ooo", None)
+        parked = sum(skb.truesize for skb in ooo.values()) if ooo else 0
+        return sock.receive_queue.bytes + parked
 
     @staticmethod
     def _repair_cache(transport) -> Optional[int]:

@@ -43,6 +43,15 @@ def test_series_populated(observed_run):
     assert res.sender_stats.naks_rcvd > 0
 
 
+def test_rcvbuf_series_counts_parked_segments(observed_run):
+    """The application empties the in-order queue between scrapes, so
+    on a lossy run the receive buffer holds the out-of-order segments
+    parked behind each hole, and the series must show them."""
+    _, obs, res = observed_run
+    assert res.receiver_stats.out_of_order_pkts > 0
+    assert max(obs.registry.series["recv.rcvbuf_used_bytes"].values) > 0
+
+
 def test_lifecycle_histograms(observed_run):
     _, obs, _ = observed_run
     spans = obs.spans
