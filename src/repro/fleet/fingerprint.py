@@ -21,7 +21,8 @@ affect what a worker computes.
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b itself, without hashlib's OpenSSL (DESIGN §5g)
+from _blake2 import blake2b
 from pathlib import Path
 from typing import Optional
 
@@ -59,7 +60,7 @@ def code_fingerprint(root: Optional[str] = None) -> str:
     if root is None and _cached is not None:
         return _cached
     base = Path(root) if root is not None else _repro_root()
-    h = hashlib.blake2b(digest_size=16)
+    h = blake2b(digest_size=16)
     h.update(b"ruleset:")
     h.update(RULESET_VERSION.encode())
     h.update(b"\x00")

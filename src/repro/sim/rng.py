@@ -9,8 +9,9 @@ draws, which keeps A/B comparisons (e.g. updates on vs off) paired.
 
 from __future__ import annotations
 
-import hashlib
 import random
+# hashlib.blake2b itself, without hashlib's OpenSSL (DESIGN §5g)
+from _blake2 import blake2b
 
 __all__ = ["substream"]
 
@@ -22,7 +23,7 @@ def substream(master_seed: int, name: str) -> random.Random:
     BLAKE2b, so it is stable across runs and Python versions (unlike
     ``hash()``).
     """
-    digest = hashlib.blake2b(
+    digest = blake2b(
         f"{master_seed}:{name}".encode(), digest_size=8
     ).digest()
     return random.Random(int.from_bytes(digest, "big"))

@@ -17,8 +17,9 @@ a spec becomes a world invalidates previously stored results.
 
 from __future__ import annotations
 
-import hashlib
 import json
+# hashlib.blake2b itself, without hashlib's OpenSSL (DESIGN §5g)
+from _blake2 import blake2b
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
@@ -216,8 +217,8 @@ class RunSpec:
 
     def content_hash(self) -> str:
         """Stable address of this spec (independent of code state)."""
-        return hashlib.blake2b(self.canonical_json().encode(),
-                               digest_size=16).hexdigest()
+        return blake2b(self.canonical_json().encode(),
+                       digest_size=16).hexdigest()
 
     def describe(self) -> str:
         p = self.scenario_params

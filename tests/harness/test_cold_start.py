@@ -1,8 +1,11 @@
 """What every invocation pays before it simulates anything.
 
 Each check runs in a fresh interpreter and counts modules, never time:
-an entry point may load only the code it runs.  The first check reads
-the source instead: what any entry point can load at all is the
+an entry point may load only the code it runs, and no shared library
+it does not use -- none maps OpenSSL, which `hashlib` would load for
+digests `_blake2` gives without it.  Peak memory follows (DESIGN.md
+§5g "Start-up budget" gives it per entry point).  The first check
+reads the source instead: what any entry point can load at all is the
 standard library and ``repro``.
 """
 
@@ -171,6 +174,39 @@ def test_an_experiment_cell_loads_no_observer():
          "assert summary.ok\n"
          "extra = under(('repro.obs',))\n"
          "assert not extra, extra\n")
+
+
+#: one entry point per fresh interpreter: what each runs
+ENTRY_POINTS = {
+    "--list": "from repro.harness import cli\n"
+              "assert quietly(cli.main, ['--list']) == 0\n",
+    "report": "from repro.harness import cli\n"
+              "assert quietly(cli.main, ['report', 'lan', '--receivers', "
+              "'2', '--nbytes', '50000']) == 0\n",
+    "run_transfer": "from repro.harness.runner import run_transfer\n"
+                    "from repro.workloads import build_lan\n"
+                    "assert run_transfer(build_lan(2, 10e6, seed=1), "
+                    "nbytes=20_000).ok\n",
+    "fleet cell": "from repro.fleet.executor import Fleet\n"
+                  "from repro.workloads.spec import RunSpec\n"
+                  "spec = RunSpec.lan(2, 10e6, seed=1, nbytes=20_000)\n"
+                  "assert Fleet(cache_dir=None).run_specs([spec])"
+                  "[spec.content_hash()].ok\n",
+    "code_fingerprint": "from repro.fleet.fingerprint import "
+                        "code_fingerprint\n"
+                        "assert len(code_fingerprint()) == 32\n",
+}
+
+
+def test_no_entry_point_maps_openssl():
+    """`import hashlib` loads `_hashlib`, which maps OpenSSL's libcrypto
+    (about 3 MB resident, a sixth of a `report` process) for nothing:
+    the three BLAKE2b digests come from `_blake2`, which is what
+    `hashlib.blake2b` is (tests/fleet/test_digests.py)."""
+    for name, code in ENTRY_POINTS.items():
+        _run(code + "mapped = [m for m in ('_hashlib', '_ssl') "
+             "if m in sys.modules]\n"
+             f"assert not mapped, ({name!r}, mapped)\n")
 
 
 #: what watching a run takes, and reading its health does not
