@@ -19,6 +19,6 @@ __all__ = ["RULESET_VERSION"]
 
 #: bump on any observable rule-behaviour change (see module docstring)
 #: simlint-2: R1 also flags tracemalloc/gc measurement calls, and the
-#: wall-clock allowlist gained the repro.obs.perf boundary
+#: wall-clock allowlist gained the profiler's boundary
 #: simlint-3: R8 (writes to ``now`` outside repro.sim.engine)
 RULESET_VERSION = "simlint-3"

@@ -12,8 +12,6 @@ Usage::
     hrmc-experiments --chaos-seed 10
     hrmc-experiments --fault-plan plan.json --metrics-out out/
     hrmc-experiments report lan --receivers 5 --metrics-out out/
-    hrmc-experiments report wan --from out/
-    hrmc-experiments perf profile lan
     hrmc-experiments protocol-health
     hrmc-experiments health report wan
 
@@ -43,12 +41,9 @@ Perfetto-loadable trace -- into ``DIR``.
 Subcommands:
 
 * ``report lan|wan|chaos`` runs one observed transfer of a canned
-  scenario and prints the observability summary; ``--from DIR``
-  re-prints a previously written artifact directory's summary without
-  running anything.
-* ``perf profile lan|wan|chaos`` runs one transfer under the engine
-  profiler and prints its event-class tax table
-  (:mod:`repro.obs.perf`).
+  scenario under the engine profiler and prints the observability
+  summary, which ends with the hottest callback sites; ``--metrics-out
+  DIR`` also writes the run's artifacts into ``DIR``.
 * ``health report lan|wan|chaos`` runs one transfer and reads its
   protocol health (:mod:`repro.obs.health`): NAK-suppression ledger,
   feedback-implosion index, repair economics and recovery-lag
@@ -70,7 +65,6 @@ import json
 # every invocation; named here it loads with the rest of start-up rather
 # than inside the first command (it used to ride in with the pool modules)
 import locale  # noqa: F401
-import os
 import sys
 import time
 
@@ -198,8 +192,8 @@ def _checked(make, *args, **kwargs):
 
 def _transfer(args, obs=None):
     """Run the transfer of the canned scenario ``args`` names -- the run
-    behind ``report``, ``perf profile`` and ``health report`` -- on a
-    world built from its spec; ``None`` if the spec is refused."""
+    behind ``report`` and ``health report`` -- on a world built from
+    its spec; ``None`` if the spec is refused."""
     bw = args.bandwidth * 1e6
     kw = {"seed": args.seed, "nbytes": args.nbytes,
           "protocol": args.protocol, "max_sim_s": 300}
@@ -255,22 +249,6 @@ def _write_file(what: str, path: str, text: str, status) -> bool:
 
 # -- report subcommand --------------------------------------------------
 
-def _report_offline(args) -> int:
-    """``report --from DIR``: re-print the observability summary of a
-    previously written artifact directory; never runs a transfer."""
-    outdir = getattr(args, "from")
-    summary_path = os.path.join(outdir, f"{args.scenario}.summary.txt")
-    try:
-        with open(summary_path) as fh:
-            summary = fh.read()
-    except OSError as exc:
-        print(f"cannot read metrics summary {summary_path!r}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return 2
-    print(summary.rstrip("\n"))
-    return 0
-
-
 def _run_report(argv) -> int:
     """``report`` subcommand: one observed transfer + obs summary."""
     parser = argparse.ArgumentParser(
@@ -282,17 +260,9 @@ def _run_report(argv) -> int:
     parser.add_argument("--metrics-out", metavar="DIR", default=None,
                         help="also write JSONL/CSV series, summary and "
                              "Perfetto trace into DIR")
-    parser.add_argument("--from", metavar="DIR", default=None,
-                        help="re-print a previously written artifact "
-                             "directory instead of running a transfer")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip the engine profiler")
     args = parser.parse_args(argv)
 
-    if getattr(args, "from"):
-        return _report_offline(args)
-
-    obs = Observability(profile=not args.no_profile)
+    obs = Observability(profile=True)
     result = _transfer(args, obs)
     if result is None:
         return 2
@@ -303,41 +273,6 @@ def _run_report(argv) -> int:
     print(obs.summary())
     if args.metrics_out and not _write_artifacts(
             obs, args.metrics_out, args.scenario, spaced=True):
-        return 2
-    return 0 if result.ok else 1
-
-
-# -- perf subcommand family ---------------------------------------------
-
-def _run_perf_profile(argv) -> int:
-    """``perf profile lan|wan|chaos``: one transfer under the engine
-    profiler, then its event-class tax table."""
-    from repro.stats.report import format_table
-
-    parser = argparse.ArgumentParser(
-        prog="hrmc-experiments perf profile",
-        description="Run one transfer under the engine profiler and "
-                    "print the event-class tax table.")
-    _scenario_args(parser)
-    parser.add_argument("--out", metavar="DIR", default="perf-artifacts",
-                        help="artifact directory (default perf-artifacts)")
-    args = parser.parse_args(argv)
-
-    obs = Observability(profile=True)
-    wall_t0 = time.perf_counter()
-    result = _transfer(args, obs)
-    wall_s = time.perf_counter() - wall_t0
-    if result is None:
-        return 2
-
-    events_per_s = result.sim_events / wall_s if wall_s > 0 else 0.0
-    print(f"{args.scenario} x{args.receivers} {args.protocol} "
-          f"{args.nbytes} bytes: ok={result.ok} "
-          f"sim_events={result.sim_events} wall={wall_s:.3f}s "
-          f"events/s={events_per_s:.0f}\n")
-    print(format_table(*obs.profiler.tax_table()))
-    print()
-    if not _write_artifacts(obs, args.out, args.scenario):
         return 2
     return 0 if result.ok else 1
 
@@ -393,7 +328,6 @@ def _run_health_report(argv) -> int:
 #: the subcommands, by their first one or two words
 _COMMANDS = {
     "report": _run_report, "fleet": _run_fleet,
-    "perf profile": _run_perf_profile,
     "health report": _run_health_report,
 }
 
@@ -404,9 +338,8 @@ def main(argv=None) -> int:
         command = _COMMANDS.get(" ".join(argv[:words]))
         if command is not None:
             return command(argv[words:])
-    if argv and argv[0] in ("perf", "health"):
-        subs = [c.split()[1] for c in _COMMANDS if c.startswith(argv[0])]
-        print(f"usage: hrmc-experiments {argv[0]} {{{','.join(subs)}}} ...",
+    if argv and argv[0] == "health":
+        print("usage: hrmc-experiments health {report} ...",
               file=sys.stderr)
         return 2
     parser = argparse.ArgumentParser(

@@ -7,8 +7,7 @@
 * :mod:`repro.obs.spans` -- packet-lifecycle latency histograms and
   protocol-phase spans stitched from the packet seam,
 * :mod:`repro.obs.profiler` -- simulated-time and wall-clock
-  attribution per engine callback site, folded into the event classes
-  of :mod:`repro.obs.perf` for the tax table,
+  attribution per engine callback site,
 * :mod:`repro.obs.export` -- JSONL/CSV series dumps, text summaries
   and Chrome Trace Event Format JSON for Perfetto,
 * :mod:`repro.obs.observer` -- the :class:`Observability` facade that

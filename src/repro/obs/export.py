@@ -128,19 +128,9 @@ def summary_text(obs: "Observability") -> str:
             ["series", "samples", "min", "mean", "max", "last"], rows))
 
     if obs.spans is not None:
-        hist_rows = []
-        for hist in obs.spans.histograms():
-            if hist.count:
-                hist_rows.append([hist.name, hist.count,
-                                  round(hist.mean, 0),
-                                  round(hist.quantile(0.5), 0),
-                                  round(hist.quantile(0.9), 0),
-                                  round(hist.max, 0)])
-        if hist_rows:
-            parts.append(format_table(
-                "packet-lifecycle latency (us)",
-                ["histogram", "n", "mean", "p50", "p90", "max"],
-                hist_rows))
+        latency = obs.spans.latency_table()
+        if latency is not None:
+            parts.append(format_table(*latency))
         phase_rows = [[s.host, s.name, s.start_us, s.end_us,
                        round(s.dur_us / 1000, 1)]
                       for s in obs.spans.spans if s.cat == "phase"]

@@ -254,16 +254,9 @@ class Observability:
                            ["series", "samples", "min", "mean", "max",
                             "last"], rows))
         if self.spans is not None:
-            hist_rows = [[h.name, h.count, round(h.mean, 0),
-                          round(h.quantile(0.5), 0),
-                          round(h.quantile(0.9), 0), round(h.max, 0)]
-                         for h in self.spans.histograms() if h.count]
-            if hist_rows:
-                tables.append(("packet-lifecycle latency (us)",
-                               ["histogram", "n", "mean", "p50", "p90",
-                                "max"], hist_rows))
-        if self.profiler is not None and self.profiler.events:
-            tables.append(self.profiler.tax_table())
+            latency = self.spans.latency_table()
+            if latency is not None:
+                tables.append(latency)
         return tables
 
     def summary(self) -> str:

@@ -218,3 +218,15 @@ class SpanCollector:
 
     def histograms(self) -> list[Histogram]:
         return [self.one_way_us, self.queueing_us, self.recovery_us]
+
+    def latency_table(self) -> Optional[tuple[str, list, list]]:
+        """The observed lifecycle histograms as a report table
+        ``(title, headers, rows)``; ``None`` if none was observed."""
+        rows = [[h.name, h.count, round(h.mean, 0),
+                 round(h.quantile(0.5), 0), round(h.quantile(0.9), 0),
+                 round(h.max, 0)]
+                for h in self.histograms() if h.count]
+        if not rows:
+            return None
+        return ("packet-lifecycle latency (us)",
+                ["histogram", "n", "mean", "p50", "p90", "max"], rows)

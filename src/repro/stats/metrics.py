@@ -8,7 +8,7 @@ or past the release boundary) without having to probe and wait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __all__ = ["Counters", "ReleaseTracker"]
 
@@ -79,7 +79,6 @@ class ReleaseTracker:
     complete: int = 0
     probes_triggered: int = 0
     stall_us: int = 0            # time release was blocked awaiting info
-    history: list = field(default_factory=list, repr=False)
 
     def record(self, complete: bool) -> None:
         self.checks += 1

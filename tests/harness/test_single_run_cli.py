@@ -1,8 +1,8 @@
 """The commands that run one transfer build the fleet's RunSpec: a spec
 no world can be built from is unusable input (exit 2, one stderr line),
 `--chaos-seed N` runs the chaos experiment's seed-N cell, and
-`--fault-plan FILE` runs a spec that carries the plan.  `report --from
-DIR` re-prints what `report --metrics-out DIR` saved, and runs nothing."""
+`--fault-plan FILE` runs a spec that carries the plan.  `report
+--metrics-out DIR` saves the four artifacts of the run it prints."""
 
 import hashlib
 
@@ -17,7 +17,6 @@ from repro.workloads.spec import RunSpec
     ["report", "lan", "--protocol", "bogus"],
     ["report", "wan", "--wan-test", "9"],
     ["report", "lan", "--receivers", "0"],
-    ["perf", "profile", "chaos", "--protocol", "tcp"],
     ["health", "report", "chaos", "--protocol", "tcp"],
     ["--chaos-seed", "3", "--receivers", "0"],
 ], ids=" ".join)
@@ -70,21 +69,21 @@ def test_fault_plan_run_is_built_from_its_spec(monkeypatch, capsys,
         "31e8f58bfa6a7bede5aa9ea235c1121d"
 
 
-def test_cli_report_offline_errors(tmp_path, capsys):
-    # missing artifact directory: exit 2 + one-line stderr error
-    assert cli_main(["report", "lan",
-                     "--from", str(tmp_path / "missing")]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert "cannot read metrics summary" in err
-
-
-def test_cli_report_offline_renders(tmp_path, capsys):
-    outdir = str(tmp_path / "run")
-    assert cli_main(["report", "wan", "--receivers", "2", "--nbytes",
-                     "60000", "--metrics-out", outdir]) == 0
-    ran = capsys.readouterr().out
-    assert cli_main(["report", "wan", "--from", outdir]) == 0
-    out = capsys.readouterr().out
-    assert "metric series (simulated-time scrape)" in out
-    assert out.rstrip("\n") in ran       # the summary the run printed
+def test_report_metrics_out_writes_the_four_artifacts(tmp_path, capsys):
+    """`report --metrics-out DIR` saves exactly the four artifacts, the
+    saved summary is the one it printed, and there is no other profile
+    command."""
+    out = tmp_path / "artifacts"
+    assert cli_main(["report", "lan", "--receivers", "2", "--nbytes",
+                     "200000", "--seed", "7", "--metrics-out",
+                     str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "lan.perfetto.json", "lan.series.csv", "lan.series.jsonl",
+        "lan.summary.txt"]
+    summary = (out / "lan.summary.txt").read_text()
+    assert "profiler: hottest callback sites" in summary
+    # headline, blank line, summary, blank line, the `wrote` list
+    body = stdout.split("\n\n", 1)[1]
+    assert body.rsplit("\n\nwrote ", 1)[0] + "\n" == summary
+    assert cli_main(["perf", "profile", "lan"]) == 2

@@ -4,8 +4,8 @@
 Two claims, both stronger than "probably fine":
 
 1. **Zero perturbation when enabled** -- a run under the engine
-   profiler (per-site and event-class attribution) is byte-identical to
-   a bare run: same packet trace, same counters, same duration.
+   profiler (per-site attribution) is byte-identical to a bare run:
+   same packet trace, same counters, same duration.
    Measurement never feeds back.
 2. **Zero cost when disabled** -- a bare run (no ``obs``, no
    ``tracer``) executes *no* code from the ``repro.obs`` / ``repro.trace``
@@ -58,7 +58,6 @@ def test_perf_zero_perturbation_lossy_wan():
     # non-vacuous: the profiler really measured the run
     profiler = profiled[2].obs.profiler
     assert profiler.events == profiled[2].sim_events
-    assert profiler.coverage() >= 0.95
 
 
 def test_perf_zero_perturbation_chaos():
@@ -70,7 +69,7 @@ def test_perf_zero_perturbation_chaos():
     profiled = _run(True, build)
     _assert_identical(bare, profiled)
     assert bare[2].fault_events == profiled[2].fault_events
-    assert profiled[2].obs.profiler.coverage() >= 0.95
+    assert profiled[2].obs.profiler.events == profiled[2].sim_events
 
 
 def _obs_layer_bytes(before, after):

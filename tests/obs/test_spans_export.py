@@ -9,7 +9,9 @@ from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
 from repro.obs.export import chrome_trace
 from repro.obs.observer import Observability
+from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_lan, build_wan
+from tests.harness.test_pinned_stats import PINNED, SEED
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 
@@ -91,8 +93,58 @@ def test_profiler_attribution(observed_run):
     walls = [row[3] for row in top]
     assert walls == sorted(walls, reverse=True)
     assert all(row[4].endswith("%") for row in top)
-    with pytest.raises(ValueError):
-        prof.top(key="bogus")
+
+
+#: engine events per callback site of two pinned transfers (every
+#: timer folds into ``timer.Timer._fire``)
+PINNED_SITE_EVENTS = {
+    "lan-2": {
+        "filetransfer.ReceiverApp._resume": 2786, "host.Host._xmit": 1507,
+        "link.SharedLink._deliver_all": 1507,
+        "nic.NetworkInterface._rx_done": 2880,
+        "nic.NetworkInterface._tx_done": 1507,
+        "observer.Observability._tick": 17, "process.Process._resume": 45,
+        "timer.Timer._fire": 87},
+    "wan-case-3": {
+        "filetransfer.ReceiverApp._resume": 2753, "host.Host._xmit": 358,
+        "nic.NetworkInterface._rx_done": 2271,
+        "nic.NetworkInterface._tx_done": 358,
+        "observer.Observability._tick": 56, "process.Process._resume": 20,
+        "router.Pipe._deliver": 2629, "router.Router._forward": 713,
+        "router.Router.ingress": 358, "timer.Timer._fire": 454},
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SITE_EVENTS)
+def test_site_events_of_the_pinned_transfers(name):
+    """Where the engine's events go is deterministic: the per-site
+    counts of two pinned transfers, which add up to the engine's own."""
+    build, kwargs = PINNED[name][:2]
+    obs = Observability(profile=True)
+    res = run_transfer(build(), seed=SEED, obs=obs, **kwargs)
+    assert res.ok
+    sites = {site: s.events for site, s in obs.profiler.sites.items()}
+    assert sites == PINNED_SITE_EVENTS[name]
+    assert sum(sites.values()) == res.sim_events
+
+
+def test_a_second_watch_on_one_run_raises():
+    """One run has one watch, as it has one tracer: a second profiled
+    observer is refused, since it would take the engine's events from
+    the first, which would then report none."""
+    sc = build_lan(2, 10e6, seed=5)
+    tracer = PacketTracer().attach(sc.sender, *sc.receivers)
+    first = Observability(profile=True).attach(sc, tracer)
+    second = Observability(profile=True)
+    with pytest.raises(RuntimeError, match="already has a watch"):
+        second.attach(sc, tracer)
+    assert not second.attached
+    assert sc.sim.watch is first.profiler
+    Observability().attach(sc, tracer)      # no watch: no conflict
+    for t in (10, 20):
+        sc.sim.call_at(t, lambda: None)
+    sc.sim.run()
+    assert first.profiler.events == sc.sim.events_processed == 2
 
 
 def test_jsonl_and_csv_exports(observed_run, tmp_path):
