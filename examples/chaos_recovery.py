@@ -27,8 +27,7 @@ def main() -> None:
         print(f"  t={action.at_us / 1e6:.3f}s  {action.describe()}")
 
     res = run_transfer(scenario, nbytes=NBYTES, sndbuf=128 * 1024,
-                       cfg=HRMCConfig(**CHAOS_TUNING), invariants=True,
-                       max_sim_s=120)
+                       cfg=HRMCConfig(**CHAOS_TUNING), invariants=True)
 
     print(f"\n{res.fault_events} fault events fired; "
           f"{res.invariant_checks} invariant audits, all green")

@@ -22,8 +22,7 @@ NBYTES = 1_000_000
 def main() -> None:
     scenario = build_wan([GROUP_C] * 5, 10e6, seed=13)
     obs = Observability()
-    res = run_transfer(scenario, nbytes=NBYTES, sndbuf=512 * 1024,
-                       max_sim_s=600, obs=obs)
+    res = run_transfer(scenario, nbytes=NBYTES, sndbuf=512 * 1024, obs=obs)
 
     print(f"transfer: {NBYTES / 1e6:g} MB to 5 WAN receivers "
           f"(2% loss) -> {res.throughput_mbps:.2f} Mbps, "

@@ -128,11 +128,11 @@ def _run_chaos(args) -> int:
         spec = _checked(RunSpec.lan, args.receivers, 10e6, seed=plan.seed,
                         nbytes=args.nbytes, plan=plan.to_dict(),
                         sndbuf=128 * 1024, cfg=CHAOS_TUNING,
-                        invariants=True, max_sim_s=120)
+                        invariants=True)
     else:
         spec = _checked(RunSpec.chaos, args.receivers, 10e6,
                         seed=args.chaos_seed, horizon_us=1_000_000,
-                        nbytes=args.nbytes, max_sim_s=120)
+                        nbytes=args.nbytes)
     if spec is None:
         return 2
     scenario, kwargs = spec.build()
@@ -196,7 +196,7 @@ def _transfer(args, obs=None):
     its spec; ``None`` if the spec is refused."""
     bw = args.bandwidth * 1e6
     kw = {"seed": args.seed, "nbytes": args.nbytes,
-          "protocol": args.protocol, "max_sim_s": 300}
+          "protocol": args.protocol}
     if args.sndbuf:
         kw["sndbuf"] = args.sndbuf
     if args.scenario == "lan":

@@ -440,8 +440,7 @@ def feedback_spec(n: int) -> RunSpec:
     """Section 5.2's feedback cell for a group of ``n``: test case 2 at
     10 Mbit/s, 150 KB, seed 21, with the health payload captured."""
     return RunSpec.wan(test=2, receivers=n, bandwidth_bps=MBPS_10, seed=21,
-                       nbytes=150_000, sndbuf=128 * 1024, max_sim_s=300,
-                       health=True)
+                       nbytes=150_000, sndbuf=128 * 1024, health=True)
 
 
 def scaling_100rcv(scale: Optional[str] = None,
@@ -623,8 +622,7 @@ def ablation_probes(scale: Optional[str] = None,
     for label, proto, cfg in arms:
         res = grid.run(RunSpec.wan(
             groups=["C"] * 10, bandwidth_bps=MBPS_10, seed=9,
-            nbytes=nbytes, protocol=proto, cfg=cfg, sndbuf=64 * 1024,
-            max_sim_s=120))
+            nbytes=nbytes, protocol=proto, cfg=cfg, sndbuf=64 * 1024))
         rows.append([label, res.reliability_violations, res.lost_bytes,
                      "yes" if res.ok else "NO",
                      round(res.throughput_mbps, 2)])
@@ -661,7 +659,7 @@ def ablation_update_timer(scale: Optional[str] = None,
                 groups=[group.name] * 10, bandwidth_bps=MBPS_10, seed=13,
                 nbytes=sizes[env],
                 cfg={"dynamic_update_timer": dynamic},
-                sndbuf=256 * 1024, max_sim_s=600))
+                sndbuf=256 * 1024))
             rows.append([env, "dynamic" if dynamic else "fixed",
                          res.sender_stats.probes_sent,
                          res.sender_stats.updates_rcvd,
@@ -847,7 +845,7 @@ def chaos_suite(scale: Optional[str] = None,
         # suite's observability sample (metrics + spans in the report)
         res = grid.run(RunSpec.chaos(
             3, MBPS_10, seed=seed, horizon_us=1_000_000, nbytes=nbytes,
-            max_sim_s=120, obs=(seed == 1)))
+            obs=(seed == 1)))
         if res.obs_tables:
             obs_tables = res.obs_tables
         rows.append([seed, res.plan_actions, res.fault_events,
@@ -897,11 +895,10 @@ def protocol_health(scale: Optional[str] = None,
                                     "WAN runs")
     results = {
         "lan": grid.run(RunSpec.lan(2, MBPS_100, seed=7, nbytes=200_000,
-                                    max_sim_s=300, health=True)),
+                                    health=True)),
         "wan": grid.run(RunSpec.wan(test=2, receivers=5,
                                     bandwidth_bps=MBPS_10, seed=1,
-                                    nbytes=500_000, max_sim_s=300,
-                                    health=True)),
+                                    nbytes=500_000, health=True)),
     }
     if grid.planning:      # a probe has no health payload to read
         return rep
@@ -972,14 +969,22 @@ def run_experiments(exp_ids: list[str], scale: Optional[str] = None,
     """Plan every experiment, execute the union of their grids in one
     fleet sweep (shared cells are simulated once), then assemble each
     report.  Reports are byte-identical regardless of worker count or
-    cache temperature."""
+    cache temperature.  A cell the run bound cut short is not a
+    result: its report gains one failed claim naming the cell."""
     fleet = fleet if fleet is not None else Fleet()
     specs: list[RunSpec] = []
     for exp_id in exp_ids:
         specs.extend(plan_experiment(exp_id, scale))
     results = fleet.run_specs(specs)
-    return {exp_id: EXPERIMENTS[exp_id](scale, Grid(results))
-            for exp_id in exp_ids}
+    reports = {}
+    for exp_id in exp_ids:
+        grid = Grid(results)
+        rep = reports[exp_id] = EXPERIMENTS[exp_id](scale, grid)
+        for spec in grid.specs:
+            if results[spec.content_hash()].cut_short:
+                rep.claim(f"{spec.describe()}: finished within the run "
+                          f"bound", False)
+    return reports
 
 
 def run_experiment(exp_id: str, scale: Optional[str] = None,

@@ -10,6 +10,7 @@ sender and receiver application processes to completion, and returns a
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
@@ -48,6 +49,9 @@ class TransferResult:
     nbytes: int
     n_receivers: int
     ok: bool                       # everyone got every byte, verified
+    # the run bound came before the sender and every receiver the fault
+    # plan spared finished: no result, so throughput is NaN (prints ✗)
+    cut_short: bool
     duration_us: int               # to last receiver's final byte
     throughput_bps: float
     sender_stats: Counters
@@ -172,6 +176,10 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     returned on ``TransferResult.obs``.  Observation is read-only and
     does not change protocol behaviour.
 
+    ``max_sim_s`` bounds the simulated time of every run; a run it
+    stops before the sender and every receiver the fault plan spared
+    have finished comes back ``cut_short``.
+
     A run that lost a process is not a result: if any application
     process this function started (sender, receivers, rejoins) ended
     with an exception, it is re-raised here as a ``RuntimeError`` naming
@@ -289,9 +297,12 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
             checker.final_check()
     finally:
         if obs is not None:
-            obs.finalize(sim.now)
+            obs.finalize(sim.last_event_us)
+    crashed = injector.crashed if injector is not None else ()
+    cut_short = not (sender_result.done and all(
+        r.done for i, r in enumerate(receiver_results) if i not in crashed))
     result = _collect(scenario, protocol, nbytes, sockets, sender_result,
-                      receiver_results)
+                      receiver_results, cut_short)
     result.obs = obs
     if injector is not None:
         result.fault_events = injector.fault_events
@@ -347,7 +358,7 @@ def _run_tcp_sequential(scenario, nbytes, sndbuf, sender_result,
 
 
 def _collect(scenario, protocol, nbytes, sockets, sender_result,
-             receiver_results) -> TransferResult:
+             receiver_results, cut_short) -> TransferResult:
     sim = scenario.sim
     n = scenario.n_receivers
     ssock, rsocks = sockets
@@ -389,7 +400,9 @@ def _collect(scenario, protocol, nbytes, sockets, sender_result,
     return TransferResult(
         protocol=protocol, nbytes=nbytes, n_receivers=n,
         ok=bool(all_done and complete and verified and lost == 0),
-        duration_us=duration, throughput_bps=throughput,
+        cut_short=cut_short,
+        duration_us=duration,
+        throughput_bps=math.nan if cut_short else throughput,
         sender_stats=sstats, receiver_stats=rstats,
         per_receiver=receiver_results,
         release_checks=release_checks, release_complete_pct=release_pct,

@@ -150,15 +150,16 @@ class Observability:
         if self._sim.pending() > 0:
             self._sim.call_after(SCRAPE_INTERVAL_US, self._tick)
 
-    def finalize(self, now_us: int) -> None:
-        """Final scrape and span close-out; the harness calls this when
-        the simulation stops."""
+    def finalize(self, last_event_us: int) -> None:
+        """Closing scrape and span close-out when the run stops, 1 us
+        after its last event fired: that event may be the scrape loop's
+        own last tick, and a rate gauge needs an interval to close on."""
         if self.finalized_at_us is not None:
             return
-        self.finalized_at_us = now_us
-        self.registry.scrape(now_us)
+        self.finalized_at_us = last_event_us + 1
+        self.registry.scrape(self.finalized_at_us)
         if self.spans is not None:
-            self.spans.finalize(now_us)
+            self.spans.finalize(self.finalized_at_us)
 
     # -- gauge helpers (pure reads, defensive against role lifecycles) --
 

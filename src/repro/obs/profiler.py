@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable
 
-from repro.sim.timer import Timer
-
 __all__ = ["SimProfiler", "SiteStats", "site_of"]
-
-_TIMER_FIRE = Timer._fire
 
 
 def site_of(callback: Callable) -> str:
@@ -55,10 +51,7 @@ class SimProfiler:
     def __init__(self):
         # function -> [events, sim_us, wall_ns].  Keyed by the function
         # under a bound method (methods are re-bound per schedule; the
-        # function is stable).  A timer firing (Timer._fire: one
-        # function, many timers) is keyed (function, timer name) instead
-        # and never by the function alone, so execute() finds it through
-        # _row() every time; the site view folds the names together.
+        # function is stable), so every timer's firing shares one row.
         self._rows: dict = {}
 
     def execute(self, callback: Callable, args: tuple,
@@ -67,8 +60,9 @@ class SimProfiler:
         engine for every non-cancelled entry)."""
         try:
             row = self._rows[callback.__func__]
-        except (AttributeError, KeyError):
-            row = self._row(callback)
+        except (AttributeError, KeyError):   # first firing, or no method
+            row = self._rows.setdefault(
+                getattr(callback, "__func__", callback), [0, 0, 0])
         t0 = perf_counter_ns()
         try:
             callback(*args)
@@ -77,26 +71,13 @@ class SimProfiler:
             row[0] += 1
             row[1] += sim_dt_us
 
-    def _row(self, callback: Callable) -> list:
-        """The row of a callback ``execute`` did not find by function:
-        a first firing, a callable that is not a bound method, or a
-        timer firing, keyed with its timer's name."""
-        key = getattr(callback, "__func__", callback)
-        if key is _TIMER_FIRE:
-            key = (key, callback.__self__.name)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = [0, 0, 0]
-        return row
-
     # -- folds over the table -------------------------------------------
 
     @property
     def sites(self) -> dict[str, SiteStats]:
         """Attribution per callback site (module-qualified function)."""
         out: dict[str, SiteStats] = {}
-        for key, (events, sim_us, wall_ns) in self._rows.items():
-            fn = key[0] if type(key) is tuple else key
+        for fn, (events, sim_us, wall_ns) in self._rows.items():
             stats = out.setdefault(site_of(fn), SiteStats())
             stats.events += events
             stats.sim_us += sim_us

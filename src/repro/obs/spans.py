@@ -206,12 +206,9 @@ class SpanCollector:
     # -- lifecycle ------------------------------------------------------
 
     def finalize(self, now_us: int) -> None:
-        """Close every still-open span at end of run.  Spans are tx/rx
-        phenomena, so the close-out instant is the last tx/rx, not
-        ``now_us`` -- ``run(until=...)`` advances the clock to the time
-        horizon even when traffic drained long before it."""
-        end = min(now_us, self.last_event_us) if self.last_event_us \
-            else now_us
+        """Close every still-open span at end of run: at the last tx/rx
+        (spans are tx/rx phenomena), or at ``now_us`` if none was seen."""
+        end = self.last_event_us or now_us
         for span in self.spans:
             if span.end_us is None:
                 span.end_us = max(end, span.start_us)

@@ -51,6 +51,7 @@ class Simulator:
         self._dead: int = 0  # cancelled entries still in the heap
         self._running = False
         self.events_processed: int = 0
+        self.last_event_us: int = 0  # when the last event fired
         self.compactions: int = 0
         # the event hook (``None`` on a bare run): a watch has an
         # ``execute(callback, args, sim_dt_us)`` that runs each
@@ -157,6 +158,7 @@ class Simulator:
                     break
         finally:
             self._running = False
+        self.last_event_us = self.now
         if until is not None and self.now < until:
             self.now = until
         return self.now

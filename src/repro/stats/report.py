@@ -15,8 +15,8 @@ __all__ = ["format_table", "format_value"]
 
 def format_value(value: Any) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
+        if math.isnan(value):   # not measured: a cut-short run's rate
+            return "✗"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         if value == 0:

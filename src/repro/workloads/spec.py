@@ -34,7 +34,7 @@ __all__ = ["RunSpec", "SPEC_VERSION", "CHAOS_TUNING"]
 
 #: bump when the spec schema or its execution semantics change in a way
 #: that makes old cached results incomparable
-SPEC_VERSION = 2
+SPEC_VERSION = 3
 
 _SCENARIOS = ("lan", "wan", "chaos")
 
@@ -74,7 +74,6 @@ class RunSpec:
     sndbuf: int = 64 * 1024
     cfg: dict = field(default_factory=dict)
     disk: bool = False
-    max_sim_s: float = 3600.0
     invariants: bool = False
     # the two below change what a run's summary holds, not the run, so
     # they are part of its identity too
@@ -178,7 +177,6 @@ class RunSpec:
         return scenario, {"nbytes": self.nbytes, "protocol": self.protocol,
                           "sndbuf": self.sndbuf, "cfg": self._config(),
                           "disk": self.disk, "seed": p["seed"],
-                          "max_sim_s": self.max_sim_s,
                           "invariants": self.invariants}
 
     def _config(self) -> Optional[HRMCConfig]:

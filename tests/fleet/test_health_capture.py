@@ -15,8 +15,7 @@ def _lan(**kw):
 
 def _wan(**kw):
     return RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, seed=21,
-                       nbytes=150_000, sndbuf=128 * 1024,
-                       max_sim_s=300.0, **kw)
+                       nbytes=150_000, sndbuf=128 * 1024, **kw)
 
 
 def test_health_capture_off_by_default():

@@ -35,7 +35,7 @@ def test_a_chaos_record_round_trips_through_the_store(tmp_path):
     plan size and the survivors' verdict come back from the cache as
     the run left them."""
     spec = RunSpec.chaos(3, 10e6, seed=10, horizon_us=1_000_000,
-                         nbytes=250_000, max_sim_s=120)
+                         nbytes=250_000)
     result = run_spec(spec)
     assert result.restarted_receivers and result.rejoin_results
     assert result.plan_actions > 0 and result.surviving_ok

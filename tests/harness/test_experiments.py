@@ -155,3 +155,29 @@ def test_cli_unknown_experiment(capsys):
 
 def test_cli_usage_without_args(capsys):
     assert main([]) == 2
+
+
+def test_a_cell_the_run_bound_cut_short_fails_its_report(monkeypatch):
+    """A cell stopped by the run bound before it finished is not a
+    result: its report fails one claim naming the cell, and its
+    throughput prints as a failure mark instead of bytes over the
+    bound."""
+    from repro.fleet import Fleet, worker
+    from repro.harness import runner
+    from repro.workloads.spec import RunSpec
+
+    def run_transfer(scenario, **kwargs):
+        if scenario.n_receivers == 2:       # protocol-health's lan cell
+            kwargs["max_sim_s"] = 0.01
+        return runner.run_transfer(scenario, **kwargs)
+
+    monkeypatch.setattr(worker, "run_transfer", run_transfer)
+    report = run_experiments(["protocol-health"], "quick",
+                             Fleet(workers=1, cache_dir=None))[
+        "protocol-health"]
+    cell = RunSpec.lan(2, 100e6, seed=7, nbytes=200_000, health=True)
+    assert f"{cell.describe()}: finished within the run bound" in \
+        report.failed
+    [lan] = [line.split() for line in report.render().splitlines()
+             if line.lstrip().startswith("lan ")]
+    assert lan[:3] == ["lan", "2", "✗"]             # label, size, Mbit/s

@@ -1,5 +1,8 @@
 """Tests for the transfer runner and result collection."""
 
+import functools
+import math
+
 import pytest
 
 from repro.harness.runner import PROTOCOLS, TransferResult, run_transfer
@@ -48,13 +51,30 @@ def test_receiver_stats_aggregated():
 
 
 def test_max_sim_s_bounds_broken_runs():
-    """A run that cannot finish must still return at the time bound."""
+    """A run that cannot finish must still return at the time bound,
+    flagged as cut short and with no throughput to show."""
     sc = build_lan(1, 10e6, seed=43)
     # receiver never joins the group: transfer cannot complete
     sc.receivers[0].nic.join_group = lambda g: None  # sabotage NIC join
     res = run_transfer(sc, nbytes=100_000, sndbuf=64 * 1024, max_sim_s=2.0)
     assert not res.ok
     assert res.duration_us <= 2_000_001
+    assert res.cut_short
+    assert math.isnan(res.throughput_mbps)
+    again = TransferResult.from_dict(res.to_dict())
+    assert again.cut_short and math.isnan(again.throughput_mbps)
+
+
+def test_a_finished_run_is_not_cut_short():
+    """The flag is about the transfer, not the event list: seed 6's
+    restarted receiver re-arms its update timer to the bound, and the
+    run it belongs to still finished."""
+    from repro.workloads.spec import RunSpec
+    scenario, kwargs = RunSpec.chaos(3, 10e6, seed=6, horizon_us=1_000_000,
+                                     nbytes=250_000).build()
+    res = run_transfer(scenario, **kwargs)
+    assert scenario.sim.pending() > 0
+    assert res.surviving_ok and not res.cut_short
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -98,12 +118,16 @@ def test_a_process_that_dies_mid_transfer_fails_the_run(monkeypatch):
 def test_a_failed_run_is_not_cached(monkeypatch, tmp_path):
     """The same death through the fleet: a failed job, no summary
     stored -- the next sweep runs the cell again instead of serving a
-    plausible-looking result from a run that lost a receiver."""
-    from repro.fleet import Fleet
+    plausible-looking result from a run that lost a receiver.  The
+    survivors would simulate on to the run bound, so the cell runs
+    under a 30 s one."""
+    from repro.fleet import Fleet, worker
     from repro.harness import runner
     from repro.workloads.spec import RunSpec
     monkeypatch.setattr(runner, "ReceiverApp", _dying_receiver_app("rcv1"))
-    spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000, max_sim_s=30)
+    monkeypatch.setattr(worker, "run_transfer",
+                        functools.partial(runner.run_transfer, max_sim_s=30))
+    spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000)
     fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"))
     results = fleet.run_specs([spec], strict=False)
     assert results == {}

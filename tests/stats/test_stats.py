@@ -62,7 +62,8 @@ def test_format_table_empty_rows():
 
 
 def test_format_value_non_finite():
-    assert format_value(float("nan")) == "nan"
+    # NaN is a value no run measured (a cut-short run's throughput)
+    assert format_value(float("nan")) == "✗"
     assert format_value(float("inf")) == "inf"
     assert format_value(float("-inf")) == "-inf"
 
@@ -79,7 +80,7 @@ def test_format_table_with_non_finite_cells():
                        [["a", float("nan")], ["b", float("inf")],
                         ["c", -0.25]])
     lines = out.splitlines()
-    assert any("nan" in line for line in lines)
+    assert any(line.endswith("✗") for line in lines)     # NaN
     assert any("inf" in line for line in lines)
     widths = {len(line) for line in lines[2:]}
     assert len(widths) <= 2

@@ -54,13 +54,13 @@ PINNED_SEAM = {
 #: `--chaos-seed 17`)
 SPECS = {
     "wan-21": lambda: RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6,
-                                  seed=21, nbytes=200_000, max_sim_s=300),
+                                  seed=21, nbytes=200_000),
     "wan-test-3": lambda: RunSpec.wan(test=3, receivers=5,
                                       bandwidth_bps=10e6, seed=1,
-                                      nbytes=500_000, max_sim_s=300),
+                                      nbytes=500_000),
     "chaos-17": lambda: RunSpec.chaos(3, 10e6, seed=17,
                                       horizon_us=1_000_000,
-                                      nbytes=250_000, max_sim_s=120),
+                                      nbytes=250_000),
 }
 
 
