@@ -173,7 +173,7 @@ class ReceiverApp(Process):
                 Process._resume(self, None)
             else:
                 self._data_ready._arm(self)
-        except Exception as exc:  # propagate at join time, like Process
+        except Exception as exc:  # as Process: kept for join, or fatal
             self._finish(None, exc)
 
     def _closing(self):

@@ -180,11 +180,12 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     stops before the sender and every receiver the fault plan spared
     have finished comes back ``cut_short``.
 
-    A run that lost a process is not a result: if any application
-    process this function started (sender, receivers, rejoins) ended
-    with an exception, it is re-raised here as a ``RuntimeError`` naming
-    the process, instead of being left on a ``Process`` nobody joins.
-    (A process killed by the fault plan carries no error.)
+    A run that lost a process is not a result: every application
+    process this function starts (sender, receivers, rejoins) is
+    ``fatal``, so the first one to end with an exception stops the run
+    there with a ``RuntimeError`` naming it, instead of the survivors
+    simulating on to the bound.  (A process killed by the fault plan
+    carries no error.)
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -225,7 +226,8 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
         for i in range(n):
             disks[i] = DiskModel(sim, seed=seed, name=f"rcv{i}")
 
-    # `procs`: every process this run starts that nobody else joins
+    # `procs`: every process this run starts that nobody else joins;
+    # each is fatal
     if protocol == "tcp":
         sockets, procs = _run_tcp_sequential(
             scenario, nbytes, sndbuf, sender_result,
@@ -275,24 +277,20 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
                                 sndbuf=sndbuf, n_receivers=n)
             res = AppResult(name=f"rcv{idx}-rejoin")
             rejoin_results.append(res)
-            procs.append(
-                ReceiverApp(sock, group=scenario.group_addr,
-                            port=scenario.data_port, result=res,
-                            chunk=chunk, verify=verify, resume=True,
-                            name=f"rcv{idx}-rejoin"))
+            ReceiverApp(sock, group=scenario.group_addr,
+                        port=scenario.data_port, result=res,
+                        chunk=chunk, verify=verify, resume=True,
+                        name=f"rcv{idx}-rejoin").fatal = True
             if checker is not None:
                 checker.watch_receiver(sock.transport)
 
         injector.register_receivers(rsocks, rprocs, restart_fn=rejoin)
         injector.arm()
 
+    for proc in procs:
+        proc.fatal = True
     try:
         sim.run(until=round(max_sim_s * US_PER_SEC))
-        for proc in procs:
-            if proc.error is not None:
-                raise RuntimeError(
-                    f"process {proc.name!r} died mid-run with "
-                    f"{proc.error!r}") from proc.error
         if checker is not None:
             checker.final_check()
     finally:

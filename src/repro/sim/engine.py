@@ -158,7 +158,7 @@ class Simulator:
                     break
         finally:
             self._running = False
-        self.last_event_us = self.now
+            self.last_event_us = self.now
         if until is not None and self.now < until:
             self.now = until
         return self.now

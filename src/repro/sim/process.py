@@ -102,7 +102,16 @@ class SimEvent:
 
 
 class Process:
-    """Drives a generator as a cooperative simulated process."""
+    """Drives a generator as a cooperative simulated process.
+
+    An exception that ends the generator is kept on ``error`` and
+    re-raised by :meth:`join`.  A process whose caller cannot go on
+    without it is marked ``fatal``: its error then leaves
+    :meth:`Simulator.run` at once, as a ``RuntimeError`` naming the
+    process, instead of waiting for a join that may never come.
+    """
+
+    fatal = False
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = ""):
         self._sim = sim
@@ -135,6 +144,9 @@ class Process:
         self.result = result
         self.error = error
         self.done_event.fire(result)
+        if error is not None and self.fatal:
+            raise RuntimeError(f"process {self.name!r} died mid-run with "
+                               f"{error!r}") from error
 
     def _resume(self, value: Any) -> None:
         if not self.alive:
@@ -148,7 +160,7 @@ class Process:
         except ProcessKilled:
             self._finish(None, None)
             return
-        except Exception as exc:  # propagate at join time, don't kill the sim
+        except Exception as exc:  # kept for join (raised now if fatal)
             self._finish(None, exc)
             return
         try:

@@ -1,6 +1,5 @@
 """Tests for the transfer runner and result collection."""
 
-import functools
 import math
 
 import pytest
@@ -111,22 +110,20 @@ def test_a_process_that_dies_mid_transfer_fails_the_run(monkeypatch):
     monkeypatch.setattr(runner, "ReceiverApp", _dying_receiver_app("rcv1"))
     sc = build_lan(2, 10e6, seed=45)
     with pytest.raises(RuntimeError, match="'rcv1'.*disk full") as info:
-        run_transfer(sc, nbytes=200_000, sndbuf=64 * 1024, max_sim_s=30)
+        run_transfer(sc, nbytes=200_000, sndbuf=64 * 1024)
     assert isinstance(info.value.__cause__, OSError)
+    # the run stops at the death, not at the 3600 s bound
+    assert sc.sim.last_event_us == sc.sim.now < 1_000_000
 
 
 def test_a_failed_run_is_not_cached(monkeypatch, tmp_path):
     """The same death through the fleet: a failed job, no summary
     stored -- the next sweep runs the cell again instead of serving a
-    plausible-looking result from a run that lost a receiver.  The
-    survivors would simulate on to the run bound, so the cell runs
-    under a 30 s one."""
-    from repro.fleet import Fleet, worker
+    plausible-looking result from a run that lost a receiver."""
+    from repro.fleet import Fleet
     from repro.harness import runner
     from repro.workloads.spec import RunSpec
     monkeypatch.setattr(runner, "ReceiverApp", _dying_receiver_app("rcv1"))
-    monkeypatch.setattr(worker, "run_transfer",
-                        functools.partial(runner.run_transfer, max_sim_s=30))
     spec = RunSpec.lan(2, 10e6, seed=45, nbytes=200_000)
     fleet = Fleet(workers=1, cache_dir=str(tmp_path / "c"))
     results = fleet.run_specs([spec], strict=False)
