@@ -908,6 +908,12 @@ def protocol_health(scale: Optional[str] = None,
                            throughput_bps=res.throughput_bps)
         rows.append([cell[c] for c in CELL_COLUMNS])
         rep.claim(f"{label}: every receiver gets the whole stream", res.ok)
+        if label == "wan":
+            # the wan gates judge repair: a cell with nothing to
+            # repair reads 0 effectiveness and would blame suppression
+            losses = cell["loss_events"]
+            rep.claim(f"wan: the cell saw loss (implosion.loss_events "
+                      f"{losses:g} >= 1)", losses >= 1)
         for metric, op, limit in HEALTH_GATES[label]:
             value = cell[metric]
             rep.claim(f"{label}: {metric} {value:g} {op} {limit:g}",

@@ -83,6 +83,23 @@ def test_committed_wan_gate_can_tell_a_whole_span_nak_claim(monkeypatch,
     assert any("2 x 1460 per loss event" in ln for ln in failed), failed
 
 
+def test_a_loss_free_wan_cell_fails_its_loss_claim(monkeypatch, capsys):
+    """Seed 2001 gives the wan cell no loss: the report says the cell
+    had nothing to repair, not only that suppression read 0."""
+    from repro.workloads.spec import RunSpec
+    wan = RunSpec.wan.__func__
+
+    def shifted(cls, *args, seed, **kwargs):
+        return wan(cls, *args, seed=seed + 2000, **kwargs)
+
+    monkeypatch.setattr(RunSpec, "wan", classmethod(shifted))
+    assert cli_main(["protocol-health", "--no-cache"]) == 1
+    failed = [ln for ln in capsys.readouterr().err.splitlines()
+              if ln.startswith("CLAIM FAILED protocol-health: ")]
+    assert any("wan: the cell saw loss (implosion.loss_events 0 >= 1)"
+               in ln for ln in failed), failed
+
+
 def test_health_usage_error():
     assert cli_main(["health"]) == 2
     assert cli_main(["health", "bogus"]) == 2
