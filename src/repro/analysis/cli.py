@@ -1,49 +1,59 @@
 """``python -m repro.analysis`` -- the simlint command line.
 
-Exit codes: 0 clean (baselined/suppressed findings don't gate), 1 new
-findings or parse errors, 2 usage or environment errors.
+Exit codes: 0 clean, 1 any finding or parse error, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline, BaselineError
-from repro.analysis.registry import all_rules
-from repro.analysis.report import render_json, render_text
-from repro.analysis.runner import analyze_paths
+from repro.analysis import clockwrite
+from repro.analysis.runner import AnalysisReport, analyze_paths
 from repro.analysis.version import RULESET_VERSION
 
 __all__ = ["main"]
-
-DEFAULT_BASELINE = "simlint.baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="simlint: determinism & simulation-safety static "
-                    "analysis for the H-RMC protocol stack")
+        description="simlint: the simulation-clock rule for the H-RMC "
+                    "protocol stack")
     p.add_argument("paths", nargs="*", default=["src/repro"],
                    help="files or directories to analyze "
                         "(default: src/repro)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default: text)")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help=f"baseline file (default: ./{DEFAULT_BASELINE} "
-                        f"when it exists)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from current findings "
-                        "and exit 0")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     p.add_argument("--ruleset-version", action="store_true",
                    help="print the rule-set version and exit")
     return p
+
+
+def render_text(report: AnalysisReport) -> str:
+    out = [f"{path}: PARSE parse error: {err}"
+           for path, err in report.parse_errors]
+    out += [finding.format_text() for finding in report.findings]
+    gate = len(report.findings) + len(report.parse_errors)
+    out += ["", f"simlint ({RULESET_VERSION}): {report.files_scanned} "
+                f"files, {gate} finding(s)"]
+    return "\n".join(out) + "\n"
+
+
+def render_json(report: AnalysisReport) -> str:
+    doc = {
+        "ruleset": RULESET_VERSION,
+        "files_scanned": report.files_scanned,
+        "findings": [f.as_dict() for f in report.findings],
+        "parse_errors": [{"path": p, "error": e}
+                         for p, e in report.parse_errors],
+        "ok": report.ok,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -53,9 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         print(RULESET_VERSION)
         return 0
     if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.id}  {rule.title}")
-            print(f"      fix: {rule.hint}")
+        print(f"{clockwrite.RULE}  {clockwrite.TITLE}")
+        print(f"      fix: {clockwrite.HINT}")
         return 0
 
     paths = [Path(p) for p in args.paths]
@@ -65,45 +74,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"simlint: no such path: {p}", file=sys.stderr)
         return 2
 
-    baseline_path = _resolve_baseline_path(args)
-    baseline = None
-    if baseline_path is not None and baseline_path.exists() and \
-            not args.update_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return 2
-        if baseline.ruleset != RULESET_VERSION:
-            print(f"simlint: baseline was written by "
-                  f"{baseline.ruleset or 'an unknown ruleset'}, current "
-                  f"is {RULESET_VERSION}; re-run --update-baseline",
-                  file=sys.stderr)
-            return 2
-
-    report = analyze_paths(paths, baseline=baseline)
-
-    if args.update_baseline:
-        if baseline_path is None:
-            print("simlint: --update-baseline needs --baseline FILE "
-                  "(or run from the repo root)", file=sys.stderr)
-            return 2
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(f"simlint: baseline {baseline_path} updated with "
-              f"{len(report.findings)} finding(s)", file=sys.stderr)
-        return 0
-
+    report = analyze_paths(paths)
     render = render_json if args.format == "json" else render_text
     sys.stdout.write(render(report))
     return 0 if report.ok else 1
-
-
-def _resolve_baseline_path(args: argparse.Namespace) -> Path | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    default = Path.cwd() / DEFAULT_BASELINE
-    if default.exists() or args.update_baseline:
-        return default
-    return None

@@ -1,31 +1,50 @@
-"""Drives the rules over files and folds in suppressions + baseline."""
+"""Runs the rule over files and collects what it finds."""
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.context import ModuleContext
-from repro.analysis.findings import Finding
-from repro.analysis.registry import all_rules, rule_ids
+from repro.analysis import clockwrite
 
-__all__ = ["AnalysisReport", "analyze_paths", "analyze_source",
-           "iter_python_files"]
+__all__ = ["Finding", "AnalysisReport", "analyze_paths", "analyze_source",
+           "iter_python_files", "module_name_for_path"]
+
+#: a fixture may pin the module name the rule sees in its first lines
+_DIRECTIVE_RE = re.compile(r"^#\s*simlint:\s*module=(?P<module>[A-Za-z0-9_.]+)")
+
+
+@dataclass(frozen=True, order=True)
+class Finding:
+    """One rule violation at one source location, ordered by
+    ``(path, line, col, rule)`` so every report is deterministic."""
+
+    path: str
+    line: int
+    col: int
+    rule: str
+    message: str
+    hint: str = field(compare=False, default="")
+
+    def format_text(self) -> str:
+        out = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+        if self.hint:
+            out += f"\n    hint: {self.hint}"
+        return out
+
+    def as_dict(self) -> dict[str, object]:
+        return {"path": self.path, "line": self.line, "col": self.col,
+                "rule": self.rule, "message": self.message,
+                "hint": self.hint}
 
 
 @dataclass
 class AnalysisReport:
     """Everything one analysis run produced."""
 
-    #: findings that gate (not suppressed, not baselined), sorted
     findings: list[Finding] = field(default_factory=list)
-    #: findings absorbed by the committed baseline
-    baselined: list[Finding] = field(default_factory=list)
-    #: count of findings silenced by per-line suppressions
-    suppressed: int = 0
-    #: baseline entries whose code got fixed -- removable
-    stale_baseline: list[str] = field(default_factory=list)
     files_scanned: int = 0
     #: files that failed to parse, as (path, error) -- these gate too
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
@@ -33,12 +52,6 @@ class AnalysisReport:
     @property
     def ok(self) -> bool:
         return not self.findings and not self.parse_errors
-
-    def counts_by_rule(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.findings:
-            out[f.rule] = out.get(f.rule, 0) + 1
-        return out
 
 
 def iter_python_files(paths: list[Path]) -> list[Path]:
@@ -54,62 +67,50 @@ def iter_python_files(paths: list[Path]) -> list[Path]:
     return [seen[k] for k in sorted(seen)]
 
 
+def module_name_for_path(path: Path) -> str:
+    """Dotted module name derived from package structure on disk:
+    ``src/repro/net/packet.py`` is ``repro.net.packet``; a file outside
+    any package is just its stem."""
+    path = path.resolve()
+    parts = [path.stem] if path.stem != "__init__" else []
+    parent = path.parent
+    while (parent / "__init__.py").exists():
+        parts.insert(0, parent.name)
+        if parent.parent == parent:
+            break
+        parent = parent.parent
+    return ".".join(parts) if parts else path.stem
+
+
 def analyze_source(source: str, path: str = "<string>",
                    module: str | None = None) -> list[Finding]:
-    """Analyze one module from text; returns gating findings (after
-    per-line suppressions, no baseline).  The primary test entry point
-    and the engine behind per-file analysis."""
-    ctx = ModuleContext.from_source(source, path, module=module)
-    return _run_rules(ctx)
+    """Analyze one module from text.  The module name the rule sees is
+    a ``# simlint: module=NAME`` line among the first ten, else
+    ``module``, else the one derived from ``path``."""
+    tree = ast.parse(source, filename=path)
+    for line in source.splitlines()[:10]:
+        m = _DIRECTIVE_RE.match(line)
+        if m:
+            module = m.group("module")
+            break
+    if module is None:
+        module = module_name_for_path(Path(path))
+    return sorted(
+        Finding(path=path, line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0) + 1,
+                rule=clockwrite.RULE, message=message,
+                hint=clockwrite.HINT)
+        for node, message in clockwrite.check(tree, module))
 
 
-def analyze_paths(paths: list[Path],
-                  baseline: Baseline | None = None) -> AnalysisReport:
+def analyze_paths(paths: list[Path]) -> AnalysisReport:
     report = AnalysisReport()
-    known = set(rule_ids()) | {"SUP"}
     for path in iter_python_files(paths):
         report.files_scanned += 1
         try:
-            ctx = ModuleContext.from_source(
+            report.findings += analyze_source(
                 path.read_text(encoding="utf-8"), path.as_posix())
         except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
             report.parse_errors.append((path.as_posix(), str(exc)))
-            continue
-        raw = _run_rules(ctx, known_ids=known)
-        report.suppressed += ctx.suppressed_count
-        for finding in raw:
-            if baseline is not None and baseline.absorbs(finding):
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
-    if baseline is not None:
-        report.stale_baseline = baseline.stale_keys()
     report.findings.sort()
-    report.baselined.sort()
     return report
-
-
-def _run_rules(ctx: ModuleContext,
-               known_ids: set[str] | None = None) -> list[Finding]:
-    if known_ids is None:
-        known_ids = set(rule_ids()) | {"SUP"}
-    findings: list[Finding] = list(ctx.marker_errors)
-    for supp in ctx.suppressions.values():
-        unknown = sorted(supp.rules - known_ids)
-        if unknown:
-            findings.append(Finding(
-                path=ctx.path, line=supp.comment_line, col=1, rule="SUP",
-                message=f"suppression names unknown rule(s) "
-                        f"{', '.join(unknown)}",
-                hint=f"known rules: {', '.join(sorted(known_ids))}",
-                line_text=ctx.line_text(supp.comment_line)))
-    for rule in all_rules():
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            if ctx.suppressed(finding):
-                ctx.suppressed_count += 1
-                continue
-            findings.append(finding)
-    findings.sort()
-    return findings

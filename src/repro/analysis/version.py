@@ -8,9 +8,10 @@ fleet result, because results that an older analyzer blessed may now be
 produced by code the newer analyzer rejects).
 
 Bump the version whenever a rule's observable behaviour changes -- a
-new rule, a scope change, a fixed false negative.  Pure refactors of
-the analyzer do *not* require a bump (the ``analysis`` package is
-excluded from the fingerprint's file walk for exactly this reason).
+new rule, a deleted one, a scope change, a fixed false negative.  Pure
+refactors of the analyzer do *not* require a bump (the ``analysis``
+package is excluded from the fingerprint's file walk for exactly this
+reason).
 """
 
 from __future__ import annotations
@@ -21,4 +22,5 @@ __all__ = ["RULESET_VERSION"]
 #: simlint-2: R1 also flags tracemalloc/gc measurement calls, and the
 #: wall-clock allowlist gained the profiler's boundary
 #: simlint-3: R8 (writes to ``now`` outside repro.sim.engine)
-RULESET_VERSION = "simlint-3"
+#: simlint-4: R1-R7 deleted (tier-1 catches their hazards); R8 remains
+RULESET_VERSION = "simlint-4"

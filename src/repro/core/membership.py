@@ -204,9 +204,7 @@ class MemberTable:
                 node = node.hnext
         assert len(via_list) == self._count, "list length mismatch"
         assert (
-            # simlint: ok[R5] identity comparison within one audit pass
             sorted(id(m) for m in via_list) ==
-            # simlint: ok[R5] identity comparison within one audit pass
             sorted(id(m) for m in via_hash)
         ), "hash/list disagree"
         # doubly linked integrity

@@ -30,7 +30,6 @@ FIN = 0x0002
 
 # Human-readable inventory, mirroring Table 1 (used by the table1
 # experiment and by diagnostics).
-# simlint: ok[R3] read-only documentation table mirroring Table 1; never mutated
 PACKET_TYPE_USE: dict[PacketType, str] = {
     PacketType.DATA: "Used by sender for data transmissions and retransmissions.",
     PacketType.NAK: "Used by receiver to request data retransmissions.",

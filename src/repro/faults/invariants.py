@@ -96,16 +96,13 @@ class InvariantChecker:
             self._senders.remove(transport)
         if transport in self._receivers:
             self._receivers.remove(transport)
-        # simlint: ok[R5] lookaside key, confined to _last; never serialized
         self._last.pop(id(transport), None)
 
     def _install_release_hook(self, transport) -> None:
         sender = getattr(transport, "sender", None)
-        # simlint: ok[R5] hook-dedup membership test, in-memory only
         if sender is None or id(sender) in self._hooked:
             return
         sender.release_hook = self._on_release
-        # simlint: ok[R5] hook-dedup set, confined to _hooked; never serialized
         self._hooked.add(id(sender))
 
     # -- event pump ---------------------------------------------------
@@ -256,13 +253,11 @@ class InvariantChecker:
         rx = getattr(t, "rx", None)
         if rx is not None:
             self._check_reassembly(t.sock, rx.rcv_nxt, rx.rcv_wnd,
-                                   # simlint: ok[R5] _last key; in-memory only
                                    lost_bytes=0, key=id(t))
 
     def _check_hrmc_receiver(self, t, r, audit: bool) -> None:
         sock = r.sock
         self._check_reassembly(sock, r.rcv_nxt, r.rcv_wnd,
-                               # simlint: ok[R5] _last key; in-memory only
                                lost_bytes=r.lost_bytes, key=id(t))
         # +1: the FIN occupies one phantom sequence byte past the window
         span = seq_sub(r.rcv_nxt, r.rcv_wnd)

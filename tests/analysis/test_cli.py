@@ -1,6 +1,6 @@
-"""CLI contract: exit codes, output shape, baseline flags, and the
-acceptance gates (clean shipped tree; every positive fixture rejected
-with file:line, rule id and fix hint)."""
+"""CLI contract: exit codes, output shape, and the acceptance gates
+(clean shipped tree; every positive fixture rejected with file:line,
+rule id and fix hint)."""
 
 from __future__ import annotations
 
@@ -40,9 +40,9 @@ def test_shipped_tree_is_clean():
 def test_positive_fixture_rejected_with_location_rule_hint(fixture):
     """Acceptance: each rule fixture exits non-zero and the report has
     file:line, the rule id and a fix hint."""
-    proc = run_simlint(str(fixture), "--no-baseline")
+    proc = run_simlint(str(fixture))
     assert proc.returncode == 1
-    rule = fixture.stem.split("_")[0].upper()     # r3_bad -> R3
+    rule = fixture.stem.split("_")[0].upper()     # r8_bad -> R8
     assert f"{fixture}:" in proc.stdout
     out_lines = [ln for ln in proc.stdout.splitlines() if f" {rule} " in ln]
     assert out_lines, f"no {rule} finding in output:\n{proc.stdout}"
@@ -56,18 +56,17 @@ def test_positive_fixture_rejected_with_location_rule_hint(fixture):
 @pytest.mark.parametrize("fixture", GOOD_FIXTURES,
                          ids=[p.stem for p in GOOD_FIXTURES])
 def test_negative_fixture_accepted(fixture):
-    proc = run_simlint(str(fixture), "--no-baseline")
+    proc = run_simlint(str(fixture))
     assert proc.returncode == 0, proc.stdout
 
 
 def test_json_format_is_machine_readable():
-    proc = run_simlint(str(FIXTURES / "r1_bad.py"), "--no-baseline",
-                       "--format", "json")
+    proc = run_simlint(str(FIXTURES / "r8_bad.py"), "--format", "json")
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     assert doc["ok"] is False
-    assert doc["counts_by_rule"].get("R1", 0) >= 1
     f = doc["findings"][0]
+    assert f["rule"] == "R8"
     assert {"path", "line", "col", "rule", "message", "hint"} <= set(f)
 
 
@@ -77,52 +76,10 @@ def test_missing_path_exits_2():
     assert "no such path" in proc.stderr
 
 
-def test_update_baseline_round_trip(tmp_path):
-    mod = tmp_path / "legacy.py"
-    mod.write_text("# simlint: module=repro.net.cli_fixture\n"
-                   "_pending = []\n")
-    baseline = tmp_path / "simlint.baseline.json"
-
-    first = run_simlint(str(mod), "--baseline", str(baseline),
-                        "--update-baseline")
-    assert first.returncode == 0
-    once = baseline.read_bytes()
-
-    # identical tree -> byte-identical baseline
-    again = run_simlint(str(mod), "--baseline", str(baseline),
-                        "--update-baseline")
-    assert again.returncode == 0
-    assert baseline.read_bytes() == once
-
-    # with the baseline active, the legacy finding no longer gates
-    gated = run_simlint(str(mod), "--baseline", str(baseline))
-    assert gated.returncode == 0
-    assert "1 baselined" in gated.stdout
-
-    # fixing the code surfaces the stale entry as removable
-    mod.write_text("# simlint: module=repro.net.cli_fixture\n"
-                   "_pending = ()\n")
-    stale = run_simlint(str(mod), "--baseline", str(baseline))
-    assert stale.returncode == 0
-    assert "stale baseline" in stale.stdout
-
-
-def test_ruleset_mismatch_demands_baseline_refresh(tmp_path):
-    mod = tmp_path / "m.py"
-    mod.write_text("x = 1\n")
-    baseline = tmp_path / "b.json"
-    baseline.write_text(json.dumps(
-        {"format": 1, "ruleset": "simlint-0", "findings": {}}))
-    proc = run_simlint(str(mod), "--baseline", str(baseline))
-    assert proc.returncode == 2
-    assert "simlint-0" in proc.stderr
-
-
 def test_list_rules_and_version():
     proc = run_simlint("--list-rules")
     assert proc.returncode == 0
-    for rule in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"):
-        assert rule in proc.stdout
+    assert proc.stdout.startswith("R8 ")
     version = run_simlint("--ruleset-version")
     assert version.returncode == 0
     assert version.stdout.strip().startswith("simlint-")

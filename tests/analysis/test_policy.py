@@ -1,13 +1,13 @@
-"""Every simlint carve-out names a module that exists.
+"""The simlint carve-out names a module that exists.
 
-``ctx.in_package`` matches by dotted prefix, so a carve-out left behind
-by a deleted module is not harmless: it silently exempts whatever is
-next created under that name.
+The rule skips a module by exact name, so a carve-out left behind by a
+moved or deleted engine is not harmless: it silently exempts whatever
+is next created under that name.
 """
 
 import os
 
-from repro.analysis import policy
+from repro.analysis import clockwrite
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -19,10 +19,6 @@ def _resolves(module: str) -> bool:
 
 
 def test_every_carve_out_names_a_real_module():
-    tuples = {name: getattr(policy, name) for name in policy.__all__
-              if isinstance(getattr(policy, name), tuple)}
-    assert "WALLCLOCK_ALLOWED" in tuples and "FORK_ALLOWED" in tuples
-    stale = [(name, module) for name, modules in tuples.items()
-             for module in modules
+    stale = [module for module in clockwrite.CLOCK_WRITE_ALLOWED
              if not module.startswith("repro.") or not _resolves(module)]
-    assert not stale, stale
+    assert clockwrite.CLOCK_WRITE_ALLOWED and not stale, stale

@@ -1,7 +1,7 @@
 """Worker hygiene: many jobs in one process must not contaminate each
 other.  The worker rebuilds the whole world from the spec, and nothing
 under ``src/repro`` may carry mutable module-global state between runs
-(simlint rule R3 holds the protocol packages to that)."""
+(a leak moves the pinned hashes of later runs; DESIGN.md §5f)."""
 
 from repro.fleet.worker import execute_spec
 from repro.workloads.spec import RunSpec

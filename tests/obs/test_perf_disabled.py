@@ -1,4 +1,3 @@
-# simlint: module=tests.obs.test_perf_disabled
 """The profiler's disabled-path guarantees.
 
 Two claims, both stronger than "probably fine":
@@ -11,10 +10,6 @@ Two claims, both stronger than "probably fine":
    ``tracer``) executes *no* code from the ``repro.obs`` / ``repro.trace``
    layers at all, proven with a tracemalloc diff: not a single byte is
    allocated from those files during the run.
-
-The tracemalloc/gc calls below are test *measurement*, not simulation
-state (the module annotation above keeps simlint's R1 rule honest if a
-fixture sweep ever widens to the test tree).
 """
 
 import tracemalloc
