@@ -71,8 +71,8 @@ class ReceiverApp(Process):
     """The receiving application: join, read to EOF (verifying), close.
 
     ``verify`` is ``"offsets"`` (check payload descriptors are the
-    expected contiguous pattern slices -- zero-copy), ``"bytes"``
-    (materialize and compare against the pattern), or ``"none"``.
+    expected contiguous pattern slices -- zero-copy) or ``"bytes"``
+    (materialize and compare against the pattern).
 
     With ``resume=True`` (a receiver rejoining mid-stream, e.g. after a
     crash) verification locks onto the offset of the first delivered
@@ -148,11 +148,10 @@ class ReceiverApp(Process):
                 else:
                     for p in payloads:
                         expected += p.length
-                    if self._verify == "bytes":
-                        data = b"".join(p.tobytes() for p in payloads)
-                        if data != pattern_bytes(start, expected - start):
-                            app.verified = False
-                            app.errors.append(f"bytes mismatch at {start}")
+                    data = b"".join(p.tobytes() for p in payloads)
+                    if data != pattern_bytes(start, expected - start):
+                        app.verified = False
+                        app.errors.append(f"bytes mismatch at {start}")
                 self._expected = expected
                 app.bytes_done += expected - start
                 if self._disk is not None:

@@ -340,7 +340,6 @@ class HRMCSender:
             skb = self._control_skb(PacketType.PROBE, seq=boundary)
             self.host.ip_send(skb, self.sock.daddr)
             self.stats.probes_sent += 1
-            self.release.probes_triggered += 1
             for m in lacking:
                 self._note_probe(m, now)
             return
@@ -358,7 +357,6 @@ class HRMCSender:
             skb = self._control_skb(PacketType.PROBE, seq=boundary)
             self.host.ip_send(skb, m.addr)
             self.stats.probes_sent += 1
-            self.release.probes_triggered += 1
             self._note_probe(m, now)
 
     def _note_probe(self, m: Member, now: int) -> None:

@@ -57,14 +57,11 @@ class TransferResult:
     sender_stats: Counters
     receiver_stats: Counters       # aggregated over receivers
     per_receiver: list[AppResult]
-    release_checks: int = 0
     release_complete_pct: float = 100.0
-    probes_triggered: int = 0
     lost_bytes: int = 0            # RMC-mode stream holes
     reliability_violations: int = 0
     member_timeouts: int = 0
     sim_events: int = 0
-    wall_events_per_packet: float = 0.0
     drop_summary: dict = field(default_factory=dict)
     # chaos bookkeeping (populated when a fault plan ran)
     fault_events: int = 0
@@ -380,21 +377,15 @@ def _collect(scenario, protocol, nbytes, sockets, sender_result,
         sstats = Counters()
         for s in ssock:
             sstats.add(s.transport.stats)
-        release_checks, release_pct, probes, violations, timeouts = \
-            0, 100.0, 0, 0, 0
+        release_pct, violations, timeouts = 100.0, 0, 0
     else:
         sstats = ssock.transport.stats
         sender = getattr(ssock.transport, "sender", None)
-        if sender is not None:
-            release_checks = sender.release.checks
-            release_pct = sender.release.percent_complete
-            probes = sender.release.probes_triggered
-        else:
-            release_checks, release_pct, probes = 0, 100.0, 0
+        release_pct = 100.0 if sender is None else \
+            sender.release.percent_complete
         violations = sstats.reliability_violations
         timeouts = sstats.member_timeouts
 
-    pkts = max(1, sstats.data_pkts_sent + sstats.retrans_pkts)
     return TransferResult(
         protocol=protocol, nbytes=nbytes, n_receivers=n,
         ok=bool(all_done and complete and verified and lost == 0),
@@ -403,11 +394,9 @@ def _collect(scenario, protocol, nbytes, sockets, sender_result,
         throughput_bps=math.nan if cut_short else throughput,
         sender_stats=sstats, receiver_stats=rstats,
         per_receiver=receiver_results,
-        release_checks=release_checks, release_complete_pct=release_pct,
-        probes_triggered=probes, lost_bytes=lost,
+        release_complete_pct=release_pct, lost_bytes=lost,
         reliability_violations=violations, member_timeouts=timeouts,
         sim_events=sim.events_processed,
-        wall_events_per_packet=sim.events_processed / pkts,
         drop_summary=scenario.network.drop_summary(),
         sockets=sockets,
     )

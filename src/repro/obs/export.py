@@ -2,7 +2,7 @@
 
 Three formats, all deterministic for a fixed seed:
 
-* **JSONL / CSV** -- one record per time-series sample, for offline
+* **JSONL** -- one record per time-series sample, for offline
   plotting and comparing across runs,
 * **text summary** -- aligned tables appended to harness reports,
 * **Chrome Trace Event Format JSON** -- protocol-phase and recovery
@@ -17,7 +17,6 @@ timeline.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import TYPE_CHECKING
 
@@ -27,8 +26,8 @@ from repro.stats.report import format_table
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observer import Observability
 
-__all__ = ["write_series_jsonl", "write_series_csv", "chrome_trace",
-           "write_chrome_trace", "summary_text"]
+__all__ = ["write_series_jsonl", "chrome_trace", "write_chrome_trace",
+           "summary_text"]
 
 
 def write_series_jsonl(registry: MetricsRegistry, path: str) -> int:
@@ -43,20 +42,6 @@ def write_series_jsonl(registry: MetricsRegistry, path: str) -> int:
                      "t_us": t_us, "value": round(value, 6)},
                     separators=(",", ":")))
                 fh.write("\n")
-                n += 1
-    return n
-
-
-def write_series_csv(registry: MetricsRegistry, path: str) -> int:
-    """Dump the time series as ``series,unit,t_us,value`` rows."""
-    n = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "unit", "t_us", "value"])
-        for name, series in registry.series.items():
-            for t_us, value in series.samples():
-                writer.writerow([name, series.unit, t_us,
-                                 round(value, 6)])
                 n += 1
     return n
 

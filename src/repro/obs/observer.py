@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.seq import seq_sub
 from repro.obs.export import (summary_text, write_chrome_trace,
-                              write_series_csv, write_series_jsonl)
+                              write_series_jsonl)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SimProfiler
 from repro.obs.spans import SpanCollector
@@ -266,17 +266,15 @@ class Observability:
 
     def write_artifacts(self, outdir: str, *,
                         prefix: str = "run") -> dict[str, str]:
-        """Write every export into ``outdir``: JSONL + CSV series, the
+        """Write every export into ``outdir``: the JSONL series, the
         Perfetto trace and the text summary.  Returns name -> path."""
         os.makedirs(outdir, exist_ok=True)
         paths = {
             "series_jsonl": os.path.join(outdir, f"{prefix}.series.jsonl"),
-            "series_csv": os.path.join(outdir, f"{prefix}.series.csv"),
             "perfetto": os.path.join(outdir, f"{prefix}.perfetto.json"),
             "summary": os.path.join(outdir, f"{prefix}.summary.txt"),
         }
         write_series_jsonl(self.registry, paths["series_jsonl"])
-        write_series_csv(self.registry, paths["series_csv"])
         write_chrome_trace(self, paths["perfetto"])
         with open(paths["summary"], "w") as fh:
             fh.write(self.summary())

@@ -22,7 +22,8 @@ US_PER_SEC = 1_000_000
 
 
 class SimulationError(RuntimeError):
-    """Raised for scheduling errors (e.g. scheduling into the past)."""
+    """Raised for scheduling errors (e.g. scheduling into the past) and
+    for a callback that moved the clock."""
 
 
 class Simulator:
@@ -43,7 +44,8 @@ class Simulator:
     def __init__(self) -> None:
         #: current simulated time in microseconds -- a plain attribute
         #: (read on every packet); only :meth:`run` assigns it, and
-        #: simlint rule R8 holds everyone else to that
+        #: :meth:`run` raises if a firing leaves it anywhere but where
+        #: that firing was scheduled
         self.now: int = 0
         self._heap: list[list] = []
         self._order: int = 0
@@ -125,13 +127,18 @@ class Simulator:
         ``max_events`` callbacks have fired.  Returns the final time.
 
         When ``until`` is given the clock is advanced to exactly ``until``
-        even if the last event fires earlier.
+        even if the last event fires earlier.  A callback that leaves
+        ``now`` anywhere but at its own firing time raises
+        :class:`SimulationError`: the clock has one writer, this loop.
         """
         self._running = True
         # counts down to 0; None (and 0, as ever) never gets there
         budget = max_events or -1
         watch = self.watch
         heappop = heapq.heappop   # hoisted: one global lookup per run
+        # the clock before each firing: the check below keeps ``now``
+        # equal to the last firing's time, so it need not be re-read
+        prev = self.now
         try:
             # NOTE: self._heap must be re-read every iteration -- a
             # callback may cancel enough entries to trigger _compact(),
@@ -146,13 +153,18 @@ class Simulator:
                     heapq.heappush(self._heap, entry)
                     break
                 self._live -= 1
-                prev = self.now
                 self.now = when
                 self.events_processed += 1
                 if watch is None:
                     callback(*args)
                 else:
                     watch.execute(callback, args, when - prev)
+                if self.now != when:
+                    raise SimulationError(
+                        f"{getattr(callback, '__qualname__', callback)} "
+                        f"moved the clock from t={when} to t={self.now}: "
+                        f"time advances only in Simulator.run")
+                prev = when
                 budget -= 1
                 if not budget:
                     break

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-from repro.analysis.version import RULESET_VERSION
 from repro.fleet.fingerprint import code_fingerprint
 from repro.sim.rng import substream
 from repro.workloads.spec import RunSpec
@@ -38,13 +37,11 @@ def test_spec_address_is_hashlib_blake2b_and_did_not_move():
 
 def test_code_fingerprint_is_hashlib_blake2b(tmp_path):
     files = {"b.py": b"B = 2\n", "a/x.py": b"X = 1\n",
-             "analysis/rule.py": b"excluded\n",
              "fleet/store.py": b"excluded\n"}
     for rel, data in files.items():
         (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / rel).write_bytes(data)
     h = hashlib.blake2b(digest_size=16)
-    h.update(b"ruleset:" + RULESET_VERSION.encode() + b"\x00")
     for rel in ("a/x.py", "b.py"):
         h.update(rel.encode() + b"\x00" + files[rel] + b"\x00")
     assert code_fingerprint(root=str(tmp_path)) == h.hexdigest()

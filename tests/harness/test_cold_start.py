@@ -19,7 +19,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 #: subsystems a bare H-RMC transfer never executes
 NOT_ON_A_BARE_TRANSFER = (
     "repro.obs", "repro.trace", "repro.faults", "repro.baselines",
-    "repro.fleet", "repro.analysis", "repro.core.rmc",
+    "repro.fleet", "repro.core.rmc",
     "repro.harness.experiments", "repro.harness.cli")
 
 _HELPERS = """
@@ -127,7 +127,7 @@ def test_listing_experiments_loads_no_experiment_code():
     _run("from repro.harness import cli\n"
          "assert quietly(cli.main, ['--list']) == 0\n"
          "extra = under(('repro.harness.experiments', 'repro.fleet', "
-         "'repro.analysis', 'repro.faults'))\n"
+         "'repro.faults'))\n"
          "assert not extra, extra\n")
 
 
@@ -138,8 +138,7 @@ def test_the_cli_import_is_exactly_what_report_runs():
     nothing `report` does not run."""
     _run("import repro.harness.cli as cli\n"
          "extra = under(('repro.harness.experiments', 'repro.fleet', "
-         "'repro.analysis', 'repro.faults', 'repro.baselines', "
-         "'repro.core.rmc'))\n"
+         "'repro.faults', 'repro.baselines', 'repro.core.rmc'))\n"
          "assert not extra, extra\n"
          "before = set(sys.modules)\n"
          "rc = quietly(cli.main, ['report', 'lan', '--receivers', '2', "

@@ -70,7 +70,7 @@ def test_fault_plan_run_is_built_from_its_spec(monkeypatch, capsys,
 
 
 def test_report_metrics_out_writes_the_four_artifacts(tmp_path, capsys):
-    """`report --metrics-out DIR` saves exactly the four artifacts, the
+    """`report --metrics-out DIR` saves exactly its three artifacts, the
     saved summary is the one it printed, and there is no other profile
     command."""
     out = tmp_path / "artifacts"
@@ -79,8 +79,7 @@ def test_report_metrics_out_writes_the_four_artifacts(tmp_path, capsys):
                      str(out)]) == 0
     stdout = capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir()) == [
-        "lan.perfetto.json", "lan.series.csv", "lan.series.jsonl",
-        "lan.summary.txt"]
+        "lan.perfetto.json", "lan.series.jsonl", "lan.summary.txt"]
     summary = (out / "lan.summary.txt").read_text()
     assert "profiler: hottest callback sites" in summary
     # headline, blank line, summary, blank line, the `wrote` list

@@ -1,10 +1,14 @@
 """Unit tests for the host model (CPU serialization, dispatch)."""
 
+import pytest
+
+from repro.harness.runner import run_transfer
 from repro.kernel.host import CostModel, Host, Transport
 from repro.kernel.skbuff import SKBuff
 from repro.net.topology import EthernetLanTopology
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import Process
+from repro.workloads.spec import RunSpec
 
 
 def make_pair(bandwidth=100e6, cost=None):
@@ -235,3 +239,23 @@ def test_tx_burst_beyond_ring_counts_drops():
         a.ip_send(mkskb(), b.addr)
     sim2.run()
     assert a.tx_ring_busy_drops == 10
+
+
+def test_a_pause_that_moves_the_clock_fails_the_run(monkeypatch):
+    """The clock hazard DESIGN §5f planted: a host pause that advances
+    ``sim.now`` instead of the host's CPU.  Chaos seed 2 pauses
+    receiver 0 mid-transfer; the engine refuses the firing that moved
+    its clock, so the run dies instead of finishing on a wrong clock."""
+    def planted(self, duration_us):
+        self.sim.now += max(0, int(duration_us))
+
+    spec = RunSpec.chaos(3, 10e6, seed=2, horizon_us=1_000_000,
+                         nbytes=200_000)
+    scenario, kwargs = spec.build()
+    assert "host_pause" in scenario.fault_plan.describe()
+    assert run_transfer(scenario, **kwargs).ok
+    scenario, kwargs = spec.build()
+    monkeypatch.setattr(Host, "pause", planted)
+    with pytest.raises(SimulationError,
+                       match="FaultInjector._pause moved the clock"):
+        run_transfer(scenario, **kwargs)

@@ -1,6 +1,5 @@
 """Spans, profiler and exporter tests over one observed lossy run."""
 
-import csv
 import json
 
 import pytest
@@ -158,10 +157,8 @@ def test_jsonl_and_csv_exports(observed_run, tmp_path):
             if rec["kind"] == "sample":
                 assert rec["t_us"] >= 0 and "series" in rec
     assert "sample" in kinds
-    with open(paths["series_csv"]) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["series", "unit", "t_us", "value"]
-    assert len(rows) > 10
+    # the samples are dumped once, as JSONL: no CSV copy
+    assert sorted(paths) == ["perfetto", "series_jsonl", "summary"]
     with open(paths["summary"]) as fh:
         text = fh.read()
     assert "metric series" in text and "packet-lifecycle" in text

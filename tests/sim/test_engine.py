@@ -479,7 +479,7 @@ def test_step_is_run_with_a_budget_of_one():
 
 def test_now_is_a_plain_int_attribute_and_times_stay_ints():
     """`now` is read on every packet, so it is an attribute, not a
-    property (simlint R8 keeps model code from assigning it); a float
+    property (`run` raises if a callback assigns it); a float
     time is truncated on the way into the heap, as `int(when)` always
     did, and an int is stored as it is."""
     sim = Simulator()
@@ -494,3 +494,32 @@ def test_now_is_a_plain_int_attribute_and_times_stay_ints():
     sim.run()
     assert seen == ["bool", "after", "int", 10]
     assert type(sim.now) is int and sim.now_seconds() == 10 / 1e6
+
+
+def _jump(sim, delta):
+    sim.now += delta
+
+
+def _expect_clock_error(sim, when, moved_to):
+    sim.call_at(when, _jump, sim, moved_to - when)
+    sim.call_at(when + 50, lambda: None)
+    with pytest.raises(SimulationError, match=(
+            f"_jump moved the clock from t={when} to t={moved_to}")):
+        sim.run()
+    assert sim.pending() == 1
+
+
+def test_a_callback_that_moves_the_clock_forward_is_refused():
+    _expect_clock_error(Simulator(), 100, 130)
+
+
+def test_a_callback_that_moves_the_clock_back_is_refused():
+    _expect_clock_error(Simulator(), 100, 40)
+
+
+def test_a_watched_callback_that_moves_the_clock_is_refused():
+    from repro.obs.profiler import SimProfiler
+    sim = Simulator()
+    sim.watch = prof = SimProfiler()
+    _expect_clock_error(sim, 100, 130)
+    assert prof.events == 1
