@@ -9,11 +9,10 @@ Usage::
     hrmc-experiments fig13 --refresh
     hrmc-experiments fleet status
     hrmc-experiments fleet prune
-    hrmc-experiments --chaos-seed 10
-    hrmc-experiments --fault-plan plan.json --metrics-out out/
     hrmc-experiments report lan --receivers 5 --metrics-out out/
+    hrmc-experiments report chaos --seed 10
+    hrmc-experiments report chaos --fault-plan plan.json
     hrmc-experiments protocol-health
-    hrmc-experiments health report wan
 
 (or ``python -m repro.harness.cli``).  Experiment runs go through the
 fleet (:mod:`repro.fleet`): specs are planned, served from the
@@ -31,30 +30,21 @@ the cache; ``--refresh`` re-executes and overwrites cached entries.
 against the current code fingerprint, bytes); ``fleet prune`` deletes
 entries the current code can no longer use.
 
-``--chaos-seed``/``--fault-plan``
-run one fault-injected transfer with the invariant checker attached and
-print what happened (see :mod:`repro.faults`).  ``--metrics-out DIR``
-additionally attaches the observability layer (:mod:`repro.obs`) and
-writes its artifacts -- JSONL/CSV metric series, a text summary and a
-Perfetto-loadable trace -- into ``DIR``.
-
-Subcommands:
-
-* ``report lan|wan|chaos`` runs one observed transfer of a canned
-  scenario under the engine profiler and prints the observability
-  summary, which ends with the hottest callback sites; ``--metrics-out
-  DIR`` also writes the run's artifacts into ``DIR``.
-* ``health report lan|wan|chaos`` runs one transfer and reads its
-  protocol health (:mod:`repro.obs.health`): NAK-suppression ledger,
-  feedback-implosion index, repair economics and recovery-lag
-  distributions.  The ``protocol-health`` experiment holds the two
-  pinned runs to their bounds, and the ``scaling`` experiment holds
-  feedback at the sender flat as the group grows.
-
-Every command that runs one transfer builds a
-:class:`~repro.workloads.spec.RunSpec` from its arguments -- the spec a
-fleet cell runs -- and exits 2 with a one-line reason when no world can
-be built from it.
+``report lan|wan|chaos`` is the one command that runs one transfer.
+It observes the run under the engine profiler and prints a headline,
+what the fault plan did (``chaos`` only), the run's protocol health
+(:mod:`repro.obs.health`: NAK-suppression ledger, implosion and repair
+economics, recovery lag) and the observability summary, which ends
+with the hottest callback sites.  ``report chaos --seed N`` is the
+``chaos`` experiment's seed-N cell, with the invariant checker on;
+``report chaos --fault-plan FILE`` replays a saved
+:class:`~repro.faults.plan.FaultPlan` on a LAN seeded from the plan.
+``--metrics-out DIR`` also writes the run's artifacts into ``DIR``:
+the metric series as JSONL, a Perfetto-loadable trace, the text
+summary and the health payload as JSON.  The exit status is 0 when
+every receiver the plan spared got the whole verified stream and the
+sender finished, 1 when not, and 2 on unusable input: a spec no world
+can be built from, or a plan that cannot be loaded or run.
 """
 
 from __future__ import annotations
@@ -65,6 +55,7 @@ import json
 # every invocation; named here it loads with the rest of start-up rather
 # than inside the first command (it used to ride in with the pool modules)
 import locale  # noqa: F401
+import os
 import sys
 import time
 
@@ -77,7 +68,9 @@ import time
 import repro.trace.tracer  # noqa: F401
 from repro.harness.inventory import INVENTORY
 from repro.harness.runner import run_transfer
+from repro.obs.health import payload, summary_tables
 from repro.obs.observer import Observability
+from repro.stats.report import format_table
 from repro.workloads.spec import CHAOS_TUNING, RunSpec
 
 __all__ = ["main"]
@@ -114,71 +107,7 @@ def _run_fleet(argv) -> int:
     return 0
 
 
-def _run_chaos(args) -> int:
-    """Run one fault-injected transfer and report what happened: the
-    seed's chaos cell, or a LAN of the same shape under a saved plan."""
-    if args.fault_plan:
-        from repro.faults.plan import FaultPlan
-        try:
-            plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load fault plan {args.fault_plan!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        spec = _checked(RunSpec.lan, args.receivers, 10e6, seed=plan.seed,
-                        nbytes=args.nbytes, plan=plan.to_dict(),
-                        sndbuf=128 * 1024, cfg=CHAOS_TUNING,
-                        invariants=True)
-    else:
-        spec = _checked(RunSpec.chaos, args.receivers, 10e6,
-                        seed=args.chaos_seed, horizon_us=1_000_000,
-                        nbytes=args.nbytes)
-    if spec is None:
-        return 2
-    scenario, kwargs = spec.build()
-    print(scenario.fault_plan.describe())
-    obs = Observability(profile=True) if args.metrics_out else None
-    try:
-        result = run_transfer(scenario, obs=obs, **kwargs)
-    except ValueError as exc:  # e.g. plan targets a missing receiver
-        print(f"cannot run fault plan: {exc}", file=sys.stderr)
-        return 2
-    if obs is not None and not _write_artifacts(obs, args.metrics_out,
-                                                "chaos"):
-        return 2
-    print(f"fault events: {result.fault_events}  "
-          f"crashed: {result.crashed_receivers}  "
-          f"restarted: {result.restarted_receivers}  "
-          f"invariant checks: {result.invariant_checks}")
-    for r in result.per_receiver:
-        print(f"  {r.name}: bytes={r.bytes_done} verified={r.verified} "
-              f"done={r.done}")
-    for r in result.rejoin_results:
-        print(f"  {r.name}: bytes={r.bytes_done} "
-              f"resumed_at={r.resumed_at_offset} verified={r.verified}")
-    ok = result.surviving_ok
-    print("survivors ok" if ok else "FAILED: survivor did not complete")
-    return 0 if ok else 1
-
-
-# -- shared scenario construction ---------------------------------------
-
-def _scenario_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("scenario", choices=("lan", "wan", "chaos"),
-                        help="canned scenario to observe")
-    parser.add_argument("--receivers", type=int, default=5)
-    parser.add_argument("--nbytes", type=int, default=500_000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--bandwidth", type=float, default=10.0,
-                        metavar="MBPS", help="link bandwidth in Mbit/s")
-    parser.add_argument("--protocol", default="hrmc",
-                        help="protocol to run (default hrmc)")
-    parser.add_argument("--sndbuf", type=int, default=None, metavar="BYTES",
-                        help="socket send-buffer size (default: the "
-                             "runner's; chaos pins 128K)")
-    parser.add_argument("--wan-test", type=int, default=2, metavar="N",
-                        help="characteristic-group test case for wan")
-
+# -- report subcommand --------------------------------------------------
 
 def _checked(make, *args, **kwargs):
     """``make(*args, **kwargs)``; ``None`` after a one-line reason if
@@ -190,51 +119,62 @@ def _checked(make, *args, **kwargs):
         return None
 
 
-def _transfer(args, obs=None):
-    """Run the transfer of the canned scenario ``args`` names -- the run
-    behind ``report`` and ``health report`` -- on a world built from
-    its spec; ``None`` if the spec is refused."""
+def _spec(args):
+    """The spec of the transfer ``args`` name: a canned scenario, the
+    chaos experiment's cell, or a LAN under a saved fault plan; ``None``
+    after a one-line reason if there is none."""
     bw = args.bandwidth * 1e6
-    kw = {"seed": args.seed, "nbytes": args.nbytes,
-          "protocol": args.protocol}
+    kw = {"nbytes": args.nbytes, "protocol": args.protocol}
     if args.sndbuf:
         kw["sndbuf"] = args.sndbuf
+    if args.fault_plan:
+        if args.scenario != "chaos" or args.seed is not None:
+            print("--fault-plan runs under chaos only, seeded from the "
+                  "plan (no --seed)", file=sys.stderr)
+            return None
+        from repro.faults.plan import FaultPlan
+        try:
+            plan = FaultPlan.load(args.fault_plan)
+        except (OSError, ValueError, LookupError, TypeError,
+                AttributeError) as exc:
+            print(f"cannot load fault plan {args.fault_plan!r}: {exc}",
+                  file=sys.stderr)
+            return None
+        kw.setdefault("sndbuf", 128 * 1024)
+        return _checked(RunSpec.lan, args.receivers, bw, seed=plan.seed,
+                        plan=plan.to_dict(), cfg=dict(CHAOS_TUNING),
+                        invariants=True, **kw)
+    kw["seed"] = 1 if args.seed is None else args.seed
     if args.scenario == "lan":
-        spec = _checked(RunSpec.lan, args.receivers, bw, **kw)
-    elif args.scenario == "wan":
-        spec = _checked(RunSpec.wan, test=args.wan_test, bandwidth_bps=bw,
+        return _checked(RunSpec.lan, args.receivers, bw, **kw)
+    if args.scenario == "wan":
+        return _checked(RunSpec.wan, test=args.wan_test, bandwidth_bps=bw,
                         receivers=args.receivers, **kw)
-    else:
-        spec = _checked(RunSpec.chaos, args.receivers, bw,
-                        horizon_us=1_000_000, allow_crash=False, **kw)
-    if spec is None:
-        return None
-    scenario, kwargs = spec.build()
-    return run_transfer(scenario, obs=obs, **kwargs)
+    return _checked(RunSpec.chaos, args.receivers, bw,
+                    horizon_us=1_000_000, **kw)
 
 
-def _write_artifacts(obs, outdir: str, prefix: str, *,
-                     spaced: bool = False) -> bool:
-    """Write an observed run's artifacts into ``outdir`` and list them
-    on stdout (after a blank line if ``spaced``); ``False`` after a
-    one-line reason on stderr if the directory cannot be written."""
-    try:
-        paths = obs.write_artifacts(outdir, prefix=prefix)
-    except OSError as exc:
-        print(f"cannot write artifacts to {outdir!r}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return False
-    if spaced:
-        print()
-    for name, path in paths.items():
-        print(f"wrote {name}: {path}")
-    return True
+def _print_faults(plan, result) -> None:
+    """What the fault plan was and what it did to the run."""
+    print(plan.describe())
+    print(f"fault events: {result.fault_events}  "
+          f"crashed: {result.crashed_receivers}  "
+          f"restarted: {result.restarted_receivers}  "
+          f"invariant checks: {result.invariant_checks}")
+    for r in result.per_receiver:
+        print(f"  {r.name}: bytes={r.bytes_done} verified={r.verified} "
+              f"done={r.done}")
+    for r in result.rejoin_results:
+        print(f"  {r.name}: bytes={r.bytes_done} "
+              f"resumed_at={r.resumed_at_offset} verified={r.verified}")
+    print("survivors ok" if result.surviving_ok
+          else "FAILED: survivor did not complete")
 
 
 def _write_file(what: str, path: str, text: str, status) -> bool:
     """Write ``text`` and a newline to ``path``, then say so on
-    ``status`` (stderr when stdout carries a JSON document); ``False``
-    after a one-line reason on stderr if ``path`` cannot be written."""
+    ``status``; ``False`` after a one-line reason on stderr if ``path``
+    cannot be written."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
@@ -247,101 +187,100 @@ def _write_file(what: str, path: str, text: str, status) -> bool:
     return True
 
 
-# -- report subcommand --------------------------------------------------
+def _write_artifacts(obs, health: dict, outdir: str, prefix: str) -> bool:
+    """Write an observed run's artifacts and its health payload into
+    ``outdir`` and list them on stdout after a blank line; ``False``
+    after a one-line reason on stderr if the directory cannot be
+    written."""
+    try:
+        paths = obs.write_artifacts(outdir, prefix=prefix)
+    except OSError as exc:
+        print(f"cannot write artifacts to {outdir!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return False
+    print()
+    for name, path in paths.items():
+        print(f"wrote {name}: {path}")
+    path = os.path.join(outdir, f"{prefix}.health.json")
+    return _write_file("health", path,
+                       json.dumps(health, indent=2, sort_keys=True),
+                       sys.stdout)
+
 
 def _run_report(argv) -> int:
-    """``report`` subcommand: one observed transfer + obs summary."""
+    """``report lan|wan|chaos``: one observed transfer, then what its
+    fault plan did, its protocol health and the observability summary."""
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments report",
-        description="Run one observed transfer and print the "
-                    "observability report (metric series, packet "
-                    "lifecycle latency, protocol phases, profile).")
-    _scenario_args(parser)
+        description="Run one observed transfer and report it: what the "
+                    "fault plan did, protocol health (NAK suppression, "
+                    "repair economics, recovery lag) and observability "
+                    "(metric series, packet lifecycle latency, protocol "
+                    "phases, profile).")
+    parser.add_argument("scenario", choices=("lan", "wan", "chaos"),
+                        help="canned scenario to run; chaos is the chaos "
+                             "experiment's cell")
+    parser.add_argument("--receivers", type=int, default=5)
+    parser.add_argument("--nbytes", type=int, default=500_000)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="topology (and chaos fault plan) seed "
+                             "(default 1)")
+    parser.add_argument("--bandwidth", type=float, default=10.0,
+                        metavar="MBPS", help="link bandwidth in Mbit/s")
+    parser.add_argument("--protocol", default="hrmc",
+                        help="protocol to run (default hrmc)")
+    parser.add_argument("--sndbuf", type=int, default=None, metavar="BYTES",
+                        help="socket send-buffer size (default: the "
+                             "runner's; chaos pins 128K)")
+    parser.add_argument("--wan-test", type=int, default=2, metavar="N",
+                        help="characteristic-group test case for wan")
+    parser.add_argument("--fault-plan", metavar="FILE", default=None,
+                        help="chaos only: run a saved FaultPlan JSON file "
+                             "on a LAN seeded from the plan")
     parser.add_argument("--metrics-out", metavar="DIR", default=None,
-                        help="also write JSONL/CSV series, summary and "
-                             "Perfetto trace into DIR")
+                        help="also write JSONL series, Perfetto trace, "
+                             "summary and health JSON into DIR")
     args = parser.parse_args(argv)
 
+    spec = _spec(args)
+    if spec is None:
+        return 2
+    scenario, kwargs = spec.build()
     obs = Observability(profile=True)
-    result = _transfer(args, obs)
-    if result is None:
+    try:
+        result = run_transfer(scenario, obs=obs, **kwargs)
+    except ValueError as exc:  # e.g. the plan targets a missing receiver
+        if scenario.fault_plan is None:
+            raise
+        print(f"cannot run fault plan: {exc}", file=sys.stderr)
         return 2
     print(f"{args.scenario} x{args.receivers} {args.protocol} "
           f"{args.nbytes} bytes: ok={result.ok} "
           f"throughput={result.throughput_mbps:.2f} Mbit/s "
           f"duration={result.duration_us / 1e6:.3f} s\n")
+    if scenario.fault_plan is not None:
+        _print_faults(scenario.fault_plan, result)
+        print()
+    health = payload(result)
+    for title, headers, rows in summary_tables(health):
+        print(format_table(title, headers, rows))
+        print()
     print(obs.summary())
     if args.metrics_out and not _write_artifacts(
-            obs, args.metrics_out, args.scenario, spaced=True):
+            obs, health, args.metrics_out, args.scenario):
         return 2
-    return 0 if result.ok else 1
+    return 0 if result.surviving_ok else 1
 
 
-# -- health subcommand family -------------------------------------------
-
-def _run_health_report(argv) -> int:
-    """``health report lan|wan|chaos``: one bare transfer, then a read
-    of its protocol health.  With ``--json`` stdout is the payload
-    alone; status lines go to stderr.  Exit 0 = the run delivered,
-    1 = it failed, 2 = unusable input.  The gated pinned runs are the
-    ``protocol-health`` experiment.
-    """
-    from repro.obs.health import payload as health_payload, summary_tables
-    from repro.stats.report import format_table
-
-    parser = argparse.ArgumentParser(
-        prog="hrmc-experiments health report",
-        description="Run one transfer and print its protocol health: "
-                    "the NAK-suppression ledger, implosion/repair "
-                    "economics and recovery-lag tables.")
-    _scenario_args(parser)
-    parser.add_argument("--json", action="store_true",
-                        help="emit the health payload as JSON instead "
-                             "of tables")
-    parser.add_argument("--out", metavar="FILE", default=None,
-                        help="also write the health payload as JSON")
-    args = parser.parse_args(argv)
-
-    result = _transfer(args)
-    if result is None:
-        return 2
-    payload = health_payload(result)
-    tables = summary_tables(payload)
-
-    doc = json.dumps(payload, indent=2, sort_keys=True)
-    status = sys.stderr if args.json else sys.stdout
-    if args.json:
-        print(doc)
-    else:
-        print(f"{args.scenario} x{args.receivers} {args.protocol} "
-              f"{args.nbytes} bytes: ok={result.ok} "
-              f"throughput={result.throughput_mbps:.2f} Mbit/s\n")
-        for title, headers, rows in tables:
-            print(format_table(title, headers, rows))
-            print()
-    if args.out and not _write_file("health payload", args.out, doc,
-                                    status):
-        return 2
-    return 0 if result.ok else 1
-
-
-#: the subcommands, by their first one or two words
-_COMMANDS = {
-    "report": _run_report, "fleet": _run_fleet,
-    "health report": _run_health_report,
-}
+#: the subcommands, by their first word
+_COMMANDS = {"report": _run_report, "fleet": _run_fleet}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    for words in (2, 1):
-        command = _COMMANDS.get(" ".join(argv[:words]))
-        if command is not None:
-            return command(argv[words:])
-    if argv and argv[0] == "health":
-        print("usage: hrmc-experiments health {report} ...",
-              file=sys.stderr)
-        return 2
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        return command(argv[1:])
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments",
         description="Regenerate the tables and figures of the H-RMC "
@@ -374,24 +313,7 @@ def main(argv=None) -> int:
     parser.add_argument("--job-timeout", type=float, default=900.0,
                         metavar="S", help="per-run wall-clock budget in "
                                           "seconds (default 900)")
-    parser.add_argument("--chaos-seed", type=int, default=None, metavar="N",
-                        help="run one chaos transfer with a seed-random "
-                             "fault plan and the invariant checker on")
-    parser.add_argument("--fault-plan", metavar="FILE", default=None,
-                        help="run one chaos transfer driven by a saved "
-                             "FaultPlan JSON file")
-    parser.add_argument("--receivers", type=int, default=3,
-                        help="receiver count for --chaos-seed/--fault-plan")
-    parser.add_argument("--nbytes", type=int, default=250_000,
-                        help="transfer size for --chaos-seed/--fault-plan")
-    parser.add_argument("--metrics-out", metavar="DIR", default=None,
-                        help="attach the observability layer to the "
-                             "chaos run and write metric series, summary "
-                             "and Perfetto trace into DIR")
     args = parser.parse_args(argv)
-
-    if args.chaos_seed is not None or args.fault_plan:
-        return _run_chaos(args)
 
     if args.list:
         wid = max(map(len, INVENTORY))

@@ -884,8 +884,8 @@ HEALTH_GATES = {
 
 def protocol_health(scale: Optional[str] = None,
                     grid: Optional[Grid] = None) -> Report:
-    """The pinned protocol-health runs, as ``health report lan|wan``
-    runs them: a lossless 2-receiver LAN at 100 Mbit/s, where nothing
+    """The pinned protocol-health runs, whose tables ``report`` prints
+    for any run: a lossless 2-receiver LAN at 100 Mbit/s, where nothing
     may be NAKed or repaired, and 5 receivers on test case 2's WAN,
     large enough that eleven gaps open.  Scale does not apply."""
     from repro.obs.health import CELL_COLUMNS, health_cell

@@ -91,13 +91,14 @@ class TransferResult:
     @property
     def surviving_ok(self) -> bool:
         """Every receiver that was *not* crashed by the fault plan got
-        the whole stream, verified (and the sender finished).  With no
-        faults this collapses to :attr:`ok`."""
+        the whole stream, verified, without holes, and the sender
+        finished.  With no receiver crashed this is :attr:`ok`."""
         crashed = set(self.crashed_receivers)
         survivors = [r for i, r in enumerate(self.per_receiver)
                      if i not in crashed]
-        return (all(r.done and r.verified and r.bytes_done == self.nbytes
-                    for r in survivors)
+        return (not self.cut_short and self.lost_bytes == 0
+                and all(r.done and r.verified and r.bytes_done == self.nbytes
+                        for r in survivors)
                 and len(survivors) + len(crashed) == self.n_receivers)
 
     def to_dict(self) -> dict:

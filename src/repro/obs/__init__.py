@@ -8,7 +8,7 @@
   protocol-phase spans stitched from the packet seam,
 * :mod:`repro.obs.profiler` -- simulated-time and wall-clock
   attribution per engine callback site,
-* :mod:`repro.obs.export` -- JSONL/CSV series dumps, text summaries
+* :mod:`repro.obs.export` -- JSONL series dumps, text summaries
   and Chrome Trace Event Format JSON for Perfetto,
 * :mod:`repro.obs.observer` -- the :class:`Observability` facade that
   wires the above into ``run_transfer(obs=...)``,

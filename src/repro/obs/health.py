@@ -63,8 +63,8 @@ def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:
 
 def payload(result) -> dict:
     """The compact JSON-safe health document of a finished run: what
-    crosses the fleet worker boundary and what ``health report --json``
-    consumes.  Endpoints without an H-RMC role
+    crosses the fleet worker boundary and what ``report --metrics-out``
+    saves.  Endpoints without an H-RMC role
     (the baselines, the TCP-like reference) contribute nothing."""
     ssock, rsocks = result.sockets
     sender = getattr(getattr(ssock, "transport", None), "sender", None)

@@ -60,7 +60,8 @@ class RunSpec:
       ``test`` + ``receivers`` (a Figure-14 test case)
     * ``chaos`` -- ``receivers``, ``bandwidth_bps``, ``seed``,
       ``horizon_us``, ``allow_crash`` (the same seed drives topology
-      and fault plan)
+      and fault plan; :meth:`chaos` sets ``allow_crash`` to whether
+      the protocol is H-RMC)
 
     ``cfg`` holds :class:`HRMCConfig` field overrides (``protocol="rmc"``
     applies :meth:`HRMCConfig.as_rmc` itself).
@@ -139,18 +140,20 @@ class RunSpec:
     @classmethod
     def chaos(cls, receivers: int, bandwidth_bps: float, *, seed: int,
               nbytes: int, horizon_us: int = 2_000_000,
-              allow_crash: bool = True, **kw: Any) -> "RunSpec":
+              **kw: Any) -> "RunSpec":
         """A LAN under a seed-random fault plan; unless ``kw`` says
         otherwise, with 128K buffers, :data:`CHAOS_TUNING` and the
-        invariant checker on."""
-        kw = {"sndbuf": 128 * 1024, "cfg": dict(CHAOS_TUNING),
-              "invariants": True, **kw}
+        invariant checker on.  The plan crashes receivers only under
+        H-RMC, whose membership evicts a silent member: the ACK
+        baseline would wait for one forever."""
+        kw = {"protocol": "hrmc", "sndbuf": 128 * 1024,
+              "cfg": dict(CHAOS_TUNING), "invariants": True, **kw}
         return cls(scenario="chaos",
                    scenario_params={"receivers": int(receivers),
                                     "bandwidth_bps": float(bandwidth_bps),
                                     "seed": int(seed),
                                     "horizon_us": int(horizon_us),
-                                    "allow_crash": bool(allow_crash)},
+                                    "allow_crash": kw["protocol"] == "hrmc"},
                    nbytes=nbytes, **kw)
 
     # -- the world -----------------------------------------------------

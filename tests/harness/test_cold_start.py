@@ -150,13 +150,18 @@ def test_the_cli_import_is_exactly_what_report_runs():
 
 
 def test_a_single_chaos_run_loads_no_experiment_code():
-    """`report chaos` and `--chaos-seed` build their run from the spec
-    module's chaos cell, not from the experiment suites."""
+    """`report chaos`, seeded or under a saved plan, builds its run from
+    the spec module's chaos cell, not from the experiment suites."""
     _run("import repro.harness.cli as cli\n"
+         "from repro.faults.plan import FaultPlan\n"
+         "import tempfile\n"
+         "plan = os.path.join(tempfile.mkdtemp(), 'plan.json')\n"
+         "FaultPlan.random(3, n_receivers=3, horizon_us=1_000_000)"
+         ".save(plan)\n"
          "assert quietly(cli.main, ['report', 'chaos', '--receivers', '2', "
          "'--nbytes', '50000']) == 0\n"
-         "assert quietly(cli.main, ['--chaos-seed', '3', '--nbytes', "
-         "'50000']) == 0\n"
+         "assert quietly(cli.main, ['report', 'chaos', '--fault-plan', "
+         "plan, '--receivers', '3', '--nbytes', '50000']) == 0\n"
          "extra = under(('repro.harness.experiments', 'repro.fleet'))\n"
          "assert not extra, extra\n")
 
@@ -215,8 +220,8 @@ INSTRUMENTS = ("repro.obs.observer", "repro.obs.spans", "repro.trace.tracer")
 def test_reading_health_attaches_nothing():
     """Protocol health is a read of the finished run's books: a
     `RunSpec(health=True)` cell loads no observer, span collector or
-    tracer, and `health report wan` (whose CLI import already holds
-    them, for `report`) builds none of the three."""
+    tracer, and builds none of the three once the CLI import (which
+    holds them, for `report`) has loaded them."""
     _run("from repro.fleet.executor import Fleet\n"
          "from repro.workloads.spec import RunSpec\n"
          "spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, "
@@ -226,7 +231,8 @@ def test_reading_health_attaches_nothing():
          "assert summary.ok and summary.health['group_size'] == 3\n"
          f"extra = under({INSTRUMENTS!r})\n"
          "assert not extra, extra\n"
-         "import repro.harness.cli as cli\n"
+         "import repro.harness.cli\n"
+         "from repro.fleet.worker import run_spec\n"
          "from repro.obs.observer import Observability\n"
          "from repro.obs.spans import SpanCollector\n"
          "from repro.trace.tracer import PacketTracer\n"
@@ -234,5 +240,4 @@ def test_reading_health_attaches_nothing():
          "    raise AssertionError(f'{type(self).__name__} built')\n"
          "for cls in (Observability, SpanCollector, PacketTracer):\n"
          "    cls.__init__ = refuse\n"
-         "assert quietly(cli.main, ['health', 'report', 'wan', "
-         "'--receivers', '3', '--nbytes', '60000', '--seed', '21']) == 0\n")
+         "assert run_spec(spec).health == summary.health\n")

@@ -1,11 +1,13 @@
-"""The ``health report`` subcommand, and the committed gates that read
-protocol health: the ``protocol-health`` experiment's pinned runs and
-the ``scaling`` experiment's section 5.2 feedback cells.
+"""Protocol health in `report`, and the committed gates that read it:
+the ``protocol-health`` experiment's pinned runs and the ``scaling``
+experiment's section 5.2 feedback cells.
 
-Exit-code contract: 0 = the run delivered, 1 = it failed, 2 = unusable
-input.
+`report` prints the run's health tables, and ``--metrics-out DIR``
+saves the health payload as ``<scenario>.health.json``.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -13,49 +15,52 @@ import pytest
 from repro.core.receiver import HRMCReceiver
 from repro.fleet.worker import run_spec
 from repro.harness.cli import main as cli_main
-from repro.harness.experiments import FEEDBACK_GROUP_SIZES, feedback_spec
-from repro.obs.health import health_cell
+from repro.obs.health import payload
+from repro.workloads.spec import RunSpec
 
 WAN_ARGS = ["--receivers", "3", "--nbytes", "200000", "--seed", "21"]
 
 
 @pytest.fixture(scope="module")
 def reported(tmp_path_factory):
-    """One wan run shared by the report tests."""
-    tmp = tmp_path_factory.mktemp("health-cli")
-    out = tmp / "health.json"
-    rc = cli_main(["health", "report", "wan", *WAN_ARGS, "--out", str(out)])
+    """One wan run shared by the report tests: its stdout and the
+    health payload it saved."""
+    out = tmp_path_factory.mktemp("health-cli")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli_main(["report", "wan", *WAN_ARGS, "--metrics-out", str(out)])
     assert rc == 0
-    return {"out": out}
+    return {"stdout": stdout.getvalue(), "health": out / "wan.health.json"}
 
 
 def test_report_writes_payload(reported):
-    payload = json.loads(reported["out"].read_text())
-    assert payload["group_size"] == 3
-    assert payload["suppression"]["naks_sent"] > 0
+    doc = json.loads(reported["health"].read_text())
+    assert doc["group_size"] == 3
+    assert doc["suppression"]["naks_sent"] > 0
 
 
-def test_report_text_tables(capsys):
-    rc = cli_main(["health", "report", "wan", *WAN_ARGS])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert "NAK-suppression ledger" in text
-    assert "implosion & repair economics" in text
-    assert "recovery lag (us)" in text
+def test_report_text_tables(reported):
+    """The health tables come after the headline and before the
+    observability summary, whose profiler table stays last."""
+    text = reported["stdout"]
+    tables = [text.index(title) for title in (
+        "NAK-suppression ledger", "implosion & repair economics",
+        "recovery lag (us)", "metric series", "\nprofiler:")]
+    assert tables == sorted(tables), tables
 
 
-def test_report_json_mode(tmp_path, capsys):
-    """With --json stdout is the payload and nothing else: the line
-    saying what was written goes to stderr."""
-    out = tmp_path / "health.json"
-    rc = cli_main(["health", "report", "wan", *WAN_ARGS, "--json",
-                   "--out", str(out)])
-    assert rc == 0
-    stdout, stderr = capsys.readouterr()
-    payload = json.loads(stdout)
-    assert payload["implosion"]["naks_at_sender"] > 0
-    assert stdout == out.read_text()
-    assert "wrote health payload" in stderr
+def test_report_json_mode(reported, capsys):
+    """The report's JSON form is the saved payload, and it is the
+    bare run's: observing the run leaves its health untouched.  There
+    is no `--json` stdout mode."""
+    spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, seed=21,
+                       nbytes=200_000)
+    assert json.loads(reported["health"].read_text()) == \
+        payload(run_spec(spec))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["report", "wan", *WAN_ARGS, "--json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_committed_wan_gate_can_tell_a_whole_span_nak_claim(monkeypatch,
@@ -86,7 +91,6 @@ def test_committed_wan_gate_can_tell_a_whole_span_nak_claim(monkeypatch,
 def test_a_loss_free_wan_cell_fails_its_loss_claim(monkeypatch, capsys):
     """Seed 2001 gives the wan cell no loss: the report says the cell
     had nothing to repair, not only that suppression read 0."""
-    from repro.workloads.spec import RunSpec
     wan = RunSpec.wan.__func__
 
     def shifted(cls, *args, seed, **kwargs):
@@ -101,43 +105,6 @@ def test_a_loss_free_wan_cell_fails_its_loss_claim(monkeypatch, capsys):
 
 
 def test_health_usage_error():
+    """`health` is no command and no experiment: `report` reads health."""
     assert cli_main(["health"]) == 2
     assert cli_main(["health", "bogus"]) == 2
-
-
-# -- section 5.2 feedback cells ----------------------------------------
-
-@pytest.fixture(scope="module")
-def swept():
-    """The `scaling` experiment's three feedback cells, one run each."""
-    results = {n: run_spec(feedback_spec(n)) for n in FEEDBACK_GROUP_SIZES}
-    return {"ok": [res.ok for res in results.values()],
-            "cells": [health_cell(res.health, group_size=n)
-                      for n, res in results.items()]}
-
-
-def test_sweep_exit_clean(swept):
-    assert swept["ok"] == [True, True, True]
-
-
-def test_sweep_reproduces_flat_feedback_trend(swept):
-    """Paper §5.2 at quick scale: sender-visible feedback does not
-    implode as the group grows.  Every cell loses the same one packet,
-    so its independence of group size is asserted directly -- one NAK
-    per loss event, and what the sender hears beyond one UPDATE
-    exchange per member (NAKs + rate requests) does not move with n.
-    The per-member part is linear by construction, hence the absolute
-    ceilings per group size instead of an exponent gate.  The same
-    assertions are claims of the `scaling` experiment."""
-    cells = swept["cells"]
-    assert [c["group_size"] for c in cells] == [2, 3, 5]
-    for c in cells:
-        assert c["naks_at_sender"] == c["loss_events"] \
-            == cells[0]["loss_events"]
-    assert len({c["feedback_at_sender"] - c["group_size"]
-                for c in cells}) == 1, "feedback beyond the per-member " \
-                                       "UPDATEs grows with the group"
-    for c in cells:
-        n = c["group_size"]
-        assert c["feedback_at_sender"] <= 2 * n + 2     # 5 / 6 / 8 today
-        assert c["retrans_bytes"] <= 2 * 1460 * c["loss_events"]  # 1460

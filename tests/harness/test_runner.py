@@ -76,6 +76,34 @@ def test_a_finished_run_is_not_cut_short():
     assert res.surviving_ok and not res.cut_short
 
 
+def test_survivors_are_not_ok_before_the_sender_finished():
+    """The bound stops this run 10 ms after both receivers verified the
+    whole stream, before the sender closed: it is cut short, and with
+    no receiver crashed `surviving_ok` is `ok`, False -- as it is for
+    the record with only the flag set."""
+    full = run_transfer(build_lan(2, 10e6, seed=40), nbytes=200_000,
+                        sndbuf=128 * 1024)
+    res = run_transfer(build_lan(2, 10e6, seed=40), nbytes=200_000,
+                       sndbuf=128 * 1024,
+                       max_sim_s=(full.duration_us + 10_000) / 1e6)
+    assert all(r.done and r.verified and r.bytes_done == 200_000
+               for r in res.per_receiver)
+    assert res.cut_short and res.surviving_ok is res.ok is False
+    record = dict(full.to_dict(), cut_short=True)
+    assert TransferResult.from_dict(record).surviving_ok is False
+
+
+def test_survivors_of_a_run_that_lost_data_are_not_ok():
+    """`ablation-probes`' pure-NAK arm with MINBUF=1 abandons gaps."""
+    from repro.fleet.worker import run_spec
+    from repro.harness.experiments import plan_experiment
+    [spec] = [s for s in plan_experiment("ablation-probes")
+              if s.protocol == "rmc" and s.cfg == {"minbuf_rtts": 1}]
+    res = run_spec(spec)
+    assert res.lost_bytes > 0
+    assert res.surviving_ok is res.ok is False
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_every_protocol_produces_result(protocol):
     sc = build_lan(2, 10e6, seed=44)

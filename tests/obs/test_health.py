@@ -50,7 +50,7 @@ def _run_health(cfg=None, receivers=3):
 
 
 #: name -> bare run whose payload is pinned: the CI gate runs (lan, wan),
-#: `health report chaos --receivers 3 --nbytes 300000 --seed 4`, the
+#: the chaos seed-4 LAN under a plan drawn with no crash, the
 #: local-recovery fixture below, and RMC abandoning gaps
 PINNED_RUNS = {
     "lan-gate": lambda: run_transfer(

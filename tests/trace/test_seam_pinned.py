@@ -9,8 +9,9 @@ runs reach eight drop reasons:
   seed 21: one receiver-NIC loss,
 * `wan-test-3` -- WAN test 3 with 5 receivers, 500 000 bytes, seed 1:
   correlated router loss, pipe loss and receiver-NIC loss,
-* `chaos-17` -- the `chaos` experiment's seed-17 cell (`--chaos-seed
-  17`): checksum, NIC burst and link-down drops from the fault plan,
+* `chaos-17` -- the `chaos` experiment's seed-17 cell (`report chaos
+  --seed 17 --receivers 3 --nbytes 250000`): checksum, NIC burst and
+  link-down drops from the fault plan,
 * `wan-pipe-faults` -- a WAN transfer under a plan that flaps a group
   pipe and degrades one receiver's pipe: `pipe_down` and
   `pipe_fault_loss` drops, which no other test reaches.
@@ -51,7 +52,7 @@ PINNED_SEAM = {
 }
 
 #: name -> the spec of a run the CLI also runs (`report wan ...` and
-#: `--chaos-seed 17`)
+#: `report chaos --seed 17 ...`)
 SPECS = {
     "wan-21": lambda: RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6,
                                   seed=21, nbytes=200_000),
