@@ -134,6 +134,26 @@ class HRMCReceiver:
         self.join_timer.del_timer()
         self.liveness_timer.del_timer()
 
+    def books(self) -> dict:
+        """The recovery books as plain data: this receiver's, its NAK
+        list's, its update policy's and two ``Counters`` cells."""
+        naks, update = self.naks, self.update
+        return {
+            "host": self.host.addr, "lags_us": list(naks.lags_us),
+            "unresolved": len(naks), "naks_sent": self.stats.naks_sent,
+            "dup_pkts_rcvd": self.stats.dup_pkts_rcvd,
+            "adjust_ups": update.adjust_ups,
+            "adjust_downs": update.adjust_downs,
+            **{name: getattr(naks, name) for name in (
+                "gaps_opened", "gap_bytes", "gaps_filled", "gaps_abandoned",
+                "suppressed_timer")},
+            **{name: getattr(self, name) for name in (
+                "naks_resent", "naks_suppressed_peer", "repairs_useful",
+                "repairs_redundant", "repair_redundant_bytes",
+                "repairs_suppressed", "cache_inserts", "cache_evictions",
+                "cache_overwrites", "cache_hits", "cache_misses")},
+        }
+
     # ------------------------------------------------------------------
     # packet processor
 

@@ -114,6 +114,11 @@ class HRMCSender:
         self.retrans_timer.del_timer()
         self.ka_timer.del_timer()
 
+    def books(self) -> dict:
+        """The recovery books as plain data."""
+        return {"loss_events": self.loss_events,
+                "repairs_deflected": self.repairs_deflected}
+
     # ------------------------------------------------------------------
     # application interface (hrmc_sendmsg)
 

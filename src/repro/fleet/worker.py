@@ -36,8 +36,8 @@ class JobTimeout(BaseException):
 
 def run_spec(spec: RunSpec) -> TransferResult:
     """Execute one spec and return its :class:`TransferResult`, with
-    the observability tables and the health payload the spec asks
-    for."""
+    the observability tables if the spec asks for them.  The roles'
+    recovery books are in every record (``TransferResult.books``)."""
     scenario, kwargs = spec.build()
     obs = None
     if spec.obs:
@@ -46,10 +46,6 @@ def run_spec(spec: RunSpec) -> TransferResult:
     result = run_transfer(scenario, obs=obs, **kwargs)
     if obs is not None:
         result.obs_tables = obs.summary_tables()
-    if spec.health:
-        # a read of the finished run's books: nothing was attached
-        from repro.obs.health import payload
-        result.health = payload(result)
     return result
 
 

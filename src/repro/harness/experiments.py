@@ -438,9 +438,9 @@ FEEDBACK_GROUP_SIZES = (2, 3, 5)
 
 def feedback_spec(n: int) -> RunSpec:
     """Section 5.2's feedback cell for a group of ``n``: test case 2 at
-    10 Mbit/s, 150 KB, seed 21, with the health payload captured."""
+    10 Mbit/s, 150 KB, seed 21, read through its health payload."""
     return RunSpec.wan(test=2, receivers=n, bandwidth_bps=MBPS_10, seed=21,
-                       nbytes=150_000, sndbuf=128 * 1024, health=True)
+                       nbytes=150_000, sndbuf=128 * 1024)
 
 
 def scaling_100rcv(scale: Optional[str] = None,
@@ -450,7 +450,7 @@ def scaling_100rcv(scale: Optional[str] = None,
     The feedback cells are fixed (test case 2 at 10 Mbit/s, 150 KB,
     seed 21, where every cell loses the same one packet); scale does
     not apply to them."""
-    from repro.obs.health import health_cell
+    from repro.obs.health import health_cell, payload
 
     grid = grid if grid is not None else Grid()
     small, _ = file_sizes(scale)
@@ -478,9 +478,9 @@ def scaling_100rcv(scale: Optional[str] = None,
                      "EXPERIMENTS.md caveat 3 and its §5.2 row.")
 
     results = {n: grid.run(feedback_spec(n)) for n in FEEDBACK_GROUP_SIZES}
-    if grid.planning:      # a probe has no health payload to read
+    if grid.planning:      # a probe has no books to read
         return rep
-    cells = [health_cell(res.health, group_size=n) for n, res in
+    cells = [health_cell(payload(res), group_size=n) for n, res in
              results.items()]
     rep.add("feedback vs group size (test 2, 10 Mbps, 150 KB, seed 21)",
             ["receivers", "loss events", "NAKs at sender",
@@ -888,23 +888,22 @@ def protocol_health(scale: Optional[str] = None,
     for any run: a lossless 2-receiver LAN at 100 Mbit/s, where nothing
     may be NAKed or repaired, and 5 receivers on test case 2's WAN,
     large enough that eleven gaps open.  Scale does not apply."""
-    from repro.obs.health import CELL_COLUMNS, health_cell
+    from repro.obs.health import CELL_COLUMNS, health_cell, payload
 
     grid = grid if grid is not None else Grid()
     rep = Report("protocol-health", "Protocol health of the pinned LAN and "
                                     "WAN runs")
     results = {
-        "lan": grid.run(RunSpec.lan(2, MBPS_100, seed=7, nbytes=200_000,
-                                    health=True)),
+        "lan": grid.run(RunSpec.lan(2, MBPS_100, seed=7, nbytes=200_000)),
         "wan": grid.run(RunSpec.wan(test=2, receivers=5,
                                     bandwidth_bps=MBPS_10, seed=1,
-                                    nbytes=500_000, health=True)),
+                                    nbytes=500_000)),
     }
-    if grid.planning:      # a probe has no health payload to read
+    if grid.planning:      # a probe has no books to read
         return rep
     rows = []
     for label, res in results.items():
-        cell = health_cell(res.health, label=label,
+        cell = health_cell(payload(res), label=label,
                            throughput_bps=res.throughput_bps)
         rows.append([cell[c] for c in CELL_COLUMNS])
         rep.claim(f"{label}: every receiver gets the whole stream", res.ok)

@@ -42,7 +42,7 @@ class TransferResult:
     a direct :func:`run_transfer` call to a cached fleet cell.
 
     :meth:`to_dict` / :meth:`from_dict` carry it as JSON data, without
-    the live handles ``sockets`` and ``obs``.
+    the live handle ``obs``.
     """
 
     protocol: str
@@ -55,7 +55,7 @@ class TransferResult:
     duration_us: int               # to last receiver's final byte
     throughput_bps: float
     sender_stats: Counters
-    receiver_stats: Counters       # aggregated over receivers
+    receiver_stats: Counters       # summed over receivers, not rejoins
     per_receiver: list[AppResult]
     release_complete_pct: float = 100.0
     lost_bytes: int = 0            # RMC-mode stream holes
@@ -70,13 +70,11 @@ class TransferResult:
     restarted_receivers: list = field(default_factory=list)
     invariant_checks: int = 0
     rejoin_results: list = field(default_factory=list)
-    # filled by a fleet worker when its spec asks for them: the
-    # observability summary tables and the protocol-health payload
+    # the H-RMC/RMC roles' books(): {"sender": {...}, "receivers": [one
+    # per receiver socket, rejoins included]}; {} for the baselines
+    books: dict = field(default_factory=dict)
+    # filled by a fleet worker when its spec asks for it
     obs_tables: list = field(default_factory=list)
-    health: dict = field(default_factory=dict)
-    # (sender socket, receiver sockets) as the statistics above read
-    # them: what a post-run read such as repro.obs.health folds
-    sockets: tuple = ()
     # observability (set when the run was passed obs=Observability(...))
     obs: Optional[Observability] = None
 
@@ -103,7 +101,7 @@ class TransferResult:
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("sockets", "obs")}
+             if f.name != "obs"}
         d["sender_stats"] = self.sender_stats.as_dict()
         d["receiver_stats"] = self.receiver_stats.as_dict()
         d["per_receiver"] = [asdict(r) for r in self.per_receiver]
@@ -263,6 +261,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
 
     injector = None
     rejoin_results: list[AppResult] = []
+    rejoined: list[Socket] = []
     if fault_plan is not None:
         from repro.faults.injector import FaultInjector
         injector = FaultInjector(scenario, fault_plan, checker=checker)
@@ -273,6 +272,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
             back as a new group member and resumes mid-stream."""
             sock = _open_socket(protocol, scenario.receivers[idx], base,
                                 sndbuf=sndbuf, n_receivers=n)
+            rejoined.append(sock)
             res = AppResult(name=f"rcv{idx}-rejoin")
             rejoin_results.append(res)
             ReceiverApp(sock, group=scenario.group_addr,
@@ -300,6 +300,11 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     result = _collect(scenario, protocol, nbytes, sockets, sender_result,
                       receiver_results, cut_short)
     result.obs = obs
+    if protocol in ("hrmc", "rmc"):
+        roles = [s.transport.receiver for s in (*rsocks, *rejoined)]
+        result.books = {"sender": ssock.transport.sender.books(),
+                        "receivers": [r.books() for r in roles
+                                      if r is not None]}
     if injector is not None:
         result.fault_events = injector.fault_events
         result.plan_actions = len(fault_plan)
@@ -399,5 +404,4 @@ def _collect(scenario, protocol, nbytes, sockets, sender_result,
         reliability_violations=violations, member_timeouts=timeouts,
         sim_events=sim.events_processed,
         drop_summary=scenario.network.drop_summary(),
-        sockets=sockets,
     )

@@ -1,45 +1,28 @@
-"""Protocol health of a finished H-RMC run (``repro.obs.health``).
+"""Protocol health of a finished run (``repro.obs.health``).
 
-The H-RMC roles keep their recovery books themselves, as plain counters
-that are always on -- the way a kernel protocol keeps
-``/proc/net/snmp`` -- and this module reads them after the run.
-Nothing is attached to the run, so a run whose health is read is the
-bare run:
+The H-RMC roles keep their recovery books as always-on plain counters,
+the way a kernel protocol keeps ``/proc/net/snmp``, and name them in
+``HRMCSender.books()`` and ``HRMCReceiver.books()``.  Every run records
+them in ``TransferResult.books`` (a receiver's rejoined socket too) and
+:func:`payload` reads that record, so nothing is attached to the run and
+a fresh run, a cached fleet cell and a rejoin read the same way.  A
+baseline keeps no books: its payload is its sender's counters.
 
-* the receiver's ``NakList``: gaps opened (and their bytes), filled or
-  abandoned after a NAK_ERR, re-NAKs the suppression timer withheld,
-  and one gap-open -> gap-fill lag per filled gap;
-* the receiver: re-sent NAKs, pending NAKs a peer's repair answered,
-  useful and redundant repairs, and the repair cache's traffic;
-* the sender: rate-cutting loss events and deflected repair requests;
-* and, read rather than re-counted, ``Counters`` (``naks_sent``,
-  ``dup_pkts_rcvd``, ``naks_rcvd``, ``nak_errs_sent``) and the
-  ``UpdatePolicy`` adjustments.
+Four measurement families (DESIGN.md section 5h), so the paper's
+feedback quantities (Fig. 11, the section 5.2 flat-feedback claim) and
+the "SRM at 30" scaling lessons compare across runs:
 
-Four measurement families, chosen so the paper's evaluation quantities
-(Fig. 11 feedback traffic, the section 5.2 flat-feedback claim) and the "SRM at 30" scaling lessons become
-directly comparable across runs:
-
-* **NAK-suppression ledger** -- every re-NAK opportunity at a NAK-
-  manager tick is accounted to exactly one outcome: *sent*,
-  *suppressed-by-timer* (the local suppression interval withheld it)
-  or *suppressed-by-peer* (a peer's multicast repair made the pending
-  NAK moot); duplicate data arrivals are the ledger's error term.
-* **Feedback-implosion index** -- NAKs arriving at the sender per
-  rate-cut loss event.  Suppression working means this stays flat as
-  the group grows; it blowing up with group size is the implosion
-  failure mode SRM's scaling post-mortem warns about.
-* **Repair economics** -- requested vs useful vs redundant
-  retransmissions, redundant repair bytes on the wire, repair-cache
-  pressure (hits / misses / evictions / overwrite-skips), peer-repair
-  suppression, and sender-side deflection of duplicate requests.
-* **Recovery lag** -- per-receiver gap-open -> gap-fill latency
-  (histogram + per-host aggregates), the worst receiver, and
-  abandoned (NAK_ERR) / unresolved gaps.
-
-The read covers the endpoints the run's statistics cover
-(``TransferResult.sockets``): a receiver that rejoined after a crash
-is in neither.
+* **NAK-suppression ledger** -- each re-NAK opportunity at a NAK-manager
+  tick is *sent*, *suppressed-by-timer* or *suppressed-by-peer* (a
+  peer's multicast repair made it moot); duplicate data arrivals are
+  the error term.
+* **Feedback-implosion index** -- NAKs at the sender per rate-cut loss
+  event: flat as the group grows when suppression works.
+* **Repair economics** -- useful vs redundant retransmissions and
+  bytes, repair-cache pressure, peer-repair suppression and requests
+  the sender deflected.
+* **Recovery lag** -- gap-open -> gap-fill latency per host, the worst
+  host, and abandoned (NAK_ERR) / unresolved gaps.
 """
 
 from __future__ import annotations
@@ -62,119 +45,106 @@ def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:
 
 
 def payload(result) -> dict:
-    """The compact JSON-safe health document of a finished run: what
-    crosses the fleet worker boundary and what ``report --metrics-out``
-    saves.  Endpoints without an H-RMC role
-    (the baselines, the TCP-like reference) contribute nothing."""
-    ssock, rsocks = result.sockets
-    sender = getattr(getattr(ssock, "transport", None), "sender", None)
-    receivers = [r for r in (getattr(s.transport, "receiver", None)
-                             for s in rsocks) if r is not None]
-    naks = [r.naks for r in receivers]
-
-    def total(objs, attr: str) -> int:
-        return sum(getattr(o, attr) for o in objs)
-
-    stats = [r.stats for r in receivers]
-    sent = total(stats, "naks_sent")
-    timer = total(naks, "suppressed_timer")
-    peer = total(receivers, "naks_suppressed_peer")
-    useful = total(receivers, "repairs_useful")
-    redundant = total(receivers, "repairs_redundant")
-    sstats = sender.stats if sender is not None else None
-    naks_rcvd = sstats.naks_rcvd if sstats is not None else 0
-    losses = sender.loss_events if sender is not None else 0
-    feedback = (sstats.naks_rcvd + sstats.updates_rcvd +
-                sstats.rate_requests_rcvd + sstats.urgent_requests_rcvd
-                if sstats is not None else 0)
-
-    hist = Histogram("health.recovery_lag_us", LAG_BOUNDS_US)
-    per_host = []
-    for r in receivers:
-        lags = r.naks.lags_us
-        for lag in lags:
-            hist.observe(lag)
-        if lags:
-            per_host.append({"host": r.host.addr, "filled": len(lags),
-                             "mean_us": round(sum(lags) / len(lags), 1),
-                             "max_us": max(lags)})
-    per_host.sort(key=lambda row: row["host"])
-    worst = max(per_host, key=lambda row: row["max_us"]) if per_host \
-        else None
-    updates = [r.update for r in receivers]
-    return {
-        "group_size": len(receivers),
-        "suppression": {
-            "gaps_opened": total(naks, "gaps_opened"),
-            "gap_bytes": total(naks, "gap_bytes"),
-            "naks_sent": sent,
-            "naks_resent": total(receivers, "naks_resent"),
-            "suppressed_timer": timer,
-            "suppressed_peer": peer,
-            "duplicate_data": total(stats, "dup_pkts_rcvd"),
-            "effectiveness": round(
-                suppression_effectiveness(sent, timer, peer), 4),
-        },
+    """The compact JSON-safe health document of a run record, fresh or
+    rebuilt by ``TransferResult.from_dict``: what the experiments gate
+    and ``report --metrics-out`` saves.  The suppression, lag, update
+    and other H-RMC-only keys are there only when the books are."""
+    sstats = result.sender_stats
+    doc = {
+        "group_size": result.n_receivers,
         "implosion": {
-            "naks_at_sender": naks_rcvd,
-            "loss_events": losses,
-            "nak_errs": sstats.nak_errs_sent if sstats is not None else 0,
-            "feedback_at_sender": feedback,
-            "index": round(naks_rcvd / losses, 3) if losses else 0.0,
+            "naks_at_sender": sstats.naks_rcvd,
+            "feedback_at_sender": (sstats.naks_rcvd + sstats.updates_rcvd
+                                   + sstats.rate_requests_rcvd
+                                   + sstats.urgent_requests_rcvd),
         },
-        "repair": {
-            "retrans_pkts": sstats.retrans_pkts if sstats else 0,
-            "retrans_bytes": sstats.retrans_bytes if sstats else 0,
-            "useful": useful,
-            "redundant": redundant,
-            "redundant_bytes": total(receivers, "repair_redundant_bytes"),
-            "redundant_ratio": round(redundant / (useful + redundant), 4)
-            if useful + redundant else 0.0,
-            "deflected": sender.repairs_deflected
-            if sender is not None else 0,
-            "cache": {
-                "inserts": total(receivers, "cache_inserts"),
-                "evictions": total(receivers, "cache_evictions"),
-                "overwrite_skips": total(receivers, "cache_overwrites"),
-                "hits": total(receivers, "cache_hits"),
-                "misses": total(receivers, "cache_misses"),
-                "peer_suppressed": total(receivers, "repairs_suppressed"),
-            },
-        },
-        "lag": {
-            "filled": total(naks, "gaps_filled"),
-            "abandoned": total(naks, "gaps_abandoned"),
-            "unresolved": sum(len(n) for n in naks),
-            "mean_us": round(hist.mean, 1) if hist.count else 0.0,
-            "p50_us": round(hist.quantile(0.5), 1) if hist.count else 0.0,
-            "p90_us": round(hist.quantile(0.9), 1) if hist.count else 0.0,
-            "max_us": hist.max if hist.count else 0,
-            "worst_host": worst["host"] if worst else None,
-            "worst_max_us": worst["max_us"] if worst else 0,
-            "per_host": per_host,
-        },
-        "update": {"ups": total(updates, "adjust_ups"),
-                   "downs": total(updates, "adjust_downs")},
+        "repair": {"retrans_pkts": sstats.retrans_pkts,
+                   "retrans_bytes": sstats.retrans_bytes},
     }
+    if not result.books:
+        return doc
+    sender, receivers = result.books["sender"], result.books["receivers"]
+
+    def total(key: str) -> int:
+        return sum(r[key] for r in receivers)
+
+    sent = total("naks_sent")
+    timer = total("suppressed_timer")
+    peer = total("naks_suppressed_peer")
+    useful = total("repairs_useful")
+    redundant = total("repairs_redundant")
+    losses = sender["loss_events"]
+
+    # one row per host: a rejoined socket's lags join its first one's
+    hist = Histogram("health.recovery_lag_us", LAG_BOUNDS_US)
+    lags_by_host: dict[str, list[int]] = {}
+    for r in receivers:
+        lags_by_host.setdefault(r["host"], []).extend(r["lags_us"])
+        for lag in r["lags_us"]:
+            hist.observe(lag)
+    per_host = [{"host": host, "filled": len(lags),
+                 "mean_us": round(sum(lags) / len(lags), 1),
+                 "max_us": max(lags)}
+                for host, lags in sorted(lags_by_host.items()) if lags]
+    worst = max(per_host, key=lambda row: row["max_us"],
+                default={"host": None, "max_us": 0})
+    doc["suppression"] = {
+        "gaps_opened": total("gaps_opened"),
+        "gap_bytes": total("gap_bytes"),
+        "naks_sent": sent,
+        "naks_resent": total("naks_resent"),
+        "suppressed_timer": timer,
+        "suppressed_peer": peer,
+        "duplicate_data": total("dup_pkts_rcvd"),
+        "effectiveness": round(
+            suppression_effectiveness(sent, timer, peer), 4),
+    }
+    doc["implosion"].update(
+        loss_events=losses, nak_errs=sstats.nak_errs_sent,
+        index=round(sstats.naks_rcvd / losses, 3) if losses else 0.0)
+    doc["repair"].update(
+        useful=useful, redundant=redundant,
+        redundant_bytes=total("repair_redundant_bytes"),
+        redundant_ratio=round(redundant / (useful + redundant), 4)
+        if useful + redundant else 0.0,
+        deflected=sender["repairs_deflected"],
+        cache={"inserts": total("cache_inserts"),
+               "evictions": total("cache_evictions"),
+               "overwrite_skips": total("cache_overwrites"),
+               "hits": total("cache_hits"),
+               "misses": total("cache_misses"),
+               "peer_suppressed": total("repairs_suppressed")})
+    doc["lag"] = {
+        "filled": total("gaps_filled"),
+        "abandoned": total("gaps_abandoned"),
+        "unresolved": total("unresolved"),
+        "mean_us": round(hist.mean, 1) if hist.count else 0.0,
+        "p50_us": round(hist.quantile(0.5), 1) if hist.count else 0.0,
+        "p90_us": round(hist.quantile(0.9), 1) if hist.count else 0.0,
+        "max_us": hist.max if hist.count else 0,
+        "worst_host": worst["host"],
+        "worst_max_us": worst["max_us"],
+        "per_host": per_host,
+    }
+    doc["update"] = {"ups": total("adjust_ups"),
+                     "downs": total("adjust_downs")}
+    return doc
 
 
 def health_cell(doc: dict, *, label: str = "",
                 group_size: int | None = None,
                 throughput_bps: float | None = None) -> dict:
-    """A :func:`payload` (possibly JSON round-tripped off the fleet
-    cache) as one flat row of numbers: what the ``protocol-health``
-    experiment and ``scaling``'s feedback cells gate.
-    ``group_size`` is the grid coordinate, the payload's own the
-    fallback; a missing section reads as zeros."""
+    """An H-RMC run's :func:`payload` as one flat row of numbers: what
+    the ``protocol-health`` experiment and ``scaling``'s feedback cells
+    gate.  ``group_size`` is the grid coordinate, the payload's own the
+    fallback."""
     def num(section: str, key: str) -> float:
-        v = doc.get(section, {}).get(key, 0)
-        return float(v) if isinstance(v, (int, float)) \
-            and not isinstance(v, bool) else 0.0
+        return float(doc[section][key])
 
     cell = {
         "label": label,
         "group_size": int(group_size if group_size is not None
-                          else doc.get("group_size", 0) or 0),
+                          else doc["group_size"]),
         "effectiveness": num("suppression", "effectiveness"),
         "naks_sent": num("suppression", "naks_sent"),
         "suppressed": (num("suppression", "suppressed_timer")
@@ -205,7 +175,14 @@ CELL_COLUMNS = ("label", "group_size", "throughput_mbps", "effectiveness",
 def summary_tables(doc: dict) -> list[tuple[str, list, list]]:
     """(title, headers, rows) tables of a :func:`payload`, in the
     harness-report shape."""
-    sup, imp, rep = doc["suppression"], doc["implosion"], doc["repair"]
+    imp, rep = doc["implosion"], doc["repair"]
+    if "suppression" not in doc:     # a baseline: no NAKs, no books
+        return [("protocol health: feedback & retransmissions",
+                 ["metric", "value"],
+                 [["feedback pkts at sender", imp["feedback_at_sender"]],
+                  ["retransmissions", rep["retrans_pkts"]],
+                  ["retransmitted bytes", rep["retrans_bytes"]]])]
+    sup = doc["suppression"]
     ledger = [
         ["NAKs sent", sup["naks_sent"]],
         ["  of which re-sends", sup["naks_resent"]],

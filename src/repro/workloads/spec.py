@@ -34,7 +34,7 @@ __all__ = ["RunSpec", "SPEC_VERSION", "CHAOS_TUNING"]
 
 #: bump when the spec schema or its execution semantics change in a way
 #: that makes old cached results incomparable
-SPEC_VERSION = 3
+SPEC_VERSION = 4
 
 _SCENARIOS = ("lan", "wan", "chaos")
 
@@ -76,10 +76,7 @@ class RunSpec:
     cfg: dict = field(default_factory=dict)
     disk: bool = False
     invariants: bool = False
-    # the two below change what a run's summary holds, not the run, so
-    # they are part of its identity too
-    obs: bool = False          # collect observability summary tables
-    health: bool = False       # collect the protocol-health payload
+    obs: bool = False   # observability tables: another record, another hash
 
     def __post_init__(self) -> None:
         p = self.scenario_params

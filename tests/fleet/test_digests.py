@@ -32,7 +32,8 @@ def test_spec_address_is_hashlib_blake2b_and_did_not_move():
                                       digest_size=16).hexdigest()
     # recorded when the digest still came from hashlib (f76a40d8...),
     # re-recorded when the spec lost its run bound (SPEC_VERSION 3)
-    assert address == "b1d68fae7a63a88439f66130bde8665f"
+    # and its health flag (SPEC_VERSION 4)
+    assert address == "7eaaf69d46283f2637a2661d939f890f"
 
 
 def test_code_fingerprint_is_hashlib_blake2b(tmp_path):

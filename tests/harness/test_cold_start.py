@@ -218,21 +218,22 @@ INSTRUMENTS = ("repro.obs.observer", "repro.obs.spans", "repro.trace.tracer")
 
 
 def test_reading_health_attaches_nothing():
-    """Protocol health is a read of the finished run's books: a
-    `RunSpec(health=True)` cell loads no observer, span collector or
-    tracer, and builds none of the three once the CLI import (which
-    holds them, for `report`) has loaded them."""
+    """Protocol health is a read of the run record's books: a fleet
+    cell loads no observer, span collector or tracer, and builds none
+    of the three once the CLI import (which holds them, for `report`)
+    has loaded them."""
     _run("from repro.fleet.executor import Fleet\n"
          "from repro.workloads.spec import RunSpec\n"
          "spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, "
-         "seed=21, nbytes=60_000, health=True)\n"
+         "seed=21, nbytes=60_000)\n"
          "summary = Fleet(cache_dir=None).run_specs([spec])"
          "[spec.content_hash()]\n"
-         "assert summary.ok and summary.health['group_size'] == 3\n"
+         "assert summary.ok and len(summary.books['receivers']) == 3\n"
          f"extra = under({INSTRUMENTS!r})\n"
          "assert not extra, extra\n"
          "import repro.harness.cli\n"
          "from repro.fleet.worker import run_spec\n"
+         "from repro.obs.health import payload\n"
          "from repro.obs.observer import Observability\n"
          "from repro.obs.spans import SpanCollector\n"
          "from repro.trace.tracer import PacketTracer\n"
@@ -240,4 +241,4 @@ def test_reading_health_attaches_nothing():
          "    raise AssertionError(f'{type(self).__name__} built')\n"
          "for cls in (Observability, SpanCollector, PacketTracer):\n"
          "    cls.__init__ = refuse\n"
-         "assert run_spec(spec).health == summary.health\n")
+         "assert payload(run_spec(spec)) == payload(summary)\n")

@@ -175,7 +175,7 @@ def test_a_cell_the_run_bound_cut_short_fails_its_report(monkeypatch):
     report = run_experiments(["protocol-health"], "quick",
                              Fleet(workers=1, cache_dir=None))[
         "protocol-health"]
-    cell = RunSpec.lan(2, 100e6, seed=7, nbytes=200_000, health=True)
+    cell = RunSpec.lan(2, 100e6, seed=7, nbytes=200_000)
     assert f"{cell.describe()}: finished within the run bound" in \
         report.failed
     [lan] = [line.split() for line in report.render().splitlines()

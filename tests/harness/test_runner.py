@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.harness import runner
 from repro.harness.runner import PROTOCOLS, TransferResult, run_transfer
 from repro.workloads.scenarios import build_lan
 
@@ -31,15 +32,21 @@ def test_result_fields_consistent():
     assert res.sim_events > 0
 
 
-def test_rcvbuf_defaults_to_sndbuf():
+def test_rcvbuf_defaults_to_sndbuf(monkeypatch):
     """One kernel buffer size: every socket's receive buffer is the
     ``sndbuf`` the run was given."""
+    opened = []
+
+    def open_socket(*args, **kwargs):
+        opened.append(open_real(*args, **kwargs))
+        return opened[-1]
+
+    open_real = runner._open_socket
+    monkeypatch.setattr(runner, "_open_socket", open_socket)
     sc = build_lan(1, 10e6, seed=41)
     res = run_transfer(sc, nbytes=50_000, sndbuf=96 * 1024)
-    assert res.ok
-    ssock, rsocks = res.sockets
-    assert {s.transport.sock.rcvbuf for s in (ssock, *rsocks)} == \
-        {96 * 1024}
+    assert res.ok and len(opened) == 2
+    assert {s.transport.sock.rcvbuf for s in opened} == {96 * 1024}
 
 
 def test_receiver_stats_aggregated():

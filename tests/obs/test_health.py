@@ -30,13 +30,14 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import HRMCConfig
+from repro.fleet.worker import run_spec
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs.health import (health_cell, payload,
+from repro.obs.health import (health_cell, payload, summary_tables,
                               suppression_effectiveness)
 from repro.workloads.groups import GROUP_C, expand_test_case
 from repro.workloads.scenarios import build_chaos, build_lan, build_wan
-from repro.workloads.spec import CHAOS_TUNING
+from repro.workloads.spec import CHAOS_TUNING, RunSpec
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
 
@@ -105,6 +106,45 @@ def test_rmc_release_abandons_gaps():
     assert not res.ok and res.lost_bytes > 0
     assert lag["abandoned"] == 6
     assert lag["filled"] == 0 and lag["unresolved"] == 0
+
+
+# -- every receiver socket and every protocol reads from the record ---
+
+def test_a_rejoined_receiver_is_in_the_ledger():
+    """Chaos seed 10 crashes receiver 2, which rejoins on a fresh
+    socket and recovers mid-stream: the sender counts that socket's
+    NAKs, and so does the ledger, so the two tables of one run agree."""
+    res = run_spec(RunSpec.chaos(3, 10e6, seed=10, nbytes=250_000,
+                                 horizon_us=1_000_000))
+    doc = payload(res)
+    assert res.restarted_receivers == [2]
+    assert doc["suppression"]["naks_sent"] == 10
+    assert doc["implosion"]["naks_at_sender"] == 10
+    assert doc["repair"]["useful"] == 79
+    assert doc["lag"]["filled"] == 2
+    # four receiver sockets, and the three first ones repaired nothing
+    *first, rejoined = res.books["receivers"]
+    assert len(first) == 3 and rejoined["host"] == first[2]["host"]
+    assert (rejoined["naks_sent"], rejoined["repairs_useful"],
+            rejoined["gaps_filled"]) == (10, 79, 2)
+
+
+def test_a_baseline_payload_has_only_its_senders_counters():
+    """The ACK baseline keeps no H-RMC books: its payload carries the
+    retransmissions and feedback its sender counted, and no section
+    that would read 0 for want of a NAK list."""
+    res = run_spec(RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6,
+                               seed=21, nbytes=200_000, protocol="ack"))
+    doc = payload(res)
+    assert res.ok
+    assert doc == {"group_size": 3,
+                   "implosion": {"naks_at_sender": 0,
+                                 "feedback_at_sender": 422},
+                   "repair": {"retrans_pkts": 4, "retrans_bytes": 5840}}
+    assert res.books == {}
+    [(title, _, rows)] = summary_tables(doc)
+    assert [row[0] for row in rows] == [
+        "feedback pkts at sender", "retransmissions", "retransmitted bytes"]
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +273,12 @@ def test_health_cell_grid_coordinates_beat_payload():
     assert health_cell(CELL_PAYLOAD, group_size=16)["group_size"] == 16
 
 
-def test_health_cell_tolerates_partial_payload():
-    cell = health_cell({"group_size": 2})
-    assert cell["effectiveness"] == 0.0
-    assert cell["implosion_index"] == 0.0
-    assert "throughput_mbps" not in cell
+def test_health_cell_needs_the_books():
+    """A cell flattens an H-RMC run's payload: a baseline's, which has
+    no suppression section, is refused rather than read as zeros."""
+    with pytest.raises(KeyError):
+        health_cell({"group_size": 2,
+                     "implosion": {"naks_at_sender": 0,
+                                   "feedback_at_sender": 9},
+                     "repair": {"retrans_pkts": 0, "retrans_bytes": 0}})
+    assert "throughput_mbps" not in health_cell(CELL_PAYLOAD)
