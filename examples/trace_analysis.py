@@ -3,14 +3,16 @@
 
 Attaches the observability layer to a 2 % -loss wide-area transfer and
 prints what happened on the wire: the packet mix and retransmission
-ratio from the sender's and receivers' own counters, the NAK->repair
-recovery-latency histogram stitched from the packet-lifecycle spans
-with the longest recovery burst, and the observer's run summary.
+ratio from the sender's and receivers' own counters, the gap-open ->
+gap-fill recovery-lag histogram from the receivers' own recovery books
+with the slowest receiver, and the observer's run summary.
 
 Run:  python examples/trace_analysis.py
 """
 
 from repro.harness.runner import run_transfer
+from repro.obs.health import LAG_BOUNDS_US, payload
+from repro.obs.metrics import Histogram
 from repro.obs.observer import Observability
 from repro.stats.report import format_table
 from repro.workloads.groups import GROUP_C
@@ -50,19 +52,19 @@ def main() -> None:
     print(f"\nretransmissions: {snd.retrans_pkts} packets "
           f"({snd.retrans_pkts / data if data else 0.0:.1%} of DATA)")
 
-    # end-to-end recovery latency (NAK sent -> covering DATA delivered),
-    # from the observability layer's packet-lifecycle spans
-    recovery = obs.spans.recovery_us
-    if recovery.count:
-        print("\nrecovery latency, NAK out -> repair in "
-              "(packet-lifecycle spans):")
-        print(recovery.render())
-        bursts = [s for s in obs.spans.spans if s.name == "recovery-burst"]
-        if bursts:
-            longest = max(bursts, key=lambda s: s.dur_us)
-            print(f"\n{len(bursts)} recovery burst(s); longest "
-                  f"{longest.dur_us / 1000:.1f} ms at {longest.host} "
-                  f"(t={longest.start_us / 1000:.0f} ms)")
+    # recovery lag (gap detected -> gap filled), from the receivers'
+    # own recovery books
+    lag = Histogram("recovery lag (us)", LAG_BOUNDS_US)
+    for books in res.books["receivers"]:
+        for lag_us in books["lags_us"]:
+            lag.observe(lag_us)
+    if lag.count:
+        print("\nrecovery lag, gap detected -> gap filled "
+              "(the receivers' recovery books):")
+        print(lag.render())
+        worst = payload(res)["lag"]
+        print(f"\nslowest recovery {worst['worst_max_us'] / 1000:.1f} ms "
+              f"at {worst['worst_host']}")
 
     print()
     print(obs.summary())

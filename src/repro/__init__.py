@@ -10,7 +10,7 @@ Top-level convenience exports; see the subpackages for the full API:
 - :mod:`repro.sim` / :mod:`repro.net` / :mod:`repro.kernel` -- substrate
 - :mod:`repro.workloads` / :mod:`repro.harness` -- experiments
 - :mod:`repro.trace` -- packet capture
-- :mod:`repro.obs` -- metric series, spans, profiler, protocol health
+- :mod:`repro.obs` -- metric series, protocol health, the engine profiler
 """
 
 from repro.core import HRMCConfig, open_hrmc_socket

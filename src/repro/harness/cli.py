@@ -31,20 +31,21 @@ against the current code fingerprint, bytes); ``fleet prune`` deletes
 entries the current code can no longer use.
 
 ``report lan|wan|chaos`` is the one command that runs one transfer.
-It observes the run under the engine profiler and prints a headline,
+It observes the run with the metric gauges and prints a headline,
 what the fault plan did (``chaos`` only), the run's protocol health
 (:mod:`repro.obs.health`: NAK-suppression ledger, implosion and repair
-economics, recovery lag) and the observability summary, which ends
-with the hottest callback sites.  ``report chaos --seed N`` is the
-``chaos`` experiment's seed-N cell, with the invariant checker on;
-``report chaos --fault-plan FILE`` replays a saved
-:class:`~repro.faults.plan.FaultPlan` on a LAN seeded from the plan.
-``--metrics-out DIR`` also writes the run's artifacts into ``DIR``:
-the metric series as JSONL, a Perfetto-loadable trace, the text
-summary and the health payload as JSON.  The exit status is 0 when
-every receiver the plan spared got the whole verified stream and the
-sender finished, 1 when not, and 2 on unusable input: a spec no world
-can be built from, or a plan that cannot be loaded or run.
+economics, recovery lag) and the observed metric series.  ``report
+chaos --seed N`` is the ``chaos`` experiment's seed-N cell, with the
+invariant checker on; ``report chaos --fault-plan FILE`` replays a
+saved :class:`~repro.faults.plan.FaultPlan` on a LAN seeded from the
+plan.  ``--metrics-out DIR`` also writes the run's artifacts into
+``DIR``: the metric series as JSONL, the text summary and the health
+payload as JSON.  Where the engine's time goes per callback site is
+the benchmark's traced run (``python3 -m bench once --trace 1``).  The
+exit status is 0 when every receiver the plan spared got the whole
+verified stream and the sender finished, 1 when not, and 2 on unusable
+input: a spec no world can be built from, or a plan that cannot be
+loaded or run.
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ import time
 
 # `--list` reads the inventory, which is plain data.  What `report` runs
 # is imported with the CLI, so a profile of main() sees the command's
-# work rather than its imports: that includes the packet seam the runner
-# installs for an observed run.  Every other command imports its own
+# work rather than its imports.  Every other command imports its own
 # modules, and only the commands that run experiments load the
 # experiments and the fleet.
-import repro.trace.tracer  # noqa: F401
 from repro.harness.inventory import INVENTORY
 from repro.harness.runner import run_transfer
 from repro.obs.health import payload, summary_tables
@@ -209,14 +208,13 @@ def _write_artifacts(obs, health: dict, outdir: str, prefix: str) -> bool:
 
 def _run_report(argv) -> int:
     """``report lan|wan|chaos``: one observed transfer, then what its
-    fault plan did, its protocol health and the observability summary."""
+    fault plan did, its protocol health and its metric series."""
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments report",
         description="Run one observed transfer and report it: what the "
                     "fault plan did, protocol health (NAK suppression, "
-                    "repair economics, recovery lag) and observability "
-                    "(metric series, packet lifecycle latency, protocol "
-                    "phases, profile).")
+                    "repair economics, recovery lag) and the observed "
+                    "metric series.")
     parser.add_argument("scenario", choices=("lan", "wan", "chaos"),
                         help="canned scenario to run; chaos is the chaos "
                              "experiment's cell")
@@ -238,15 +236,15 @@ def _run_report(argv) -> int:
                         help="chaos only: run a saved FaultPlan JSON file "
                              "on a LAN seeded from the plan")
     parser.add_argument("--metrics-out", metavar="DIR", default=None,
-                        help="also write JSONL series, Perfetto trace, "
-                             "summary and health JSON into DIR")
+                        help="also write JSONL series, summary and "
+                             "health JSON into DIR")
     args = parser.parse_args(argv)
 
     spec = _spec(args)
     if spec is None:
         return 2
     scenario, kwargs = spec.build()
-    obs = Observability(profile=True)
+    obs = Observability()
     try:
         result = run_transfer(scenario, obs=obs, **kwargs)
     except ValueError as exc:  # e.g. the plan targets a missing receiver

@@ -480,8 +480,7 @@ def scaling_100rcv(scale: Optional[str] = None,
     results = {n: grid.run(feedback_spec(n)) for n in FEEDBACK_GROUP_SIZES}
     if grid.planning:      # a probe has no books to read
         return rep
-    cells = [health_cell(payload(res), group_size=n) for n, res in
-             results.items()]
+    cells = [health_cell(payload(res)) for res in results.values()]
     rep.add("feedback vs group size (test 2, 10 Mbps, 150 KB, seed 21)",
             ["receivers", "loss events", "NAKs at sender",
              "feedback at sender", "retrans bytes"],
@@ -842,7 +841,7 @@ def chaos_suite(scale: Optional[str] = None,
     survived = []
     for seed in range(1, n_seeds + 1):
         # one observed run per sweep: the first seed doubles as the
-        # suite's observability sample (metrics + spans in the report)
+        # suite's observability sample (its metric series in the report)
         res = grid.run(RunSpec.chaos(
             3, MBPS_10, seed=seed, horizon_us=1_000_000, nbytes=nbytes,
             obs=(seed == 1)))

@@ -167,10 +167,9 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     internal flight-recorder tracer.
 
     ``obs`` attaches a :class:`~repro.obs.observer.Observability`
-    instance for the run: gauges are scraped on simulated time, spans
-    are stitched from the packet seam, and the finished instance is
-    returned on ``TransferResult.obs``.  Observation is read-only and
-    does not change protocol behaviour.
+    instance for the run: gauges are scraped on simulated time, and the
+    finished instance is returned on ``TransferResult.obs``.
+    Observation is read-only and does not change protocol behaviour.
 
     ``max_sim_s`` bounds the simulated time of every run; a run it
     stops before the sender and every receiver the fault plan spared
@@ -192,15 +191,13 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     if fault_plan is not None and protocol == "tcp":
         raise ValueError("fault plans are not supported for the "
                          "tcp-like reference (sequential unicast)")
-    if tracer is not None or invariants or obs is not None:
-        if tracer is None:
-            # a capture nobody passed in has one reader, the checker's
-            # violation tail: it gets a flight recorder (bounded memory,
-            # subscribers see everything); an observer alone subscribes
-            # and keeps nothing
-            from repro.trace.tracer import PacketTracer
-            tracer = PacketTracer(max_events=256 if invariants else 0,
-                                  ring=invariants)
+    if tracer is None and invariants:
+        # a capture nobody passed in has one reader, the checker's
+        # violation tail: it gets a flight recorder (bounded memory,
+        # subscribers see everything)
+        from repro.trace.tracer import PacketTracer
+        tracer = PacketTracer(max_events=256, ring=True)
+    if tracer is not None:
         tracer.attach(scenario.sender, *scenario.receivers)
     checker = None
     if invariants:
@@ -229,7 +226,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
             scenario, nbytes, sndbuf, sender_result,
             receiver_results, disks, chunk, verify)
         if obs is not None:
-            obs.attach(scenario, tracer)
+            obs.attach(scenario)
     else:
         ssock = _open_socket(protocol, scenario.sender, base,
                              sndbuf=sndbuf, n_receivers=n)
@@ -253,7 +250,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
         procs = rprocs + [sproc]
         sockets = (ssock, rsocks)
         if obs is not None:
-            obs.attach(scenario, tracer, ssock=ssock, rsocks=rsocks)
+            obs.attach(scenario, ssock=ssock, rsocks=rsocks)
         if checker is not None:
             checker.watch_sender(ssock.transport)
             for rsock in rsocks:

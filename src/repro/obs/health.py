@@ -34,7 +34,7 @@ __all__ = ["payload", "health_cell", "CELL_COLUMNS", "summary_tables",
 
 #: recovery-lag bucket edges (us): gap detected -> gap filled spans a
 #: couple of RTTs on a healthy path and whole back-off cycles on a sick
-#: one, so the buckets run wider than the packet-lifecycle bounds
+#: one
 LAG_BOUNDS_US = (1_000, 5_000, 10_000, 25_000, 50_000, 100_000,
                  250_000, 500_000, 1_000_000, 2_000_000, 5_000_000)
 
@@ -132,19 +132,16 @@ def payload(result) -> dict:
 
 
 def health_cell(doc: dict, *, label: str = "",
-                group_size: int | None = None,
                 throughput_bps: float | None = None) -> dict:
     """An H-RMC run's :func:`payload` as one flat row of numbers: what
     the ``protocol-health`` experiment and ``scaling``'s feedback cells
-    gate.  ``group_size`` is the grid coordinate, the payload's own the
-    fallback."""
+    gate."""
     def num(section: str, key: str) -> float:
         return float(doc[section][key])
 
     cell = {
         "label": label,
-        "group_size": int(group_size if group_size is not None
-                          else doc["group_size"]),
+        "group_size": int(doc["group_size"]),
         "effectiveness": num("suppression", "effectiveness"),
         "naks_sent": num("suppression", "naks_sent"),
         "suppressed": (num("suppression", "suppressed_timer")

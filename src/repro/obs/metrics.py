@@ -17,14 +17,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.sim.engine import US_PER_SEC
 
-__all__ = ["Histogram", "TimeSeries", "MetricsRegistry",
-           "LATENCY_BOUNDS_US"]
-
-#: default histogram buckets for latency-flavoured metrics (microseconds,
-#: roughly geometric from one jiffy-ish delay to multi-second stalls)
-LATENCY_BOUNDS_US = (100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000,
-                     50_000, 100_000, 250_000, 500_000, 1_000_000,
-                     2_500_000, 5_000_000)
+__all__ = ["Histogram", "TimeSeries", "MetricsRegistry"]
 
 
 class Histogram:
@@ -39,7 +32,7 @@ class Histogram:
     __slots__ = ("name", "bounds", "counts", "count", "total",
                  "min", "max")
 
-    def __init__(self, name: str, bounds: Iterable[float] = LATENCY_BOUNDS_US):
+    def __init__(self, name: str, bounds: Iterable[float]):
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
         if list(self.bounds) != sorted(set(self.bounds)):

@@ -1,5 +1,5 @@
-"""The observability facade: wire metrics, spans and the profiler into
-a scenario without perturbing it.
+"""The observability facade: wire metric gauges (and, on request, the
+profiler) into a scenario without perturbing it.
 
 ``Observability`` attaches read-only instruments to a built scenario:
 
@@ -8,22 +8,20 @@ a scenario without perturbing it.
   NAK/UPDATE/retransmission rates, engine queue depth, per-link
   utilisation) into time series every ``SCRAPE_INTERVAL_US`` of
   simulated time,
-* a **span collector** subscribed to the packet seam
-  (packet-lifecycle latency histograms and protocol-phase spans),
 * optionally the **engine profiler** (simulated-time and wall-clock
   attribution per callback site).
 
-The profiler sees the engine's events through its one hook,
-``Simulator.watch``.  A run has one watch, as it has one tracer;
-attaching a second raises.
+It subscribes nothing to the packet seam, so an observed run with no
+checker and no capture has no tap.  The profiler sees the engine's
+events through its one hook, ``Simulator.watch``.  A run has one
+watch, as it has one tracer; attaching a second raises.
 
-Zero-perturbation guarantee: every gauge is a pure read, the span
-collector never copies or mutates segments, and the scrape events only
-interleave with -- never reorder -- protocol events (engine FIFO order
-among same-time events is preserved, and no RNG stream is consumed).
-A run with observability attached therefore produces a byte-identical
-packet trace and final counters to an unobserved run; the regression
-test in ``tests/obs`` holds this line.
+Zero-perturbation guarantee: every gauge is a pure read, and the
+scrape events only interleave with -- never reorder -- protocol events
+(engine FIFO order among same-time events is preserved, and no RNG
+stream is consumed).  A run with observability attached therefore
+produces a byte-identical packet trace and final counters to an
+unobserved run; the regression test in ``tests/obs`` holds this line.
 """
 
 from __future__ import annotations
@@ -32,14 +30,11 @@ import os
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.seq import seq_sub
-from repro.obs.export import (summary_text, write_chrome_trace,
-                              write_series_jsonl)
+from repro.obs.export import summary_text, write_series_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SimProfiler
-from repro.obs.spans import SpanCollector
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.trace.tracer import PacketTracer
     from repro.workloads.scenarios import Scenario
 
 __all__ = ["Observability"]
@@ -59,27 +54,26 @@ class Observability:
         engine event, so it weighs more the cheaper the bare run is:
         the benchmark's ``cli-observed-report`` transfer took 1.3x to
         1.5x its bare wall-clock time with it (``obs.overhead_ratio``,
-        2-vCPU Xeon, Python 3.11).  Simulated behaviour is unaffected
-        either way.
+        2-vCPU Xeon, Python 3.11).  Nothing in ``repro`` turns it on;
+        the benchmark's overhead ratio does.  Simulated behaviour is
+        unaffected either way.
     """
 
     def __init__(self, *, profile: bool = False):
         self.registry = MetricsRegistry()
         self.profiler: Optional[SimProfiler] = \
             SimProfiler() if profile else None
-        self.spans: Optional[SpanCollector] = None
         self._sim = None
         self.attached = False
         self.finalized_at_us: Optional[int] = None
 
     # -- wiring ---------------------------------------------------------
 
-    def attach(self, scenario: "Scenario", tracer: "PacketTracer", *,
+    def attach(self, scenario: "Scenario", *,
                ssock=None, rsocks=()) -> "Observability":
-        """Register gauges over the scenario's layers, subscribe the
-        span collector to the tracer's seam and start the scrape loop.
-        Call after sockets exist and before the simulation runs (the
-        harness does this when given ``obs=``)."""
+        """Register gauges over the scenario's layers and start the
+        scrape loop.  Call after sockets exist and before the
+        simulation runs (the harness does this when given ``obs=``)."""
         if self.attached:
             raise RuntimeError("Observability instance already attached")
         sim = scenario.sim
@@ -90,9 +84,6 @@ class Observability:
         self.attached = True
         self._sim = sim
         reg = self.registry
-
-        self.spans = SpanCollector(scenario.sender.addr)
-        tracer.subscribe(self.spans.on_packet)
 
         # engine
         reg.gauge("engine.queue_depth", sim.pending)
@@ -109,7 +100,9 @@ class Observability:
             reg.gauge("sender.rate_adv_bps", lambda: self._rate_bps(t))
             reg.gauge("sender.members", lambda: self._members(t))
             stats = t.stats
-            reg.rate_gauge("sender.naks_per_s", lambda: stats.naks_rcvd)
+            if hasattr(t, "sender"):   # the baselines never NAK
+                reg.rate_gauge("sender.naks_per_s",
+                               lambda: stats.naks_rcvd)
             reg.rate_gauge("sender.updates_per_s",
                            lambda: stats.updates_rcvd)
             reg.rate_gauge("sender.retrans_per_s",
@@ -151,15 +144,13 @@ class Observability:
             self._sim.call_after(SCRAPE_INTERVAL_US, self._tick)
 
     def finalize(self, last_event_us: int) -> None:
-        """Closing scrape and span close-out when the run stops, 1 us
-        after its last event fired: that event may be the scrape loop's
-        own last tick, and a rate gauge needs an interval to close on."""
+        """Closing scrape when the run stops, 1 us after its last event
+        fired: that event may be the scrape loop's own last tick, and a
+        rate gauge needs an interval to close on."""
         if self.finalized_at_us is not None:
             return
         self.finalized_at_us = last_event_us + 1
         self.registry.scrape(self.finalized_at_us)
-        if self.spans is not None:
-            self.spans.finalize(self.finalized_at_us)
 
     # -- gauge helpers (pure reads, defensive against role lifecycles) --
 
@@ -199,13 +190,16 @@ class Observability:
     @staticmethod
     def _rcvbuf_used(transport) -> Optional[int]:
         """In-order queue plus the out-of-order segments parked in the
-        receiver, as Linux charges both to ``sk_rmem_alloc``: the reader
-        empties the first between scrapes, so on a lossy run the parked
-        segments are what the receive buffer holds."""
+        receiver (H-RMC's role, or a baseline's reassembly buffer), as
+        Linux charges both to ``sk_rmem_alloc``: the reader empties the
+        first between scrapes, so on a lossy run the parked segments are
+        what the receive buffer holds."""
         sock = getattr(transport, "sock", None)
         if sock is None:
             return None
-        ooo = getattr(getattr(transport, "receiver", None), "_ooo", None)
+        parking = getattr(transport, "receiver", None) or \
+            getattr(transport, "rx", None)
+        ooo = getattr(parking, "_ooo", None)
         parked = sum(skb.truesize for skb in ooo.values()) if ooo else 0
         return sock.receive_queue.bytes + parked
 
@@ -238,44 +232,31 @@ class Observability:
     def snapshot(self) -> dict[str, float]:
         """Latest value of every series (attached to
         :class:`~repro.faults.invariants.InvariantViolation`)."""
-        snap = self.registry.snapshot()
-        if self.spans is not None:
-            for hist in self.spans.histograms():
-                if hist.count:
-                    snap[f"{hist.name}.p50"] = hist.quantile(0.5)
-                    snap[f"{hist.name}.count"] = hist.count
-        return snap
+        return self.registry.snapshot()
 
     def summary_tables(self) -> list[tuple[str, list, list]]:
         """(title, headers, rows) tables for harness reports."""
-        tables = []
         rows = self.registry.summary_rows()
-        if rows:
-            tables.append(("observed metric series",
-                           ["series", "samples", "min", "mean", "max",
-                            "last"], rows))
-        if self.spans is not None:
-            latency = self.spans.latency_table()
-            if latency is not None:
-                tables.append(latency)
-        return tables
+        if not rows:
+            return []
+        return [("observed metric series",
+                 ["series", "samples", "min", "mean", "max", "last"], rows)]
 
     def summary(self) -> str:
-        """The text timeline/summary (see :func:`repro.obs.export.summary_text`)."""
-        return summary_text(self)
+        """The metric-series table (see
+        :func:`repro.obs.export.summary_text`)."""
+        return summary_text(self.registry)
 
     def write_artifacts(self, outdir: str, *,
                         prefix: str = "run") -> dict[str, str]:
-        """Write every export into ``outdir``: the JSONL series, the
-        Perfetto trace and the text summary.  Returns name -> path."""
+        """Write every export into ``outdir``: the JSONL series and the
+        text summary.  Returns name -> path."""
         os.makedirs(outdir, exist_ok=True)
         paths = {
             "series_jsonl": os.path.join(outdir, f"{prefix}.series.jsonl"),
-            "perfetto": os.path.join(outdir, f"{prefix}.perfetto.json"),
             "summary": os.path.join(outdir, f"{prefix}.summary.txt"),
         }
         write_series_jsonl(self.registry, paths["series_jsonl"])
-        write_chrome_trace(self, paths["perfetto"])
         with open(paths["summary"], "w") as fh:
             fh.write(self.summary())
             fh.write("\n")

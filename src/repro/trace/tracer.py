@@ -6,9 +6,8 @@ per-run seam, ``Simulator.tap`` (``None`` on a bare run), as
 reason (``rx_loss``, ``router_loss``, ``checksum``, ...), ``where`` the
 host address or component name.  :class:`PacketTracer` owns the seam:
 it records a :class:`TraceEvent` per segment sent or received at the
-hosts it was attached to and hands every fact to its subscribers --
-the span collector and the invariant checker.  Segments are never
-copied.
+hosts it was attached to and hands every fact to its subscribers
+(the invariant checker).  Segments are never copied.
 """
 
 from __future__ import annotations

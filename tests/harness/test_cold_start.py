@@ -214,14 +214,13 @@ def test_no_entry_point_maps_openssl():
 
 
 #: what watching a run takes, and reading its health does not
-INSTRUMENTS = ("repro.obs.observer", "repro.obs.spans", "repro.trace.tracer")
+INSTRUMENTS = ("repro.obs.observer", "repro.trace.tracer")
 
 
 def test_reading_health_attaches_nothing():
     """Protocol health is a read of the run record's books: a fleet
-    cell loads no observer, span collector or tracer, and builds none
-    of the three once the CLI import (which holds them, for `report`)
-    has loaded them."""
+    cell loads no observer or tracer, and builds neither once they are
+    loaded (the CLI import holds the observer, for `report`)."""
     _run("from repro.fleet.executor import Fleet\n"
          "from repro.workloads.spec import RunSpec\n"
          "spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, "
@@ -235,10 +234,9 @@ def test_reading_health_attaches_nothing():
          "from repro.fleet.worker import run_spec\n"
          "from repro.obs.health import payload\n"
          "from repro.obs.observer import Observability\n"
-         "from repro.obs.spans import SpanCollector\n"
          "from repro.trace.tracer import PacketTracer\n"
          "def refuse(self, *args, **kwargs):\n"
          "    raise AssertionError(f'{type(self).__name__} built')\n"
-         "for cls in (Observability, SpanCollector, PacketTracer):\n"
+         "for cls in (Observability, PacketTracer):\n"
          "    cls.__init__ = refuse\n"
          "assert payload(run_spec(spec)) == payload(summary)\n")

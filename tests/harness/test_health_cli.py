@@ -41,11 +41,11 @@ def test_report_writes_payload(reported):
 
 def test_report_text_tables(reported):
     """The health tables come after the headline and before the
-    observability summary, whose profiler table stays last."""
+    observed metric series."""
     text = reported["stdout"]
     tables = [text.index(title) for title in (
         "NAK-suppression ledger", "implosion & repair economics",
-        "recovery lag (us)", "metric series", "\nprofiler:")]
+        "recovery lag (us)", "metric series")]
     assert tables == sorted(tables), tables
 
 

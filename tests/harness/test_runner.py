@@ -177,10 +177,12 @@ def test_a_killed_process_is_not_a_lost_one():
     assert res.crashed_receivers and res.surviving_ok
 
 
-def test_only_a_reader_gets_a_flight_recorder(monkeypatch):
-    """An observer alone subscribes to the tap and keeps no capture;
-    the invariant checker's violation tail reads one, and gets the
-    256-event ring."""
+def test_an_observer_alone_installs_no_seam_and_no_watch(monkeypatch):
+    """The gauges read the endpoints between events, so a run observed
+    with no checker and no capture builds no tracer and leaves the
+    packet seam and the engine hook empty: the engine runs its bare
+    branch.  The invariant checker's violation tail is the one reader
+    of a capture nobody passed in, and gets the 256-event ring."""
     from repro.obs.observer import Observability
     from repro.trace import tracer as tracer_module
     made = []
@@ -191,11 +193,16 @@ def test_only_a_reader_gets_a_flight_recorder(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(tracer_module, "PacketTracer", Recorded)
-    for invariants, kept in ((False, 0), (True, 256)):
-        obs = Observability()
-        res = run_transfer(build_lan(2, 10e6, seed=46), nbytes=200_000,
-                           sndbuf=128 * 1024, obs=obs,
-                           invariants=invariants)
-        assert res.ok and obs.spans.one_way_us.count > 256
-        assert len(made[-1].events) == kept
-        assert made[-1].dropped > 0
+    observed = build_lan(2, 10e6, seed=46)
+    obs = Observability()
+    res = run_transfer(observed, nbytes=200_000, sndbuf=128 * 1024, obs=obs)
+    assert res.ok and obs.registry.scrapes > 2
+    assert made == []
+    assert observed.sim.tap is None and observed.sim.watch is None
+
+    checked = build_lan(2, 10e6, seed=46)
+    res = run_transfer(checked, nbytes=200_000, sndbuf=128 * 1024,
+                       obs=Observability(), invariants=True)
+    assert res.ok and len(made) == 1
+    assert checked.sim.tap is not None and checked.sim.watch is None
+    assert len(made[0].events) == 256 and made[0].dropped > 0

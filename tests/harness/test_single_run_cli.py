@@ -109,20 +109,19 @@ def test_the_removed_single_run_commands_are_refused(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_report_metrics_out_writes_the_four_artifacts(tmp_path, capsys):
-    """`report --metrics-out DIR` saves exactly its four artifacts, the
-    saved summary is the one it printed, and there is no other profile
-    command."""
+def test_report_metrics_out_writes_the_three_artifacts(tmp_path, capsys):
+    """`report --metrics-out DIR` saves exactly its three artifacts, the
+    saved summary is the one it printed (the metric series, with no
+    host-timed profile), and there is no profile command."""
     out = tmp_path / "artifacts"
     assert cli_main(["report", "lan", "--receivers", "2", "--nbytes",
                      "200000", "--seed", "7", "--metrics-out",
                      str(out)]) == 0
     stdout = capsys.readouterr().out
     assert sorted(p.name for p in out.iterdir()) == [
-        "lan.health.json", "lan.perfetto.json", "lan.series.jsonl",
-        "lan.summary.txt"]
+        "lan.health.json", "lan.series.jsonl", "lan.summary.txt"]
     summary = (out / "lan.summary.txt").read_text()
-    assert "profiler: hottest callback sites" in summary
+    assert summary.startswith("metric series") and "profiler" not in summary
     # ..., blank line, summary, blank line, the `wrote` list
     body, written = stdout.rsplit("\n\nwrote ", 1)
     assert (body + "\n").endswith("\n\n" + summary)

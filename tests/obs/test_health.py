@@ -269,10 +269,6 @@ def test_health_cell_flattens_payload():
     assert cell["worst_lag_us"] == 90_000
 
 
-def test_health_cell_grid_coordinates_beat_payload():
-    assert health_cell(CELL_PAYLOAD, group_size=16)["group_size"] == 16
-
-
 def test_health_cell_needs_the_books():
     """A cell flattens an H-RMC run's payload: a baseline's, which has
     no suppression section, is refused rather than read as zeros."""

@@ -1,4 +1,4 @@
-"""Spans, profiler and exporter tests over one observed lossy run."""
+"""Series, profiler and exporter tests over one observed lossy run."""
 
 import json
 
@@ -6,10 +6,9 @@ import pytest
 
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs.export import chrome_trace
 from repro.obs.observer import Observability
-from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_lan, build_wan
+from repro.workloads.spec import RunSpec
 from tests.harness.test_pinned_stats import PINNED, SEED
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
@@ -53,30 +52,20 @@ def test_rcvbuf_series_counts_parked_segments(observed_run):
     assert max(obs.registry.series["recv.rcvbuf_used_bytes"].values) > 0
 
 
-def test_lifecycle_histograms(observed_run):
-    _, obs, _ = observed_run
-    spans = obs.spans
-    assert spans.one_way_us.count > 100
-    # one-way latency at least the group's propagation delay
-    assert spans.one_way_us.min >= LOSSY.delay_us
-    assert spans.queueing_us.count > 0
-    assert spans.queueing_us.min >= 0
-    # lossy run: NAK -> repair latency must have been observed
-    assert spans.recovery_us.count > 0
-    assert spans.recovery_us.min > 0
-
-
-def test_phase_spans(observed_run):
-    sc, obs, _ = observed_run
-    by_name = {}
-    for s in obs.spans.spans:
-        by_name.setdefault(s.name, []).append(s)
-    assert len(by_name["join"]) == 3
-    assert len(by_name["transfer"]) == 3
-    for s in obs.spans.spans:
-        assert s.end_us is not None and s.end_us >= s.start_us
-    # recovery spans carry the repaired range offsets
-    assert any(s.cat == "recovery" for s in obs.spans.spans)
+def test_a_baseline_run_counts_parked_segments_and_has_no_nak_series():
+    """A baseline parks out-of-order segments in its reassembly buffer,
+    and the receive-buffer series counts them as it does H-RMC's; it
+    never NAKs, so it has no NAK-rate samples and no row for them."""
+    scenario, kwargs = RunSpec.wan(
+        test=2, receivers=3, bandwidth_bps=10e6, seed=21, nbytes=200_000,
+        protocol="ack").build()
+    obs = Observability()
+    res = run_transfer(scenario, obs=obs, **kwargs)
+    assert res.ok and sum(res.drop_summary.values()) > 0
+    assert max(obs.registry.series["recv.rcvbuf_used_bytes"].values) > 0
+    rows = [row[0] for row in obs.registry.summary_rows()]
+    assert "sender.naks_per_s" not in rows
+    assert "sender.retrans_per_s" in rows
 
 
 def test_profiler_attribution(observed_run):
@@ -132,14 +121,13 @@ def test_a_second_watch_on_one_run_raises():
     observer is refused, since it would take the engine's events from
     the first, which would then report none."""
     sc = build_lan(2, 10e6, seed=5)
-    tracer = PacketTracer().attach(sc.sender, *sc.receivers)
-    first = Observability(profile=True).attach(sc, tracer)
+    first = Observability(profile=True).attach(sc)
     second = Observability(profile=True)
     with pytest.raises(RuntimeError, match="already has a watch"):
-        second.attach(sc, tracer)
+        second.attach(sc)
     assert not second.attached
     assert sc.sim.watch is first.profiler
-    Observability().attach(sc, tracer)      # no watch: no conflict
+    Observability().attach(sc)      # no watch: no conflict
     for t in (10, 20):
         sc.sim.call_at(t, lambda: None)
     sc.sim.run()
@@ -157,47 +145,18 @@ def test_jsonl_and_csv_exports(observed_run, tmp_path):
             if rec["kind"] == "sample":
                 assert rec["t_us"] >= 0 and "series" in rec
     assert "sample" in kinds
-    # the samples are dumped once, as JSONL: no CSV copy
-    assert sorted(paths) == ["perfetto", "series_jsonl", "summary"]
+    # the samples are dumped once, as JSONL: no CSV or counter-track copy
+    assert sorted(paths) == ["series_jsonl", "summary"]
     with open(paths["summary"]) as fh:
         text = fh.read()
-    assert "metric series" in text and "packet-lifecycle" in text
-
-
-def test_chrome_trace_structure(observed_run, tmp_path):
-    sc, obs, _ = observed_run
-    doc = chrome_trace(obs)
-    events = doc["traceEvents"]
-    phs = {e["ph"] for e in events}
-    assert {"M", "X", "C"} <= phs
-    # spans land on per-host threads named in metadata
-    names = {e["args"]["name"] for e in events if e["ph"] == "M"
-             and e["name"] == "thread_name"}
-    assert sc.receivers[0].addr in names
-    for e in events:
-        if e["ph"] == "X":
-            assert e["dur"] >= 1 and e["ts"] >= 0
-    ts = [e["ts"] for e in events if "ts" in e]
-    assert ts == sorted(ts)
-    # and the file round-trips as JSON
-    path = tmp_path / "trace.json"
-    from repro.obs.export import write_chrome_trace
-    n = write_chrome_trace(obs, str(path))
-    assert n == len(events)
-    assert json.loads(path.read_text())["displayTimeUnit"] == "ms"
-
-
-def test_snapshot_merges_span_stats(observed_run):
-    _, obs, _ = observed_run
-    snap = obs.snapshot()
-    assert snap["span.one_way_us.count"] == obs.spans.one_way_us.count
-    assert "engine.queue_depth" in snap
+    assert text == obs.summary() + "\n"
+    assert text.startswith("metric series")
 
 
 def test_obs_attach_is_single_use(observed_run):
     sc, obs, _ = observed_run
     with pytest.raises(RuntimeError):
-        obs.attach(sc, None)
+        obs.attach(sc)
 
 
 def test_lan_run_has_link_utilization():
