@@ -126,6 +126,9 @@ class HRMCReceiver:
     def start(self) -> None:
         if self.cfg.updates_enabled:
             self.update_timer.mod_after(self.update.period_us)
+        # a receiver that never hears a sender gives up after the same
+        # silence as one that lost it; the first packet re-arms this
+        self.liveness_timer.mod_after(self.cfg.session_timeout_us // 4)
 
     def stop(self) -> None:
         self._closed = True

@@ -39,14 +39,11 @@ __all__ = ["InvariantChecker", "InvariantViolation"]
 
 
 class InvariantViolation(AssertionError):
-    """A protocol safety property failed; carries the trace tail and,
-    when the run was observed, a metrics snapshot taken at failure."""
+    """A protocol safety property failed; carries the trace tail."""
 
-    def __init__(self, message: str, trace: Optional[list] = None,
-                 metrics: Optional[dict] = None):
+    def __init__(self, message: str, trace: Optional[list] = None):
         self.violation = message
         self.trace = list(trace or [])
-        self.metrics = dict(metrics or {})
         if self.trace:
             lines = "\n".join(
                 f"  t={e.t_us:>10} {e.host:>10} {e.direction} "
@@ -54,10 +51,6 @@ class InvariantViolation(AssertionError):
                 f"tries={e.tries}" for e in self.trace)
             message = f"{message}\nlast {len(self.trace)} trace events:\n" \
                       f"{lines}"
-        if self.metrics:
-            lines = "\n".join(f"  {name} = {value}"
-                              for name, value in self.metrics.items())
-            message = f"{message}\nmetrics at failure:\n{lines}"
         super().__init__(message)
 
 
@@ -72,9 +65,8 @@ class InvariantChecker:
     #: trace-tail length attached to violations
     TRACE_TAIL = 16
 
-    def __init__(self, tracer: PacketTracer, obs=None):
+    def __init__(self, tracer: PacketTracer):
         self.tracer = tracer
-        self.obs = obs   # optional Observability: snapshot on failure
         self.checks = 0
         self._senders: list = []
         self._receivers: list = []
@@ -128,10 +120,8 @@ class InvariantChecker:
             self._check_receiver(t, audit=True)
 
     def _fail(self, message: str) -> None:
-        snapshot = self.obs.snapshot() if self.obs is not None else None
         raise InvariantViolation(message,
-                                 self.tracer.recent(self.TRACE_TAIL),
-                                 metrics=snapshot)
+                                 self.tracer.recent(self.TRACE_TAIL))
 
     # -- sender-side properties ----------------------------------------
 

@@ -35,18 +35,11 @@ class JobTimeout(BaseException):
 
 
 def run_spec(spec: RunSpec) -> TransferResult:
-    """Execute one spec and return its :class:`TransferResult`, with
-    the observability tables if the spec asks for them.  The roles'
-    recovery books are in every record (``TransferResult.books``)."""
+    """Execute one spec, bare, and return its :class:`TransferResult`.
+    The roles' recovery books are in every record
+    (``TransferResult.books``)."""
     scenario, kwargs = spec.build()
-    obs = None
-    if spec.obs:
-        from repro.obs.observer import Observability
-        obs = Observability()
-    result = run_transfer(scenario, obs=obs, **kwargs)
-    if obs is not None:
-        result.obs_tables = obs.summary_tables()
-    return result
+    return run_transfer(scenario, **kwargs)
 
 
 def execute_spec(spec_dict: dict,

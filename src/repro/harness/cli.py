@@ -31,21 +31,20 @@ against the current code fingerprint, bytes); ``fleet prune`` deletes
 entries the current code can no longer use.
 
 ``report lan|wan|chaos`` is the one command that runs one transfer.
-It observes the run with the metric gauges and prints a headline,
-what the fault plan did (``chaos`` only), the run's protocol health
+It runs the spec bare, as a fleet cell runs it, and prints a headline,
+what the fault plan did (``chaos`` only) and the run's protocol health
 (:mod:`repro.obs.health`: NAK-suppression ledger, implosion and repair
-economics, recovery lag) and the observed metric series.  ``report
-chaos --seed N`` is the ``chaos`` experiment's seed-N cell, with the
-invariant checker on; ``report chaos --fault-plan FILE`` replays a
-saved :class:`~repro.faults.plan.FaultPlan` on a LAN seeded from the
-plan.  ``--metrics-out DIR`` also writes the run's artifacts into
-``DIR``: the metric series as JSONL, the text summary and the health
-payload as JSON.  Where the engine's time goes per callback site is
-the benchmark's traced run (``python3 -m bench once --trace 1``).  The
-exit status is 0 when every receiver the plan spared got the whole
-verified stream and the sender finished, 1 when not, and 2 on unusable
-input: a spec no world can be built from, or a plan that cannot be
-loaded or run.
+economics, recovery lag).  ``report chaos --seed N`` is the ``chaos``
+experiment's seed-N cell, with the invariant checker on; ``report
+chaos --fault-plan FILE`` replays a saved
+:class:`~repro.faults.plan.FaultPlan` on a LAN seeded from the plan.
+``--metrics-out DIR`` also writes the health payload into
+``DIR/<scenario>.health.json``.  Where the engine's time goes per
+callback site is the benchmark's traced run (``python3 -m bench once
+--trace 1``).  The exit status is 0 when every receiver the plan
+spared got the whole verified stream and the sender finished, 1 when
+not, and 2 on unusable input: a spec no world can be built from, or a
+plan that cannot be loaded or run.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ import time
 from repro.harness.inventory import INVENTORY
 from repro.harness.runner import run_transfer
 from repro.obs.health import payload, summary_tables
-from repro.obs.observer import Observability
 from repro.stats.report import format_table
 from repro.workloads.spec import CHAOS_TUNING, RunSpec
 
@@ -186,20 +184,16 @@ def _write_file(what: str, path: str, text: str, status) -> bool:
     return True
 
 
-def _write_artifacts(obs, health: dict, outdir: str, prefix: str) -> bool:
-    """Write an observed run's artifacts and its health payload into
-    ``outdir`` and list them on stdout after a blank line; ``False``
-    after a one-line reason on stderr if the directory cannot be
-    written."""
+def _write_health(health: dict, outdir: str, prefix: str) -> bool:
+    """Write a run's health payload to ``outdir/<prefix>.health.json``
+    and say so on stdout; ``False`` after a one-line reason on stderr
+    if the directory cannot be made or the file written."""
     try:
-        paths = obs.write_artifacts(outdir, prefix=prefix)
+        os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         print(f"cannot write artifacts to {outdir!r}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return False
-    print()
-    for name, path in paths.items():
-        print(f"wrote {name}: {path}")
     path = os.path.join(outdir, f"{prefix}.health.json")
     return _write_file("health", path,
                        json.dumps(health, indent=2, sort_keys=True),
@@ -207,14 +201,13 @@ def _write_artifacts(obs, health: dict, outdir: str, prefix: str) -> bool:
 
 
 def _run_report(argv) -> int:
-    """``report lan|wan|chaos``: one observed transfer, then what its
-    fault plan did, its protocol health and its metric series."""
+    """``report lan|wan|chaos``: one transfer, then what its fault
+    plan did and its protocol health."""
     parser = argparse.ArgumentParser(
         prog="hrmc-experiments report",
-        description="Run one observed transfer and report it: what the "
-                    "fault plan did, protocol health (NAK suppression, "
-                    "repair economics, recovery lag) and the observed "
-                    "metric series.")
+        description="Run one transfer and report it: what the fault plan "
+                    "did and protocol health (NAK suppression, repair "
+                    "economics, recovery lag).")
     parser.add_argument("scenario", choices=("lan", "wan", "chaos"),
                         help="canned scenario to run; chaos is the chaos "
                              "experiment's cell")
@@ -236,17 +229,15 @@ def _run_report(argv) -> int:
                         help="chaos only: run a saved FaultPlan JSON file "
                              "on a LAN seeded from the plan")
     parser.add_argument("--metrics-out", metavar="DIR", default=None,
-                        help="also write JSONL series, summary and "
-                             "health JSON into DIR")
+                        help="also write the health JSON into DIR")
     args = parser.parse_args(argv)
 
     spec = _spec(args)
     if spec is None:
         return 2
     scenario, kwargs = spec.build()
-    obs = Observability()
     try:
-        result = run_transfer(scenario, obs=obs, **kwargs)
+        result = run_transfer(scenario, **kwargs)
     except ValueError as exc:  # e.g. the plan targets a missing receiver
         if scenario.fault_plan is None:
             raise
@@ -263,9 +254,8 @@ def _run_report(argv) -> int:
     for title, headers, rows in summary_tables(health):
         print(format_table(title, headers, rows))
         print()
-    print(obs.summary())
-    if args.metrics_out and not _write_artifacts(
-            obs, health, args.metrics_out, args.scenario):
+    if args.metrics_out and not _write_health(
+            health, args.metrics_out, args.scenario):
         return 2
     return 0 if result.surviving_ok else 1
 

@@ -837,16 +837,10 @@ def chaos_suite(scale: Optional[str] = None,
     rep = Report("chaos", "H-RMC under seeded fault injection "
                           "(3 receivers, 10 Mbps LAN)")
     rows = []
-    obs_tables = []
     survived = []
     for seed in range(1, n_seeds + 1):
-        # one observed run per sweep: the first seed doubles as the
-        # suite's observability sample (its metric series in the report)
         res = grid.run(RunSpec.chaos(
-            3, MBPS_10, seed=seed, horizon_us=1_000_000, nbytes=nbytes,
-            obs=(seed == 1)))
-        if res.obs_tables:
-            obs_tables = res.obs_tables
+            3, MBPS_10, seed=seed, horizon_us=1_000_000, nbytes=nbytes))
         rows.append([seed, res.plan_actions, res.fault_events,
                      ",".join(map(str, res.crashed_receivers)) or "-",
                      ",".join(map(str, res.restarted_receivers)) or "-",
@@ -856,8 +850,6 @@ def chaos_suite(scale: Optional[str] = None,
     rep.add("chaos sweep",
             ["seed", "plan actions", "fault events", "crashed",
              "restarted", "invariant checks", "survivors ok"], rows)
-    for title, headers, obs_rows in obs_tables:
-        rep.add(f"seed 1 observability: {title}", headers, obs_rows)
     rep.claim("survivors get the whole stream on every seed",
               all(survived))
     rep.notes.append("an invariant violation aborts its run with the "

@@ -23,11 +23,11 @@ from repro.sim.engine import US_PER_SEC
 from repro.sim.process import Process
 from repro.stats.metrics import Counters
 
-# the baselines, RMC, fault injection, the invariant checker, the tracer
-# and the observer are imported on the branch that runs them: a bare
-# H-RMC transfer loads none of them
+# the baselines, RMC, fault injection, the invariant checker and the
+# tracer are imported on the branch that runs them, and the profiler
+# comes with the caller's observer: a bare H-RMC transfer loads none
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.observer import Observability
+    from repro.obs.profiler import Observability
     from repro.trace.tracer import PacketTracer
     from repro.workloads.scenarios import Scenario
 
@@ -41,8 +41,7 @@ class TransferResult:
     """One finished transfer: the run record every caller reads, from
     a direct :func:`run_transfer` call to a cached fleet cell.
 
-    :meth:`to_dict` / :meth:`from_dict` carry it as JSON data, without
-    the live handle ``obs``.
+    :meth:`to_dict` / :meth:`from_dict` carry it as JSON data.
     """
 
     protocol: str
@@ -73,10 +72,6 @@ class TransferResult:
     # the H-RMC/RMC roles' books(): {"sender": {...}, "receivers": [one
     # per receiver socket, rejoins included]}; {} for the baselines
     books: dict = field(default_factory=dict)
-    # filled by a fleet worker when its spec asks for it
-    obs_tables: list = field(default_factory=list)
-    # observability (set when the run was passed obs=Observability(...))
-    obs: Optional[Observability] = None
 
     @property
     def throughput_mbps(self) -> float:
@@ -100,8 +95,7 @@ class TransferResult:
                 and len(survivors) + len(crashed) == self.n_receivers)
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name != "obs"}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["sender_stats"] = self.sender_stats.as_dict()
         d["receiver_stats"] = self.receiver_stats.as_dict()
         d["per_receiver"] = [asdict(r) for r in self.per_receiver]
@@ -166,10 +160,9 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     attaches it to every host); otherwise the checker runs on an
     internal flight-recorder tracer.
 
-    ``obs`` attaches a :class:`~repro.obs.observer.Observability`
-    instance for the run: gauges are scraped on simulated time, and the
-    finished instance is returned on ``TransferResult.obs``.
-    Observation is read-only and does not change protocol behaviour.
+    ``obs`` (an ``Observability(profile=True)``) installs the engine
+    profiler as the run's watch; read ``obs.profiler`` afterwards.
+    Profiling does not change protocol behaviour.
 
     ``max_sim_s`` bounds the simulated time of every run; a run it
     stops before the sender and every receiver the fault plan spared
@@ -202,7 +195,9 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
     checker = None
     if invariants:
         from repro.faults.invariants import InvariantChecker
-        checker = InvariantChecker(tracer, obs=obs)
+        checker = InvariantChecker(tracer)
+    if obs is not None:
+        obs.attach(scenario)
 
     base = cfg or HRMCConfig()
     if protocol in ("hrmc", "rmc"):
@@ -225,8 +220,6 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
         sockets, procs = _run_tcp_sequential(
             scenario, nbytes, sndbuf, sender_result,
             receiver_results, disks, chunk, verify)
-        if obs is not None:
-            obs.attach(scenario)
     else:
         ssock = _open_socket(protocol, scenario.sender, base,
                              sndbuf=sndbuf, n_receivers=n)
@@ -249,8 +242,6 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
                         name="sender")
         procs = rprocs + [sproc]
         sockets = (ssock, rsocks)
-        if obs is not None:
-            obs.attach(scenario, ssock=ssock, rsocks=rsocks)
         if checker is not None:
             checker.watch_sender(ssock.transport)
             for rsock in rsocks:
@@ -284,19 +275,14 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
 
     for proc in procs:
         proc.fatal = True
-    try:
-        sim.run(until=round(max_sim_s * US_PER_SEC))
-        if checker is not None:
-            checker.final_check()
-    finally:
-        if obs is not None:
-            obs.finalize(sim.last_event_us)
+    sim.run(until=round(max_sim_s * US_PER_SEC))
+    if checker is not None:
+        checker.final_check()
     crashed = injector.crashed if injector is not None else ()
     cut_short = not (sender_result.done and all(
         r.done for i, r in enumerate(receiver_results) if i not in crashed))
     result = _collect(scenario, protocol, nbytes, sockets, sender_result,
                       receiver_results, cut_short)
-    result.obs = obs
     if protocol in ("hrmc", "rmc"):
         roles = [s.transport.receiver for s in (*rsocks, *rejoined)]
         result.books = {"sender": ssock.transport.sender.books(),

@@ -45,8 +45,6 @@ class SharedLink:
         self.name = name
         self._nics: list["NetworkInterface"] = []
         self._busy_until: int = 0
-        self.frames_carried = 0
-        self.bytes_carried = 0
         # -- fault-injection hooks (repro.faults) ------------------------
         # Structural loss draws come from the NICs; faults use their own
         # substream so enabling a fault never perturbs the structural RNG
@@ -93,8 +91,6 @@ class SharedLink:
             if tap is not None:
                 tap("link_fault_loss", self.name, pkt)
             return
-        self.frames_carried += 1
-        self.bytes_carried += pkt.wire_bytes
         # one engine event for the whole fan-out: per-NIC entries would
         # share this timestamp and hold consecutive order numbers, so
         # nothing could fire between them and walking the NICs inside

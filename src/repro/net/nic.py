@@ -83,14 +83,9 @@ class NetworkInterface:
         self.rx_handler: Optional[Callable[[NetPacket], None]] = None
         self.rx_cost_fn: Callable[[NetPacket], int] = _no_rx_cost
         self.cpu_run: Callable[..., object] = sim.call_after
-        # counters
-        self.tx_packets = 0
-        self.rx_packets = 0
-        self.tx_bytes = 0
-        self.rx_bytes = 0
+        # drop counters
         self.rx_ring_drops = 0
         self.rx_loss_drops = 0
-        self.filtered = 0
         # -- fault-injection hooks (repro.faults) ------------------------
         # Fault draws come from a dedicated substream so that arming a
         # fault never perturbs the structural ``rx_loss_rate`` sequence.
@@ -175,8 +170,6 @@ class NetworkInterface:
         if not self._tx_queue or self._tx_queue[0] is not pkt:
             return  # ring torn down (power_off) while this frame was in flight
         self._tx_queue.popleft()
-        self.tx_packets += 1
-        self.tx_bytes += pkt.wire_bytes
         # stamp wire-departure time on the segment: "most recently sent"
         # in the window-release rule means when the packet left the host,
         # not when it entered the device queue
@@ -192,7 +185,6 @@ class NetworkInterface:
     def medium_deliver(self, pkt: NetPacket) -> None:
         """Called by the medium when a frame passes this interface."""
         if pkt.dst != self.addr and pkt.dst not in self._groups:
-            self.filtered += 1
             return
         tap = self.sim.tap
         if not self.powered or self.sim.now < self.fault_rx_drop_until:
@@ -240,8 +232,6 @@ class NetworkInterface:
         if not queue or queue[0] is not pkt:
             return  # ring torn down (power_off) while the CPU worked on it
         queue.popleft()
-        self.rx_packets += 1
-        self.rx_bytes += pkt.wire_bytes
         if self.rx_handler is not None:
             self.rx_handler(pkt)
         if not queue:

@@ -53,8 +53,6 @@ class Pipe:
         self._dst: Optional[Callable[[NetPacket], None]] = None
         self._busy_until = 0
         self._queued = 0
-        self.forwarded = 0
-        self.bytes_carried = 0   # payload of every delivered packet
         self.queue_drops = 0
         self.loss_drops = 0
         self.corruptions = 0
@@ -119,8 +117,6 @@ class Pipe:
 
     def _deliver(self, pkt: NetPacket) -> None:
         self._queued -= 1
-        self.forwarded += 1
-        self.bytes_carried += pkt.wire_bytes
         self._dst(pkt)
 
     # NIC MediumPort interface, so a NIC can sit directly on a pipe pair
@@ -136,8 +132,6 @@ class Pipe:
             raise RuntimeError(f"{self.name} not connected")
         if self._lost(pkt):
             return
-        self.forwarded += 1
-        self.bytes_carried += pkt.wire_bytes
         self.sim.call_at(end_us + self.prop_delay_us, self._dst, pkt)
 
 
@@ -159,7 +153,6 @@ class Router:
         self._unicast: dict[str, Pipe] = {}
         self._default: Optional[Pipe] = None
         self._mcast: dict[str, list[Pipe]] = {}
-        self.forwarded = 0
         self.loss_drops = 0
         self.no_route_drops = 0
 
@@ -202,7 +195,6 @@ class Router:
             if not pipes:
                 self.no_route_drops += 1
                 return
-            self.forwarded += 1
             # every pipe carries the same frame; one that corrupts it
             # forks its own copy
             for pipe in pipes:
@@ -212,5 +204,4 @@ class Router:
             if pipe is None:
                 self.no_route_drops += 1
                 return
-            self.forwarded += 1
             pipe.send(pkt)

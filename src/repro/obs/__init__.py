@@ -1,30 +1,24 @@
-"""Unified observability layer.
+"""What a run is read by, besides its own record.
 
-``repro.obs`` instruments a scenario without perturbing it:
-
-* :mod:`repro.obs.metrics` -- deterministic gauges, fixed-bucket
-  histograms and time series, sampled on simulated time,
-* :mod:`repro.obs.profiler` -- simulated-time and wall-clock
-  attribution per engine callback site,
-* :mod:`repro.obs.export` -- JSONL series dumps and text summaries,
-* :mod:`repro.obs.observer` -- the :class:`Observability` facade that
-  wires the above into ``run_transfer(obs=...)``,
 * :mod:`repro.obs.health` -- protocol health, read from a finished
-  run's own recovery books (nothing attached).
+  run's own recovery books (nothing attached),
+* :mod:`repro.obs.profiler` -- the engine profiler (simulated-time and
+  wall-clock attribution per callback site) and the
+  :class:`Observability` handle that installs it for
+  ``run_transfer(obs=...)``.
 
-The simulated stack names none of them.  Gauges read the endpoints
-between events; engine events reach the profiler through the engine's
-one hook, ``Simulator.watch``, which is ``None`` on a bare run and on
-a run observed without the profiler.
+The simulated stack names neither.  Engine events reach the profiler
+through the engine's one hook, ``Simulator.watch``, which is ``None``
+on every run not passed an observer.
 """
 
 __all__ = ["Observability"]
 
 
 def __getattr__(name: str):
-    # the facade on first use: importing ``repro.obs.health`` (a read
+    # the profiler on first use: importing ``repro.obs.health`` (a read
     # of a finished run) loads no observer
     if name == "Observability":
-        from repro.obs.observer import Observability
+        from repro.obs.profiler import Observability
         return Observability
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,21 +22,96 @@ the "SRM at 30" scaling lessons compare across runs:
   bytes, repair-cache pressure, peer-repair suppression and requests
   the sender deflected.
 * **Recovery lag** -- gap-open -> gap-fill latency per host, the worst
-  host, and abandoned (NAK_ERR) / unresolved gaps.
+  host, and abandoned (NAK_ERR) / unresolved gaps, with its percentiles
+  read from a fixed-bucket :class:`Histogram`.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import Histogram
+from bisect import bisect_left
+from typing import Iterable, Optional
 
 __all__ = ["payload", "health_cell", "CELL_COLUMNS", "summary_tables",
-           "suppression_effectiveness"]
+           "suppression_effectiveness", "Histogram", "LAG_BOUNDS_US"]
 
 #: recovery-lag bucket edges (us): gap detected -> gap filled spans a
 #: couple of RTTs on a healthy path and whole back-off cycles on a sick
 #: one
 LAG_BOUNDS_US = (1_000, 5_000, 10_000, 25_000, 50_000, 100_000,
                  250_000, 500_000, 1_000_000, 2_000_000, 5_000_000)
+
+
+class Histogram:
+    """A fixed-bucket histogram (cumulative-style bucket bounds).
+
+    ``bounds`` are the inclusive upper edges of the first
+    ``len(bounds)`` buckets; one overflow bucket catches everything
+    beyond the last bound.  Fixed buckets keep observation O(log n) and
+    make the percentiles a pure function of the samples.
+    """
+
+    __slots__ = ("name", "bounds", "counts", "count", "total",
+                 "min", "max")
+
+    def __init__(self, name: str, bounds: Iterable[float]):
+        self.name = name
+        self.bounds = tuple(float(b) for b in bounds)
+        if list(self.bounds) != sorted(set(self.bounds)):
+            raise ValueError(f"{name}: bounds must be strictly increasing")
+        self.counts = [0] * (len(self.bounds) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
+
+    def observe(self, value: float) -> None:
+        self.counts[bisect_left(self.bounds, value)] += 1
+        self.count += 1
+        self.total += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """Upper-bound estimate of the ``q`` quantile from the buckets:
+        the bucket's upper edge, but never above the observed maximum
+        (which the overflow bucket reports), so p50 <= p90 <= max."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile {q} outside [0, 1]")
+        if self.count == 0:
+            return 0.0
+        target = q * self.count
+        seen = 0
+        for i, c in enumerate(self.counts):
+            seen += c
+            if seen >= target and c:
+                if i < len(self.bounds):
+                    return min(self.bounds[i], float(self.max))
+                break
+        return float(self.max)
+
+    def bucket_rows(self) -> list[tuple[str, int]]:
+        """(upper-edge label, count) per bucket, the overflow last."""
+        rows = [(f"<= {int(b)}", c)
+                for b, c in zip(self.bounds, self.counts)]
+        rows.append((f"> {int(self.bounds[-1])}", self.counts[-1]))
+        return rows
+
+    def render(self, width: int = 40) -> str:
+        """Terminal bar chart of the bucket distribution."""
+        peak = max(self.counts) or 1
+        lines = [f"{self.name}: n={self.count} mean={self.mean:.0f} "
+                 f"p50={self.quantile(0.5):.0f} p90={self.quantile(0.9):.0f} "
+                 f"max={self.max if self.max is not None else 0:.0f}"]
+        for label, c in self.bucket_rows():
+            bar = "#" * round(width * c / peak)
+            lines.append(f"  {label:>12} {c:>8} {bar}")
+        return "\n".join(lines)
 
 
 def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:

@@ -14,7 +14,8 @@ the row of the callback's *function*:
 
 Nothing else happens per event.  Site labels (``nic.NetworkInterface.
 _tx_done``) and the totals are folds over that table, computed when
-someone reads them.
+someone reads them.  :class:`Observability` is the handle
+``run_transfer(obs=...)`` takes to install one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable
 
-__all__ = ["SimProfiler", "SiteStats", "site_of"]
+__all__ = ["Observability", "SimProfiler", "SiteStats", "site_of"]
 
 
 def site_of(callback: Callable) -> str:
@@ -112,3 +113,36 @@ class SimProfiler:
                  round(s.wall_ns / 1e6, 2),
                  f"{100.0 * s.wall_ns / total_wall:.1f}%"]
                 for site, s in ranked[:n]]
+
+
+class Observability:
+    """One profiled run: construct with ``profile=True``, pass to
+    ``run_transfer(obs=...)``, then read :attr:`profiler`.
+
+    The profiler's cost is its own work per engine event, so it weighs
+    more the cheaper the bare run is: the benchmark's
+    ``cli-observed-report`` transfer took 1.3x to 1.5x its bare
+    wall-clock time with it (``obs.overhead_ratio``, 2-vCPU Xeon, Python
+    3.11).  Nothing in ``repro`` builds one; the benchmark's overhead
+    ratio does.  Simulated behaviour is unaffected.
+    """
+
+    def __init__(self, *, profile: bool):
+        if not profile:
+            raise ValueError("an observer is the engine profiler: "
+                             "Observability(profile=True)")
+        self.profiler = SimProfiler()
+        self.attached = False
+
+    def attach(self, scenario) -> "Observability":
+        """Install the profiler as the run's watch (the harness does
+        this when given ``obs=``).  A run has one watch, as it has one
+        tracer, and an observer watches one run: either again raises."""
+        if self.attached:
+            raise RuntimeError("Observability instance already attached")
+        sim = scenario.sim
+        if sim.watch is not None:
+            raise RuntimeError("the run already has a watch")
+        sim.watch = self.profiler
+        self.attached = True
+        return self

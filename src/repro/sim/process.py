@@ -73,11 +73,9 @@ class SimEvent:
         self._sim = sim
         self._waiters: list[Process] = []
         self.name = name
-        self.fire_count = 0
 
     def fire(self, value: Any = None) -> int:
         """Wake all current waiters; returns how many were woken."""
-        self.fire_count += 1
         waiters = self._waiters
         if not waiters:          # the usual case on the per-packet path
             return 0

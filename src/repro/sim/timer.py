@@ -49,9 +49,7 @@ class Timer:
         self._sim = sim
         self._callback = callback
         self._entry = None
-        # also what an observer classes or labels the firing by
         self.name = name
-        self.fired_count = 0
 
     @property
     def pending(self) -> bool:
@@ -86,5 +84,4 @@ class Timer:
 
     def _fire(self) -> None:
         self._entry = None
-        self.fired_count += 1
         self._callback()

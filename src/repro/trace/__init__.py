@@ -5,7 +5,7 @@ records every transport segment the hosts it is attached to send or
 receive -- the simulated equivalent of running tcpdump on each machine
 of the testbed.  A capture can be saved as JSON lines
 (:meth:`~repro.trace.tracer.PacketTracer.save`); what a run did on the
-wire is measured online by the roles' counters and the ``obs`` layer.
+wire is measured online by the roles' counters and recovery books.
 """
 
 from repro.trace.tracer import PacketTracer, TraceEvent

@@ -34,7 +34,7 @@ __all__ = ["RunSpec", "SPEC_VERSION", "CHAOS_TUNING"]
 
 #: bump when the spec schema or its execution semantics change in a way
 #: that makes old cached results incomparable
-SPEC_VERSION = 4
+SPEC_VERSION = 5
 
 _SCENARIOS = ("lan", "wan", "chaos")
 
@@ -76,7 +76,6 @@ class RunSpec:
     cfg: dict = field(default_factory=dict)
     disk: bool = False
     invariants: bool = False
-    obs: bool = False   # observability tables: another record, another hash
 
     def __post_init__(self) -> None:
         p = self.scenario_params

@@ -31,9 +31,9 @@ def test_spec_address_is_hashlib_blake2b_and_did_not_move():
     assert address == hashlib.blake2b(spec.canonical_json().encode(),
                                       digest_size=16).hexdigest()
     # recorded when the digest still came from hashlib (f76a40d8...),
-    # re-recorded when the spec lost its run bound (SPEC_VERSION 3)
-    # and its health flag (SPEC_VERSION 4)
-    assert address == "7eaaf69d46283f2637a2661d939f890f"
+    # re-recorded when the spec lost its run bound (SPEC_VERSION 3),
+    # its health flag (SPEC_VERSION 4) and its obs flag (SPEC_VERSION 5)
+    assert address == "bbee969fb6f3dd8aff8431bcedd9531b"
 
 
 def test_code_fingerprint_is_hashlib_blake2b(tmp_path):

@@ -18,7 +18,7 @@ def test_probe_absorbs_report_shaped_code():
     assert PROBE.sender_stats.naks_rcvd == 0
     assert round(PROBE.throughput_mbps, 2) == 0
     assert PROBE.a + PROBE.b * 2 == 0
-    assert list(PROBE.obs_tables) == []
+    assert list(PROBE.crashed_receivers) == []
     assert not PROBE
 
 

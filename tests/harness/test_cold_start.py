@@ -214,13 +214,14 @@ def test_no_entry_point_maps_openssl():
 
 
 #: what watching a run takes, and reading its health does not
-INSTRUMENTS = ("repro.obs.observer", "repro.trace.tracer")
+INSTRUMENTS = ("repro.obs.profiler", "repro.trace.tracer")
 
 
 def test_reading_health_attaches_nothing():
     """Protocol health is a read of the run record's books: a fleet
-    cell loads no observer or tracer, and builds neither once they are
-    loaded (the CLI import holds the observer, for `report`)."""
+    cell loads no observer or tracer, nor does the CLI import, which
+    holds what `report` runs, and neither is built once they are
+    loaded."""
     _run("from repro.fleet.executor import Fleet\n"
          "from repro.workloads.spec import RunSpec\n"
          "spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, "
@@ -231,9 +232,11 @@ def test_reading_health_attaches_nothing():
          f"extra = under({INSTRUMENTS!r})\n"
          "assert not extra, extra\n"
          "import repro.harness.cli\n"
+         f"extra = under({INSTRUMENTS!r})\n"
+         "assert not extra, extra\n"
          "from repro.fleet.worker import run_spec\n"
          "from repro.obs.health import payload\n"
-         "from repro.obs.observer import Observability\n"
+         "from repro.obs.profiler import Observability\n"
          "from repro.trace.tracer import PacketTracer\n"
          "def refuse(self, *args, **kwargs):\n"
          "    raise AssertionError(f'{type(self).__name__} built')\n"

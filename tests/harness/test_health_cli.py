@@ -40,19 +40,22 @@ def test_report_writes_payload(reported):
 
 
 def test_report_text_tables(reported):
-    """The health tables come after the headline and before the
-    observed metric series."""
+    """The health tables come after the headline, in order, and close
+    the report: only the saved payload's path follows them."""
     text = reported["stdout"]
     tables = [text.index(title) for title in (
-        "NAK-suppression ledger", "implosion & repair economics",
-        "recovery lag (us)", "metric series")]
+        "throughput=", "NAK-suppression ledger",
+        "implosion & repair economics", "recovery lag (us)")]
     assert tables == sorted(tables), tables
+    # nothing between the last table and the saved payload's path
+    tail = text[tables[-1]:]
+    assert tail.count("\n\n") == 1
+    assert tail.endswith(f"\n\nwrote health: {reported['health']}\n")
 
 
 def test_report_json_mode(reported, capsys):
     """The report's JSON form is the saved payload, and it is the
-    bare run's: observing the run leaves its health untouched.  There
-    is no `--json` stdout mode."""
+    fleet cell's.  There is no `--json` stdout mode."""
     spec = RunSpec.wan(test=2, receivers=3, bandwidth_bps=10e6, seed=21,
                        nbytes=200_000)
     assert json.loads(reported["health"].read_text()) == \

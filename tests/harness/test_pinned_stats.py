@@ -81,7 +81,7 @@ from repro.faults.plan import FaultPlan, ReceiverCrash
 from repro.harness.runner import run_transfer
 from repro.kernel.payload import PatternPayload
 from repro.kernel.skbuff import SKBuff
-from repro.obs.observer import Observability
+from repro.obs.profiler import Observability
 from repro.sim.engine import Simulator
 from repro.trace.tracer import PacketTracer
 from repro.workloads import build_lan, build_wan, expand_test_case
@@ -191,38 +191,37 @@ CALLS_PER_PACKET = {
 }
 
 
-#: the observers `OBSERVED_CALLS_PER_PACKET` bounds, by their keyword
-#: arguments: `report`'s (the gauges) and the benchmark's overhead
-#: ratio's (the gauges and the engine profiler)
-OBSERVERS = {"gauges": {}, "profile": {"profile": True}}
+#: the observer `OBSERVED_CALLS_PER_PACKET` bounds, by its keyword
+#: arguments: the benchmark's overhead ratio's (the engine profiler)
+OBSERVERS = {"profile": {"profile": True}}
 
 #: name -> observer -> ceiling on the same count with that observer
-#: attached.  Ceilings are today's count plus about 0.3 %: the count
-#: moves by up to 0.35 % between CPython 3.10, 3.11 and 3.12 and by
-#: 0.01 % with what ran earlier in the interpreter.  The gauges cost
-#: about 2 calls per packet on `lan-2` (127.4 against 125.5 bare); the
-#: profiler adds its own cost per engine event, about 23 more.
-#: Comments: today's gauges / profile counts, then the profile count
-#: while every observer also subscribed a span collector to the packet
-#: seam / while the profiler keyed a timer firing by its timer's name as
-#: well / while the receiving application was a generator chain /
-#: before the packet seam stopped building a record per tapped packet
-#: and the two profilers were folded into one table.  The protocol's
-#: `gap` and `repair` seam facts went with the causal recorder, which
-#: took 0.8 / 0.5 calls per packet off `lan-40` / `wan-case-3`.
-#: Protocol health has no row: it is a read of the bare run, which
-#: `CALLS_PER_PACKET` already bounds.
+#: attached: today's count plus about 3 %, or less (the count moves by
+#: up to 0.35 % between CPython 3.10, 3.11 and 3.12 and by 0.01 % with
+#: what ran earlier in the interpreter).  The profiler adds its own cost
+#: per engine event, about 23 calls per packet on `lan-2` (148.1 against
+#: 125.6 bare).
+#: Comments: today's count, then the count while every profiled
+#: observer also ran the metric gauges' scrape loop / while it also
+#: subscribed a span collector to the packet seam / while the profiler
+#: keyed a timer firing by its timer's name as well / while the
+#: receiving application was a generator chain / before the packet seam
+#: stopped building a record per tapped packet and the two profilers
+#: were folded into one table.  The protocol's `gap` and `repair` seam
+#: facts went with the causal recorder, which took 0.8 / 0.5 calls per
+#: packet off `lan-40` / `wan-case-3`.  Protocol health has no row: it
+#: is a read of the bare run, which `CALLS_PER_PACKET` already bounds.
 OBSERVED_CALLS_PER_PACKET = {
-    # 127.4 / 150.0 / 168.6 / 168.8 / 211.6 / 263.7
-    "lan-2": {"gauges": 128.0, "profile": 150.5},
-    # 126.9 / 149.5 / 168.1 / 168.3 / 211.2 / 263.4
-    "lan-2-long": {"gauges": 127.5, "profile": 150.0},
-    # 1 847.2 / 2 125.6 / 2 414.9 / 2 415.3 / 3 065.9 / 3 974.6
-    "lan-40": {"gauges": 1_853.0, "profile": 2_132.0},
-    # 949.8 / 1 092.3 / 1 177.6 / 1 183.9 / 1 333.9 / 2 676.6
-    "wan-case-3": {"gauges": 953.0, "profile": 1_096.0},
-    # 173.9 / 202.0 / 229.6 / 230.1 / 277.1 / 356.4
-    "lan-disk": {"gauges": 174.5, "profile": 203.0},
+    # 148.1 / 150.0 / 168.6 / 168.8 / 211.6 / 263.7
+    "lan-2": {"profile": 150.5},
+    # 148.0 / 149.5 / 168.1 / 168.3 / 211.2 / 263.4
+    "lan-2-long": {"profile": 150.0},
+    # 2 043.2 / 2 125.6 / 2 414.9 / 2 415.3 / 3 065.9 / 3 974.6
+    "lan-40": {"profile": 2_104.5},
+    # 963.6 / 1 092.3 / 1 177.6 / 1 183.9 / 1 333.9 / 2 676.6
+    "wan-case-3": {"profile": 992.5},
+    # 196.5 / 202.0 / 229.6 / 230.1 / 277.1 / 356.4
+    "lan-disk": {"profile": 202.5},
 }
 
 

@@ -73,13 +73,17 @@ def test_max_sim_s_bounds_broken_runs():
 
 def test_a_finished_run_is_not_cut_short():
     """The flag is about the transfer, not the event list: seed 6's
-    restarted receiver re-arms its update timer to the bound, and the
-    run it belongs to still finished."""
+    restarted receiver never hears the sender, which finished before
+    it came back, and gives it up after the session timeout (30 s of
+    silence), long before the bound; the run it belongs to finished."""
     from repro.workloads.spec import RunSpec
     scenario, kwargs = RunSpec.chaos(3, 10e6, seed=6, horizon_us=1_000_000,
                                      nbytes=250_000).build()
     res = run_transfer(scenario, **kwargs)
-    assert scenario.sim.pending() > 0
+    assert scenario.sim.pending() == 0
+    assert scenario.sim.last_event_us < 60_000_000
+    [rejoin] = res.rejoin_results
+    assert rejoin.errors == ["sender unreachable (session timeout)"]
     assert res.surviving_ok and not res.cut_short
 
 
@@ -177,13 +181,13 @@ def test_a_killed_process_is_not_a_lost_one():
     assert res.crashed_receivers and res.surviving_ok
 
 
-def test_an_observer_alone_installs_no_seam_and_no_watch(monkeypatch):
-    """The gauges read the endpoints between events, so a run observed
-    with no checker and no capture builds no tracer and leaves the
-    packet seam and the engine hook empty: the engine runs its bare
-    branch.  The invariant checker's violation tail is the one reader
-    of a capture nobody passed in, and gets the 256-event ring."""
-    from repro.obs.observer import Observability
+def test_a_profiler_alone_installs_no_seam(monkeypatch):
+    """The profiler reads the engine's events through its one hook, so
+    a run it observes with no checker and no capture builds no tracer
+    and leaves the packet seam empty.  The invariant checker's
+    violation tail is the one reader of a capture nobody passed in, and
+    gets the 256-event ring."""
+    from repro.obs.profiler import Observability
     from repro.trace import tracer as tracer_module
     made = []
 
@@ -194,15 +198,15 @@ def test_an_observer_alone_installs_no_seam_and_no_watch(monkeypatch):
 
     monkeypatch.setattr(tracer_module, "PacketTracer", Recorded)
     observed = build_lan(2, 10e6, seed=46)
-    obs = Observability()
+    obs = Observability(profile=True)
     res = run_transfer(observed, nbytes=200_000, sndbuf=128 * 1024, obs=obs)
-    assert res.ok and obs.registry.scrapes > 2
+    assert res.ok and obs.profiler.events == res.sim_events
     assert made == []
-    assert observed.sim.tap is None and observed.sim.watch is None
+    assert observed.sim.tap is None and observed.sim.watch is obs.profiler
 
     checked = build_lan(2, 10e6, seed=46)
     res = run_transfer(checked, nbytes=200_000, sndbuf=128 * 1024,
-                       obs=Observability(), invariants=True)
+                       invariants=True)
     assert res.ok and len(made) == 1
     assert checked.sim.tap is not None and checked.sim.watch is None
     assert len(made[0].events) == 256 and made[0].dropped > 0

@@ -2,15 +2,19 @@
 fleet's RunSpec: a spec no world can be built from is unusable input
 (exit 2, one stderr line), `report chaos --seed N` runs the chaos
 experiment's seed-N cell, and `report chaos --fault-plan FILE` runs a
-spec that carries the plan.  `report --metrics-out DIR` saves the four
-artifacts of the run it prints."""
+spec that carries the plan.  `report` runs its spec bare, as the fleet
+runs the cell, and `report --metrics-out DIR` saves the run's health
+payload alone."""
 
 import hashlib
+import json
 
 import pytest
 
+from repro.fleet.worker import run_spec
 from repro.harness.cli import main as cli_main
 from repro.harness.experiments import plan_experiment
+from repro.obs.health import payload
 from repro.workloads.spec import RunSpec
 
 
@@ -100,8 +104,10 @@ def test_a_fault_plan_needs_chaos_a_loadable_file_and_no_seed(tmp_path,
 
 def test_the_removed_single_run_commands_are_refused(capsys):
     """`health report`, `--chaos-seed` and a top-level `--fault-plan`
-    ran one transfer each; `report` is the one command that does now."""
+    ran one transfer each; `report` is the one command that does now,
+    and there is no profile command."""
     assert cli_main(["health", "report", "wan"]) == 2
+    assert cli_main(["perf", "profile", "lan"]) == 2
     for flag in ("--chaos-seed", "--fault-plan"):
         with pytest.raises(SystemExit) as exc:    # argparse's own exit
             cli_main([flag, "4"])
@@ -109,21 +115,31 @@ def test_the_removed_single_run_commands_are_refused(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_report_metrics_out_writes_the_three_artifacts(tmp_path, capsys):
-    """`report --metrics-out DIR` saves exactly its three artifacts, the
-    saved summary is the one it printed (the metric series, with no
-    host-timed profile), and there is no profile command."""
+@pytest.mark.parametrize("argv", [
+    ["lan", "--receivers", "2", "--nbytes", "200000", "--seed", "7"],
+    ["wan", "--receivers", "3", "--nbytes", "150000", "--seed", "21"],
+], ids=lambda argv: argv[0])
+def test_report_is_a_bare_run(argv, built, monkeypatch, tmp_path):
+    """`report` runs its spec as the fleet runs the spec's cell: no
+    observer, and exactly the cell's engine events.  `--metrics-out
+    DIR` saves the cell's health payload and nothing else."""
+    import repro.harness.cli as cli
+    runs = []
+    run_transfer = cli.run_transfer
+
+    def recording(scenario, **kwargs):
+        runs.append((kwargs, run_transfer(scenario, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "run_transfer", recording)
     out = tmp_path / "artifacts"
-    assert cli_main(["report", "lan", "--receivers", "2", "--nbytes",
-                     "200000", "--seed", "7", "--metrics-out",
-                     str(out)]) == 0
-    stdout = capsys.readouterr().out
-    assert sorted(p.name for p in out.iterdir()) == [
-        "lan.health.json", "lan.series.jsonl", "lan.summary.txt"]
-    summary = (out / "lan.summary.txt").read_text()
-    assert summary.startswith("metric series") and "profiler" not in summary
-    # ..., blank line, summary, blank line, the `wrote` list
-    body, written = stdout.rsplit("\n\nwrote ", 1)
-    assert (body + "\n").endswith("\n\n" + summary)
-    assert written.endswith(f"wrote health: {out / 'lan.health.json'}\n")
-    assert cli_main(["perf", "profile", "lan"]) == 2
+    assert cli_main(["report", *argv, "--metrics-out", str(out)]) == 0
+    [(kwargs, result)] = runs
+    [spec] = built
+    assert kwargs.get("obs") is None
+    cell = run_spec(spec)
+    assert result.sim_events == cell.sim_events
+    name = f"{argv[0]}.health.json"
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_text() == \
+        json.dumps(payload(cell), indent=2, sort_keys=True) + "\n"

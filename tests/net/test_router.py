@@ -119,7 +119,6 @@ def test_router_multicast_duplication():
     # carry the one frame (only a pipe that damages it makes a copy)
     assert [s.got for s in sinks] == [[pkt]] * 3
     assert all(s.got[0] is pkt for s in sinks)
-    assert r.forwarded == 1 and all(p.forwarded == 1 for p in pipes)
 
 
 def test_router_mcast_unsubscribe():

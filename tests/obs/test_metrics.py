@@ -1,8 +1,8 @@
-"""Unit tests for the metrics primitives."""
+"""Unit tests for the recovery-lag histogram of protocol health."""
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry, TimeSeries
+from repro.obs.health import Histogram
 
 
 def test_histogram_bucketing():
@@ -62,63 +62,3 @@ def test_histogram_render_and_rows():
     assert rows == [("<= 10", 1), ("<= 100", 0), ("> 100", 1)]
     text = h.render()
     assert "lat: n=2" in text and "#" in text
-
-
-def test_timeseries_basics():
-    s = TimeSeries("q", unit="pkts")
-    assert len(s) == 0 and s.last is None
-    s.append(10, 1.5)
-    s.append(20, 2.5)
-    assert list(s.samples()) == [(10, 1.5), (20, 2.5)]
-    assert s.last == 2.5
-
-
-def test_registry_gauge_scrape_and_none_skip():
-    reg = MetricsRegistry()
-    state = {"v": None}
-    reg.gauge("g", lambda: state["v"])
-    reg.scrape(0)                 # gauge not ready: no sample
-    assert len(reg.series["g"]) == 0
-    state["v"] = 7
-    reg.scrape(100)
-    reg.scrape(200)
-    assert list(reg.series["g"].samples()) == [(100, 7.0), (200, 7.0)]
-    assert reg.scrapes == 3
-
-
-def test_registry_rate_gauge():
-    reg = MetricsRegistry()
-    state = {"v": 0}
-    reg.rate_gauge("r", lambda: state["v"])
-    reg.scrape(0)                 # establishes the baseline, no sample
-    assert len(reg.series["r"]) == 0
-    state["v"] = 1000
-    reg.scrape(500_000)           # +1000 over 0.5 s -> 2000/s
-    assert list(reg.series["r"].samples()) == [(500_000, 2000.0)]
-
-
-def test_registry_rate_gauge_scale():
-    reg = MetricsRegistry()
-    state = {"v": 0}
-    # bytes -> percent of a 8000 bit/s line: scale = 8 * 100 / 8000
-    reg.rate_gauge("util", lambda: state["v"], unit="%", scale=0.1)
-    reg.scrape(0)
-    state["v"] = 1000
-    reg.scrape(1_000_000)
-    assert reg.series["util"].last == pytest.approx(100.0)
-
-
-def test_registry_idempotent_registration():
-    reg = MetricsRegistry()
-    assert reg.timeseries("s") is reg.timeseries("s")
-
-
-def test_registry_snapshot_and_summary():
-    reg = MetricsRegistry()
-    reg.gauge("depth", lambda: 4)
-    reg.gauge("unready", lambda: None)
-    reg.scrape(1000)
-    snap = reg.snapshot()
-    assert snap == {"depth": 4.0}
-    rows = reg.summary_rows()
-    assert rows == [["depth", 1, 4.0, 4.0, 4.0, 4.0]]

@@ -16,7 +16,7 @@ import tracemalloc
 
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
-from repro.obs.observer import Observability
+from repro.obs.profiler import Observability
 from repro.trace.tracer import PacketTracer
 from repro.workloads.scenarios import build_chaos, build_wan
 
@@ -29,7 +29,7 @@ def _run(perf_on: bool, build):
     obs = Observability(profile=True) if perf_on else None
     res = run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
                        max_sim_s=300, obs=obs, tracer=tracer)
-    return sc, tracer, res
+    return obs, tracer, res
 
 
 def _assert_identical(bare, observed):
@@ -41,8 +41,8 @@ def _assert_identical(bare, observed):
     assert res_a.ok == res_b.ok
     assert res_a.duration_us == res_b.duration_us
     assert res_a.drop_summary == res_b.drop_summary
-    # the observed run schedules extra (scrape) events, never fewer
-    assert res_b.sim_events >= res_a.sim_events
+    # the profiler schedules nothing
+    assert res_b.sim_events == res_a.sim_events
 
 
 def test_perf_zero_perturbation_lossy_wan():
@@ -51,8 +51,7 @@ def test_perf_zero_perturbation_lossy_wan():
     profiled = _run(True, build)
     _assert_identical(bare, profiled)
     # non-vacuous: the profiler really measured the run
-    profiler = profiled[2].obs.profiler
-    assert profiler.events == profiled[2].sim_events
+    assert profiled[0].profiler.events == profiled[2].sim_events
 
 
 def test_perf_zero_perturbation_chaos():
@@ -64,7 +63,7 @@ def test_perf_zero_perturbation_chaos():
     profiled = _run(True, build)
     _assert_identical(bare, profiled)
     assert bare[2].fault_events == profiled[2].fault_events
-    assert profiled[2].obs.profiler.events == profiled[2].sim_events
+    assert profiled[0].profiler.events == profiled[2].sim_events
 
 
 def _obs_layer_bytes(before, after):

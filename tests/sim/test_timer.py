@@ -19,7 +19,9 @@ def test_timer_fires_once():
     sim.run()
     assert fired == [100]
     assert not t.pending
-    assert t.fired_count == 1
+    sim.call_at(500, lambda: None)          # the clock runs on
+    sim.run()
+    assert fired == [100]
 
 
 def test_mod_timer_rearms():
