@@ -173,8 +173,9 @@ class Host:
 
         Two or three of these run per packet per host, so the entry is
         built here rather than by a call to ``Simulator.call_at``: the
-        same ``[time, order, callback, args]`` list (DESIGN.md
-        S1), at an ``int`` time never earlier than now."""
+        same ``[time, order, callback, args, followers]`` list, at an
+        ``int`` time never earlier than now, joining the engine's tail
+        by the same rule (DESIGN.md S1)."""
         sim = self.sim
         end = self._cpu_busy_until
         if end < sim.now:
@@ -182,9 +183,20 @@ class Host:
         if cost_us > 0:
             end += int(cost_us)
         self._cpu_busy_until = end
-        heappush(sim._heap, [end, sim._order, fn, args])
+        entry = [end, sim._order, fn, args, None]
         sim._order += 1
-        sim._live += 1
+        if end == sim._tail_time and (
+                end != sim.now or sim._tail[2] is not None):
+            followers = sim._tail[4]
+            if followers is None:
+                sim._tail[4] = [entry]
+            else:
+                followers.append(entry)
+            sim.joins += 1
+        else:
+            heappush(sim._heap, entry)
+            sim._tail = entry
+            sim._tail_time = end
 
     def _rx_cost(self, pkt: NetPacket) -> int:
         """The NIC's ``rx_cost_fn``; reads ``self.cost`` per packet, so

@@ -93,27 +93,6 @@ class SimProfiler:
     def wall_ns_total(self) -> int:
         return sum(row[2] for row in self._rows.values())
 
-    # -- views ----------------------------------------------------------
-
-    def events_per_sec(self) -> float:
-        """Engine throughput: callbacks executed per wall-clock second
-        of callback time (the engine's own loop overhead excluded)."""
-        wall = self.wall_ns_total
-        if wall <= 0:
-            return 0.0
-        return self.events * 1e9 / wall
-
-    def top(self, n: int = 10) -> list[list]:
-        """``n`` hottest sites by wall time as table rows
-        ``[site, events, sim_ms, wall_ms, wall_share]``."""
-        ranked = sorted(self.sites.items(),
-                        key=lambda kv: (-kv[1].wall_ns, kv[0]))
-        total_wall = self.wall_ns_total or 1
-        return [[site, s.events, round(s.sim_us / 1000, 1),
-                 round(s.wall_ns / 1e6, 2),
-                 f"{100.0 * s.wall_ns / total_wall:.1f}%"]
-                for site, s in ranked[:n]]
-
 
 class Observability:
     """One profiled run: construct with ``profile=True``, pass to

@@ -37,8 +37,8 @@ class Simulator:
         sim.run()
     """
 
-    #: heap compaction threshold: rebuild once more than half the heap
-    #: is cancelled entries (and it is big enough to matter)
+    #: heap compaction threshold: rebuild once more than half the
+    #: scheduled entries are cancelled (and there are enough to matter)
     COMPACT_MIN = 64
 
     def __init__(self) -> None:
@@ -49,12 +49,24 @@ class Simulator:
         self.now: int = 0
         self._heap: list[list] = []
         self._order: int = 0
-        self._live: int = 0  # non-cancelled entries in the heap
-        self._dead: int = 0  # cancelled entries still in the heap
+        # the entry last pushed onto the heap and its time: a push for
+        # that time joins it as a follower (see call_at).  ``_tail_time``
+        # is -1 once the tail may be gone from the heap (discarded
+        # cancelled, or dropped by compaction)
+        self._tail: list | None = None
+        self._tail_time: int = -1
+        # cancels that took effect: with the pushes (``_order``) and the
+        # firings they give the live count (:meth:`pending`), so neither
+        # a push nor a firing keeps one
+        self._cancels: int = 0
+        self._dead: int = 0  # cancelled entries not yet discarded
         self._running = False
         self.events_processed: int = 0
         self.last_event_us: int = 0  # when the last event fired
         self.compactions: int = 0
+        #: pushes that joined their instant's entry instead of taking a
+        #: heap slot (:meth:`heap_pushes` is every other push)
+        self.joins: int = 0
         # the event hook (``None`` on a bare run): a watch has an
         # ``execute(callback, args, sim_dt_us)`` that runs each
         # non-cancelled firing, where ``sim_dt_us`` is the virtual-clock
@@ -75,10 +87,22 @@ class Simulator:
     def call_at(self, when: int, callback: Callable, *args: Any) -> list:
         """Schedule ``callback(*args)`` at absolute time ``when`` (us).
 
-        Returns the heap entry, a plain list ``[time, order, callback,
-        args]``: ``order`` is unique, so heap ordering is C-level list
-        comparison on the two leading ints and never reaches the
-        callback.  A cancelled entry has ``callback`` set to ``None``.
+        Returns the entry, a plain list ``[time, order, callback, args,
+        followers]``: ``order`` is unique, so heap ordering is C-level
+        list comparison on the two leading ints and never reaches the
+        callback.  A cancelled or fired entry has ``callback`` set to
+        ``None``.
+
+        One heap entry per instant: a push for the time of the entry
+        last pushed onto the heap (the tail) is appended to the tail's
+        ``followers`` (``None`` until a second push arrives) and takes
+        no heap slot -- unless that time is now and the tail has no
+        callback left (it fired, or was cancelled): the push then takes
+        a heap slot of its own, so an instant that is being fired never
+        gains followers.  Every push takes the next ``order``, so firing
+        the tail's followers after it, in list order, is the ``(time,
+        order)`` order.  ``Host.cpu_run`` builds its entries by the same
+        rule (DESIGN.md S1).
         """
         if when < self.now:
             raise SimulationError(
@@ -86,10 +110,20 @@ class Simulator:
             )
         if type(when) is not int:
             when = int(when)
-        entry = [when, self._order, callback, args]
+        entry = [when, self._order, callback, args, None]
         self._order += 1
-        heapq.heappush(self._heap, entry)
-        self._live += 1
+        if when == self._tail_time and (
+                when != self.now or self._tail[2] is not None):
+            followers = self._tail[4]
+            if followers is None:
+                self._tail[4] = [entry]
+            else:
+                followers.append(entry)
+            self.joins += 1
+        else:
+            heapq.heappush(self._heap, entry)
+            self._tail = entry
+            self._tail_time = when
         return entry
 
     def call_after(self, delay: int, callback: Callable, *args: Any) -> list:
@@ -99,26 +133,67 @@ class Simulator:
         return self.call_at(self.now + int(delay), callback, *args)
 
     def cancel(self, entry: list) -> None:
-        """Cancel a previously scheduled entry (idempotent).
+        """Cancel a previously scheduled entry (idempotent; an entry
+        that already fired has no callback left, so this is a no-op).
 
-        Cancellation is lazy (the entry stays in the heap until popped),
-        but the heap is compacted once cancelled entries outnumber live
-        ones: restartable timers re-armed every jiffy would otherwise
-        accumulate dead entries for the whole run.
+        Cancellation is lazy (the entry stays in place until its instant
+        is reached), but the heap is compacted once cancelled entries
+        outnumber live ones: restartable timers re-armed every jiffy
+        would otherwise accumulate dead entries for the whole run.
         """
         if entry[2] is not None:
             entry[2] = None
-            self._live -= 1
+            self._cancels += 1
             self._dead += 1
-            if self._dead > self.COMPACT_MIN and self._dead > self._live:
+            if self._dead > self.COMPACT_MIN and self._dead > \
+                    self._order - self.events_processed - self._cancels:
                 self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify."""
-        self._heap = [e for e in self._heap if e[2] is not None]
-        heapq.heapify(self._heap)
-        self._dead = 0
+        """Drop cancelled entries and re-heapify.  A cancelled heap entry
+        whose instant still has live followers hands them to the first
+        of them, which takes its heap slot under its own key.  The
+        instant a running :meth:`run` is firing is off the heap: its
+        cancelled followers stay counted until the loop passes them."""
+        heap = []
+        removed = 0
+        for head in self._heap:
+            followers = head[4]
+            if followers is not None:
+                live = [e for e in followers if e[2] is not None]
+                removed += len(followers) - len(live)
+                if head[2] is None and live:
+                    removed += 1
+                    head = live[0]
+                    live = live[1:]
+                head[4] = live or None
+            if head[2] is not None:
+                heap.append(head)
+            else:
+                removed += 1
+        heapq.heapify(heap)
+        self._heap = heap
+        self._dead -= removed
+        self._tail_time = -1      # the tail may be gone
         self.compactions += 1
+
+    def _requeue(self, head: list, i: int) -> None:
+        """Put back the followers of ``head`` from ``i`` on, which a run
+        that stopped inside their instant did not reach: the first takes
+        a heap slot under its own key and carries the rest."""
+        followers = head[4]
+        if followers is not None and i < len(followers):
+            nxt = followers[i]
+            nxt[4] = followers[i + 1:] or None
+            heapq.heappush(self._heap, nxt)
+
+    @staticmethod
+    def _clock_moved(callback: Callable, when: int,
+                     now: int) -> SimulationError:
+        return SimulationError(
+            f"{getattr(callback, '__qualname__', callback)} "
+            f"moved the clock from t={when} to t={now}: "
+            f"time advances only in Simulator.run")
 
     # -- execution ----------------------------------------------------
 
@@ -136,41 +211,84 @@ class Simulator:
         budget = max_events or -1
         watch = self.watch
         heappop = heapq.heappop   # hoisted: one global lookup per run
-        # the clock before each firing: the check below keeps ``now``
-        # equal to the last firing's time, so it need not be re-read
+        # the clock before each watched firing: the check below keeps
+        # ``now`` equal to the last firing's time, so it need not be
+        # re-read (a bare run has no use for it)
         prev = self.now
+        # the heap entry whose instant is firing and how many of its
+        # followers have been reached (0 at every head): a run stopped
+        # by the budget or an exception puts the rest back (_requeue)
+        head = None
+        i = 0
         try:
             # NOTE: self._heap must be re-read every iteration -- a
             # callback may cancel enough entries to trigger _compact(),
             # which rebinds the list.
             while self._heap:
-                when, _, callback, args = entry = heappop(self._heap)
-                if callback is None:
-                    self._dead -= 1
-                    continue
+                head = heappop(self._heap)
+                when, _, callback, args, followers = head
                 if until is not None and when > until:
                     # same (time, order) key: goes back where it was
-                    heapq.heappush(self._heap, entry)
+                    heapq.heappush(self._heap, head)
                     break
-                self._live -= 1
-                self.now = when
-                self.events_processed += 1
-                if watch is None:
-                    callback(*args)
+                if callback is None:
+                    self._dead -= 1
+                    if head is self._tail:
+                        self._tail_time = -1
                 else:
-                    watch.execute(callback, args, when - prev)
-                if self.now != when:
-                    raise SimulationError(
-                        f"{getattr(callback, '__qualname__', callback)} "
-                        f"moved the clock from t={when} to t={self.now}: "
-                        f"time advances only in Simulator.run")
-                prev = when
-                budget -= 1
-                if not budget:
-                    break
+                    head[2] = None            # fired: cancel is a no-op
+                    self.now = when
+                    self.events_processed += 1
+                    if watch is None:
+                        callback(*args)
+                    else:
+                        watch.execute(callback, args, when - prev)
+                        prev = when
+                    if self.now != when:
+                        raise self._clock_moved(callback, when, self.now)
+                    budget -= 1
+                    if not budget:
+                        break
+                if followers is None:
+                    continue
+                # The followers get a body of their own, so an instant
+                # with none pays one test.  The head has no callback left
+                # (fired or cancelled), so a push for ``when`` from here
+                # on takes a heap slot of its own (call_at) and this list
+                # no longer changes.
+                for entry in followers:
+                    i += 1
+                    callback = entry[2]
+                    if callback is None:
+                        self._dead -= 1
+                        continue
+                    entry[2] = None
+                    self.now = when
+                    self.events_processed += 1
+                    if watch is None:
+                        callback(*entry[3])
+                    else:
+                        watch.execute(callback, entry[3], when - prev)
+                        prev = when
+                    if self.now != when:
+                        raise self._clock_moved(callback, when, self.now)
+                    budget -= 1
+                    if not budget:
+                        break
+                else:
+                    head = None
+                    i = 0
+                    continue
+                break               # the budget ran out inside the instant
+        except BaseException:
+            if head is not None:
+                self._requeue(head, i)
+            raise
         finally:
             self._running = False
             self.last_event_us = self.now
+        if not budget:
+            self._requeue(head, i)
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -183,4 +301,9 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
-        return self._live
+        return self._order - self.events_processed - self._cancels
+
+    def heap_pushes(self) -> int:
+        """Entries pushed onto the heap so far: every push that did not
+        join its instant's entry."""
+        return self._order - self.joins

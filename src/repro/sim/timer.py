@@ -53,8 +53,8 @@ class Timer:
 
     @property
     def pending(self) -> bool:
-        # engine entries are [time, order, callback, args];
-        # a cancelled one has its callback cleared
+        # engine entries are [time, order, callback, args, followers];
+        # a cancelled or fired one has its callback cleared
         return self._entry is not None and self._entry[2] is not None
 
     @property

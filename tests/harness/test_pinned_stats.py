@@ -170,24 +170,27 @@ PINNED = {
 
 
 #: name -> ceiling on profiled calls per packet sent, bare run.
-#: Comments: today / while the receiving application was a generator
-#: chain / before the per-packet call ladder was flattened / while every
-#: receiver got its own copy of every frame and skb.
+#: Comments: today / while every engine push took its own heap slot /
+#: while the receiving application was a generator chain / before the
+#: per-packet call ladder was flattened / while every receiver got its
+#: own copy of every frame and skb.
 CALLS_PER_PACKET = {
-    "lan-2": 129.5,                 # 125.5 / 168.4 / 313.7 / 178.2
-    "lan-2-long": 129.5,            # 125.4 / 168.4 / 313.8 / 178.2
-    "lan-40": 1_807.0,              # 1 754.3 / 2 412.3 / 5 214.2 / 2 679.2
-    "wan-case-3": 845.0,            # 820.1 / 1 001.6 / 2 719.9 / 1 051.0
-                                    # (2 126.4 while loss recovery
-                                    # scanned its state)
-    "lan-disk": 173.5,              # 168.4 / 215.5 / 412.9 / 231.5
-    # today / while the receiving application was a generator chain /
-    # while each baseline had its own write path (in flight summed the
-    # unsent queue; every segment built a BaselineType)
-    "wan-case-3-ack": 1_894.0,      # 1 841.7 / 2 016.5 / 2 687.8
-    "wan-case-3-polling": 781.5,    # 759.5 / 880.4 / 927.2
-    "wan-case-3-tcp": 402.5,        # 390.6 / 411.6 / 1 116.8
-    "lan-2-crash-rejoin": 112.5,    # 109.1 / 138.7
+    "lan-2": 126.5,                 # 122.7 / 125.6 / 168.4 / 313.7 / 178.2
+    "lan-2-long": 127.0,            # 123.5 / 125.4 / 168.4 / 313.8 / 178.2
+    "lan-40": 1_737.0,              # 1 686.3 / 1 765.1 / 2 412.3 /
+                                    # 5 214.2 / 2 679.2
+    "wan-case-3": 810.5,            # 786.7 / 821.9 / 1 001.6 / 2 719.9 /
+                                    # 1 051.0 (2 126.4 while loss
+                                    # recovery scanned its state)
+    "lan-disk": 170.0,              # 164.9 / 168.5 / 215.5 / 412.9 / 231.5
+    # today / while every engine push took its own heap slot / while
+    # the receiving application was a generator chain / while each
+    # baseline had its own write path (in flight summed the unsent
+    # queue; every segment built a BaselineType)
+    "wan-case-3-ack": 1_837.0,      # 1 783.3 / 1 841.7 / 2 016.5 / 2 687.8
+    "wan-case-3-polling": 750.5,    # 728.4 / 759.5 / 880.4 / 927.2
+    "wan-case-3-tcp": 402.5,        # 390.6 / 390.6 / 411.6 / 1 116.8
+    "lan-2-crash-rejoin": 110.5,    # 107.4 / 109.2 / 138.7
 }
 
 
@@ -199,29 +202,30 @@ OBSERVERS = {"profile": {"profile": True}}
 #: attached: today's count plus about 3 %, or less (the count moves by
 #: up to 0.35 % between CPython 3.10, 3.11 and 3.12 and by 0.01 % with
 #: what ran earlier in the interpreter).  The profiler adds its own cost
-#: per engine event, about 23 calls per packet on `lan-2` (148.1 against
-#: 125.6 bare).
-#: Comments: today's count, then the count while every profiled
-#: observer also ran the metric gauges' scrape loop / while it also
-#: subscribed a span collector to the packet seam / while the profiler
-#: keyed a timer firing by its timer's name as well / while the
-#: receiving application was a generator chain / before the packet seam
+#: per engine event, about 23 calls per packet on `lan-2` (145.3 against
+#: 122.7 bare).
+#: Comments: today's count, then the count while every engine push took
+#: its own heap slot / while every profiled observer also ran the metric
+#: gauges' scrape loop / while it also subscribed a span collector to
+#: the packet seam / while the profiler keyed a timer firing by its
+#: timer's name as well / while the receiving application was a
+#: generator chain / before the packet seam
 #: stopped building a record per tapped packet and the two profilers
 #: were folded into one table.  The protocol's `gap` and `repair` seam
 #: facts went with the causal recorder, which took 0.8 / 0.5 calls per
 #: packet off `lan-40` / `wan-case-3`.  Protocol health has no row: it
 #: is a read of the bare run, which `CALLS_PER_PACKET` already bounds.
 OBSERVED_CALLS_PER_PACKET = {
-    # 148.1 / 150.0 / 168.6 / 168.8 / 211.6 / 263.7
-    "lan-2": {"profile": 150.5},
-    # 148.0 / 149.5 / 168.1 / 168.3 / 211.2 / 263.4
+    # 145.3 / 148.1 / 150.0 / 168.6 / 168.8 / 211.6 / 263.7
+    "lan-2": {"profile": 149.5},
+    # 146.1 / 148.0 / 149.5 / 168.1 / 168.3 / 211.2 / 263.4
     "lan-2-long": {"profile": 150.0},
-    # 2 043.2 / 2 125.6 / 2 414.9 / 2 415.3 / 3 065.9 / 3 974.6
-    "lan-40": {"profile": 2_104.5},
-    # 963.6 / 1 092.3 / 1 177.6 / 1 183.9 / 1 333.9 / 2 676.6
-    "wan-case-3": {"profile": 992.5},
-    # 196.5 / 202.0 / 229.6 / 230.1 / 277.1 / 356.4
-    "lan-disk": {"profile": 202.5},
+    # 1 964.4 / 2 043.2 / 2 125.6 / 2 414.9 / 2 415.3 / 3 065.9 / 3 974.6
+    "lan-40": {"profile": 2_023.5},
+    # 928.4 / 963.6 / 1 092.3 / 1 177.6 / 1 183.9 / 1 333.9 / 2 676.6
+    "wan-case-3": {"profile": 956.5},
+    # 192.9 / 196.5 / 202.0 / 229.6 / 230.1 / 277.1 / 356.4
+    "lan-disk": {"profile": 198.5},
 }
 
 
@@ -295,6 +299,29 @@ def test_host_calls_per_packet_are_bounded(name):
 def test_observed_calls_per_packet_are_bounded(name, observer):
     assert calls_per_packet(name, observer) <= \
         OBSERVED_CALLS_PER_PACKET[name][observer]
+
+
+def heap_pushes(name, **size):
+    """(entries pushed onto the engine's heap, events fired) of one bare
+    run of `PINNED[name]`, with its run_transfer kwargs overridden by
+    ``size``."""
+    build, kwargs = PINNED[name][:2]
+    scenario = build()
+    result = run_transfer(scenario, seed=SEED, **{**kwargs, **size})
+    assert _complete(result)
+    return scenario.sim.heap_pushes(), result.sim_events
+
+
+def test_one_heap_entry_per_instant():
+    """Every receiver's host finishes a frame at the same instant: the
+    pushes for one instant share one heap entry.  `lan-40` at the
+    benchmark's lan-fanout40 size fires 163 335 events and pushed
+    163 536 heap entries while each push took its own (13 448 today);
+    `lan-2` pushed 10 330 for 10 319 events (8 379 today)."""
+    pushes, _ = heap_pushes("lan-40", nbytes=2_800_000)
+    assert pushes <= 16_000
+    pushes, events = heap_pushes("lan-2")
+    assert pushes <= events
 
 
 # -- loss recovery costs per hole, not per parked or buffered packet -------

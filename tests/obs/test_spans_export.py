@@ -44,13 +44,6 @@ def test_profiler_attribution(observed_run):
     assert prof.events == res.sim_events
     assert sum(s.events for s in prof.sites.values()) == prof.events
     assert sum(s.wall_ns for s in prof.sites.values()) == prof.wall_ns_total
-    assert prof.events_per_sec() > 0
-    top = prof.top(5)
-    assert 0 < len(top) <= 5
-    # ranked by wall time, shares parse as percentages
-    walls = [row[3] for row in top]
-    assert walls == sorted(walls, reverse=True)
-    assert all(row[4].endswith("%") for row in top)
 
 
 #: engine events per callback site of two pinned transfers (every

@@ -370,25 +370,283 @@ def test_profiler_attributes_raising_callbacks():
 
 def test_no_profiler_no_overhead_path():
     """The default (no watch) path still runs everything, from entries
-    that hold nothing past the arguments."""
+    that hold nothing past the arguments and the instant's followers."""
     sim = Simulator()
     assert sim.watch is None
     fired = []
-    assert len(sim.call_at(1, fired.append, 1)) == 4
+    first = sim.call_at(1, fired.append, 1)
+    assert len(first) == 5 and first[4] is None
+    assert len(sim.call_at(1, fired.append, 2)) == 5
     sim.run()
-    assert fired == [1]
+    assert fired == [1, 2]
 
 
-# -- list heap entries [time, order, callback, args] ------------------------
+# -- list heap entries [time, order, callback, args, followers] -------------
 
 def test_entry_layout_and_cancel_rule():
     sim = Simulator()
     entry = sim.call_at(10, print, "a", "b")
-    assert entry == [10, 0, print, ("a", "b")]
-    assert sim.call_at(10, print)[1] == 1      # order numbers are unique
+    assert entry == [10, 0, print, ("a", "b"), None]
+    joined = sim.call_at(10, print)
+    assert joined[1] == 1                      # order numbers are unique
+    assert entry[4] == [joined] == [[10, 1, print, (), None]]
+    assert len(sim._heap) == 1                 # one heap entry per instant
     sim.cancel(entry)
     assert entry[2] is None                    # cancelled = no callback
     assert sim.pending() == 1
+
+
+def test_cancelling_an_entry_that_fired_is_a_no_op():
+    """A fired entry has no callback left, so `cancel` leaves the books
+    alone: `pending` never goes negative and nothing counts as dead."""
+    sim = Simulator()
+    head = sim.call_at(5, lambda: None)
+    follower = sim.call_at(5, lambda: None)
+    sim.run()
+    sim.cancel(head)
+    sim.cancel(follower)
+    assert (sim.pending(), sim._dead) == (0, 0)
+    sim.call_at(7, lambda: None)
+    assert sim.pending() == 1
+    sim.run()
+    assert (sim.pending(), sim._dead, sim.events_processed) == (0, 0, 3)
+
+
+# -- followers: the pushes that joined their instant's heap entry -----------
+
+def test_pushes_made_while_an_instant_fires_fire_in_it_in_fifo_order():
+    """A push for the firing instant, made by its head or by one of its
+    followers, fires in that instant after everything pushed before it.
+    The fired tail is not joined: the first such push takes a heap slot
+    and becomes the tail the next ones join."""
+    sim = Simulator()
+    log = []
+
+    def head():
+        log.append("head")
+        sim.call_after(0, log.append, "by-head")
+
+    def follower():
+        log.append("follower")
+        sim.call_after(0, chained)
+
+    def chained():
+        log.append("by-follower")
+        sim.call_after(0, log.append, "by-chained")
+
+    sim.call_at(11, log.append, "later")
+    sim.call_at(10, head)                      # the tail from here on
+    sim.call_at(10, follower)
+    sim.call_at(10, log.append, "third")
+    sim.run()
+    assert log == ["head", "follower", "third", "by-head", "by-follower",
+                   "by-chained", "later"]
+    # later, head, by-head (joined by by-follower), by-chained
+    assert sim.heap_pushes() == 4 and sim.joins == 3
+
+
+def test_a_push_for_a_firing_instant_that_is_not_the_tail_still_fires_in_it():
+    sim = Simulator()
+    log = []
+
+    def head():
+        log.append("head")
+        sim.call_after(0, log.append, "by-head")
+
+    sim.call_at(10, head)
+    sim.call_at(10, log.append, "follower")
+    sim.call_at(11, log.append, "later")       # the tail
+    sim.run()
+    assert log == ["head", "follower", "by-head", "later"]
+    assert sim.heap_pushes() == 3 and sim.joins == 1
+    assert (sim.pending(), sim._dead) == (0, 0)
+
+
+def test_a_lone_head_that_pushes_for_its_own_instant():
+    sim = Simulator()
+    log = []
+    sim.call_at(10, sim.call_after, 0, log.append, "same instant")
+    sim.run()
+    assert log == ["same instant"] and sim.heap_pushes() == 2
+
+
+def test_a_discarded_cancelled_tail_is_not_joined():
+    sim = Simulator()
+    log = []
+    sim.call_at(5, log.append, "first")
+    tail = sim.call_at(30, log.append, "never")
+    sim.cancel(tail)
+    sim.run()                                   # discards the tail
+    assert sim.now == 5
+    sim.call_at(30, log.append, "joins-no-one")
+    sim.run()
+    assert log == ["first", "joins-no-one"]
+
+
+def test_a_push_after_the_instant_fired_takes_a_new_heap_entry():
+    sim = Simulator()
+    log = []
+    sim.call_at(10, log.append, "a")
+    sim.run()
+    sim.call_at(10, log.append, "b")           # the fired tail is not joined
+    assert len(sim._heap) == 1 and sim.joins == 0
+    sim.run()
+    assert log == ["a", "b"]
+
+
+def _instant(sim, log, n=5, when=10):
+    return [sim.call_at(when, log.append, i) for i in range(n)]
+
+
+def test_step_and_max_events_stop_inside_an_instant_and_resume_in_order():
+    stepped, budgeted = Simulator(), Simulator()
+    a, b = [], []
+    for sim, log in ((stepped, a), (budgeted, b)):
+        _instant(sim, log)
+        sim.call_at(20, log.append, "later")
+    assert stepped.step() and a == [0]
+    assert stepped.pending() == 5
+    # a push for the instant fires behind its unfired followers
+    stepped.call_at(10, a.append, "joined")
+    budgeted.run(max_events=3)
+    assert b == [0, 1, 2] and budgeted.pending() == 3
+    budgeted.call_at(10, b.append, "joined")
+    while stepped.step():
+        pass
+    budgeted.run()
+    assert a == b == [0, 1, 2, 3, 4, "joined", "later"]
+    for sim in (stepped, budgeted):
+        assert (sim.pending(), sim._dead, sim._heap) == (0, 0, [])
+
+
+def test_max_events_stops_at_the_head_of_a_second_instant():
+    sim = Simulator()
+    log = []
+    _instant(sim, log, n=3, when=10)
+    _instant(sim, log, n=3, when=20)
+    sim.run(max_events=4)                       # all of 10, the head of 20
+    assert log == [0, 1, 2, 0] and sim.pending() == 2
+    sim.run()
+    assert log == [0, 1, 2, 0, 1, 2]
+
+
+def test_run_until_with_a_joined_entry():
+    """A joined instant past `until` goes back whole and later pushes
+    for it still join it; one at `until` fires whole."""
+    sim = Simulator()
+    log = []
+    _instant(sim, log, n=3, when=50)
+    sim.run(until=49)
+    assert log == [] and sim.pending() == 3 and len(sim._heap) == 1
+    sim.call_at(50, log.append, "joined")
+    assert len(sim._heap) == 1
+    sim.run(until=50)
+    assert log == [0, 1, 2, "joined"] and sim.now == 50
+    assert sim.pending() == 0
+
+
+def test_cancelling_a_head_leaves_its_followers_live():
+    sim = Simulator()
+    log = []
+    head, *followers = _instant(sim, log, n=4)
+    sim.cancel(head)
+    sim.cancel(followers[1])
+    assert sim.pending() == 2
+    sim.run()
+    assert log == [1, 3]
+    assert (sim.pending(), sim._dead) == (0, 0)
+
+
+def test_compaction_keeps_a_cancelled_heads_followers_in_order():
+    sim = Simulator()
+    log = []
+    groups = [_instant(sim, log, n=3, when=t) for t in (10, 20, 30)]
+    others = [sim.call_at(100 + i, log.append, "x") for i in range(200)]
+    for g in groups:
+        sim.cancel(g[0])                      # heads with live followers
+    for e in reversed(others):                # the tail (t=299) goes first
+        sim.cancel(e)
+    assert sim.compactions > 0
+    keys = {e[1] for e in sim._heap}
+    assert {g[1][1] for g in groups} <= keys   # first followers promoted
+    assert not {g[0][1] for g in groups} & keys
+    sim.call_at(299, log.append, "tail-dropped")  # must not join it
+    sim.run()
+    assert log == [1, 2, 1, 2, 1, 2, "tail-dropped"]
+    assert (sim.pending(), sim._dead) == (0, 0)
+
+
+def test_compaction_while_an_instant_fires_keeps_the_books():
+    """The firing instant is off the heap: its cancelled followers stay
+    counted until the loop reaches them, so `_dead` never goes negative."""
+    sim = Simulator()
+    log = []
+    others = [sim.call_at(100 + i, log.append, "x") for i in range(200)]
+
+    def purge():
+        for e in others:
+            sim.cancel(e)
+        log.append(("purged", sim.compactions, sim._dead))
+
+    sim.call_at(10, purge)
+    doomed = sim.call_at(10, log.append, "never")
+    sim.call_at(10, log.append, "after")
+    sim.cancel(doomed)
+    sim.run()
+    assert log[0][0] == "purged" and log[0][1] >= 1
+    assert log[0][2] >= 1                      # `doomed` still counted
+    assert log[1:] == ["after"]
+    assert (sim.pending(), sim._dead) == (0, 0)
+
+
+def test_a_raising_callback_leaves_the_rest_of_its_instant_scheduled():
+    def boom():
+        raise RuntimeError("x")
+
+    sim = Simulator()
+    log = []
+    sim.call_at(10, boom)
+    sim.call_at(10, log.append, "rest")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.pending() == 1
+    sim.run()
+    assert log == ["rest"]
+
+
+def test_timer_pending_and_expires_on_a_follower():
+    from repro.sim.timer import Timer
+    sim = Simulator()
+    fired = []
+    sim.call_at(40, lambda: None)              # the instant's head
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.mod_timer(40)
+    assert timer._entry is sim._heap[0][4][0]  # a follower
+    assert timer.pending and timer.expires == 40
+    timer.mod_timer(40)                        # re-armed: joins again
+    assert timer.pending and timer.expires == 40
+    assert sim.pending() == 2
+    sim.run()
+    assert fired == [40]
+    assert not timer.pending and timer.expires is None
+
+
+def test_a_watched_run_sees_every_follower_once():
+    sim = Simulator()
+    sim.watch = watch = Watch()
+    log = []
+    sim.call_at(25, log.append, "next")
+    entries = _instant(sim, log, n=6, when=10)    # the tail
+    sim.cancel(entries[2])
+    sim.call_at(10, sim.call_after, 0, log.append, "late")
+    sim.run()
+    assert sim.heap_pushes() == 3               # "late": the tail had fired
+    assert log == [0, 1, 3, 4, 5, "late", "next"]
+    assert [(args[-1], dt) for _, args, dt in watch.seen] == [
+        (0, 10), (1, 0), (3, 0), (4, 0), (5, 0),
+        ("late", 0),                           # the call_after
+        ("late", 0), ("next", 15)]
+    assert len(watch.seen) == sim.events_processed == 8
 
 
 def test_same_instant_fifo_never_compares_callbacks():
