@@ -17,32 +17,24 @@ from repro.sim.rng import substream
 
 __all__ = ["DiskModel"]
 
+# sustained sequential transfer rate: 4 MB/s, typical of late-90s IDE
+# disks under filesystem overhead
+BANDWIDTH_BPS = 32e6
+PER_OP_US = 2_000          # fixed overhead per read/write call
+HICCUP_US = 30_000         # extra delay of a stalled operation
+
 
 class DiskModel:
     """Sequential-I/O disk with jitter.
 
-    Parameters
-    ----------
-    bandwidth_bps:
-        Sustained sequential transfer rate (default 4 MB/s, typical of
-        late-90s IDE disks under filesystem overhead).
-    per_op_us:
-        Fixed overhead per read/write call.
-    hiccup_prob / hiccup_us:
-        Probability that an operation stalls (seek, write-back flush)
-        and the extra delay when it does.
+    ``hiccup_prob`` is the probability that an operation stalls (seek,
+    write-back flush) for ``HICCUP_US`` more.
     """
 
-    def __init__(self, sim: Simulator, *, bandwidth_bps: float = 32e6,
-                 per_op_us: int = 2_000, hiccup_prob: float = 0.08,
-                 hiccup_us: int = 30_000, seed: int = 0, name: str = "disk"):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
+    def __init__(self, sim: Simulator, *, hiccup_prob: float = 0.08,
+                 seed: int = 0, name: str = "disk"):
         self.sim = sim
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.per_op_us = int(per_op_us)
         self.hiccup_prob = float(hiccup_prob)
-        self.hiccup_us = int(hiccup_us)
         self._rng = substream(seed, f"disk:{name}")
         self.bytes_read = 0
         self.bytes_written = 0
@@ -50,12 +42,11 @@ class DiskModel:
         self.hiccups = 0
 
     def _op_delay(self, nbytes: int) -> int:
-        delay = self.per_op_us + round(nbytes * 8 * US_PER_SEC /
-                                       self.bandwidth_bps)
+        delay = PER_OP_US + round(nbytes * 8 * US_PER_SEC / BANDWIDTH_BPS)
         self.ops += 1
         if self._rng.random() < self.hiccup_prob:
             self.hiccups += 1
-            delay += self.hiccup_us
+            delay += HICCUP_US
         return delay
 
     def read(self, nbytes: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Generator, Optional
 
-from repro.core.config import HRMCConfig
+from repro.core.config import LEAVE_MAX_TRIES, HRMCConfig
 from repro.core.receiver import HRMCReceiver
 from repro.core.sender import HRMCSender
 from repro.kernel.host import Host, Transport
@@ -132,7 +132,7 @@ class HRMCTransport(Transport):
             # sender's probe timeout is the backstop if we give up
             timeout = Timer(self.host.clock, self.sock.state_change.fire,
                             "leave-timeout")
-            for _ in range(self.cfg.leave_max_tries):
+            for _ in range(LEAVE_MAX_TRIES):
                 self.receiver.send_leave()
                 timeout.mod_after(4 * self.receiver.rtt.rtt_us)
                 yield self.sock.state_change

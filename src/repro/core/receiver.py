@@ -26,7 +26,12 @@ from typing import Optional
 
 from repro.sim.rng import substream
 
-from repro.core.config import HRMCConfig
+from repro.core.config import (INITIAL_RTT_US, JOIN_MAX_TRIES, JOIN_RETRY_US,
+                               LOCAL_RECOVERY_TRIES, MIN_RTT_US,
+                               NAK_MAX_RANGE, UPDATE_INITIAL_JIFFIES,
+                               UPDATE_MAX_JIFFIES, UPDATE_MIN_JIFFIES,
+                               UPDATE_STEP_JIFFIES, WARNBUF_RTTS,
+                               HRMCConfig)
 from repro.core.nak import NakList
 from repro.core.rtt import RttEstimator
 from repro.core.seq import (SEQ_HALF, SEQ_MASK, seq_add, seq_geq, seq_gt,
@@ -70,13 +75,13 @@ class HRMCReceiver:
         self._join_tries = 0
         self._join_sent_us = -1
 
-        self.rtt = RttEstimator(cfg.initial_rtt_us, cfg.min_rtt_us)
+        self.rtt = RttEstimator(INITIAL_RTT_US, MIN_RTT_US)
         self.naks = NakList()
         self.update = UpdatePolicy(
-            initial_jiffies=cfg.update_initial_jiffies,
-            min_jiffies=cfg.update_min_jiffies,
-            max_jiffies=cfg.update_max_jiffies,
-            step_jiffies=cfg.update_step_jiffies,
+            initial_jiffies=UPDATE_INITIAL_JIFFIES,
+            min_jiffies=UPDATE_MIN_JIFFIES,
+            max_jiffies=UPDATE_MAX_JIFFIES,
+            step_jiffies=UPDATE_STEP_JIFFIES,
             dynamic=cfg.dynamic_update_timer)
         self._feedback_since_update = False
         self._last_urgent_us = -(10 ** 12)
@@ -404,7 +409,7 @@ class HRMCReceiver:
     def _send_nak(self, rng, now: int) -> None:
         if self.sender_addr is None:
             return
-        length = min(rng.length, self.cfg.nak_max_range)
+        length = min(rng.length, NAK_MAX_RANGE)
         skb = self._feedback_skb(PacketType.NAK, seq=rng.start)
         skb.length = length
         # NAKs, like all feedback, carry the receiver's next expected
@@ -412,7 +417,7 @@ class HRMCReceiver:
         # seq names the requested range start.
         skb.rate_adv = self.rcv_nxt
         if (self.cfg.local_recovery and
-                rng.local_tries < self.cfg.local_recovery_tries and
+                rng.local_tries < LOCAL_RECOVERY_TRIES and
                 self.sock.daddr is not None):
             # future-work (3): ask the local site first -- multicast the
             # NAK to the group; peers with the data multicast a repair
@@ -486,7 +491,7 @@ class HRMCReceiver:
         # warning rule: request a lower rate if WARNBUF RTTs of traffic at
         # the advertised rate would overrun the empty part of the window
         empty = window_empty(self.rcv_wnd, high, size)
-        horizon_s = self.cfg.warnbuf_rtts * self.rtt.rtt_us / 1e6
+        horizon_s = WARNBUF_RTTS * self.rtt.rtt_us / 1e6
         if skb.rate_adv * horizon_s > empty:
             suggested = int(empty / horizon_s) if horizon_s > 0 else 0
             ctrl = self._feedback_skb(PacketType.CONTROL, seq=self.rcv_nxt)
@@ -555,12 +560,12 @@ class HRMCReceiver:
         self._join_tries += 1
         self._join_sent_us = self.sim.now
         self._feedback_since_update = True
-        self.join_timer.mod_after(self.cfg.join_retry_us)
+        self.join_timer.mod_after(JOIN_RETRY_US)
 
     def _join_retry(self) -> None:
         if self.join_state != "sent" or self._closed:
             return
-        if self._join_tries >= self.cfg.join_max_tries:
+        if self._join_tries >= JOIN_MAX_TRIES:
             self.join_state = "joined"  # give up; data flow implies success
             return
         self.join_state = "idle"

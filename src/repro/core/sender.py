@@ -31,7 +31,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.core.config import HRMCConfig
+from repro.core.config import (EARLY_PROBE_FRACTION, INITIAL_RTT_US,
+                               KEEPALIVE_INITIAL_US, KEEPALIVE_MAX_US,
+                               MIN_RTT_US, PROBE_BACKOFF, URGENT_STOP_RTTS,
+                               HRMCConfig)
 from repro.core.membership import Member, MemberTable
 from repro.core.rate import RateController
 from repro.core.rtt import WorstRtt
@@ -64,7 +67,7 @@ class HRMCSender:
         self.finished = False
 
         self.members = MemberTable()
-        self.rtt = WorstRtt(cfg.initial_rtt_us, cfg.min_rtt_us)
+        self.rtt = WorstRtt(INITIAL_RTT_US, MIN_RTT_US)
         self.rate = RateController(
             min_rate=cfg.min_rate_bps // 8,
             max_rate=cfg.max_rate_bps // 8,
@@ -76,7 +79,7 @@ class HRMCSender:
         self._budget = 0.0
         self._last_tick_us = self.sim.now
         self._last_activity_us = self.sim.now
-        self._ka_interval_us = cfg.keepalive_initial_us
+        self._ka_interval_us = KEEPALIVE_INITIAL_US
         self._fec_since_parity = 0
         self._fec_block_start = cfg.iss
         self._tx_drops_seen = 0
@@ -228,7 +231,7 @@ class HRMCSender:
         if seq_gt(end, self._highest_sent_end):
             self._highest_sent_end = end
         self._last_activity_us = now
-        self._ka_interval_us = self.cfg.keepalive_initial_us
+        self._ka_interval_us = KEEPALIVE_INITIAL_US
         if retrans:
             self.stats.retrans_pkts += 1
             self.stats.retrans_bytes += skb.length
@@ -282,7 +285,7 @@ class HRMCSender:
             if age < hold_us:
                 if (self.cfg.early_probes and self.cfg.probes_enabled
                         and self.cfg.reliable_release
-                        and age >= self.cfg.early_probe_fraction * hold_us):
+                        and age >= EARLY_PROBE_FRACTION * hold_us):
                     lacking = self._lacking_for(skb.end_seq)
                     if lacking:
                         self._probe(lacking, skb.end_seq, now)
@@ -339,7 +342,7 @@ class HRMCSender:
             # future-work (2): one multicast probe instead of a storm
             eligible = [m for m in lacking
                         if now - m.last_probe_us >=
-                        rtt * (self.cfg.probe_backoff ** min(m.probe_tries, 8))]
+                        rtt * (PROBE_BACKOFF ** min(m.probe_tries, 8))]
             if not eligible:
                 return
             skb = self._control_skb(PacketType.PROBE, seq=boundary)
@@ -356,7 +359,7 @@ class HRMCSender:
                 self.rtt.forget(m.addr)
                 self.stats.member_timeouts += 1
                 continue
-            interval = rtt * (self.cfg.probe_backoff ** min(m.probe_tries, 8))
+            interval = rtt * (PROBE_BACKOFF ** min(m.probe_tries, 8))
             if now - m.last_probe_us < interval:
                 continue
             skb = self._control_skb(PacketType.PROBE, seq=boundary)
@@ -407,7 +410,7 @@ class HRMCSender:
                 self._retrans.append(skb)
                 queued = True
         if queued and not self.retrans_timer.pending:
-            self.retrans_timer.mod_after(self.cfg.min_rtt_us)
+            self.retrans_timer.mod_after(MIN_RTT_US)
 
     # ------------------------------------------------------------------
     # keepalive controller (ka_timer)
@@ -426,7 +429,7 @@ class HRMCSender:
             self.host.ip_send(skb, self.sock.daddr)
             self.stats.keepalives_sent += 1
             self._ka_interval_us = min(self._ka_interval_us * 2,
-                                       self.cfg.keepalive_max_us)
+                                       KEEPALIVE_MAX_US)
             self.ka_timer.mod_after(self._ka_interval_us)
         else:
             self.ka_timer.mod_after(self._ka_interval_us - idle)
@@ -516,7 +519,7 @@ class HRMCSender:
         rtt = self.rtt.rtt_us
         if skb.flags & URG:
             self.stats.urgent_requests_rcvd += 1
-            self.rate.on_urgent(now, rtt, self.cfg.urgent_stop_rtts)
+            self.rate.on_urgent(now, rtt, URGENT_STOP_RTTS)
             self._budget = 0.0
         else:
             self.stats.rate_requests_rcvd += 1
@@ -545,7 +548,7 @@ class HRMCSender:
             return
         self._advance_window(self.sim.now)
         if self._retrans and not self.retrans_timer.pending:
-            self.retrans_timer.mod_after(self.cfg.min_rtt_us)
+            self.retrans_timer.mod_after(MIN_RTT_US)
 
     def _on_drained(self) -> None:
         self.sock.state_change.fire()

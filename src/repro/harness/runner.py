@@ -189,7 +189,7 @@ def run_transfer(scenario: Scenario, *, nbytes: int,
         # violation tail: it gets a flight recorder (bounded memory,
         # subscribers see everything)
         from repro.trace.tracer import PacketTracer
-        tracer = PacketTracer(max_events=256, ring=True)
+        tracer = PacketTracer(ring=256)
     if tracer is not None:
         tracer.attach(scenario.sender, *scenario.receivers)
     checker = None

@@ -3,9 +3,9 @@
 A :class:`NetPacket` wraps one transport segment with network addressing
 and accounts for wire overheads.  One transmission is one frame object:
 the shared link and the routers hand the same packet to every receiver
-(the segment is immutable once sent), and only a site that damages one
-receiver's copy -- fault corruption at a NIC, bit errors on a pipe --
-takes a private :meth:`~NetPacket.fork` first.
+(the segment is immutable once sent), and only the site that damages
+one receiver's copy -- fault corruption at a NIC -- takes a private
+:meth:`~NetPacket.fork` first.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ from repro.sim.rng import substream
 
 __all__ = ["Pipe", "Router"]
 
+FORWARD_DELAY_US = 10      # a router's store-and-forward time
+
 
 class Pipe:
     """A unidirectional point-to-point transmission line.
@@ -38,8 +40,7 @@ class Pipe:
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, *,
                  prop_delay_us: int = 0, queue_limit: int = 1000,
-                 loss_rate: float = 0.0, corrupt_rate: float = 0.0,
-                 seed: int = 0, name: str = ""):
+                 loss_rate: float = 0.0, seed: int = 0, name: str = ""):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.sim = sim
@@ -47,7 +48,6 @@ class Pipe:
         self.prop_delay_us = int(prop_delay_us)
         self.queue_limit = int(queue_limit)
         self.loss_rate = float(loss_rate)
-        self.corrupt_rate = float(corrupt_rate)
         self.name = name or "pipe"
         self._rng = substream(seed, f"pipe:{name}")
         self._dst: Optional[Callable[[NetPacket], None]] = None
@@ -55,7 +55,6 @@ class Pipe:
         self._queued = 0
         self.queue_drops = 0
         self.loss_drops = 0
-        self.corruptions = 0
         # -- fault-injection hooks (repro.faults) ------------------------
         self.up = True                 # flap: a down pipe drops everything
         self.fault_loss_rate = 0.0     # degrade: extra loss, own substream
@@ -103,12 +102,6 @@ class Pipe:
             if tap is not None:
                 tap("pipe_queue_overflow", self.name, pkt)
             return
-        if self.corrupt_rate > 0.0 and self._rng.random() < self.corrupt_rate:
-            # delivered damaged; checksum catches it.  Other pipes may
-            # carry the same frame, so the damage goes on a copy
-            pkt = pkt.fork()
-            pkt.corrupted = True
-            self.corruptions += 1
         self._queued += 1
         start = max(self.sim.now, self._busy_until)
         end = start + self.tx_time_us(pkt)
@@ -144,11 +137,10 @@ class Router:
     """
 
     def __init__(self, sim: Simulator, *, loss_rate: float = 0.0,
-                 forward_delay_us: int = 10, seed: int = 0, name: str = "r"):
+                 seed: int = 0, name: str = "r"):
         self.sim = sim
         self.name = name
         self.loss_rate = float(loss_rate)
-        self.forward_delay_us = int(forward_delay_us)
         self._rng = substream(seed, f"router:{name}")
         self._unicast: dict[str, Pipe] = {}
         self._default: Optional[Pipe] = None
@@ -187,7 +179,7 @@ class Router:
                 # every downstream receiver misses it
                 tap("router_loss", self.name, pkt)
             return
-        self.sim.call_after(self.forward_delay_us, self._forward, pkt)
+        self.sim.call_after(FORWARD_DELAY_US, self._forward, pkt)
 
     def _forward(self, pkt: NetPacket) -> None:
         if is_multicast(pkt.dst):
@@ -195,8 +187,7 @@ class Router:
             if not pipes:
                 self.no_route_drops += 1
                 return
-            # every pipe carries the same frame; one that corrupts it
-            # forks its own copy
+            # every pipe carries the same frame
             for pipe in pipes:
                 pipe.send(pkt)
         else:

@@ -63,20 +63,15 @@ class Network:
 
 
 class EthernetLanTopology(Network):
-    """All hosts on one shared Ethernet segment."""
+    """All hosts on one shared Ethernet segment (the link's and the
+    NICs' default propagation delay and rings)."""
 
-    def __init__(self, sim: Simulator, bandwidth_bps: float, *,
-                 prop_delay_us: int = 5, seed: int = 0,
-                 tx_ring: int = 100, rx_ring: int = 768):
+    def __init__(self, sim: Simulator, bandwidth_bps: float, *, seed: int = 0):
         super().__init__(sim, seed)
-        self.link = SharedLink(sim, bandwidth_bps,
-                               prop_delay_us=prop_delay_us, seed=seed)
-        self.tx_ring = tx_ring
-        self.rx_ring = rx_ring
+        self.link = SharedLink(sim, bandwidth_bps, seed=seed)
 
     def make_nic(self, addr: str) -> NetworkInterface:
-        nic = NetworkInterface(self.sim, addr, tx_ring=self.tx_ring,
-                               rx_ring=self.rx_ring, seed=self.seed)
+        nic = NetworkInterface(self.sim, addr, seed=self.seed)
         self.link.attach(nic)
         nic.attach(self.link)
         return self.register(nic)
@@ -114,23 +109,17 @@ class WanTreeTopology(Network):
 
     ``speed_bps`` is the scenario's network speed (10 or 100 Mbps); it
     is applied to every pipe so serialization matches the paper's
-    "network speed" router attribute.  ``symmetric_loss`` applies each
-    group's correlated loss to the feedback direction as well.
+    "network speed" router attribute.  Each group's correlated loss
+    applies to the feedback direction as well.
     """
 
     LOCAL_DELAY_US = 10        # group router <-> receiver NIC
     ACCESS_DELAY_US = 10       # sender NIC <-> backbone
+    QUEUE_LIMIT = 2000         # packets waiting for any one pipe
 
-    def __init__(self, sim: Simulator, speed_bps: float, *,
-                 queue_limit: int = 2000, seed: int = 0,
-                 symmetric_loss: bool = True,
-                 tx_ring: int = 100, rx_ring: int = 768):
+    def __init__(self, sim: Simulator, speed_bps: float, *, seed: int = 0):
         super().__init__(sim, seed)
         self.speed_bps = float(speed_bps)
-        self.queue_limit = int(queue_limit)
-        self.symmetric_loss = symmetric_loss
-        self.tx_ring = tx_ring
-        self.rx_ring = rx_ring
         self.backbone = Router(sim, loss_rate=0.0, seed=seed, name="backbone")
         self._group_routers: dict[str, Router] = {}
         self._group_down: dict[str, Pipe] = {}   # backbone -> group router
@@ -143,7 +132,7 @@ class WanTreeTopology(Network):
 
     def _pipe(self, name: str, *, prop: int, loss: float = 0.0) -> Pipe:
         pipe = Pipe(self.sim, self.speed_bps, prop_delay_us=prop,
-                    queue_limit=self.queue_limit, loss_rate=loss,
+                    queue_limit=self.QUEUE_LIMIT, loss_rate=loss,
                     seed=self.seed, name=name)
         self._pipes.append(pipe)
         return pipe
@@ -151,8 +140,7 @@ class WanTreeTopology(Network):
     def add_sender(self, addr: str) -> NetworkInterface:
         if self.sender_nic is not None:
             raise ValueError("sender already added")
-        nic = NetworkInterface(self.sim, addr, tx_ring=self.tx_ring,
-                               rx_ring=self.rx_ring, seed=self.seed)
+        nic = NetworkInterface(self.sim, addr, seed=self.seed)
         up = self._pipe(f"up:{addr}", prop=self.ACCESS_DELAY_US)
         up.connect(self.backbone)
         nic.attach(up)
@@ -169,9 +157,8 @@ class WanTreeTopology(Network):
                             seed=self.seed, name=f"gr:{spec.name}")
             down = self._pipe(f"bb->{spec.name}", prop=spec.delay_us)
             down.connect(router)
-            up_loss = spec.router_loss if self.symmetric_loss else 0.0
             up = self._pipe(f"{spec.name}->bb", prop=spec.delay_us,
-                            loss=up_loss)
+                            loss=spec.router_loss)
             up.connect(self.backbone)
             router.set_default_route(up)
             self._group_routers[spec.name] = router
@@ -180,9 +167,8 @@ class WanTreeTopology(Network):
 
     def add_receiver(self, addr: str, spec: GroupSpec) -> NetworkInterface:
         router = self._ensure_group(spec)
-        nic = NetworkInterface(self.sim, addr, tx_ring=self.tx_ring,
-                               rx_ring=self.rx_ring,
-                               rx_loss_rate=spec.nic_loss, seed=self.seed)
+        nic = NetworkInterface(self.sim, addr, rx_loss_rate=spec.nic_loss,
+                               seed=self.seed)
         up = self._pipe(f"up:{addr}", prop=self.LOCAL_DELAY_US)
         up.connect(router)
         nic.attach(up)

@@ -57,24 +57,18 @@ class PacketTracer:
     >>> events = tracer.events
     >>> tracer.save("run.trace.jsonl")
 
-    With ``ring=True`` the capture keeps only the most recent
-    ``max_events`` records (a flight recorder for long chaos runs)
-    instead of truncating at the cap; ``dropped`` counts records lost
-    off either end.  ``subscribers`` see every fact, independent of any
-    cap: tx and rx at the attached hosts and every drop in the run.  A
-    :class:`TraceEvent` is built only when the capture keeps it
-    (``max_events=0`` keeps nothing, so a subscriber-only tracer never
-    builds a record).
+    The capture is unbounded, or with ``ring=N`` keeps only the most
+    recent ``N`` records (a flight recorder for long chaos runs);
+    ``dropped`` counts the records the ring evicted.  ``subscribers``
+    see every fact, independent of the ring: tx and rx at the attached
+    hosts and every drop in the run.  A :class:`TraceEvent` is built
+    per tx or rx at an attached host, never per drop.
     """
 
-    def __init__(self, *, max_events: Optional[int] = None,
-                 ring: bool = False):
-        if ring and max_events is None:
-            raise ValueError("ring=True requires max_events")
+    def __init__(self, *, ring: Optional[int] = None):
         self.events: "list[TraceEvent] | deque[TraceEvent]" = \
-            deque(maxlen=max_events) if ring else []
+            [] if ring is None else deque(maxlen=ring)
         self.ring = ring
-        self.max_events = max_events
         self.dropped = 0
         self.subscribers: list[
             Callable[[int, str, str, NetPacket], None]] = []
@@ -104,8 +98,6 @@ class PacketTracer:
     def _make_seam(self, sim):
         addrs = self._addrs
         events = self.events
-        max_events = self.max_events
-        keeps = max_events != 0
         ring = self.ring
         subscribers = self.subscribers
 
@@ -118,13 +110,8 @@ class PacketTracer:
                 subscriber(now, fact, where, pkt)
             if not traffic:
                 return
-            if not keeps or (max_events is not None
-                             and len(events) >= max_events):
-                # full: a list drops the new record, a ring (deque with
-                # maxlen) evicts its oldest -- a record is lost either way
-                self.dropped += 1
-                if not (keeps and ring):
-                    return
+            if ring is not None and len(events) == ring:
+                self.dropped += 1       # the full ring evicts its oldest
             skb = pkt.segment
             events.append(TraceEvent(
                 now, where, fact, pkt.dst if fact == "tx" else pkt.src,
@@ -154,14 +141,14 @@ class PacketTracer:
 
         Events are emitted in time order (a ring capture whose contents
         were assembled across evictions is re-sorted, stably, to be
-        safe), and a truncated capture leads with a ``_meta`` line
-        recording how many records were lost, so a reader knows the
-        head of the run is missing.
+        safe), and a ring that evicted records leads with a ``_meta``
+        line recording how many, so a reader knows the head of the run
+        is missing.
         """
         events = sorted(self.events, key=lambda e: e.t_us)
         with open(path, "w") as fh:
             if self.dropped:
-                meta = {"_meta": {"truncated": True, "ring": self.ring,
+                meta = {"_meta": {"truncated": True, "ring": True,
                                   "dropped": self.dropped}}
                 fh.write(json.dumps(meta, separators=(",", ":")))
                 fh.write("\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.kernel.host import CostModel, Host
+from repro.kernel.host import Host
 from repro.net.addr import host_addr, mcast_addr
 from repro.net.topology import (EthernetLanTopology, GroupSpec, Network,
                                 WanTreeTopology)
@@ -47,14 +47,14 @@ class Scenario:
         return len(self.receivers)
 
 
-def build_lan(n_receivers: int, bandwidth_bps: float, *, seed: int = 0,
-              cost: CostModel | None = None) -> Scenario:
+def build_lan(n_receivers: int, bandwidth_bps: float, *,
+              seed: int = 0) -> Scenario:
     """All hosts on one shared Ethernet segment."""
     sim = Simulator()
     lan = EthernetLanTopology(sim, bandwidth_bps, seed=seed)
-    sender = Host(sim, lan, lan.make_nic(SENDER_ADDR), cost=cost)
+    sender = Host(sim, lan, lan.make_nic(SENDER_ADDR))
     receivers = [
-        Host(sim, lan, lan.make_nic(host_addr(0, i + 2)), cost=cost)
+        Host(sim, lan, lan.make_nic(host_addr(0, i + 2)))
         for i in range(n_receivers)
     ]
     return Scenario(sim=sim, network=lan, sender=sender,
@@ -62,14 +62,12 @@ def build_lan(n_receivers: int, bandwidth_bps: float, *, seed: int = 0,
 
 
 def build_wan(group_specs: list[GroupSpec], bandwidth_bps: float, *,
-              seed: int = 0, cost: CostModel | None = None,
-              symmetric_loss: bool = True) -> Scenario:
+              seed: int = 0) -> Scenario:
     """Sender behind a backbone; one receiver per entry in
     ``group_specs``, placed in that entry's characteristic group."""
     sim = Simulator()
-    wan = WanTreeTopology(sim, bandwidth_bps, seed=seed,
-                          symmetric_loss=symmetric_loss)
-    sender = Host(sim, wan, wan.add_sender(SENDER_ADDR), cost=cost)
+    wan = WanTreeTopology(sim, bandwidth_bps, seed=seed)
+    sender = Host(sim, wan, wan.add_sender(SENDER_ADDR))
     receivers = []
     site_count: dict[str, int] = {}
     site_ids: dict[str, int] = {}
@@ -80,22 +78,21 @@ def build_wan(group_specs: list[GroupSpec], bandwidth_bps: float, *,
         idx = site_count.get(spec.name, 0) + 1
         site_count[spec.name] = idx
         nic = wan.add_receiver(host_addr(site, idx), spec)
-        receivers.append(Host(sim, wan, nic, cost=cost))
+        receivers.append(Host(sim, wan, nic))
     return Scenario(sim=sim, network=wan, sender=sender,
                        receivers=receivers, bandwidth_bps=bandwidth_bps)
 
 
 def build_chaos(n_receivers: int, bandwidth_bps: float, *, seed: int,
                 horizon_us: int = 2_000_000, allow_crash: bool = True,
-                max_outage_us: Optional[int] = None,
-                cost: CostModel | None = None) -> Scenario:
+                max_outage_us: Optional[int] = None) -> Scenario:
     """A LAN scenario carrying a seed-random :class:`FaultPlan` sized to
     a transfer that takes roughly ``horizon_us`` of simulated time.
     The same seed drives both the topology and the plan, so one integer
     reproduces the whole chaotic run."""
     from repro.faults.plan import FaultPlan
 
-    scenario = build_lan(n_receivers, bandwidth_bps, seed=seed, cost=cost)
+    scenario = build_lan(n_receivers, bandwidth_bps, seed=seed)
     scenario.fault_plan = FaultPlan.random(
         seed, n_receivers=n_receivers, horizon_us=horizon_us,
         allow_crash=allow_crash, max_outage_us=max_outage_us)

@@ -1,8 +1,6 @@
 """Unit tests for the disk model."""
 
-import pytest
-
-from repro.apps.diskmodel import DiskModel
+from repro.apps.diskmodel import BANDWIDTH_BPS, HICCUP_US, PER_OP_US, DiskModel
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
@@ -26,8 +24,7 @@ def test_read_takes_time():
     sim = Simulator()
     disk = DiskModel(sim, hiccup_prob=0.0)
     times = run_io(disk, "read", [64 * 1024])
-    expected = disk.per_op_us + round(64 * 1024 * 8 * 1e6 /
-                                      disk.bandwidth_bps)
+    expected = PER_OP_US + round(64 * 1024 * 8 * 1e6 / BANDWIDTH_BPS)
     assert times == [expected]
     assert disk.bytes_read == 64 * 1024
 
@@ -55,7 +52,7 @@ def test_hiccups_add_delay():
     sim2 = Simulator()
     jittery = DiskModel(sim2, hiccup_prob=1.0, seed=1)
     t2 = run_io(jittery, "read", [1000])
-    assert t2[0] == t1[0] + jittery.hiccup_us
+    assert t2[0] == t1[0] + HICCUP_US
     assert jittery.hiccups == 1
 
 
@@ -67,8 +64,3 @@ def test_deterministic_per_seed():
 
     assert trace(5) == trace(5)
     assert trace(5) != trace(6)
-
-
-def test_invalid_bandwidth_rejected():
-    with pytest.raises(ValueError):
-        DiskModel(Simulator(), bandwidth_bps=0)

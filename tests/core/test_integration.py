@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.config import HRMCConfig
+from repro.core.config import UPDATE_INITIAL_JIFFIES, HRMCConfig
 from repro.core.protocol import open_hrmc_socket
 from repro.harness.runner import run_transfer
 from repro.kernel.payload import PatternPayload, pattern_bytes
@@ -187,8 +187,7 @@ def test_dynamic_update_timer_adapts_down_in_quiet_net():
     sc.sim.run(until=30_000_000)
     periods = [rs.transport.receiver.update.period_jiffies
                for rs in rsocks]
-    initial = HRMCConfig().update_initial_jiffies
-    assert any(p != initial for p in periods), \
+    assert any(p != UPDATE_INITIAL_JIFFIES for p in periods), \
         "dynamic update timers should have moved"
 
 

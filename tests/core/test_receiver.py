@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.core.config import HRMCConfig
+from repro.core.config import JOIN_RETRY_US, UPDATE_INITIAL_JIFFIES, HRMCConfig
 from repro.core.types import FIN, URG, PacketType
 from repro.kernel.payload import BytesPayload, PatternPayload
 from repro.kernel.skbuff import SKBuff
@@ -68,7 +68,7 @@ def test_join_response_completes_handshake_with_rtt(sim, fake_host):
 def test_join_retries_until_response(sim, fake_host):
     r = make_receiver(sim, fake_host)
     r.segment_received(data(1, b"x"), SND)
-    sim.run(until=3 * r.cfg.join_retry_us + 1000)
+    sim.run(until=3 * JOIN_RETRY_US + 1000)
     assert len(fake_host.sent_of_type(PacketType.JOIN)) >= 3
 
 
@@ -240,7 +240,7 @@ def test_update_generator_periodic(sim, fake_host):
     r.segment_received(SKBuff(sport=5000, dport=6000, seq=4, tries=1,
                               ptype=PacketType.JOIN_RESPONSE), SND)
     fake_host.clear()
-    sim.run(until=4 * r.cfg.update_initial_jiffies * JIFFY_US)
+    sim.run(until=4 * UPDATE_INITIAL_JIFFIES * JIFFY_US)
     ups = fake_host.sent_of_type(PacketType.UPDATE)
     assert 2 <= len(ups) <= 5
     assert all(skb.seq == r.rcv_nxt for skb, _ in ups)
@@ -251,7 +251,7 @@ def test_update_suppressed_by_other_feedback(sim, fake_host):
     r.segment_received(data(1, b"a"), SND)   # JOIN counts as feedback
     fake_host.clear()
     # keep generating feedback every period: no UPDATEs expected
-    period = r.cfg.update_initial_jiffies * JIFFY_US
+    period = UPDATE_INITIAL_JIFFIES * JIFFY_US
 
     def spam_nak():
         r._feedback_since_update = True

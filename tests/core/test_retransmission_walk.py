@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import HRMCConfig
+from repro.core.config import INITIAL_RTT_US, MIN_RTT_US, HRMCConfig
 from repro.core.seq import seq_add, seq_geq, seq_leq, seq_min
 from repro.core.types import FIN, PacketType
 from repro.kernel.skbuff import SKBuff
@@ -25,7 +25,7 @@ from tests.core.conftest import FakeHost, make_sender
 CFG = HRMCConfig()
 MSS = CFG.mss
 TAIL = 65536 % MSS                  # the last segment of a 64K write
-PACE = max(CFG.initial_rtt_us, JIFFY_US)
+PACE = max(INITIAL_RTT_US, JIFFY_US)
 NOW = 10_000_000
 
 
@@ -50,7 +50,7 @@ def head_walk(sender, start, end):
             sender._retrans.append(skb)
             queued = True
     if queued and not sender.retrans_timer.pending:
-        sender.retrans_timer.mod_after(sender.cfg.min_rtt_us)
+        sender.retrans_timer.mod_after(MIN_RTT_US)
 
 
 @st.composite

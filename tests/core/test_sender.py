@@ -3,7 +3,7 @@ fake host)."""
 
 from dataclasses import replace
 
-from repro.core.config import HRMCConfig
+from repro.core.config import KEEPALIVE_MAX_US, HRMCConfig
 from repro.core.types import FIN, URG, PacketType
 from repro.kernel.payload import BytesPayload, PatternPayload
 from repro.kernel.skbuff import SKBuff
@@ -234,7 +234,7 @@ def test_keepalive_when_idle_with_backoff(sim, fake_host):
              if skb.ptype == PacketType.KEEPALIVE]
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert all(g2 >= g1 for g1, g2 in zip(gaps, gaps[1:]))  # backing off
-    assert max(gaps) <= s.cfg.keepalive_max_us + JIFFY_US
+    assert max(gaps) <= KEEPALIVE_MAX_US + JIFFY_US
 
 
 def test_probe_backoff_limits_probe_rate(sim, fake_host):

@@ -1,10 +1,9 @@
-"""What the fabric carries (links, pipes, NICs): frames at their wire
-size, and corruption counted and kept on a copy."""
+"""What the fabric carries (links, NICs): frames at their wire size, and
+a corrupted frame's damage kept on its copy."""
 
 from repro.net.link import SharedLink
 from repro.net.nic import NetworkInterface
 from repro.net.packet import NetPacket
-from repro.net.router import Pipe
 from repro.sim.engine import Simulator
 
 
@@ -36,24 +35,6 @@ def test_link_carries_every_frame_back_to_back():
     tx = link.tx_time_us(sent[0])
     assert [t for t, _ in arrivals] == \
         [tx * (i + 1) + link.prop_delay_us for i in range(5)]
-
-
-def test_pipe_corruption_counted_and_flagged():
-    sim = Simulator()
-    got = []
-
-    class Sink:
-        def ingress(self, pkt):
-            got.append(pkt)
-
-    pipe = Pipe(sim, 1e9, corrupt_rate=1.0, seed=1)
-    pipe.connect(Sink())
-    pkt = mkpkt("a", "b")
-    pipe.send(pkt)
-    sim.run()
-    assert pipe.corruptions == 1
-    assert got[0].corrupted
-    assert not pkt.corrupted        # the damage went on a copy
 
 
 def test_corruption_survives_fork():

@@ -1,9 +1,9 @@
 """One transmission is one frame object; only damage makes a copy.
 
 The shared link and the routers hand the same `NetPacket` to every NIC
-and every down pipe.  The two sites that write per-receiver state --
-fault corruption at a NIC and bit errors on a pipe -- fork the frame
-before writing, so the damage reaches only the receiver behind them.
+and every down pipe.  The one site that writes per-receiver state --
+fault corruption at a NIC -- forks the frame before writing, so the
+damage reaches only the receiver behind it.
 Each test watches the packet seam (`Simulator.tap`) of a real scenario
 and sends one multicast segment from the sender host.
 """
@@ -97,16 +97,4 @@ def test_nic_fault_corruption_damages_only_that_receivers_copy():
 
     frame, facts, got = multicast_once(sc, corrupt)
     assert victim.nic.fault_corruptions == 1
-    assert_only_victim_damaged(sc, victim, frame, facts, got)
-
-
-def test_pipe_corruption_damages_only_that_receivers_copy():
-    sc = wan3()
-    victim = sc.receivers[1]            # shares group A's router
-
-    def corrupt(sc):
-        sc.network._nic_down[victim.addr].corrupt_rate = 1.0
-
-    frame, facts, got = multicast_once(sc, corrupt)
-    assert sc.network._nic_down[victim.addr].corruptions == 1
     assert_only_victim_damaged(sc, victim, frame, facts, got)
