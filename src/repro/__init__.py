@@ -5,7 +5,6 @@ The package imports nothing outside the standard library.
 Top-level convenience exports; see the subpackages for the full API:
 
 - :mod:`repro.core` -- the H-RMC protocol
-- :mod:`repro.core.rmc` -- the original pure-NAK RMC baseline
 - :mod:`repro.baselines` -- ACK-based, polling-based, TCP-like
 - :mod:`repro.sim` / :mod:`repro.net` / :mod:`repro.kernel` -- substrate
 - :mod:`repro.workloads` / :mod:`repro.harness` -- experiments
@@ -22,19 +21,9 @@ __version__ = "1.0.0"
 __all__ = [
     "HRMCConfig",
     "open_hrmc_socket",
-    "open_rmc_socket",
     "run_transfer",
     "TransferResult",
     "build_lan",
     "build_wan",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    # `import repro` runs before every H-RMC transfer; the RMC preset is
-    # imported when someone asks for it
-    if name == "open_rmc_socket":
-        from repro.core.rmc import open_rmc_socket
-        return open_rmc_socket
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

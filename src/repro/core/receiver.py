@@ -85,7 +85,6 @@ class HRMCReceiver:
             dynamic=cfg.dynamic_update_timer)
         self._feedback_since_update = False
         self._last_urgent_us = -(10 ** 12)
-        self._last_adv_rate = 0
 
         self._ooo: dict[int, SKBuff] = {}       # out_of_order_queue by seq
         # claim frontier, never behind rcv_nxt: every byte of
@@ -473,7 +472,6 @@ class HRMCReceiver:
     # -- flow control (Figure 2 rules) ------------------------------------
 
     def _flow_control(self, skb: SKBuff) -> None:
-        self._last_adv_rate = skb.rate_adv
         high = self.rcv_nxt                             # seq_max
         if (high - self.highest_seen) & SEQ_HALF:
             high = self.highest_seen

@@ -31,13 +31,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from repro.core.config import (EARLY_PROBE_FRACTION, INITIAL_RTT_US,
-                               KEEPALIVE_INITIAL_US, KEEPALIVE_MAX_US,
-                               MIN_RTT_US, PROBE_BACKOFF, URGENT_STOP_RTTS,
-                               HRMCConfig)
+from repro.core.config import (EARLY_PROBE_FRACTION, KEEPALIVE_INITIAL_US,
+                               KEEPALIVE_MAX_US, MIN_RTT_US, PROBE_BACKOFF,
+                               URGENT_STOP_RTTS, HRMCConfig)
 from repro.core.membership import Member, MemberTable
 from repro.core.rate import RateController
-from repro.core.rtt import WorstRtt
 from repro.core.seq import (seq_add, seq_geq, seq_gt, seq_leq, seq_lt,
                             seq_min, seq_sub)
 from repro.core.types import FIN, URG, PacketType
@@ -67,7 +65,6 @@ class HRMCSender:
         self.finished = False
 
         self.members = MemberTable()
-        self.rtt = WorstRtt(INITIAL_RTT_US, MIN_RTT_US)
         self.rate = RateController(
             min_rate=cfg.min_rate_bps // 8,
             max_rate=cfg.max_rate_bps // 8,
@@ -175,7 +172,7 @@ class HRMCSender:
         now = self.sim.now
         elapsed = now - self._last_tick_us
         self._last_tick_us = now
-        rtt = self.rtt.rtt_us
+        rtt = self.members.rtt_us
         # a device-queue overflow on our own interface is a locally
         # observable congestion signal: react as we would to a NAK
         if self.host.tx_ring_busy_drops > self._tx_drops_seen:
@@ -274,7 +271,7 @@ class HRMCSender:
         if not self.closing and \
                 self.sock.wmem_free() >= self._release_watermark():
             return
-        rtt = self.rtt.rtt_us
+        rtt = self.members.rtt_us
         hold_us = self.cfg.minbuf_rtts * rtt
         advanced = False
         while True:
@@ -302,7 +299,6 @@ class HRMCSender:
                     if self.cfg.probes_enabled:
                         lacking = self._lacking_for(boundary)
                         self._probe(lacking, boundary, now)
-                    self.release.stall_us += JIFFY_US
                     break
             # release
             if self.release_hook is not None:
@@ -336,7 +332,7 @@ class HRMCSender:
     def _probe(self, lacking: list[Member], boundary: int, now: int) -> None:
         if not lacking:
             return
-        rtt = self.rtt.rtt_us
+        rtt = self.members.rtt_us
         threshold = self.cfg.mcast_probe_threshold
         if threshold is not None and len(lacking) >= threshold:
             # future-work (2): one multicast probe instead of a storm
@@ -356,7 +352,6 @@ class HRMCSender:
                     now - m.last_feedback_us > self.cfg.member_timeout_us):
                 # unresponsive member: evict so it cannot block release
                 self.members.remove(m.addr)
-                self.rtt.forget(m.addr)
                 self.stats.member_timeouts += 1
                 continue
             interval = rtt * (PROBE_BACKOFF ** min(m.probe_tries, 8))
@@ -392,7 +387,7 @@ class HRMCSender:
         """
         end = seq_min(end, self.snd_nxt)
         now = self.sim.now
-        pace = max(self.rtt.rtt_us, JIFFY_US)
+        pace = max(self.members.rtt_us, JIFFY_US)
         queued = False
         # start at the skb holding ``start`` rather than walking up to it
         for skb in self.sock.write_queue.iter_from(start):
@@ -457,7 +452,7 @@ class HRMCSender:
         if m is None or m.probe_sent_us < 0:
             return
         if not m.probe_ambiguous:
-            self.rtt.sample(src, now - m.probe_sent_us)
+            self.members.sample_rtt(m, now - m.probe_sent_us)
         m.probe_sent_us = -1
         m.probe_ambiguous = False
         m.probe_tries = 0
@@ -465,14 +460,14 @@ class HRMCSender:
     def _on_join(self, skb: SKBuff, src: str, now: int) -> None:
         self.stats.joins_rcvd += 1
         member = self.members.add(src, skb.seq, now)
-        member.have_info = True
         # the JOIN echoes (in rate_adv) the seq of the data packet that
         # triggered it; a first-transmission match yields an RTT sample
         echo = skb.rate_adv
         for queued in self.sock.write_queue:
             if seq_leq(queued.seq, echo) and seq_lt(echo, queued.end_seq):
                 if queued.tries == 1:
-                    self.rtt.sample(src, now - queued.last_sent_us)
+                    self.members.sample_rtt(member,
+                                            now - queued.last_sent_us)
                 break
             if seq_gt(queued.seq, echo):
                 break
@@ -483,7 +478,6 @@ class HRMCSender:
     def _on_leave(self, skb: SKBuff, src: str) -> None:
         self.stats.leaves_rcvd += 1
         self.members.remove(src)
-        self.rtt.forget(src)
         resp = self._control_skb(PacketType.LEAVE_RESPONSE, seq=self.snd_nxt)
         self.host.ip_send(resp, src)
         self._kick()
@@ -507,7 +501,7 @@ class HRMCSender:
                 return
         if seq_geq(start, self._recover_seq):
             # a fresh loss event, not more fallout from the last one
-            if self.rate.on_loss_signal(now, self.rtt.rtt_us):
+            if self.rate.on_loss_signal(now, self.members.rtt_us):
                 self._recover_seq = self.snd_nxt
                 self.loss_events += 1
         self._queue_retransmission(start, end)
@@ -516,7 +510,7 @@ class HRMCSender:
     def _on_control(self, skb: SKBuff, src: str, now: int) -> None:
         self._take_probe_sample(src, now)
         self.members.update_feedback(src, skb.seq, now)
-        rtt = self.rtt.rtt_us
+        rtt = self.members.rtt_us
         if skb.flags & URG:
             self.stats.urgent_requests_rcvd += 1
             self.rate.on_urgent(now, rtt, URGENT_STOP_RTTS)

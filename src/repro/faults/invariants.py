@@ -107,7 +107,7 @@ class InvariantChecker:
         self.checks += 1
         audit = (self.checks % self.AUDIT_EVERY) == 0
         for t in self._senders:
-            self._check_sender(t, audit)
+            self._check_sender(t)
         for t in self._receivers:
             self._check_receiver(t, audit)
 
@@ -115,7 +115,7 @@ class InvariantChecker:
         """One full audit pass; call after the simulation ends."""
         self.checks += 1
         for t in self._senders:
-            self._check_sender(t, audit=True)
+            self._check_sender(t)
         for t in self._receivers:
             self._check_receiver(t, audit=True)
 
@@ -125,19 +125,19 @@ class InvariantChecker:
 
     # -- sender-side properties ----------------------------------------
 
-    def _check_sender(self, t, audit: bool) -> None:
+    def _check_sender(self, t) -> None:
         # HRMC/RMC transports hold the role object in .sender (created
         # lazily at connect); baselines flag themselves with .is_sender
         sender = getattr(t, "sender", None)
         if sender is not None:
-            self._check_hrmc_sender(t, sender, audit)
+            self._check_hrmc_sender(t, sender)
         elif getattr(t, "is_sender", False):
             if hasattr(t, "_acked"):
                 self._check_ack_sender(t)
             elif hasattr(t, "_marks"):
                 self._check_polling_sender(t)
 
-    def _check_hrmc_sender(self, t, sender, audit: bool) -> None:
+    def _check_hrmc_sender(self, t, sender) -> None:
         self._install_release_hook(t)
         sock = sender.sock
         if sock.wmem_free() < 0:
@@ -159,11 +159,6 @@ class InvariantChecker:
                 self._fail(
                     f"{sock.name}: member {m.addr} expects "
                     f"{m.next_expected}, beyond snd_nxt={sender.snd_nxt}")
-        if audit:
-            try:
-                sender.members.check_consistency()
-            except AssertionError as exc:
-                self._fail(f"{sock.name}: member table corrupt: {exc}")
 
     def _check_write_queue(self, sock, wnd: int, nxt: int, *,
                            head_at_wnd: bool) -> None:

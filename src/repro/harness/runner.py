@@ -123,8 +123,9 @@ def _open_socket(protocol: str, host, cfg: HRMCConfig, *, sndbuf: int,
     if protocol == "hrmc":
         return open_hrmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=sndbuf)
     if protocol == "rmc":
-        from repro.core.rmc import open_rmc_socket
-        return open_rmc_socket(host, cfg, sndbuf=sndbuf, rcvbuf=sndbuf)
+        # RMC is H-RMC's engine with the hybrid features off
+        return open_hrmc_socket(host, cfg.as_rmc(), sndbuf=sndbuf,
+                                rcvbuf=sndbuf)
     if protocol == "ack":
         from repro.baselines.ack import AckTransport
         return Socket(AckTransport(host, expected_receivers=n_receivers,

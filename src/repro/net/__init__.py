@@ -8,7 +8,7 @@ topology of the paper), and network interfaces with a finite transmit
 ring (the mechanism behind the paper's Figure 13 NAK observations).
 """
 
-from repro.net.addr import Endpoint, is_multicast, mcast_addr, host_addr
+from repro.net.addr import is_multicast, mcast_addr, host_addr
 from repro.net.packet import NetPacket, IP_OVERHEAD, LINK_OVERHEAD
 from repro.net.link import SharedLink
 from repro.net.nic import NetworkInterface
@@ -16,7 +16,6 @@ from repro.net.router import Pipe, Router
 from repro.net.topology import Network, EthernetLanTopology, WanTreeTopology
 
 __all__ = [
-    "Endpoint",
     "is_multicast",
     "mcast_addr",
     "host_addr",

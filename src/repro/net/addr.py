@@ -6,19 +6,7 @@ Addresses are dotted-quad strings.  Class-D addresses (224.0.0.0 --
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-__all__ = ["Endpoint", "is_multicast", "mcast_addr", "host_addr", "addr_hash"]
-
-
-class Endpoint(NamedTuple):
-    """A transport endpoint: (IPv4 address, port)."""
-
-    addr: str
-    port: int
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.addr}:{self.port}"
+__all__ = ["is_multicast", "mcast_addr", "host_addr"]
 
 
 def _first_octet(addr: str) -> int:
@@ -46,11 +34,3 @@ def host_addr(site: int, host: int) -> str:
         raise ValueError(f"bad site/host ({site}, {host})")
     return f"10.{site}.{host >> 8}.{host & 0xFF}"
 
-
-def addr_hash(addr: str, buckets: int) -> int:
-    """Stable hash of an address into ``buckets`` slots (for the
-    membership hash table; must not depend on PYTHONHASHSEED)."""
-    acc = 0
-    for part in addr.split("."):
-        acc = (acc * 257 + int(part)) & 0xFFFFFFFF
-    return acc % buckets

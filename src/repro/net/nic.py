@@ -91,7 +91,6 @@ class NetworkInterface:
         # fault never perturbs the structural ``rx_loss_rate`` sequence.
         self.powered = True
         self.fault_rx_drop_until = -1   # burst drop: drop all rx until t
-        self.fault_rx_loss_rate = 0.0   # extra random rx loss
         self.fault_corrupt_rate = 0.0   # bit errors; host checksum drops
         self.fault_drops = 0
         self.fault_corruptions = 0
@@ -192,12 +191,6 @@ class NetworkInterface:
             if tap is not None:
                 tap("nic_dead" if not self.powered else "nic_burst_drop",
                     self.addr, pkt)
-            return
-        if self.fault_rx_loss_rate > 0.0 and \
-                self._fault_rng.random() < self.fault_rx_loss_rate:
-            self.fault_drops += 1
-            if tap is not None:
-                tap("nic_fault_loss", self.addr, pkt)
             return
         if self.fault_corrupt_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_corrupt_rate:

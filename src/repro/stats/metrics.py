@@ -77,7 +77,6 @@ class ReleaseTracker:
 
     checks: int = 0
     complete: int = 0
-    stall_us: int = 0            # time release was blocked awaiting info
 
     def record(self, complete: bool) -> None:
         self.checks += 1

@@ -8,14 +8,11 @@ extensions.
 
 from dataclasses import replace
 
-import pytest
-
 from repro.core.config import UPDATE_INITIAL_JIFFIES, HRMCConfig
 from repro.core.protocol import open_hrmc_socket
 from repro.harness.runner import run_transfer
-from repro.kernel.payload import PatternPayload, pattern_bytes
+from repro.kernel.payload import PatternPayload
 from repro.net.topology import GroupSpec
-from repro.core.rmc import open_rmc_socket
 from repro.sim.process import Process
 from repro.workloads.groups import GROUP_A, GROUP_B, GROUP_C
 from repro.workloads.scenarios import build_lan, build_wan

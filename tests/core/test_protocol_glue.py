@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import HRMCConfig
 from repro.core.protocol import HRMCTransport, open_hrmc_socket
 from repro.kernel.payload import PatternPayload
-from repro.core.rmc import open_rmc_socket, rmc_config
 from repro.sim.process import Process
 from repro.workloads.scenarios import build_lan
 
@@ -65,7 +64,7 @@ def test_recv_on_sending_socket_rejected():
 
 
 def test_rmc_config_disables_hybrid_features():
-    cfg = rmc_config()
+    cfg = HRMCConfig().as_rmc()
     assert not cfg.updates_enabled
     assert not cfg.probes_enabled
     assert not cfg.reliable_release
@@ -74,8 +73,9 @@ def test_rmc_config_disables_hybrid_features():
 
 def test_rmc_socket_runs_end_to_end():
     sc = build_lan(1, 10e6, seed=30)
-    ssock = open_rmc_socket(sc.sender, sndbuf=128 * 1024)
-    rsock = open_rmc_socket(sc.receivers[0], rcvbuf=128 * 1024)
+    rmc = HRMCConfig().as_rmc()
+    ssock = open_hrmc_socket(sc.sender, rmc, sndbuf=128 * 1024)
+    rsock = open_hrmc_socket(sc.receivers[0], rmc, rcvbuf=128 * 1024)
     got = {}
 
     def rapp():

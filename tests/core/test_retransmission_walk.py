@@ -33,7 +33,7 @@ def head_walk(sender, start, end):
     """``_queue_retransmission`` as it was: from the head of the queue."""
     end = seq_min(end, sender.snd_nxt)
     now = sender.sim.now
-    pace = max(sender.rtt.rtt_us, JIFFY_US)
+    pace = max(sender.members.rtt_us, JIFFY_US)
     queued = False
     for skb in sender.sock.write_queue:
         if seq_geq(skb.seq, end):

@@ -2,7 +2,9 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.rtt import RttEstimator, WorstRtt
+from repro.core.config import INITIAL_RTT_US, MIN_RTT_US
+from repro.core.membership import MemberTable
+from repro.core.rtt import RttEstimator
 
 
 def test_initial_estimate():
@@ -51,59 +53,69 @@ def test_estimate_within_sample_range(samples):
     assert min(samples) - 1 <= est.rtt_us <= max(max(samples), 50_000) + 1
 
 
+# -- the worst RTT over the members, kept by the member table ------------
+
+def _sampled(table, addr, rtt_us):
+    table.sample_rtt(table.add(addr, 0, 0), rtt_us)
+
+
 def test_worst_rtt_tracks_max():
-    worst = WorstRtt(50_000)
-    worst.sample("a", 5_000)
-    worst.sample("b", 30_000)
-    worst.sample("c", 12_000)
-    assert abs(worst.rtt_us - 30_000) < 100
+    t = MemberTable()
+    _sampled(t, "a", 5_000)
+    _sampled(t, "b", 30_000)
+    _sampled(t, "c", 12_000)
+    assert abs(t.rtt_us - 30_000) < 100
 
 
 def test_worst_rtt_initial_without_samples():
-    worst = WorstRtt(70_000)
-    assert worst.rtt_us == 70_000
+    t = MemberTable()
+    assert t.rtt_us == INITIAL_RTT_US
+    t.add("a", 0, 0)            # a member with no sample does not count
+    assert t.rtt_us == INITIAL_RTT_US
 
 
 def test_worst_rtt_forget_member():
-    worst = WorstRtt(50_000)
-    worst.sample("a", 5_000)
-    worst.sample("b", 90_000)
-    worst.forget("b")
-    assert abs(worst.rtt_us - 5_000) < 100
+    """Removing the worst member drops the maximum at once to the worst
+    of those that remain; there is no decay."""
+    t = MemberTable()
+    _sampled(t, "a", 5_000)
+    _sampled(t, "b", 90_000)
+    t.remove("b")
+    assert abs(t.rtt_us - 5_000) < 100
 
 
 def test_worst_rtt_forget_unknown_noop():
-    worst = WorstRtt(50_000)
-    worst.forget("nobody")
-    assert worst.rtt_us == 50_000
+    t = MemberTable()
+    t.remove("nobody")
+    assert t.rtt_us == INITIAL_RTT_US
 
 
 @given(st.lists(st.one_of(
     st.tuples(st.just("sample"), st.sampled_from("abc"),
               st.integers(1, 500_000)),
-    st.tuples(st.just("forget"), st.sampled_from("abcd")))))
+    st.tuples(st.just("remove"), st.sampled_from("abcd")))))
 def test_worst_rtt_is_the_max_of_the_sampled_members(ops):
     """The value read equals the max recomputed from scratch after any
     mix of samples and departures, or the initial estimate when no
-    member is left."""
-    worst = WorstRtt(50_000, min_us=2_000)
+    sampled member is left; a member that rejoins starts afresh."""
+    t = MemberTable()
     members: dict[str, RttEstimator] = {}
     for op in ops:
         if op[0] == "sample":
-            members.setdefault(op[1], RttEstimator(50_000, 2_000)).sample(
-                op[2])
-            worst.sample(op[1], op[2])
+            members.setdefault(
+                op[1], RttEstimator(INITIAL_RTT_US, MIN_RTT_US)).sample(op[2])
+            _sampled(t, op[1], op[2])
         else:
             members.pop(op[1], None)
-            worst.forget(op[1])
-        assert worst.rtt_us == max((e.rtt_us for e in members.values()),
-                                   default=50_000)
+            t.remove(op[1])
+        assert t.rtt_us == max((e.rtt_us for e in members.values()),
+                               default=INITIAL_RTT_US)
 
 
 def test_worst_rtt_per_member_smoothing():
-    worst = WorstRtt(50_000)
+    t = MemberTable()
     for _ in range(50):
-        worst.sample("a", 4_000)
+        _sampled(t, "a", 4_000)
     # one outlier from another member dominates as the worst
-    worst.sample("b", 100_000)
-    assert worst.rtt_us >= 90_000
+    _sampled(t, "b", 100_000)
+    assert t.rtt_us >= 90_000

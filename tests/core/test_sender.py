@@ -86,7 +86,7 @@ def test_release_waits_minbuf_rtts(sim, fake_host):
     # (the queue holds the data skb plus the FIN marker)
     s.segment_received(feedback(PacketType.UPDATE, seq=10_000), RCV)
     assert len(s.sock.write_queue) == 2
-    hold = s.cfg.minbuf_rtts * s.rtt.rtt_us
+    hold = s.cfg.minbuf_rtts * s.members.rtt_us
     sim.run(until=skb.last_sent_us + hold + 2 * JIFFY_US)
     assert len(s.sock.write_queue) == 0
     assert s.snd_wnd == s.snd_nxt  # slid past data and FIN
@@ -98,7 +98,7 @@ def test_release_blocked_without_member_info_probes(sim, fake_host):
     s.sendmsg_some(BytesPayload(b"z" * 100))
     s.queue_fin()
     sim.run(until=JIFFY_US * 3)
-    hold = s.cfg.minbuf_rtts * s.rtt.rtt_us
+    hold = s.cfg.minbuf_rtts * s.members.rtt_us
     sim.run(until=sim.now + hold + 5 * JIFFY_US)
     # member's next_expected (1) is behind: data must still be buffered
     # (data skb + FIN marker)
@@ -115,7 +115,7 @@ def test_release_after_probe_answer(sim, fake_host):
     join_member(s, seq=1)
     s.sendmsg_some(BytesPayload(b"z" * 100))
     s.queue_fin()
-    hold = s.cfg.minbuf_rtts * s.rtt.rtt_us
+    hold = s.cfg.minbuf_rtts * s.members.rtt_us
     sim.run(until=hold + 5 * JIFFY_US)
     assert len(s.sock.write_queue) >= 1
     s.segment_received(feedback(PacketType.UPDATE, seq=5000), RCV)
@@ -129,7 +129,7 @@ def test_rmc_mode_releases_without_info(sim, fake_host):
     join_member(s, seq=1)  # tracked for metrics only
     s.sendmsg_some(BytesPayload(b"z" * 100))
     s.queue_fin()
-    hold = cfg.minbuf_rtts * s.rtt.rtt_us
+    hold = cfg.minbuf_rtts * s.members.rtt_us
     sim.run(until=hold + 5 * JIFFY_US)
     assert len(s.sock.write_queue) == 0          # released anyway
     assert fake_host.sent_of_type(PacketType.PROBE) == []

@@ -19,8 +19,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 #: subsystems a bare H-RMC transfer never executes
 NOT_ON_A_BARE_TRANSFER = (
     "repro.obs", "repro.trace", "repro.faults", "repro.baselines",
-    "repro.fleet", "repro.core.rmc",
-    "repro.harness.experiments", "repro.harness.cli")
+    "repro.fleet", "repro.harness.experiments", "repro.harness.cli")
 
 _HELPERS = """
 import io, os, sys
@@ -138,7 +137,7 @@ def test_the_cli_import_is_exactly_what_report_runs():
     nothing `report` does not run."""
     _run("import repro.harness.cli as cli\n"
          "extra = under(('repro.harness.experiments', 'repro.fleet', "
-         "'repro.faults', 'repro.baselines', 'repro.core.rmc'))\n"
+         "'repro.faults', 'repro.baselines'))\n"
          "assert not extra, extra\n"
          "before = set(sys.modules)\n"
          "rc = quietly(cli.main, ['report', 'lan', '--receivers', '2', "

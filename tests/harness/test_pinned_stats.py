@@ -170,19 +170,23 @@ PINNED = {
 
 
 #: name -> ceiling on profiled calls per packet sent, bare run.
-#: Comments: today / while every engine push took its own heap slot /
+#: Comments: today / before the member table became one dict owning
+#: each member's RTT / while every engine push took its own heap slot /
 #: while the receiving application was a generator chain / before the
 #: per-packet call ladder was flattened / while every receiver got its
 #: own copy of every frame and skb.
 CALLS_PER_PACKET = {
-    "lan-2": 126.5,                 # 122.7 / 125.6 / 168.4 / 313.7 / 178.2
-    "lan-2-long": 127.0,            # 123.5 / 125.4 / 168.4 / 313.8 / 178.2
-    "lan-40": 1_737.0,              # 1 686.3 / 1 765.1 / 2 412.3 /
-                                    # 5 214.2 / 2 679.2
-    "wan-case-3": 810.5,            # 786.7 / 821.9 / 1 001.6 / 2 719.9 /
-                                    # 1 051.0 (2 126.4 while loss
-                                    # recovery scanned its state)
-    "lan-disk": 170.0,              # 164.9 / 168.5 / 215.5 / 412.9 / 231.5
+    "lan-2": 126.0,                 # 122.3 / 122.7 / 125.6 / 168.4 /
+                                    # 313.7 / 178.2
+    "lan-2-long": 126.5,            # 123.1 / 123.5 / 125.4 / 168.4 /
+                                    # 313.8 / 178.2
+    "lan-40": 1_724.5,              # 1 674.1 / 1 686.3 / 1 765.1 /
+                                    # 2 412.3 / 5 214.2 / 2 679.2
+    "wan-case-3": 807.5,            # 783.9 / 786.7 / 821.9 / 1 001.6 /
+                                    # 2 719.9 / 1 051.0 (2 126.4 while
+                                    # loss recovery scanned its state)
+    "lan-disk": 168.0,              # 163.1 / 164.9 / 168.5 / 215.5 /
+                                    # 412.9 / 231.5
     # today / while every engine push took its own heap slot / while
     # the receiving application was a generator chain / while each
     # baseline had its own write path (in flight summed the unsent
@@ -190,7 +194,7 @@ CALLS_PER_PACKET = {
     "wan-case-3-ack": 1_837.0,      # 1 783.3 / 1 841.7 / 2 016.5 / 2 687.8
     "wan-case-3-polling": 750.5,    # 728.4 / 759.5 / 880.4 / 927.2
     "wan-case-3-tcp": 402.5,        # 390.6 / 390.6 / 411.6 / 1 116.8
-    "lan-2-crash-rejoin": 110.5,    # 107.4 / 109.2 / 138.7
+    "lan-2-crash-rejoin": 110.0,    # 107.0 / 107.4 / 109.2 / 138.7
 }
 
 
@@ -202,10 +206,11 @@ OBSERVERS = {"profile": {"profile": True}}
 #: attached: today's count plus about 3 %, or less (the count moves by
 #: up to 0.35 % between CPython 3.10, 3.11 and 3.12 and by 0.01 % with
 #: what ran earlier in the interpreter).  The profiler adds its own cost
-#: per engine event, about 23 calls per packet on `lan-2` (145.3 against
-#: 122.7 bare).
-#: Comments: today's count, then the count while every engine push took
-#: its own heap slot / while every profiled observer also ran the metric
+#: per engine event, about 23 calls per packet on `lan-2` (144.9 against
+#: 122.3 bare).
+#: Comments: today's count, then the count before the member table
+#: became one dict owning each member's RTT / while every engine push
+#: took its own heap slot / while every profiled observer also ran the metric
 #: gauges' scrape loop / while it also subscribed a span collector to
 #: the packet seam / while the profiler keyed a timer firing by its
 #: timer's name as well / while the receiving application was a
@@ -216,16 +221,18 @@ OBSERVERS = {"profile": {"profile": True}}
 #: packet off `lan-40` / `wan-case-3`.  Protocol health has no row: it
 #: is a read of the bare run, which `CALLS_PER_PACKET` already bounds.
 OBSERVED_CALLS_PER_PACKET = {
-    # 145.3 / 148.1 / 150.0 / 168.6 / 168.8 / 211.6 / 263.7
-    "lan-2": {"profile": 149.5},
-    # 146.1 / 148.0 / 149.5 / 168.1 / 168.3 / 211.2 / 263.4
+    # 144.9 / 145.3 / 148.1 / 150.0 / 168.6 / 168.8 / 211.6 / 263.7
+    "lan-2": {"profile": 149.0},
+    # 145.6 / 146.1 / 148.0 / 149.5 / 168.1 / 168.3 / 211.2 / 263.4
     "lan-2-long": {"profile": 150.0},
-    # 1 964.4 / 2 043.2 / 2 125.6 / 2 414.9 / 2 415.3 / 3 065.9 / 3 974.6
-    "lan-40": {"profile": 2_023.5},
-    # 928.4 / 963.6 / 1 092.3 / 1 177.6 / 1 183.9 / 1 333.9 / 2 676.6
-    "wan-case-3": {"profile": 956.5},
-    # 192.9 / 196.5 / 202.0 / 229.6 / 230.1 / 277.1 / 356.4
-    "lan-disk": {"profile": 198.5},
+    # 1 951.9 / 1 964.4 / 2 043.2 / 2 125.6 / 2 414.9 / 2 415.3 /
+    # 3 065.9 / 3 974.6
+    "lan-40": {"profile": 2_010.5},
+    # 925.5 / 928.4 / 963.6 / 1 092.3 / 1 177.6 / 1 183.9 / 1 333.9 /
+    # 2 676.6
+    "wan-case-3": {"profile": 953.5},
+    # 191.2 / 192.9 / 196.5 / 202.0 / 229.6 / 230.1 / 277.1 / 356.4
+    "lan-disk": {"profile": 197.0},
 }
 
 
@@ -385,5 +392,5 @@ def test_reading_the_worst_rtt_makes_no_call():
     sim = Simulator()
     s = make_sender(sim, FakeHost(sim))
     for addr in ("10.0.0.2", "10.0.0.3"):
-        s.rtt.sample(addr, 40_000)
-    assert calls_in(lambda: s.rtt.rtt_us) == 0
+        s.members.sample_rtt(s.members.add(addr, 0, 0), 40_000)
+    assert calls_in(lambda: s.members.rtt_us) == 0

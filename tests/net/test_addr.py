@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.net.addr import (Endpoint, addr_hash, host_addr, is_multicast,
-                            mcast_addr)
+from repro.net.addr import host_addr, is_multicast, mcast_addr
 
 
 def test_multicast_range():
@@ -38,24 +37,6 @@ def test_host_addr_validation():
         host_addr(256, 1)
     with pytest.raises(ValueError):
         host_addr(0, 0)
-
-
-def test_endpoint():
-    ep = Endpoint("10.0.0.1", 5000)
-    assert ep.addr == "10.0.0.1"
-    assert ep.port == 5000
-
-
-def test_addr_hash_stable_and_bounded():
-    h1 = addr_hash("10.1.2.3", 32)
-    h2 = addr_hash("10.1.2.3", 32)
-    assert h1 == h2
-    assert 0 <= h1 < 32
-
-
-def test_addr_hash_spreads():
-    buckets = {addr_hash(host_addr(0, h), 32) for h in range(1, 200)}
-    assert len(buckets) > 16  # decent spread over 32 buckets
 
 
 def test_malformed_address_rejected():

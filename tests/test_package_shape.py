@@ -2,8 +2,8 @@
 
 An ``__init__.py``-only directory with no sibling modules is either a
 stale remnant of a refactor (the old one-module ``repro.rmc`` package,
-folded into ``repro.core.rmc``), a placeholder that should not be on
-the import path yet, or a plain module wearing a package costume.
+now the ``HRMCConfig.as_rmc()`` preset), a placeholder that should not
+be on the import path yet, or a plain module wearing a package costume.
 Either way it misleads readers about the architecture, so the tree
 must not contain one.
 """
@@ -41,10 +41,9 @@ def test_no_empty_subpackages():
     assert not offenders, (
         f"__init__-only sub-packages under src/repro: "
         f"{sorted(offenders)} -- fold them into their parent as a "
-        f"plain module (see repro.core.rmc)")
+        f"plain module")
 
 
 def test_rmc_package_is_gone():
-    """The PR-8 fold specifically: repro.rmc lives in core now."""
+    """RMC is ``HRMCConfig.as_rmc()``, not a package of its own."""
     assert not os.path.isdir(os.path.join(SRC_ROOT, "rmc"))
-    assert os.path.isfile(os.path.join(SRC_ROOT, "core", "rmc.py"))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workloads.groups import (GROUP_A, GROUP_B, GROUP_C, LOSS_BY_ENV,
-                                    TEST_CASES, expand_test_case)
+                                    expand_test_case)
 from repro.workloads.scenarios import build_lan, build_wan
 
 
