@@ -192,5 +192,5 @@ class ReceiverApp(Process):
     def kill(self) -> None:
         if self.alive and self._copying is not None:
             self._copying = None
-            self._sock.end_read(copied=False)
+            self._sock.end_read()
         super().kill()

@@ -91,7 +91,6 @@ class BaseTransport(Transport):
             raise RuntimeError("already bound")
         self.host.bind(port, self)
         self.sock.num = port
-        self.sock.rcv_saddr = self.host.addr
         self._bound_port = port
 
     def connect(self, daddr: str, dport: int) -> None:

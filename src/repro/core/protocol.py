@@ -55,7 +55,6 @@ class HRMCTransport(Transport):
             raise RuntimeError("already bound")
         self.host.bind(port, self)
         self.sock.num = port
-        self.sock.rcv_saddr = self.host.addr
         self._bound_port = port
 
     def connect(self, daddr: str, dport: int) -> None:
@@ -66,7 +65,7 @@ class HRMCTransport(Transport):
             raise RuntimeError("bind before connect")
         self.sock.daddr = daddr
         self.sock.dport = dport
-        self.sock.tp_pinfo = self.sender = HRMCSender(
+        self.sender = HRMCSender(
             self.host, self.sock, self.cfg, self.stats)
         self._deliver = self.sender.segment_received
         self.sender.start()
@@ -81,7 +80,7 @@ class HRMCTransport(Transport):
         self._group = group
         self.sock.daddr = group
         self.sock.dport = port
-        self.sock.tp_pinfo = self.receiver = HRMCReceiver(
+        self.receiver = HRMCReceiver(
             self.host, self.sock, self.cfg, self.stats)
         self._deliver = self.receiver.segment_received
         self.recvmsg = self.receiver.recvmsg

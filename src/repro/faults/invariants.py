@@ -42,7 +42,6 @@ class InvariantViolation(AssertionError):
     """A protocol safety property failed; carries the trace tail."""
 
     def __init__(self, message: str, trace: Optional[list] = None):
-        self.violation = message
         self.trace = list(trace or [])
         if self.trace:
             lines = "\n".join(

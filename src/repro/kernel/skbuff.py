@@ -72,7 +72,6 @@ class SkbQueue:
         self._q: deque[SKBuff] = deque()
         self.name = name
         self.bytes = 0      # sum of truesize
-        self.data_bytes = 0  # sum of payload lengths
 
     def __len__(self) -> int:
         return len(self._q)
@@ -108,22 +107,18 @@ class SkbQueue:
     def enqueue(self, skb: SKBuff) -> None:
         self._q.append(skb)
         self.bytes += skb.length + SKB_OVERHEAD     # skb.truesize
-        self.data_bytes += skb.length
 
     def dequeue(self) -> Optional[SKBuff]:
         if not self._q:
             return None
         skb = self._q.popleft()
         self.bytes -= skb.length + SKB_OVERHEAD     # skb.truesize
-        self.data_bytes -= skb.length
         return skb
 
     def requeue_front(self, skb: SKBuff) -> None:
         self._q.appendleft(skb)
         self.bytes += skb.truesize
-        self.data_bytes += skb.length
 
     def clear(self) -> None:
         self._q.clear()
         self.bytes = 0
-        self.data_bytes = 0

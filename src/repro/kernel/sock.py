@@ -1,15 +1,16 @@
 """The INET ``sock`` structure (paper Figure 6).
 
 Holds endpoint addressing, buffer-size limits and allocation counters,
-the packet queues shared by all transports, and the wake-up events that
-the blocking socket calls sleep on.  The protocol-specific block
-(``hrmc_opt`` in the paper's Figure 7) is attached by each transport as
-``tp_pinfo``.
+the packet queues shared by all transports, the wake-up events that the
+blocking socket calls sleep on, and the socket lock.  The
+protocol-specific block (``hrmc_opt`` in the paper's Figure 7) is not a
+field here: each transport keeps its own role object (the H-RMC
+transport's ``sender`` or ``receiver``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.kernel.skbuff import SkbQueue
 from repro.sim.engine import Simulator
@@ -30,7 +31,6 @@ class Sock:
         # addressing
         self.daddr: Optional[str] = None      # foreign (multicast) address
         self.dport: int = 0                   # destination port
-        self.rcv_saddr: Optional[str] = None  # bound local address
         self.num: int = 0                     # local port
         # memory limits / usage
         self.sndbuf = int(sndbuf)
@@ -39,14 +39,10 @@ class Sock:
         # its own backlog)
         self.write_queue = SkbQueue("write")
         self.receive_queue = SkbQueue("receive")
-        # transport-specific block (tp_pinfo union)
-        self.tp_pinfo: Any = None
         # wake-ups
         self.data_ready = SimEvent(sim, name=f"{name}.data_ready")
         self.write_space = SimEvent(sim, name=f"{name}.write_space")
         self.state_change = SimEvent(sim, name=f"{name}.state_change")
-        # lifecycle
-        self.dead = False
         # the socket lock: packets arriving while an application call
         # holds the socket go to the transport's backlog
         self.locked = False

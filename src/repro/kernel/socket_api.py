@@ -46,10 +46,7 @@ class Socket:
         # not per call)
         self._lock = getattr(transport, "lock", None)
         self._unlock = getattr(transport, "unlock", None)
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        # the read in flight (see start_read): its size and CPU cost
-        self._copy_bytes = 0
+        # the CPU cost of the read in flight (see start_read)
         self.copy_us = 0
 
     @property
@@ -91,7 +88,6 @@ class Socket:
                 yield self.sock.write_space
                 continue
             offset += consumed
-        self.bytes_sent += total
         return total
 
     def recv(self, max_bytes: int) -> Generator:
@@ -109,10 +105,8 @@ class Socket:
             if chunks:
                 try:
                     yield from self.host.cpu_exec(self.copy_us)
-                except BaseException:
-                    self.end_read(copied=False)
-                    raise
-                self.end_read()
+                finally:
+                    self.end_read()
                 return chunks
             if self._t.at_eof():
                 return []
@@ -134,7 +128,6 @@ class Socket:
                 nbytes += c.length
             if self._lock is not None:
                 self._lock()
-            self._copy_bytes = nbytes
             cost = self.host.cost    # a size already seen: no call
             try:
                 self.copy_us = cost._copy_memo[nbytes]
@@ -142,14 +135,12 @@ class Socket:
                 self.copy_us = cost.copy_cost(nbytes)
         return chunks
 
-    def end_read(self, copied: bool = True) -> None:
-        """The copy begun by :meth:`start_read` is over: unlock, which
-        hands the backlog to the protocol, and count the bytes unless
-        the reader died mid-copy (``copied=False``)."""
+    def end_read(self) -> None:
+        """The copy begun by :meth:`start_read` is over, or the reader
+        died during it: unlock, which hands the backlog to the
+        protocol."""
         if self._unlock is not None:
             self._unlock()
-        if copied:
-            self.bytes_received += self._copy_bytes
 
     # -- teardown ---------------------------------------------------------
 

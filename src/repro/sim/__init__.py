@@ -5,7 +5,8 @@ simulation package.  This package provides the equivalent facilities in
 Python:
 
 * :class:`~repro.sim.engine.Simulator` -- event heap with an integer
-  microsecond clock.
+  microsecond clock, driven by ``run(until=...)``: the event list
+  draining, ``until`` and a callback that raises are the only stops.
 * :class:`~repro.sim.timer.Timer` -- Linux ``timer_list``-style restartable
   timers (``mod_timer`` / ``del_timer``) plus jiffy conversion helpers.
 * :class:`~repro.sim.process.Process` / :class:`~repro.sim.process.SimEvent`

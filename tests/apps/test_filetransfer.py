@@ -93,7 +93,8 @@ def test_a_receiver_killed_mid_copy_unlocks_and_delivers_the_backlog():
                                result=AppResult()))
     transport = rsock.transport
     while not (transport.sock.locked and transport._backlog):
-        assert sc.sim.step(), "the run ended without a backlogged copy"
+        assert sc.sim.pending(), "the run ended without a backlogged copy"
+        sc.sim.run(until=sc.sim.now + 1)
     waiting = len(transport._backlog)
     before = transport.stats.data_pkts_rcvd
     proc.kill()

@@ -149,7 +149,7 @@ def test_cpu_exec_resume_is_the_cpu_completion_event():
 
     h1.cpu_run(120, marks.append, ("earlier work", 120))
     Process(sim, app())
-    sim.run(max_events=1)                     # the app has asked for CPU
+    sim.run(until=0)                          # the app has asked for CPU
     assert h1.cpu_busy_until == 620
     sim.call_at(620, marks.append, ("scheduled later", 620))
     sim.run()

@@ -30,11 +30,9 @@ def test_queue_accounting():
     q.enqueue(mkskb(length=100))
     q.enqueue(mkskb(length=200))
     assert len(q) == 2
-    assert q.data_bytes == 300
     assert q.bytes == 300 + 2 * SKB_OVERHEAD
     skb = q.dequeue()
     assert skb.length == 100
-    assert q.data_bytes == 200
     assert q.bytes == 200 + SKB_OVERHEAD
 
 
@@ -66,7 +64,6 @@ def test_clear_resets_accounting():
     q.clear()
     assert len(q) == 0
     assert q.bytes == 0
-    assert q.data_bytes == 0
 
 
 def test_queue_iteration_order():

@@ -89,24 +89,6 @@ def test_run_until_includes_boundary_events():
     assert fired == [1]
 
 
-def test_max_events_budget():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.call_at(i, fired.append, i)
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
-def test_step_single_event():
-    sim = Simulator()
-    fired = []
-    sim.call_at(5, fired.append, "x")
-    assert sim.step() is True
-    assert fired == ["x"]
-    assert sim.step() is False
-
-
 def test_events_scheduled_during_run_execute():
     sim = Simulator()
     seen = []
@@ -245,12 +227,14 @@ def test_watch_sees_an_entry_pushed_back_by_until_once_when_it_fires():
 
 
 def test_watch_under_step():
+    """A run stepped one instant at a time with `until` hands the watch
+    each firing's advance, as one whole run does."""
     sim = Simulator()
     sim.watch = watch = Watch()
     sim.call_at(5, lambda: None)
     sim.call_at(15, lambda: None)
-    while sim.step():
-        pass
+    for until in (5, 15):
+        sim.run(until=until)
     assert [dt for *_, dt in watch.seen] == [5, 10]
 
 
@@ -344,8 +328,8 @@ def test_profiler_step_parity_with_run():
     sim.watch = prof = SimProfiler()
     sim.call_at(5, lambda: None)
     sim.call_at(15, lambda: None)
-    while sim.step():
-        pass
+    for until in (5, 15):                      # one instant per run
+        sim.run(until=until)
     assert prof.events == 2
     total = sum(s.sim_us for s in prof.sites.values())
     assert total == 15
@@ -498,38 +482,6 @@ def _instant(sim, log, n=5, when=10):
     return [sim.call_at(when, log.append, i) for i in range(n)]
 
 
-def test_step_and_max_events_stop_inside_an_instant_and_resume_in_order():
-    stepped, budgeted = Simulator(), Simulator()
-    a, b = [], []
-    for sim, log in ((stepped, a), (budgeted, b)):
-        _instant(sim, log)
-        sim.call_at(20, log.append, "later")
-    assert stepped.step() and a == [0]
-    assert stepped.pending() == 5
-    # a push for the instant fires behind its unfired followers
-    stepped.call_at(10, a.append, "joined")
-    budgeted.run(max_events=3)
-    assert b == [0, 1, 2] and budgeted.pending() == 3
-    budgeted.call_at(10, b.append, "joined")
-    while stepped.step():
-        pass
-    budgeted.run()
-    assert a == b == [0, 1, 2, 3, 4, "joined", "later"]
-    for sim in (stepped, budgeted):
-        assert (sim.pending(), sim._dead, sim._heap) == (0, 0, [])
-
-
-def test_max_events_stops_at_the_head_of_a_second_instant():
-    sim = Simulator()
-    log = []
-    _instant(sim, log, n=3, when=10)
-    _instant(sim, log, n=3, when=20)
-    sim.run(max_events=4)                       # all of 10, the head of 20
-    assert log == [0, 1, 2, 0] and sim.pending() == 2
-    sim.run()
-    assert log == [0, 1, 2, 0, 1, 2]
-
-
 def test_run_until_with_a_joined_entry():
     """A joined instant past `until` goes back whole and later pushes
     for it still join it; one at `until` fires whole."""
@@ -612,6 +564,32 @@ def test_a_raising_callback_leaves_the_rest_of_its_instant_scheduled():
     assert sim.pending() == 1
     sim.run()
     assert log == ["rest"]
+
+
+def test_a_raising_follower_leaves_the_followers_after_it_scheduled():
+    """A follower that raises stops the run inside its instant: the
+    followers the loop had not reached go back in order (a cancelled one
+    among them stays counted until it is passed), and a push for the
+    instant fires behind them."""
+    def boom():
+        raise RuntimeError("x")
+
+    sim = Simulator()
+    log = []
+    sim.call_at(10, log.append, 0)
+    sim.call_at(10, log.append, 1)
+    sim.call_at(10, boom)
+    sim.cancel(sim.call_at(10, log.append, "never"))
+    sim.call_at(10, log.append, 4)
+    sim.call_at(20, log.append, "later")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert log == [0, 1] and sim.now == 10
+    assert (sim.pending(), sim._dead) == (2, 1)
+    sim.call_at(10, log.append, "pushed")
+    sim.run()
+    assert log == [0, 1, 4, "pushed", "later"]
+    assert (sim.pending(), sim._dead, sim._heap) == (0, 0, [])
 
 
 def test_timer_pending_and_expires_on_a_follower():
@@ -697,42 +675,6 @@ def test_run_until_leaves_the_next_entry_in_place():
     sim.run()
     assert fired == ["a", "b", "c"]
     assert sim.events_processed == 3
-
-
-def _scripted(sim, log):
-    """A little of everything: same-instant entries, a cancelled head,
-    a callback that schedules and one that cancels."""
-    def spawn(tag):
-        log.append((sim.now, tag))
-        sim.call_after(0, log.append, (sim.now, tag + "-child"))
-
-    doomed = sim.call_at(1, log.append, "never")
-    sim.call_at(5, spawn, "x")
-    victim = sim.call_at(6, log.append, "never-either")
-    sim.call_at(5, sim.cancel, victim)
-    sim.call_at(5, spawn, "y")
-    sim.call_at(8, log.append, (8, "last"))
-    sim.cancel(doomed)
-
-
-def test_step_is_run_with_a_budget_of_one():
-    stepped, budgeted, plain = [], [], []
-    a, b, c = Simulator(), Simulator(), Simulator()
-    _scripted(a, stepped)
-    _scripted(b, budgeted)
-    _scripted(c, plain)
-    steps = 0
-    while a.step():
-        steps += 1
-        before = b.events_processed
-        b.run(max_events=1)
-        assert b.events_processed == before + 1
-        assert (a.now, a.pending(), a._dead, stepped) == \
-               (b.now, b.pending(), b._dead, budgeted)
-    c.run()
-    assert stepped == budgeted == plain
-    assert steps == a.events_processed == c.events_processed == 6
-    assert a.step() is False and a.events_processed == 6
 
 
 def test_now_is_a_plain_int_attribute_and_times_stay_ints():
