@@ -27,7 +27,6 @@ class Counters:
     dup_pkts_rcvd: int = 0
     out_of_order_pkts: int = 0
     out_of_window_drops: int = 0
-    bytes_delivered: int = 0
     # feedback
     naks_sent: int = 0
     naks_rcvd: int = 0
