@@ -36,30 +36,21 @@ class DiskModel:
         self.sim = sim
         self.hiccup_prob = float(hiccup_prob)
         self._rng = substream(seed, f"disk:{name}")
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.ops = 0
-        self.hiccups = 0
 
     def _op_delay(self, nbytes: int) -> int:
         delay = PER_OP_US + round(nbytes * 8 * US_PER_SEC / BANDWIDTH_BPS)
-        self.ops += 1
         if self._rng.random() < self.hiccup_prob:
-            self.hiccups += 1
             delay += HICCUP_US
         return delay
 
     def read(self, nbytes: int):
         """``yield from disk.read(n)`` inside an application process."""
-        self.bytes_read += nbytes
         yield Delay(self._op_delay(nbytes))
         return nbytes
 
     def write_us(self, nbytes: int) -> int:
-        """Account a write of ``nbytes``; returns how long it takes (us).
-        An event-driven application schedules its next step that far
-        ahead."""
-        self.bytes_written += nbytes
+        """How long a write of ``nbytes`` takes (us).  An event-driven
+        application schedules its next step that far ahead."""
         return self._op_delay(nbytes)
 
     def write(self, nbytes: int):

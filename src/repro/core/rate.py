@@ -45,9 +45,6 @@ class RateController:
         self.phase = RatePhase.SLOW_START
         self.stopped_until: int = 0
         self._last_cut_us: int = -(10 ** 12)
-        # counters
-        self.cuts = 0
-        self.urgent_stops = 0
 
     # -- queries -----------------------------------------------------------
 
@@ -104,13 +101,11 @@ class RateController:
         self.ssthresh = max(self.min_rate, self.rate / 2.0)
         self.rate = max(self.min_rate, self.rate / 2.0)
         self.phase = RatePhase.CONG_AVOID
-        self.cuts += 1
         return True
 
     def on_urgent(self, now_us: int, rtt_us: int, stop_rtts: int = 2) -> None:
         """Urgent rate request: stop for ``stop_rtts`` RTTs, then slow
         start again from the minimum rate."""
-        self.urgent_stops += 1
         self.stopped_until = max(self.stopped_until,
                                  now_us + stop_rtts * rtt_us)
         self.ssthresh = max(self.min_rate, self.rate / 2.0)

@@ -156,9 +156,7 @@ class Host:
         self._cpu_busy_until = 0
         self._ports: dict[int, Transport] = {}
         self._pending_xmit = 0   # charged to CPU, not yet on the NIC
-        self.unroutable = 0
         self.tx_ring_busy_drops = 0
-        self.checksum_drops = 0
         nic.rx_handler = self._packet_arrived
         nic.rx_cost_fn = self._rx_cost
         nic.cpu_run = self.cpu_run
@@ -283,9 +281,7 @@ class Host:
         self._pending_xmit -= 1
         if not self.nic.try_transmit(pkt):
             self.tx_ring_busy_drops += 1
-            tap = self.sim.tap
-            if tap is not None:
-                tap("tx_ring_full", self.addr, pkt)
+            self.sim.drop("tx_ring_full", self.addr, pkt)
 
     def tx_space(self) -> int:
         """Device-queue slots not yet spoken for -- counts packets that
@@ -294,25 +290,24 @@ class Host:
         return max(0, self.nic.tx_space() - self._pending_xmit)
 
     def _packet_arrived(self, pkt: NetPacket) -> None:
-        tap = self.sim.tap
         if self.crashed:
-            if tap is not None:
-                tap("host_crashed", self.addr, pkt)
-            return  # nothing is listening; the NIC guards make this rare
+            # nothing is listening; the NIC guards make this rare
+            self.sim.drop("host_crashed", self.addr, pkt)
+            return
         if pkt.corrupted:
             # the header checksum (RFC 1071, over header+payload)
             # catches in-flight bit errors; damaged packets are dropped
             # here exactly like a failed hrmc checksum in the kernel
-            self.checksum_drops += 1
-            if tap is not None:
-                tap("checksum", self.addr, pkt)
+            self.sim.drop("checksum", self.addr, pkt)
             return
+        tap = self.sim.tap
         if tap is not None:
             tap("rx", self.addr, pkt)
         skb = pkt.segment
         transport = self._ports.get(skb.dport)
         if transport is None:
-            self.unroutable += 1
+            # IP took the packet in; no socket is bound to its port
+            self.sim.drop("unroutable", self.addr, pkt)
             return
         transport.segment_received(skb, pkt.src)
 

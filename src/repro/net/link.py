@@ -51,7 +51,6 @@ class SharedLink:
         # sequences of an otherwise identical run.
         self.up = True                 # link flap: down drops every frame
         self.fault_loss_rate = 0.0     # link degrade: extra random loss
-        self.fault_drops = 0
         self._fault_rng = substream(seed, f"fault:link:{name}")
 
     def attach(self, nic: "NetworkInterface") -> None:
@@ -79,17 +78,11 @@ class SharedLink:
                   end_us: int) -> None:
         """Deliver ``pkt`` to every other interface after propagation."""
         if not self.up:
-            self.fault_drops += 1
-            tap = self.sim.tap
-            if tap is not None:
-                tap("link_down", self.name, pkt)
+            self.sim.drop("link_down", self.name, pkt)
             return
         if self.fault_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_loss_rate:
-            self.fault_drops += 1
-            tap = self.sim.tap
-            if tap is not None:
-                tap("link_fault_loss", self.name, pkt)
+            self.sim.drop("link_fault_loss", self.name, pkt)
             return
         # one engine event for the whole fan-out: per-NIC entries would
         # share this timestamp and hold consecutive order numbers, so

@@ -83,16 +83,12 @@ class NetworkInterface:
         self.rx_handler: Optional[Callable[[NetPacket], None]] = None
         self.rx_cost_fn: Callable[[NetPacket], int] = _no_rx_cost
         self.cpu_run: Callable[..., object] = sim.call_after
-        # drop counters
-        self.rx_ring_drops = 0
-        self.rx_loss_drops = 0
         # -- fault-injection hooks (repro.faults) ------------------------
         # Fault draws come from a dedicated substream so that arming a
         # fault never perturbs the structural ``rx_loss_rate`` sequence.
         self.powered = True
         self.fault_rx_drop_until = -1   # burst drop: drop all rx until t
         self.fault_corrupt_rate = 0.0   # bit errors; host checksum drops
-        self.fault_drops = 0
         self.fault_corruptions = 0
         self._fault_rng = substream(seed, f"fault:nic:{addr}")
 
@@ -144,10 +140,7 @@ class NetworkInterface:
         if not self.powered:
             # a dead card accepts and loses the frame; the caller (a
             # crashed host's last scheduled work) must not spin on retry
-            self.fault_drops += 1
-            tap = self.sim.tap
-            if tap is not None:
-                tap("tx_nic_dead", self.addr, pkt)
+            self.sim.drop("tx_nic_dead", self.addr, pkt)
             return True
         if len(self._tx_queue) >= self.tx_ring_cap:
             return False
@@ -172,10 +165,7 @@ class NetworkInterface:
         # stamp wire-departure time on the segment: "most recently sent"
         # in the window-release rule means when the packet left the host,
         # not when it entered the device queue
-        try:
-            pkt.segment.last_sent_us = self.sim.now
-        except AttributeError:
-            pass
+        pkt.segment.last_sent_us = self.sim.now
         self._port.broadcast(pkt, self, end_us)
         self._tx_next()
 
@@ -185,12 +175,9 @@ class NetworkInterface:
         """Called by the medium when a frame passes this interface."""
         if pkt.dst != self.addr and pkt.dst not in self._groups:
             return
-        tap = self.sim.tap
         if not self.powered or self.sim.now < self.fault_rx_drop_until:
-            self.fault_drops += 1
-            if tap is not None:
-                tap("nic_dead" if not self.powered else "nic_burst_drop",
-                    self.addr, pkt)
+            self.sim.drop("nic_dead" if not self.powered else
+                          "nic_burst_drop", self.addr, pkt)
             return
         if self.fault_corrupt_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_corrupt_rate:
@@ -200,18 +187,13 @@ class NetworkInterface:
             pkt.corrupted = True
             self.fault_corruptions += 1
         if self.rx_loss_rate > 0.0 and self._rng.random() < self.rx_loss_rate:
-            self.rx_loss_drops += 1
-            if tap is not None:
-                tap("rx_loss", self.addr, pkt)
+            self.sim.drop("rx_loss", self.addr, pkt)
             return
         self._rx_enqueue(pkt)
 
     def _rx_enqueue(self, pkt: NetPacket) -> None:
         if len(self._rx_queue) >= self.rx_ring_cap:
-            self.rx_ring_drops += 1
-            tap = self.sim.tap
-            if tap is not None:
-                tap("rx_ring_overflow", self.addr, pkt)
+            self.sim.drop("rx_ring_overflow", self.addr, pkt)
             return
         self._rx_queue.append(pkt)
         if not self._rx_active:

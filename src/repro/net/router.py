@@ -53,32 +53,24 @@ class Pipe:
         self._dst: Optional[Callable[[NetPacket], None]] = None
         self._busy_until = 0
         self._queued = 0
-        self.queue_drops = 0
-        self.loss_drops = 0
         # -- fault-injection hooks (repro.faults) ------------------------
         self.up = True                 # flap: a down pipe drops everything
         self.fault_loss_rate = 0.0     # degrade: extra loss, own substream
-        self.fault_drops = 0
         self._fault_rng = substream(seed, f"fault:pipe:{self.name}")
 
     def _lost(self, pkt: NetPacket) -> bool:
         """Draw the flap, fault-loss and structural-loss fates of one
         packet entering the line; True (and reported) if it dies."""
         if not self.up:
-            self.fault_drops += 1
             why = "pipe_down"
         elif self.fault_loss_rate > 0.0 and \
                 self._fault_rng.random() < self.fault_loss_rate:
-            self.fault_drops += 1
             why = "pipe_fault_loss"
         elif self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.loss_drops += 1
             why = "pipe_loss"
         else:
             return False
-        tap = self.sim.tap
-        if tap is not None:
-            tap(why, self.name, pkt)
+        self.sim.drop(why, self.name, pkt)
         return True
 
     def connect(self, dst) -> None:
@@ -97,10 +89,7 @@ class Pipe:
         if self._lost(pkt):
             return
         if self._queued >= self.queue_limit:
-            self.queue_drops += 1
-            tap = self.sim.tap
-            if tap is not None:
-                tap("pipe_queue_overflow", self.name, pkt)
+            self.sim.drop("pipe_queue_overflow", self.name, pkt)
             return
         self._queued += 1
         start = max(self.sim.now, self._busy_until)
@@ -145,8 +134,6 @@ class Router:
         self._unicast: dict[str, Pipe] = {}
         self._default: Optional[Pipe] = None
         self._mcast: dict[str, list[Pipe]] = {}
-        self.loss_drops = 0
-        self.no_route_drops = 0
 
     # -- table management --------------------------------------------
 
@@ -172,12 +159,9 @@ class Router:
 
     def ingress(self, pkt: NetPacket) -> None:
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.loss_drops += 1
-            tap = self.sim.tap
-            if tap is not None:
-                # correlated loss: the copy dies before duplication, so
-                # every downstream receiver misses it
-                tap("router_loss", self.name, pkt)
+            # correlated loss: the copy dies before duplication, so
+            # every downstream receiver misses it
+            self.sim.drop("router_loss", self.name, pkt)
             return
         self.sim.call_after(FORWARD_DELAY_US, self._forward, pkt)
 
@@ -185,7 +169,7 @@ class Router:
         if is_multicast(pkt.dst):
             pipes = self._mcast.get(pkt.dst, ())
             if not pipes:
-                self.no_route_drops += 1
+                self.sim.drop("no_route", self.name, pkt)
                 return
             # every pipe carries the same frame
             for pipe in pipes:
@@ -193,6 +177,6 @@ class Router:
         else:
             pipe = self._unicast.get(pkt.dst, self._default)
             if pipe is None:
-                self.no_route_drops += 1
+                self.sim.drop("no_route", self.name, pkt)
                 return
             pipe.send(pkt)

@@ -26,6 +26,17 @@ __all__ = ["Network", "EthernetLanTopology", "WanTreeTopology", "GroupSpec"]
 class Network:
     """Base: a registry of interfaces plus multicast join plumbing."""
 
+    #: :meth:`drop_summary`'s keys, in order, each with the seam reasons
+    #: of the run's drop ledger (``Simulator.drops``) it adds up.
+    #: ``nic_corrupt`` is no drop: it counts the frames the NICs
+    #: corrupted, which the hosts then drop as ``checksum``.
+    DROP_REASONS: dict[str, tuple[str, ...]] = {
+        "nic_rx_ring": ("rx_ring_overflow",),
+        "nic_rx_loss": ("rx_loss",),
+        "nic_fault": ("tx_nic_dead", "nic_dead", "nic_burst_drop"),
+        "nic_corrupt": (),
+    }
+
     def __init__(self, sim: Simulator, seed: int = 0):
         self.sim = sim
         self.seed = seed
@@ -44,19 +55,17 @@ class Network:
         nic.leave_group(group)
 
     def drop_summary(self) -> dict[str, int]:
-        """Aggregate drop counters across the fabric."""
-        summary = {"nic_rx_ring": 0, "nic_rx_loss": 0, "nic_fault": 0,
-                   "nic_corrupt": 0}
-        for nic in self.nics.values():
-            summary["nic_rx_ring"] += nic.rx_ring_drops
-            summary["nic_rx_loss"] += nic.rx_loss_drops
-            summary["nic_fault"] += nic.fault_drops
-            summary["nic_corrupt"] += nic.fault_corruptions
+        """The run's drops by :attr:`DROP_REASONS` key."""
+        drops = self.sim.drops
+        summary = {key: sum(drops.get(reason, 0) for reason in reasons)
+                   for key, reasons in self.DROP_REASONS.items()}
+        summary["nic_corrupt"] = sum(nic.fault_corruptions
+                                     for nic in self.nics.values())
         return summary
 
     def fault_surfaces(self) -> dict[str, object]:
-        """Name -> medium exposing the link-fault hooks (``up``,
-        ``fault_loss_rate``, ``fault_drops``) for the fault injector.
+        """Name -> medium exposing the link-fault hooks (``up`` and
+        ``fault_loss_rate``) for the fault injector.
         Keys are topology-specific (e.g. ``"lan"``, ``"group:A"``,
         ``"rx:10.0.0.3"``)."""
         return {}
@@ -65,6 +74,9 @@ class Network:
 class EthernetLanTopology(Network):
     """All hosts on one shared Ethernet segment (the link's and the
     NICs' default propagation delay and rings)."""
+
+    DROP_REASONS = {**Network.DROP_REASONS,
+                    "link_fault": ("link_down", "link_fault_loss")}
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, *, seed: int = 0):
         super().__init__(sim, seed)
@@ -78,11 +90,6 @@ class EthernetLanTopology(Network):
 
     def fault_surfaces(self) -> dict[str, object]:
         return {"lan": self.link}
-
-    def drop_summary(self) -> dict[str, int]:
-        summary = super().drop_summary()
-        summary["link_fault"] = self.link.fault_drops
-        return summary
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,12 @@ class WanTreeTopology(Network):
     ACCESS_DELAY_US = 10       # sender NIC <-> backbone
     QUEUE_LIMIT = 2000         # packets waiting for any one pipe
 
+    DROP_REASONS = {**Network.DROP_REASONS,
+                    "router_loss": ("router_loss",),
+                    "pipe_loss": ("pipe_loss",),
+                    "pipe_queue": ("pipe_queue_overflow",),
+                    "pipe_fault": ("pipe_down", "pipe_fault_loss")}
+
     def __init__(self, sim: Simulator, speed_bps: float, *, seed: int = 0):
         super().__init__(sim, seed)
         self.speed_bps = float(speed_bps)
@@ -125,17 +138,14 @@ class WanTreeTopology(Network):
         self._group_down: dict[str, Pipe] = {}   # backbone -> group router
         self._nic_group: dict[str, GroupSpec] = {}   # receiver addr -> spec
         self._nic_down: dict[str, Pipe] = {}     # group router -> NIC
-        self._pipes: list[Pipe] = []             # every pipe in the fabric
         self.sender_nic: NetworkInterface | None = None
 
     # -- construction ---------------------------------------------------
 
     def _pipe(self, name: str, *, prop: int, loss: float = 0.0) -> Pipe:
-        pipe = Pipe(self.sim, self.speed_bps, prop_delay_us=prop,
+        return Pipe(self.sim, self.speed_bps, prop_delay_us=prop,
                     queue_limit=self.QUEUE_LIMIT, loss_rate=loss,
                     seed=self.seed, name=name)
-        self._pipes.append(pipe)
-        return pipe
 
     def add_sender(self, addr: str) -> NetworkInterface:
         if self.sender_nic is not None:
@@ -200,15 +210,6 @@ class WanTreeTopology(Network):
         router.mcast_unsubscribe(group, self._nic_down[nic.addr])
         if group not in router._mcast:
             self.backbone.mcast_unsubscribe(group, self._group_down[spec.name])
-
-    def drop_summary(self) -> dict[str, int]:
-        summary = super().drop_summary()
-        summary["router_loss"] = sum(
-            r.loss_drops for r in self._group_routers.values())
-        summary["pipe_loss"] = sum(p.loss_drops for p in self._pipes)
-        summary["pipe_queue"] = sum(p.queue_drops for p in self._pipes)
-        summary["pipe_fault"] = sum(p.fault_drops for p in self._pipes)
-        return summary
 
     def fault_surfaces(self) -> dict[str, object]:
         """Downstream pipes: ``group:<name>`` cuts a whole characteristic

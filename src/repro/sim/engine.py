@@ -63,7 +63,6 @@ class Simulator:
         self._cancels: int = 0
         self._dead: int = 0  # cancelled entries not yet discarded
         self.events_processed: int = 0
-        self.last_event_us: int = 0  # when the last event fired
         self.compactions: int = 0
         #: pushes that joined their instant's entry instead of taking a
         #: heap slot (:meth:`heap_pushes` is every other push)
@@ -79,6 +78,9 @@ class Simulator:
         # received or dropped is reported as ``tap(fact, where, pkt)``
         # while the run's one tracer is attached
         self.tap = None
+        #: the run's drop ledger: seam reason -> frames dropped for it
+        #: (:meth:`drop` is the one writer)
+        self.drops: dict[str, int] = {}
 
     def now_seconds(self) -> float:
         return self.now / US_PER_SEC
@@ -274,11 +276,20 @@ class Simulator:
             if followers is not None:
                 self._requeue(followers, entry)
             raise
-        finally:
-            self.last_event_us = self.now
         if until is not None and self.now < until:
             self.now = until
         return self.now
+
+    def drop(self, reason: str, where: str, pkt) -> None:
+        """A frame dies at ``where`` for ``reason``: count it in
+        :attr:`drops` and report it at the seam.  Every drop site in
+        ``net/`` and ``kernel/`` makes this one call."""
+        try:
+            self.drops[reason] += 1
+        except KeyError:
+            self.drops[reason] = 1
+        if self.tap is not None:
+            self.tap(reason, where, pkt)
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""

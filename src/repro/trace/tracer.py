@@ -4,10 +4,12 @@ Every site that sends, receives or drops a segment reports it at one
 per-run seam, ``Simulator.tap`` (``None`` on a bare run), as
 ``tap(fact, where, pkt)``: ``fact`` is ``"tx"``, ``"rx"`` or the drop
 reason (``rx_loss``, ``router_loss``, ``checksum``, ...), ``where`` the
-host address or component name.  :class:`PacketTracer` owns the seam:
-it records a :class:`TraceEvent` per segment sent or received at the
-hosts it was attached to and hands every fact to its subscribers
-(the invariant checker).  Segments are never copied.
+host address or component name.  A drop site calls
+``Simulator.drop``, which counts the frame in the run's drop ledger
+(``Simulator.drops``) and then reports it here.  :class:`PacketTracer`
+owns the seam: it records a :class:`TraceEvent` per segment sent or
+received at the hosts it was attached to and hands every fact to its
+subscribers (the invariant checker).  Segments are never copied.
 """
 
 from __future__ import annotations

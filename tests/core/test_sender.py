@@ -4,6 +4,7 @@ fake host)."""
 from dataclasses import replace
 
 from repro.core.config import KEEPALIVE_MAX_US, HRMCConfig
+from repro.core.rate import RatePhase
 from repro.core.types import FIN, URG, PacketType
 from repro.kernel.payload import BytesPayload, PatternPayload
 from repro.kernel.skbuff import SKBuff
@@ -142,13 +143,16 @@ def test_nak_triggers_retransmission_and_rate_cut(sim, fake_host):
     s.sendmsg_some(PatternPayload(0, 3 * 1460))
     sim.run(until=3 * JIFFY_US)
     fake_host.clear()
+    before = s.rate.rate
     s.segment_received(
         feedback(PacketType.NAK, seq=1, length=1460, rate_adv=1), RCV)
     sim.run(until=sim.now + 3 * JIFFY_US)
     retrans = [skb for skb, _ in fake_host.sent_of_type(PacketType.DATA)
                if skb.tries > 1]
     assert retrans and retrans[0].seq == 1
-    assert s.rate.cuts == 1
+    # one cut: the rate halved into linear growth
+    assert s.rate.ssthresh == max(s.rate.min_rate, before / 2)
+    assert s.rate.phase is RatePhase.CONG_AVOID
     assert s.stats.naks_rcvd == 1
 
 
@@ -197,11 +201,14 @@ def test_warning_control_halves_and_caps(sim, fake_host):
     join_member(s)
     s.sendmsg_some(PatternPayload(0, 200 * 1460))
     sim.run(until=20 * JIFFY_US)
+    before = s.rate.rate
     s.segment_received(
         feedback(PacketType.CONTROL, seq=1, rate_adv=200_000), RCV)
     # capped at the suggestion (or the protocol's minimum rate)
     assert s.rate.rate <= max(200_000, s.rate.min_rate) + 1
-    assert s.rate.cuts == 1
+    # after one cut: the rate halved into linear growth
+    assert s.rate.ssthresh == max(s.rate.min_rate, before / 2)
+    assert s.rate.phase is RatePhase.CONG_AVOID
     assert s.stats.rate_requests_rcvd == 1
 
 

@@ -88,7 +88,7 @@ def test_unbound_port_counts_unroutable():
     sim, lan, h1, h2 = make_pair()
     h1.ip_send(mkskb(dport=9), h2.addr)
     sim.run()
-    assert h2.unroutable == 1
+    assert sim.drops == {"unroutable": 1}
 
 
 def test_bind_conflict_rejected():

@@ -147,7 +147,7 @@ def test_rx_ring_overflow_drops():
     sim.run()
     # the ring keeps the first three frames, in order; the rest drop
     assert got == sent[:3]
-    assert nic.rx_ring_drops == 5
+    assert sim.drops == {"rx_ring_overflow": 5}
 
 
 def test_rx_loss_rate_drops_fraction():
@@ -160,7 +160,7 @@ def test_rx_loss_rate_drops_fraction():
         nic.medium_deliver(mkpkt("10.0.0.9", "10.0.0.1"))
         sim.run()
     assert 0.4 < len(got) / n < 0.6
-    assert nic.rx_loss_drops == n - len(got)
+    assert sim.drops == {"rx_loss": n - len(got)}
 
 
 def test_one_broadcast_event_delivers_like_per_nic_events():

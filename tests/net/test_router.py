@@ -60,7 +60,7 @@ def test_pipe_queue_limit_drops():
         pipe.send(mkpkt("a", "b"))
     sim.run()
     assert len(sink.got) == 3
-    assert pipe.queue_drops == 7
+    assert sim.drops == {"pipe_queue_overflow": 7}
 
 
 def test_pipe_loss_rate():
@@ -74,7 +74,7 @@ def test_pipe_loss_rate():
         pipe.send(mkpkt("a", "b"))
     sim.run()
     assert 0.4 < len(sink.got) / n < 0.6
-    assert pipe.loss_drops == n - len(sink.got)
+    assert sim.drops == {"pipe_loss": n - len(sink.got)}
 
 
 def test_router_unicast_routing():
@@ -97,7 +97,7 @@ def test_router_no_route_drops():
     r = Router(sim)
     r.ingress(mkpkt("x", "10.0.0.1"))
     sim.run()
-    assert r.no_route_drops == 1
+    assert sim.drops == {"no_route": 1}
 
 
 def test_router_multicast_duplication():
@@ -133,7 +133,7 @@ def test_router_mcast_unsubscribe():
     r.ingress(mkpkt("x", group))
     sim.run()
     assert s.got == []
-    assert r.no_route_drops == 1
+    assert sim.drops == {"no_route": 1}
 
 
 def test_router_subscribe_idempotent():
@@ -160,7 +160,7 @@ def test_router_correlated_loss_before_duplication():
     r.ingress(mkpkt("x", "224.1.0.1"))
     sim.run()
     assert s.got == []
-    assert r.loss_drops == 1
+    assert sim.drops == {"router_loss": 1}
 
 
 def test_nic_on_pipe_pair():

@@ -7,7 +7,11 @@ import of the observability layer from ``repro.core`` would bring the
 probe back, so both fail here.
 
 The network and kernel models report each segment sent, received or
-dropped at one per-run packet seam, ``Simulator.tap``.  The engine has
+dropped at one per-run packet seam, ``Simulator.tap``; a drop goes
+through ``Simulator.drop``, which counts it in the run's ledger and
+then reports it, so a site that called ``tap`` with a drop reason of
+its own would be seen by subscribers and missing from
+``drop_summary``.  The engine has
 one event hook, ``Simulator.watch``, and names no observer behind it.
 A per-host tap or a ``profiler`` in the engine would bring a second
 path back, and a ``cause``, ``blame`` or ``fault_cause`` slot on an
@@ -80,3 +84,57 @@ def test_host_sets_no_tap():
             if isinstance(node, ast.Attribute) and node.attr == "tap"
             and isinstance(node.ctx, ast.Store)]
     assert not hits, hits
+
+
+
+def tap_calls_without_traffic(source, label="<source>", exempt=()):
+    """``label:line`` of each ``tap(...)`` / ``<x>.tap(...)`` call in
+    ``source`` whose first argument is not the literal ``"tx"`` or
+    ``"rx"``, outside the functions named in ``exempt``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name in exempt
+               for node in ast.walk(fn)}
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name != "tap":
+            continue
+        first = node.args[0] if node.args else None
+        if not (isinstance(first, ast.Constant) and
+                first.value in ("tx", "rx")):
+            hits.append(f"{label}:{node.lineno}")
+    return sorted(hits, key=lambda hit: int(hit.rsplit(":", 1)[1]))
+
+
+def test_every_drop_goes_through_the_ledger():
+    """A site reports tx and rx itself; a drop is ``Simulator.drop``,
+    the one call that hands the seam anything else."""
+    engine = SRC / "sim" / "engine.py"
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        hits += tap_calls_without_traffic(
+            path.read_text(), str(path.relative_to(SRC)),
+            exempt=("drop",) if path == engine else ())
+    assert not hits, hits
+
+
+def test_the_drop_guard_tells_traffic_from_a_drop():
+    source = (
+        "def send(self, pkt):\n"
+        "    tap = self.sim.tap\n"
+        "    if tap is not None:\n"
+        "        tap('tx', self.addr, pkt)\n"
+        "    self.sim.tap('rx', self.addr, pkt)\n"
+        "    tap('x', self.addr, pkt)\n"
+        "    self.sim.tap(why, self.name, pkt)\n"
+        "def drop(self, reason, where, pkt):\n"
+        "    self.tap(reason, where, pkt)\n")
+    assert tap_calls_without_traffic(source) == \
+        ["<source>:6", "<source>:7", "<source>:9"]
+    assert tap_calls_without_traffic(source, exempt=("drop",)) == \
+        ["<source>:6", "<source>:7"]

@@ -1,12 +1,14 @@
-"""Every attribute the program stores on ``self`` is read somewhere.
+"""Every attribute the program stores on ``self`` is read by the program.
 
 State that is written and never read costs a store on every path that
 writes it (a counter bumped per packet) and a line that a reader has
-to understand, and it tells nobody anything.  The census: each name
-that code under ``src/repro`` assigns as ``self.<name>`` (a plain,
-augmented or annotated assignment; ``self.n += 1`` is a write, not a
-read) must be read somewhere under ``src``, ``tests``, ``bench`` or
-``examples``: loaded as ``<anything>.<name>``, or named by a string a
+to understand, and it tells nobody anything.  State only a test reads
+costs the same and shows nothing the program does: a test states
+behaviour the program shows instead.  The census: each name that code
+under ``src/repro`` assigns as ``self.<name>`` (a plain, augmented or
+annotated assignment; ``self.n += 1`` is a write, not a read) must be
+read somewhere under ``src``, ``bench`` or ``examples`` (``tests``
+does not count): loaded as ``<anything>.<name>``, or named by a string a
 ``getattr`` reads, either ``getattr(x, "<name>")`` or one drawn from a
 literal tuple by the comprehension that calls ``getattr(x, n)``.
 The match is by name, so a read of a same-named attribute of another
@@ -18,7 +20,7 @@ import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-READERS = ("src", "tests", "bench", "examples")
+READERS = ("src", "bench", "examples")
 
 
 def _self_targets(node):

@@ -1,9 +1,10 @@
 """What the packet seam reports is pinned, byte for byte.
 
 `PINNED_SEAM` holds, per run, how many drops the seam reported for each
-reason (counted by a plain `PacketTracer.subscribe` counter) and the
-sha256 of the capture `PacketTracer.save` writes.  Together the four
-runs reach eight drop reasons:
+reason (counted by a plain `PacketTracer.subscribe` counter, and equal
+to the run's drop ledger, `Simulator.drops`) and the sha256 of the
+capture `PacketTracer.save` writes.  Together the four runs reach ten
+drop reasons:
 
 * `wan-21` -- the WAN test-2 world with 3 receivers, 200 000 bytes,
   seed 21: one receiver-NIC loss,
@@ -15,6 +16,14 @@ runs reach eight drop reasons:
 * `wan-pipe-faults` -- a WAN transfer under a plan that flaps a group
   pipe and degrades one receiver's pipe: `pipe_down` and
   `pipe_fault_loss` drops, which no other test reaches.
+
+Each run also drops segments that arrive once nobody is there for
+them: `no_route` (`wan-21`, `wan-test-3`, `wan-pipe-faults`), the
+sender's keepalives to a group whose last member has left, so no
+router has a pipe subscribed to it, and `unroutable` (`wan-test-3`,
+`chaos-17`), LEAVE_RESPONSEs reaching a receiver that has closed its
+socket: the host receives the segment, then finds no socket bound to
+its port, as in Linux.
 
 Re-pin only for a change that is meant to alter what a run sends,
 receives or drops, from the repo root:
@@ -38,16 +47,19 @@ from repro.workloads.spec import RunSpec
 #: name -> (drops per reason, sha256 of the saved packet trace)
 PINNED_SEAM = {
     "wan-21": (
-        {"rx_loss": 1},
+        {"rx_loss": 1, "no_route": 2},
         "2044eabe5c33776f5faef8a970ee2fd31a5766a076fdddfa402de2757d8b0e24"),
     "wan-test-3": (
-        {"pipe_loss": 7, "router_loss": 11, "rx_loss": 2},
+        {"pipe_loss": 7, "router_loss": 11, "rx_loss": 2,
+         "unroutable": 39, "no_route": 2},
         "aabaea64a7b5d4455848885ba7912de9d263ea84b1794d139ba3bac949538cc3"),
     "chaos-17": (
-        {"checksum": 50, "link_down": 31, "nic_burst_drop": 53},
+        {"checksum": 50, "link_down": 31, "nic_burst_drop": 53,
+         "unroutable": 1},
         "9f2595e9aeed11b883f7531a348ef1a331ecf704f98a4fdf3b0cbd9ad2345d10"),
     "wan-pipe-faults": (
-        {"pipe_down": 37, "pipe_fault_loss": 24, "rx_loss": 1},
+        {"pipe_down": 37, "pipe_fault_loss": 24, "rx_loss": 1,
+         "no_route": 2},
         "e10189ca54e82221d6cc26fd4fdcc078e1fac219c8a38c377429a14b598d0b38"),
 }
 
@@ -91,6 +103,7 @@ def seam(name, outdir):
     tracer.subscribe(count)
     result = run_transfer(scenario, tracer=tracer, **kwargs)
     assert result.surviving_ok
+    assert drops == scenario.sim.drops
     path = f"{outdir}/{name}.trace.jsonl"
     tracer.save(path)
     with open(path, "rb") as fh:

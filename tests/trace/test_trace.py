@@ -1,11 +1,13 @@
 """Tests for packet tracing and the saved capture format."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core.types import PacketType
 from repro.harness.runner import run_transfer
+from repro.kernel.skbuff import SKBuff
 from repro.trace.tracer import PacketTracer, TraceEvent
 from repro.net.topology import GroupSpec
 from repro.workloads.groups import GROUP_B
@@ -186,11 +188,29 @@ def test_subscribers_see_every_drop_and_the_attached_hosts_traffic():
                        for e in tracer.events]
     assert {e.host for e in tracer.events} == \
         {sc.sender.addr, sc.receivers[0].addr}
-    drops = [fact for _, fact, *_ in facts if fact not in ("tx", "rx")]
-    counted = ("router_loss", "pipe_loss", "pipe_queue", "nic_rx_ring",
-               "nic_rx_loss")
+    drops = Counter(fact for _, fact, *_ in facts
+                    if fact not in ("tx", "rx"))
     assert drops
-    assert len(drops) == sum(res.drop_summary[k] for k in counted)
+    assert drops == sc.sim.drops
+
+
+def test_a_frame_nobody_is_there_for_is_one_drop():
+    """A unicast to a port no socket is bound to is received, then
+    dropped as ``unroutable``; a multicast a router has no subscribed
+    pipe for is dropped there as ``no_route``.  Each reaches a
+    subscriber once and the run's drop ledger once."""
+    sc = build_wan([GROUP_B], 10e6, seed=61)
+    tracer = PacketTracer().attach(*sc.receivers)
+    facts = []
+    tracer.subscribe(lambda *fact: facts.append(fact))
+    [rcv] = sc.receivers
+    sc.sender.ip_send(SKBuff(sport=9, dport=9, seq=1, ptype=0), rcv.addr)
+    sc.sender.ip_send(SKBuff(sport=9, dport=9, seq=2, ptype=0), sc.group_addr)
+    sc.sim.run()
+    seen = [(fact, where, pkt.segment.seq) for _, fact, where, pkt in facts]
+    assert seen == [("no_route", "backbone", 2),
+                    ("rx", rcv.addr, 1), ("unroutable", rcv.addr, 1)]
+    assert sc.sim.drops == {"unroutable": 1, "no_route": 1}
 
 
 def test_a_record_is_built_only_for_a_reader(monkeypatch):
